@@ -6,21 +6,17 @@
 //! This harness measures both halves of our split:
 //!
 //! 1. **Paillier microbenchmarks** — CRT decryption vs. the single-power
-//!    reference path, and pooled encryption (randomizer precomputed offline)
-//!    vs. inline encryption.
+//!    reference path, and encryption with the randomizer precomputed
+//!    offline vs. inline encryption.
 //! 2. **Online-path latency** — mean per-email round latency of Baseline
-//!    spam sessions served by a `Mailroom`, three ways per fleet size:
-//!    cold (`precompute_budget = 0`, every round computes inline), warm
-//!    (the deprecated per-session inline budget tops pools up between
-//!    rounds), and bank (a fleet-wide precompute bank prefilled before the
-//!    timed region — no per-round top-up work competes with the online
-//!    path, which is where the warm mode's speedup collapses at high
-//!    session counts).
-//! 3. **Search-query latency** — the same cold/warm/bank comparison for
+//!    spam sessions served by a `Mailroom`, two ways per fleet size: cold
+//!    (no bank, every round computes inline) and bank (a fleet-wide
+//!    precompute bank prefilled before the timed region, clients' offline
+//!    phase run — no production competes with the online path).
+//! 3. **Search-query latency** — the same cold/bank comparison for
 //!    encrypted keyword-search sessions, whose query responses are RLWE
-//!    ciphertexts: a warm pool of pre-encrypted response randomizers turns
-//!    each response from a full RLWE encryption (NTTs + sampling) into `n`
-//!    modular additions.
+//!    ciphertexts: a stocked encryption of zero turns each response from a
+//!    full RLWE encryption (NTTs + sampling) into `n` modular additions.
 //! 4. **Batched rounds** — sequential vs coalesced (`process_batch`)
 //!    per-email latency for the spam and search workloads: a batch collapses
 //!    each round's frames into a handful per batch (one blinded-ciphertext
@@ -36,7 +32,7 @@
 //!     --paillier-bits 256 --sessions 1,16 --emails 4 --iters 5
 //! ```
 
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -51,9 +47,12 @@ use pretzel_core::bank::{KIND_GARBLINGS, KIND_ZERO_ENCRYPTIONS};
 use pretzel_core::spam::AheVariant;
 use pretzel_core::topic::CandidateMode;
 use pretzel_core::{PretzelConfig, ProviderModelSuite};
-use pretzel_paillier::{keygen, RandomnessPool};
+use pretzel_paillier::keygen;
 use pretzel_server::{BankConfig, ClientSpec, Mailroom, MailroomClient, MailroomConfig};
-use pretzel_transport::memory_pair;
+use pretzel_transport::{memory_pair, MemoryChannel};
+
+/// The client end every fleet in this bench drives.
+type FleetClient = MailroomClient<MemoryChannel>;
 
 fn main() {
     let paillier_bits: usize = arg_value("--paillier-bits")
@@ -97,14 +96,7 @@ fn main() {
 /// session's whole email budget.
 fn run_batch_online(sessions: &[usize], emails: usize) -> Vec<JsonValue> {
     let config = PretzelConfig::test();
-    let suite = ProviderModelSuite {
-        spam: synthetic_model(256, 2, 11),
-        topic: synthetic_model(64, 4, 12),
-        topic_mode: CandidateMode::Full,
-        virus: synthetic_model(64, 2, 13),
-        virus_extractor: NGramExtractor::new(3, 64),
-        config: config.clone(),
-    };
+    let suite = bench_suite(&config, 256);
 
     println!("\nBatched rounds — sequential vs one coalesced batch of {emails}");
     let widths = [10, 8, 14, 14, 10];
@@ -160,77 +152,140 @@ fn run_batch_fleet(
 ) -> Duration {
     use pretzel_core::session::EmailPayload;
 
-    // The batch comparison keeps measuring the legacy inline shim: the
-    // batching speedup is orthogonal to where artifacts come from.
-    #[allow(deprecated)]
-    let mailroom_config = MailroomConfig::builder()
-        .workers(n_sessions)
-        .queue_capacity(n_sessions)
-        .rng_seed(44)
-        .precompute_budget(2)
-        .build();
-    let mailroom = Mailroom::start(suite.clone(), mailroom_config);
-    let start_line = Arc::new(Barrier::new(n_sessions));
-
-    let clients: Vec<_> = (0..n_sessions)
-        .map(|i| {
-            let (provider_end, client_end) = memory_pair();
-            mailroom
-                .submit(provider_end)
-                .expect("queue sized for fleet");
-            let spec = if workload == "spam" {
-                ClientSpec::spam(config.clone())
-            } else {
-                ClientSpec::search(config.clone())
-            };
-            let barrier = Arc::clone(&start_line);
-            let workload = workload.to_string();
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(3000 + i as u64);
-                let mut client =
-                    MailroomClient::connect(client_end, &spec, &mut rng).expect("client setup");
-                let payloads: Vec<EmailPayload> = (0..emails)
-                    .map(|e| {
-                        if workload == "spam" {
-                            EmailPayload::Tokens(SparseVector::from_pairs(
-                                (0..20)
-                                    .map(|_| (rng.gen_range(0..256), rng.gen_range(1..4u32)))
-                                    .collect(),
-                            ))
-                        } else if e % 2 == 0 {
-                            EmailPayload::SearchIndex {
-                                doc_id: e as u64,
-                                body: format!("message {e} about invoices and travel"),
-                            }
-                        } else {
-                            EmailPayload::SearchQuery("invoices".into())
+    // No bank: the batching speedup is orthogonal to where artifacts come
+    // from.
+    let mailroom_config = fleet_config(n_sessions, 44, None);
+    let spec = if workload == "spam" {
+        ClientSpec::spam(config.clone())
+    } else {
+        ClientSpec::search(config.clone())
+    };
+    let total = timed_fleet(
+        suite,
+        mailroom_config,
+        n_sessions,
+        &spec,
+        3000,
+        |_client, rng| -> Vec<EmailPayload> {
+            (0..emails)
+                .map(|e| {
+                    if workload == "spam" {
+                        EmailPayload::Tokens(random_email(rng))
+                    } else if e % 2 == 0 {
+                        EmailPayload::SearchIndex {
+                            doc_id: e as u64,
+                            body: format!("message {e} about invoices and travel"),
                         }
-                    })
-                    .collect();
-                barrier.wait();
-                let start = Instant::now();
-                if batched {
-                    client.process_batch(&payloads, &mut rng).expect("batch");
-                } else {
-                    for p in &payloads {
-                        client.process(p, &mut rng).expect("round");
+                    } else {
+                        EmailPayload::SearchQuery("invoices".into())
                     }
+                })
+                .collect()
+        },
+        |client, payloads, rng| {
+            if batched {
+                client.process_batch(payloads, rng).expect("batch");
+            } else {
+                for p in payloads {
+                    client.process(p, rng).expect("round");
                 }
-                let elapsed = start.elapsed();
-                client.finish().expect("teardown");
-                elapsed
-            })
-        })
-        .collect();
-
-    let total: Duration = clients.into_iter().map(|c| c.join().unwrap()).sum();
-    let report = mailroom.shutdown();
-    assert_eq!(report.completed(), n_sessions, "every session must finish");
+            }
+        },
+    );
     total / (n_sessions * emails) as u32
 }
 
-/// CRT vs. inline decryption and pooled vs. inline encryption, averaged over
-/// `iters` operations on one `bits`-bit key.
+/// A 20-token email over the benches' 256-feature vocabulary.
+fn random_email(rng: &mut StdRng) -> SparseVector {
+    SparseVector::from_pairs(
+        (0..20)
+            .map(|_| (rng.gen_range(0..256), rng.gen_range(1..4u32)))
+            .collect(),
+    )
+}
+
+/// One worker per session, so no session ever queues. With `stock`, a bank
+/// prefills that many artifacts of that kind and then never produces again
+/// (zero low watermark), so production cannot overlap a timed region.
+fn fleet_config(
+    n_sessions: usize,
+    seed: u64,
+    stock: Option<(&'static str, usize)>,
+) -> MailroomConfig {
+    let builder = MailroomConfig::builder()
+        .workers(n_sessions)
+        .queue_capacity(n_sessions)
+        .rng_seed(seed);
+    match stock {
+        Some((kind, target)) => builder
+            .bank(BankConfig::default().rng_seed(0xBA58))
+            .bank_producers(1)
+            .bank_watermarks(0, 100)
+            .reservoir_target(kind, target)
+            .build(),
+        None => builder.build(),
+    }
+}
+
+/// Serves `n_sessions` sessions of `spec`, one client thread each (seeded
+/// `seed_base + i`). Every client connects and runs the untimed `prepare`
+/// (index build, offline phase, payload generation); only once all of them
+/// are ready **and** the bank (if any) has prefilled does the start line
+/// drop, so the timed region never overlaps setup or production. Returns
+/// the wall-clock of the `timed` parts, summed over sessions.
+fn timed_fleet<P>(
+    suite: &ProviderModelSuite,
+    mailroom_config: MailroomConfig,
+    n_sessions: usize,
+    spec: &ClientSpec,
+    seed_base: u64,
+    prepare: impl Fn(&mut FleetClient, &mut StdRng) -> P + Sync,
+    timed: impl Fn(&mut FleetClient, &P, &mut StdRng) + Sync,
+) -> Duration {
+    let mailroom = Mailroom::start(suite.clone(), mailroom_config);
+    let ready_line = Barrier::new(n_sessions + 1);
+    let start_line = Barrier::new(n_sessions + 1);
+
+    let total = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..n_sessions)
+            .map(|i| {
+                let (provider_end, client_end) = memory_pair();
+                mailroom
+                    .submit(provider_end)
+                    .expect("queue sized for fleet");
+                let (ready_line, start_line, prepare, timed) =
+                    (&ready_line, &start_line, &prepare, &timed);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed_base + i as u64);
+                    let mut client =
+                        MailroomClient::connect(client_end, spec, &mut rng).expect("client setup");
+                    let prepared = prepare(&mut client, &mut rng);
+                    ready_line.wait();
+                    start_line.wait();
+                    let start = Instant::now();
+                    timed(&mut client, &prepared, &mut rng);
+                    let elapsed = start.elapsed();
+                    client.finish().expect("teardown");
+                    elapsed
+                })
+            })
+            .collect();
+
+        ready_line.wait();
+        assert!(
+            mailroom.wait_until_bank_full(Duration::from_secs(600)),
+            "bank prefill must finish before the timed region"
+        );
+        start_line.wait();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    let report = mailroom.shutdown();
+    assert_eq!(report.completed(), n_sessions, "every session must finish");
+    total
+}
+
+/// CRT vs. inline decryption and precomputed-randomizer vs. inline
+/// encryption, averaged over `iters` operations on one `bits`-bit key.
 fn run_paillier_micro(bits: usize, iters: usize) -> JsonValue {
     let mut rng = StdRng::seed_from_u64(0x000F_F1CE);
     let sk = keygen(bits, &mut rng);
@@ -258,20 +313,18 @@ fn run_paillier_micro(bits: usize, iters: usize) -> JsonValue {
         }
         true
     });
-    // The offline half: pool filled outside the timed region.
-    let mut pool = RandomnessPool::new();
-    pool.refill(pk, iters, &mut rng);
-    let (_, e_pooled) = time_over(iters, || {
-        for &m in &plaintexts {
+    // The offline half: randomizers sampled outside the timed region.
+    let randomizers: Vec<_> = (0..iters).map(|_| pk.sample_randomizer(&mut rng)).collect();
+    let (_, e_online) = time_over(iters, || {
+        for (&m, rn) in plaintexts.iter().zip(&randomizers) {
             let m = pretzel_bignum::BigUint::from(m);
-            std::hint::black_box(pk.encrypt_pooled(&m, &mut pool, &mut rng).unwrap());
+            std::hint::black_box(pk.encrypt_with_randomizer(&m, rn).unwrap());
         }
         true
     });
-    assert!(pool.is_empty(), "the timed encryptions drained the pool");
 
     let dec_speedup = d_inline.as_secs_f64() / d_crt.as_secs_f64();
-    let enc_speedup = e_inline.as_secs_f64() / e_pooled.as_secs_f64();
+    let enc_speedup = e_inline.as_secs_f64() / e_online.as_secs_f64();
 
     let widths = [24, 14, 14, 10];
     print_header(&["operation", "inline", "split", "speedup"], &widths);
@@ -286,9 +339,9 @@ fn run_paillier_micro(bits: usize, iters: usize) -> JsonValue {
     );
     print_row(
         &[
-            "encrypt (pooled r^n)".into(),
+            "encrypt (r^n offline)".into(),
             human_us(e_inline),
-            human_us(e_pooled),
+            human_us(e_online),
             format!("{enc_speedup:.2}x"),
         ],
         &widths,
@@ -299,308 +352,166 @@ fn run_paillier_micro(bits: usize, iters: usize) -> JsonValue {
         ("decrypt_crt_us", micros(d_crt)),
         ("decrypt_speedup", JsonValue::Num(dec_speedup)),
         ("encrypt_inline_us", micros(e_inline)),
-        ("encrypt_pooled_us", micros(e_pooled)),
+        ("encrypt_online_us", micros(e_online)),
         ("encrypt_speedup", JsonValue::Num(enc_speedup)),
     ])
 }
 
-/// Mean per-email online latency of Baseline spam sessions, cold vs. warm
-/// pools, at each fleet size.
+/// Mean per-email online latency of Baseline spam sessions, without and
+/// with a prefilled bank, at each fleet size.
 fn run_online_latency(paillier_bits: usize, sessions: &[usize], emails: usize) -> Vec<JsonValue> {
     let config = PretzelConfig {
         paillier_bits,
         ..PretzelConfig::test()
     };
-    let num_features = 256;
-    let suite = ProviderModelSuite {
-        spam: synthetic_model(num_features, 2, 11),
-        topic: synthetic_model(64, 4, 12),
-        topic_mode: CandidateMode::Full,
-        virus: synthetic_model(256, 2, 13),
-        virus_extractor: NGramExtractor::new(3, 256),
-        config: config.clone(),
-    };
-
+    let suite = bench_suite(&config, 256);
     println!("\nOnline-path latency — Baseline spam rounds, {emails} emails/session");
-    let widths = [10, 13, 13, 13, 9, 9];
-    print_header(
-        &[
-            "sessions",
-            "cold/email",
-            "warm/email",
-            "bank/email",
-            "warm spd",
-            "bank spd",
-        ],
-        &widths,
-    );
-
-    let mut rows = Vec::new();
-    for &n in sessions {
-        let cold = median_fleet(|| run_fleet(&suite, &config, n, emails, 0, false));
-        let warm = median_fleet(|| run_fleet(&suite, &config, n, emails, emails, false));
-        let bank = median_fleet(|| run_fleet(&suite, &config, n, emails, emails, true));
-        let speedup = cold.as_secs_f64() / warm.as_secs_f64();
-        let bank_speedup = cold.as_secs_f64() / bank.as_secs_f64();
-        print_row(
-            &[
-                format!("{n}"),
-                human_us(cold),
-                human_us(warm),
-                human_us(bank),
-                format!("{speedup:.2}x"),
-                format!("{bank_speedup:.2}x"),
-            ],
-            &widths,
-        );
-        rows.push(JsonValue::obj([
-            ("sessions", JsonValue::Int(n as u64)),
-            ("cold_us_per_email", micros(cold)),
-            ("warm_us_per_email", micros(warm)),
-            ("bank_us_per_email", micros(bank)),
-            ("speedup", JsonValue::Num(speedup)),
-            ("bank_speedup", JsonValue::Num(bank_speedup)),
-        ]));
-    }
-    rows
+    latency_table("email", sessions, |n, bank| {
+        run_fleet(&suite, &config, n, emails, bank)
+    })
 }
 
-/// Mean per-query online latency of encrypted-search sessions, cold vs.
-/// warm pre-encrypted-response pools, at each fleet size.
+/// Mean per-query online latency of encrypted-search sessions, without and
+/// with a prefilled bank, at each fleet size.
 fn run_search_latency(sessions: &[usize], queries: usize) -> Vec<JsonValue> {
     let config = PretzelConfig::test();
-    let suite = ProviderModelSuite {
-        spam: synthetic_model(64, 2, 11),
+    let suite = bench_suite(&config, 64);
+    println!("\nSearch-query latency — RLWE-packed responses, {queries} queries/session");
+    latency_table("query", sessions, |n, bank| {
+        run_search_fleet(&suite, &config, n, queries, bank)
+    })
+}
+
+/// The synthetic model suite the fleets are served from: spam and virus
+/// models over `features` features, a small topic model.
+fn bench_suite(config: &PretzelConfig, features: usize) -> ProviderModelSuite {
+    ProviderModelSuite {
+        spam: synthetic_model(features, 2, 11),
         topic: synthetic_model(64, 4, 12),
         topic_mode: CandidateMode::Full,
-        virus: synthetic_model(64, 2, 13),
-        virus_extractor: NGramExtractor::new(3, 64),
+        virus: synthetic_model(features, 2, 13),
+        virus_extractor: NGramExtractor::new(3, features),
         config: config.clone(),
-    };
-
-    println!("\nSearch-query latency — RLWE-packed responses, {queries} queries/session");
-    let widths = [10, 13, 13, 13, 9, 9];
-    print_header(
-        &[
-            "sessions",
-            "cold/query",
-            "warm/query",
-            "bank/query",
-            "warm spd",
-            "bank spd",
-        ],
-        &widths,
-    );
-
-    let mut rows = Vec::new();
-    for &n in sessions {
-        let cold = median_fleet(|| run_search_fleet(&suite, &config, n, queries, 0, false));
-        let warm = median_fleet(|| run_search_fleet(&suite, &config, n, queries, queries, false));
-        let bank = median_fleet(|| run_search_fleet(&suite, &config, n, queries, 0, true));
-        let speedup = cold.as_secs_f64() / warm.as_secs_f64();
-        let bank_speedup = cold.as_secs_f64() / bank.as_secs_f64();
-        print_row(
-            &[
-                format!("{n}"),
-                human_us(cold),
-                human_us(warm),
-                human_us(bank),
-                format!("{speedup:.2}x"),
-                format!("{bank_speedup:.2}x"),
-            ],
-            &widths,
-        );
-        rows.push(JsonValue::obj([
-            ("sessions", JsonValue::Int(n as u64)),
-            ("cold_us_per_query", micros(cold)),
-            ("warm_us_per_query", micros(warm)),
-            ("bank_us_per_query", micros(bank)),
-            ("speedup", JsonValue::Num(speedup)),
-            ("bank_speedup", JsonValue::Num(bank_speedup)),
-        ]));
     }
-    rows
+}
+
+/// Prints and records one cold-vs-bank table: `fleet(n, bank)` measures the
+/// per-`unit` latency of an `n`-session fleet without / with the prefilled
+/// bank (each cell the median of three runs).
+fn latency_table(
+    unit: &str,
+    sessions: &[usize],
+    fleet: impl Fn(usize, bool) -> Duration,
+) -> Vec<JsonValue> {
+    let widths = [10, 13, 13, 9];
+    let (cold_col, bank_col) = (format!("cold/{unit}"), format!("bank/{unit}"));
+    print_header(&["sessions", &cold_col, &bank_col, "bank spd"], &widths);
+    sessions
+        .iter()
+        .map(|&n| {
+            let cold = median_fleet(|| fleet(n, false));
+            let bank = median_fleet(|| fleet(n, true));
+            let bank_speedup = cold.as_secs_f64() / bank.as_secs_f64();
+            print_row(
+                &[
+                    format!("{n}"),
+                    human_us(cold),
+                    human_us(bank),
+                    format!("{bank_speedup:.2}x"),
+                ],
+                &widths,
+            );
+            JsonValue::obj([
+                ("sessions", JsonValue::Int(n as u64)),
+                (&format!("cold_us_per_{unit}"), micros(cold)),
+                (&format!("bank_us_per_{unit}"), micros(bank)),
+                ("bank_speedup", JsonValue::Num(bank_speedup)),
+            ])
+        })
+        .collect()
 }
 
 /// Serves `n_sessions` search sessions: each uploads a small mailbox
 /// (untimed — that is index-build work, not the query path), then runs
 /// `queries` timed keyword-query rounds. Returns the mean wall-clock per
-/// query. With `budget > 0` the mailroom workers keep the pre-encrypted
-/// response pool warm; at 0 every response is encrypted inline. With
-/// `bank`, the budget is ignored: a fleet bank stocks each session's
-/// zero-encryption reservoir to the whole query demand before the timed
-/// region, and the zero low watermark keeps its producer parked during it.
+/// query. Without `bank` every response is encrypted inline; with it, a
+/// fleet bank stocks each session's zero-encryption reservoir to the whole
+/// query demand before the timed region, and the zero low watermark keeps
+/// its producer parked during it.
 fn run_search_fleet(
     suite: &ProviderModelSuite,
     config: &PretzelConfig,
     n_sessions: usize,
     queries: usize,
-    budget: usize,
     bank: bool,
 ) -> Duration {
-    let builder = MailroomConfig::builder()
-        .workers(n_sessions)
-        .queue_capacity(n_sessions)
-        .rng_seed(43);
-    let builder = if bank {
-        builder
-            .bank(BankConfig::default().rng_seed(0xBA58))
-            .bank_producers(1)
-            .bank_watermarks(0, 100)
-            .reservoir_target(KIND_ZERO_ENCRYPTIONS, queries)
-    } else {
-        #[allow(deprecated)] // cold/warm rows measure the legacy inline shim
-        let with_budget = builder.precompute_budget(budget);
-        with_budget
-    };
-    let mailroom = Mailroom::start(suite.clone(), builder.build());
-    // Clients hold at the ready line once set up; the main thread releases
-    // the start line only after the bank (if any) finishes prefilling, so
-    // the timed region never overlaps production.
-    let ready_line = Arc::new(Barrier::new(n_sessions + 1));
-    let start_line = Arc::new(Barrier::new(n_sessions + 1));
-
-    let clients: Vec<_> = (0..n_sessions)
-        .map(|i| {
-            let (provider_end, client_end) = memory_pair();
-            mailroom
-                .submit(provider_end)
-                .expect("queue sized for fleet");
-            let spec = ClientSpec::search(config.clone());
-            let ready = Arc::clone(&ready_line);
-            let barrier = Arc::clone(&start_line);
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(2000 + i as u64);
-                let mut client =
-                    MailroomClient::connect(client_end, &spec, &mut rng).expect("client setup");
-                for doc in 0..8u64 {
-                    client
-                        .index_email(
-                            doc,
-                            &format!("message {doc} about invoices and travel"),
-                            &mut rng,
-                        )
-                        .expect("index");
-                }
-                ready.wait();
-                barrier.wait();
-                let start = Instant::now();
-                for q in 0..queries {
-                    let kw = if q % 2 == 0 { "invoices" } else { "travel" };
-                    client.search_keyword(kw, &mut rng).expect("query");
-                }
-                let elapsed = start.elapsed();
-                client.finish().expect("teardown");
-                elapsed
-            })
-        })
-        .collect();
-
-    ready_line.wait();
-    if bank {
-        assert!(
-            mailroom.wait_until_bank_full(Duration::from_secs(600)),
-            "bank prefill must finish before the timed region"
-        );
-    }
-    start_line.wait();
-
-    let total: Duration = clients.into_iter().map(|c| c.join().unwrap()).sum();
-    let report = mailroom.shutdown();
-    assert_eq!(report.completed(), n_sessions, "every session must finish");
+    let stock = bank.then_some((KIND_ZERO_ENCRYPTIONS, queries));
+    let total = timed_fleet(
+        suite,
+        fleet_config(n_sessions, 43, stock),
+        n_sessions,
+        &ClientSpec::search(config.clone()),
+        2000,
+        |client, rng| {
+            for doc in 0..8u64 {
+                client
+                    .index_email(
+                        doc,
+                        &format!("message {doc} about invoices and travel"),
+                        rng,
+                    )
+                    .expect("index");
+            }
+        },
+        |client, (), rng| {
+            for q in 0..queries {
+                let kw = if q % 2 == 0 { "invoices" } else { "travel" };
+                client.search_keyword(kw, rng).expect("query");
+            }
+        },
+    );
     total / (n_sessions * queries) as u32
 }
 
-/// Serves `n_sessions` Baseline spam sessions with the given provider
-/// precompute budget (clients warm their own pools iff `budget > 0`) and
-/// returns the mean wall-clock per email of the round loops alone — setup
-/// and offline precompute excluded, exactly the paper's online-path cost.
-/// With `bank`, the provider side draws garblings from a fleet bank
-/// prefilled to the whole run's demand instead of the per-session budget.
+/// Serves `n_sessions` Baseline spam sessions and returns the mean
+/// wall-clock per email of the round loops alone — setup and offline
+/// precompute excluded, exactly the paper's online-path cost. Without
+/// `bank` both sides compute everything inline; with it, the provider draws
+/// garblings from a fleet bank prefilled to the whole run's demand and the
+/// clients run their offline phase for the whole run before the clock.
 fn run_fleet(
     suite: &ProviderModelSuite,
     config: &PretzelConfig,
     n_sessions: usize,
     emails: usize,
-    budget: usize,
     bank: bool,
 ) -> Duration {
-    let builder = MailroomConfig::builder()
-        .workers(n_sessions)
-        .queue_capacity(n_sessions)
-        .rng_seed(42);
-    let builder = if bank {
-        builder
-            .bank(BankConfig::default().rng_seed(0xBA58))
-            .bank_producers(1)
-            .bank_watermarks(0, 100)
-            .reservoir_target(KIND_GARBLINGS, n_sessions * emails)
-    } else {
-        #[allow(deprecated)] // cold/warm rows measure the legacy inline shim
-        let with_budget = builder.precompute_budget(budget);
-        with_budget
-    };
-    let mailroom = Mailroom::start(suite.clone(), builder.build());
-    // All clients finish setup (and warm-mode precompute) before any round
-    // starts, so round latencies never overlap another session's setup; the
-    // main thread releases the start line only once the bank (if any) has
-    // prefilled, so the timed region never overlaps production.
-    let ready_line = Arc::new(Barrier::new(n_sessions + 1));
-    let start_line = Arc::new(Barrier::new(n_sessions + 1));
-
-    let clients: Vec<_> = (0..n_sessions)
-        .map(|i| {
-            let (provider_end, client_end) = memory_pair();
-            mailroom
-                .submit(provider_end)
-                .expect("queue sized for fleet");
-            let spec = ClientSpec::spam(config.clone()).with_variant(AheVariant::Baseline);
-            let ready = Arc::clone(&ready_line);
-            let barrier = Arc::clone(&start_line);
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(1000 + i as u64);
-                let mut client =
-                    MailroomClient::connect(client_end, &spec, &mut rng).expect("client setup");
-                if budget > 0 {
-                    client.precompute(emails, &mut rng);
-                }
-                let email = SparseVector::from_pairs(
-                    (0..20)
-                        .map(|_| (rng.gen_range(0..256), rng.gen_range(1..4u32)))
-                        .collect(),
-                );
-                ready.wait();
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..emails {
-                    client.classify_spam(&email, &mut rng).expect("classify");
-                }
-                let elapsed = start.elapsed();
-                client.finish().expect("teardown");
-                elapsed
-            })
-        })
-        .collect();
-
-    ready_line.wait();
-    if bank {
-        assert!(
-            mailroom.wait_until_bank_full(Duration::from_secs(600)),
-            "bank prefill must finish before the timed region"
-        );
-    }
-    start_line.wait();
-
-    let total: Duration = clients.into_iter().map(|c| c.join().unwrap()).sum();
-    let report = mailroom.shutdown();
-    assert_eq!(report.completed(), n_sessions, "every session must finish");
+    let stock = bank.then_some((KIND_GARBLINGS, n_sessions * emails));
+    let total = timed_fleet(
+        suite,
+        fleet_config(n_sessions, 42, stock),
+        n_sessions,
+        &ClientSpec::spam(config.clone()).with_variant(AheVariant::Baseline),
+        1000,
+        |client, rng| {
+            if bank {
+                client.precompute(emails, rng);
+            }
+            random_email(rng)
+        },
+        |client, email, rng| {
+            for _ in 0..emails {
+                client.classify_spam(email, rng).expect("classify");
+            }
+        },
+    );
     total / (n_sessions * emails) as u32
 }
 
 /// Runs a fleet measurement three times and returns the median. A single
 /// fleet run heavily oversubscribes the cores (one thread per session), so
 /// its wall-clock is at the mercy of the scheduler — at 64 sessions the
-/// run-to-run spread of a lone sample exceeds the cold/warm gap itself.
+/// run-to-run spread of a lone sample exceeds the cold/bank gap itself.
 fn median_fleet(mut run: impl FnMut() -> Duration) -> Duration {
     let mut samples = [run(), run(), run()];
     samples.sort();

@@ -9,6 +9,7 @@ use pretzel_bench::{
     human_bytes, human_us, parse_scale, print_header, print_row, synthetic_model, time,
 };
 use pretzel_classifiers::SparseVector;
+use pretzel_core::bank::empty_source;
 use pretzel_core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel_core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel_core::{NoPrivProvider, PretzelConfig, Scale};
@@ -59,8 +60,15 @@ fn measure_spam(
     });
 
     let mut rng = rand::thread_rng();
-    let mut provider =
-        SpamProvider::setup(&mut provider_chan, &model, config, variant, &mut rng).unwrap();
+    let mut provider = SpamProvider::setup(
+        &mut provider_chan,
+        &model,
+        config,
+        variant,
+        &empty_source(),
+        &mut rng,
+    )
+    .unwrap();
     let mut provider_cpu = Duration::ZERO;
     for _ in 0..emails {
         let (_, d) = time(|| {
@@ -126,8 +134,16 @@ fn measure_topic(
     });
 
     let mut rng = rand::thread_rng();
-    let mut provider =
-        TopicProvider::setup(&mut provider_chan, &model, config, variant, mode, &mut rng).unwrap();
+    let mut provider = TopicProvider::setup(
+        &mut provider_chan,
+        &model,
+        config,
+        variant,
+        mode,
+        &empty_source(),
+        &mut rng,
+    )
+    .unwrap();
     let mut provider_cpu = Duration::ZERO;
     for _ in 0..emails {
         let (_, d) = time(|| provider.process_email(&mut provider_chan).unwrap());

@@ -1,10 +1,14 @@
-//! Fleet-wide precompute bank with dependency-aware background production.
+//! Precompute, once: the fleet-wide bank with dependency-aware background
+//! production, and the few small types every consumer of offline artifacts
+//! shares.
 //!
-//! Prior to the bank, every offline artifact pool (Paillier randomizers,
-//! precomputed garblings, zero encryptions, base OTs) was per-session and
-//! topped up *inline* between rounds by the serving worker — so warm-path
-//! throughput dipped whenever a pool ran dry mid-burst at high session
-//! counts. The bank promotes precompute to a fleet-wide service:
+//! Every offline artifact a provider session consumes (precomputed
+//! garblings, zero encryptions, base OTs) comes from a [`PrecomputeSource`]
+//! through one draw ladder ([`draw`] / [`Lease::draw`]): take a stocked
+//! artifact if the source has one that fits, otherwise count a fallback and
+//! make it inline. A deployment without a bank hands sessions the
+//! [`empty_source`], whose draws always come up dry — the same code path,
+//! with nothing behind it. The bank itself is a fleet-wide service:
 //!
 //! * **Per-kind reservoirs.** Artifacts are stored in reservoirs keyed by
 //!   [`ReservoirId`] — an artifact *kind* (one of [`KIND_RANDOMIZERS`],
@@ -33,9 +37,10 @@
 //!   events directly observable ([`BankReport`], `Meter` gauges).
 //!
 //! Consumption goes through the object-safe [`PrecomputeSource`] trait so
-//! modules can be handed any source — the fleet bank, or a test double. The
-//! old per-session `precompute(budget)` entry points remain as deprecated
-//! shims over the session-local pools.
+//! modules can be handed any source — the fleet bank, the empty source, or a
+//! test double. A client has one session and no producer threads, so its
+//! explicit offline phase stocks a session-local [`Stock`] instead: a bank
+//! with zero producers.
 
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
@@ -203,25 +208,174 @@ pub trait PrecomputeSource: Send + Sync {
     /// [`record_fallback`](PrecomputeSource::record_fallback)).
     fn draw(&self, id: &ReservoirId) -> Option<Artifact>;
 
-    /// Current depth of `id`'s reservoir (0 if unregistered).
-    fn depth(&self, id: &ReservoirId) -> usize;
+    /// Current depth of `id`'s reservoir; `None` if the source holds no such
+    /// reservoir.
+    fn depth(&self, id: &ReservoirId) -> Option<usize>;
 
     /// Records that a draw came up dry and the caller produced inline.
     fn record_fallback(&self, id: &ReservoirId);
 }
 
-/// Per-kind observability snapshot of a module's *local* pool (the
-/// session-local stock modules keep in front of the bank), reported through
-/// `ProviderModule::pool_stats` into the mailroom's per-session meters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Artifact kind (`KIND_*` naming scheme, shared with [`ReservoirId`]).
-    pub kind: &'static str,
-    /// Artifacts currently held locally by the module.
-    pub depth: u64,
-    /// Draws that found both the local pool and the bank dry and fell back
-    /// to inline production.
-    pub fallback_draws: u64,
+/// The source with nothing behind it: registrations are ignored and every
+/// draw comes up dry, so callers make each artifact inline. It is what a
+/// session gets when no bank runs.
+struct EmptySource;
+
+impl PrecomputeSource for EmptySource {
+    fn register(&self, _spec: ReservoirSpec) {}
+    fn release(&self, _id: &ReservoirId) {}
+    fn draw(&self, _id: &ReservoirId) -> Option<Artifact> {
+        None
+    }
+    fn depth(&self, _id: &ReservoirId) -> Option<usize> {
+        None
+    }
+    fn record_fallback(&self, _id: &ReservoirId) {}
+}
+
+/// A handle onto the source with nothing behind it (see the module docs).
+pub fn empty_source() -> Arc<dyn PrecomputeSource> {
+    Arc::new(EmptySource)
+}
+
+/// The draw ladder, written once: takes one artifact of type `T` from `id`'s
+/// reservoir if the source has one and it `fits` (right type, right circuit
+/// or key); otherwise records a fallback and returns `None`, and the caller
+/// makes the artifact inline.
+pub fn draw<T: Any>(
+    source: &dyn PrecomputeSource,
+    id: &ReservoirId,
+    fits: impl FnOnce(&T) -> bool,
+) -> Option<T> {
+    let stocked = source
+        .draw(id)
+        .and_then(|artifact| artifact.downcast::<T>().ok())
+        .filter(|artifact| fits(artifact));
+    if stocked.is_none() {
+        source.record_fallback(id);
+    }
+    stocked.map(|artifact| *artifact)
+}
+
+/// One registration of a reservoir, owned: registering yields the lease,
+/// dropping it releases the registration (the last release retires the
+/// reservoir, so a key-dependent one never outlives its session).
+pub struct Lease {
+    source: Arc<dyn PrecomputeSource>,
+    id: ReservoirId,
+}
+
+impl Lease {
+    /// Registers `spec` with `source` and returns the owning lease.
+    pub fn register(source: &Arc<dyn PrecomputeSource>, spec: ReservoirSpec) -> Self {
+        let id = spec.id;
+        source.register(spec);
+        Lease {
+            source: Arc::clone(source),
+            id,
+        }
+    }
+
+    /// [`draw`] from the leased reservoir.
+    pub fn draw<T: Any>(&self, fits: impl FnOnce(&T) -> bool) -> Option<T> {
+        draw(self.source.as_ref(), &self.id, fits)
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        self.source.release(&self.id);
+    }
+}
+
+/// A session-local FIFO of precomputed artifacts — a bank with zero
+/// producers. The owner fills it in an explicit offline phase
+/// ([`Stock::refill`]) and drains it online ([`Stock::draw`]), making the
+/// artifact inline when the stock is dry — so depth moves latency, never
+/// results.
+pub struct Stock<T> {
+    ready: VecDeque<T>,
+}
+
+impl<T> Default for Stock<T> {
+    fn default() -> Self {
+        Stock {
+            ready: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> Stock<T> {
+    /// Offline phase: tops the stock up to `target` artifacts, returning how
+    /// many `make` produced.
+    pub fn refill(&mut self, target: usize, mut make: impl FnMut() -> T) -> usize {
+        let added = target.saturating_sub(self.ready.len());
+        self.ready.extend((0..added).map(|_| make()));
+        added
+    }
+
+    /// Online phase: the oldest stocked artifact, `None` when dry.
+    pub fn draw(&mut self) -> Option<T> {
+        self.ready.pop_front()
+    }
+}
+
+/// One session's window onto a shared source: forwards every call, and keeps
+/// the session's own fallback count for each reservoir it touched, so a
+/// serving layer can publish per-session gauges without asking the module.
+pub struct SessionSource {
+    inner: Arc<dyn PrecomputeSource>,
+    fallbacks: Mutex<BTreeMap<ReservoirId, u64>>,
+}
+
+impl SessionSource {
+    /// Wraps `inner` for one session.
+    pub fn new(inner: Arc<dyn PrecomputeSource>) -> Self {
+        SessionSource {
+            inner,
+            fallbacks: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    fn touch(&self, id: &ReservoirId, fallbacks: u64) {
+        *self.fallbacks.lock().unwrap().entry(*id).or_insert(0) += fallbacks;
+    }
+
+    /// One gauge per reservoir this session registered or drew from that the
+    /// source holds, sorted by kind: `(kind, current depth, this session's
+    /// dry draws)`. Over the empty source there is none.
+    pub fn gauges(&self) -> Vec<(&'static str, u64, u64)> {
+        let fallbacks = self.fallbacks.lock().unwrap();
+        fallbacks
+            .iter()
+            .filter_map(|(id, &dry)| Some((id.kind, self.inner.depth(id)? as u64, dry)))
+            .collect()
+    }
+}
+
+impl PrecomputeSource for SessionSource {
+    fn register(&self, spec: ReservoirSpec) {
+        self.touch(&spec.id, 0);
+        self.inner.register(spec);
+    }
+
+    fn release(&self, id: &ReservoirId) {
+        self.inner.release(id);
+    }
+
+    fn draw(&self, id: &ReservoirId) -> Option<Artifact> {
+        self.touch(id, 0);
+        self.inner.draw(id)
+    }
+
+    fn depth(&self, id: &ReservoirId) -> Option<usize> {
+        self.inner.depth(id)
+    }
+
+    fn record_fallback(&self, id: &ReservoirId) {
+        self.touch(id, 1);
+        self.inner.record_fallback(id);
+    }
 }
 
 /// Bank tuning: producer threads, targets, and backpressure watermarks.
@@ -496,10 +650,10 @@ impl PrecomputeSource for BankHandle {
         None
     }
 
-    fn depth(&self, id: &ReservoirId) -> usize {
+    fn depth(&self, id: &ReservoirId) -> Option<usize> {
         self.inner
             .get(id)
-            .map_or(0, |res| res.depth.load(Ordering::Relaxed))
+            .map(|res| res.depth.load(Ordering::Relaxed))
     }
 
     fn record_fallback(&self, id: &ReservoirId) {
@@ -677,22 +831,22 @@ impl PrecomputeBank {
     /// Stops the producers, joins them, and returns the final per-reservoir
     /// accounting (remaining stock is reported as drained depth).
     pub fn shutdown(&self) -> BankReport {
+        self.stop();
+        self.report()
+    }
+
+    fn stop(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake();
         for handle in self.producers.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
-        self.report()
     }
 }
 
 impl Drop for PrecomputeBank {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.wake();
-        for handle in self.producers.lock().unwrap().drain(..) {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -900,7 +1054,7 @@ mod tests {
         let handle = bank.handle();
         let unknown = ReservoirId::randomizers(0xdead);
         assert!(handle.draw(&unknown).is_none());
-        assert_eq!(handle.depth(&unknown), 0);
+        assert_eq!(handle.depth(&unknown), None);
         handle.record_fallback(&unknown);
         handle.record_fallback(&unknown);
         let report = bank.shutdown();

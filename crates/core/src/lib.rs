@@ -17,6 +17,9 @@
 //! * [`virus`] — private virus scanning of attachments, one of the functions
 //!   the paper lists as future work (§7); it reuses the spam machinery over a
 //!   hashed byte n-gram feature space.
+//! * [`ahe`] — the AHE endpoint those three share: key generation, the
+//!   encrypted-model transfer and its validation, the client's dot product
+//!   and blinding, the provider's decryption of the blinded result.
 //! * [`noprivate`] — the NoPriv reference: a provider that classifies
 //!   plaintext, the paper's status-quo comparator.
 //! * [`costmodel`] — the analytic cost model of Figure 3.
@@ -36,14 +39,16 @@
 //!   registered function modules, used by the `pretzel_server` mailroom to
 //!   multiplex many concurrent sessions; rounds run one at a time or as
 //!   coalesced batches.
-//! * [`bank`] — the fleet-wide precompute bank: per-kind artifact
+//! * [`bank`] — precompute, once: the fleet-wide bank (per-kind artifact
 //!   reservoirs kept full by background producer threads scheduled over a
-//!   dependency DAG, consumed through the object-safe
-//!   [`bank::PrecomputeSource`] trait with work-stealing
-//!   draws and counted inline fallbacks.
+//!   dependency DAG), the object-safe [`bank::PrecomputeSource`] trait every
+//!   provider session draws through (work-stealing draws, counted inline
+//!   fallbacks, an empty source when no bank runs), and the session-local
+//!   stock of a client's explicit offline phase.
 
 #![warn(missing_docs)]
 
+pub mod ahe;
 pub mod bank;
 pub mod config;
 pub mod costmodel;
@@ -58,8 +63,8 @@ pub mod topic;
 pub mod virus;
 
 pub use bank::{
-    BankConfig, BankReport, PoolStats, PrecomputeBank, PrecomputeSource, ReservoirId,
-    ReservoirSpec, ReservoirStats,
+    BankConfig, BankReport, PrecomputeBank, PrecomputeSource, ReservoirId, ReservoirSpec,
+    ReservoirStats,
 };
 pub use config::{PretzelConfig, Scale};
 pub use noprivate::NoPrivProvider;

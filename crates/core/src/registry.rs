@@ -3,7 +3,8 @@
 //!
 //! The paper's core claim is that provider functions — spam filtering, topic
 //! extraction, virus scanning, keyword search — are *composable*: each is an
-//! instance of one `setup → precompute(budget) → process_round` lifecycle.
+//! instance of one `setup → process_round` lifecycle whose offline artifacts
+//! come from a [`PrecomputeSource`].
 //! This module makes that shape first-class instead of an enum: a
 //! [`FunctionModule`] describes one protocol (its [`WireTag`] handshake byte,
 //! display name, and how to set up each endpoint), and a
@@ -15,11 +16,13 @@
 //! attachment-analytics module from outside this crate).
 //!
 //! Live endpoints implement [`ProviderModule`] / [`ClientModule`]: the
-//! object-safe per-session traits carrying the offline phase
-//! (`precompute`/`pool_depth`), the online phase (`process_round`), and the
-//! **batched** online phase (`process_batch`, defaulting to a per-round
-//! loop; the built-in modules override it to coalesce frames and draw
-//! pooled randomizers in bulk — see `docs/ARCHITECTURE.md`).
+//! object-safe per-session traits carrying the online phase
+//! (`process_round`) and the **batched** online phase (`process_batch`,
+//! defaulting to a per-round loop; the built-in modules override it to
+//! coalesce frames — see `docs/ARCHITECTURE.md`). A provider endpoint takes
+//! its offline artifacts from the [`PrecomputeSource`] its setup was handed;
+//! a client endpoint, which has one session and no producer threads, keeps
+//! the paper's explicit offline phase (`precompute`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,7 +33,7 @@ use pretzel_classifiers::LinearModel;
 use pretzel_transport::wire::Capabilities;
 use pretzel_transport::Channel;
 
-use crate::bank::{PoolStats, PrecomputeSource, ReservoirSpec};
+use crate::bank::{PrecomputeSource, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
 use crate::spam::AheVariant;
@@ -81,35 +84,6 @@ pub trait ProviderModule: Send {
     /// Human-readable module name (per-kind reports, diagnostics).
     fn display_name(&self) -> &'static str;
 
-    /// Offline phase: tops this session's precomputation pools up to
-    /// `budget` future rounds, returning the number of work units produced
-    /// (0 when the module has no provider-side offline work).
-    ///
-    /// With a [`PrecomputeSource`] attached this inline path is a legacy
-    /// shim — the bank's background producers do the offline work and the
-    /// module draws per round instead.
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize;
-
-    /// Rounds the offline pools can currently serve without inline work.
-    fn pool_depth(&self) -> usize;
-
-    /// Hands the module a [`PrecomputeSource`] to draw artifacts from. The
-    /// module registers the reservoirs it consumes (releasing them on drop)
-    /// and prefers bank draws over its local pool refills from then on. The
-    /// default ignores the source — modules without bankable artifacts stay
-    /// correct unchanged.
-    fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        let _ = source;
-    }
-
-    /// Per-kind observability for this session's local pools, keyed by the
-    /// same kind names as the bank's reservoirs ([`PoolStats`]). The default
-    /// (no pools) reports nothing; [`ProviderModule::pool_depth`] remains
-    /// the aggregate of these depths for modules that override both.
-    fn pool_stats(&self) -> Vec<PoolStats> {
-        Vec::new()
-    }
-
     /// Runs one per-email round. Returns a per-round provider output for
     /// modules whose result goes to the provider (the topic index,
     /// Guarantee 3) and `None` otherwise.
@@ -121,7 +95,7 @@ pub trait ProviderModule: Send {
 
     /// Runs `count` rounds as one batch. The default processes them one at
     /// a time; modules override it to coalesce the batch's frames (see
-    /// `pretzel_transport::batch`) and draw pooled precomputations in bulk.
+    /// `pretzel_transport::batch`).
     /// Outputs must equal `count` sequential [`ProviderModule::process_round`]
     /// calls.
     fn process_batch(
@@ -148,12 +122,13 @@ pub trait ClientModule: Send {
     /// encrypted model for classification modules, key material for search).
     fn model_storage_bytes(&self) -> usize;
 
-    /// Offline phase: tops the client-side pools up to `budget` future
-    /// rounds, returning the number of work units produced.
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize;
-
-    /// Rounds the offline pools can currently serve without inline work.
-    fn pool_depth(&self) -> usize;
+    /// Offline phase: tops the client-side stock up to `budget` future
+    /// rounds, returning the number of work units produced. The default — no
+    /// client-side offline work — produces nothing.
+    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
+        let _ = (budget, rng);
+        0
+    }
 
     /// Runs one per-email round with `payload`, which must match the shapes
     /// this module accepts.
@@ -216,11 +191,18 @@ pub trait FunctionModule: Send + Sync {
 
     /// Runs the provider half of the setup phase against the peer on
     /// `channel`, returning the reusable per-session provider state.
+    ///
+    /// `source` is where the session's offline artifacts come from — the
+    /// fleet bank, or [`crate::bank::empty_source`] when none runs. A module
+    /// with bankable artifacts draws what its setup can use (base-OT sender
+    /// state) and registers the reservoirs its rounds will draw from (see
+    /// [`crate::bank::Lease`]); one without ignores it.
     fn provider_setup(
         &self,
         channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>>;
 
@@ -233,24 +215,6 @@ pub trait FunctionModule: Send + Sync {
     fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {
         let _ = suite;
         Vec::new()
-    }
-
-    /// [`FunctionModule::provider_setup`] with a [`PrecomputeSource`]
-    /// available *during* setup, for modules whose setup phase itself can
-    /// consume banked artifacts (e.g. base-OT sender state). The default
-    /// runs the plain setup and then attaches the source to the resulting
-    /// module, so every module gets the draw handle without overriding.
-    fn provider_setup_with_source(
-        &self,
-        channel: &mut dyn Channel,
-        suite: &ProviderModelSuite,
-        variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Box<dyn ProviderModule>> {
-        let mut module = self.provider_setup(channel, suite, variant, rng)?;
-        module.attach_source(Arc::clone(source));
-        Ok(module)
     }
 
     /// Runs the client half of the setup phase, returning the reusable
@@ -396,6 +360,7 @@ mod tests {
             _channel: &mut dyn Channel,
             _suite: &ProviderModelSuite,
             _variant: AheVariant,
+            _source: &Arc<dyn PrecomputeSource>,
             _rng: &mut dyn RngCore,
         ) -> Result<Box<dyn ProviderModule>> {
             Err(PretzelError::Protocol("fake module".into()))

@@ -4,8 +4,9 @@
 //! variant it sketches as future work is implemented by `pretzel_sse` as a
 //! bare two-message protocol. This module promotes that protocol to a
 //! first-class function module with the same shape as spam/topic/virus —
-//! `setup → precompute(budget) → process_round` — so the `pretzel_server`
-//! mailroom can serve search sessions next to classification sessions.
+//! `setup → process_round`, offline artifacts from a `PrecomputeSource` — so
+//! the `pretzel_server` mailroom can serve search sessions next to
+//! classification sessions.
 //!
 //! Protocol (one session):
 //!
@@ -16,12 +17,14 @@
 //!   per-response capacity. Building [`pretzel_rlwe::Params`] precomputes the
 //!   NTT twiddle tables once per session — every later encryption and
 //!   decryption reuses them.
-//! * **Offline phase** — [`SearchProvider::precompute`] banks encryptions of
-//!   zero under the client's key (2 NTTs + noise sampling each). The online
-//!   query path then reduces to `pooled_zero + plaintext` — `n` modular
-//!   additions, no NTT, no sampling — with inline encryption as the pool-dry
-//!   fallback. Pool depth never changes what a query returns, only its
-//!   latency, matching the phase-split contract the other modules obey.
+//! * **Offline phase** — at setup the provider registers a reservoir of
+//!   encryptions of zero under the client's key (2 NTTs + noise sampling
+//!   each) with its [`PrecomputeSource`]; a fleet bank's producers keep it
+//!   stocked. The online query path then reduces to `stocked_zero +
+//!   plaintext` — `n` modular additions, no NTT, no sampling — with inline
+//!   encryption when the draw comes up dry. Stock depth never changes what a
+//!   query returns, only its latency, matching the phase-split contract the
+//!   other modules obey.
 //! * **Per-round phase** — the client drives one of two operations per round:
 //!   an **index** round uploads the encrypted postings of one email
 //!   (opaque HMAC labels + sealed ids, exactly the `pretzel_sse` update
@@ -48,10 +51,8 @@ use pretzel_rlwe::{keygen, Ciphertext, Params, Plaintext, PublicKey, SecretKey};
 use pretzel_sse::{DocId, EncryptedIndex, SseClient, UpdateBatch};
 use pretzel_transport::{pack_frames, unpack_frames, Channel};
 
-use crate::bank::{
-    self, fingerprint64, PoolStats, PrecomputeSource, ReservoirId, ReservoirSpec,
-    KIND_ZERO_ENCRYPTIONS,
-};
+use crate::ahe::recv_batch;
+use crate::bank::{self, fingerprint64, Lease, PrecomputeSource, ReservoirId, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
@@ -113,33 +114,24 @@ pub struct SearchProvider {
     /// The client's public key — responses are encrypted under it.
     pk: PublicKey,
     index: EncryptedIndex,
-    /// Offline-banked encryptions of zero, one per future query round.
-    pool: Vec<Ciphertext>,
     capacity: usize,
-    /// Fleet-wide precompute source and this session's reservoir in it
-    /// (key-dependent: zero encryptions under the client's key).
-    source: Option<(Arc<dyn PrecomputeSource>, ReservoirId)>,
-    /// Query rounds that found both the local pool and the bank dry.
-    fallback_draws: u64,
-}
-
-impl Drop for SearchProvider {
-    fn drop(&mut self) {
-        // The zero-encryption reservoir is useless once this session's key
-        // is gone — release it so the bank retires it instead of producing
-        // for a dead key.
-        if let Some((source, id)) = self.source.take() {
-            source.release(&id);
-        }
-    }
+    /// This session's reservoir of zero encryptions under the client's key.
+    /// Key-dependent, so it is useless once the session is gone — the lease
+    /// releases it then, and the bank retires it instead of producing for a
+    /// dead key.
+    zeros: Lease,
 }
 
 impl SearchProvider {
     /// Runs the setup phase as the provider: joint randomness, receive the
-    /// client's RLWE public key, confirm the per-response capacity.
+    /// client's RLWE public key, confirm the per-response capacity, and
+    /// register the session's zero-encryption reservoir with `source` (the
+    /// producer closure captures the client's public key, and the kind-level
+    /// DAG schedules it after the fleet's shared key-independent stock).
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         config: &PretzelConfig,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
         let _seed = joint_randomness_initiator(channel, rng)?;
@@ -149,71 +141,24 @@ impl SearchProvider {
             .map_err(|e| PretzelError::Ahe(e.to_string()))?;
         let capacity = response_capacity(&params);
         channel.send(&u64_bytes(capacity as u64))?;
-        Ok(SearchProvider {
-            params,
-            pk,
-            index: EncryptedIndex::new(),
-            pool: Vec::new(),
-            capacity,
-            source: None,
-            fallback_draws: 0,
-        })
-    }
-
-    /// Hands this session a [`PrecomputeSource`] and registers its
-    /// key-dependent zero-encryption reservoir there: the producer closure
-    /// captures the client's public key, and the kind-level DAG schedules it
-    /// after the fleet's shared key-independent stock.
-    pub fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        let id = ReservoirId::zero_encryptions(fingerprint64(&self.pk.to_bytes()));
-        let pk = self.pk.clone();
-        source.register(
+        let producer_pk = pk.clone();
+        let zeros = Lease::register(
+            source,
             ReservoirSpec::new(
-                id,
+                ReservoirId::zero_encryptions(fingerprint64(&pk.to_bytes())),
                 Arc::new(move |rng: &mut dyn RngCore| {
-                    Box::new(pk.encrypt_zero(rng)) as bank::Artifact
+                    Box::new(producer_pk.encrypt_zero(rng)) as bank::Artifact
                 }),
             )
             .after(bank::KEY_INDEPENDENT_KINDS),
         );
-        if let Some((old, old_id)) = self.source.replace((source, id)) {
-            old.release(&old_id);
-        }
-    }
-
-    /// Draws one banked zero encryption, if a source is attached and stocked.
-    fn draw_banked_zero(&self) -> Option<Ciphertext> {
-        let (source, id) = self.source.as_ref()?;
-        source
-            .draw(id)
-            .and_then(|artifact| artifact.downcast::<Ciphertext>().ok())
-            .map(|boxed| *boxed)
-    }
-
-    /// Counts a query round that found every precomputed tier dry.
-    fn note_fallback(&mut self) {
-        self.fallback_draws += 1;
-        if let Some((source, id)) = &self.source {
-            source.record_fallback(id);
-        }
-    }
-
-    /// Offline phase: tops the pool of pre-encrypted response randomizers
-    /// (encryptions of zero under the client's key) up to `target`, returning
-    /// the number produced. Each pooled ciphertext turns one future query
-    /// response from a full RLWE encryption into `n` modular additions.
-    pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        let mut produced = 0;
-        while self.pool.len() < target {
-            self.pool.push(self.pk.encrypt_zero(rng));
-            produced += 1;
-        }
-        produced
-    }
-
-    /// Query rounds the offline pool can serve without inline encryption.
-    pub fn pool_depth(&self) -> usize {
-        self.pool.len()
+        Ok(SearchProvider {
+            params,
+            pk,
+            index: EncryptedIndex::new(),
+            capacity,
+            zeros,
+        })
     }
 
     /// Read access to the stored encrypted index (size accounting).
@@ -249,13 +194,7 @@ impl SearchProvider {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let msgs = unpack_frames(&channel.recv()?).map_err(PretzelError::Transport)?;
-        if msgs.len() != count {
-            return Err(PretzelError::Protocol(format!(
-                "batch announced {count} rounds but carried {}",
-                msgs.len()
-            )));
-        }
+        let msgs = recv_batch(channel, count)?;
         let mut replies = Vec::with_capacity(count);
         let mut ops = Vec::with_capacity(count);
         for msg in &msgs {
@@ -296,16 +235,12 @@ impl SearchProvider {
                 let slots = encode_response(&self.params, &sealed[..returned], sealed.len() as u64);
                 let pt = Plaintext::encode(&self.params, &slots)
                     .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                // Online path: add the plaintext onto a pooled encryption of
-                // zero — local pool first, then the fleet bank, then a fresh
-                // inline encryption as the counted pool-dry fallback.
-                let zero = self.pool.pop().or_else(|| self.draw_banked_zero());
-                let ct = match zero {
+                // Online path: add the plaintext onto a stocked encryption
+                // of zero (`n` modular additions), or encrypt inline when
+                // the draw comes up dry.
+                let ct = match self.zeros.draw(|_: &Ciphertext| true) {
                     Some(zero) => self.pk.add_plain(&zero, &pt),
-                    None => {
-                        self.note_fallback();
-                        self.pk.encrypt(&pt, rng)
-                    }
+                    None => self.pk.encrypt(&pt, rng),
                 };
                 Ok((ct.to_bytes(), SearchOp::Answered(returned)))
             }
@@ -483,6 +418,7 @@ impl FunctionModule for SearchFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         _variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         // Search needs no trained model — only the suite's parameter preset;
@@ -491,6 +427,7 @@ impl FunctionModule for SearchFunction {
         Ok(Box::new(SearchProvider::setup(
             &mut channel,
             &suite.config,
+            source,
             rng,
         )?))
     }
@@ -516,26 +453,6 @@ impl ProviderModule for SearchProvider {
 
     fn display_name(&self) -> &'static str {
         "search"
-    }
-
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        SearchProvider::precompute(self, budget, rng)
-    }
-
-    fn pool_depth(&self) -> usize {
-        SearchProvider::pool_depth(self)
-    }
-
-    fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        SearchProvider::attach_source(self, source);
-    }
-
-    fn pool_stats(&self) -> Vec<PoolStats> {
-        vec![PoolStats {
-            kind: KIND_ZERO_ENCRYPTIONS,
-            depth: self.pool.len() as u64,
-            fallback_draws: self.fallback_draws,
-        }]
     }
 
     fn process_round(
@@ -578,16 +495,6 @@ impl ClientModule for SearchClient {
 
     fn model_storage_bytes(&self) -> usize {
         self.storage_bytes()
-    }
-
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        // Search clients have no client-side offline work (the provider
-        // banks the pre-encrypted responses).
-        0
-    }
-
-    fn pool_depth(&self) -> usize {
-        0
     }
 
     fn process_round(
@@ -732,23 +639,40 @@ fn response_checksum(total: u64, sealed: &[[u8; 8]]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::{BankConfig, PrecomputeBank};
     use pretzel_transport::run_two_party;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::Duration;
 
-    fn run_session(budget: usize) -> (Vec<SearchOp>, Vec<Vec<DocId>>) {
+    /// Runs three index and three query rounds with the provider's zero
+    /// encryptions provisioned by a bank stocked with exactly `stock` of them
+    /// (pure prefill, so it is never refilled), or by no bank at all. Checks
+    /// the bank's books before returning what both parties saw.
+    fn run_session(stock: Option<usize>) -> (Vec<SearchOp>, Vec<Vec<DocId>>) {
         let config = PretzelConfig::test();
         let config_client = config.clone();
-        run_two_party(
+        let bank = stock.map(|stock| {
+            Arc::new(PrecomputeBank::start(
+                BankConfig::default()
+                    .target(bank::KIND_ZERO_ENCRYPTIONS, stock)
+                    .watermarks(0, 100),
+            ))
+        });
+        let provider_bank = bank.clone();
+        let outcome = run_two_party(
             move |chan| {
                 let mut rng = StdRng::seed_from_u64(31);
-                let mut provider = SearchProvider::setup(chan, &config, &mut rng).unwrap();
-                assert_eq!(provider.precompute(budget, &mut rng), budget);
-                let mut ops = Vec::new();
-                for _ in 0..6 {
-                    ops.push(provider.process_round(chan, &mut rng).unwrap());
-                    provider.precompute(budget, &mut rng);
+                let source = provider_bank
+                    .as_ref()
+                    .map_or_else(bank::empty_source, |b| b.handle());
+                let mut provider = SearchProvider::setup(chan, &config, &source, &mut rng).unwrap();
+                if let Some(bank) = &provider_bank {
+                    assert!(bank.wait_until_full(Duration::from_secs(60)));
                 }
+                let ops: Vec<_> = (0..6)
+                    .map(|_| provider.process_round(chan, &mut rng).unwrap())
+                    .collect();
                 assert!(!provider.index().is_empty());
                 ops
             },
@@ -775,12 +699,22 @@ mod tests {
                 assert_eq!(client.distinct_keywords(), 9);
                 results
             },
-        )
+        );
+        if let (Some(bank), Some(stock)) = (bank, stock) {
+            // The session is gone, so its reservoir was retired — with its
+            // books kept: three queries, each drawn or fallen back.
+            let report = bank.shutdown();
+            let row = &report.reservoirs[0];
+            assert_eq!(row.drawn, stock.min(3) as u64);
+            assert_eq!(row.drawn + row.fallback_draws, 3);
+            assert_eq!(row.produced, row.drawn + row.depth, "{row:?}");
+        }
+        outcome
     }
 
     #[test]
     fn search_round_trip_finds_exactly_the_matching_emails() {
-        let (ops, results) = run_session(0);
+        let (ops, results) = run_session(None);
         assert_eq!(results, vec![vec![1, 3], vec![2], vec![]]);
         assert_eq!(
             &ops[..3],
@@ -801,10 +735,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_budget_never_changes_results() {
-        let baseline = run_session(0);
-        assert_eq!(run_session(1), baseline, "drain-and-refill must match");
-        assert_eq!(run_session(16), baseline, "never-dry pool must match");
+    fn provisioning_never_changes_results() {
+        let no_bank = run_session(None);
+        assert_eq!(run_session(Some(1)), no_bank, "a bank that runs dry");
+        assert_eq!(run_session(Some(16)), no_bank, "a bank that never does");
     }
 
     #[test]
@@ -815,7 +749,8 @@ mod tests {
         let (_, results) = run_two_party(
             move |chan| {
                 let mut rng = StdRng::seed_from_u64(33);
-                let mut provider = SearchProvider::setup(chan, &config, &mut rng).unwrap();
+                let mut provider =
+                    SearchProvider::setup(chan, &config, &bank::empty_source(), &mut rng).unwrap();
                 for _ in 0..capacity + 3 {
                     provider.process_round(chan, &mut rng).unwrap();
                 }
@@ -866,7 +801,9 @@ mod tests {
             let (provider_res, _) = run_two_party(
                 move |chan| {
                     let mut rng = StdRng::seed_from_u64(35);
-                    let mut provider = SearchProvider::setup(chan, &config, &mut rng).unwrap();
+                    let mut provider =
+                        SearchProvider::setup(chan, &config, &bank::empty_source(), &mut rng)
+                            .unwrap();
                     provider.process_round(chan, &mut rng)
                 },
                 move |chan| {
@@ -897,7 +834,9 @@ mod tests {
             let (provider_res, _) = run_two_party(
                 move |chan| {
                     let mut rng = StdRng::seed_from_u64(37);
-                    let mut provider = SearchProvider::setup(chan, &config, &mut rng).unwrap();
+                    let mut provider =
+                        SearchProvider::setup(chan, &config, &bank::empty_source(), &mut rng)
+                            .unwrap();
                     provider.process_round(chan, &mut rng)
                 },
                 move |chan| {

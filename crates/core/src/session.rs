@@ -15,16 +15,17 @@
 //! The lifecycle both wrappers model is the one §3.3/§4 prescribe: one
 //! **setup** phase per (client, provider) pair — joint randomness, encrypted
 //! model transfer, base OTs — whose state is then **reused** across an
-//! arbitrary number of cheap per-email rounds. Between setup and the rounds
-//! sits an optional **offline phase**: `precompute(budget)` fills
-//! per-session pools (pre-garbled circuits, pre-exponentiated Paillier
-//! randomizers) that the online rounds drain, falling back to inline
-//! computation whenever a pool runs dry. Rounds come in two flavours:
+//! arbitrary number of cheap per-email rounds. The input-independent half of
+//! a round is **offline** work: a provider session draws it ready-made from
+//! the [`PrecomputeSource`] its setup was handed (a fleet bank's background
+//! producers, or nothing — [`crate::bank::empty_source`]), and a client
+//! session fills a local stock in an explicit `precompute(budget)` phase.
+//! Either way a dry draw computes inline. Rounds come in two flavours:
 //! `process_round` serves one email, `process_batch` serves N in one
 //! coalesced exchange (same verdicts, far fewer frames — see
-//! `pretzel_transport::batch`). Pool depth and batching only move work off
+//! `pretzel_transport::batch`). Stock depth and batching only move work off
 //! the latency path — verdicts are identical either way, which
-//! `tests/phase_split.rs` and `tests/batching.rs` pin.
+//! `tests/batching.rs` and `tests/precompute_bank.rs` pin.
 
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ use pretzel_sse::DocId;
 use pretzel_transport::wire::NegotiatedProfile;
 use pretzel_transport::Channel;
 
-use crate::bank::{PoolStats, PrecomputeSource};
+use crate::bank::{empty_source, PrecomputeSource};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, ProtocolRegistry, ProviderModule, WireTag};
 use crate::spam::AheVariant;
@@ -104,7 +105,8 @@ pub struct ProviderSession {
 impl ProviderSession {
     /// Runs the setup phase of the module registered under `tag` against
     /// the peer on `channel`, returning reusable per-session state. Unknown
-    /// tags fail with the registry's [`crate::PretzelError::Protocol`].
+    /// tags fail with the registry's [`crate::PretzelError::Protocol`]. The
+    /// session gets the empty source: every offline artifact is made inline.
     pub fn setup<C: Channel, R: Rng>(
         registry: &ProtocolRegistry,
         tag: WireTag,
@@ -113,22 +115,11 @@ impl ProviderSession {
         variant: AheVariant,
         rng: &mut R,
     ) -> Result<Self> {
-        let module = registry.from_wire_tag(tag)?.provider_setup(
-            as_dyn_channel(channel),
-            suite,
-            variant,
-            as_dyn_rng(rng),
-        )?;
-        Ok(ProviderSession {
-            module,
-            profile: NegotiatedProfile::legacy_v1(),
-        })
+        Self::setup_with_source(registry, tag, channel, suite, variant, &empty_source(), rng)
     }
 
-    /// [`ProviderSession::setup`] with a [`PrecomputeSource`] available from
-    /// the first setup frame onward: modules draw banked artifacts during
-    /// setup where possible (base-OT sender state) and register the
-    /// key-dependent reservoirs they will consume per round.
+    /// [`ProviderSession::setup`] drawing the session's offline artifacts
+    /// from `source` (see [`crate::FunctionModule::provider_setup`]).
     pub fn setup_with_source<C: Channel, R: Rng>(
         registry: &ProtocolRegistry,
         tag: WireTag,
@@ -138,17 +129,14 @@ impl ProviderSession {
         source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
-        let module = registry.from_wire_tag(tag)?.provider_setup_with_source(
+        let module = registry.from_wire_tag(tag)?.provider_setup(
             as_dyn_channel(channel),
             suite,
             variant,
             source,
             as_dyn_rng(rng),
         )?;
-        Ok(ProviderSession {
-            module,
-            profile: NegotiatedProfile::legacy_v1(),
-        })
+        Ok(Self::from_module(module))
     }
 
     /// Wraps an already-set-up provider endpoint (for drivers that hold the
@@ -182,50 +170,9 @@ impl ProviderSession {
         self.module.display_name()
     }
 
-    /// Offline phase: tops this session's precomputation pools up to
-    /// `budget` future rounds, returning the number of work units produced
-    /// (0 when the session's module has no provider-side offline work, e.g.
-    /// topic sessions where the client garbles).
-    ///
-    /// This inline, on-the-serving-thread top-up is a legacy shim over the
-    /// session-local pools: attach a fleet-wide
-    /// [`crate::bank::PrecomputeBank`] instead (via
-    /// [`ProviderSession::attach_source`] or the mailroom's
-    /// `MailroomConfig::builder().bank(..)` wiring) and let background
-    /// producers do the offline work. Budget-driven sessions keep working
-    /// unchanged and produce byte-identical verdicts.
-    #[deprecated(
-        since = "0.1.0",
-        note = "attach a PrecomputeSource (fleet bank) instead; see \
-                pretzel_core::bank and MailroomConfig::builder().bank(..)"
-    )]
-    pub fn precompute<R: Rng>(&mut self, budget: usize, rng: &mut R) -> usize {
-        self.module.precompute(budget, as_dyn_rng(rng))
-    }
-
-    /// Rounds the offline pools can currently serve without inline work.
-    pub fn pool_depth(&self) -> usize {
-        self.module.pool_depth()
-    }
-
-    /// Hands the session's module a [`PrecomputeSource`] to draw precomputed
-    /// artifacts from (see [`ProviderModule::attach_source`]).
-    pub fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        self.module.attach_source(source);
-    }
-
-    /// Per-kind observability for this session's local pools
-    /// ([`ProviderModule::pool_stats`]).
-    pub fn pool_stats(&self) -> Vec<PoolStats> {
-        self.module.pool_stats()
-    }
-
     /// Runs one per-email round. Returns the module's per-round provider
     /// output — the topic index for topic sessions (the only built-in whose
     /// output goes to the provider, Guarantee 3) and `None` for the others.
-    ///
-    /// Draws from the pools filled by [`ProviderSession::precompute`] when
-    /// they are non-empty and computes inline otherwise.
     pub fn process_round<C: Channel, R: Rng>(
         &mut self,
         channel: &mut C,
@@ -338,10 +285,7 @@ impl ClientSession {
             ctx,
             as_dyn_rng(rng),
         )?;
-        Ok(ClientSession {
-            module,
-            profile: NegotiatedProfile::legacy_v1(),
-        })
+        Ok(Self::from_module(module))
     }
 
     /// Wraps an already-set-up client endpoint.
@@ -381,18 +325,13 @@ impl ClientSession {
         self.module.model_storage_bytes()
     }
 
-    /// Offline phase: tops this session's precomputation pools up to
-    /// `budget` future rounds, returning the number of work units produced.
-    /// Topic clients pre-garble argmax circuits; Baseline-variant sessions
-    /// additionally pre-exponentiate Paillier randomizers. Modules without
-    /// client-side offline work return 0.
+    /// Offline phase: tops this session's local stock up to `budget` future
+    /// rounds, returning the number of work units produced. Topic clients
+    /// pre-garble argmax circuits; Baseline-variant sessions additionally
+    /// pre-exponentiate Paillier randomizers. Modules without client-side
+    /// offline work return 0.
     pub fn precompute<R: Rng>(&mut self, budget: usize, rng: &mut R) -> usize {
         self.module.precompute(budget, as_dyn_rng(rng))
-    }
-
-    /// Rounds the offline pools can currently serve without inline work.
-    pub fn pool_depth(&self) -> usize {
-        self.module.pool_depth()
     }
 
     /// Runs one per-email round with `payload`, which must match the
@@ -442,6 +381,20 @@ pub(crate) fn payload_mismatch(module: &str, payload: &EmailPayload) -> crate::P
         "{} payload does not match a {module} session",
         payload_kind(payload)
     ))
+}
+
+/// The token vectors of a batch for `module`, which accepts nothing else.
+pub(crate) fn token_payloads<'a>(
+    module: &str,
+    payloads: &'a [EmailPayload],
+) -> Result<Vec<&'a SparseVector>> {
+    payloads
+        .iter()
+        .map(|p| match p {
+            EmailPayload::Tokens(features) => Ok(features),
+            other => Err(payload_mismatch(module, other)),
+        })
+        .collect()
 }
 
 /// Coerces a concrete channel to the object-safe form the module traits use.
@@ -569,7 +522,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy per-session precompute shim
     fn search_session_roundtrip() {
         let suite_p = suite();
         let config = suite_p.config.clone();
@@ -587,8 +539,6 @@ mod tests {
                     &mut rng,
                 )?;
                 assert_eq!(session.display_name(), "search");
-                assert!(session.precompute(2, &mut rng) > 0);
-                assert_eq!(session.pool_depth(), 2);
                 let mut last = None;
                 for _ in 0..rounds {
                     last = session.process_round(chan, &mut rng)?;

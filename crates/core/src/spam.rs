@@ -20,272 +20,123 @@
 //! across-row packing) and [`AheVariant::Baseline`] (Paillier with legacy
 //! packing), which is exactly the pair compared in Figures 7 and 8.
 //!
-//! Beyond the one-time setup, each endpoint supports an explicit **offline
-//! phase** (`precompute`): the provider garbles comparison circuits ahead of
-//! time, and a Baseline client pre-exponentiates Paillier randomizers. The
-//! per-email path drains those pools and falls back to inline computation
-//! when they run dry, so pool depth never affects correctness — only latency.
+//! The AHE half of both phases — key generation, the encrypted-model
+//! transfer, the dot product, blinding and decryption — is the shared
+//! [`crate::ahe`] endpoint; this module adds what is spam's own: the
+//! comparison circuit, the provider as garbler, and the one-bit output to
+//! the client. Garbling needs only randomness, so the provider draws each
+//! round's garbled circuit from its [`PrecomputeSource`] (a fleet bank keeps
+//! them stocked) and garbles inline when the draw comes up dry; a Baseline
+//! client can likewise stock Paillier randomizers in an explicit offline
+//! phase. Neither ever changes a verdict — only latency.
 
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
-use pretzel_classifiers::{LinearModel, QuantizedModel, SparseVector};
+use pretzel_classifiers::{LinearModel, SparseVector};
 use pretzel_gc::{
-    spam_compare_circuit, to_bits, Circuit, GarblingPool, OutputMode, PrecomputedGarbling,
-    YaoEvaluator, YaoGarbler,
+    spam_compare_circuit, to_bits, Circuit, OutputMode, PrecomputedGarbling, YaoEvaluator,
+    YaoGarbler,
 };
-use pretzel_sdp::paillier_pack::{self, PaillierPackParams};
-use pretzel_sdp::rlwe_pack::{self, Packing};
-use pretzel_sdp::ModelMatrix;
-use pretzel_transport::{pack_frames, unpack_frames, Channel};
+use pretzel_transport::{pack_frames, Channel};
 
-use crate::bank::{self, PoolStats, PrecomputeSource, ReservoirId, ReservoirSpec, KIND_GARBLINGS};
+pub use crate::ahe::AheVariant;
+use crate::ahe::{recv_batch, AheClient, AheProvider};
+use crate::bank::{self, Lease, PrecomputeSource, ReservoirId, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
-use crate::setup::{joint_randomness_initiator, joint_randomness_responder};
-use crate::{parse_u64, u64_bytes, PretzelError, Result};
-
-/// Which additively homomorphic cryptosystem (and packing) a session uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AheVariant {
-    /// XPIR-BV (Ring-LWE) with Pretzel's across-row packing (§4.1–§4.2).
-    Pretzel,
-    /// Paillier with GLLM's legacy packing — the §3.3 Baseline.
-    Baseline,
-    /// XPIR-BV with legacy per-row packing — the "Pretzel-NoOptimPack"
-    /// ablation of Figure 8.
-    PretzelNoOptimPack,
-}
-
-/// Builds the quantized model matrix (weights plus bias row) the secure
-/// protocols operate on.
-pub fn quantize_to_matrix(model: &LinearModel, weight_bits: u32) -> (QuantizedModel, ModelMatrix) {
-    let q = QuantizedModel::from_model(model, weight_bits);
-    let matrix = ModelMatrix::from_rows(q.rows, q.cols, q.data.clone());
-    (q, matrix)
-}
-
-enum ProviderCrypto {
-    Pretzel {
-        sk: pretzel_rlwe::SecretKey,
-    },
-    Baseline {
-        // Boxed: a Paillier secret key (CRT contexts included) dwarfs the
-        // RLWE variant, and clippy::large_enum_variant fires otherwise.
-        sk: Box<pretzel_paillier::SecretKey>,
-        slot_bits: u32,
-        slots_per_ct: usize,
-    },
-}
+use crate::{PretzelError, Result};
 
 /// Provider endpoint of the spam-filtering module.
 pub struct SpamProvider {
-    crypto: ProviderCrypto,
+    ahe: AheProvider,
     yao: YaoGarbler,
     circuit: Circuit,
-    width: usize,
-    /// Offline-garbled circuits awaiting their online rounds.
-    ready: GarblingPool,
-    /// Fleet bank attachment: the shared source plus this session's garbling
-    /// reservoir (keyed by the structural circuit fingerprint).
-    source: Option<(Arc<dyn PrecomputeSource>, ReservoirId)>,
-}
-
-enum ClientCrypto {
-    Pretzel {
-        pk: pretzel_rlwe::PublicKey,
-        model: rlwe_pack::EncryptedModel,
-    },
-    Baseline {
-        pk: pretzel_paillier::PublicKey,
-        model: paillier_pack::PaillierEncryptedModel,
-    },
+    /// This session's registration of the comparison-circuit garbling
+    /// reservoir (keyed by the structural [`Circuit::fingerprint`]).
+    garblings: Lease,
 }
 
 /// Client endpoint of the spam-filtering module.
 pub struct SpamClient {
-    crypto: ClientCrypto,
+    ahe: AheClient,
     yao: YaoEvaluator,
     circuit: Circuit,
-    width: usize,
-    /// Row index of the bias row (= number of model features).
-    bias_row: usize,
-    max_freq: u64,
-    /// Offline-precomputed Paillier randomizers (Baseline variant only; the
-    /// Pretzel RLWE path has no per-round public-key exponentiation to pool).
-    pool: pretzel_paillier::RandomnessPool,
+}
+
+/// The reservoir spec for one comparison circuit's garblings. Garbling is
+/// key-independent — the artifact binds only to the circuit shape — which is
+/// why these reservoirs sit at the root of the bank's dependency DAG.
+fn garbling_spec(circuit: &Circuit) -> ReservoirSpec {
+    let circuit = circuit.clone();
+    ReservoirSpec::new(
+        ReservoirId::garblings(circuit.fingerprint()),
+        Arc::new(move |rng: &mut dyn RngCore| {
+            Box::new(PrecomputedGarbling::garble(&circuit, rng)) as bank::Artifact
+        }),
+    )
+}
+
+/// Fleet plan for the comparison-circuit garbling reservoirs: one spec per
+/// distinct circuit width the configured variants can produce (RLWE plain
+/// bits for the Pretzel variants, Paillier slot bits for the Baseline), so
+/// the bank's producers can pre-garble before any session's setup completes.
+pub(crate) fn garbling_fleet_plan(config: &PretzelConfig) -> Vec<ReservoirSpec> {
+    let mut widths = vec![
+        config.rlwe_plain_bits as usize,
+        config.paillier_slot_bits as usize,
+    ];
+    widths.sort_unstable();
+    widths.dedup();
+    widths
+        .into_iter()
+        .map(|width| garbling_spec(&spam_compare_circuit(width)))
+        .collect()
 }
 
 impl SpamProvider {
     /// Runs the setup phase as the provider: encrypts and ships the model,
-    /// then establishes the Yao session. `model` is the provider's trained
-    /// spam model (2 classes, class 1 = spam).
+    /// establishes the Yao session, and registers the session's garbling
+    /// reservoir with `source`. `model` is the provider's trained spam model
+    /// (2 classes, class 1 = spam).
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         model: &LinearModel,
         config: &PretzelConfig,
         variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
         assert_eq!(model.num_classes(), 2, "spam filtering uses two classes");
-        let (_, matrix) = quantize_to_matrix(model, config.weight_bits);
-        let seed = joint_randomness_initiator(channel, rng)?;
-
-        // Metadata: rows, cols.
-        channel.send(&u64_bytes(matrix.rows() as u64))?;
-        channel.send(&u64_bytes(matrix.cols() as u64))?;
-
-        let (crypto, width) = match variant {
-            AheVariant::Pretzel | AheVariant::PretzelNoOptimPack => {
-                let params = config.rlwe_params();
-                let (sk, pk) = pretzel_rlwe::keygen(&params, Some(&seed), rng);
-                let packing = if variant == AheVariant::Pretzel {
-                    Packing::AcrossRow
-                } else {
-                    Packing::LegacyPerRow
-                };
-                let enc = rlwe_pack::encrypt_model(&pk, &matrix, packing, rng)?;
-                channel.send(&pk.to_bytes())?;
-                channel.send(&u64_bytes(enc.ciphertext_count() as u64))?;
-                let mut blob =
-                    Vec::with_capacity(enc.ciphertext_count() * params.ciphertext_bytes());
-                for ct in enc.ciphertexts() {
-                    blob.extend_from_slice(&ct.to_bytes());
-                }
-                channel.send(&blob)?;
-                (
-                    ProviderCrypto::Pretzel { sk },
-                    config.rlwe_plain_bits as usize,
-                )
-            }
-            AheVariant::Baseline => {
-                let sk = pretzel_paillier::keygen(config.paillier_bits, rng);
-                let pk = sk.public().clone();
-                let pack = PaillierPackParams {
-                    slot_bits: config.paillier_slot_bits,
-                };
-                let slots_per_ct = pack.slots_per_ct(&pk);
-                let enc = paillier_pack::encrypt_model(&pk, &matrix, pack, rng)?;
-                channel.send(&pk.to_bytes())?;
-                channel.send(&u64_bytes(enc.ciphertext_count() as u64))?;
-                let ct_len = pretzel_paillier::Ciphertext::serialized_len(pk.n_bits());
-                let mut blob = Vec::with_capacity(enc.ciphertext_count() * ct_len);
-                for ct in enc.ciphertexts() {
-                    blob.extend_from_slice(&ct.to_bytes(&pk));
-                }
-                channel.send(&blob)?;
-                (
-                    ProviderCrypto::Baseline {
-                        sk: Box::new(sk),
-                        slot_bits: config.paillier_slot_bits,
-                        slots_per_ct,
-                    },
-                    config.paillier_slot_bits as usize,
-                )
-            }
-        };
-
-        let group = config.ot_group(&seed);
-        let yao = YaoGarbler::setup(channel, &group, rng)?;
+        let (ahe, seed) = AheProvider::setup(channel, model, config, variant, rng)?;
+        let yao = YaoGarbler::setup(channel, &config.ot_group(&seed), rng)?;
+        let circuit = spam_compare_circuit(ahe.width);
+        let garblings = Lease::register(source, garbling_spec(&circuit));
         Ok(SpamProvider {
-            crypto,
+            ahe,
             yao,
-            circuit: spam_compare_circuit(width),
-            width,
-            ready: GarblingPool::new(),
-            source: None,
+            circuit,
+            garblings,
         })
     }
 
-    /// Offline phase: tops the pool of pre-garbled comparison circuits up to
-    /// `target` (one per future email). Returns the number of circuits
-    /// garbled. Run this on idle cycles between rounds; the per-email path
-    /// then skips garbling entirely.
-    pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        self.ready.refill(&self.circuit, target, rng)
-    }
-
-    /// Emails the offline pool can currently serve without inline garbling.
-    pub fn pool_depth(&self) -> usize {
-        self.ready.depth()
-    }
-
-    /// Attaches a fleet-wide precompute source: registers this session's
-    /// comparison-circuit garbling reservoir (keyed by the structural
-    /// [`Circuit::fingerprint`]) so background producers keep it full, and
-    /// makes the online draw ladder consult the bank between the local pool
-    /// and the inline fallback. Re-attaching releases the prior registration.
-    pub fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        let id = ReservoirId::garblings(self.circuit.fingerprint());
-        let circuit = self.circuit.clone();
-        source.register(ReservoirSpec::new(
-            id,
-            Arc::new(move |rng: &mut dyn RngCore| {
-                Box::new(PrecomputedGarbling::garble(&circuit, rng)) as bank::Artifact
-            }),
-        ));
-        if let Some((old, old_id)) = self.source.replace((source, id)) {
-            old.release(&old_id);
-        }
-    }
-
-    /// Per-kind pool gauge: local garbling depth plus dry-draw fallbacks.
-    pub fn garbling_stats(&self) -> PoolStats {
-        PoolStats {
-            kind: KIND_GARBLINGS,
-            depth: self.ready.depth() as u64,
-            fallback_draws: self.ready.fallback_draws(),
-        }
-    }
-
-    /// Online draw ladder: local pool first, then a work-stealing bank draw,
-    /// then inline garbling (counted as a fallback both locally and, when a
-    /// bank is attached, at the bank).
-    fn draw_garbling<R: Rng + ?Sized>(&mut self, rng: &mut R) -> PrecomputedGarbling {
-        if let Some(pre) = self.ready.try_draw() {
-            return pre;
-        }
-        if let Some((source, id)) = &self.source {
-            if let Some(artifact) = source.draw(id) {
-                if let Ok(pre) = artifact.downcast::<PrecomputedGarbling>() {
-                    if pre.matches(&self.circuit) {
-                        return *pre;
-                    }
-                }
-            }
-        }
-        self.ready.note_fallback();
-        if let Some((source, id)) = &self.source {
-            source.record_fallback(id);
-        }
-        PrecomputedGarbling::garble(&self.circuit, rng)
+    /// One round's garbled circuit: stocked if the source has one, garbled
+    /// inline otherwise.
+    fn draw_garbling<R: Rng + ?Sized>(&self, rng: &mut R) -> PrecomputedGarbling {
+        self.garblings
+            .draw(|pre: &PrecomputedGarbling| pre.matches(&self.circuit))
+            .unwrap_or_else(|| PrecomputedGarbling::garble(&self.circuit, rng))
     }
 
     /// Decrypts one round's blinded (ham, spam) dot products and lays them
     /// out as garbler input bits (spam column first, matching the circuit).
     fn garbler_bits_for(&self, blob: &[u8]) -> Result<Vec<bool>> {
-        let blinded = match &self.crypto {
-            ProviderCrypto::Pretzel { sk } => {
-                let ct = pretzel_rlwe::Ciphertext::from_bytes(sk.params(), blob)
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let dec = rlwe_pack::provider_decrypt(sk, &[ct], 2);
-                [dec[0][0], dec[0][1]]
-            }
-            ProviderCrypto::Baseline {
-                sk,
-                slot_bits,
-                slots_per_ct,
-            } => {
-                let ct = pretzel_paillier::Ciphertext::from_bytes(blob);
-                let dec = paillier_pack::provider_decrypt(sk, 2, *slot_bits, *slots_per_ct, &[ct])?;
-                [dec[0], dec[1]]
-            }
-        };
-        let mask = bits_mask(self.width);
-        let mut garbler_bits = to_bits(blinded[1] & mask, self.width); // spam column
-        garbler_bits.extend(to_bits(blinded[0] & mask, self.width)); // ham column
+        let blinded = self.ahe.decrypt_blinded(blob, None)?;
+        let width = self.ahe.width;
+        let mut garbler_bits = to_bits(blinded[1], width); // spam column
+        garbler_bits.extend(to_bits(blinded[0], width)); // ham column
         Ok(garbler_bits)
     }
 
@@ -297,11 +148,9 @@ impl SpamProvider {
         channel: &mut C,
         rng: &mut R,
     ) -> Result<()> {
-        let blob = channel.recv()?;
-        let garbler_bits = self.garbler_bits_for(&blob)?;
-
-        // Online phase: draw ladder — local pool, then the fleet bank, then
-        // inline garbling.
+        // Draw only once the blob has decrypted: a stalled or malformed
+        // round must not consume a stocked garbling.
+        let garbler_bits = self.garbler_bits_for(&channel.recv()?)?;
         let pre = self.draw_garbling(rng);
         self.yao.run_precomputed(
             channel,
@@ -315,10 +164,10 @@ impl SpamProvider {
 
     /// Batched per-email phase: serves `count` rounds whose blinded dot
     /// products arrive as one coalesced frame (see
-    /// [`pretzel_transport::pack_frames`]), drawing `count` pooled garblings
-    /// in bulk and running one batched Yao exchange. Verdicts equal `count`
-    /// sequential [`SpamProvider::process_email`] rounds. An empty batch
-    /// exchanges no traffic, mirroring [`SpamClient::classify_batch`].
+    /// [`pretzel_transport::pack_frames`]), drawing `count` garblings and
+    /// running one batched Yao exchange. Verdicts equal `count` sequential
+    /// [`SpamProvider::process_email`] rounds. An empty batch exchanges no
+    /// traffic, mirroring [`SpamClient::classify_batch`].
     pub fn process_email_batch<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
@@ -328,14 +177,9 @@ impl SpamProvider {
         if count == 0 {
             return Ok(());
         }
-        let blobs = unpack_frames(&channel.recv()?).map_err(PretzelError::Transport)?;
-        if blobs.len() != count {
-            return Err(PretzelError::Protocol(format!(
-                "batch announced {count} rounds but carried {}",
-                blobs.len()
-            )));
-        }
-        let inputs = blobs
+        // As in the single round, validate before drawing: the count is the
+        // peer's word, and must not drain the stock on its own.
+        let inputs = recv_batch(channel, count)?
             .iter()
             .map(|blob| self.garbler_bits_for(blob))
             .collect::<Result<Vec<_>>>()?;
@@ -351,43 +195,6 @@ impl SpamProvider {
     }
 }
 
-impl Drop for SpamProvider {
-    fn drop(&mut self) {
-        if let Some((source, id)) = self.source.take() {
-            source.release(&id);
-        }
-    }
-}
-
-/// Fleet plan for the comparison-circuit garbling reservoirs: one spec per
-/// distinct circuit width the configured variants can produce (RLWE plain
-/// bits for the Pretzel variants, Paillier slot bits for the Baseline), so
-/// the bank's producers can pre-garble before any session's setup completes.
-/// Garbling is key-independent — the artifact binds only to the circuit
-/// shape — which is why these reservoirs sit at the root of the bank's
-/// dependency DAG.
-pub(crate) fn garbling_fleet_plan(config: &PretzelConfig) -> Vec<ReservoirSpec> {
-    let mut widths = vec![
-        config.rlwe_plain_bits as usize,
-        config.paillier_slot_bits as usize,
-    ];
-    widths.sort_unstable();
-    widths.dedup();
-    widths
-        .into_iter()
-        .map(|width| {
-            let circuit = spam_compare_circuit(width);
-            let id = ReservoirId::garblings(circuit.fingerprint());
-            ReservoirSpec::new(
-                id,
-                Arc::new(move |rng: &mut dyn RngCore| {
-                    Box::new(PrecomputedGarbling::garble(&circuit, rng)) as bank::Artifact
-                }),
-            )
-        })
-        .collect()
-}
-
 impl SpamClient {
     /// Runs the setup phase as the client: derives joint randomness, receives
     /// and stores the encrypted model, and establishes the Yao session.
@@ -397,161 +204,37 @@ impl SpamClient {
         variant: AheVariant,
         rng: &mut R,
     ) -> Result<Self> {
-        let seed = joint_randomness_responder(channel, rng)?;
-        let rows = parse_u64(&channel.recv()?)? as usize;
-        let cols = parse_u64(&channel.recv()?)? as usize;
-        if cols != 2 {
-            return Err(PretzelError::Protocol(format!(
-                "spam model must have 2 columns, got {cols}"
-            )));
-        }
-
-        let (crypto, width) = match variant {
-            AheVariant::Pretzel | AheVariant::PretzelNoOptimPack => {
-                let params = config.rlwe_params();
-                let pk = pretzel_rlwe::PublicKey::from_bytes(&params, &channel.recv()?)
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let count = parse_u64(&channel.recv()?)? as usize;
-                let blob = channel.recv()?;
-                let ct_len = params.ciphertext_bytes();
-                if blob.len() != count * ct_len {
-                    return Err(PretzelError::Protocol("bad model blob size".into()));
-                }
-                let cts = blob
-                    .chunks_exact(ct_len)
-                    .map(|c| pretzel_rlwe::Ciphertext::from_bytes(&params, c))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let packing = if variant == AheVariant::Pretzel {
-                    Packing::AcrossRow
-                } else {
-                    Packing::LegacyPerRow
-                };
-                let model =
-                    rlwe_pack::EncryptedModel::from_parts(packing, cts, rows, cols, params.slots());
-                (
-                    ClientCrypto::Pretzel { pk, model },
-                    config.rlwe_plain_bits as usize,
-                )
-            }
-            AheVariant::Baseline => {
-                let pk = pretzel_paillier::PublicKey::from_bytes(&channel.recv()?)
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let count = parse_u64(&channel.recv()?)? as usize;
-                let blob = channel.recv()?;
-                let ct_len = pretzel_paillier::Ciphertext::serialized_len(pk.n_bits());
-                if blob.len() != count * ct_len {
-                    return Err(PretzelError::Protocol("bad model blob size".into()));
-                }
-                let cts: Vec<_> = blob
-                    .chunks_exact(ct_len)
-                    .map(pretzel_paillier::Ciphertext::from_bytes)
-                    .collect();
-                let pack = PaillierPackParams {
-                    slot_bits: config.paillier_slot_bits,
-                };
-                let slots_per_ct = pack.slots_per_ct(&pk);
-                let model = paillier_pack::PaillierEncryptedModel::from_parts(
-                    pack,
-                    cts,
-                    rows,
-                    cols,
-                    slots_per_ct,
-                );
-                (
-                    ClientCrypto::Baseline { pk, model },
-                    config.paillier_slot_bits as usize,
-                )
-            }
-        };
-
-        let group = config.ot_group(&seed);
-        let yao = YaoEvaluator::setup(channel, &group, rng)?;
-        Ok(SpamClient {
-            crypto,
-            yao,
-            circuit: spam_compare_circuit(width),
-            width,
-            bias_row: rows - 1,
-            max_freq: config.max_frequency(),
-            pool: pretzel_paillier::RandomnessPool::new(),
-        })
+        let (ahe, seed) = AheClient::setup(channel, config, variant, Some(2), rng)?;
+        let yao = YaoEvaluator::setup(channel, &config.ot_group(&seed), rng)?;
+        let circuit = spam_compare_circuit(ahe.width);
+        Ok(SpamClient { ahe, yao, circuit })
     }
 
     /// Offline phase: precomputes the Paillier randomizers `target` future
     /// rounds will consume (Baseline variant; a no-op returning 0 for the
     /// Pretzel variant). Returns the number of randomizers computed.
     pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        match &self.crypto {
-            ClientCrypto::Baseline { pk, model } => {
-                self.pool
-                    .refill(pk, target.saturating_mul(model.result_ciphertexts()), rng)
-            }
-            ClientCrypto::Pretzel { .. } => 0,
-        }
-    }
-
-    /// Rounds the offline pool can currently serve without inline
-    /// exponentiations (always 0 for the Pretzel variant).
-    pub fn pool_depth(&self) -> usize {
-        match &self.crypto {
-            ClientCrypto::Baseline { model, .. } => self.pool.len() / model.result_ciphertexts(),
-            ClientCrypto::Pretzel { .. } => 0,
-        }
+        self.ahe.precompute(target, rng)
     }
 
     /// Client-side storage consumed by the encrypted model in bytes — the
     /// quantity Figure 8 reports.
     pub fn model_storage_bytes(&self) -> usize {
-        match &self.crypto {
-            ClientCrypto::Pretzel { pk, model } => model.size_bytes(pk),
-            ClientCrypto::Baseline { pk, model } => model.size_bytes(pk),
-        }
+        self.ahe.model_storage_bytes()
     }
 
-    /// Converts an email's sparse token counts into the protocol's
-    /// (row, frequency) form, clamping frequencies and appending the bias row.
-    pub fn protocol_features(&self, features: &SparseVector) -> Vec<(usize, u64)> {
-        let mut out: Vec<(usize, u64)> = features
-            .iter()
-            .filter(|&(i, _)| i < self.bias_row)
-            .map(|(i, c)| (i, (c as u64).min(self.max_freq)))
-            .collect();
-        out.push((self.bias_row, 1));
-        out
-    }
-
-    /// Computes one email's blinded dot-product ciphertext (drawing pooled
-    /// Paillier randomizers when available) and the matching evaluator input
-    /// bits, without touching the channel.
+    /// Computes one email's blinded dot-product ciphertext and the matching
+    /// evaluator input bits, without touching the channel.
     fn blinded_round<R: Rng + ?Sized>(
         &mut self,
         features: &SparseVector,
         rng: &mut R,
     ) -> Result<(Vec<u8>, Vec<bool>)> {
-        let sparse = self.protocol_features(features);
-        let mask = bits_mask(self.width);
-        let (blob, noise) = match &self.crypto {
-            ClientCrypto::Pretzel { pk, model } => {
-                let result = rlwe_pack::client_dot_product(pk, model, &sparse)?;
-                let (blinded, noise) = rlwe_pack::blind(pk, &result[0], 2, rng);
-                (blinded.to_bytes(), noise)
-            }
-            ClientCrypto::Baseline { pk, model } => {
-                let result = paillier_pack::client_dot_product_pooled(
-                    pk,
-                    model,
-                    &sparse,
-                    &mut self.pool,
-                    rng,
-                )?;
-                let (blinded, noise) = paillier_pack::blind(pk, model, &result[0], 2, rng);
-                (blinded.to_bytes(pk), noise)
-            }
-        };
+        let (blob, noise) = self.ahe.blinded_round(features, None, rng)?;
         // Evaluator inputs: noise for the spam column, then the ham column.
-        let mut evaluator_bits = to_bits(noise[1] & mask, self.width);
-        evaluator_bits.extend(to_bits(noise[0] & mask, self.width));
+        let width = self.ahe.width;
+        let mut evaluator_bits = to_bits(noise[1], width);
+        evaluator_bits.extend(to_bits(noise[0], width));
         Ok((blob, evaluator_bits))
     }
 
@@ -581,8 +264,7 @@ impl SpamClient {
     /// exchange against a provider running
     /// [`SpamProvider::process_email_batch`] with the same count. All blinded
     /// dot products travel in one frame and the comparison circuits run as
-    /// one batched Yao exchange; pooled randomizers are drawn in bulk while
-    /// the blinded ciphertexts are prepared. Verdicts equal sequential
+    /// one batched Yao exchange. Verdicts equal sequential
     /// [`SpamClient::classify`] calls.
     pub fn classify_batch<C: Channel, R: Rng + ?Sized>(
         &mut self,
@@ -613,14 +295,6 @@ impl SpamClient {
     }
 }
 
-fn bits_mask(width: usize) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
 /// The registrable spam-filtering function module (wire tag 1).
 pub struct SpamFunction;
 
@@ -643,6 +317,7 @@ impl FunctionModule for SpamFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(SpamProvider::setup(
@@ -650,6 +325,7 @@ impl FunctionModule for SpamFunction {
             &suite.spam,
             &suite.config,
             variant,
+            source,
             rng,
         )?))
     }
@@ -680,22 +356,6 @@ impl ProviderModule for SpamProvider {
 
     fn display_name(&self) -> &'static str {
         "spam"
-    }
-
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        SpamProvider::precompute(self, budget, rng)
-    }
-
-    fn pool_depth(&self) -> usize {
-        SpamProvider::pool_depth(self)
-    }
-
-    fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        SpamProvider::attach_source(self, source);
-    }
-
-    fn pool_stats(&self) -> Vec<PoolStats> {
-        vec![self.garbling_stats()]
     }
 
     fn process_round(
@@ -735,10 +395,6 @@ impl ClientModule for SpamClient {
         SpamClient::precompute(self, budget, rng)
     }
 
-    fn pool_depth(&self) -> usize {
-        SpamClient::pool_depth(self)
-    }
-
     fn process_round(
         &mut self,
         mut channel: &mut dyn Channel,
@@ -759,13 +415,7 @@ impl ClientModule for SpamClient {
         payloads: &[EmailPayload],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Verdict>> {
-        let emails = payloads
-            .iter()
-            .map(|p| match p {
-                EmailPayload::Tokens(features) => Ok(features),
-                other => Err(crate::session::payload_mismatch("spam", other)),
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let emails = crate::session::token_payloads("spam", payloads)?;
         Ok(self
             .classify_batch(&mut channel, &emails, rng)?
             .into_iter()
@@ -777,9 +427,11 @@ impl ClientModule for SpamClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::{BankConfig, PrecomputeBank};
     use pretzel_classifiers::nb::GrNbTrainer;
     use pretzel_classifiers::{LabeledExample, Trainer};
     use pretzel_transport::run_two_party;
+    use std::time::Duration;
 
     fn example(pairs: &[(usize, u32)], label: usize) -> LabeledExample {
         LabeledExample {
@@ -798,55 +450,112 @@ mod tests {
         GrNbTrainer::default().train(&corpus, 8, 2)
     }
 
-    /// Like `run_spam_exchange`, but with both endpoints running an offline
-    /// precompute phase sized `budget` before (and between) rounds. The
-    /// verdicts must be identical to the inline path for every budget,
-    /// including 0 (pure fallback) and budgets larger than the round count.
-    fn run_spam_exchange_precomputed(variant: AheVariant, budget: usize) {
+    /// How the provider's garblings are provisioned in a sweep.
+    #[derive(Clone, Copy, Debug)]
+    enum Provision {
+        /// The empty source: every round garbles inline.
+        NoBank,
+        /// A bank whose reservoirs hold a single garbling, so it runs dry
+        /// mid-run.
+        BankRunsDry,
+        /// A bank stocked past the whole run's demand.
+        Prefilled,
+    }
+
+    /// Starts the bank a [`Provision`] calls for, with the comparison
+    /// circuits' reservoirs registered and filled.
+    fn provision(mode: Provision, config: &PretzelConfig) -> Option<PrecomputeBank> {
+        let target = match mode {
+            Provision::NoBank => return None,
+            Provision::BankRunsDry => 1,
+            Provision::Prefilled => 8,
+        };
+        let bank =
+            PrecomputeBank::start(BankConfig::default().target(bank::KIND_GARBLINGS, target));
+        for spec in garbling_fleet_plan(config) {
+            bank.register(spec);
+        }
+        assert!(bank.wait_until_full(Duration::from_secs(60)));
+        Some(bank)
+    }
+
+    /// Every draw either took a stocked garbling or fell back, nothing
+    /// produced was lost, and a bank stocked past demand never fell back.
+    fn check_books(bank: PrecomputeBank, mode: Provision, rounds: u64) {
+        let report = bank.shutdown();
+        let fallbacks = report.fallbacks_by_kind(bank::KIND_GARBLINGS);
+        assert_eq!(report.drawn_total() + fallbacks, rounds, "{mode:?}");
+        assert!(report.drawn_total() >= 1, "{mode:?}: the stock was used");
+        if matches!(mode, Provision::Prefilled) {
+            assert_eq!(fallbacks, 0, "{mode:?}");
+        }
+        for row in &report.reservoirs {
+            assert_eq!(row.produced, row.drawn + row.depth, "{row:?}");
+        }
+    }
+
+    /// Two sequential rounds under `mode`, with the client's offline phase
+    /// sized `client_budget`. The verdicts must not depend on either; the
+    /// bank's books must balance.
+    fn run_spam_exchange_provisioned(variant: AheVariant, mode: Provision, client_budget: usize) {
         let model = train_model();
         let config = PretzelConfig::test();
         let config_client = config.clone();
         let spam_email = SparseVector::from_pairs(vec![(0, 3), (1, 1), (2, 1)]);
         let ham_email = SparseVector::from_pairs(vec![(4, 2), (5, 2), (6, 1)]);
+        let bank = provision(mode, &config);
+        let source = bank
+            .as_ref()
+            .map_or_else(bank::empty_source, |b| b.handle());
 
         let (provider_res, client_res) = run_two_party(
-            move |chan| -> Result<usize> {
+            move |chan| -> Result<()> {
                 let mut rng = rand::thread_rng();
-                let mut provider = SpamProvider::setup(chan, &model, &config, variant, &mut rng)?;
-                let garbled = provider.precompute(budget, &mut rng);
-                assert_eq!(garbled, budget);
-                assert_eq!(provider.pool_depth(), budget);
+                let mut provider =
+                    SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
                 provider.process_email(chan, &mut rng)?;
-                provider.process_email(chan, &mut rng)?;
-                assert_eq!(provider.pool_depth(), budget.saturating_sub(2));
-                Ok(provider.precompute(budget, &mut rng))
+                provider.process_email(chan, &mut rng)
             },
             move |chan| -> Result<(bool, bool)> {
                 let mut rng = rand::thread_rng();
                 let mut client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
-                client.precompute(budget, &mut rng);
-                if variant == AheVariant::Baseline {
-                    assert_eq!(client.pool_depth(), budget);
+                // Only the Baseline has client-side offline work: one
+                // randomizer per round.
+                let stocked = if variant == AheVariant::Baseline {
+                    client_budget
                 } else {
-                    assert_eq!(client.pool_depth(), 0);
-                }
+                    0
+                };
+                assert_eq!(client.precompute(client_budget, &mut rng), stocked);
                 let spam_result = client.classify(chan, &spam_email, &mut rng)?;
                 let ham_result = client.classify(chan, &ham_email, &mut rng)?;
+                assert_eq!(
+                    client.precompute(client_budget, &mut rng),
+                    stocked.min(2),
+                    "topping up replaces exactly what the two rounds drew"
+                );
                 Ok((spam_result, ham_result))
             },
         );
-        let topped_up = provider_res.unwrap();
-        assert_eq!(topped_up, budget.min(2), "top-up replaces consumed rounds");
+        provider_res.unwrap();
         let (spam_result, ham_result) = client_res.unwrap();
-        assert!(spam_result, "{variant:?} budget {budget}: spam must flag");
-        assert!(!ham_result, "{variant:?} budget {budget}: ham must pass");
+        assert!(spam_result, "{variant:?} {mode:?}: spam must flag");
+        assert!(!ham_result, "{variant:?} {mode:?}: ham must pass");
+
+        if let Some(bank) = bank {
+            check_books(bank, mode, 2);
+        }
     }
 
     #[test]
-    fn precompute_budgets_do_not_change_verdicts() {
-        for budget in [0usize, 1, 8] {
-            run_spam_exchange_precomputed(AheVariant::Baseline, budget);
-            run_spam_exchange_precomputed(AheVariant::Pretzel, budget);
+    fn provisioning_does_not_change_verdicts() {
+        for (mode, client_budget) in [
+            (Provision::NoBank, 0),
+            (Provision::BankRunsDry, 1),
+            (Provision::Prefilled, 8),
+        ] {
+            run_spam_exchange_provisioned(AheVariant::Baseline, mode, client_budget);
+            run_spam_exchange_provisioned(AheVariant::Pretzel, mode, client_budget);
         }
     }
 
@@ -864,8 +573,14 @@ mod tests {
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<()> {
                 let mut rng = rand::thread_rng();
-                let mut provider =
-                    SpamProvider::setup(chan, &model_for_provider, &config, variant, &mut rng)?;
+                let mut provider = SpamProvider::setup(
+                    chan,
+                    &model_for_provider,
+                    &config,
+                    variant,
+                    &bank::empty_source(),
+                    &mut rng,
+                )?;
                 provider.process_email(chan, &mut rng)?;
                 provider.process_email(chan, &mut rng)?;
                 Ok(())
@@ -895,8 +610,8 @@ mod tests {
     }
 
     /// One batched exchange must reproduce the sequential verdicts, with the
-    /// garbling pool only partially covering the batch (bulk draw tops the
-    /// shortfall up inline).
+    /// bank's stock only partially covering the batch (the shortfall is
+    /// garbled inline).
     fn run_spam_batch(variant: AheVariant) {
         let model = train_model();
         let config = PretzelConfig::test();
@@ -906,15 +621,15 @@ mod tests {
             SparseVector::from_pairs(vec![(4, 2), (5, 2), (6, 1)]),
             SparseVector::from_pairs(vec![(1, 2), (3, 2)]),
         ];
+        let bank = provision(Provision::BankRunsDry, &config).expect("a bank");
+        let source = bank.handle();
 
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<()> {
                 let mut rng = rand::thread_rng();
-                let mut provider = SpamProvider::setup(chan, &model, &config, variant, &mut rng)?;
-                provider.precompute(1, &mut rng);
-                provider.process_email_batch(chan, 3, &mut rng)?;
-                assert_eq!(provider.pool_depth(), 0, "the batch drained the pool");
-                Ok(())
+                let mut provider =
+                    SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
+                provider.process_email_batch(chan, 3, &mut rng)
             },
             move |chan| -> Result<Vec<bool>> {
                 let mut rng = rand::thread_rng();
@@ -930,6 +645,46 @@ mod tests {
             vec![true, false, true],
             "{variant:?}: batched verdicts must match the sequential ones"
         );
+        check_books(bank, Provision::BankRunsDry, 3);
+    }
+
+    /// A round whose blob carries one ciphertext too many is refused before
+    /// the provider decrypts anything or takes a garbling from the stock.
+    #[test]
+    fn oversized_round_is_refused_without_drawing_a_garbling() {
+        for variant in [AheVariant::Pretzel, AheVariant::Baseline] {
+            let model = train_model();
+            let config = PretzelConfig::test();
+            let config_client = config.clone();
+            let bank = provision(Provision::Prefilled, &config).expect("a bank");
+            let source = bank.handle();
+
+            let (provider_res, client_res) = run_two_party(
+                move |chan| -> Result<()> {
+                    let mut rng = rand::thread_rng();
+                    let mut provider =
+                        SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
+                    provider.process_email(chan, &mut rng)
+                },
+                move |chan| -> Result<()> {
+                    let mut rng = rand::thread_rng();
+                    let mut client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
+                    let email = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
+                    let (blob, _) = client.blinded_round(&email, &mut rng)?;
+                    chan.send(&[blob.clone(), blob].concat())?;
+                    Ok(())
+                },
+            );
+            client_res.unwrap();
+            let err = provider_res.expect_err("two ciphertexts are not a spam round");
+            assert!(
+                matches!(err, PretzelError::Protocol(_)),
+                "{variant:?}: {err:?}"
+            );
+            let report = bank.shutdown();
+            assert_eq!(report.drawn_total(), 0, "{variant:?}");
+            assert_eq!(report.fallbacks_by_kind(bank::KIND_GARBLINGS), 0);
+        }
     }
 
     #[test]

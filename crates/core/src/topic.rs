@@ -21,20 +21,18 @@ use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, SparseVector};
 use pretzel_gc::{
-    from_bits, to_bits, topic_argmax_circuit, Circuit, GarblingPool, OtGroup, OtSenderPrecomp,
-    OutputMode, YaoEvaluator, YaoGarbler,
+    from_bits, to_bits, topic_argmax_circuit, Circuit, OtGroup, OtSenderPrecomp, OutputMode,
+    PrecomputedGarbling, YaoEvaluator, YaoGarbler,
 };
-use pretzel_sdp::paillier_pack::{self, PaillierPackParams};
-use pretzel_sdp::rlwe_pack::{self, Packing};
-use pretzel_transport::{pack_frames, unpack_frames, Channel};
+use pretzel_transport::{pack_frames, Channel};
 
-use crate::bank::{self, PrecomputeSource, ReservoirId, ReservoirSpec};
+use crate::ahe::{recv_batch, AheClient, AheProvider};
+use crate::bank::{self, PrecomputeSource, ReservoirId, ReservoirSpec, Stock};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
-use crate::setup::{joint_randomness_initiator, joint_randomness_responder};
-use crate::spam::{quantize_to_matrix, AheVariant};
-use crate::{parse_u64, u64_bytes, PretzelError, Result};
+use crate::spam::AheVariant;
+use crate::{PretzelError, Result};
 
 /// How many candidates the client prunes to before the secure step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,164 +52,88 @@ impl CandidateMode {
     }
 }
 
-enum ProviderCrypto {
-    Pretzel {
-        sk: pretzel_rlwe::SecretKey,
-    },
-    Baseline {
-        // Boxed: a Paillier secret key (CRT contexts included) dwarfs the
-        // RLWE variant, and clippy::large_enum_variant fires otherwise.
-        sk: Box<pretzel_paillier::SecretKey>,
-        slot_bits: u32,
-        slots_per_ct: usize,
-    },
-}
-
 /// Provider endpoint of the topic-extraction module.
 pub struct TopicProvider {
-    crypto: ProviderCrypto,
+    ahe: AheProvider,
     yao: YaoEvaluator,
     circuit: Circuit,
-    width: usize,
     index_width: usize,
     candidates: usize,
-    categories: usize,
-}
-
-enum ClientCrypto {
-    Pretzel {
-        pk: pretzel_rlwe::PublicKey,
-        model: rlwe_pack::EncryptedModel,
-    },
-    Baseline {
-        pk: pretzel_paillier::PublicKey,
-        model: paillier_pack::PaillierEncryptedModel,
-    },
 }
 
 /// Client endpoint of the topic-extraction module.
 pub struct TopicClient {
-    crypto: ClientCrypto,
+    ahe: AheClient,
     yao: YaoGarbler,
     circuit: Circuit,
-    width: usize,
     index_width: usize,
     mode: CandidateMode,
     candidates: usize,
-    categories: usize,
-    bias_row: usize,
-    max_freq: u64,
     /// Public, non-proprietary candidate model (required for decomposition).
     candidate_model: Option<LinearModel>,
-    /// Offline-garbled argmax circuits awaiting their online rounds (the
-    /// client garbles in this module — roles are mirrored vs. spam).
-    ready: GarblingPool,
-    /// Offline-precomputed Paillier randomizers (Baseline variant only).
-    pool: pretzel_paillier::RandomnessPool,
+    /// Argmax circuits garbled in the offline phase (the client garbles in
+    /// this module — roles are mirrored vs. spam).
+    ready: Stock<PrecomputedGarbling>,
+}
+
+/// Fleet plan for the base-OT sender reservoir. Only meaningful at paper
+/// scale, where every session runs over the fixed RFC 3526 group: test-scale
+/// OT groups are derived from each session's joint randomness, so nothing
+/// can be generated for them ahead of a session.
+pub(crate) fn base_ot_fleet_plan(config: &PretzelConfig) -> Vec<ReservoirSpec> {
+    if config.ot_group_bits < 1536 {
+        return Vec::new();
+    }
+    let group = OtGroup::rfc3526_1536();
+    vec![ReservoirSpec::new(
+        ReservoirId::base_ots(group.fingerprint()),
+        Arc::new(move |rng: &mut dyn RngCore| {
+            let pre = OtSenderPrecomp::generate(&group, rng)
+                .expect("every element of the fixed prime-order group is invertible");
+            Box::new(pre) as bank::Artifact
+        }),
+    )]
 }
 
 impl TopicProvider {
     /// Setup phase, provider side: ship the encrypted proprietary topic model
     /// and establish the Yao session (as evaluator — the client garbles).
+    ///
+    /// The provider is the Yao *evaluator* here, and the IKNP extension
+    /// receiver plays the base-OT sender, so when sessions share an OT group
+    /// the sender's exponentiations are drawn from `source` ready-made; a dry
+    /// draw generates them inline, which produces an identical transcript
+    /// shape.
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         model: &LinearModel,
         config: &PretzelConfig,
         variant: AheVariant,
         mode: CandidateMode,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
-        Self::setup_with_ot_base(channel, model, config, variant, mode, None, rng)
-    }
+        let (ahe, seed) = AheProvider::setup(channel, model, config, variant, rng)?;
+        let candidates = mode.count(ahe.cols);
+        let index_width = index_width_for(ahe.cols);
 
-    /// Like [`TopicProvider::setup`], but consuming a pre-generated base-OT
-    /// sender artifact (the provider is the Yao *evaluator* here, and the
-    /// IKNP extension receiver plays the base-OT sender). The artifact must
-    /// have been generated for the session's OT group — only possible at
-    /// paper scale, where the group is the fixed RFC 3526 one — and a
-    /// mismatched or absent artifact falls back to inline base-OT
-    /// generation, which produces an identical protocol transcript shape.
-    pub fn setup_with_ot_base<C: Channel, R: Rng + ?Sized>(
-        channel: &mut C,
-        model: &LinearModel,
-        config: &PretzelConfig,
-        variant: AheVariant,
-        mode: CandidateMode,
-        base: Option<OtSenderPrecomp>,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let (_, matrix) = quantize_to_matrix(model, config.weight_bits);
-        let categories = matrix.cols();
-        let candidates = mode.count(categories);
-        let seed = joint_randomness_initiator(channel, rng)?;
-
-        channel.send(&u64_bytes(matrix.rows() as u64))?;
-        channel.send(&u64_bytes(matrix.cols() as u64))?;
-
-        let (crypto, width) = match variant {
-            AheVariant::Pretzel | AheVariant::PretzelNoOptimPack => {
-                let params = config.rlwe_params();
-                let (sk, pk) = pretzel_rlwe::keygen(&params, Some(&seed), rng);
-                let packing = if variant == AheVariant::Pretzel {
-                    Packing::AcrossRow
-                } else {
-                    Packing::LegacyPerRow
-                };
-                let enc = rlwe_pack::encrypt_model(&pk, &matrix, packing, rng)?;
-                channel.send(&pk.to_bytes())?;
-                channel.send(&u64_bytes(enc.ciphertext_count() as u64))?;
-                let mut blob =
-                    Vec::with_capacity(enc.ciphertext_count() * params.ciphertext_bytes());
-                for ct in enc.ciphertexts() {
-                    blob.extend_from_slice(&ct.to_bytes());
-                }
-                channel.send(&blob)?;
-                (
-                    ProviderCrypto::Pretzel { sk },
-                    config.rlwe_plain_bits as usize,
-                )
-            }
-            AheVariant::Baseline => {
-                let sk = pretzel_paillier::keygen(config.paillier_bits, rng);
-                let pk = sk.public().clone();
-                let pack = PaillierPackParams {
-                    slot_bits: config.paillier_slot_bits,
-                };
-                let slots_per_ct = pack.slots_per_ct(&pk);
-                let enc = paillier_pack::encrypt_model(&pk, &matrix, pack, rng)?;
-                channel.send(&pk.to_bytes())?;
-                channel.send(&u64_bytes(enc.ciphertext_count() as u64))?;
-                let ct_len = pretzel_paillier::Ciphertext::serialized_len(pk.n_bits());
-                let mut blob = Vec::with_capacity(enc.ciphertext_count() * ct_len);
-                for ct in enc.ciphertexts() {
-                    blob.extend_from_slice(&ct.to_bytes(&pk));
-                }
-                channel.send(&blob)?;
-                (
-                    ProviderCrypto::Baseline {
-                        sk: Box::new(sk),
-                        slot_bits: config.paillier_slot_bits,
-                        slots_per_ct,
-                    },
-                    config.paillier_slot_bits as usize,
-                )
-            }
-        };
-
-        let index_width = index_width_for(categories);
         let group = config.ot_group(&seed);
-        let yao = match base.filter(|pre| pre.matches(&group)) {
+        // Only a group the fleet plan stocks has a reservoir to draw from.
+        let base = base_ot_fleet_plan(config).first().and_then(|spec| {
+            bank::draw(source.as_ref(), &spec.id, |pre: &OtSenderPrecomp| {
+                pre.matches(&group)
+            })
+        });
+        let yao = match base {
             Some(pre) => YaoEvaluator::setup_with_base(channel, &group, pre, rng)?,
             None => YaoEvaluator::setup(channel, &group, rng)?,
         };
         Ok(TopicProvider {
-            crypto,
+            circuit: topic_argmax_circuit(candidates, ahe.width, index_width),
+            ahe,
             yao,
-            circuit: topic_argmax_circuit(candidates, width, index_width),
-            width,
             index_width,
             candidates,
-            categories,
         })
     }
 
@@ -220,19 +142,6 @@ impl TopicProvider {
     /// number of categories in the model.
     pub fn output_bits_per_email(&self) -> usize {
         self.index_width
-    }
-
-    /// Offline phase, provider side: a no-op returning 0. The topic provider
-    /// evaluates (the client garbles, so the circuit pool lives in
-    /// [`TopicClient`]), and its CRT decryption contexts are precomputed once
-    /// at key generation.
-    pub fn precompute<R: Rng + ?Sized>(&mut self, _target: usize, _rng: &mut R) -> usize {
-        0
-    }
-
-    /// Always 0 — see [`TopicProvider::precompute`].
-    pub fn pool_depth(&self) -> usize {
-        0
     }
 
     /// Per-email phase, provider side: decrypts the blinded candidate dot
@@ -266,14 +175,7 @@ impl TopicProvider {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let blobs = unpack_frames(&channel.recv()?).map_err(PretzelError::Transport)?;
-        if blobs.len() != count {
-            return Err(PretzelError::Protocol(format!(
-                "batch announced {count} rounds but carried {}",
-                blobs.len()
-            )));
-        }
-        let inputs = blobs
+        let inputs = recv_batch(channel, count)?
             .iter()
             .map(|blob| self.evaluator_bits_for(blob))
             .collect::<Result<Vec<_>>>()?;
@@ -290,59 +192,11 @@ impl TopicProvider {
 
     /// Decrypts one round's blinded candidate values into evaluator bits.
     fn evaluator_bits_for(&self, blob: &[u8]) -> Result<Vec<bool>> {
-        let blinded: Vec<u64> = match &self.crypto {
-            ProviderCrypto::Pretzel { sk } => {
-                let params = sk.params();
-                let ct_len = params.ciphertext_bytes();
-                if !blob.len().is_multiple_of(ct_len) {
-                    return Err(PretzelError::Protocol("bad per-email blob".into()));
-                }
-                let cts = blob
-                    .chunks_exact(ct_len)
-                    .map(|c| pretzel_rlwe::Ciphertext::from_bytes(params, c))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                if cts.len() == self.candidates {
-                    // Decomposed: one ciphertext per candidate, value in slot 0.
-                    cts.iter().map(|ct| sk.decrypt_slots(ct)[0]).collect()
-                } else {
-                    // Full mode: accumulators carrying all B columns.
-                    rlwe_pack::provider_decrypt_columns(sk, &cts, self.categories)
-                }
-            }
-            ProviderCrypto::Baseline {
-                sk,
-                slot_bits,
-                slots_per_ct,
-            } => {
-                let ct_len = pretzel_paillier::Ciphertext::serialized_len(sk.public().n_bits());
-                if !blob.len().is_multiple_of(ct_len) {
-                    return Err(PretzelError::Protocol("bad per-email blob".into()));
-                }
-                let cts: Vec<_> = blob
-                    .chunks_exact(ct_len)
-                    .map(pretzel_paillier::Ciphertext::from_bytes)
-                    .collect();
-                paillier_pack::provider_decrypt(
-                    sk,
-                    self.categories,
-                    *slot_bits,
-                    *slots_per_ct,
-                    &cts,
-                )?
-            }
-        };
-        if blinded.len() < self.candidates {
-            return Err(PretzelError::Protocol(format!(
-                "expected at least {} blinded values, got {}",
-                self.candidates,
-                blinded.len()
-            )));
-        }
-        let mask = bits_mask(self.width);
-        let mut evaluator_bits = Vec::with_capacity(self.candidates * self.width);
+        let blinded = self.ahe.decrypt_blinded(blob, Some(self.candidates))?;
+        let width = self.ahe.width;
+        let mut evaluator_bits = Vec::with_capacity(self.candidates * width);
         for &v in blinded.iter().take(self.candidates) {
-            evaluator_bits.extend(to_bits(v & mask, self.width));
+            evaluator_bits.extend(to_bits(v, width));
         }
         Ok(evaluator_bits)
     }
@@ -365,87 +219,19 @@ impl TopicClient {
                 "decomposed classification requires a candidate model".into(),
             ));
         }
-        let seed = joint_randomness_responder(channel, rng)?;
-        let rows = parse_u64(&channel.recv()?)? as usize;
-        let cols = parse_u64(&channel.recv()?)? as usize;
-        let candidates = mode.count(cols);
-
-        let (crypto, width) = match variant {
-            AheVariant::Pretzel | AheVariant::PretzelNoOptimPack => {
-                let params = config.rlwe_params();
-                let pk = pretzel_rlwe::PublicKey::from_bytes(&params, &channel.recv()?)
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let count = parse_u64(&channel.recv()?)? as usize;
-                let blob = channel.recv()?;
-                let ct_len = params.ciphertext_bytes();
-                if blob.len() != count * ct_len {
-                    return Err(PretzelError::Protocol("bad model blob size".into()));
-                }
-                let cts = blob
-                    .chunks_exact(ct_len)
-                    .map(|c| pretzel_rlwe::Ciphertext::from_bytes(&params, c))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let packing = if variant == AheVariant::Pretzel {
-                    Packing::AcrossRow
-                } else {
-                    Packing::LegacyPerRow
-                };
-                let model =
-                    rlwe_pack::EncryptedModel::from_parts(packing, cts, rows, cols, params.slots());
-                (
-                    ClientCrypto::Pretzel { pk, model },
-                    config.rlwe_plain_bits as usize,
-                )
-            }
-            AheVariant::Baseline => {
-                let pk = pretzel_paillier::PublicKey::from_bytes(&channel.recv()?)
-                    .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-                let count = parse_u64(&channel.recv()?)? as usize;
-                let blob = channel.recv()?;
-                let ct_len = pretzel_paillier::Ciphertext::serialized_len(pk.n_bits());
-                if blob.len() != count * ct_len {
-                    return Err(PretzelError::Protocol("bad model blob size".into()));
-                }
-                let cts: Vec<_> = blob
-                    .chunks_exact(ct_len)
-                    .map(pretzel_paillier::Ciphertext::from_bytes)
-                    .collect();
-                let pack = PaillierPackParams {
-                    slot_bits: config.paillier_slot_bits,
-                };
-                let slots_per_ct = pack.slots_per_ct(&pk);
-                let model = paillier_pack::PaillierEncryptedModel::from_parts(
-                    pack,
-                    cts,
-                    rows,
-                    cols,
-                    slots_per_ct,
-                );
-                (
-                    ClientCrypto::Baseline { pk, model },
-                    config.paillier_slot_bits as usize,
-                )
-            }
-        };
-
-        let index_width = index_width_for(cols);
-        let group = config.ot_group(&seed);
-        let yao = YaoGarbler::setup(channel, &group, rng)?;
+        let (ahe, seed) = AheClient::setup(channel, config, variant, None, rng)?;
+        let candidates = mode.count(ahe.cols);
+        let index_width = index_width_for(ahe.cols);
+        let yao = YaoGarbler::setup(channel, &config.ot_group(&seed), rng)?;
         Ok(TopicClient {
-            crypto,
+            circuit: topic_argmax_circuit(candidates, ahe.width, index_width),
+            ahe,
             yao,
-            circuit: topic_argmax_circuit(candidates, width, index_width),
-            width,
             index_width,
             mode,
             candidates,
-            categories: cols,
-            bias_row: rows - 1,
-            max_freq: config.max_frequency(),
             candidate_model,
-            ready: GarblingPool::new(),
-            pool: pretzel_paillier::RandomnessPool::new(),
+            ready: Stock::default(),
         })
     }
 
@@ -454,27 +240,15 @@ impl TopicClient {
     /// Paillier randomizers `target` future rounds will consume. Returns the
     /// number of work units (circuits + randomizers) produced.
     pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        let mut added = self.ready.refill(&self.circuit, target, rng);
-        if let ClientCrypto::Baseline { pk, model } = &self.crypto {
-            added += self
-                .pool
-                .refill(pk, target.saturating_mul(model.result_ciphertexts()), rng);
-        }
-        added
-    }
-
-    /// Rounds the offline circuit pool can currently serve without inline
-    /// garbling.
-    pub fn pool_depth(&self) -> usize {
-        self.ready.depth()
+        let garbled = self
+            .ready
+            .refill(target, || PrecomputedGarbling::garble(&self.circuit, rng));
+        garbled + self.ahe.precompute(target, rng)
     }
 
     /// Client-side storage consumed by the encrypted model (Figure 12).
     pub fn model_storage_bytes(&self) -> usize {
-        match &self.crypto {
-            ClientCrypto::Pretzel { pk, model } => model.size_bytes(pk),
-            ClientCrypto::Baseline { pk, model } => model.size_bytes(pk),
-        }
+        self.ahe.model_storage_bytes()
     }
 
     /// The candidate topics the client would submit for an email — exposed
@@ -482,18 +256,16 @@ impl TopicClient {
     pub fn candidate_topics(&self, features: &SparseVector) -> Vec<usize> {
         match (&self.mode, &self.candidate_model) {
             (CandidateMode::Decomposed(_), Some(model)) => model.top_k(features, self.candidates),
-            _ => (0..self.categories).collect(),
+            _ => (0..self.ahe.cols).collect(),
         }
     }
 
-    fn protocol_features(&self, features: &SparseVector) -> Vec<(usize, u64)> {
-        let mut out: Vec<(usize, u64)> = features
-            .iter()
-            .filter(|&(i, _)| i < self.bias_row)
-            .map(|(i, c)| (i, (c as u64).min(self.max_freq)))
-            .collect();
-        out.push((self.bias_row, 1));
-        out
+    /// One round's garbled argmax circuit: stocked by the offline phase, or
+    /// garbled inline when the stock is dry.
+    fn draw_garbling<R: Rng + ?Sized>(&mut self, rng: &mut R) -> PrecomputedGarbling {
+        self.ready
+            .draw()
+            .unwrap_or_else(|| PrecomputedGarbling::garble(&self.circuit, rng))
     }
 
     /// Per-email phase, client side: runs the secure topic extraction for one
@@ -509,9 +281,7 @@ impl TopicClient {
     ) -> Result<Vec<usize>> {
         let (blob, candidate_cols, garbler_bits) = self.blinded_round(features, rng)?;
         channel.send(&blob)?;
-        // Online phase: draw an offline-garbled circuit if one is pooled,
-        // fall back to inline garbling otherwise.
-        let pre = self.ready.draw(&self.circuit, rng);
+        let pre = self.draw_garbling(rng);
         self.yao.run_precomputed(
             channel,
             &self.circuit,
@@ -525,9 +295,8 @@ impl TopicClient {
     /// Batched per-email phase: runs one extraction round per email as a
     /// single coalesced exchange against a provider executing
     /// [`TopicProvider::process_email_batch`] with the same count. Every
-    /// blinded accumulator travels in one frame, the client draws its pooled
-    /// pre-garbled argmax circuits in bulk, and the argmax circuits run as
-    /// one batched Yao exchange. Returns each email's submitted candidate
+    /// blinded accumulator travels in one frame and the argmax circuits run
+    /// as one batched Yao exchange. Returns each email's submitted candidate
     /// set, exactly as sequential [`TopicClient::extract`] calls would.
     pub fn extract_batch<C: Channel, R: Rng + ?Sized>(
         &mut self,
@@ -548,7 +317,7 @@ impl TopicClient {
             inputs.push(garbler_bits);
         }
         channel.send(&pack_frames(&blobs))?;
-        let pres = self.ready.draw_many(&self.circuit, emails.len(), rng);
+        let pres = (0..emails.len()).map(|_| self.draw_garbling(rng)).collect();
         self.yao.run_batch(
             channel,
             &self.circuit,
@@ -559,94 +328,32 @@ impl TopicClient {
         Ok(candidate_sets)
     }
 
-    /// Computes one email's blinded candidate accumulators (drawing pooled
-    /// Paillier randomizers when available), the candidate set, and the
-    /// matching garbler input bits, without touching the channel.
+    /// Computes one email's blinded candidate accumulators, the candidate
+    /// set, and the matching garbler input bits, without touching the
+    /// channel.
     #[allow(clippy::type_complexity)]
     fn blinded_round<R: Rng + ?Sized>(
         &mut self,
         features: &SparseVector,
         rng: &mut R,
     ) -> Result<(Vec<u8>, Vec<usize>, Vec<bool>)> {
-        let sparse = self.protocol_features(features);
         let candidate_cols = self.candidate_topics(features);
-        let mask = bits_mask(self.width);
-
-        // Dot products, candidate extraction (Pretzel decomposed) or full
-        // accumulators, and blinding.
-        let mut blob = Vec::new();
-        let noises: Vec<u64> = match &self.crypto {
-            ClientCrypto::Pretzel { pk, model } => {
-                let accs = rlwe_pack::client_dot_product(pk, model, &sparse)?;
-                match self.mode {
-                    CandidateMode::Decomposed(_) => {
-                        let extracted = rlwe_pack::extract_candidates(
-                            pk,
-                            &accs,
-                            self.categories,
-                            &candidate_cols,
-                        )?;
-                        let mut noises = Vec::with_capacity(extracted.len());
-                        for ct in &extracted {
-                            let (blinded, noise) = rlwe_pack::blind(pk, ct, 1, rng);
-                            blob.extend_from_slice(&blinded.to_bytes());
-                            noises.push(noise[0]);
-                        }
-                        noises
-                    }
-                    CandidateMode::Full => {
-                        let slots = pk.params().slots();
-                        let mut noises = vec![0u64; self.categories];
-                        for (g, acc) in accs.iter().enumerate() {
-                            let (blinded, noise) = rlwe_pack::blind(pk, acc, slots, rng);
-                            blob.extend_from_slice(&blinded.to_bytes());
-                            for (s, &n) in noise.iter().enumerate() {
-                                let col = g * slots + s;
-                                if col < self.categories {
-                                    noises[col] = n;
-                                }
-                            }
-                        }
-                        noises
-                    }
-                }
-            }
-            ClientCrypto::Baseline { pk, model } => {
-                let accs = paillier_pack::client_dot_product_pooled(
-                    pk,
-                    model,
-                    &sparse,
-                    &mut self.pool,
-                    rng,
-                )?;
-                let slots = model.slots_per_ct();
-                let mut noises = vec![0u64; self.categories];
-                for (g, acc) in accs.iter().enumerate() {
-                    let (blinded, noise) = paillier_pack::blind(pk, model, acc, slots, rng);
-                    blob.extend_from_slice(&blinded.to_bytes(pk));
-                    for (s, &n) in noise.iter().enumerate() {
-                        let col = g * slots + s;
-                        if col < self.categories {
-                            noises[col] = n;
-                        }
-                    }
-                }
-                noises
-            }
+        // Decomposed: only the candidates' dot products travel, one value
+        // each. Full: every column travels, and candidate j is column j.
+        let extracted = match self.mode {
+            CandidateMode::Decomposed(_) => Some(candidate_cols.as_slice()),
+            CandidateMode::Full => None,
         };
+        let (blob, noises) = self.ahe.blinded_round(features, extracted, rng)?;
 
         // Garbler inputs: candidate indices, then per-candidate noises.
-        let mut garbler_bits =
-            Vec::with_capacity(self.candidates * (self.index_width + self.width));
+        let width = self.ahe.width;
+        let mut garbler_bits = Vec::with_capacity(self.candidates * (self.index_width + width));
         for &col in &candidate_cols {
             garbler_bits.extend(to_bits(col as u64, self.index_width));
         }
-        for (j, &col) in candidate_cols.iter().enumerate() {
-            let noise = match self.mode {
-                CandidateMode::Decomposed(_) => noises[j],
-                CandidateMode::Full => noises[col],
-            };
-            garbler_bits.extend(to_bits(noise & mask, self.width));
+        for noise in &noises[..candidate_cols.len()] {
+            garbler_bits.extend(to_bits(*noise, width));
         }
         Ok((blob, candidate_cols, garbler_bits))
     }
@@ -681,14 +388,6 @@ pub fn candidate_hit_rate(
     hits as f64 / test.len() as f64
 }
 
-fn bits_mask(width: usize) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
 /// The registrable topic-extraction function module (wire tag 2).
 pub struct TopicFunction;
 
@@ -711,6 +410,7 @@ impl FunctionModule for TopicFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(TopicProvider::setup(
@@ -719,6 +419,7 @@ impl FunctionModule for TopicFunction {
             &suite.config,
             variant,
             suite.topic_mode,
+            source,
             rng,
         )?))
     }
@@ -742,67 +443,6 @@ impl FunctionModule for TopicFunction {
     fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {
         base_ot_fleet_plan(&suite.config)
     }
-
-    fn provider_setup_with_source(
-        &self,
-        mut channel: &mut dyn Channel,
-        suite: &ProviderModelSuite,
-        variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Box<dyn ProviderModule>> {
-        let base = draw_base_ot(source, &suite.config);
-        Ok(Box::new(TopicProvider::setup_with_ot_base(
-            &mut channel,
-            &suite.topic,
-            &suite.config,
-            variant,
-            suite.topic_mode,
-            base,
-            rng,
-        )?))
-    }
-}
-
-/// Fleet plan for the base-OT sender reservoir. Only meaningful at paper
-/// scale: test-scale OT groups are derived from each session's joint
-/// randomness, so no fleet-wide artifact can be generated ahead of a session.
-pub(crate) fn base_ot_fleet_plan(config: &PretzelConfig) -> Vec<ReservoirSpec> {
-    if config.ot_group_bits < 1536 {
-        return Vec::new();
-    }
-    let group = OtGroup::rfc3526_1536();
-    let id = ReservoirId::base_ots(group.fingerprint());
-    vec![ReservoirSpec::new(
-        id,
-        Arc::new(move |rng: &mut dyn RngCore| {
-            Box::new(OtSenderPrecomp::generate(&group, rng)) as bank::Artifact
-        }),
-    )]
-}
-
-/// Draws one pre-generated base-OT sender artifact for the fixed RFC 3526
-/// group, counting a bank fallback when the reservoir is dry. Returns `None`
-/// (inline generation) at test scale, where the group is session-derived.
-fn draw_base_ot(
-    source: &Arc<dyn PrecomputeSource>,
-    config: &PretzelConfig,
-) -> Option<OtSenderPrecomp> {
-    if config.ot_group_bits < 1536 {
-        return None;
-    }
-    let group = OtGroup::rfc3526_1536();
-    let id = ReservoirId::base_ots(group.fingerprint());
-    match source
-        .draw(&id)
-        .and_then(|artifact| artifact.downcast::<OtSenderPrecomp>().ok())
-    {
-        Some(pre) if pre.matches(&group) => Some(*pre),
-        _ => {
-            source.record_fallback(&id);
-            None
-        }
-    }
 }
 
 impl ProviderModule for TopicProvider {
@@ -812,14 +452,6 @@ impl ProviderModule for TopicProvider {
 
     fn display_name(&self) -> &'static str {
         "topic"
-    }
-
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        TopicProvider::precompute(self, budget, rng)
-    }
-
-    fn pool_depth(&self) -> usize {
-        TopicProvider::pool_depth(self)
     }
 
     fn process_round(
@@ -861,10 +493,6 @@ impl ClientModule for TopicClient {
         TopicClient::precompute(self, budget, rng)
     }
 
-    fn pool_depth(&self) -> usize {
-        TopicClient::pool_depth(self)
-    }
-
     fn process_round(
         &mut self,
         mut channel: &mut dyn Channel,
@@ -885,13 +513,7 @@ impl ClientModule for TopicClient {
         payloads: &[EmailPayload],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Verdict>> {
-        let emails = payloads
-            .iter()
-            .map(|p| match p {
-                EmailPayload::Tokens(features) => Ok(features),
-                other => Err(crate::session::payload_mismatch("topic", other)),
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let emails = crate::session::token_payloads("topic", payloads)?;
         Ok(self
             .extract_batch(&mut channel, &emails, rng)?
             .into_iter()
@@ -953,8 +575,15 @@ mod tests {
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<Vec<usize>> {
                 let mut rng = rand::thread_rng();
-                let mut provider =
-                    TopicProvider::setup(chan, &provider_model, &config, variant, mode, &mut rng)?;
+                let mut provider = TopicProvider::setup(
+                    chan,
+                    &provider_model,
+                    &config,
+                    variant,
+                    mode,
+                    &bank::empty_source(),
+                    &mut rng,
+                )?;
                 let t1 = provider.process_email(chan)?;
                 let t2 = provider.process_email(chan)?;
                 Ok(vec![t1, t2])
@@ -993,7 +622,7 @@ mod tests {
         run_topic_exchange(AheVariant::Pretzel, CandidateMode::Decomposed(3));
     }
 
-    /// The offline circuit pool lives client-side in this module; warming it
+    /// The offline circuit stock lives client-side in this module; warming it
     /// must not change the topic the provider learns.
     #[test]
     fn precomputed_topic_extraction_matches_inline() {
@@ -1013,10 +642,9 @@ mod tests {
                     &config,
                     AheVariant::Baseline,
                     CandidateMode::Full,
+                    &bank::empty_source(),
                     &mut rng,
                 )?;
-                assert_eq!(provider.precompute(4, &mut rng), 0, "evaluator side");
-                assert_eq!(provider.pool_depth(), 0);
                 let t1 = provider.process_email(chan)?;
                 let t2 = provider.process_email(chan)?;
                 Ok(vec![t1, t2])
@@ -1031,13 +659,18 @@ mod tests {
                     None,
                     &mut rng,
                 )?;
-                // Warm one round's worth: round 1 draws from the pool,
-                // round 2 hits the dry-pool inline fallback.
-                assert!(client.precompute(1, &mut rng) > 0);
-                assert_eq!(client.pool_depth(), 1);
+                // Stock one round's worth: round 1 draws it, round 2 finds
+                // the stock dry and computes inline.
+                let one_round = client.precompute(1, &mut rng);
+                assert!(one_round > 0);
+                assert_eq!(client.precompute(1, &mut rng), 0, "already stocked");
                 client.extract(chan, &email, &mut rng)?;
-                assert_eq!(client.pool_depth(), 0);
                 client.extract(chan, &email, &mut rng)?;
+                assert_eq!(
+                    client.precompute(1, &mut rng),
+                    one_round,
+                    "the rounds drained the stock"
+                );
                 Ok(())
             },
         );
@@ -1056,7 +689,7 @@ mod tests {
     }
 
     /// A batched extraction must hand the provider the same topic indices as
-    /// sequential rounds, with the client's circuit pool only partially
+    /// sequential rounds, with the client's circuit stock only partially
     /// covering the batch.
     #[test]
     fn batched_extraction_matches_sequential_topics() {
@@ -1080,6 +713,7 @@ mod tests {
                     &config,
                     AheVariant::Pretzel,
                     CandidateMode::Full,
+                    &bank::empty_source(),
                     &mut rng,
                 )?;
                 provider.process_email_batch(chan, 3)
@@ -1094,10 +728,14 @@ mod tests {
                     None,
                     &mut rng,
                 )?;
-                client.precompute(1, &mut rng);
+                assert_eq!(client.precompute(1, &mut rng), 1, "one garbling");
                 let refs: Vec<&SparseVector> = emails.iter().collect();
                 let out = client.extract_batch(chan, &refs, &mut rng)?;
-                assert_eq!(client.pool_depth(), 0, "bulk draw drained the pool");
+                assert_eq!(
+                    client.precompute(1, &mut rng),
+                    1,
+                    "the batch drained the stock"
+                );
                 Ok(out)
             },
         );
@@ -1107,6 +745,20 @@ mod tests {
         for (topic, candidates) in topics.iter().zip(&candidate_sets) {
             assert!(candidates.contains(topic));
         }
+    }
+
+    /// The base-OT reservoir must stock what the provider's setup draws: an
+    /// [`OtSenderPrecomp`] for the fixed paper-scale group (and nothing at
+    /// test scale, where each session derives its own group).
+    #[test]
+    fn base_ot_fleet_plan_stocks_artifacts_the_setup_draw_accepts() {
+        assert!(base_ot_fleet_plan(&PretzelConfig::test()).is_empty());
+        let plan = base_ot_fleet_plan(&PretzelConfig::paper());
+        let artifact = (plan[0].producer)(&mut rand::thread_rng());
+        let pre = artifact
+            .downcast::<OtSenderPrecomp>()
+            .expect("the producer yields the type the draw downcasts to");
+        assert!(pre.matches(&OtGroup::rfc3526_1536()));
     }
 
     #[test]

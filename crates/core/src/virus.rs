@@ -26,7 +26,7 @@ use pretzel_classifiers::nb::GrNbTrainer;
 use pretzel_classifiers::{LabeledExample, LinearModel, NGramExtractor, SparseVector, Trainer};
 use pretzel_transport::Channel;
 
-use crate::bank::{PoolStats, PrecomputeSource, ReservoirSpec};
+use crate::bank::{PrecomputeSource, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
@@ -110,12 +110,15 @@ pub struct VirusScanProvider {
 impl VirusScanProvider {
     /// Runs the setup phase as the provider: ships the (public) n-gram
     /// parameters and the encrypted model, then establishes the Yao session.
+    /// The comparison circuits are spam's, so both modules draw from the
+    /// same garbling reservoir of `source`.
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         model: &LinearModel,
         extractor: NGramExtractor,
         config: &PretzelConfig,
         variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
         if model.num_features() != extractor.buckets {
@@ -130,7 +133,7 @@ impl VirusScanProvider {
         // machinery's setup.
         channel.send(&u64_bytes(extractor.n as u64))?;
         channel.send(&u64_bytes(extractor.buckets as u64))?;
-        let inner = SpamProvider::setup(channel, model, config, variant, rng)?;
+        let inner = SpamProvider::setup(channel, model, config, variant, source, rng)?;
         Ok(VirusScanProvider { inner })
     }
 
@@ -153,24 +156,6 @@ impl VirusScanProvider {
         rng: &mut R,
     ) -> Result<()> {
         self.inner.process_email_batch(channel, count, rng)
-    }
-
-    /// Offline phase: pre-garbles comparison circuits for `target` future
-    /// scans (delegates to the spam machinery this module reuses).
-    pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        self.inner.precompute(target, rng)
-    }
-
-    /// Scans the offline pool can currently serve without inline garbling.
-    pub fn pool_depth(&self) -> usize {
-        self.inner.pool_depth()
-    }
-
-    /// Attaches a fleet-wide precompute source (delegates to the spam
-    /// machinery this module reuses — the comparison circuits are identical,
-    /// so both modules draw from the same garbling reservoir).
-    pub fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        self.inner.attach_source(source);
     }
 }
 
@@ -212,17 +197,6 @@ impl VirusScanClient {
     /// Client-side storage consumed by the encrypted model, in bytes.
     pub fn model_storage_bytes(&self) -> usize {
         self.inner.model_storage_bytes()
-    }
-
-    /// Offline phase: precomputes the Baseline Paillier randomizers `target`
-    /// future scans will consume (no-op for the Pretzel variant).
-    pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        self.inner.precompute(target, rng)
-    }
-
-    /// Scans the offline pool can currently serve without inline work.
-    pub fn pool_depth(&self) -> usize {
-        self.inner.pool_depth()
     }
 
     /// Scans one attachment; returns `true` when it is classified malicious.
@@ -279,6 +253,7 @@ impl FunctionModule for VirusFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
+        source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(VirusScanProvider::setup(
@@ -287,6 +262,7 @@ impl FunctionModule for VirusFunction {
             suite.virus_extractor,
             &suite.config,
             variant,
+            source,
             rng,
         )?))
     }
@@ -319,22 +295,6 @@ impl ProviderModule for VirusScanProvider {
 
     fn display_name(&self) -> &'static str {
         "virus"
-    }
-
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        VirusScanProvider::precompute(self, budget, rng)
-    }
-
-    fn pool_depth(&self) -> usize {
-        VirusScanProvider::pool_depth(self)
-    }
-
-    fn attach_source(&mut self, source: Arc<dyn PrecomputeSource>) {
-        VirusScanProvider::attach_source(self, source);
-    }
-
-    fn pool_stats(&self) -> Vec<PoolStats> {
-        vec![self.inner.garbling_stats()]
     }
 
     fn process_round(
@@ -371,11 +331,7 @@ impl ClientModule for VirusScanClient {
     }
 
     fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        VirusScanClient::precompute(self, budget, rng)
-    }
-
-    fn pool_depth(&self) -> usize {
-        VirusScanClient::pool_depth(self)
+        self.inner.precompute(budget, rng)
     }
 
     fn process_round(
@@ -457,6 +413,7 @@ mod tests {
             wrong_extractor,
             &PretzelConfig::test(),
             AheVariant::Pretzel,
+            &crate::bank::empty_source(),
             &mut rand::thread_rng(),
         );
         assert!(matches!(err, Err(PretzelError::Protocol(_))));
@@ -485,6 +442,7 @@ mod tests {
                     extractor,
                     &config,
                     AheVariant::Pretzel,
+                    &crate::bank::empty_source(),
                     &mut rng,
                 )?;
                 provider.process_attachment(chan, &mut rng)?;
@@ -524,6 +482,7 @@ mod tests {
                     extractor,
                     &config,
                     AheVariant::Pretzel,
+                    &crate::bank::empty_source(),
                     &mut rng,
                 )
                 .map(|_| ())

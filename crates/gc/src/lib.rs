@@ -35,7 +35,7 @@ pub use circuit::{
 };
 pub use garble::{garble, Garbling, Label};
 pub use ot::{OtGroup, OtSenderPrecomp};
-pub use runner::{GarblingPool, OutputMode, PrecomputedGarbling, YaoEvaluator, YaoGarbler};
+pub use runner::{OutputMode, PrecomputedGarbling, YaoEvaluator, YaoGarbler};
 
 /// Errors produced by garbled-circuit protocols.
 #[derive(Debug)]

@@ -41,9 +41,10 @@ pub enum OutputMode {
 /// [`garble`], produced ahead of the online round and consumed by
 /// [`YaoGarbler::run_precomputed`].
 ///
-/// Function modules keep a queue of these per session (their "pool"); when
-/// the queue runs dry the round garbles inline instead — the evaluator
-/// cannot tell the difference.
+/// This crate exports the artifact, not a queue: whoever stocks garblings
+/// (a precompute bank, a client's offline phase) owns the storage, and a
+/// round that finds none garbles inline instead — the evaluator cannot tell
+/// the difference.
 pub struct PrecomputedGarbling {
     garbling: Garbling,
     /// [`Circuit::fingerprint`] of the circuit this was garbled for.
@@ -66,100 +67,6 @@ impl PrecomputedGarbling {
     /// rejected instead of silently computing the wrong function.
     pub fn matches(&self, circuit: &Circuit) -> bool {
         self.fingerprint == circuit.fingerprint()
-    }
-}
-
-/// A FIFO pool of offline-garbled circuits for one fixed circuit shape —
-/// the per-session "bank" the function modules draw from on the online
-/// path. [`GarblingPool::refill`] is the offline phase,
-/// [`GarblingPool::draw`] the online one; a dry pool transparently falls
-/// back to inline garbling, so depth only ever moves latency, never
-/// semantics.
-#[derive(Default)]
-pub struct GarblingPool {
-    ready: std::collections::VecDeque<PrecomputedGarbling>,
-    fallback_draws: u64,
-}
-
-impl GarblingPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Offline phase: tops the pool up to `target` garbled circuits,
-    /// returning the number freshly garbled.
-    pub fn refill<R: Rng + ?Sized>(
-        &mut self,
-        circuit: &Circuit,
-        target: usize,
-        rng: &mut R,
-    ) -> usize {
-        let mut added = 0;
-        while self.ready.len() < target {
-            self.ready
-                .push_back(PrecomputedGarbling::garble(circuit, rng));
-            added += 1;
-        }
-        added
-    }
-
-    /// Rounds the pool can currently serve without inline garbling.
-    pub fn depth(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// Online phase: pops the oldest banked garbling, garbling inline when
-    /// the pool is dry (counted in [`GarblingPool::fallback_draws`]).
-    pub fn draw<R: Rng + ?Sized>(&mut self, circuit: &Circuit, rng: &mut R) -> PrecomputedGarbling {
-        match self.ready.pop_front() {
-            Some(pre) => pre,
-            None => {
-                self.fallback_draws += 1;
-                PrecomputedGarbling::garble(circuit, rng)
-            }
-        }
-    }
-
-    /// Pops the oldest banked garbling without an inline fallback — the
-    /// first step of the pool-then-bank-then-inline draw ladder.
-    pub fn try_draw(&mut self) -> Option<PrecomputedGarbling> {
-        self.ready.pop_front()
-    }
-
-    /// Accepts a garbling produced elsewhere (a fleet-wide bank) if and only
-    /// if it matches `circuit`; mismatched artifacts are dropped and `false`
-    /// is returned.
-    pub fn accept(&mut self, pre: PrecomputedGarbling, circuit: &Circuit) -> bool {
-        if pre.matches(circuit) {
-            self.ready.push_back(pre);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Draws that found the pool dry and fell back to inline garbling since
-    /// the pool was created.
-    pub fn fallback_draws(&self) -> u64 {
-        self.fallback_draws
-    }
-
-    /// Records a dry draw that was satisfied outside the pool's own inline
-    /// path (a caller that fell back after the bank also came up dry).
-    pub fn note_fallback(&mut self) {
-        self.fallback_draws += 1;
-    }
-
-    /// Bulk online draw for a batched round: pops up to `count` banked
-    /// garblings and tops the shortfall up inline, preserving FIFO order.
-    pub fn draw_many<R: Rng + ?Sized>(
-        &mut self,
-        circuit: &Circuit,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<PrecomputedGarbling> {
-        (0..count).map(|_| self.draw(circuit, rng)).collect()
     }
 }
 
@@ -832,10 +739,9 @@ mod tests {
             move |chan| {
                 let mut rng = rand::thread_rng();
                 let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                let mut pool = GarblingPool::new();
-                // Pool holds only one artifact: draw_many tops up inline.
-                pool.refill(&circuit, 1, &mut rng);
-                let pres = pool.draw_many(&circuit, cases.len(), &mut rng);
+                let pres = (0..cases.len())
+                    .map(|_| PrecomputedGarbling::garble(&circuit, &mut rng))
+                    .collect();
                 let inputs: Vec<Vec<bool>> = cases
                     .iter()
                     .map(|(d_spam, d_ham)| {

@@ -25,17 +25,21 @@
 //!   (fixed-limb engines when the width is supported), recombined with
 //!   Garner's formula. The one-exponentiation reference path is kept as
 //!   [`SecretKey::decrypt_inline`] for cross-checking and benchmarks.
-//! * **Encryption** can draw its randomizer `rⁿ mod n²` from a
-//!   [`RandomnessPool`] filled offline ([`PublicKey::encrypt_pooled`]), which
-//!   turns the online cost into a single modular multiplication. An empty
-//!   pool falls back to the inline exponentiation, so correctness never
-//!   depends on pool depth.
-
-use std::collections::VecDeque;
+//! * **Encryption** splits into [`PublicKey::sample_randomizer`] — the
+//!   message-independent exponentiation `rⁿ mod n²`, computable ahead of
+//!   time — and [`PublicKey::encrypt_with_randomizer`], a single modular
+//!   multiplication. This crate exports the artifact, not a queue: whoever
+//!   stocks randomizers (a client's offline phase, a precompute bank) owns
+//!   the storage.
 
 use rand::Rng;
 
 use pretzel_bignum::{crt_combine, gen_prime, mod_inv, AutoMontgomery, BigUint};
+
+/// A precomputed encryption randomizer `rⁿ mod n²` — the artifact
+/// [`PublicKey::sample_randomizer`] makes ahead of time and
+/// [`PublicKey::encrypt_with_randomizer`] spends.
+pub type Randomizer = BigUint;
 
 /// Errors from Paillier operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,9 +249,9 @@ impl PublicKey {
     }
 
     /// Samples a fresh encryption randomizer `rⁿ mod n²` — the expensive,
-    /// message-independent half of [`PublicKey::encrypt`]. This is the unit
-    /// of work a [`RandomnessPool`] precomputes offline.
-    pub fn sample_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+    /// message-independent half of [`PublicKey::encrypt`], and the unit of
+    /// work an offline phase precomputes.
+    pub fn sample_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Randomizer {
         // r uniform in [1, n) and coprime to n (overwhelmingly likely).
         let r = loop {
             let candidate = BigUint::random_below(rng, &self.n);
@@ -263,7 +267,7 @@ impl PublicKey {
     pub fn encrypt_with_randomizer(
         &self,
         m: &BigUint,
-        rn: &BigUint,
+        rn: &Randomizer,
     ) -> Result<Ciphertext, PaillierError> {
         if m >= &self.n {
             return Err(PaillierError::PlaintextOutOfRange);
@@ -273,37 +277,6 @@ impl PublicKey {
         Ok(Ciphertext {
             value: self.mont_n2.mul(&gm, rn),
         })
-    }
-
-    /// Encrypts `m` drawing the randomizer from `pool`; falls back to the
-    /// inline exponentiation when the pool is empty (or was filled for a
-    /// different key). Pooled and inline ciphertexts are interchangeable —
-    /// they decrypt identically and have identical wire size.
-    pub fn encrypt_pooled<R: Rng + ?Sized>(
-        &self,
-        m: &BigUint,
-        pool: &mut RandomnessPool,
-        rng: &mut R,
-    ) -> Result<Ciphertext, PaillierError> {
-        // Reject before drawing: an invalid plaintext must not burn a
-        // precomputed randomizer (or an inline exponentiation).
-        if m >= &self.n {
-            return Err(PaillierError::PlaintextOutOfRange);
-        }
-        let rn = pool
-            .take_for(self)
-            .unwrap_or_else(|| self.sample_randomizer(rng));
-        self.encrypt_with_randomizer(m, &rn)
-    }
-
-    /// Pooled counterpart of [`PublicKey::encrypt_zero`].
-    pub fn encrypt_zero_pooled<R: Rng + ?Sized>(
-        &self,
-        pool: &mut RandomnessPool,
-        rng: &mut R,
-    ) -> Ciphertext {
-        self.encrypt_pooled(&BigUint::zero(), pool, rng)
-            .expect("zero is always in range")
     }
 
     /// Encrypts a `u64` plaintext.
@@ -341,12 +314,6 @@ impl PublicKey {
     /// Scalar multiplication by a `u64`.
     pub fn mul_plain_u64(&self, a: &Ciphertext, k: u64) -> Ciphertext {
         self.mul_plain(a, &BigUint::from(k))
-    }
-
-    /// Fresh encryption of zero, useful for re-randomizing sums.
-    pub fn encrypt_zero<R: Rng + ?Sized>(&self, rng: &mut R) -> Ciphertext {
-        self.encrypt(&BigUint::zero(), rng)
-            .expect("zero is always in range")
     }
 }
 
@@ -434,89 +401,6 @@ impl SecretKey {
             return Err(PaillierError::InvalidCiphertext);
         }
         Ok(q)
-    }
-}
-
-/// FIFO pool of precomputed encryption randomizers `rⁿ mod n²` for one
-/// public key — the offline half of the paper's per-email staging (§3.3).
-///
-/// Filling the pool ([`RandomnessPool::refill`]) costs one full
-/// exponentiation per entry and can run whenever the CPU is idle; drawing
-/// from it ([`PublicKey::encrypt_pooled`]) makes the online encryption a
-/// single modular multiplication. The pool is bound to the key that filled
-/// it: refilling for a different key clears stale entries, and
-/// `encrypt_pooled` with a mismatched pool simply falls back inline.
-#[derive(Clone, Debug, Default)]
-pub struct RandomnessPool {
-    /// Modulus of the key the pooled randomizers were computed for.
-    n: Option<BigUint>,
-    factors: VecDeque<BigUint>,
-    fallback_draws: u64,
-}
-
-impl RandomnessPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of pooled randomizers (= online encryptions covered).
-    pub fn len(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// True when the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
-    }
-
-    /// Tops the pool up to `target` randomizers for `pk`, returning how many
-    /// were added. A pool previously filled for a different key is cleared
-    /// first.
-    pub fn refill<R: Rng + ?Sized>(&mut self, pk: &PublicKey, target: usize, rng: &mut R) -> usize {
-        if self.n.as_ref() != Some(&pk.n) {
-            self.factors.clear();
-            self.n = Some(pk.n.clone());
-        }
-        let mut added = 0;
-        while self.factors.len() < target {
-            self.factors.push_back(pk.sample_randomizer(rng));
-            added += 1;
-        }
-        added
-    }
-
-    /// Accepts one randomizer produced elsewhere (a fleet-wide precompute
-    /// bank) for `pk`. Like [`RandomnessPool::refill`], a pool previously
-    /// bound to a different key is cleared and rebound first.
-    pub fn push(&mut self, pk: &PublicKey, rn: BigUint) {
-        if self.n.as_ref() != Some(&pk.n) {
-            self.factors.clear();
-            self.n = Some(pk.n.clone());
-        }
-        self.factors.push_back(rn);
-    }
-
-    /// Draws that found the pool dry (or bound to a different key) and fell
-    /// back to an inline exponentiation in [`PublicKey::encrypt_pooled`].
-    pub fn fallback_draws(&self) -> u64 {
-        self.fallback_draws
-    }
-
-    /// Pops one randomizer if the pool belongs to `pk` and is non-empty;
-    /// counts the dry draw otherwise.
-    fn take_for(&mut self, pk: &PublicKey) -> Option<BigUint> {
-        if self.n.as_ref() != Some(&pk.n) {
-            self.fallback_draws += 1;
-            return None;
-        }
-        match self.factors.pop_front() {
-            Some(rn) => Some(rn),
-            None => {
-                self.fallback_draws += 1;
-                None
-            }
-        }
     }
 }
 
@@ -642,7 +526,7 @@ mod tests {
             .iter()
             .map(|&vi| pk.encrypt_u64(vi, &mut rng).unwrap())
             .collect();
-        let mut acc = pk.encrypt_zero(&mut rng);
+        let mut acc = pk.encrypt_u64(0, &mut rng).unwrap();
         for (ci, &xi) in encrypted.iter().zip(x.iter()) {
             acc = pk.add(&acc, &pk.mul_plain_u64(ci, xi));
         }
@@ -793,11 +677,11 @@ mod tests {
         assert_eq!(dyn_sk.decrypt_u64(&c).unwrap(), 77);
     }
 
-    /// Pooled and inline encryption must produce ciphertexts that decrypt to
-    /// the same plaintexts when driven by the same seed (the randomizers come
-    /// from the same stream, just computed at different times).
+    /// Randomizers sampled ahead of time and inline encryption must produce
+    /// the same ciphertexts when driven by the same seed (the randomizers
+    /// come from the same stream, just computed at different times).
     #[test]
-    fn pooled_encryption_decrypts_like_inline_under_same_seed() {
+    fn precomputed_randomizers_encrypt_like_inline_under_same_seed() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -811,57 +695,27 @@ mod tests {
             .map(|&m| pk.encrypt_u64(m, &mut inline_rng).unwrap())
             .collect();
 
-        let mut pooled_rng = StdRng::seed_from_u64(7);
-        let mut pool = RandomnessPool::new();
-        assert_eq!(pool.refill(pk, plaintexts.len(), &mut pooled_rng), 4);
-        assert_eq!(pool.len(), 4);
-        let pooled: Vec<_> = plaintexts
+        let mut offline_rng = StdRng::seed_from_u64(7);
+        let randomizers: Vec<_> = plaintexts
             .iter()
-            .map(|&m| {
-                pk.encrypt_pooled(&BigUint::from(m), &mut pool, &mut pooled_rng)
-                    .unwrap()
-            })
+            .map(|_| pk.sample_randomizer(&mut offline_rng))
             .collect();
-        assert!(pool.is_empty());
+        let split: Vec<_> = plaintexts
+            .iter()
+            .zip(&randomizers)
+            .map(|(&m, rn)| pk.encrypt_with_randomizer(&BigUint::from(m), rn).unwrap())
+            .collect();
 
-        for ((&m, ci), cp) in plaintexts.iter().zip(&inline).zip(&pooled) {
+        for ((&m, ci), cs) in plaintexts.iter().zip(&inline).zip(&split) {
             // Same seed, same randomizer stream: the ciphertexts are even
             // byte-identical, and both decrypt to the plaintext.
-            assert_eq!(ci, cp);
+            assert_eq!(ci, cs);
             assert_eq!(sk.decrypt_u64(ci).unwrap(), m);
-            assert_eq!(sk.decrypt_u64(cp).unwrap(), m);
         }
     }
 
     #[test]
-    fn empty_or_mismatched_pool_falls_back_inline() {
-        let sk = test_key();
-        let pk = sk.public();
-        let other = keygen(256, &mut rand::thread_rng());
-        let mut rng = rand::thread_rng();
-        let mut pool = RandomnessPool::new();
-        // Empty pool: falls back.
-        let c = pk
-            .encrypt_pooled(&BigUint::from(5u64), &mut pool, &mut rng)
-            .unwrap();
-        assert_eq!(sk.decrypt_u64(&c).unwrap(), 5);
-        // Pool filled for another key: not consumed, still decrypts.
-        pool.refill(other.public(), 2, &mut rng);
-        let c = pk
-            .encrypt_pooled(&BigUint::from(6u64), &mut pool, &mut rng)
-            .unwrap();
-        assert_eq!(sk.decrypt_u64(&c).unwrap(), 6);
-        assert_eq!(pool.len(), 2, "mismatched pool must not be drained");
-        // Refilling for this key clears the stale entries first.
-        pool.refill(pk, 3, &mut rng);
-        assert_eq!(pool.len(), 3);
-        let c = pk.encrypt_zero_pooled(&mut pool, &mut rng);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(sk.decrypt_u64(&c).unwrap(), 0);
-    }
-
-    #[test]
-    fn pooled_randomizer_out_of_range_plaintext_rejected() {
+    fn out_of_range_plaintext_rejected_with_a_supplied_randomizer() {
         let sk = test_key();
         let pk = sk.public();
         let mut rng = rand::thread_rng();
@@ -871,20 +725,5 @@ mod tests {
                 .unwrap_err(),
             PaillierError::PlaintextOutOfRange
         );
-    }
-
-    #[test]
-    fn rejected_plaintext_does_not_burn_a_pooled_randomizer() {
-        let sk = test_key();
-        let pk = sk.public();
-        let mut rng = rand::thread_rng();
-        let mut pool = RandomnessPool::new();
-        pool.refill(pk, 1, &mut rng);
-        assert_eq!(
-            pk.encrypt_pooled(&pk.n().clone(), &mut pool, &mut rng)
-                .unwrap_err(),
-            PaillierError::PlaintextOutOfRange
-        );
-        assert_eq!(pool.len(), 1, "the precomputed randomizer must survive");
     }
 }

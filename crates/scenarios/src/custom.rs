@@ -8,6 +8,9 @@
 //! tag through the same handshake, metering, and reporting machinery as the
 //! paper's functions, under load and interleaved with v1/v2 peers.
 
+use std::sync::Arc;
+
+use pretzel_core::bank::PrecomputeSource;
 use pretzel_core::registry::{
     ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag,
 };
@@ -46,6 +49,7 @@ impl FunctionModule for DigestFunction {
         _channel: &mut dyn Channel,
         _suite: &ProviderModelSuite,
         _variant: AheVariant,
+        _source: &Arc<dyn PrecomputeSource>,
         _rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>, PretzelError> {
         Ok(Box::new(DigestProvider))
@@ -69,12 +73,6 @@ impl ProviderModule for DigestProvider {
     fn display_name(&self) -> &'static str {
         "fnv-digest"
     }
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-    fn pool_depth(&self) -> usize {
-        0
-    }
     fn process_round(
         &mut self,
         channel: &mut dyn Channel,
@@ -96,12 +94,6 @@ impl ClientModule for DigestClient {
         "fnv-digest"
     }
     fn model_storage_bytes(&self) -> usize {
-        0
-    }
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-    fn pool_depth(&self) -> usize {
         0
     }
     fn process_round(

@@ -10,7 +10,7 @@
 //! | `heavy-tail-email-sizes` | Pareto-sized emails starve short ones |
 //! | `session-churn` | clients vanish mid-protocol with no goodbye |
 //! | `slow-loris` | stalling clients pin workers between frames |
-//! | `pool-exhaustion-storm` | batch storms outrun the precompute budget |
+//! | `pool-exhaustion-storm` | batch storms outrun a one-artifact bank |
 //! | `prefilled-bank-storm` | the same storm absorbed by a prefilled fleet bank |
 //! | `mixed-fleet-skew` | all four built-ins + a custom module, skewed, v1/v2 interleaved |
 //!
@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use pretzel_classifiers::SparseVector;
-use pretzel_core::bank::KIND_GARBLINGS;
+use pretzel_core::bank::{KIND_GARBLINGS, KIND_ZERO_ENCRYPTIONS};
 use pretzel_core::session::EmailPayload;
 use pretzel_core::topic::CandidateMode;
 use pretzel_core::PretzelConfig;
@@ -438,14 +438,60 @@ impl Scenario for SlowLoris {
     }
 }
 
-/// Batch storms against a starved precompute pool: every session submits
-/// all its emails as one coalesced batch while the provider's offline
-/// budget is pinned to a single precomputed round, forcing online
-/// (pool-miss) serving under burst pressure.
+/// The sessions of a batch storm: even sessions run spam, odd ones
+/// `odd_kind`, and each submits all its `2 × rounds` emails as one coalesced
+/// batch.
+fn storm_sessions(config: &ScenarioConfig, seed: u64, odd_kind: &'static str) -> Vec<SessionPlan> {
+    let emails = config.rounds * 2;
+    (0..config.sessions)
+        .map(|i| {
+            let client_seed = session_seed(seed, i);
+            let mut rng = StdRng::seed_from_u64(client_seed);
+            let label = if i % 2 == 1 { odd_kind } else { "spam" };
+            let payloads = match label {
+                "search" => search_payloads(&mut rng, emails, i as u64 * 100),
+                "virus" => (0..emails)
+                    .map(|_| attachment_email(&mut rng, 32))
+                    .collect(),
+                _ => (0..emails).map(|_| token_email(&mut rng, 16)).collect(),
+            };
+            SessionPlan {
+                label,
+                spec: spec_for_kind(label, false),
+                client_seed,
+                arrival_delay: Duration::ZERO,
+                frame_pace: Duration::ZERO,
+                rounds: vec![RoundOp::Batch(payloads)],
+                end: SessionEnd::Finish,
+            }
+        })
+        .collect()
+}
+
+/// The mailroom of a batch storm: two workers behind a bank whose garbling
+/// and zero-encryption reservoirs are held to `target` artifacts.
+fn storm_mailroom(config: &ScenarioConfig, seed: u64, target: usize) -> MailroomConfig {
+    MailroomConfig::builder()
+        .workers(2)
+        .queue_capacity(config.sessions.max(1))
+        .rng_seed(seed)
+        .bank(BankConfig::default().rng_seed(seed ^ 0xBA9C))
+        .bank_producers(1)
+        .reservoir_target(KIND_GARBLINGS, target)
+        .reservoir_target(KIND_ZERO_ENCRYPTIONS, target)
+        .build()
+}
+
+/// Batch storms against a starved precompute bank: spam and search
+/// sessions each submit all their emails as one coalesced batch while every
+/// reservoir they draw from (the shared garblings, each search session's
+/// zero encryptions) is held to a single artifact, so nearly every draw
+/// comes up dry and is made inline — counted as a fallback — under burst
+/// pressure. [`PrefilledBankStorm`] is the well-provisioned counterpart.
 pub struct PoolExhaustionStorm(pub ScenarioConfig);
 
 impl PoolExhaustionStorm {
-    const BUDGET: usize = 1;
+    const TARGET: usize = 1;
 }
 
 impl Scenario for PoolExhaustionStorm {
@@ -453,130 +499,57 @@ impl Scenario for PoolExhaustionStorm {
         "pool-exhaustion-storm"
     }
     fn summary(&self) -> &'static str {
-        "batch storms outrun a single-round precompute budget"
+        "batch storms outrun a bank held to one artifact per reservoir"
     }
     fn params(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("sessions", self.0.sessions as u64),
             ("rounds", self.0.rounds as u64),
-            ("budget", Self::BUDGET as u64),
+            ("target", Self::TARGET as u64),
         ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
-        let sessions = (0..self.0.sessions)
-            .map(|i| {
-                let client_seed = session_seed(seed, i);
-                let mut rng = StdRng::seed_from_u64(client_seed);
-                let searchy = i % 2 == 1;
-                let (label, payloads) = if searchy {
-                    (
-                        "search",
-                        search_payloads(&mut rng, self.0.rounds * 2, i as u64 * 100),
-                    )
-                } else {
-                    (
-                        "spam",
-                        (0..self.0.rounds * 2)
-                            .map(|_| token_email(&mut rng, 16))
-                            .collect(),
-                    )
-                };
-                let rounds = vec![RoundOp::Batch(payloads)];
-                SessionPlan {
-                    label,
-                    spec: spec_for_kind(label, false),
-                    client_seed,
-                    arrival_delay: Duration::ZERO,
-                    frame_pace: Duration::ZERO,
-                    rounds,
-                    end: SessionEnd::Finish,
-                }
-            })
-            .collect();
-        // This scenario deliberately pins the deprecated inline shim: its
-        // whole point is pool-miss pressure on the per-session budget.
-        // [`PrefilledBankStorm`] is the bank-mode counterpart.
-        #[allow(deprecated)]
-        let mailroom = MailroomConfig::builder()
-            .workers(2)
-            .queue_capacity(self.0.sessions.max(1))
-            .rng_seed(seed)
-            .precompute_budget(Self::BUDGET)
-            .build();
-        ScenarioPlan { mailroom, sessions }
+        ScenarioPlan {
+            mailroom: storm_mailroom(&self.0, seed, Self::TARGET),
+            sessions: storm_sessions(&self.0, seed, "search"),
+        }
     }
 }
 
-/// The bank-mode answer to [`PoolExhaustionStorm`]: the same one-batch
-/// storm, but the mailroom fronts a fleet-wide precompute bank whose
-/// garbling reservoirs are prefilled past the entire storm's demand
-/// before any session is admitted. Spam and virus sessions share circuit
-/// fingerprints, so the storm drains one stock from both sides — and with
-/// targets at least the total draw count, no round ever garbles inline
-/// and every fallback counter pins to zero deterministically.
+/// The answer to [`PoolExhaustionStorm`]: the same one-batch storm, but
+/// the fleet-wide precompute bank's garbling reservoirs are prefilled past
+/// the entire storm's demand before any session is admitted. Spam and
+/// virus sessions share circuit fingerprints, so the storm drains one
+/// stock from both sides — and with targets at least the total draw
+/// count, even if the producers never refill mid-run the last draw still
+/// finds stock: no round ever garbles inline and every fallback counter
+/// pins to zero deterministically.
 pub struct PrefilledBankStorm(pub ScenarioConfig);
+
+impl PrefilledBankStorm {
+    fn demand(&self) -> usize {
+        self.0.sessions * self.0.rounds * 2
+    }
+}
 
 impl Scenario for PrefilledBankStorm {
     fn name(&self) -> &'static str {
         "prefilled-bank-storm"
     }
     fn summary(&self) -> &'static str {
-        "the fleet bank absorbs the batch storm the inline budget cannot"
+        "a bank stocked past demand absorbs the batch storm"
     }
     fn params(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("sessions", self.0.sessions as u64),
             ("rounds", self.0.rounds as u64),
-            ("target", (self.0.sessions * self.0.rounds * 2) as u64),
+            ("target", self.demand() as u64),
         ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
-        let sessions = (0..self.0.sessions)
-            .map(|i| {
-                let client_seed = session_seed(seed, i);
-                let mut rng = StdRng::seed_from_u64(client_seed);
-                let scan = i % 2 == 1;
-                let (label, payloads): (_, Vec<EmailPayload>) = if scan {
-                    (
-                        "virus",
-                        (0..self.0.rounds * 2)
-                            .map(|_| attachment_email(&mut rng, 32))
-                            .collect(),
-                    )
-                } else {
-                    (
-                        "spam",
-                        (0..self.0.rounds * 2)
-                            .map(|_| token_email(&mut rng, 16))
-                            .collect(),
-                    )
-                };
-                let rounds = vec![RoundOp::Batch(payloads)];
-                SessionPlan {
-                    label,
-                    spec: spec_for_kind(label, false),
-                    client_seed,
-                    arrival_delay: Duration::ZERO,
-                    frame_pace: Duration::ZERO,
-                    rounds,
-                    end: SessionEnd::Finish,
-                }
-            })
-            .collect();
-        // Every garbling reservoir is prefilled to the storm's entire
-        // demand, so even if the producers never refill mid-run the last
-        // draw still finds stock.
-        let demand = self.0.sessions * self.0.rounds * 2;
         ScenarioPlan {
-            mailroom: MailroomConfig::builder()
-                .workers(2)
-                .queue_capacity(self.0.sessions.max(1))
-                .rng_seed(seed)
-                .bank(BankConfig::default().rng_seed(seed ^ 0xBA9C))
-                .bank_producers(1)
-                .reservoir_target(KIND_GARBLINGS, demand)
-                .build(),
-            sessions,
+            mailroom: storm_mailroom(&self.0, seed, self.demand()),
+            sessions: storm_sessions(&self.0, seed, "virus"),
         }
     }
 }

@@ -12,7 +12,7 @@
 use rand::Rng;
 
 use pretzel_bignum::BigUint;
-use pretzel_paillier::{Ciphertext, PublicKey, RandomnessPool, SecretKey};
+use pretzel_paillier::{Ciphertext, PublicKey, Randomizer, SecretKey};
 
 use crate::{ModelMatrix, SdpError, SparseFeatures};
 
@@ -167,35 +167,25 @@ pub fn encrypt_model<R: Rng + ?Sized>(
 }
 
 /// Per-email phase, client side: encrypted dot products, one ciphertext per
-/// column group.
+/// column group, with fresh randomizers sampled inline.
 pub fn client_dot_product<R: Rng + ?Sized>(
     pk: &PublicKey,
     model: &PaillierEncryptedModel,
     features: &SparseFeatures,
     rng: &mut R,
 ) -> Result<Vec<Ciphertext>, SdpError> {
-    dot_product_with(pk, model, features, || pk.encrypt_zero(rng))
+    client_dot_product_with(pk, model, features, || pk.sample_randomizer(rng))
 }
 
-/// [`client_dot_product`] with the fresh zero-accumulators drawn from a
-/// [`RandomnessPool`] filled offline — the only full exponentiations on the
-/// client's online path become pool pops. An empty (or mismatched) pool
-/// falls back to inline encryption; the results are interchangeable.
-pub fn client_dot_product_pooled<R: Rng + ?Sized>(
+/// [`client_dot_product`] with the accumulators' randomizers (`rⁿ mod n²`,
+/// [`PublicKey::sample_randomizer`]) coming from `randomizer` — one call per
+/// column group. A caller holding randomizers computed offline hands them
+/// out here, and the only full exponentiations on the online path disappear.
+pub fn client_dot_product_with(
     pk: &PublicKey,
     model: &PaillierEncryptedModel,
     features: &SparseFeatures,
-    pool: &mut RandomnessPool,
-    rng: &mut R,
-) -> Result<Vec<Ciphertext>, SdpError> {
-    dot_product_with(pk, model, features, || pk.encrypt_zero_pooled(pool, rng))
-}
-
-fn dot_product_with(
-    pk: &PublicKey,
-    model: &PaillierEncryptedModel,
-    features: &SparseFeatures,
-    mut fresh_zero: impl FnMut() -> Ciphertext,
+    mut randomizer: impl FnMut() -> Randomizer,
 ) -> Result<Vec<Ciphertext>, SdpError> {
     for &(row, _) in features {
         if row >= model.rows {
@@ -205,7 +195,11 @@ fn dot_product_with(
             });
         }
     }
-    let mut accs: Vec<Ciphertext> = (0..model.cts_per_row).map(|_| fresh_zero()).collect();
+    let zero = BigUint::zero();
+    let mut accs = (0..model.cts_per_row)
+        .map(|_| pk.encrypt_with_randomizer(&zero, &randomizer()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| SdpError::Ahe(e.to_string()))?;
     for &(row, freq) in features {
         if freq == 0 {
             continue;
@@ -320,27 +314,23 @@ mod tests {
     }
 
     #[test]
-    fn pooled_dot_product_matches_reference() {
+    fn supplied_randomizers_match_reference() {
         let sk = test_key();
         let pk = sk.public();
         let params = PaillierPackParams { slot_bits: 24 };
         let model = demo_model(30, 2);
         let features: SparseFeatures = (0..12).map(|i| (i * 2 % 30, (i % 3 + 1) as u64)).collect();
         let enc = encrypt_model(pk, &model, params, &mut rand::thread_rng()).unwrap();
-        let mut pool = RandomnessPool::new();
-        // One accumulator group: a pool of 1 covers one round; a second
-        // round on the drained pool must fall back inline and still agree.
-        pool.refill(pk, 1, &mut rand::thread_rng());
-        for _ in 0..2 {
-            let result =
-                client_dot_product_pooled(pk, &enc, &features, &mut pool, &mut rand::thread_rng())
-                    .unwrap();
-            let decrypted =
-                provider_decrypt(&sk, 2, params.slot_bits, params.slots_per_ct(pk), &result)
-                    .unwrap();
-            assert_eq!(decrypted, model.dot_sparse(&features));
-        }
-        assert!(pool.is_empty());
+        // One accumulator group, so one randomizer computed ahead of the round.
+        let mut stocked = vec![pk.sample_randomizer(&mut rand::thread_rng())];
+        let result = client_dot_product_with(pk, &enc, &features, || {
+            stocked.pop().expect("one randomizer per column group")
+        })
+        .unwrap();
+        assert!(stocked.is_empty());
+        let decrypted =
+            provider_decrypt(&sk, 2, params.slot_bits, params.slots_per_ct(pk), &result).unwrap();
+        assert_eq!(decrypted, model.dot_sparse(&features));
     }
 
     #[test]

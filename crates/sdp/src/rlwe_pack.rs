@@ -328,20 +328,13 @@ pub fn provider_decrypt(sk: &SecretKey, cts: &[Ciphertext], count: usize) -> Vec
 }
 
 /// Decrypts legacy/per-row result ciphertexts into a flat vector of B dot
-/// products (concatenating the slot groups).
+/// products (concatenating the slot groups), decrypting no ciphertext past
+/// the one that holds the last of them.
 pub fn provider_decrypt_columns(sk: &SecretKey, cts: &[Ciphertext], cols: usize) -> Vec<u64> {
-    let slots = sk.params().slots();
-    let mut out = Vec::with_capacity(cols);
-    for ct in cts {
-        let dec = sk.decrypt_slots(ct);
-        for &v in dec.iter().take(slots) {
-            if out.len() == cols {
-                break;
-            }
-            out.push(v);
-        }
-    }
-    out
+    cts.iter()
+        .flat_map(|ct| sk.decrypt_slots(ct))
+        .take(cols)
+        .collect()
 }
 
 #[cfg(test)]

@@ -89,21 +89,6 @@ impl ClientSpec {
         Self::for_module(Arc::new(SpamFunction), config)
     }
 
-    /// Spec for a topic-extraction session.
-    #[deprecated(
-        note = "use `ClientSpecBuilder::topic(config).topic_mode(mode).candidate_model(model).build()`"
-    )]
-    pub fn topic(
-        config: PretzelConfig,
-        mode: CandidateMode,
-        candidate_model: Option<LinearModel>,
-    ) -> Self {
-        let mut spec = Self::for_module(Arc::new(TopicFunction), config);
-        spec.ctx.topic_mode = mode;
-        spec.ctx.candidate_model = candidate_model;
-        spec
-    }
-
     /// Spec for a virus-scanning session.
     pub fn virus(config: PretzelConfig) -> Self {
         Self::for_module(Arc::new(VirusFunction), config)
@@ -153,8 +138,7 @@ impl ClientSpecBuilder {
         Self::for_module(Arc::new(SpamFunction), config)
     }
 
-    /// Builder for a topic-extraction session (the replacement for the
-    /// deprecated positional `ClientSpec::topic`).
+    /// Builder for a topic-extraction session.
     pub fn topic(config: PretzelConfig) -> Self {
         Self::for_module(Arc::new(TopicFunction), config)
     }
@@ -339,17 +323,12 @@ impl<C: Channel> MailroomClient<C> {
         self.emails
     }
 
-    /// Offline phase, client side: precomputes pooled state (pre-garbled
+    /// Offline phase, client side: stocks precomputed state (pre-garbled
     /// argmax circuits for topic sessions, Paillier randomizers for Baseline
     /// sessions) covering up to `budget` future emails. Purely local — no
     /// traffic — so it can run while the connection is idle.
     pub fn precompute<R: Rng>(&mut self, budget: usize, rng: &mut R) -> usize {
         self.session.precompute(budget, rng)
-    }
-
-    /// Emails the client's offline pools can serve without inline work.
-    pub fn pool_depth(&self) -> usize {
-        self.session.pool_depth()
     }
 
     /// Submits one email for a secure per-email round.

@@ -32,19 +32,16 @@
 //!    established session state; [`crate::ROUND_BATCH`] (carrying a `u32`
 //!    count) starts one coalesced batch of rounds;
 //!    [`crate::ROUND_BYE`] ends the session.
-//!    The session's **offline phase** runs one of two ways. With a fleet
-//!    precompute bank configured ([`MailroomConfigBuilder::bank`]),
-//!    background producer threads keep shared per-kind reservoirs full and
-//!    the session draws artifacts from them on demand (work-stealing, with
-//!    an inline fallback when a reservoir runs dry). Without a bank, the
-//!    worker runs the legacy inline top-up after setup and again after
-//!    every round ([`pretzel_core::ProviderSession::precompute`], up to the
-//!    deprecated [`MailroomConfig::precompute_budget`] pooled rounds) — the
-//!    top-up overlaps with the client's own per-email computation and
-//!    network round trips. Either way the pool gauges are published on the
-//!    session's [`Meter`] ([`Meter::set_pool_gauge`]) and surface in
-//!    [`SessionStats::pool_depth`]/[`SessionStats::pools`] and
-//!    [`MailroomReport::pool_depth_total`]/[`MailroomReport::reservoir_depth`].
+//!    The session's **offline artifacts** come from one place: the
+//!    [`PrecomputeSource`] its setup is handed. With a fleet precompute bank
+//!    configured ([`MailroomConfigBuilder::bank`]), background producer
+//!    threads keep shared per-kind reservoirs full and the session draws
+//!    from them on demand (work-stealing, made inline when a reservoir runs
+//!    dry), and the worker publishes the session's reservoir gauges on its
+//!    [`Meter`] ([`Meter::set_pool_gauge`]) after setup and every round;
+//!    they surface in [`SessionStats::pool_depth`]/[`SessionStats::pools`]
+//!    and [`MailroomReport::pool_depth_total`]. Without a bank the source is
+//!    empty: every draw is made inline and every gauge reads 0.
 //! 5. **Teardown** — on `BYE` the session completes; on any error (including
 //!    the client vanishing mid-protocol) it is marked failed, the worker
 //!    drops the channel and simply moves on to the next queued session — one
@@ -65,7 +62,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pretzel_core::bank::{
-    BankConfig, BankReport, PrecomputeBank, PrecomputeSource, ReservoirStats,
+    empty_source, BankConfig, BankReport, PrecomputeBank, PrecomputeSource, ReservoirStats,
+    SessionSource,
 };
 use pretzel_core::registry::{ProtocolRegistry, WireTag};
 use pretzel_core::session::{variant_from_byte, ProviderModelSuite, ProviderSession};
@@ -97,29 +95,9 @@ pub struct MailroomConfig {
     /// derives its own stream from this and its [`SessionId`], so runs are
     /// reproducible given a fixed seed and submission order).
     pub rng_seed: u64,
-    /// Offline-phase budget: how many future rounds a worker precomputes
-    /// for its session after setup and again after every served round
-    /// (pre-garbled circuits etc. — see
-    /// [`pretzel_core::ProviderSession::precompute`]). `0` disables the
-    /// offline phase; every round then computes inline. Verdicts and wire
-    /// bytes are identical at any budget — only latency moves.
-    ///
-    /// Deprecated: inline per-session budgets steal worker time from the
-    /// online path. Attach a fleet-wide [`BankConfig`] instead
-    /// ([`MailroomConfigBuilder::bank`]); when a bank is configured this
-    /// budget is ignored and background producers keep the reservoirs full.
-    /// The shim stays verdict- and wire-identical to the bank path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure a fleet-wide precompute bank via \
-                MailroomConfig::builder().bank(..) instead of per-session \
-                inline budgets"
-    )]
-    pub precompute_budget: usize,
-    /// Fleet-wide precompute bank. `None` (the default) keeps the legacy
-    /// inline offline phase; `Some` starts background producer threads that
-    /// keep per-kind reservoirs full, and workers draw from them instead of
-    /// precomputing inline.
+    /// Fleet-wide precompute bank. `None` (the default) serves every offline
+    /// artifact inline; `Some` starts background producer threads that keep
+    /// per-kind reservoirs full, and sessions draw from them.
     pub bank: Option<BankConfig>,
     /// Newest protocol version this mailroom serves. v1 is always served
     /// (the legacy handshake has no version field to refuse), so lowering
@@ -144,7 +122,6 @@ impl MailroomConfig {
 }
 
 impl Default for MailroomConfig {
-    #[allow(deprecated)] // the legacy budget keeps its default until removal
     fn default() -> Self {
         MailroomConfig {
             workers: std::thread::available_parallelism()
@@ -152,7 +129,6 @@ impl Default for MailroomConfig {
                 .unwrap_or(4),
             queue_capacity: 64,
             rng_seed: 0x4d41_494c_524f_4f4d, // "MAILROOM"
-            precompute_budget: 2,
             bank: None,
             max_version: ProtocolVersion::MAX,
             capabilities: Capabilities::KNOWN,
@@ -185,23 +161,9 @@ impl MailroomConfigBuilder {
         self
     }
 
-    /// Sets the offline-phase precompute budget.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure a fleet-wide precompute bank via \
-                MailroomConfigBuilder::bank instead of per-session inline \
-                budgets"
-    )]
-    #[allow(deprecated)] // writes the equally-deprecated config field
-    pub fn precompute_budget(mut self, budget: usize) -> Self {
-        self.config.precompute_budget = budget;
-        self
-    }
-
     /// Enables the fleet-wide precompute bank with the given configuration.
-    /// Workers then draw offline artifacts from shared reservoirs kept full
-    /// by background producer threads, and the deprecated per-session
-    /// inline budget is ignored.
+    /// Sessions then draw offline artifacts from shared reservoirs kept full
+    /// by background producer threads.
     pub fn bank(mut self, bank: BankConfig) -> Self {
         self.config.bank = Some(bank);
         self
@@ -295,24 +257,24 @@ pub struct SessionStats {
     pub bytes_received: u64,
     /// Messages exchanged in both directions.
     pub messages: u64,
-    /// Offline-phase pool depth at snapshot time: rounds the session can
-    /// serve from precomputed state without inline garbling. Equals the sum
-    /// of the per-kind depths in [`SessionStats::pools`] when the session's
-    /// module reports per-kind gauges.
+    /// Stock of the bank reservoirs this session draws from, as of its last
+    /// round: the sum of the per-kind depths in [`SessionStats::pools`].
+    /// Shared reservoirs are seen by every session drawing from them; 0
+    /// without a bank.
     pub pool_depth: u64,
-    /// Per-kind pool gauges (depth and dry-draw fallbacks), sorted by kind
-    /// name — the same `KIND_*` naming scheme
-    /// [`pretzel_core::bank::ReservoirId`] uses. Empty for modules that
-    /// never report per-kind stats.
+    /// Per-kind gauges over the session's reservoirs (their depth, and this
+    /// session's dry draws), sorted by kind name — the same `KIND_*` naming
+    /// scheme [`pretzel_core::bank::ReservoirId`] uses. Empty without a bank
+    /// and for modules that draw nothing.
     pub pools: Vec<(&'static str, PoolKindGauge)>,
-    /// Draws that found every pool (local and bank) dry and computed inline,
-    /// summed over this session's kinds.
+    /// This session's draws that found their reservoir dry and were made
+    /// inline, summed over kinds (0 without a bank: nothing was drawn).
     pub fallback_draws: u64,
 }
 
 impl SessionStats {
-    /// Depth of one artifact kind's pool at snapshot time (0 when the kind
-    /// never reported) — the per-kind counterpart of
+    /// Depth of the session's reservoirs of one artifact kind as of its last
+    /// round (0 when it draws none) — the per-kind counterpart of
     /// [`SessionStats::pool_depth`].
     pub fn reservoir_depth(&self, kind: &str) -> u64 {
         self.pools
@@ -373,10 +335,9 @@ struct Shared {
     emails_total: AtomicU64,
     accepting: AtomicBool,
     rng_seed: u64,
-    precompute_budget: usize,
-    /// Work-stealing handle onto the fleet precompute bank; `None` keeps the
-    /// legacy inline offline phase.
-    bank_source: Option<Arc<dyn PrecomputeSource>>,
+    /// Where sessions draw offline artifacts: a work-stealing handle onto
+    /// the fleet precompute bank, or the empty source when none runs.
+    source: Arc<dyn PrecomputeSource>,
     max_version: ProtocolVersion,
     capabilities: Capabilities,
 }
@@ -404,9 +365,9 @@ pub struct KindTotals {
     pub bytes_received: u64,
     /// Messages exchanged in both directions.
     pub messages: u64,
-    /// Final offline-pool depth summed over this kind's sessions.
+    /// [`SessionStats::pool_depth`] summed over this kind's sessions.
     pub pool_depth: u64,
-    /// Pool-dry fallback draws summed over this kind's sessions.
+    /// Dry draws made inline, summed over this kind's sessions.
     pub fallback_draws: u64,
 }
 
@@ -435,8 +396,9 @@ pub struct MailroomReport {
     pub fleet_bytes_received: u64,
     /// Fleet-wide messages in both directions.
     pub fleet_messages: u64,
-    /// Sum of every session's final offline-pool depth — precomputed rounds
-    /// banked but never consumed (shutdown waste / warm-pool headroom).
+    /// Sum of every session's [`SessionStats::pool_depth`] (a reservoir
+    /// shared by several sessions counts once per session; the exact
+    /// end-of-run stock is in [`MailroomReport::reservoirs`]).
     pub pool_depth_total: u64,
     /// Final per-reservoir accounting of the fleet precompute bank, drained
     /// at shutdown (empty when no bank was configured). Sorted by kind then
@@ -485,25 +447,19 @@ impl MailroomReport {
         by_version.into_iter().collect()
     }
 
-    /// Fleet-wide banked depth for one artifact kind at shutdown: the
-    /// per-kind counterpart of [`MailroomReport::pool_depth_total`]. Sums
-    /// the kind's depth across every session's local pools plus the bank's
-    /// reservoirs of that kind.
+    /// Fleet-wide stock of one artifact kind at shutdown, summed over the
+    /// bank's reservoirs of that kind (live and retired).
     pub fn reservoir_depth(&self, kind: &str) -> u64 {
-        let sessions: u64 = self.sessions.iter().map(|s| s.reservoir_depth(kind)).sum();
-        let bank: u64 = self
-            .reservoirs
+        self.reservoirs
             .iter()
             .filter(|r| r.kind == kind)
             .map(|r| r.depth)
-            .sum();
-        sessions + bank
+            .sum()
     }
 
-    /// Total pool-dry fallback draws across the fleet: draws that fell
-    /// through both the session-local pools and the bank and computed
-    /// inline. Counted once, session-side (the bank's own per-reservoir
-    /// counters track the same events from the other end).
+    /// Total dry draws across the fleet: draws that found their reservoir
+    /// empty and were made inline. Counted once, session-side (the bank's
+    /// own per-reservoir counters track the same events from the other end).
     pub fn fallback_draws_total(&self) -> u64 {
         self.sessions.iter().map(|s| s.fallback_draws).sum()
     }
@@ -557,9 +513,9 @@ impl Mailroom {
                 }
             }
         }
-        let bank_source = bank.as_ref().map(|b| b.handle());
-        #[allow(deprecated)] // legacy inline budget, served until removal
-        let precompute_budget = config.precompute_budget;
+        let source = bank
+            .as_ref()
+            .map_or_else(empty_source, PrecomputeBank::handle);
         let shared = Arc::new(Shared {
             suite,
             registry,
@@ -570,8 +526,7 @@ impl Mailroom {
             emails_total: AtomicU64::new(0),
             accepting: AtomicBool::new(true),
             rng_seed: config.rng_seed,
-            precompute_budget,
-            bank_source,
+            source,
             max_version: config.max_version,
             capabilities: config.capabilities,
         });
@@ -841,44 +796,28 @@ fn run_session(
 
     // One independent, reproducible randomness stream per session.
     let mut rng = StdRng::seed_from_u64(shared.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut session = match &shared.bank_source {
-        Some(source) => ProviderSession::setup_with_source(
-            &shared.registry,
-            tag,
-            &mut channel,
-            &shared.suite,
-            variant,
-            source,
-            &mut rng,
-        )?,
-        None => ProviderSession::setup(
-            &shared.registry,
-            tag,
-            &mut channel,
-            &shared.suite,
-            variant,
-            &mut rng,
-        )?,
-    }
+    // The session sees the fleet's source through its own window, which
+    // keeps the per-session books.
+    let window = Arc::new(SessionSource::new(Arc::clone(&shared.source)));
+    let source: Arc<dyn PrecomputeSource> = Arc::clone(&window) as _;
+    let mut session = ProviderSession::setup_with_source(
+        &shared.registry,
+        tag,
+        &mut channel,
+        &shared.suite,
+        variant,
+        &source,
+        &mut rng,
+    )?
     .with_profile(profile);
 
-    // Offline phase. Without a bank, precompute inline before the first
-    // email arrives (the client is busy with its own setup/feature work
-    // meanwhile) and top the pool back up after every round while the
-    // channel is idle. With a bank, background producers do that work and
-    // the session draws from the shared reservoirs instead. Either way,
-    // publish the pool gauges on the session meter.
-    let top_up = |session: &mut ProviderSession, rng: &mut StdRng| {
-        if shared.bank_source.is_none() {
-            #[allow(deprecated)] // the legacy inline shim, served until removal
-            session.precompute(shared.precompute_budget, rng);
-        }
-        meter.set_pool_depth(session.pool_depth() as u64);
-        for stats in session.pool_stats() {
-            meter.set_pool_gauge(stats.kind, stats.depth, stats.fallback_draws);
+    // Publishes the session's reservoir gauges on its meter.
+    let publish_gauges = || {
+        for (kind, depth, fallback_draws) in window.gauges() {
+            meter.set_pool_gauge(kind, depth, fallback_draws);
         }
     };
-    top_up(&mut session, &mut rng);
+    publish_gauges();
 
     // Records one or more served rounds in the session and fleet counters.
     let account = |outputs: &[Option<usize>]| {
@@ -898,7 +837,7 @@ fn run_session(
             [ROUND_EMAIL] => {
                 let topic = session.process_round(&mut channel, &mut rng)?;
                 account(&[topic]);
-                top_up(&mut session, &mut rng);
+                publish_gauges();
             }
             [ROUND_BATCH, count @ ..] if count.len() == 4 => {
                 if !profile.supports(Capabilities::ROUND_BATCH) {
@@ -916,7 +855,7 @@ fn run_session(
                 }
                 let outputs = session.process_batch(&mut channel, count, &mut rng)?;
                 account(&outputs);
-                top_up(&mut session, &mut rng);
+                publish_gauges();
             }
             other => {
                 return Err(ServerError::Control(format!(
@@ -1057,11 +996,9 @@ mod tests {
         assert_eq!(stats.emails, 2);
         assert!(stats.bytes_sent > 0, "provider ships the encrypted model");
         assert!(stats.bytes_received > 0);
-        assert_eq!(
-            stats.pool_depth, 2,
-            "worker topped the offline pool back up to the default budget"
-        );
-        assert_eq!(report.pool_depth_total, 2);
+        assert_eq!(stats.pool_depth, 0, "no bank: nothing is stocked");
+        assert_eq!(stats.fallback_draws, 0, "no bank: nothing is drawn");
+        assert_eq!(report.pool_depth_total, 0);
         assert!(report.bytes_per_email() > 0.0);
         assert_eq!(
             report.fleet_bytes_sent, stats.bytes_sent,
@@ -1107,10 +1044,6 @@ mod tests {
         assert_eq!(stats.kind, Some(SearchFunction::WIRE_TAG));
         assert_eq!(stats.state, SessionState::Completed);
         assert_eq!(stats.emails, 4, "2 index rounds + 2 query rounds");
-        assert_eq!(
-            stats.pool_depth, 2,
-            "worker topped the pre-encrypted response pool back up"
-        );
 
         let by_kind = report.by_kind();
         assert_eq!(by_kind.len(), 1);
@@ -1325,7 +1258,7 @@ mod tests {
         mailroom.shutdown();
     }
 
-    /// The fleet bank must be observationally equivalent to the inline shim:
+    /// A fleet with a bank must be observationally equivalent to one without:
     /// identical verdicts and identical wire accounting — only the
     /// provenance of offline artifacts changes. Also pins the per-kind
     /// reservoir surfacing: gauges in `SessionStats::pools`, reservoirs in
@@ -1437,11 +1370,12 @@ mod tests {
             "a full reservoir means zero inline garblings"
         );
         assert!(spam.pools.iter().any(|(kind, _)| *kind == KIND_GARBLINGS));
-        assert_eq!(
-            spam.reservoir_depth(KIND_GARBLINGS),
-            0,
-            "ready pool stays empty in bank mode"
+        assert!(
+            spam.reservoir_depth(KIND_GARBLINGS) > 0,
+            "the session's gauge shows the stock left in its reservoir"
         );
+        assert_eq!(spam.pool_depth, spam.reservoir_depth(KIND_GARBLINGS));
+        assert!(inline_report.sessions.iter().all(|s| s.pools.is_empty()));
     }
 
     #[test]

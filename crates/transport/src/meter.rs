@@ -26,12 +26,12 @@
 //! never forks the counters: all clones, and every channel wrapped via
 //! [`MeteredChannel::with_meter`], observe and update the same totals.
 //!
-//! Besides the four traffic counters, a meter carries one serving-layer
-//! **gauge**: the endpoint's precomputation pool depth
-//! ([`Meter::set_pool_depth`]/[`Meter::pool_depth`]). The mailroom updates it
-//! after every offline-phase top-up so operators can read session health and
-//! traffic from a single handle. [`Meter::reset`] zeroes the gauge along
-//! with the counters.
+//! Besides the four traffic counters, a meter carries the serving layer's
+//! per-kind precompute **gauges** ([`Meter::set_pool_gauge`]): how much stock
+//! the endpoint's reservoirs of each artifact kind hold, and how many of its
+//! draws came up dry. The mailroom updates them after setup and every round
+//! so operators can read session health and traffic from a single handle.
+//! [`Meter::reset`] clears the gauges along with the counters.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -57,7 +57,6 @@ struct MeterInner {
     bytes_received: u64,
     messages_sent: u64,
     messages_received: u64,
-    pool_depth: u64,
     pool_kinds: BTreeMap<&'static str, PoolKindGauge>,
 }
 
@@ -103,30 +102,16 @@ impl Meter {
         self.inner.lock().messages_received
     }
 
-    /// Precomputation pool depth gauge: how many future rounds the metered
-    /// endpoint has offline work banked for. When per-kind gauges have been
-    /// written ([`Meter::set_pool_gauge`]) this aggregate delegates to their
-    /// sum; otherwise it returns the legacy scalar written by
-    /// [`Meter::set_pool_depth`] (0 until someone sets either).
+    /// Precomputation pool depth: the sum of the per-kind gauge depths (0
+    /// until [`Meter::set_pool_gauge`] is called).
     pub fn pool_depth(&self) -> u64 {
         let g = self.inner.lock();
-        if g.pool_kinds.is_empty() {
-            g.pool_depth
-        } else {
-            g.pool_kinds.values().map(|k| k.depth).sum()
-        }
+        g.pool_kinds.values().map(|k| k.depth).sum()
     }
 
-    /// Updates the aggregate pool depth gauge (a last-write-wins snapshot,
-    /// unlike the monotonic traffic counters). Superseded by the per-kind
-    /// [`Meter::set_pool_gauge`], which also carries fallback counts; once
-    /// any per-kind gauge is set, [`Meter::pool_depth`] ignores this scalar.
-    pub fn set_pool_depth(&self, depth: u64) {
-        self.inner.lock().pool_depth = depth;
-    }
-
-    /// Updates one artifact kind's pool gauge (last-write-wins snapshot,
-    /// keyed by the kind names precompute pools report — `"garblings"`,
+    /// Updates one artifact kind's pool gauge (a last-write-wins snapshot,
+    /// unlike the monotonic traffic counters; keyed by the kind names
+    /// precompute reservoirs report — `"garblings"`,
     /// `"zero_encryptions"`, …).
     pub fn set_pool_gauge(&self, kind: &'static str, depth: u64, fallback_draws: u64) {
         self.inner.lock().pool_kinds.insert(
@@ -261,26 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_depth_gauge_is_settable_and_shared() {
+    fn per_kind_gauges_delegate_the_aggregate_and_count_fallbacks() {
         let meter = Meter::new();
         assert_eq!(meter.pool_depth(), 0);
         let clone = meter.clone();
-        clone.set_pool_depth(7);
-        assert_eq!(meter.pool_depth(), 7, "gauge is shared across clones");
-        clone.set_pool_depth(3);
-        assert_eq!(meter.pool_depth(), 3, "last write wins");
-    }
-
-    #[test]
-    fn per_kind_gauges_delegate_the_aggregate_and_count_fallbacks() {
-        let meter = Meter::new();
-        meter.set_pool_depth(9); // legacy scalar, soon shadowed
-        meter.set_pool_gauge("garblings", 4, 1);
-        meter.set_pool_gauge("zero_encryptions", 3, 2);
+        clone.set_pool_gauge("garblings", 4, 1);
+        clone.set_pool_gauge("zero_encryptions", 3, 2);
         assert_eq!(
             meter.pool_depth(),
             7,
-            "aggregate delegates to the per-kind sum once any kind is set"
+            "the aggregate is the per-kind sum, shared across clones"
         );
         assert_eq!(meter.pool_gauge("garblings").depth, 4);
         assert_eq!(meter.pool_gauge("garblings").fallback_draws, 1);
@@ -312,7 +287,7 @@ mod tests {
         let _ = b.recv().unwrap();
         let _ = ma.recv().unwrap();
         let meter = ma.meter();
-        meter.set_pool_depth(5);
+        meter.set_pool_gauge("garblings", 5, 0);
         assert_eq!(meter.bytes_sent(), 3);
         assert_eq!(meter.bytes_received(), 1);
         meter.reset();

@@ -28,6 +28,7 @@ use rand::{RngCore, SeedableRng};
 
 use pretzel::classifiers::nb::{GrNbTrainer, MultinomialNbTrainer};
 use pretzel::classifiers::{NGramExtractor, SparseVector, Trainer};
+use pretzel::core::bank::PrecomputeSource;
 use pretzel::core::registry::{
     ClientContext, ClientModule, FunctionModule, ProtocolRegistry, ProviderModule, WireTag,
 };
@@ -81,6 +82,8 @@ impl FunctionModule for AttachmentStatsFunction {
         channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         _variant: AheVariant,
+        // Nothing here is worth precomputing, so the source goes unused.
+        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>, PretzelError> {
         let params = suite.config.rlwe_params();
@@ -150,14 +153,6 @@ impl ProviderModule for StatsProvider {
         "attach-stats"
     }
 
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-
-    fn pool_depth(&self) -> usize {
-        0
-    }
-
     fn process_round(
         &mut self,
         channel: &mut dyn Channel,
@@ -190,14 +185,6 @@ impl ClientModule for StatsClient {
 
     fn model_storage_bytes(&self) -> usize {
         self.model.size_bytes(&self.pk)
-    }
-
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-
-    fn pool_depth(&self) -> usize {
-        0
     }
 
     fn process_round(

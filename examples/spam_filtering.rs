@@ -6,6 +6,7 @@
 
 use pretzel_classifiers::nb::GrNbTrainer;
 use pretzel_classifiers::Trainer;
+use pretzel_core::bank::empty_source;
 use pretzel_core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel_core::{NoPrivProvider, PretzelConfig, ReplayGuard};
 use pretzel_datasets::ling_spam_like;
@@ -41,6 +42,8 @@ fn main() {
             &model_for_provider,
             &provider_cfg,
             AheVariant::Pretzel,
+            // No precompute bank here: every offline artifact is made inline.
+            &empty_source(),
             &mut rng,
         )
         .expect("provider setup");

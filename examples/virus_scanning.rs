@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example virus_scanning`
 
 use pretzel_classifiers::NGramExtractor;
+use pretzel_core::bank::empty_source;
 use pretzel_core::spam::AheVariant;
 use pretzel_core::virus::{VirusModelBuilder, VirusScanClient, VirusScanProvider};
 use pretzel_core::PretzelConfig;
@@ -63,6 +64,8 @@ fn main() {
             extractor,
             &provider_cfg,
             AheVariant::Pretzel,
+            // No precompute bank here: every offline artifact is made inline.
+            &empty_source(),
             &mut rng,
         )
         .expect("provider setup");

@@ -9,11 +9,14 @@
 
 use pretzel::classifiers::nb::GrNbTrainer;
 use pretzel::classifiers::{LabeledExample, SparseVector, Trainer};
+use pretzel::core::bank::empty_source;
+use pretzel::core::setup::joint_randomness_initiator;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::{CandidateMode, TopicClient};
 use pretzel::core::{PretzelConfig, PretzelError, ReplayGuard};
+use pretzel::gc::{YaoEvaluator, YaoGarbler};
 use pretzel::primitives::sha256;
-use pretzel::transport::{memory_pair, run_two_party, Channel};
+use pretzel::transport::{memory_pair, run_two_party, Channel, MemoryChannel};
 
 mod common;
 use common::test_rng;
@@ -170,8 +173,14 @@ fn spam_provider_errors_on_a_garbage_per_email_message() {
     let (provider_res, client_res) = run_two_party(
         move |chan| {
             let mut rng = test_rng(7);
-            let mut provider =
-                SpamProvider::setup(chan, &model, &config, AheVariant::Pretzel, &mut rng)?;
+            let mut provider = SpamProvider::setup(
+                chan,
+                &model,
+                &config,
+                AheVariant::Pretzel,
+                &empty_source(),
+                &mut rng,
+            )?;
             // The "per-email" message the client sends below is garbage.
             provider.process_email(chan, &mut rng)
         },
@@ -188,6 +197,142 @@ fn spam_provider_errors_on_a_garbage_per_email_message() {
         provider_res.is_err(),
         "the provider must reject a malformed per-email message"
     );
+}
+
+/// A model header a hostile provider announces: the layout (`rows`, `cols`),
+/// the ciphertext count, and how many ciphertexts the blob really carries.
+#[derive(Clone, Copy, Debug)]
+struct HostileHeader {
+    rows: u64,
+    cols: u64,
+    count: u64,
+    sent: usize,
+}
+
+/// The malformed headers of the hardening issue, for a module whose honest
+/// models have `cols` columns. Each used to panic the client — at setup, or
+/// at the first round that indexed past the ciphertexts actually received.
+fn hostile_headers(cols: u64) -> Vec<HostileHeader> {
+    let header = |rows, cols, count, sent| HostileHeader {
+        rows,
+        cols,
+        count,
+        sent,
+    };
+    vec![
+        // No rows: `bias_row = rows - 1` underflowed.
+        header(0, cols, 0, 0),
+        // No columns: the RLWE layout divided by zero.
+        header(4, 0, 0, 0),
+        // A count whose product with the ciphertext length overflows.
+        header(4, cols, u64::MAX, 0),
+        // A layout of thousands of ciphertexts backed by a single one: the
+        // dot product later indexed out of bounds.
+        header(10_000, cols, 1, 1),
+        // A layout whose own size overflows.
+        header(1 << 62, 4, 0, 0),
+    ]
+}
+
+/// Plays a provider that runs the whole setup honestly — joint randomness,
+/// a well-formed public key, the Yao setup of its role — except for the
+/// model header it announces. Errors are ignored: the client is expected to
+/// hang up as soon as it has seen the header.
+fn hostile_provider(
+    chan: &mut MemoryChannel,
+    config: &PretzelConfig,
+    variant: AheVariant,
+    header: HostileHeader,
+    provider_garbles: bool,
+) {
+    let mut rng = test_rng(40);
+    let Ok(seed) = joint_randomness_initiator(chan, &mut rng) else {
+        return;
+    };
+    let (pk, ct_len) = match variant {
+        AheVariant::Baseline => (
+            // Any odd modulus of the configured size parses as a key.
+            vec![0xFF; config.paillier_bits / 8],
+            pretzel::paillier::Ciphertext::serialized_len(config.paillier_bits),
+        ),
+        _ => {
+            let params = config.rlwe_params();
+            (
+                vec![0; 2 * params.ciphertext_bytes() / 2],
+                params.ciphertext_bytes(),
+            )
+        }
+    };
+    let _ = chan.send(&header.rows.to_le_bytes());
+    let _ = chan.send(&header.cols.to_le_bytes());
+    let _ = chan.send(&pk);
+    let _ = chan.send(&header.count.to_le_bytes());
+    let _ = chan.send(&vec![0; header.sent * ct_len]);
+    let group = config.ot_group(&seed);
+    if provider_garbles {
+        let _ = YaoGarbler::setup(chan, &group, &mut rng);
+    } else {
+        let _ = YaoEvaluator::setup(chan, &group, &mut rng);
+    }
+}
+
+/// An email whose one feature lives far beyond any ciphertext a hostile
+/// blob carried.
+fn far_row_email() -> SparseVector {
+    SparseVector::from_pairs(vec![(9_000, 1)])
+}
+
+#[test]
+fn spam_client_rejects_hostile_model_headers_without_panicking() {
+    for variant in [AheVariant::Pretzel, AheVariant::Baseline] {
+        for header in hostile_headers(2) {
+            let config = PretzelConfig::test();
+            let provider_config = config.clone();
+            // The client runs as party B: its channel end closes the moment
+            // it returns, which is what releases the provider.
+            let ((), client_res) = run_two_party(
+                move |chan| hostile_provider(chan, &provider_config, variant, header, true),
+                move |chan| {
+                    let mut rng = test_rng(41);
+                    let mut client = SpamClient::setup(chan, &config, variant, &mut rng)?;
+                    client.classify(chan, &far_row_email(), &mut rng)
+                },
+            );
+            assert!(
+                matches!(client_res, Err(PretzelError::Protocol(_))),
+                "{variant:?} {header:?}: expected a protocol error, got {client_res:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn topic_client_rejects_hostile_model_headers_without_panicking() {
+    for variant in [AheVariant::Pretzel, AheVariant::Baseline] {
+        for header in hostile_headers(4) {
+            let config = PretzelConfig::test();
+            let provider_config = config.clone();
+            let ((), client_res) = run_two_party(
+                move |chan| hostile_provider(chan, &provider_config, variant, header, false),
+                move |chan| {
+                    let mut rng = test_rng(42);
+                    let mut client = TopicClient::setup(
+                        chan,
+                        &config,
+                        variant,
+                        CandidateMode::Full,
+                        None,
+                        &mut rng,
+                    )?;
+                    client.extract(chan, &far_row_email(), &mut rng)
+                },
+            );
+            assert!(
+                matches!(client_res, Err(PretzelError::Protocol(_))),
+                "{variant:?} {header:?}: expected a protocol error, got {client_res:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -264,7 +409,8 @@ fn search_client_rejects_a_tampered_response_instead_of_misdecoding() {
                 min_len: ct_len,
             };
             let mut rng = test_rng(60);
-            let mut provider = SearchProvider::setup(&mut tampering, &config, &mut rng)?;
+            let mut provider =
+                SearchProvider::setup(&mut tampering, &config, &empty_source(), &mut rng)?;
             provider.process_round(&mut tampering, &mut rng)?; // honest index round
             provider.process_round(&mut tampering, &mut rng) // corrupted query round
         },

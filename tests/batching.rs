@@ -1,18 +1,16 @@
 //! Batched rounds are an optimization, not a semantic change: a mixed
 //! four-kind fleet served in coalesced batches must produce byte-identical
-//! verdicts to the same fleet served one round at a time, at every offline
-//! pool budget (0 = pure inline, 1 = drain-and-refill, ∞ = never dry), under
-//! fixed seeds. Also pins the registry contract end to end: unknown wire
+//! verdicts to the same fleet served one round at a time, however its
+//! offline artifacts are provisioned (no bank, a bank that runs dry
+//! mid-run, a prefilled bank), under fixed seeds — and the bank's books
+//! must balance. Also pins the registry contract end to end: unknown wire
 //! tags are clean errors through the whole mailroom stack, and a
 //! custom-registered module serves alongside the built-ins.
-
-// Budget-sweep fleets here deliberately drive the deprecated per-session
-// precompute shim; see tests/precompute_bank.rs for the bank-mode pins.
-#![allow(deprecated)]
 
 use std::sync::Arc;
 
 use pretzel::classifiers::SparseVector;
+use pretzel::core::bank::PrecomputeSource;
 use pretzel::core::registry::{
     ClientContext, ClientModule, FunctionModule, ProtocolRegistry, ProviderModule, WireTag,
 };
@@ -25,11 +23,11 @@ use pretzel::transport::{memory_pair, Channel};
 use rand::RngCore;
 
 mod common;
-use common::{connect_client, ling_suite, test_rng, FleetRecord};
+use common::{
+    assert_conservation, connect_client, ling_suite, settle_bank, test_rng, FleetRecord, Provision,
+};
 
 const ROUNDS_PER_SESSION: usize = 3;
-/// Larger than any session's round count: no round ever computes inline.
-const UNBOUNDED: usize = ROUNDS_PER_SESSION + 4;
 
 /// The four per-kind payload scripts of the mixed fleet, in the order the
 /// sessions are submitted.
@@ -46,8 +44,8 @@ fn scripts() -> Vec<(ClientSpec, Vec<EmailPayload>)> {
         |i: u8| EmailPayload::Attachment([0x4d, 0x5a, 0x90, 0x00, 0xde, 0xad, i].to_vec());
     vec![
         (
-            // Baseline variant so the Paillier randomizer pool is on the
-            // batched path too.
+            // Baseline variant so the client's Paillier randomizer stock is
+            // on the batched path too.
             ClientSpec::spam(config.clone()).with_variant(AheVariant::Baseline),
             (0..ROUNDS_PER_SESSION).map(spam_email).collect(),
         ),
@@ -78,22 +76,26 @@ fn scripts() -> Vec<(ClientSpec, Vec<EmailPayload>)> {
 /// Serves the mixed fleet sequentially on one worker (deterministic RNG
 /// streams), each client submitting its rounds either one at a time or as a
 /// single coalesced batch.
-fn run_fleet(budget: usize, batched: bool) -> FleetRecord {
+fn run_fleet(provision: Provision, batched: bool) -> FleetRecord {
     let mailroom = Mailroom::start(
         ling_suite(),
-        MailroomConfig::builder()
-            .workers(1)
-            .queue_capacity(4)
-            .rng_seed(0xBA7C4)
-            .precompute_budget(budget)
+        provision
+            .configure(
+                MailroomConfig::builder()
+                    .workers(1)
+                    .queue_capacity(4)
+                    .rng_seed(0xBA7C4),
+            )
             .build(),
     );
+    settle_bank(&mailroom);
 
     let mut verdicts = Vec::new();
     for (s, (spec, payloads)) in scripts().into_iter().enumerate() {
         let mut rng = test_rng(500 + s as u64);
         let mut client = connect_client(&mailroom, &spec, &mut rng);
-        client.precompute(budget, &mut rng);
+        settle_bank(&mailroom);
+        client.precompute(provision.client_budget(), &mut rng);
         if batched {
             for verdict in client.process_batch(&payloads, &mut rng).unwrap() {
                 verdicts.push(format!("{verdict:?}"));
@@ -109,38 +111,55 @@ fn run_fleet(budget: usize, batched: bool) -> FleetRecord {
 
     let report = mailroom.shutdown();
     assert_eq!(report.completed(), 4, "all four sessions must complete");
+    assert_conservation(&report);
+    match provision {
+        Provision::NoBank => {
+            assert!(report.reservoirs.is_empty());
+            assert_eq!(report.fallback_draws_total(), 0, "nothing to draw from");
+        }
+        Provision::BankRunsDry => assert!(
+            report.fallback_draws_total() > 0,
+            "one artifact per reservoir cannot cover three rounds"
+        ),
+        Provision::Prefilled => {
+            assert_eq!(report.fallback_draws_total(), 0, "stocked past demand");
+            let drawn: u64 = report.reservoirs.iter().map(|r| r.drawn).sum();
+            // 3 spam + 3 virus garblings, 2 search-query zero encryptions.
+            assert_eq!(drawn, 8, "every provider-side draw was served");
+        }
+    }
     FleetRecord::new(verdicts, &report)
 }
 
 /// The batching acceptance test: batched and sequential serving produce
-/// byte-identical verdicts at pool budgets 0, 1 and ∞, and within each mode
-/// the meter counts are budget-independent.
+/// byte-identical verdicts under every provisioning, and within each mode
+/// the meter counts do not depend on it.
 #[test]
-fn batched_rounds_match_sequential_at_every_budget() {
-    let seq_cold = run_fleet(0, false);
-    let batch_cold = run_fleet(0, true);
-    let batch_trickle = run_fleet(1, true);
-    let batch_unbounded = run_fleet(UNBOUNDED, true);
+fn batched_rounds_match_sequential_under_every_provisioning() {
+    let [seq_none, seq_dry, seq_full] = Provision::ALL.map(|p| run_fleet(p, false));
+    let [batch_none, batch_dry, batch_full] = Provision::ALL.map(|p| run_fleet(p, true));
 
     assert_eq!(
-        seq_cold.verdicts, batch_cold.verdicts,
+        seq_none.verdicts, batch_none.verdicts,
         "batched verdicts must equal sequential verdicts"
     );
-    assert_eq!(
-        batch_cold.verdicts, batch_trickle.verdicts,
-        "pool budget must not change batched verdicts"
-    );
-    assert_eq!(batch_cold.verdicts, batch_unbounded.verdicts);
-    assert_eq!(seq_cold.emails_total, batch_cold.emails_total);
+    assert_eq!(seq_none.emails_total, batch_none.emails_total);
 
-    // Within the batched mode, wire traffic is budget-independent (pools
-    // only move work off the latency path).
-    assert_eq!(batch_cold.meters, batch_trickle.meters);
-    assert_eq!(batch_cold.meters, batch_unbounded.meters);
+    // Provisioning only moves work off the latency path: same verdicts, same
+    // wire traffic, in both serving modes.
+    for (none, dry, full) in [
+        (&seq_none, &seq_dry, &seq_full),
+        (&batch_none, &batch_dry, &batch_full),
+    ] {
+        assert_eq!(none.verdicts, dry.verdicts, "a bank running dry mid-run");
+        assert_eq!(none.verdicts, full.verdicts, "a prefilled bank");
+        assert_eq!(none.meters, dry.meters);
+        assert_eq!(none.meters, full.meters);
+    }
 
     // Batching coalesces frames: strictly fewer messages than sequential
     // serving of the same rounds, for every session.
-    for (seq, batch) in seq_cold.meters.iter().zip(&batch_cold.meters) {
+    for (seq, batch) in seq_none.meters.iter().zip(&batch_none.meters) {
         assert_eq!(seq.0, batch.0, "same kind order");
         assert_eq!(seq.1, batch.1, "same round counts");
         assert!(
@@ -176,6 +195,7 @@ impl FunctionModule for EchoLenFunction {
         _channel: &mut dyn Channel,
         _suite: &ProviderModelSuite,
         _variant: AheVariant,
+        _source: &Arc<dyn PrecomputeSource>,
         _rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>, PretzelError> {
         Ok(Box::new(EchoLenProvider))
@@ -199,12 +219,6 @@ impl ProviderModule for EchoLenProvider {
     fn display_name(&self) -> &'static str {
         "echo-len"
     }
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-    fn pool_depth(&self) -> usize {
-        0
-    }
     fn process_round(
         &mut self,
         channel: &mut dyn Channel,
@@ -226,12 +240,6 @@ impl ClientModule for EchoLenClient {
         "echo-len"
     }
     fn model_storage_bytes(&self) -> usize {
-        0
-    }
-    fn precompute(&mut self, _budget: usize, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-    fn pool_depth(&self) -> usize {
         0
     }
     fn process_round(

@@ -9,10 +9,13 @@
 
 use pretzel::classifiers::nb::GrNbTrainer;
 use pretzel::classifiers::{LabeledExample, NGramExtractor, SparseVector, Trainer};
+use pretzel::core::bank::{KIND_GARBLINGS, KIND_ZERO_ENCRYPTIONS};
 use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, ProviderModelSuite, WireTag};
 use pretzel::datasets::ling_spam_like;
-use pretzel::server::{ClientSpec, Mailroom, MailroomClient, MailroomReport};
+use pretzel::server::{
+    BankConfig, ClientSpec, Mailroom, MailroomClient, MailroomConfigBuilder, MailroomReport,
+};
 use pretzel::transport::{memory_pair, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,7 +133,7 @@ pub fn meter_rows(report: &MailroomReport) -> Vec<MeterRow> {
 }
 
 /// Everything observable about one fleet run that an optimization knob
-/// (batching, pool budgets, protocol generation) must not change: the
+/// (batching, provisioning, protocol generation) must not change: the
 /// verdict transcript and the per-session round/byte accounting.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FleetRecord {
@@ -148,6 +151,94 @@ impl FleetRecord {
             meters: meter_rows(report),
             emails_total: report.emails_total,
         }
+    }
+}
+
+/// How a fleet's offline artifacts are provisioned — the sweep every
+/// "precompute is a latency knob, never a semantics knob" test runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Provision {
+    /// No bank: both sides make every artifact inline.
+    NoBank,
+    /// A bank holding one artifact per reservoir that no draw ever refills
+    /// (its low watermark rounds to zero; only a new registration re-arms
+    /// production), so every session runs it dry after one draw; clients
+    /// stock one round.
+    BankRunsDry,
+    /// A bank, and client stocks, provisioned past the whole run's demand.
+    Prefilled,
+}
+
+impl Provision {
+    /// The three provisioning modes, in sweep order.
+    pub const ALL: [Provision; 3] = [
+        Provision::NoBank,
+        Provision::BankRunsDry,
+        Provision::Prefilled,
+    ];
+    /// Reservoir target of [`Provision::Prefilled`], and its client budget:
+    /// larger than any test fleet's demand on one reservoir, with the low
+    /// watermark (a quarter) below what those fleets leave, so production
+    /// never restarts mid-run.
+    pub const AMPLE: usize = 32;
+
+    /// Adds this mode's bank (if any) to a mailroom config.
+    pub fn configure(self, builder: MailroomConfigBuilder) -> MailroomConfigBuilder {
+        let target = match self {
+            Provision::NoBank => return builder,
+            Provision::BankRunsDry => 1,
+            Provision::Prefilled => Self::AMPLE,
+        };
+        builder
+            .bank(BankConfig::default().rng_seed(0xF1EE7))
+            .bank_producers(1)
+            .reservoir_target(KIND_GARBLINGS, target)
+            .reservoir_target(KIND_ZERO_ENCRYPTIONS, target)
+    }
+
+    /// Rounds a client's explicit offline phase should stock in this mode.
+    pub fn client_budget(self) -> usize {
+        match self {
+            Provision::NoBank => 0,
+            Provision::BankRunsDry => 1,
+            Provision::Prefilled => Self::AMPLE,
+        }
+    }
+}
+
+/// Call after starting the mailroom and after each connect: returns once
+/// the bank (if any) has filled every registered reservoir — the fleet's,
+/// then the new session's own — to its target at least once. From then on a
+/// run's draw/fallback split is fixed by the targets, not by producer
+/// timing, and no first fill is in flight when a session's reservoir is
+/// retired.
+pub fn settle_bank(mailroom: &Mailroom) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !mailroom
+        .bank_report()
+        .reservoirs
+        .iter()
+        .all(|r| r.produced >= r.target as u64)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "bank never filled its reservoirs"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The bank's conservation law at shutdown: every artifact ever produced
+/// was handed out exactly once or is still stocked. A lost artifact breaks
+/// the equality one way, a double hand-out the other. Vacuous without a
+/// bank (no rows).
+pub fn assert_conservation(report: &MailroomReport) {
+    for row in &report.reservoirs {
+        assert_eq!(
+            row.produced,
+            row.drawn + row.depth,
+            "artifact lost or double-issued: {row:?}"
+        );
     }
 }
 

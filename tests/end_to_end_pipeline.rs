@@ -7,6 +7,7 @@
 
 use pretzel::classifiers::nb::{GrNbTrainer, MultinomialNbTrainer};
 use pretzel::classifiers::{QuantizedModel, Tokenizer, Trainer, Vocabulary};
+use pretzel::core::bank::empty_source;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel::core::{NoPrivProvider, PretzelConfig, ReplayGuard};
@@ -74,6 +75,7 @@ fn encrypted_mail_is_filtered_without_plaintext_disclosure() {
             &provider_model,
             &provider_cfg,
             AheVariant::Pretzel,
+            &empty_source(),
             &mut rng,
         )
         .unwrap();
@@ -152,6 +154,7 @@ fn topic_extraction_pipeline_reports_a_candidate_topic_to_the_provider() {
             &provider_cfg,
             AheVariant::Pretzel,
             CandidateMode::Decomposed(b_prime),
+            &empty_source(),
             &mut rng,
         )
         .unwrap();

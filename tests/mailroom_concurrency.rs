@@ -5,6 +5,7 @@
 use std::time::{Duration, Instant};
 
 use pretzel::classifiers::SparseVector;
+use pretzel::core::bank::empty_source;
 use pretzel::core::spam::SpamFunction;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::CandidateMode;
@@ -201,6 +202,7 @@ fn sixteen_concurrent_sessions_match_the_single_session_baseline() {
                         &model,
                         &provider_cfg,
                         AheVariant::Pretzel,
+                        &empty_source(),
                         &mut rng,
                     )?;
                     for _ in 0..EMAILS_PER_SESSION {

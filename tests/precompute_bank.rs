@@ -1,181 +1,25 @@
-//! Fleet-bank pins for the redesigned `PrecomputeSource` path.
+//! Concurrent-drain stress for the fleet precompute bank: 64 sessions hammer
+//! one garbling reservoir whose target (8) is far below total demand, so
+//! draws race the producers' refills the whole run. Fixed seeds must
+//! reproduce the verdict transcript exactly (the bank/fallback split may
+//! differ run to run, the protocol output may not), and the shutdown
+//! accounting must conserve artifacts: everything produced was either handed
+//! out once or is still stocked — nothing lost, nothing issued twice.
 //!
-//! Two contracts:
-//!
-//! 1. **Shim equivalence** (the deprecation safety net): the deprecated
-//!    per-session budgets (0 = pure inline, 1 = drain-and-refill, ∞ = never
-//!    dry) and a bank-served fleet all produce byte-identical verdicts and
-//!    identical meter payload counts under the same seeds. The bank is a
-//!    latency knob, never a semantics knob — exactly the promise the old
-//!    `precompute_budget` made.
-//! 2. **Concurrent-drain stress**: 64 sessions hammer one garbling
-//!    reservoir whose target (8) is far below total demand, so draws race
-//!    the producers' refills the whole run. Fixed seeds must reproduce the
-//!    verdict transcript exactly (the bank/fallback split may differ run to
-//!    run, the protocol output may not), and the shutdown accounting must
-//!    conserve artifacts: everything produced was either handed out once or
-//!    is still stocked — nothing lost, nothing issued twice.
-
-// The equivalence half of this file deliberately drives the deprecated
-// per-session shim as the reference implementation.
-#![allow(deprecated)]
-
-use std::time::Duration;
+//! That provisioning never changes verdicts or wire traffic — no bank, a
+//! bank that runs dry mid-run, a prefilled bank — is pinned fleet-wide by
+//! `tests/batching.rs` and `tests/search_pipeline.rs`.
 
 use pretzel::classifiers::SparseVector;
 use pretzel::core::bank::KIND_GARBLINGS;
-use pretzel::core::spam::AheVariant;
-use pretzel::core::topic::CandidateMode;
 use pretzel::core::PretzelConfig;
 use pretzel::server::{
-    BankConfig, ClientSpec, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig,
-    MailroomReport,
+    BankConfig, ClientSpec, Mailroom, MailroomClient, MailroomConfig, MailroomReport,
 };
 use pretzel::transport::memory_pair;
 
 mod common;
-use common::{connect_client, ling_suite, test_rng, FleetRecord};
-
-const EMAILS_PER_SESSION: usize = 3;
-/// Stands in for an unbounded pool: strictly larger than every round count
-/// in the run, so no online round ever computes inline.
-const UNBOUNDED: usize = EMAILS_PER_SESSION + 4;
-
-/// How a fleet's offline phase is provisioned.
-enum Offline {
-    /// The deprecated per-session shim at the given budget.
-    Inline(usize),
-    /// The fleet-wide precompute bank, prefilled before any session runs.
-    Bank,
-}
-
-/// Serves the same fixed-seed spam/topic/virus fleet as
-/// `tests/phase_split.rs`, but parameterised over the offline mode so the
-/// bank path can be compared row for row against the deprecated shim.
-fn run_fleet(offline: &Offline) -> (FleetRecord, MailroomReport) {
-    let config = PretzelConfig::test();
-    let builder = MailroomConfig::builder()
-        .workers(1)
-        .queue_capacity(3)
-        .rng_seed(0x5001_5EED);
-    let builder = match offline {
-        Offline::Inline(budget) => builder.precompute_budget(*budget),
-        // Targets sized past the whole run's demand (3 spam + 3 virus
-        // garblings), so a prefilled bank never serves a draw inline.
-        Offline::Bank => builder
-            .bank(BankConfig::default().rng_seed(0xF1EE7))
-            .bank_producers(1)
-            .reservoir_target(KIND_GARBLINGS, 8),
-    };
-    let mailroom = Mailroom::start(ling_suite(), builder.build());
-    if matches!(offline, Offline::Bank) {
-        assert!(
-            mailroom.wait_until_bank_full(Duration::from_secs(60)),
-            "bank prefill must finish before the fleet runs"
-        );
-    }
-    // Client-side pools are untouched by the provider bank; the inline runs
-    // warm them to their budget, the bank run leaves them cold. Verdicts
-    // must not notice either way.
-    let client_budget = match offline {
-        Offline::Inline(budget) => *budget,
-        Offline::Bank => 0,
-    };
-
-    let spam_email = SparseVector::from_pairs(vec![(0, 3), (1, 1), (2, 2), (7, 1)]);
-    let topic_email = SparseVector::from_pairs(vec![(3, 2), (5, 1), (11, 4)]);
-    let attachment: &[u8] = b"MZ\x90\x00totally-legitimate-payload";
-    let mut verdicts = Vec::new();
-
-    {
-        let mut rng = test_rng(70);
-        let spec = ClientSpec::spam(config.clone()).with_variant(AheVariant::Baseline);
-        let mut client = connect_client(&mailroom, &spec, &mut rng);
-        client.precompute(client_budget, &mut rng);
-        for _ in 0..EMAILS_PER_SESSION {
-            let is_spam = client.classify_spam(&spam_email, &mut rng).unwrap();
-            verdicts.push(format!("spam:{is_spam}"));
-        }
-        client.finish().unwrap();
-    }
-    {
-        let mut rng = test_rng(71);
-        let spec = ClientSpecBuilder::topic(config.clone())
-            .topic_mode(CandidateMode::Full)
-            .build();
-        let mut client = connect_client(&mailroom, &spec, &mut rng);
-        client.precompute(client_budget, &mut rng);
-        for _ in 0..EMAILS_PER_SESSION {
-            let candidates = client.extract_topic(&topic_email, &mut rng).unwrap();
-            verdicts.push(format!("topic:{candidates:?}"));
-        }
-        client.finish().unwrap();
-    }
-    {
-        let mut rng = test_rng(72);
-        let spec = ClientSpec::virus(config);
-        let mut client = connect_client(&mailroom, &spec, &mut rng);
-        client.precompute(client_budget, &mut rng);
-        for _ in 0..EMAILS_PER_SESSION {
-            let is_malicious = client.scan_attachment(attachment, &mut rng).unwrap();
-            verdicts.push(format!("virus:{is_malicious}"));
-        }
-        client.finish().unwrap();
-    }
-
-    let report = mailroom.shutdown();
-    assert_eq!(report.completed(), 3, "all sessions must complete cleanly");
-    (FleetRecord::new(verdicts, &report), report)
-}
-
-/// The deprecation safety net: every budget of the old shim and the
-/// bank-served fleet are observationally equivalent.
-#[test]
-fn bank_served_fleet_matches_the_deprecated_shim_at_every_budget() {
-    let (cold, cold_report) = run_fleet(&Offline::Inline(0));
-    let (trickle, _) = run_fleet(&Offline::Inline(1));
-    let (unbounded, _) = run_fleet(&Offline::Inline(UNBOUNDED));
-    let (banked, bank_report) = run_fleet(&Offline::Bank);
-
-    assert_eq!(
-        cold.verdicts, banked.verdicts,
-        "a bank-served fleet must match the pure-inline path byte for byte"
-    );
-    assert_eq!(trickle.verdicts, banked.verdicts);
-    assert_eq!(unbounded.verdicts, banked.verdicts);
-    assert_eq!(
-        cold.meters, banked.meters,
-        "payload byte and message counts are provisioning-independent"
-    );
-    assert_eq!(trickle.meters, banked.meters);
-    assert_eq!(unbounded.meters, banked.meters);
-    assert_eq!(banked.emails_total, (EMAILS_PER_SESSION * 3) as u64);
-    assert_eq!(cold.emails_total, banked.emails_total);
-
-    // The inline runs never touch a bank; the bank run actually used one.
-    assert!(cold_report.reservoirs.is_empty());
-    assert!(!bank_report.reservoirs.is_empty());
-    let garbling_rows: Vec<_> = bank_report
-        .reservoirs
-        .iter()
-        .filter(|r| r.kind == KIND_GARBLINGS)
-        .collect();
-    assert!(
-        garbling_rows.iter().any(|r| r.drawn > 0),
-        "the spam/virus sessions must have drawn banked garblings"
-    );
-    for row in &garbling_rows {
-        assert_eq!(
-            row.fallback_draws, 0,
-            "a reservoir prefilled past total demand never serves inline: {row:?}"
-        );
-        assert_eq!(
-            row.produced,
-            row.drawn + row.depth,
-            "artifact conservation must hold: {row:?}"
-        );
-    }
-}
+use common::{assert_conservation, ling_suite, test_rng};
 
 /// One pass of the 64-session drain: every session hammers the same
 /// under-provisioned garbling reservoir while the producers refill it.
@@ -248,16 +92,7 @@ fn sixty_four_sessions_draining_one_reservoir_stay_deterministic() {
          the bank/fallback split is timing-dependent"
     );
 
-    // Conservation at shutdown: every artifact ever produced was handed out
-    // exactly once or is still stocked. A lost artifact breaks the equality
-    // one way; a double-hand-out breaks it the other.
-    for row in &first_report.reservoirs {
-        assert_eq!(
-            row.produced,
-            row.drawn + row.depth,
-            "artifact lost or double-issued: {row:?}"
-        );
-    }
+    assert_conservation(&first_report);
     let garblings_drawn: u64 = first_report
         .reservoirs
         .iter()

@@ -1,17 +1,13 @@
 //! Encrypted keyword search through the serving stack (the tentpole
-//! acceptance test): a fixed script of index and query rounds is run four
-//! ways — directly over the in-process `ProviderSession`/`ClientSession`
-//! endpoints and through a `Mailroom` — at precompute budgets 0 (every
-//! response encrypted inline), 1 (the pre-encrypted response pool drains and
-//! refills every round), and effectively unbounded (no response is ever
-//! encrypted inline). All runs must produce byte-identical verdict
-//! transcripts: the offline pool is a latency knob, never a semantics knob,
-//! and the mailroom adds no observable behaviour over the bare protocol.
-
-// The budget sweep deliberately drives the deprecated per-session shim
-// (`ProviderSession::precompute` / `precompute_budget`); the fleet-bank
-// successor is pinned by tests/precompute_bank.rs.
-#![allow(deprecated)]
+//! acceptance test): a fixed script of index and query rounds is run
+//! directly over the in-process `ProviderSession`/`ClientSession` endpoints
+//! and through a `Mailroom` with no bank (every response encrypted inline),
+//! a bank holding one zero encryption (it runs dry after the first query),
+//! and a bank stocked past the whole run (no response is ever encrypted
+//! inline). All runs must produce byte-identical verdict transcripts, and
+//! the bank's books must balance: precompute is a latency knob, never a
+//! semantics knob, and the mailroom adds no observable behaviour over the
+//! bare protocol.
 
 use pretzel::core::search::SearchFunction;
 use pretzel::core::session::{ClientSession, EmailPayload, ProviderSession, Verdict};
@@ -22,13 +18,13 @@ use pretzel::server::{ClientSpec, Mailroom, MailroomConfig};
 use pretzel::transport::run_two_party;
 
 mod common;
-use common::{connect_client, test_rng, tiny_suite};
+use common::{assert_conservation, connect_client, settle_bank, test_rng, tiny_suite, Provision};
 
 /// One client seed drives every run, so the SSE master key — and therefore
 /// every label, sealed id, and verdict — is identical across runs.
 const CLIENT_SEED: u64 = 90;
-/// Stands in for an unbounded pool: larger than the whole round count.
-const UNBOUNDED: usize = 64;
+/// Query rounds in [`script`] — each takes one zero encryption.
+const QUERIES: u64 = 4;
 
 fn mailbox() -> Vec<(u64, &'static str)> {
     vec![
@@ -59,9 +55,8 @@ fn render(verdicts: &[Verdict]) -> Vec<String> {
     verdicts.iter().map(|v| format!("{v:?}")).collect()
 }
 
-/// Runs the script over bare in-process sessions (no mailroom) with the
-/// given provider-side precompute budget.
-fn run_direct(budget: usize) -> Vec<String> {
+/// Runs the script over bare in-process sessions: no mailroom, no bank.
+fn run_direct() -> Vec<String> {
     let suite_p = tiny_suite();
     let config = suite_p.config.clone();
     let rounds = script().len();
@@ -77,10 +72,8 @@ fn run_direct(budget: usize) -> Vec<String> {
                 AheVariant::Pretzel,
                 &mut rng,
             )?;
-            session.precompute(budget, &mut rng);
             for _ in 0..rounds {
                 session.process_round(chan, &mut rng)?;
-                session.precompute(budget, &mut rng);
             }
             Ok(())
         },
@@ -100,21 +93,23 @@ fn run_direct(budget: usize) -> Vec<String> {
     render(&client_res.unwrap())
 }
 
-/// Runs the same script through a mailroom whose worker precomputes with the
-/// given budget.
-fn run_mailroom(budget: usize) -> Vec<String> {
+/// Runs the same script through a mailroom provisioned as given.
+fn run_mailroom(provision: Provision) -> Vec<String> {
     let mailroom = Mailroom::start(
         tiny_suite(),
-        MailroomConfig::builder()
-            .workers(1)
-            .queue_capacity(2)
-            .rng_seed(0x5EA2C4)
-            .precompute_budget(budget)
+        provision
+            .configure(
+                MailroomConfig::builder()
+                    .workers(1)
+                    .queue_capacity(2)
+                    .rng_seed(0x5EA2C4),
+            )
             .build(),
     );
     let mut rng = test_rng(CLIENT_SEED);
     let spec = ClientSpec::search(PretzelConfig::test());
     let mut client = connect_client(&mailroom, &spec, &mut rng);
+    settle_bank(&mailroom);
     let verdicts: Vec<Verdict> = script()
         .iter()
         .map(|op| client.process(op, &mut rng).unwrap())
@@ -126,23 +121,27 @@ fn run_mailroom(budget: usize) -> Vec<String> {
     assert_eq!(report.emails_total, script().len() as u64);
     let stats = &report.sessions[0];
     assert_eq!(stats.kind, Some(SearchFunction::WIRE_TAG));
-    if budget == 0 {
-        assert_eq!(stats.pool_depth, 0, "budget 0 disables the offline phase");
-    } else {
-        assert!(
-            stats.pool_depth > 0,
-            "warm budgets leave pre-encrypted responses banked"
-        );
-    }
+    assert_conservation(&report);
+    let drawn: u64 = report.reservoirs.iter().map(|r| r.drawn).sum();
+    let (expect_drawn, expect_fallbacks) = match provision {
+        Provision::NoBank => (0, 0),
+        Provision::BankRunsDry => (1, QUERIES - 1),
+        Provision::Prefilled => (QUERIES, 0),
+    };
+    assert_eq!(
+        (drawn, stats.fallback_draws),
+        (expect_drawn, expect_fallbacks),
+        "{provision:?}: every query either drew a stocked zero encryption or fell back"
+    );
     render(&verdicts)
 }
 
 /// The acceptance criterion: mailroom-served search verdicts are
-/// byte-identical to the direct in-process protocol at budgets 0, 1, and
-/// unbounded.
+/// byte-identical to the direct in-process protocol under every
+/// provisioning.
 #[test]
-fn mailroom_search_matches_direct_protocol_at_every_budget() {
-    let baseline = run_direct(0);
+fn mailroom_search_matches_direct_protocol_under_every_provisioning() {
+    let baseline = run_direct();
 
     // Sanity: the transcript itself is correct against the plaintext truth.
     assert_eq!(
@@ -183,18 +182,11 @@ fn mailroom_search_matches_direct_protocol_at_every_budget() {
         ]
     );
 
-    for budget in [1, UNBOUNDED] {
+    for provision in Provision::ALL {
         assert_eq!(
-            run_direct(budget),
+            run_mailroom(provision),
             baseline,
-            "direct protocol at budget {budget} diverged from inline"
-        );
-    }
-    for budget in [0, 1, UNBOUNDED] {
-        assert_eq!(
-            run_mailroom(budget),
-            baseline,
-            "mailroom-served search at budget {budget} diverged from the direct protocol"
+            "mailroom-served search ({provision:?}) diverged from the direct protocol"
         );
     }
 }
