@@ -68,7 +68,11 @@ fn private_provider_cpu(
     .unwrap();
     let mut total = Duration::ZERO;
     for _ in 0..emails {
-        let (_, d) = time(|| provider.process_email(&mut provider_chan).unwrap());
+        let (_, d) = time(|| {
+            provider
+                .process_email(&mut provider_chan, &mut rng)
+                .unwrap()
+        });
         total += d;
     }
     handle.join().unwrap();

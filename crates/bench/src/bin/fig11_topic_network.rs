@@ -49,7 +49,9 @@ fn per_email_network(
         )
         .unwrap();
         for _ in 0..emails {
-            provider.process_email(&mut provider_chan).unwrap();
+            provider
+                .process_email(&mut provider_chan, &mut rng)
+                .unwrap();
         }
     });
 

@@ -146,7 +146,11 @@ fn measure_topic(
     .unwrap();
     let mut provider_cpu = Duration::ZERO;
     for _ in 0..emails {
-        let (_, d) = time(|| provider.process_email(&mut provider_chan).unwrap());
+        let (_, d) = time(|| {
+            provider
+                .process_email(&mut provider_chan, &mut rng)
+                .unwrap()
+        });
         provider_cpu += d;
     }
     let (client_cpu, network_bytes, client_storage) = handle.join().unwrap();

@@ -4,21 +4,28 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this lives
 //! in its own integration-test binary so the counter doesn't interfere with
-//! other suites. The dynamic path is measured alongside as a sanity check
-//! that the counter actually observes Montgomery work.
+//! other suites. The harness runs the tests below on parallel threads, so
+//! the count is kept per thread: each measurement window sees only the
+//! allocations of the test that opened it. The dynamic path is measured
+//! alongside as a sanity check that the counter actually observes
+//! Montgomery work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use pretzel_bignum::{BigUint, FixedUint, Montgomery, MontgomeryCtx};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading or bumping it
+    // never allocates and is valid for the whole life of the thread.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -30,11 +37,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     let result = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.get();
     (after - before, result)
 }
 

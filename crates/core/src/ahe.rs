@@ -27,7 +27,7 @@ use pretzel_classifiers::{LinearModel, QuantizedModel, SparseVector};
 use pretzel_sdp::paillier_pack::{self, PaillierPackParams};
 use pretzel_sdp::rlwe_pack::{self, Packing};
 use pretzel_sdp::ModelMatrix;
-use pretzel_transport::{unpack_frames, Channel};
+use pretzel_transport::Channel;
 
 use crate::bank::Stock;
 use crate::config::PretzelConfig;
@@ -72,19 +72,6 @@ pub(crate) fn bits_mask(width: usize) -> u64 {
     } else {
         (1u64 << width) - 1
     }
-}
-
-/// Receives one coalesced batch frame and splits it into the `count` round
-/// messages it must carry (see [`pretzel_transport::pack_frames`]).
-pub(crate) fn recv_batch<C: Channel>(channel: &mut C, count: usize) -> Result<Vec<Vec<u8>>> {
-    let frames = unpack_frames(&channel.recv()?).map_err(PretzelError::Transport)?;
-    if frames.len() != count {
-        return Err(PretzelError::Protocol(format!(
-            "batch announced {count} rounds but carried {}",
-            frames.len()
-        )));
-    }
-    Ok(frames)
 }
 
 fn ahe_error(e: impl std::fmt::Display) -> PretzelError {

@@ -37,8 +37,8 @@
 //!   edit.
 //! * [`session`] — uniform, session-reusable entry points over the
 //!   registered function modules, used by the `pretzel_server` mailroom to
-//!   multiplex many concurrent sessions; rounds run one at a time or as
-//!   coalesced batches.
+//!   multiplex many concurrent sessions; the online phase is one path —
+//!   a coalesced batch of rounds, a single email being the batch of one.
 //! * [`bank`] — precompute, once: the fleet-wide bank (per-kind artifact
 //!   reservoirs kept full by background producer threads scheduled over a
 //!   dependency DAG), the object-safe [`bank::PrecomputeSource`] trait every

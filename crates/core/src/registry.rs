@@ -3,7 +3,7 @@
 //!
 //! The paper's core claim is that provider functions — spam filtering, topic
 //! extraction, virus scanning, keyword search — are *composable*: each is an
-//! instance of one `setup → process_round` lifecycle whose offline artifacts
+//! instance of one `setup → process_batch` lifecycle whose offline artifacts
 //! come from a [`PrecomputeSource`].
 //! This module makes that shape first-class instead of an enum: a
 //! [`FunctionModule`] describes one protocol (its [`WireTag`] handshake byte,
@@ -16,13 +16,14 @@
 //! attachment-analytics module from outside this crate).
 //!
 //! Live endpoints implement [`ProviderModule`] / [`ClientModule`]: the
-//! object-safe per-session traits carrying the online phase
-//! (`process_round`) and the **batched** online phase (`process_batch`,
-//! defaulting to a per-round loop; the built-in modules override it to
-//! coalesce frames — see `docs/ARCHITECTURE.md`). A provider endpoint takes
-//! its offline artifacts from the [`PrecomputeSource`] its setup was handed;
-//! a client endpoint, which has one session and no producer threads, keeps
-//! the paper's explicit offline phase (`precompute`).
+//! object-safe per-session traits carrying the online phase. It exists once
+//! per endpoint — `process_batch` runs N rounds as one exchange, and a single
+//! email is the batch of one (the built-in modules coalesce a batch's frames,
+//! see `docs/ARCHITECTURE.md`; a module with nothing to coalesce loops). A
+//! provider endpoint takes its offline artifacts from the
+//! [`PrecomputeSource`] its setup was handed; a client endpoint, which has
+//! one session and no producer threads, keeps the paper's explicit offline
+//! phase (`precompute`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -75,8 +76,7 @@ impl ClientContext {
 }
 
 /// Provider endpoint of one live session: the state produced by a module's
-/// setup phase, driven round by round (or batch by batch) by the serving
-/// layer.
+/// setup phase, driven batch by batch by the serving layer.
 pub trait ProviderModule: Send {
     /// The handshake byte of the module this session runs.
     fn wire_tag(&self) -> WireTag;
@@ -84,30 +84,17 @@ pub trait ProviderModule: Send {
     /// Human-readable module name (per-kind reports, diagnostics).
     fn display_name(&self) -> &'static str;
 
-    /// Runs one per-email round. Returns a per-round provider output for
+    /// Runs `count` per-email rounds as one exchange (one email is
+    /// `count == 1`; see `pretzel_transport::batch` for how a batch's frames
+    /// coalesce). Returns one entry per round: the provider output for
     /// modules whose result goes to the provider (the topic index,
     /// Guarantee 3) and `None` otherwise.
-    fn process_round(
-        &mut self,
-        channel: &mut dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>>;
-
-    /// Runs `count` rounds as one batch. The default processes them one at
-    /// a time; modules override it to coalesce the batch's frames (see
-    /// `pretzel_transport::batch`).
-    /// Outputs must equal `count` sequential [`ProviderModule::process_round`]
-    /// calls.
     fn process_batch(
         &mut self,
         channel: &mut dyn Channel,
         count: usize,
         rng: &mut dyn RngCore,
-    ) -> Result<Vec<Option<usize>>> {
-        (0..count)
-            .map(|_| self.process_round(channel, rng))
-            .collect()
-    }
+    ) -> Result<Vec<Option<usize>>>;
 }
 
 /// Client endpoint of one live session, mirroring [`ProviderModule`].
@@ -130,30 +117,16 @@ pub trait ClientModule: Send {
         0
     }
 
-    /// Runs one per-email round with `payload`, which must match the shapes
-    /// this module accepts.
-    fn process_round(
-        &mut self,
-        channel: &mut dyn Channel,
-        payload: &EmailPayload,
-        rng: &mut dyn RngCore,
-    ) -> Result<Verdict>;
-
-    /// Runs one batch of rounds against a provider executing
-    /// [`ProviderModule::process_batch`] with the same count. The default
-    /// processes payloads one at a time; overrides coalesce frames. Verdicts
-    /// must equal sequential [`ClientModule::process_round`] calls.
+    /// Runs one round per payload as one exchange against a provider
+    /// executing [`ProviderModule::process_batch`] with the same count (one
+    /// email is a one-element slice). Every payload must match the shapes
+    /// this module accepts. Returns one verdict per payload, in order.
     fn process_batch(
         &mut self,
         channel: &mut dyn Channel,
         payloads: &[EmailPayload],
         rng: &mut dyn RngCore,
-    ) -> Result<Vec<Verdict>> {
-        payloads
-            .iter()
-            .map(|p| self.process_round(channel, p, rng))
-            .collect()
-    }
+    ) -> Result<Vec<Verdict>>;
 }
 
 /// One registrable function over encrypted email: a factory for the two
@@ -182,9 +155,9 @@ pub trait FunctionModule: Send + Sync {
 
     /// Optional capabilities this module knows how to exploit when the peer
     /// negotiates them. The default declares
-    /// [`Capabilities::ROUND_BATCH`]: every module batches (at worst via
-    /// the default per-round `process_batch` loop), and sessions without
-    /// the bit transparently degrade to sequential rounds.
+    /// [`Capabilities::ROUND_BATCH`]: every module's online phase is
+    /// `process_batch`, and sessions without the bit are simply driven one
+    /// round at a time.
     fn optional_capabilities(&self) -> Capabilities {
         Capabilities::ROUND_BATCH
     }

@@ -4,7 +4,7 @@
 //! variant it sketches as future work is implemented by `pretzel_sse` as a
 //! bare two-message protocol. This module promotes that protocol to a
 //! first-class function module with the same shape as spam/topic/virus —
-//! `setup → process_round`, offline artifacts from a `PrecomputeSource` — so
+//! `setup → process_batch`, offline artifacts from a `PrecomputeSource` — so
 //! the `pretzel_server` mailroom can serve search sessions next to
 //! classification sessions.
 //!
@@ -49,13 +49,12 @@ use rand::{Rng, RngCore};
 use pretzel_primitives::sha256;
 use pretzel_rlwe::{keygen, Ciphertext, Params, Plaintext, PublicKey, SecretKey};
 use pretzel_sse::{DocId, EncryptedIndex, SseClient, UpdateBatch};
-use pretzel_transport::{pack_frames, unpack_frames, Channel};
+use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
-use crate::ahe::recv_batch;
 use crate::bank::{self, fingerprint64, Lease, PrecomputeSource, ReservoirId, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
-use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
+use crate::session::{client_round, payload_mismatch, EmailPayload, ProviderModelSuite, Verdict};
 use crate::setup::{joint_randomness_initiator, joint_randomness_responder};
 use crate::spam::AheVariant;
 use crate::{parse_u64, u64_bytes, PretzelError, Result};
@@ -76,17 +75,6 @@ const RESERVED_SLOTS: usize = 3;
 /// every posting takes four 16-bit slots in between.
 pub fn response_capacity(params: &Params) -> usize {
     params.slots().saturating_sub(RESERVED_SLOTS) / SLOTS_PER_POSTING
-}
-
-/// What one provider-side round did (the search analogue of the topic index
-/// a topic round reports): either postings were indexed or a query was
-/// answered with some number of sealed results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchOp {
-    /// An index round stored this many postings.
-    Indexed(usize),
-    /// A query round returned this many sealed postings (post-truncation).
-    Answered(usize),
 }
 
 /// What a query round returned to the client. `total` is the provider's true
@@ -166,61 +154,14 @@ impl SearchProvider {
         &self.index
     }
 
-    /// Serves one round: an index upload or a query, as chosen by the
-    /// client's round message.
-    pub fn process_round<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        rng: &mut R,
-    ) -> Result<SearchOp> {
-        let msg = channel.recv()?;
-        let (reply, op) = self.handle_op(&msg, rng)?;
-        channel.send(&reply)?;
-        Ok(op)
-    }
-
-    /// Serves `count` rounds whose operation messages arrive as one
-    /// coalesced frame, replying with one coalesced frame of responses —
-    /// two messages for the whole batch instead of `2 × count`. Results
-    /// equal `count` sequential [`SearchProvider::process_round`] calls.
-    /// An empty batch exchanges no traffic, mirroring the client's batched
-    /// path.
-    pub fn process_round_batch<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        count: usize,
-        rng: &mut R,
-    ) -> Result<Vec<SearchOp>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let msgs = recv_batch(channel, count)?;
-        let mut replies = Vec::with_capacity(count);
-        let mut ops = Vec::with_capacity(count);
-        for msg in &msgs {
-            let (reply, op) = self.handle_op(msg, rng)?;
-            replies.push(reply);
-            ops.push(op);
-        }
-        channel.send(&pack_frames(&replies))?;
-        Ok(ops)
-    }
-
-    /// Executes one operation message, returning the reply bytes and the
-    /// operation record (shared by the sequential and batched paths).
-    fn handle_op<R: Rng + ?Sized>(
-        &mut self,
-        msg: &[u8],
-        rng: &mut R,
-    ) -> Result<(Vec<u8>, SearchOp)> {
+    /// Executes one operation message — an index upload or a query, as
+    /// chosen by the client — and returns the reply bytes.
+    fn handle_op(&mut self, msg: &[u8], rng: &mut dyn RngCore) -> Result<Vec<u8>> {
         match msg.first() {
             Some(&TAG_INDEX) => {
                 let batch = parse_upload(&msg[1..])?;
                 self.index.apply(&batch);
-                Ok((
-                    u64_bytes(batch.len() as u64).to_vec(),
-                    SearchOp::Indexed(batch.len()),
-                ))
+                Ok(u64_bytes(batch.len() as u64).to_vec())
             }
             Some(&TAG_QUERY) => {
                 if msg.len() != 1 + 32 {
@@ -242,7 +183,7 @@ impl SearchProvider {
                     Some(zero) => self.pk.add_plain(&zero, &pt),
                     None => self.pk.encrypt(&pt, rng),
                 };
-                Ok((ct.to_bytes(), SearchOp::Answered(returned)))
+                Ok(ct.to_bytes())
             }
             Some(other) => Err(PretzelError::Protocol(format!(
                 "unknown search round tag {other}"
@@ -302,18 +243,25 @@ impl SearchClient {
         self.sse.distinct_keywords()
     }
 
-    /// Index round: encrypts one email body's postings under the SSE keys and
-    /// uploads them. Returns the number of postings stored.
-    pub fn index_email<C: Channel>(
+    /// Index round — a batch of one: encrypts one email body's postings
+    /// under the SSE keys and uploads them. Returns the number of postings
+    /// stored.
+    pub fn index_email<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
         doc_id: DocId,
         body: &str,
+        rng: &mut R,
     ) -> Result<usize> {
-        let (msg, uploaded) = self.index_request(doc_id, body);
-        channel.send(&msg)?;
-        self.check_index_ack(&channel.recv()?, uploaded)?;
-        Ok(uploaded)
+        let op = EmailPayload::SearchIndex {
+            doc_id,
+            body: body.to_string(),
+        };
+        let verdict = client_round(self, channel, &op, rng)?;
+        let Verdict::SearchIndexed { postings } = verdict else {
+            unreachable!("an index round yields an index verdict, got {verdict:?}")
+        };
+        Ok(postings)
     }
 
     /// Builds one index round's request message, returning it with the
@@ -347,20 +295,28 @@ impl SearchClient {
         msg
     }
 
-    /// Query round: sends the keyword's label key, decrypts the fixed-size
-    /// RLWE response, verifies its checksum, and opens the sealed ids.
+    /// Query round — a batch of one: sends the keyword's label key, decrypts
+    /// the fixed-size RLWE response, verifies its checksum, and opens the
+    /// sealed ids.
     ///
     /// Any tampering with or truncation of the response fails decryption or
     /// the checksum and surfaces as a [`PretzelError::Protocol`] error — the
     /// client never returns misdecoded document ids.
-    pub fn query<C: Channel>(&self, channel: &mut C, keyword: &str) -> Result<SearchResults> {
-        channel.send(&self.query_request(keyword))?;
-        let reply = channel.recv()?;
-        self.open_response(keyword, &reply)
+    pub fn query<C: Channel, R: Rng + ?Sized>(
+        &mut self,
+        channel: &mut C,
+        keyword: &str,
+        rng: &mut R,
+    ) -> Result<SearchResults> {
+        let op = EmailPayload::SearchQuery(keyword.to_string());
+        let verdict = client_round(self, channel, &op, rng)?;
+        let Verdict::SearchHits { ids, total } = verdict else {
+            unreachable!("a query round yields search hits, got {verdict:?}")
+        };
+        Ok(SearchResults { ids, total })
     }
 
-    /// Decrypts and verifies one query response (shared by the sequential
-    /// and batched paths).
+    /// Decrypts and verifies one query response.
     fn open_response(&self, keyword: &str, reply: &[u8]) -> Result<SearchResults> {
         let ct = Ciphertext::from_bytes(&self.params, reply).map_err(|_| {
             PretzelError::Protocol("search response is not a well-formed ciphertext".into())
@@ -455,33 +411,34 @@ impl ProviderModule for SearchProvider {
         "search"
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>> {
-        // A search round only produces the standard SSE leakage, not a
-        // per-round provider output.
-        SearchProvider::process_round(self, &mut channel, rng)?;
-        Ok(None)
-    }
-
+    /// Serves `count` operations as one exchange: the operation messages
+    /// arrive as one frame and the replies leave as one frame — two messages
+    /// for the whole batch. A search round only produces the standard SSE
+    /// leakage, not a per-round provider output. An empty batch exchanges no
+    /// traffic.
     fn process_batch(
         &mut self,
-        mut channel: &mut dyn Channel,
+        channel: &mut dyn Channel,
         count: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Option<usize>>> {
-        self.process_round_batch(&mut channel, count, rng)?;
+        if count == 0 {
+            return Ok(Vec::new());
+        }
+        let replies = recv_rounds(channel, count)?
+            .iter()
+            .map(|msg| self.handle_op(msg, rng))
+            .collect::<Result<Vec<_>>>()?;
+        send_rounds(channel, &replies)?;
         Ok(vec![None; count])
     }
 }
 
-/// Per-round context a batched search client keeps between sending its
-/// coalesced requests and parsing the coalesced replies.
-enum PendingSearchOp {
+/// Per-round context a search client keeps between sending its requests and
+/// parsing the replies.
+enum PendingSearchOp<'a> {
     Index { uploaded: usize },
-    Query { keyword: String },
+    Query { keyword: &'a str },
 }
 
 impl ClientModule for SearchClient {
@@ -497,27 +454,9 @@ impl ClientModule for SearchClient {
         self.storage_bytes()
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        payload: &EmailPayload,
-        _rng: &mut dyn RngCore,
-    ) -> Result<Verdict> {
-        match payload {
-            EmailPayload::SearchIndex { doc_id, body } => Ok(Verdict::SearchIndexed {
-                postings: self.index_email(&mut channel, *doc_id, body)?,
-            }),
-            EmailPayload::SearchQuery(keyword) => {
-                let results = self.query(&mut channel, keyword)?;
-                Ok(Verdict::SearchHits {
-                    ids: results.ids,
-                    total: results.total,
-                })
-            }
-            other => Err(crate::session::payload_mismatch("search", other)),
-        }
-    }
-
+    /// Runs one index or query round per payload as one exchange: one
+    /// frame of requests out, one frame of replies back. An empty batch
+    /// exchanges no traffic.
     fn process_batch(
         &mut self,
         channel: &mut dyn Channel,
@@ -528,8 +467,8 @@ impl ClientModule for SearchClient {
             return Ok(Vec::new());
         }
         // Build every round's request first (index requests advance the SSE
-        // counters in payload order, exactly as sequential rounds would),
-        // then exchange two coalesced frames with the provider.
+        // counters in payload order), then exchange two frames with the
+        // provider.
         let mut requests = Vec::with_capacity(payloads.len());
         let mut pending = Vec::with_capacity(payloads.len());
         for payload in payloads {
@@ -541,22 +480,13 @@ impl ClientModule for SearchClient {
                 }
                 EmailPayload::SearchQuery(keyword) => {
                     requests.push(self.query_request(keyword));
-                    pending.push(PendingSearchOp::Query {
-                        keyword: keyword.clone(),
-                    });
+                    pending.push(PendingSearchOp::Query { keyword });
                 }
-                other => return Err(crate::session::payload_mismatch("search", other)),
+                other => return Err(payload_mismatch("search", other)),
             }
         }
-        channel.send(&pack_frames(&requests))?;
-        let replies = unpack_frames(&channel.recv()?).map_err(PretzelError::Transport)?;
-        if replies.len() != pending.len() {
-            return Err(PretzelError::Protocol(format!(
-                "provider replied to {} of {} batched rounds",
-                replies.len(),
-                pending.len()
-            )));
-        }
+        send_rounds(channel, &requests)?;
+        let replies = recv_rounds(channel, pending.len())?;
         pending
             .into_iter()
             .zip(&replies)
@@ -566,7 +496,7 @@ impl ClientModule for SearchClient {
                     Ok(Verdict::SearchIndexed { postings: uploaded })
                 }
                 PendingSearchOp::Query { keyword } => {
-                    let results = self.open_response(&keyword, reply)?;
+                    let results = self.open_response(keyword, reply)?;
                     Ok(Verdict::SearchHits {
                         ids: results.ids,
                         total: results.total,
@@ -649,7 +579,7 @@ mod tests {
     /// encryptions provisioned by a bank stocked with exactly `stock` of them
     /// (pure prefill, so it is never refilled), or by no bank at all. Checks
     /// the bank's books before returning what both parties saw.
-    fn run_session(stock: Option<usize>) -> (Vec<SearchOp>, Vec<Vec<DocId>>) {
+    fn run_session(stock: Option<usize>) -> (usize, Vec<Vec<DocId>>) {
         let config = PretzelConfig::test();
         let config_client = config.clone();
         let bank = stock.map(|stock| {
@@ -670,26 +600,25 @@ mod tests {
                 if let Some(bank) = &provider_bank {
                     assert!(bank.wait_until_full(Duration::from_secs(60)));
                 }
-                let ops: Vec<_> = (0..6)
-                    .map(|_| provider.process_round(chan, &mut rng).unwrap())
-                    .collect();
-                assert!(!provider.index().is_empty());
-                ops
+                for _ in 0..6 {
+                    provider.process_batch(chan, 1, &mut rng).unwrap();
+                }
+                provider.index().len()
             },
             move |chan| {
                 let mut rng = StdRng::seed_from_u64(32);
                 let mut client = SearchClient::setup(chan, &config_client, &mut rng).unwrap();
                 assert!(client.storage_bytes() > 0);
-                client
-                    .index_email(chan, 1, "quarterly earnings report attached")
-                    .unwrap();
-                client.index_email(chan, 2, "lunch at noon").unwrap();
-                client
-                    .index_email(chan, 3, "earnings call rescheduled")
-                    .unwrap();
+                for (id, body) in [
+                    (1, "quarterly earnings report attached"),
+                    (2, "lunch at noon"),
+                    (3, "earnings call rescheduled"),
+                ] {
+                    client.index_email(chan, id, body, &mut rng).unwrap();
+                }
                 let mut results = Vec::new();
                 for kw in ["earnings", "lunch", "nonexistent"] {
-                    let results_kw = client.query(chan, kw).unwrap();
+                    let results_kw = client.query(chan, kw, &mut rng).unwrap();
                     assert_eq!(results_kw.total, results_kw.ids.len() as u64);
                     assert!(!results_kw.truncated());
                     let mut hits = results_kw.ids;
@@ -714,24 +643,9 @@ mod tests {
 
     #[test]
     fn search_round_trip_finds_exactly_the_matching_emails() {
-        let (ops, results) = run_session(None);
+        let (postings, results) = run_session(None);
         assert_eq!(results, vec![vec![1, 3], vec![2], vec![]]);
-        assert_eq!(
-            &ops[..3],
-            &[
-                SearchOp::Indexed(4),
-                SearchOp::Indexed(3),
-                SearchOp::Indexed(3)
-            ]
-        );
-        assert_eq!(
-            &ops[3..],
-            &[
-                SearchOp::Answered(2),
-                SearchOp::Answered(1),
-                SearchOp::Answered(0)
-            ]
-        );
+        assert_eq!(postings, 4 + 3 + 3, "one posting per distinct keyword");
     }
 
     #[test]
@@ -751,21 +665,19 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(33);
                 let mut provider =
                     SearchProvider::setup(chan, &config, &bank::empty_source(), &mut rng).unwrap();
-                for _ in 0..capacity + 3 {
-                    provider.process_round(chan, &mut rng).unwrap();
+                for _ in 0..capacity + 4 {
+                    provider.process_batch(chan, 1, &mut rng).unwrap();
                 }
-                let op = provider.process_round(chan, &mut rng).unwrap();
-                assert_eq!(op, SearchOp::Answered(capacity));
             },
             move |chan| {
                 let mut rng = StdRng::seed_from_u64(34);
                 let mut client = SearchClient::setup(chan, &config_client, &mut rng).unwrap();
                 for id in 0..(capacity as u64) + 3 {
                     client
-                        .index_email(chan, id, "recurring newsletter")
+                        .index_email(chan, id, "recurring newsletter", &mut rng)
                         .unwrap();
                 }
-                client.query(chan, "recurring").unwrap()
+                client.query(chan, "recurring", &mut rng).unwrap()
             },
         );
         assert_eq!(
@@ -804,7 +716,7 @@ mod tests {
                     let mut provider =
                         SearchProvider::setup(chan, &config, &bank::empty_source(), &mut rng)
                             .unwrap();
-                    provider.process_round(chan, &mut rng)
+                    provider.process_batch(chan, 1, &mut rng)
                 },
                 move |chan| {
                     let mut rng = StdRng::seed_from_u64(36);
@@ -837,7 +749,7 @@ mod tests {
                     let mut provider =
                         SearchProvider::setup(chan, &config, &bank::empty_source(), &mut rng)
                             .unwrap();
-                    provider.process_round(chan, &mut rng)
+                    provider.process_batch(chan, 1, &mut rng)
                 },
                 move |chan| {
                     let mut rng = StdRng::seed_from_u64(38);

@@ -20,11 +20,11 @@
 //! the [`PrecomputeSource`] its setup was handed (a fleet bank's background
 //! producers, or nothing — [`crate::bank::empty_source`]), and a client
 //! session fills a local stock in an explicit `precompute(budget)` phase.
-//! Either way a dry draw computes inline. Rounds come in two flavours:
-//! `process_round` serves one email, `process_batch` serves N in one
-//! coalesced exchange (same verdicts, far fewer frames — see
-//! `pretzel_transport::batch`). Stock depth and batching only move work off
-//! the latency path — verdicts are identical either way, which
+//! Either way a dry draw computes inline. The online phase is one body:
+//! `process_batch` serves N emails in one coalesced exchange (far fewer
+//! frames than N exchanges — see `pretzel_transport::batch`), and
+//! `process_round` is the batch of one. Stock depth and batching only move
+//! work off the latency path — verdicts are identical either way, which
 //! `tests/batching.rs` and `tests/precompute_bank.rs` pin.
 
 use std::sync::Arc;
@@ -170,22 +170,21 @@ impl ProviderSession {
         self.module.display_name()
     }
 
-    /// Runs one per-email round. Returns the module's per-round provider
-    /// output — the topic index for topic sessions (the only built-in whose
-    /// output goes to the provider, Guarantee 3) and `None` for the others.
+    /// Runs one per-email round — a batch of one. Returns the module's
+    /// per-round provider output — the topic index for topic sessions (the
+    /// only built-in whose output goes to the provider, Guarantee 3) and
+    /// `None` for the others.
     pub fn process_round<C: Channel, R: Rng>(
         &mut self,
         channel: &mut C,
         rng: &mut R,
     ) -> Result<Option<usize>> {
-        self.module
-            .process_round(as_dyn_channel(channel), as_dyn_rng(rng))
+        provider_round(self.module.as_mut(), channel, rng)
     }
 
-    /// Runs `count` rounds as one batched exchange against a client driving
-    /// [`ClientSession::process_batch`] with the same count. Outputs equal
-    /// `count` sequential [`ProviderSession::process_round`] calls; only the
-    /// frame count changes.
+    /// Runs `count` rounds as one exchange against a client driving
+    /// [`ClientSession::process_batch`] with the same count, returning one
+    /// provider output per round.
     pub fn process_batch<C: Channel, R: Rng>(
         &mut self,
         channel: &mut C,
@@ -334,25 +333,23 @@ impl ClientSession {
         self.module.precompute(budget, as_dyn_rng(rng))
     }
 
-    /// Runs one per-email round with `payload`, which must match the
-    /// session's module: [`EmailPayload::Tokens`] for spam/topic,
-    /// [`EmailPayload::Attachment`] for virus scanning,
-    /// [`EmailPayload::SearchIndex`] / [`EmailPayload::SearchQuery`] for
-    /// search sessions, and whatever a custom module documents.
+    /// Runs one per-email round — a batch of one — with `payload`.
     pub fn process_round<C: Channel, R: Rng>(
         &mut self,
         channel: &mut C,
         payload: &EmailPayload,
         rng: &mut R,
     ) -> Result<Verdict> {
-        self.module
-            .process_round(as_dyn_channel(channel), payload, as_dyn_rng(rng))
+        client_round(self.module.as_mut(), channel, payload, rng)
     }
 
-    /// Runs one batch of rounds against a provider executing
-    /// [`ProviderSession::process_batch`] with the same count. Verdicts equal
-    /// sequential [`ClientSession::process_round`] calls over the same
-    /// payloads.
+    /// Runs one round per payload as one exchange against a provider
+    /// executing [`ProviderSession::process_batch`] with the same count.
+    /// Every payload must match the session's module:
+    /// [`EmailPayload::Tokens`] for spam/topic, [`EmailPayload::Attachment`]
+    /// for virus scanning, [`EmailPayload::SearchIndex`] /
+    /// [`EmailPayload::SearchQuery`] for search sessions, and whatever a
+    /// custom module documents.
     pub fn process_batch<C: Channel, R: Rng>(
         &mut self,
         channel: &mut C,
@@ -395,6 +392,40 @@ pub(crate) fn token_payloads<'a>(
             other => Err(payload_mismatch(module, other)),
         })
         .collect()
+}
+
+/// One provider round: `module`'s online phase with a count of one. Every
+/// per-email provider entry point is this call.
+pub(crate) fn provider_round<C: Channel, R: Rng + ?Sized>(
+    module: &mut dyn ProviderModule,
+    channel: &mut C,
+    mut rng: &mut R,
+) -> Result<Option<usize>> {
+    only(module.process_batch(channel, 1, &mut rng)?)
+}
+
+/// One client round: `module`'s online phase over a one-element slice.
+/// Every per-email client entry point is this call.
+pub(crate) fn client_round<C: Channel, R: Rng + ?Sized>(
+    module: &mut dyn ClientModule,
+    channel: &mut C,
+    payload: &EmailPayload,
+    mut rng: &mut R,
+) -> Result<Verdict> {
+    only(module.process_batch(channel, std::slice::from_ref(payload), &mut rng)?)
+}
+
+/// The one result of a batch of one. A module that answers one round with
+/// any other number of results broke the [`ProviderModule`] /
+/// [`ClientModule`] contract; that is an error, not a panic, because custom
+/// modules are registered from outside this crate.
+fn only<T>(mut results: Vec<T>) -> Result<T> {
+    match (results.pop(), results.is_empty()) {
+        (Some(result), true) => Ok(result),
+        _ => Err(crate::PretzelError::Protocol(
+            "a batch of one round must yield exactly one result".into(),
+        )),
+    }
 }
 
 /// Coerces a concrete channel to the object-safe form the module traits use.

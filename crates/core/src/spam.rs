@@ -39,14 +39,16 @@ use pretzel_gc::{
     spam_compare_circuit, to_bits, Circuit, OutputMode, PrecomputedGarbling, YaoEvaluator,
     YaoGarbler,
 };
-use pretzel_transport::{pack_frames, Channel};
+use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 pub use crate::ahe::AheVariant;
-use crate::ahe::{recv_batch, AheClient, AheProvider};
+use crate::ahe::{AheClient, AheProvider};
 use crate::bank::{self, Lease, PrecomputeSource, ReservoirId, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
-use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
+use crate::session::{
+    client_round, provider_round, token_payloads, EmailPayload, ProviderModelSuite, Verdict,
+};
 use crate::{PretzelError, Result};
 
 /// Provider endpoint of the spam-filtering module.
@@ -140,58 +142,15 @@ impl SpamProvider {
         Ok(garbler_bits)
     }
 
-    /// Per-email phase, provider side: decrypts the blinded dot products and
-    /// plays the garbler in the comparison circuit. The provider learns
-    /// nothing about the email or the result.
+    /// Per-email phase, provider side — a batch of one: decrypts the blinded
+    /// dot products and plays the garbler in the comparison circuit. The
+    /// provider learns nothing about the email or the result.
     pub fn process_email<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
         rng: &mut R,
     ) -> Result<()> {
-        // Draw only once the blob has decrypted: a stalled or malformed
-        // round must not consume a stocked garbling.
-        let garbler_bits = self.garbler_bits_for(&channel.recv()?)?;
-        let pre = self.draw_garbling(rng);
-        self.yao.run_precomputed(
-            channel,
-            &self.circuit,
-            pre,
-            &garbler_bits,
-            OutputMode::EvaluatorOnly,
-        )?;
-        Ok(())
-    }
-
-    /// Batched per-email phase: serves `count` rounds whose blinded dot
-    /// products arrive as one coalesced frame (see
-    /// [`pretzel_transport::pack_frames`]), drawing `count` garblings and
-    /// running one batched Yao exchange. Verdicts equal `count` sequential
-    /// [`SpamProvider::process_email`] rounds. An empty batch exchanges no
-    /// traffic, mirroring [`SpamClient::classify_batch`].
-    pub fn process_email_batch<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        count: usize,
-        rng: &mut R,
-    ) -> Result<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        // As in the single round, validate before drawing: the count is the
-        // peer's word, and must not drain the stock on its own.
-        let inputs = recv_batch(channel, count)?
-            .iter()
-            .map(|blob| self.garbler_bits_for(blob))
-            .collect::<Result<Vec<_>>>()?;
-        let pres: Vec<_> = (0..count).map(|_| self.draw_garbling(rng)).collect();
-        self.yao.run_batch(
-            channel,
-            &self.circuit,
-            pres,
-            &inputs,
-            OutputMode::EvaluatorOnly,
-        )?;
-        Ok(())
+        provider_round(self, channel, rng).map(|_| ())
     }
 }
 
@@ -238,60 +197,18 @@ impl SpamClient {
         Ok((blob, evaluator_bits))
     }
 
-    /// Per-email phase, client side: returns `true` when the email is spam.
-    /// The provider learns nothing (the output goes only to the client).
+    /// Per-email phase, client side — a batch of one: returns `true` when
+    /// the email is spam. The provider learns nothing (the output goes only
+    /// to the client).
     pub fn classify<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
         features: &SparseVector,
         rng: &mut R,
     ) -> Result<bool> {
-        let (blob, evaluator_bits) = self.blinded_round(features, rng)?;
-        channel.send(&blob)?;
-        let out = self
-            .yao
-            .run(
-                channel,
-                &self.circuit,
-                &evaluator_bits,
-                OutputMode::EvaluatorOnly,
-            )?
-            .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))?;
-        Ok(out[0])
-    }
-
-    /// Batched per-email phase: classifies every email in one coalesced
-    /// exchange against a provider running
-    /// [`SpamProvider::process_email_batch`] with the same count. All blinded
-    /// dot products travel in one frame and the comparison circuits run as
-    /// one batched Yao exchange. Verdicts equal sequential
-    /// [`SpamClient::classify`] calls.
-    pub fn classify_batch<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        emails: &[&SparseVector],
-        rng: &mut R,
-    ) -> Result<Vec<bool>> {
-        if emails.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut blobs = Vec::with_capacity(emails.len());
-        let mut inputs = Vec::with_capacity(emails.len());
-        for features in emails {
-            let (blob, evaluator_bits) = self.blinded_round(features, rng)?;
-            blobs.push(blob);
-            inputs.push(evaluator_bits);
-        }
-        channel.send(&pack_frames(&blobs))?;
-        let outs =
-            self.yao
-                .run_batch(channel, &self.circuit, &inputs, OutputMode::EvaluatorOnly)?;
-        outs.into_iter()
-            .map(|out| {
-                out.map(|bits| bits[0])
-                    .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))
-            })
-            .collect()
+        let email = EmailPayload::Tokens(features.clone());
+        let verdict = client_round(self, channel, &email, rng)?;
+        Ok(verdict == Verdict::Spam { is_spam: true })
     }
 }
 
@@ -358,22 +275,33 @@ impl ProviderModule for SpamProvider {
         "spam"
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>> {
-        self.process_email(&mut channel, rng)?;
-        Ok(None)
-    }
-
+    /// Serves `count` rounds as one exchange: the blinded dot products
+    /// arrive as one frame (see [`pretzel_transport::send_rounds`]), then one
+    /// Yao exchange compares them all. An empty batch exchanges no traffic.
     fn process_batch(
         &mut self,
         mut channel: &mut dyn Channel,
         count: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Option<usize>>> {
-        self.process_email_batch(&mut channel, count, rng)?;
+        if count == 0 {
+            return Ok(Vec::new());
+        }
+        // Draw only once every blob has decrypted: the count is the peer's
+        // word, and a stalled or malformed round must not consume a stocked
+        // garbling.
+        let inputs = recv_rounds(channel, count)?
+            .iter()
+            .map(|blob| self.garbler_bits_for(blob))
+            .collect::<Result<Vec<_>>>()?;
+        let pres: Vec<_> = (0..count).map(|_| self.draw_garbling(rng)).collect();
+        self.yao.run_batch(
+            &mut channel,
+            &self.circuit,
+            pres,
+            &inputs,
+            OutputMode::EvaluatorOnly,
+        )?;
         Ok(vec![None; count])
     }
 }
@@ -395,32 +323,39 @@ impl ClientModule for SpamClient {
         SpamClient::precompute(self, budget, rng)
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        payload: &EmailPayload,
-        rng: &mut dyn RngCore,
-    ) -> Result<Verdict> {
-        match payload {
-            EmailPayload::Tokens(features) => Ok(Verdict::Spam {
-                is_spam: self.classify(&mut channel, features, rng)?,
-            }),
-            other => Err(crate::session::payload_mismatch("spam", other)),
-        }
-    }
-
+    /// Classifies every email in one exchange: all blinded dot products
+    /// travel in one frame and the comparison circuits run as one Yao
+    /// exchange. An empty batch exchanges no traffic.
     fn process_batch(
         &mut self,
         mut channel: &mut dyn Channel,
         payloads: &[EmailPayload],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Verdict>> {
-        let emails = crate::session::token_payloads("spam", payloads)?;
-        Ok(self
-            .classify_batch(&mut channel, &emails, rng)?
-            .into_iter()
-            .map(|is_spam| Verdict::Spam { is_spam })
-            .collect())
+        let emails = token_payloads("spam", payloads)?;
+        if emails.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut blobs = Vec::with_capacity(emails.len());
+        let mut inputs = Vec::with_capacity(emails.len());
+        for features in emails {
+            let (blob, evaluator_bits) = self.blinded_round(features, rng)?;
+            blobs.push(blob);
+            inputs.push(evaluator_bits);
+        }
+        send_rounds(channel, &blobs)?;
+        let outs = self.yao.run_batch(
+            &mut channel,
+            &self.circuit,
+            &inputs,
+            OutputMode::EvaluatorOnly,
+        )?;
+        outs.into_iter()
+            .map(|out| {
+                out.map(|bits| Verdict::Spam { is_spam: bits[0] })
+                    .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))
+            })
+            .collect()
     }
 }
 
@@ -609,18 +544,19 @@ mod tests {
         assert!(!noprivate.is_spam(&ham_email));
     }
 
-    /// One batched exchange must reproduce the sequential verdicts, with the
-    /// bank's stock only partially covering the batch (the shortfall is
-    /// garbled inline).
+    /// One batch of three must classify each email as the single rounds of
+    /// `run_spam_exchange` do, with the bank's stock only partially covering
+    /// the batch (the shortfall is garbled inline).
     fn run_spam_batch(variant: AheVariant) {
         let model = train_model();
         let config = PretzelConfig::test();
         let config_client = config.clone();
         let emails = [
-            SparseVector::from_pairs(vec![(0, 3), (1, 1), (2, 1)]),
-            SparseVector::from_pairs(vec![(4, 2), (5, 2), (6, 1)]),
-            SparseVector::from_pairs(vec![(1, 2), (3, 2)]),
-        ];
+            vec![(0, 3), (1, 1), (2, 1)],
+            vec![(4, 2), (5, 2), (6, 1)],
+            vec![(1, 2), (3, 2)],
+        ]
+        .map(|pairs| EmailPayload::Tokens(SparseVector::from_pairs(pairs)));
         let bank = provision(Provision::BankRunsDry, &config).expect("a bank");
         let source = bank.handle();
 
@@ -629,20 +565,19 @@ mod tests {
                 let mut rng = rand::thread_rng();
                 let mut provider =
                     SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
-                provider.process_email_batch(chan, 3, &mut rng)
+                ProviderModule::process_batch(&mut provider, chan, 3, &mut rng).map(|_| ())
             },
-            move |chan| -> Result<Vec<bool>> {
+            move |chan| -> Result<Vec<Verdict>> {
                 let mut rng = rand::thread_rng();
                 let mut client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
                 client.precompute(2, &mut rng);
-                let refs: Vec<&SparseVector> = emails.iter().collect();
-                client.classify_batch(chan, &refs, &mut rng)
+                ClientModule::process_batch(&mut client, chan, &emails, &mut rng)
             },
         );
         provider_res.unwrap();
         assert_eq!(
             client_res.unwrap(),
-            vec![true, false, true],
+            [true, false, true].map(|is_spam| Verdict::Spam { is_spam }),
             "{variant:?}: batched verdicts must match the sequential ones"
         );
         check_books(bank, Provision::BankRunsDry, 3);

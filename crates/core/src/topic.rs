@@ -24,13 +24,15 @@ use pretzel_gc::{
     from_bits, to_bits, topic_argmax_circuit, Circuit, OtGroup, OtSenderPrecomp, OutputMode,
     PrecomputedGarbling, YaoEvaluator, YaoGarbler,
 };
-use pretzel_transport::{pack_frames, Channel};
+use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
-use crate::ahe::{recv_batch, AheClient, AheProvider};
+use crate::ahe::{AheClient, AheProvider};
 use crate::bank::{self, PrecomputeSource, ReservoirId, ReservoirSpec, Stock};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
-use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
+use crate::session::{
+    client_round, provider_round, token_payloads, EmailPayload, ProviderModelSuite, Verdict,
+};
 use crate::spam::AheVariant;
 use crate::{PretzelError, Result};
 
@@ -144,50 +146,17 @@ impl TopicProvider {
         self.index_width
     }
 
-    /// Per-email phase, provider side: decrypts the blinded candidate dot
-    /// products and evaluates the client-garbled argmax circuit, learning the
-    /// chosen topic index (at most log B bits, Guarantee 3).
-    pub fn process_email<C: Channel>(&mut self, channel: &mut C) -> Result<usize> {
-        let blob = channel.recv()?;
-        let evaluator_bits = self.evaluator_bits_for(&blob)?;
-        let out = self
-            .yao
-            .run(
-                channel,
-                &self.circuit,
-                &evaluator_bits,
-                OutputMode::EvaluatorOnly,
-            )?
-            .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))?;
-        Ok(from_bits(&out) as usize)
-    }
-
-    /// Batched per-email phase: serves `count` extraction rounds whose
-    /// blinded candidate accumulators arrive as one coalesced frame, running
-    /// one batched Yao evaluation. The returned indices equal `count`
-    /// sequential [`TopicProvider::process_email`] rounds. An empty batch
-    /// exchanges no traffic, mirroring [`TopicClient::extract_batch`].
-    pub fn process_email_batch<C: Channel>(
+    /// Per-email phase, provider side — a batch of one: decrypts the blinded
+    /// candidate dot products and evaluates the client-garbled argmax
+    /// circuit, learning the chosen topic index (at most log B bits,
+    /// Guarantee 3).
+    pub fn process_email<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
-        count: usize,
-    ) -> Result<Vec<usize>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let inputs = recv_batch(channel, count)?
-            .iter()
-            .map(|blob| self.evaluator_bits_for(blob))
-            .collect::<Result<Vec<_>>>()?;
-        let outs =
-            self.yao
-                .run_batch(channel, &self.circuit, &inputs, OutputMode::EvaluatorOnly)?;
-        outs.into_iter()
-            .map(|out| {
-                out.map(|bits| from_bits(&bits) as usize)
-                    .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))
-            })
-            .collect()
+        rng: &mut R,
+    ) -> Result<usize> {
+        provider_round(self, channel, rng)?
+            .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))
     }
 
     /// Decrypts one round's blinded candidate values into evaluator bits.
@@ -268,64 +237,23 @@ impl TopicClient {
             .unwrap_or_else(|| PrecomputedGarbling::garble(&self.circuit, rng))
     }
 
-    /// Per-email phase, client side: runs the secure topic extraction for one
-    /// decrypted email. The client learns nothing; the provider learns the
-    /// selected topic index. Returns the candidate set that was submitted
-    /// (useful for tests and diagnostics — it is local information the client
-    /// already knows).
+    /// Per-email phase, client side — a batch of one: runs the secure topic
+    /// extraction for one decrypted email. The client learns nothing; the
+    /// provider learns the selected topic index. Returns the candidate set
+    /// that was submitted (useful for tests and diagnostics — it is local
+    /// information the client already knows).
     pub fn extract<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
         features: &SparseVector,
         rng: &mut R,
     ) -> Result<Vec<usize>> {
-        let (blob, candidate_cols, garbler_bits) = self.blinded_round(features, rng)?;
-        channel.send(&blob)?;
-        let pre = self.draw_garbling(rng);
-        self.yao.run_precomputed(
-            channel,
-            &self.circuit,
-            pre,
-            &garbler_bits,
-            OutputMode::EvaluatorOnly,
-        )?;
-        Ok(candidate_cols)
-    }
-
-    /// Batched per-email phase: runs one extraction round per email as a
-    /// single coalesced exchange against a provider executing
-    /// [`TopicProvider::process_email_batch`] with the same count. Every
-    /// blinded accumulator travels in one frame and the argmax circuits run
-    /// as one batched Yao exchange. Returns each email's submitted candidate
-    /// set, exactly as sequential [`TopicClient::extract`] calls would.
-    pub fn extract_batch<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        emails: &[&SparseVector],
-        rng: &mut R,
-    ) -> Result<Vec<Vec<usize>>> {
-        if emails.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut blobs = Vec::with_capacity(emails.len());
-        let mut candidate_sets = Vec::with_capacity(emails.len());
-        let mut inputs = Vec::with_capacity(emails.len());
-        for features in emails {
-            let (blob, candidate_cols, garbler_bits) = self.blinded_round(features, rng)?;
-            blobs.push(blob);
-            candidate_sets.push(candidate_cols);
-            inputs.push(garbler_bits);
-        }
-        channel.send(&pack_frames(&blobs))?;
-        let pres = (0..emails.len()).map(|_| self.draw_garbling(rng)).collect();
-        self.yao.run_batch(
-            channel,
-            &self.circuit,
-            pres,
-            &inputs,
-            OutputMode::EvaluatorOnly,
-        )?;
-        Ok(candidate_sets)
+        let email = EmailPayload::Tokens(features.clone());
+        let verdict = client_round(self, channel, &email, rng)?;
+        let Verdict::Topic { candidates } = verdict else {
+            unreachable!("a topic round yields a topic verdict, got {verdict:?}")
+        };
+        Ok(candidates)
     }
 
     /// Computes one email's blinded candidate accumulators, the candidate
@@ -454,25 +382,34 @@ impl ProviderModule for TopicProvider {
         "topic"
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        _rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>> {
-        Ok(Some(self.process_email(&mut channel)?))
-    }
-
+    /// Serves `count` extraction rounds as one exchange: the blinded
+    /// candidate accumulators arrive as one frame, then one Yao evaluation
+    /// yields every round's topic index. An empty batch exchanges no traffic.
     fn process_batch(
         &mut self,
         mut channel: &mut dyn Channel,
         count: usize,
         _rng: &mut dyn RngCore,
     ) -> Result<Vec<Option<usize>>> {
-        Ok(self
-            .process_email_batch(&mut channel, count)?
-            .into_iter()
-            .map(Some)
-            .collect())
+        if count == 0 {
+            return Ok(Vec::new());
+        }
+        let inputs = recv_rounds(channel, count)?
+            .iter()
+            .map(|blob| self.evaluator_bits_for(blob))
+            .collect::<Result<Vec<_>>>()?;
+        let outs = self.yao.run_batch(
+            &mut channel,
+            &self.circuit,
+            &inputs,
+            OutputMode::EvaluatorOnly,
+        )?;
+        outs.into_iter()
+            .map(|out| {
+                out.map(|bits| Some(from_bits(&bits) as usize))
+                    .ok_or_else(|| PretzelError::Protocol("missing Yao output".into()))
+            })
+            .collect()
     }
 }
 
@@ -493,32 +430,39 @@ impl ClientModule for TopicClient {
         TopicClient::precompute(self, budget, rng)
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        payload: &EmailPayload,
-        rng: &mut dyn RngCore,
-    ) -> Result<Verdict> {
-        match payload {
-            EmailPayload::Tokens(features) => Ok(Verdict::Topic {
-                candidates: self.extract(&mut channel, features, rng)?,
-            }),
-            other => Err(crate::session::payload_mismatch("topic", other)),
-        }
-    }
-
+    /// Runs one extraction round per email as one exchange: every blinded
+    /// accumulator travels in one frame and the argmax circuits run as one
+    /// Yao exchange. Each verdict is that email's submitted candidate set.
+    /// An empty batch exchanges no traffic.
     fn process_batch(
         &mut self,
         mut channel: &mut dyn Channel,
         payloads: &[EmailPayload],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Verdict>> {
-        let emails = crate::session::token_payloads("topic", payloads)?;
-        Ok(self
-            .extract_batch(&mut channel, &emails, rng)?
-            .into_iter()
-            .map(|candidates| Verdict::Topic { candidates })
-            .collect())
+        let emails = token_payloads("topic", payloads)?;
+        if emails.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut blobs = Vec::with_capacity(emails.len());
+        let mut verdicts = Vec::with_capacity(emails.len());
+        let mut inputs = Vec::with_capacity(emails.len());
+        for features in emails {
+            let (blob, candidates, garbler_bits) = self.blinded_round(features, rng)?;
+            blobs.push(blob);
+            verdicts.push(Verdict::Topic { candidates });
+            inputs.push(garbler_bits);
+        }
+        send_rounds(channel, &blobs)?;
+        let pres = (0..inputs.len()).map(|_| self.draw_garbling(rng)).collect();
+        self.yao.run_batch(
+            &mut channel,
+            &self.circuit,
+            pres,
+            &inputs,
+            OutputMode::EvaluatorOnly,
+        )?;
+        Ok(verdicts)
     }
 }
 
@@ -584,8 +528,8 @@ mod tests {
                     &bank::empty_source(),
                     &mut rng,
                 )?;
-                let t1 = provider.process_email(chan)?;
-                let t2 = provider.process_email(chan)?;
+                let t1 = provider.process_email(chan, &mut rng)?;
+                let t2 = provider.process_email(chan, &mut rng)?;
                 Ok(vec![t1, t2])
             },
             move |chan| -> Result<(Vec<usize>, Vec<usize>)> {
@@ -645,8 +589,8 @@ mod tests {
                     &bank::empty_source(),
                     &mut rng,
                 )?;
-                let t1 = provider.process_email(chan)?;
-                let t2 = provider.process_email(chan)?;
+                let t1 = provider.process_email(chan, &mut rng)?;
+                let t2 = provider.process_email(chan, &mut rng)?;
                 Ok(vec![t1, t2])
             },
             move |chan| -> Result<()> {
@@ -688,9 +632,9 @@ mod tests {
         run_topic_exchange(AheVariant::Baseline, CandidateMode::Full);
     }
 
-    /// A batched extraction must hand the provider the same topic indices as
-    /// sequential rounds, with the client's circuit stock only partially
-    /// covering the batch.
+    /// A batch of three must hand the provider the topic indices the single
+    /// rounds of `run_topic_exchange` do, with the client's circuit stock
+    /// only partially covering the batch.
     #[test]
     fn batched_extraction_matches_sequential_topics() {
         let corpus = topic_corpus();
@@ -699,13 +643,14 @@ mod tests {
         let config = PretzelConfig::test();
         let config_client = config.clone();
         let emails = [
-            SparseVector::from_pairs(vec![(8, 3), (9, 2), (10, 1)]),
-            SparseVector::from_pairs(vec![(20, 2), (21, 2), (23, 1)]),
-            SparseVector::from_pairs(vec![(0, 2), (1, 1), (2, 1)]),
-        ];
+            vec![(8, 3), (9, 2), (10, 1)],
+            vec![(20, 2), (21, 2), (23, 1)],
+            vec![(0, 2), (1, 1), (2, 1)],
+        ]
+        .map(|pairs| EmailPayload::Tokens(SparseVector::from_pairs(pairs)));
 
         let (provider_res, client_res) = run_two_party(
-            move |chan| -> Result<Vec<usize>> {
+            move |chan| -> Result<Vec<Option<usize>>> {
                 let mut rng = rand::thread_rng();
                 let mut provider = TopicProvider::setup(
                     chan,
@@ -716,9 +661,9 @@ mod tests {
                     &bank::empty_source(),
                     &mut rng,
                 )?;
-                provider.process_email_batch(chan, 3)
+                ProviderModule::process_batch(&mut provider, chan, 3, &mut rng)
             },
-            move |chan| -> Result<Vec<Vec<usize>>> {
+            move |chan| -> Result<Vec<Verdict>> {
                 let mut rng = rand::thread_rng();
                 let mut client = TopicClient::setup(
                     chan,
@@ -729,8 +674,7 @@ mod tests {
                     &mut rng,
                 )?;
                 assert_eq!(client.precompute(1, &mut rng), 1, "one garbling");
-                let refs: Vec<&SparseVector> = emails.iter().collect();
-                let out = client.extract_batch(chan, &refs, &mut rng)?;
+                let out = ClientModule::process_batch(&mut client, chan, &emails, &mut rng)?;
                 assert_eq!(
                     client.precompute(1, &mut rng),
                     1,
@@ -740,9 +684,11 @@ mod tests {
             },
         );
         let topics = provider_res.unwrap();
-        let candidate_sets = client_res.unwrap();
-        assert_eq!(topics, vec![2, 5, 0]);
-        for (topic, candidates) in topics.iter().zip(&candidate_sets) {
+        assert_eq!(topics, [Some(2), Some(5), Some(0)]);
+        for (topic, verdict) in topics.iter().flatten().zip(client_res.unwrap()) {
+            let Verdict::Topic { candidates } = verdict else {
+                panic!("expected a topic verdict, got {verdict:?}");
+            };
             assert!(candidates.contains(topic));
         }
     }

@@ -11,9 +11,11 @@
 //! verdict (the *client*, who wants to know whether an attachment is safe to
 //! open, mirroring the spam arrangement where the output goes to the client).
 //!
-//! The module therefore reuses the spam protocol wholesale: setup ships the
-//! n-gram parameters (public, like the choice of classification algorithm in
-//! §2.1) plus the encrypted model; each scan is one secure dot product and one
+//! The module therefore reuses the spam protocol wholesale and adds only
+//! what is its own: setup ships the n-gram parameters (public, like the
+//! choice of classification algorithm in §2.1) ahead of spam's setup, and
+//! the client hashes each attachment into that feature space before handing
+//! it to spam's online phase — each scan is one secure dot product and one
 //! Yao comparison. Guarantees 1 and 2 of §4.4 carry over unchanged: the
 //! provider never sees attachment bytes, and the client learns one bit per
 //! scan.
@@ -23,13 +25,15 @@ use std::sync::Arc;
 use rand::{Rng, RngCore};
 
 use pretzel_classifiers::nb::GrNbTrainer;
-use pretzel_classifiers::{LabeledExample, LinearModel, NGramExtractor, SparseVector, Trainer};
+use pretzel_classifiers::{LabeledExample, LinearModel, NGramExtractor, Trainer};
 use pretzel_transport::Channel;
 
 use crate::bank::{PrecomputeSource, ReservoirSpec};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
-use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
+use crate::session::{
+    client_round, payload_mismatch, provider_round, EmailPayload, ProviderModelSuite, Verdict,
+};
 use crate::spam::{AheVariant, SpamClient, SpamProvider};
 use crate::{parse_u64, u64_bytes, PretzelError, Result};
 
@@ -137,25 +141,14 @@ impl VirusScanProvider {
         Ok(VirusScanProvider { inner })
     }
 
-    /// Per-attachment phase, provider side. The provider learns nothing about
-    /// the attachment or the verdict.
+    /// Per-attachment phase, provider side — a batch of one. The provider
+    /// learns nothing about the attachment or the verdict.
     pub fn process_attachment<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
         rng: &mut R,
     ) -> Result<()> {
-        self.inner.process_email(channel, rng)
-    }
-
-    /// Batched per-attachment phase: serves `count` scans as one coalesced
-    /// exchange (delegates to the spam machinery's batch path).
-    pub fn process_attachment_batch<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        count: usize,
-        rng: &mut R,
-    ) -> Result<()> {
-        self.inner.process_email_batch(channel, count, rng)
+        provider_round(self, channel, rng).map(|_| ())
     }
 }
 
@@ -199,35 +192,18 @@ impl VirusScanClient {
         self.inner.model_storage_bytes()
     }
 
-    /// Scans one attachment; returns `true` when it is classified malicious.
-    /// The provider learns nothing (Guarantee 2 analogue: one bit, to the
-    /// client only).
+    /// Scans one attachment — a batch of one; returns `true` when it is
+    /// classified malicious. The provider learns nothing (Guarantee 2
+    /// analogue: one bit, to the client only).
     pub fn scan<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
         attachment: &[u8],
         rng: &mut R,
     ) -> Result<bool> {
-        let features = self.extractor.extract(attachment);
-        self.inner.classify(channel, &features, rng)
-    }
-
-    /// Batched scan: classifies every attachment in one coalesced exchange
-    /// against a provider running
-    /// [`VirusScanProvider::process_attachment_batch`] with the same count.
-    /// Verdicts equal sequential [`VirusScanClient::scan`] calls.
-    pub fn scan_batch<C: Channel, R: Rng + ?Sized>(
-        &mut self,
-        channel: &mut C,
-        attachments: &[&[u8]],
-        rng: &mut R,
-    ) -> Result<Vec<bool>> {
-        let features: Vec<SparseVector> = attachments
-            .iter()
-            .map(|bytes| self.extractor.extract(bytes))
-            .collect();
-        let refs: Vec<&SparseVector> = features.iter().collect();
-        self.inner.classify_batch(channel, &refs, rng)
+        let scan = EmailPayload::Attachment(attachment.to_vec());
+        let verdict = client_round(self, channel, &scan, rng)?;
+        Ok(verdict == Verdict::Virus { is_malicious: true })
     }
 }
 
@@ -297,23 +273,14 @@ impl ProviderModule for VirusScanProvider {
         "virus"
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>> {
-        self.process_attachment(&mut channel, rng)?;
-        Ok(None)
-    }
-
+    /// Serves `count` scans as one exchange — spam's online phase, as is.
     fn process_batch(
         &mut self,
-        mut channel: &mut dyn Channel,
+        channel: &mut dyn Channel,
         count: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Option<usize>>> {
-        self.process_attachment_batch(&mut channel, count, rng)?;
-        Ok(vec![None; count])
+        self.inner.process_batch(channel, count, rng)
     }
 }
 
@@ -334,37 +301,30 @@ impl ClientModule for VirusScanClient {
         self.inner.precompute(budget, rng)
     }
 
-    fn process_round(
-        &mut self,
-        mut channel: &mut dyn Channel,
-        payload: &EmailPayload,
-        rng: &mut dyn RngCore,
-    ) -> Result<Verdict> {
-        match payload {
-            EmailPayload::Attachment(bytes) => Ok(Verdict::Virus {
-                is_malicious: self.scan(&mut channel, bytes, rng)?,
-            }),
-            other => Err(crate::session::payload_mismatch("virus", other)),
-        }
-    }
-
+    /// Scans every attachment in one exchange: hashes each into the
+    /// announced feature space, then runs spam's online phase over the
+    /// feature vectors.
     fn process_batch(
         &mut self,
-        mut channel: &mut dyn Channel,
+        channel: &mut dyn Channel,
         payloads: &[EmailPayload],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Verdict>> {
-        let attachments = payloads
+        let features = payloads
             .iter()
             .map(|p| match p {
-                EmailPayload::Attachment(bytes) => Ok(bytes.as_slice()),
-                other => Err(crate::session::payload_mismatch("virus", other)),
+                EmailPayload::Attachment(bytes) => {
+                    Ok(EmailPayload::Tokens(self.extractor.extract(bytes)))
+                }
+                other => Err(payload_mismatch("virus", other)),
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(self
-            .scan_batch(&mut channel, &attachments, rng)?
+        let verdicts = self.inner.process_batch(channel, &features, rng)?;
+        Ok(verdicts
             .into_iter()
-            .map(|is_malicious| Verdict::Virus { is_malicious })
+            .map(|verdict| Verdict::Virus {
+                is_malicious: verdict == Verdict::Spam { is_spam: true },
+            })
             .collect())
     }
 }

@@ -2,17 +2,18 @@
 //!
 //! A [`YaoGarbler`]/[`YaoEvaluator`] pair holds the persistent OT-extension
 //! state established once during the function module's setup phase; each call
-//! to `run` executes one garbled circuit (one email's comparison or argmax)
-//! over the channel. This mirrors the paper's amortization of expensive
-//! public-key work into setup (§3.3) and keeps the per-email Yao cost at the
-//! symmetric-key level measured in Figure 6.
+//! to `run_batch` executes N garbled circuits (N emails' comparisons or
+//! argmaxes) over the channel as one exchange, and `run` is the N = 1 case of
+//! it. This mirrors the paper's amortization of expensive public-key work
+//! into setup (§3.3) and keeps the per-email Yao cost at the symmetric-key
+//! level measured in Figure 6.
 //!
 //! The garbler's per-round work splits further into an offline and an online
 //! half: garbling the circuit needs no input from either party, only
 //! randomness, so it can happen ahead of time. [`PrecomputedGarbling::garble`]
-//! produces that offline artifact and [`YaoGarbler::run_precomputed`]
-//! consumes it; [`YaoGarbler::run`] is the inline composition of the two and
-//! produces byte-for-byte the same transcript.
+//! produces that offline artifact and [`YaoGarbler::run_batch`] consumes it;
+//! [`YaoGarbler::run`] garbles inline and runs a batch of one, which produces
+//! byte-for-byte the same transcript.
 
 use rand::Rng;
 
@@ -39,7 +40,7 @@ pub enum OutputMode {
 
 /// One circuit's worth of offline garbler work: the tables and labels of
 /// [`garble`], produced ahead of the online round and consumed by
-/// [`YaoGarbler::run_precomputed`].
+/// [`YaoGarbler::run_batch`].
 ///
 /// This crate exports the artifact, not a queue: whoever stocks garblings
 /// (a precompute bank, a client's offline phase) owns the storage, and a
@@ -92,10 +93,9 @@ impl YaoGarbler {
         })
     }
 
-    /// Garbles `circuit`, feeds in the garbler's input bits, serves the
-    /// evaluator's labels via OT extension, and (depending on `mode`)
-    /// receives the output. Equivalent to [`PrecomputedGarbling::garble`]
-    /// followed by [`YaoGarbler::run_precomputed`].
+    /// Garbles `circuit` and runs it as a batch of one: feeds in the
+    /// garbler's input bits, serves the evaluator's labels via OT extension,
+    /// and (depending on `mode`) receives the output.
     pub fn run<C: Channel>(
         &mut self,
         channel: &mut C,
@@ -105,60 +105,24 @@ impl YaoGarbler {
         rng: &mut (impl Rng + ?Sized),
     ) -> Result<Option<Vec<bool>>, GcError> {
         let pre = PrecomputedGarbling::garble(circuit, rng);
-        self.run_precomputed(channel, circuit, pre, my_inputs, mode)
+        self.run_batch(channel, circuit, vec![pre], &[my_inputs], mode)
+            .map(only)
     }
 
-    /// Online phase: runs one round consuming an offline
-    /// [`PrecomputedGarbling`] — no fresh garbling happens here, only input
-    /// labeling, OT extension and output decoding.
-    pub fn run_precomputed<C: Channel>(
-        &mut self,
-        channel: &mut C,
-        circuit: &Circuit,
-        pre: PrecomputedGarbling,
-        my_inputs: &[bool],
-        mode: OutputMode,
-    ) -> Result<Option<Vec<bool>>, GcError> {
-        let garbling = check_garbler_round(circuit, &pre, my_inputs)?;
-        let mut msg = Vec::with_capacity(expected_message_len(circuit));
-        append_garbler_message(&mut msg, circuit, garbling, my_inputs);
-        channel.send(&msg)?;
-
-        // OT extension: evaluator's wire label pairs, in evaluator-input order.
-        self.ot
-            .extend(channel, &evaluator_label_pairs(circuit, garbling))?;
-
-        // Output decoding.
-        if matches!(mode, OutputMode::EvaluatorOnly | OutputMode::Both) {
-            channel.send(&decode_bit_bytes(circuit, garbling))?;
-        }
-        if matches!(mode, OutputMode::GarblerOnly | OutputMode::Both) {
-            let raw = channel.recv()?;
-            if raw.len() != circuit.outputs.len() * 16 {
-                return Err(GcError::Protocol("bad output label message".into()));
-            }
-            return decode_returned_labels(circuit, garbling, &raw).map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Batched online phase: runs `pres.len()` rounds of the same circuit as
-    /// **one** coalesced exchange — a single frame carrying every round's
-    /// garbled tables and input labels, a single OT extension covering all
-    /// rounds' evaluator inputs, and a single output-decoding frame. The
-    /// evaluator must mirror the batch with [`YaoEvaluator::run_batch`].
-    ///
-    /// Per-round outputs are identical to running [`run_precomputed`]
-    /// sequentially; only the frame count changes (5·N messages collapse to
-    /// at most 5). An empty batch exchanges no messages.
-    ///
-    /// [`run_precomputed`]: YaoGarbler::run_precomputed
-    pub fn run_batch<C: Channel>(
+    /// Online phase: runs `pres.len()` rounds of the same circuit as **one**
+    /// exchange, consuming one offline [`PrecomputedGarbling`] per round — no
+    /// fresh garbling happens here. A single frame carries every round's
+    /// garbled tables and input labels, a single OT extension covers all
+    /// rounds' evaluator inputs, and a single frame decodes the outputs, so
+    /// N rounds cost at most 5 messages instead of 5·N. The evaluator must
+    /// mirror the batch with [`YaoEvaluator::run_batch`]. An empty batch
+    /// exchanges no messages.
+    pub fn run_batch<C: Channel, I: AsRef<[bool]>>(
         &mut self,
         channel: &mut C,
         circuit: &Circuit,
         pres: Vec<PrecomputedGarbling>,
-        inputs: &[Vec<bool>],
+        inputs: &[I],
         mode: OutputMode,
     ) -> Result<Vec<Option<Vec<bool>>>, GcError> {
         if pres.len() != inputs.len() {
@@ -173,18 +137,19 @@ impl YaoGarbler {
             return Ok(Vec::new());
         }
         for (pre, my_inputs) in pres.iter().zip(inputs) {
-            check_garbler_round(circuit, pre, my_inputs)?;
+            check_garbler_round(circuit, pre, my_inputs.as_ref())?;
         }
 
         // One frame: every round's tables + garbler labels, back to back
         // (fixed per-round length, so the evaluator splits by offset).
         let mut msg = Vec::with_capacity(rounds * expected_message_len(circuit));
         for (pre, my_inputs) in pres.iter().zip(inputs) {
-            append_garbler_message(&mut msg, circuit, &pre.garbling, my_inputs);
+            append_garbler_message(&mut msg, circuit, &pre.garbling, my_inputs.as_ref());
         }
         channel.send(&msg)?;
 
-        // One OT extension spanning all rounds' evaluator inputs.
+        // One OT extension spanning all rounds' evaluator inputs, in
+        // evaluator-input order.
         let mut pairs = Vec::with_capacity(rounds * circuit.evaluator_inputs.len());
         for pre in &pres {
             pairs.extend(evaluator_label_pairs(circuit, &pre.garbling));
@@ -202,7 +167,7 @@ impl YaoGarbler {
             let raw = channel.recv()?;
             let per_round = circuit.outputs.len() * 16;
             if raw.len() != rounds * per_round {
-                return Err(GcError::Protocol("bad batched output label message".into()));
+                return Err(GcError::Protocol("bad output label message".into()));
             }
             return pres
                 .iter()
@@ -214,12 +179,17 @@ impl YaoGarbler {
     }
 }
 
-/// Validates one garbler round's inputs and artifact, returning the garbling.
-fn check_garbler_round<'a>(
+/// The one result of a one-round batch.
+fn only<T>(mut results: Vec<T>) -> T {
+    results.pop().expect("a batch of one yields one result")
+}
+
+/// Validates one garbler round's inputs and artifact.
+fn check_garbler_round(
     circuit: &Circuit,
-    pre: &'a PrecomputedGarbling,
+    pre: &PrecomputedGarbling,
     my_inputs: &[bool],
-) -> Result<&'a Garbling, GcError> {
+) -> Result<(), GcError> {
     if my_inputs.len() != circuit.garbler_inputs.len() {
         return Err(GcError::Protocol(format!(
             "garbler supplied {} input bits, circuit expects {}",
@@ -232,7 +202,7 @@ fn check_garbler_round<'a>(
             "precomputed garbling does not match the circuit shape".into(),
         ));
     }
-    Ok(&pre.garbling)
+    Ok(())
 }
 
 /// Appends one round's first message — garbled tables, the garbler's active
@@ -329,8 +299,9 @@ impl YaoEvaluator {
         })
     }
 
-    /// Receives the garbled circuit, obtains its own labels via OT, evaluates
-    /// and (depending on `mode`) learns or returns the output.
+    /// Evaluates one circuit as a batch of one: receives the garbled circuit,
+    /// obtains its own labels via OT, evaluates and (depending on `mode`)
+    /// learns or returns the output.
     pub fn run<C: Channel>(
         &mut self,
         channel: &mut C,
@@ -338,56 +309,19 @@ impl YaoEvaluator {
         my_inputs: &[bool],
         mode: OutputMode,
     ) -> Result<Option<Vec<bool>>, GcError> {
-        check_evaluator_inputs(circuit, my_inputs)?;
-        // Message 1: tables, garbler input labels, constant labels.
-        let msg = channel.recv()?;
-        if msg.len() != expected_message_len(circuit) {
-            return Err(GcError::Protocol(format!(
-                "garbled circuit message has {} bytes, expected {}",
-                msg.len(),
-                expected_message_len(circuit)
-            )));
-        }
-        let (tables, mut input_labels) = parse_garbler_message(circuit, &msg);
-
-        // OT extension for our own labels.
-        let my_labels = self.ot.extend(channel, my_inputs)?;
-        for (&wire, label) in circuit.evaluator_inputs.iter().zip(my_labels.iter()) {
-            input_labels.push((wire, *label));
-        }
-
-        // Evaluate.
-        let output_labels = evaluate(circuit, &tables, &input_labels);
-
-        let mut result = None;
-        if matches!(mode, OutputMode::EvaluatorOnly | OutputMode::Both) {
-            let decode_raw = channel.recv()?;
-            if decode_raw.len() != circuit.outputs.len() {
-                return Err(GcError::Protocol("bad decode-bit message".into()));
-            }
-            let decode_bits: Vec<bool> = decode_raw.iter().map(|&b| b == 1).collect();
-            result = Some(decode_outputs(&output_labels, &decode_bits));
-        }
-        if matches!(mode, OutputMode::GarblerOnly | OutputMode::Both) {
-            let mut raw = Vec::with_capacity(output_labels.len() * 16);
-            for l in &output_labels {
-                raw.extend_from_slice(l);
-            }
-            channel.send(&raw)?;
-        }
-        Ok(result)
+        self.run_batch(channel, circuit, &[my_inputs], mode)
+            .map(only)
     }
 
-    /// Batched counterpart of [`YaoEvaluator::run`], mirroring
-    /// [`YaoGarbler::run_batch`]: one coalesced garbled-circuit frame, one
-    /// OT extension spanning every round's choice bits, one output-decoding
-    /// exchange. Per-round outputs are identical to sequential evaluation.
-    /// An empty batch exchanges no messages.
-    pub fn run_batch<C: Channel>(
+    /// Evaluator half of [`YaoGarbler::run_batch`]: one frame holding every
+    /// round's garbled circuit, one OT extension spanning every round's
+    /// choice bits, one output-decoding exchange. An empty batch exchanges no
+    /// messages.
+    pub fn run_batch<C: Channel, I: AsRef<[bool]>>(
         &mut self,
         channel: &mut C,
         circuit: &Circuit,
-        inputs: &[Vec<bool>],
+        inputs: &[I],
         mode: OutputMode,
     ) -> Result<Vec<Option<Vec<bool>>>, GcError> {
         let rounds = inputs.len();
@@ -395,16 +329,16 @@ impl YaoEvaluator {
             return Ok(Vec::new());
         }
         for my_inputs in inputs {
-            check_evaluator_inputs(circuit, my_inputs)?;
+            check_evaluator_inputs(circuit, my_inputs.as_ref())?;
         }
 
-        // One frame holding every round's tables and labels, split by the
-        // fixed per-round length.
+        // Message 1: every round's tables, garbler input labels and constant
+        // labels, split by the fixed per-round length.
         let per_round = expected_message_len(circuit);
         let msg = channel.recv()?;
         if msg.len() != rounds * per_round {
             return Err(GcError::Protocol(format!(
-                "batched garbled circuit message has {} bytes, expected {}",
+                "garbled circuit message has {} bytes, expected {}",
                 msg.len(),
                 rounds * per_round
             )));
@@ -415,7 +349,11 @@ impl YaoEvaluator {
             .collect();
 
         // One OT extension for all rounds' choice bits.
-        let choices: Vec<bool> = inputs.iter().flatten().copied().collect();
+        let choices: Vec<bool> = inputs
+            .iter()
+            .flat_map(|bits| bits.as_ref())
+            .copied()
+            .collect();
         let my_labels = self.ot.extend(channel, &choices)?;
 
         let n_eval = circuit.evaluator_inputs.len();
@@ -438,10 +376,21 @@ impl YaoEvaluator {
         if matches!(mode, OutputMode::EvaluatorOnly | OutputMode::Both) {
             let decode_raw = channel.recv()?;
             if decode_raw.len() != rounds * circuit.outputs.len() {
-                return Err(GcError::Protocol("bad batched decode-bit message".into()));
+                return Err(GcError::Protocol("bad decode-bit message".into()));
             }
             for (round, chunk) in decode_raw.chunks_exact(circuit.outputs.len()).enumerate() {
-                let decode_bits: Vec<bool> = chunk.iter().map(|&b| b == 1).collect();
+                // The bytes are the peer's: anything but 0 or 1 fails the
+                // round instead of being read as a 0 and flipping an output.
+                let decode_bits = chunk
+                    .iter()
+                    .map(|&b| match b {
+                        0 => Ok(false),
+                        1 => Ok(true),
+                        other => Err(GcError::Protocol(format!(
+                            "decode-bit byte {other} is neither 0 nor 1"
+                        ))),
+                    })
+                    .collect::<Result<Vec<bool>, _>>()?;
                 results[round] = Some(decode_outputs(&all_outputs[round], &decode_bits));
             }
         }
@@ -664,66 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_garbling_gives_the_same_verdicts_as_inline() {
-        // Three emails: round 1 and 3 consume offline artifacts, round 2
-        // falls back to inline garbling — the evaluator must not notice.
-        let width = 16;
-        let circuit = spam_compare_circuit(width);
-        let circuit_b = circuit.clone();
-        let group = test_group();
-        let group_b = group.clone();
-        let mask = (1u64 << width) - 1;
-        let cases = [(500u64, 100u64), (100, 500), (300, 300)];
-
-        let (_, e_outs) = run_two_party(
-            move |chan| {
-                let mut rng = rand::thread_rng();
-                let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                // Offline phase: two artifacts garbled ahead of time.
-                let mut pool = vec![
-                    PrecomputedGarbling::garble(&circuit, &mut rng),
-                    PrecomputedGarbling::garble(&circuit, &mut rng),
-                ];
-                for (i, (d_spam, d_ham)) in cases.into_iter().enumerate() {
-                    let n0 = 999u64 & mask;
-                    let n1 = 444u64 & mask;
-                    let mut bits = to_bits((d_spam + n0) & mask, width);
-                    bits.extend(to_bits((d_ham + n1) & mask, width));
-                    if i == 1 {
-                        // Pool dry for this round: inline fallback.
-                        garbler
-                            .run(chan, &circuit, &bits, OutputMode::EvaluatorOnly, &mut rng)
-                            .unwrap();
-                    } else {
-                        let pre = pool.pop().unwrap();
-                        assert!(pre.matches(&circuit));
-                        garbler
-                            .run_precomputed(chan, &circuit, pre, &bits, OutputMode::EvaluatorOnly)
-                            .unwrap();
-                    }
-                }
-            },
-            move |chan| {
-                let mut rng = rand::thread_rng();
-                let mut evaluator = YaoEvaluator::setup(chan, &group_b, &mut rng).unwrap();
-                let mut outs = Vec::new();
-                for _ in cases {
-                    let n0 = 999u64 & mask;
-                    let n1 = 444u64 & mask;
-                    let mut bits = to_bits(n0, width);
-                    bits.extend(to_bits(n1, width));
-                    let out = evaluator
-                        .run(chan, &circuit_b, &bits, OutputMode::EvaluatorOnly)
-                        .unwrap();
-                    outs.push(out.unwrap()[0]);
-                }
-                outs
-            },
-        );
-        assert_eq!(e_outs, vec![true, false, false]);
-    }
-
-    #[test]
     fn batched_rounds_match_sequential_verdicts() {
         // Three comparisons in one coalesced batch: the decoded outputs must
         // equal what three sequential rounds produce for the same inputs.
@@ -858,11 +747,11 @@ mod tests {
             move |chan| {
                 let mut rng = rand::thread_rng();
                 let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                garbler.run_precomputed(
+                garbler.run_batch(
                     chan,
                     &circuit,
-                    pre,
-                    &[false; 16],
+                    vec![pre],
+                    &[[false; 16]],
                     OutputMode::EvaluatorOnly,
                 )
             },

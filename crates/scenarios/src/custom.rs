@@ -73,35 +73,25 @@ impl ProviderModule for DigestProvider {
     fn display_name(&self) -> &'static str {
         "fnv-digest"
     }
-    fn process_round(
+    fn process_batch(
         &mut self,
         channel: &mut dyn Channel,
+        count: usize,
         _rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>, PretzelError> {
-        let msg = channel.recv()?;
-        channel.send(&fnv64(&msg).to_le_bytes())?;
-        Ok(None)
+    ) -> Result<Vec<Option<usize>>, PretzelError> {
+        for _ in 0..count {
+            let msg = channel.recv()?;
+            channel.send(&fnv64(&msg).to_le_bytes())?;
+        }
+        Ok(vec![None; count])
     }
 }
 
 struct DigestClient;
 
-impl ClientModule for DigestClient {
-    fn wire_tag(&self) -> WireTag {
-        DIGEST_WIRE_TAG
-    }
-    fn display_name(&self) -> &'static str {
-        "fnv-digest"
-    }
-    fn model_storage_bytes(&self) -> usize {
-        0
-    }
-    fn process_round(
-        &mut self,
-        channel: &mut dyn Channel,
-        payload: &EmailPayload,
-        _rng: &mut dyn RngCore,
-    ) -> Result<Verdict, PretzelError> {
+impl DigestClient {
+    /// One round: the bytes out, their digest back.
+    fn round(channel: &mut dyn Channel, payload: &EmailPayload) -> Result<Verdict, PretzelError> {
         let EmailPayload::Opaque(bytes) = payload else {
             return Err(PretzelError::Protocol(
                 "fnv-digest takes opaque bytes".into(),
@@ -119,6 +109,29 @@ impl ClientModule for DigestClient {
             tag: DIGEST_WIRE_TAG,
             value,
         })
+    }
+}
+
+impl ClientModule for DigestClient {
+    fn wire_tag(&self) -> WireTag {
+        DIGEST_WIRE_TAG
+    }
+    fn display_name(&self) -> &'static str {
+        "fnv-digest"
+    }
+    fn model_storage_bytes(&self) -> usize {
+        0
+    }
+    fn process_batch(
+        &mut self,
+        channel: &mut dyn Channel,
+        payloads: &[EmailPayload],
+        _rng: &mut dyn RngCore,
+    ) -> Result<Vec<Verdict>, PretzelError> {
+        payloads
+            .iter()
+            .map(|payload| Self::round(channel, payload))
+            .collect()
     }
 }
 
@@ -144,24 +157,24 @@ mod tests {
             let mut provider = DigestProvider;
             let mut prng = rand::rngs::StdRng::seed_from_u64(2);
             provider
-                .process_round(&mut provider_end, &mut prng)
+                .process_batch(&mut provider_end, 1, &mut prng)
                 .unwrap();
         });
         let mut client = DigestClient;
-        let verdict = client
-            .process_round(
+        let verdicts = client
+            .process_batch(
                 &mut client_end,
-                &EmailPayload::Opaque(b"foobar".to_vec()),
+                &[EmailPayload::Opaque(b"foobar".to_vec())],
                 &mut rng,
             )
             .unwrap();
         handle.join().unwrap();
         assert_eq!(
-            verdict,
-            Verdict::Custom {
+            verdicts,
+            [Verdict::Custom {
                 tag: DIGEST_WIRE_TAG,
                 value: 0x85944171f73967e8,
-            }
+            }]
         );
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A [`MailroomClient`] is one simulated (or real) sender: it performs the
 //! session handshake, runs the client half of the one-time setup, then
-//! submits emails one round at a time — or in coalesced batches via
-//! [`MailroomClient::process_batch`] — reusing the session state exactly as
-//! the provider does. Examples, the concurrency tests and the
+//! submits emails in batches via [`MailroomClient::process_batch`] — one
+//! email is a batch of one — reusing the session state exactly as the
+//! provider does. Examples, the concurrency tests and the
 //! `throughput_mailroom` benchmark spin up N of these on N channels to put
 //! concurrent load on a [`crate::Mailroom`].
 
@@ -194,7 +194,7 @@ impl ClientSpecBuilder {
 
     /// Adds or removes [`Capabilities::ROUND_BATCH`] from the offer. With
     /// batching off (or unnegotiated), [`MailroomClient::process_batch`]
-    /// transparently degrades to sequential per-email rounds.
+    /// transparently submits its payloads one round at a time.
     pub fn batched(mut self, batched: bool) -> Self {
         self.spec.capabilities = if batched {
             self.spec.capabilities | Capabilities::ROUND_BATCH
@@ -331,32 +331,29 @@ impl<C: Channel> MailroomClient<C> {
         self.session.precompute(budget, rng)
     }
 
-    /// Submits one email for a secure per-email round.
+    /// Submits one email for a secure per-email round — a batch of one.
     pub fn process<R: Rng>(
         &mut self,
         payload: &EmailPayload,
         rng: &mut R,
     ) -> Result<Verdict, ServerError> {
-        self.channel.send(&[ROUND_EMAIL])?;
-        let verdict = self
-            .session
-            .process_round(&mut self.channel, payload, rng)?;
-        self.emails += 1;
-        Ok(verdict)
+        let mut verdicts = self.process_batch(std::slice::from_ref(payload), rng)?;
+        verdicts
+            .pop()
+            .ok_or_else(|| ServerError::Control("a batch of one round yielded no verdict".into()))
     }
 
-    /// Submits one batch of emails as a single coalesced exchange: one
-    /// control frame announces the round count, then the session's module
-    /// runs its batched protocol (see
-    /// [`pretzel_core::ClientModule::process_batch`]). Verdicts equal
-    /// calling [`MailroomClient::process`] per payload; an empty batch is a
-    /// no-op.
+    /// Submits one batch of emails as a single exchange: one control frame
+    /// announces the rounds, then the session's module runs its online phase
+    /// over all of them (see [`pretzel_core::ClientModule::process_batch`]).
+    /// An empty batch is a no-op.
     ///
-    /// Batching is gated by the negotiated [`Capabilities::ROUND_BATCH`]
-    /// bit: on a session without it (any v1 session, or a v2 session that
-    /// did not offer/get the bit) this method transparently degrades to a
-    /// sequential per-email loop — same verdicts, more round trips — so
-    /// callers never need to branch on the peer's protocol generation.
+    /// A batch of one is announced as `[ROUND_EMAIL]`; `[ROUND_BATCH, n]`
+    /// is for `n > 1` and gated by the negotiated
+    /// [`Capabilities::ROUND_BATCH`] bit. On a session without it (any v1
+    /// session, or a v2 session that did not offer/get the bit) the payloads
+    /// go out as batches of one instead — same verdicts, more round trips —
+    /// so callers never need to branch on the peer's protocol generation.
     pub fn process_batch<R: Rng>(
         &mut self,
         payloads: &[EmailPayload],
@@ -365,26 +362,27 @@ impl<C: Channel> MailroomClient<C> {
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
-        if !self.negotiated().supports(Capabilities::ROUND_BATCH) {
-            let mut verdicts = Vec::with_capacity(payloads.len());
-            for payload in payloads {
-                verdicts.push(self.process(payload, rng)?);
-            }
-            return Ok(verdicts);
-        }
-        if payloads.len() > MAX_BATCH_ROUNDS {
+        let batched = self.negotiated().supports(Capabilities::ROUND_BATCH);
+        if batched && payloads.len() > MAX_BATCH_ROUNDS {
             return Err(ServerError::Control(format!(
                 "batch of {} rounds exceeds the {MAX_BATCH_ROUNDS}-round cap",
                 payloads.len()
             )));
         }
-        let mut frame = [ROUND_BATCH, 0, 0, 0, 0];
-        frame[1..].copy_from_slice(&(payloads.len() as u32).to_le_bytes());
-        self.channel.send(&frame)?;
-        let verdicts = self
-            .session
-            .process_batch(&mut self.channel, payloads, rng)?;
-        self.emails += verdicts.len() as u64;
+        let per_exchange = if batched { payloads.len() } else { 1 };
+        let mut verdicts = Vec::with_capacity(payloads.len());
+        for rounds in payloads.chunks(per_exchange) {
+            match rounds.len() {
+                1 => self.channel.send(&[ROUND_EMAIL])?,
+                n => {
+                    let mut frame = [ROUND_BATCH, 0, 0, 0, 0];
+                    frame[1..].copy_from_slice(&(n as u32).to_le_bytes());
+                    self.channel.send(&frame)?;
+                }
+            }
+            verdicts.extend(self.session.process_batch(&mut self.channel, rounds, rng)?);
+            self.emails += rounds.len() as u64;
+        }
         Ok(verdicts)
     }
 

@@ -44,7 +44,7 @@
 //! provider → client   [ACK_ACCEPTED] | [ACK_BUSY]
 //! …protocol setup (provider initiates; §3.3 joint randomness, model, OTs)…
 //! repeat:
-//!   client → provider [ROUND_EMAIL]              then one per-email round
+//!   client → provider [ROUND_EMAIL]              then one round (count = 1)
 //! client → provider   [ROUND_BYE]                teardown
 //!
 //! v2 (negotiated):
@@ -56,12 +56,24 @@
 //!                                                capabilities (or refusal)
 //! …all further frames through the negotiated codec (v2: header+CRC32)…
 //! repeat:
-//!   client → provider [ROUND_EMAIL]              one per-email round
-//!   client → provider [ROUND_BATCH, n:u32le]     one n-round batch — only
+//!   client → provider [ROUND_EMAIL]              count = 1
+//!   client → provider [ROUND_BATCH, n:u32le]     count = n, 1..=4096 — only
 //!                                                with the negotiated
 //!                                                ROUND_BATCH capability
+//!   …then the module's online phase over `count` rounds
 //! client → provider   [ROUND_BYE]                teardown
 //! ```
+//!
+//! A round is a batch of one: both control frames feed the same
+//! `process_batch(count)` call, `[ROUND_EMAIL]` being shorthand for
+//! `count = 1`. The built-in modules exchange each direction's per-round
+//! messages as **one** frame per batch, and its form follows from `count`
+//! alone, which both ends hold (`pretzel_transport::{send_rounds,
+//! recv_rounds}`): one round's message travels bare, `count > 1` messages
+//! travel packed by `pretzel_transport::pack_frames`. [`MailroomClient`]
+//! announces a single round as `[ROUND_EMAIL]` and only `n > 1` as
+//! `[ROUND_BATCH, n]`; a hand-written `[ROUND_BATCH, 1]` is served like
+//! `[ROUND_EMAIL]`, bare.
 //!
 //! The `wire_tag` byte is resolved through the mailroom's
 //! [`pretzel_core::ProtocolRegistry`] — the four built-in modules by
@@ -69,8 +81,8 @@
 //! Batching is a *negotiated capability*: v2 clients that negotiated
 //! [`Capabilities::ROUND_BATCH`] coalesce rounds, v1 clients (and v2
 //! clients without the bit) are transparently served one round at a time —
-//! [`MailroomClient::process_batch`] degrades to a sequential loop instead
-//! of failing.
+//! [`MailroomClient::process_batch`] submits batches of one instead of
+//! failing.
 //!
 //! [`Channel`]: pretzel_transport::Channel
 

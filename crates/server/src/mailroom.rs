@@ -832,13 +832,11 @@ fn run_session(
 
     loop {
         let control = channel.recv()?;
-        match control.as_slice() {
+        // `[ROUND_EMAIL]` is a batch of one; `[ROUND_BATCH, n]` names its
+        // count and needs the negotiated capability.
+        let count = match control.as_slice() {
             [ROUND_BYE] => return Ok(()),
-            [ROUND_EMAIL] => {
-                let topic = session.process_round(&mut channel, &mut rng)?;
-                account(&[topic]);
-                publish_gauges();
-            }
+            [ROUND_EMAIL] => 1,
             [ROUND_BATCH, count @ ..] if count.len() == 4 => {
                 if !profile.supports(Capabilities::ROUND_BATCH) {
                     return Err(ServerError::Control(
@@ -853,16 +851,17 @@ fn run_session(
                         "batch round count {count} outside 1..={MAX_BATCH_ROUNDS}"
                     )));
                 }
-                let outputs = session.process_batch(&mut channel, count, &mut rng)?;
-                account(&outputs);
-                publish_gauges();
+                count
             }
             other => {
                 return Err(ServerError::Control(format!(
                     "unknown round control frame {other:?}"
                 )));
             }
-        }
+        };
+        let outputs = session.process_batch(&mut channel, count, &mut rng)?;
+        account(&outputs);
+        publish_gauges();
     }
 }
 

@@ -11,8 +11,13 @@
 //! [`unpack_frames`] validates every length against the remaining buffer, so
 //! a truncated or corrupt batch surfaces as a clean
 //! [`crate::TransportError::MalformedBatch`] instead of a misparse.
+//!
+//! A round is a batch of one, and a batch of one needs no envelope:
+//! [`send_rounds`] / [`recv_rounds`] are the single place that decides
+//! between the bare and the packed form, from the round count both ends
+//! already hold.
 
-use crate::{Result, TransportError};
+use crate::{Channel, Result, TransportError};
 
 /// Coalesces `frames` into one batch frame for a single `send`.
 ///
@@ -61,9 +66,65 @@ pub fn unpack_frames(blob: &[u8]) -> Result<Vec<Vec<u8>>> {
     Ok(frames)
 }
 
+/// Sends the per-round messages of one exchange as a single frame: one
+/// round's message travels bare (exactly what an unbatched round sends),
+/// several travel coalesced by [`pack_frames`]. Nothing on the wire says
+/// which — the receiver knows the round count and mirrors the rule in
+/// [`recv_rounds`].
+pub fn send_rounds<C: Channel + ?Sized, F: AsRef<[u8]>>(
+    channel: &mut C,
+    rounds: &[F],
+) -> Result<()> {
+    match rounds {
+        [only] => channel.send(only.as_ref()),
+        many => channel.send(&pack_frames(many)),
+    }
+}
+
+/// Receives the frame [`send_rounds`] sent for `count` rounds and returns
+/// the `count` per-round messages: the frame itself when `count` is 1, its
+/// sub-frames otherwise (a batch carrying any other number is rejected).
+pub fn recv_rounds<C: Channel + ?Sized>(channel: &mut C, count: usize) -> Result<Vec<Vec<u8>>> {
+    let frame = channel.recv()?;
+    if count == 1 {
+        return Ok(vec![frame]);
+    }
+    let rounds = unpack_frames(&frame)?;
+    if rounds.len() != count {
+        return Err(TransportError::MalformedBatch(format!(
+            "batch announced {count} rounds but carried {}",
+            rounds.len()
+        )));
+    }
+    Ok(rounds)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory_pair;
+
+    #[test]
+    fn one_round_travels_bare_and_several_travel_packed() {
+        let (mut a, mut b) = memory_pair();
+        send_rounds(&mut a, &[vec![7u8, 8, 9]]).unwrap();
+        assert_eq!(b.recv().unwrap(), vec![7, 8, 9], "no envelope for n = 1");
+        send_rounds(&mut a, &[vec![7u8, 8, 9]]).unwrap();
+        assert_eq!(recv_rounds(&mut b, 1).unwrap(), vec![vec![7, 8, 9]]);
+
+        let three = [vec![1u8], vec![], vec![2, 3]];
+        send_rounds(&mut a, &three).unwrap();
+        assert_eq!(b.recv().unwrap(), pack_frames(&three));
+        send_rounds(&mut a, &three).unwrap();
+        assert_eq!(recv_rounds(&mut b, 3).unwrap(), three);
+
+        // A batch that carries a different count than announced is refused.
+        send_rounds(&mut a, &three).unwrap();
+        assert!(matches!(
+            recv_rounds(&mut b, 2),
+            Err(TransportError::MalformedBatch(_))
+        ));
+    }
 
     #[test]
     fn round_trips_including_empty_frames() {

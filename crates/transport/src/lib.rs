@@ -39,7 +39,7 @@ pub mod paced;
 mod tcp;
 pub mod wire;
 
-pub use batch::{pack_frames, unpack_frames};
+pub use batch::{pack_frames, recv_rounds, send_rounds, unpack_frames};
 pub use memory::{memory_pair, MemoryChannel};
 pub use meter::{Meter, MeteredChannel, PoolKindGauge};
 pub use paced::PacedChannel;

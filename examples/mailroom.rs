@@ -153,18 +153,22 @@ impl ProviderModule for StatsProvider {
         "attach-stats"
     }
 
-    fn process_round(
+    /// Nothing to coalesce in a two-message round: a batch is a loop.
+    fn process_batch(
         &mut self,
         channel: &mut dyn Channel,
+        count: usize,
         _rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>, PretzelError> {
-        let blob = channel.recv()?;
-        let ct = pretzel::rlwe::Ciphertext::from_bytes(self.sk.params(), &blob)
-            .map_err(|e| PretzelError::Ahe(e.to_string()))?;
-        // The blinding noise hides the true score (and thus the bucket).
-        let blinded = rlwe_pack::provider_decrypt(&self.sk, &[ct], 1)[0][0];
-        channel.send(&blinded.to_le_bytes())?;
-        Ok(None)
+    ) -> Result<Vec<Option<usize>>, PretzelError> {
+        for _ in 0..count {
+            let blob = channel.recv()?;
+            let ct = pretzel::rlwe::Ciphertext::from_bytes(self.sk.params(), &blob)
+                .map_err(|e| PretzelError::Ahe(e.to_string()))?;
+            // The blinding noise hides the true score (and thus the bucket).
+            let blinded = rlwe_pack::provider_decrypt(&self.sk, &[ct], 1)[0][0];
+            channel.send(&blinded.to_le_bytes())?;
+        }
+        Ok(vec![None; count])
     }
 }
 
@@ -174,20 +178,9 @@ struct StatsClient {
     model: rlwe_pack::EncryptedModel,
 }
 
-impl ClientModule for StatsClient {
-    fn wire_tag(&self) -> WireTag {
-        AttachmentStatsFunction::WIRE_TAG
-    }
-
-    fn display_name(&self) -> &'static str {
-        "attach-stats"
-    }
-
-    fn model_storage_bytes(&self) -> usize {
-        self.model.size_bytes(&self.pk)
-    }
-
-    fn process_round(
+impl StatsClient {
+    /// One attachment's round: blinded lookup out, masked score back.
+    fn round(
         &mut self,
         channel: &mut dyn Channel,
         payload: &EmailPayload,
@@ -215,6 +208,32 @@ impl ClientModule for StatsClient {
             tag: AttachmentStatsFunction::WIRE_TAG,
             value: score,
         })
+    }
+}
+
+impl ClientModule for StatsClient {
+    fn wire_tag(&self) -> WireTag {
+        AttachmentStatsFunction::WIRE_TAG
+    }
+
+    fn display_name(&self) -> &'static str {
+        "attach-stats"
+    }
+
+    fn model_storage_bytes(&self) -> usize {
+        self.model.size_bytes(&self.pk)
+    }
+
+    fn process_batch(
+        &mut self,
+        channel: &mut dyn Channel,
+        payloads: &[EmailPayload],
+        rng: &mut dyn RngCore,
+    ) -> Result<Vec<Verdict>, PretzelError> {
+        payloads
+            .iter()
+            .map(|payload| self.round(channel, payload, rng))
+            .collect()
     }
 }
 

@@ -69,7 +69,7 @@ fn main() {
         (0..n_emails)
             .map(|_| {
                 provider
-                    .process_email(&mut provider_chan)
+                    .process_email(&mut provider_chan, &mut rng)
                     .expect("provider step")
             })
             .collect::<Vec<usize>>()

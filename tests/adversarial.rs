@@ -13,8 +13,8 @@ use pretzel::core::bank::empty_source;
 use pretzel::core::setup::joint_randomness_initiator;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::{CandidateMode, TopicClient};
-use pretzel::core::{PretzelConfig, PretzelError, ReplayGuard};
-use pretzel::gc::{YaoEvaluator, YaoGarbler};
+use pretzel::core::{PretzelConfig, PretzelError, ProviderModule, ReplayGuard};
+use pretzel::gc::{GcError, YaoEvaluator, YaoGarbler};
 use pretzel::primitives::sha256;
 use pretzel::transport::{memory_pair, run_two_party, Channel, MemoryChannel};
 
@@ -197,6 +197,64 @@ fn spam_provider_errors_on_a_garbage_per_email_message() {
         provider_res.is_err(),
         "the provider must reject a malformed per-email message"
     );
+}
+
+/// A channel decorator that overwrites every one-byte message it sends with
+/// `byte`. In a spam round the only one-byte provider message is the
+/// comparison circuit's decode bit.
+struct DecodeByteChannel<'a> {
+    inner: &'a mut MemoryChannel,
+    byte: u8,
+}
+
+impl Channel for DecodeByteChannel<'_> {
+    fn send(&mut self, msg: &[u8]) -> pretzel::transport::Result<()> {
+        match msg {
+            [_] => self.inner.send(&[self.byte]),
+            _ => self.inner.send(msg),
+        }
+    }
+    fn recv(&mut self) -> pretzel::transport::Result<Vec<u8>> {
+        self.inner.recv()
+    }
+}
+
+#[test]
+fn spam_client_rejects_a_decode_bit_that_is_not_a_bit() {
+    // A provider that follows the protocol to the letter except for the
+    // decode frame, where it sends a byte outside {0, 1}. Reading that as
+    // "not 1, so 0" would hand the client a verdict the provider chose.
+    for byte in [2u8, 0x80, 0xFF] {
+        let model = tiny_spam_model();
+        let config = PretzelConfig::test();
+        let config_client = config.clone();
+        let (provider_res, client_res) = run_two_party(
+            move |chan| {
+                let mut rng = test_rng(70);
+                let mut hostile = DecodeByteChannel { inner: chan, byte };
+                let mut provider = SpamProvider::setup(
+                    &mut hostile,
+                    &model,
+                    &config,
+                    AheVariant::Pretzel,
+                    &empty_source(),
+                    &mut rng,
+                )?;
+                provider.process_email(&mut hostile, &mut rng)
+            },
+            move |chan| {
+                let mut rng = test_rng(71);
+                let mut client =
+                    SpamClient::setup(chan, &config_client, AheVariant::Pretzel, &mut rng)?;
+                client.classify(chan, &SparseVector::from_pairs(vec![(0, 2)]), &mut rng)
+            },
+        );
+        provider_res.unwrap();
+        assert!(
+            matches!(client_res, Err(PretzelError::Gc(GcError::Protocol(_)))),
+            "decode byte {byte:#04x}: expected a clean error and no verdict, got {client_res:?}"
+        );
+    }
 }
 
 /// A model header a hostile provider announces: the layout (`rows`, `cols`),
@@ -411,14 +469,16 @@ fn search_client_rejects_a_tampered_response_instead_of_misdecoding() {
             let mut rng = test_rng(60);
             let mut provider =
                 SearchProvider::setup(&mut tampering, &config, &empty_source(), &mut rng)?;
-            provider.process_round(&mut tampering, &mut rng)?; // honest index round
-            provider.process_round(&mut tampering, &mut rng) // corrupted query round
+            // An honest index round, then a query round whose response the
+            // channel corrupts.
+            provider.process_batch(&mut tampering, 1, &mut rng)?;
+            provider.process_batch(&mut tampering, 1, &mut rng)
         },
         move |chan| {
             let mut rng = test_rng(61);
             let mut client = SearchClient::setup(chan, &config_client, &mut rng)?;
-            client.index_email(chan, 1, "confidential merger draft")?;
-            client.query(chan, "merger")
+            client.index_email(chan, 1, "confidential merger draft", &mut rng)?;
+            client.query(chan, "merger", &mut rng)
         },
     );
     provider_res.unwrap();
@@ -438,8 +498,8 @@ fn search_client_rejects_a_truncated_response() {
     let (client_res, _) = run_two_party(
         move |chan| {
             let mut rng = test_rng(62);
-            let client = SearchClient::setup(chan, &config, &mut rng)?;
-            client.query(chan, "anything")
+            let mut client = SearchClient::setup(chan, &config, &mut rng)?;
+            client.query(chan, "anything", &mut rng)
         },
         move |chan| {
             // A provider that runs the setup honestly…

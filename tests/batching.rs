@@ -3,9 +3,12 @@
 //! verdicts to the same fleet served one round at a time, however its
 //! offline artifacts are provisioned (no bank, a bank that runs dry
 //! mid-run, a prefilled bank), under fixed seeds — and the bank's books
-//! must balance. Also pins the registry contract end to end: unknown wire
-//! tags are clean errors through the whole mailroom stack, and a
-//! custom-registered module serves alongside the built-ins.
+//! must balance. A round is a batch of one: submitting one payload through
+//! `process_batch` is indistinguishable on the wire from `process`, an
+//! explicit `[ROUND_BATCH, 1]` is served like `[ROUND_EMAIL]`, and a v1
+//! peer's batches go out as single rounds. Also pins the registry contract
+//! end to end: unknown wire tags are clean errors through the whole mailroom
+//! stack, and a custom-registered module serves alongside the built-ins.
 
 use std::sync::Arc;
 
@@ -15,11 +18,18 @@ use pretzel::core::registry::{
     ClientContext, ClientModule, FunctionModule, ProtocolRegistry, ProviderModule, WireTag,
 };
 use pretzel::core::session::EmailPayload;
-use pretzel::core::spam::AheVariant;
+use pretzel::core::spam::{AheVariant, SpamClient};
 use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, PretzelError, ProviderModelSuite};
-use pretzel::server::{ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig, ServerError};
-use pretzel::transport::{memory_pair, Channel};
+use pretzel::server::{
+    ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig, ServerError, SessionState,
+    ACK_ACCEPTED, MAX_BATCH_ROUNDS, ROUND_BATCH, ROUND_BYE, ROUND_EMAIL,
+};
+use pretzel::transport::wire::{
+    Capabilities, CodecChannel, HandshakeAck, HandshakeOffer, ProtocolVersion,
+};
+use pretzel::transport::{memory_pair, Channel, MemoryChannel};
+use rand::rngs::StdRng;
 use rand::RngCore;
 
 mod common;
@@ -73,10 +83,22 @@ fn scripts() -> Vec<(ClientSpec, Vec<EmailPayload>)> {
     ]
 }
 
+/// How a client hands its script to the mailroom.
+#[derive(Clone, Copy)]
+enum Submit {
+    /// One `process` call per payload.
+    Singly,
+    /// One `process_batch` call per payload, a one-element slice each.
+    BatchesOfOne,
+    /// One `process_batch` call for the whole script.
+    OneBatch,
+}
+
 /// Serves the mixed fleet sequentially on one worker (deterministic RNG
-/// streams), each client submitting its rounds either one at a time or as a
-/// single coalesced batch.
-fn run_fleet(provision: Provision, batched: bool) -> FleetRecord {
+/// streams), each client submitting its rounds as `submit` says. With
+/// `pin_v1` every client speaks the frozen legacy protocol, which has no
+/// `ROUND_BATCH` capability to negotiate.
+fn run_fleet(provision: Provision, submit: Submit, pin_v1: bool) -> FleetRecord {
     let mailroom = Mailroom::start(
         ling_suite(),
         provision
@@ -91,20 +113,28 @@ fn run_fleet(provision: Provision, batched: bool) -> FleetRecord {
     settle_bank(&mailroom);
 
     let mut verdicts = Vec::new();
-    for (s, (spec, payloads)) in scripts().into_iter().enumerate() {
+    for (s, (mut spec, payloads)) in scripts().into_iter().enumerate() {
+        if pin_v1 {
+            spec.min_version = ProtocolVersion::V1;
+            spec.max_version = ProtocolVersion::V1;
+            spec.capabilities = Capabilities::NONE;
+        }
         let mut rng = test_rng(500 + s as u64);
         let mut client = connect_client(&mailroom, &spec, &mut rng);
         settle_bank(&mailroom);
         client.precompute(provision.client_budget(), &mut rng);
-        if batched {
-            for verdict in client.process_batch(&payloads, &mut rng).unwrap() {
-                verdicts.push(format!("{verdict:?}"));
-            }
-        } else {
-            for payload in &payloads {
-                verdicts.push(format!("{:?}", client.process(payload, &mut rng).unwrap()));
-            }
-        }
+        let submitted = match submit {
+            Submit::Singly => payloads
+                .iter()
+                .map(|payload| client.process(payload, &mut rng).unwrap())
+                .collect(),
+            Submit::BatchesOfOne => payloads
+                .chunks(1)
+                .flat_map(|one| client.process_batch(one, &mut rng).unwrap())
+                .collect(),
+            Submit::OneBatch => client.process_batch(&payloads, &mut rng).unwrap(),
+        };
+        verdicts.extend(submitted.iter().map(|verdict| format!("{verdict:?}")));
         assert_eq!(client.emails_sent(), payloads.len() as u64);
         client.finish().unwrap();
     }
@@ -136,8 +166,9 @@ fn run_fleet(provision: Provision, batched: bool) -> FleetRecord {
 /// the meter counts do not depend on it.
 #[test]
 fn batched_rounds_match_sequential_under_every_provisioning() {
-    let [seq_none, seq_dry, seq_full] = Provision::ALL.map(|p| run_fleet(p, false));
-    let [batch_none, batch_dry, batch_full] = Provision::ALL.map(|p| run_fleet(p, true));
+    let [seq_none, seq_dry, seq_full] = Provision::ALL.map(|p| run_fleet(p, Submit::Singly, false));
+    let [batch_none, batch_dry, batch_full] =
+        Provision::ALL.map(|p| run_fleet(p, Submit::OneBatch, false));
 
     assert_eq!(
         seq_none.verdicts, batch_none.verdicts,
@@ -169,6 +200,135 @@ fn batched_rounds_match_sequential_under_every_provisioning() {
             batch.4,
             seq.4
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A round is a batch of one.
+// ---------------------------------------------------------------------------
+
+/// On sessions that negotiated `ROUND_BATCH`, handing one payload to
+/// `process_batch` is the same exchange as `process`: same verdicts, same
+/// bytes each way, same message count, for every kind.
+#[test]
+fn a_batch_of_one_is_a_single_round_on_the_wire() {
+    let singly = run_fleet(Provision::NoBank, Submit::Singly, false);
+    let batches_of_one = run_fleet(Provision::NoBank, Submit::BatchesOfOne, false);
+    assert_eq!(singly, batches_of_one);
+}
+
+/// A v1-pinned client never negotiated `ROUND_BATCH`, so its batch of three
+/// goes out as three `[ROUND_EMAIL]` rounds — exactly what three `process`
+/// calls exchange.
+#[test]
+fn v1_pinned_batches_degrade_to_single_rounds() {
+    let singly = run_fleet(Provision::NoBank, Submit::Singly, true);
+    let one_batch = run_fleet(Provision::NoBank, Submit::OneBatch, true);
+    assert_eq!(singly, one_batch);
+}
+
+/// Opens a v2 spam session with `ROUND_BATCH` granted by hand — offer, acks,
+/// codec, the client half of the setup — so a test can write its own
+/// round-control frames. Returns the session id, the codec-wrapped channel
+/// and the spam endpoint.
+fn raw_batch_session(
+    mailroom: &Mailroom,
+    rng: &mut StdRng,
+) -> (u64, CodecChannel<MemoryChannel>, SpamClient) {
+    let (provider_end, mut client_end) = memory_pair();
+    let id = mailroom.submit(provider_end).unwrap();
+    let offer = HandshakeOffer {
+        min_version: 1,
+        max_version: 2,
+        wire_tag: 1,
+        variant: 1,
+        capabilities: Capabilities::ROUND_BATCH,
+    };
+    client_end.send(&offer.encode()).unwrap();
+    assert_eq!(client_end.recv().unwrap(), vec![ACK_ACCEPTED]);
+    let ack = HandshakeAck::decode(&client_end.recv().unwrap()).unwrap();
+    let HandshakeAck::Accept {
+        version,
+        capabilities,
+    } = ack
+    else {
+        panic!("expected an accept, got {ack:?}");
+    };
+    assert!(capabilities.contains(Capabilities::ROUND_BATCH));
+    let mut channel = CodecChannel::new(client_end, version);
+    let client = SpamClient::setup(
+        &mut channel,
+        &PretzelConfig::test(),
+        AheVariant::Pretzel,
+        rng,
+    )
+    .unwrap();
+    (id, channel, client)
+}
+
+fn batch_frame(count: u32) -> [u8; 5] {
+    let mut frame = [ROUND_BATCH, 0, 0, 0, 0];
+    frame[1..].copy_from_slice(&count.to_le_bytes());
+    frame
+}
+
+fn spam_mailroom() -> Mailroom {
+    Mailroom::start(
+        ling_suite(),
+        MailroomConfig::builder()
+            .workers(1)
+            .queue_capacity(4)
+            .rng_seed(0xB47)
+            .build(),
+    )
+}
+
+/// No client in the tree announces a single round as `[ROUND_BATCH, 1]`
+/// any more, but a peer that does is served — and served bare: the blob
+/// `SpamClient::classify` sends carries no batch envelope.
+#[test]
+fn an_explicit_batch_of_one_is_served_bare() {
+    let mailroom = spam_mailroom();
+    let mut rng = test_rng(91);
+    let (id, mut channel, mut client) = raw_batch_session(&mailroom, &mut rng);
+    let email = SparseVector::from_pairs(vec![(0, 3), (7, 2)]);
+
+    channel.send(&batch_frame(1)).unwrap();
+    let announced_as_batch = client.classify(&mut channel, &email, &mut rng).unwrap();
+    channel.send(&[ROUND_EMAIL]).unwrap();
+    let announced_as_email = client.classify(&mut channel, &email, &mut rng).unwrap();
+    assert_eq!(announced_as_batch, announced_as_email);
+    channel.send(&[ROUND_BYE]).unwrap();
+    channel.flush().unwrap();
+
+    let report = mailroom.shutdown();
+    let session = report.sessions.iter().find(|s| s.id == id).unwrap();
+    assert_eq!(session.state, SessionState::Completed);
+    assert_eq!(session.emails, 2);
+}
+
+/// The provider still refuses a zero count and a count above the cap, even
+/// from a peer entitled to batch.
+#[test]
+fn the_provider_refuses_degenerate_batch_counts() {
+    let mailroom = spam_mailroom();
+    let mut rng = test_rng(92);
+    let mut ids = Vec::new();
+    for count in [0, MAX_BATCH_ROUNDS as u32 + 1] {
+        let (id, mut channel, _client) = raw_batch_session(&mailroom, &mut rng);
+        channel.send(&batch_frame(count)).unwrap();
+        channel.flush().unwrap();
+        ids.push((id, count));
+    }
+    let report = mailroom.shutdown();
+    for (id, count) in ids {
+        let session = report.sessions.iter().find(|s| s.id == id).unwrap();
+        assert!(
+            matches!(&session.state, SessionState::Failed(why) if why.contains("batch round count")),
+            "count {count}: got {:?}",
+            session.state
+        );
+        assert_eq!(session.emails, 0);
     }
 }
 
@@ -219,34 +379,26 @@ impl ProviderModule for EchoLenProvider {
     fn display_name(&self) -> &'static str {
         "echo-len"
     }
-    fn process_round(
+    fn process_batch(
         &mut self,
         channel: &mut dyn Channel,
+        count: usize,
         _rng: &mut dyn RngCore,
-    ) -> Result<Option<usize>, PretzelError> {
-        let msg = channel.recv()?;
-        channel.send(&(msg.len() as u64).to_le_bytes())?;
-        Ok(None)
+    ) -> Result<Vec<Option<usize>>, PretzelError> {
+        for _ in 0..count {
+            let msg = channel.recv()?;
+            channel.send(&(msg.len() as u64).to_le_bytes())?;
+        }
+        Ok(vec![None; count])
     }
 }
 
 struct EchoLenClient;
 
-impl ClientModule for EchoLenClient {
-    fn wire_tag(&self) -> WireTag {
-        EchoLenFunction::WIRE_TAG
-    }
-    fn display_name(&self) -> &'static str {
-        "echo-len"
-    }
-    fn model_storage_bytes(&self) -> usize {
-        0
-    }
-    fn process_round(
-        &mut self,
+impl EchoLenClient {
+    fn round(
         channel: &mut dyn Channel,
         payload: &EmailPayload,
-        _rng: &mut dyn RngCore,
     ) -> Result<pretzel::core::Verdict, PretzelError> {
         let EmailPayload::Opaque(bytes) = payload else {
             return Err(PretzelError::Protocol("echo-len takes opaque bytes".into()));
@@ -263,6 +415,29 @@ impl ClientModule for EchoLenClient {
             tag: EchoLenFunction::WIRE_TAG,
             value,
         })
+    }
+}
+
+impl ClientModule for EchoLenClient {
+    fn wire_tag(&self) -> WireTag {
+        EchoLenFunction::WIRE_TAG
+    }
+    fn display_name(&self) -> &'static str {
+        "echo-len"
+    }
+    fn model_storage_bytes(&self) -> usize {
+        0
+    }
+    fn process_batch(
+        &mut self,
+        channel: &mut dyn Channel,
+        payloads: &[EmailPayload],
+        _rng: &mut dyn RngCore,
+    ) -> Result<Vec<pretzel::core::Verdict>, PretzelError> {
+        payloads
+            .iter()
+            .map(|payload| Self::round(channel, payload))
+            .collect()
     }
 }
 
@@ -318,7 +493,7 @@ fn mailroom_serves_registered_modules_and_rejects_unknown_tags() {
     bad_client.send(&[0xEE, 1]).unwrap();
 
     // Session 2: the custom module, driven through the normal client stack
-    // with both the sequential and the (default one-at-a-time) batch path.
+    // (its batch is a loop over rounds — it has nothing to coalesce).
     let mut rng = test_rng(77);
     let spec = ClientSpec::for_module(Arc::new(EchoLenFunction), PretzelConfig::test());
     let mut client = connect_client(&mailroom, &spec, &mut rng);
@@ -376,7 +551,7 @@ fn degenerate_batch_counts_are_rejected() {
     assert!(client.process_batch(&[], &mut rng).unwrap().is_empty());
 
     // A batch above the cap is refused client-side before any frame.
-    let huge: Vec<EmailPayload> = (0..pretzel::server::MAX_BATCH_ROUNDS + 1)
+    let huge: Vec<EmailPayload> = (0..MAX_BATCH_ROUNDS + 1)
         .map(|_| EmailPayload::Tokens(SparseVector::from_pairs(vec![(0, 1)])))
         .collect();
     assert!(matches!(

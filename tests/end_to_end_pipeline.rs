@@ -159,7 +159,7 @@ fn topic_extraction_pipeline_reports_a_candidate_topic_to_the_provider() {
         )
         .unwrap();
         (0..n)
-            .map(|_| p.process_email(&mut provider_chan).unwrap())
+            .map(|_| p.process_email(&mut provider_chan, &mut rng).unwrap())
             .collect::<Vec<_>>()
     });
 
