@@ -46,12 +46,20 @@ fn bench_xpir_bv(c: &mut Criterion) {
     });
     group.bench_function("decrypt", |b| b.iter(|| sk.decrypt_slots(&ct)));
     group.bench_function("add", |b| b.iter(|| pk.add(&ct, &ct2)));
-    group.bench_function("left_shift_and_add", |b| {
+    // The client's dot-product step as production runs it: rotate–scale–add
+    // terms on the lazy accumulator, final reduction included. Divide by the
+    // term count for the per-term "left shift and add" cost.
+    group.bench_function("left_shift_and_add_x692", |b| {
         b.iter(|| {
-            let shifted = pk.rotate_left(&ct, 2);
-            pk.add(&ct2, &shifted)
+            let mut acc = pk.accumulator();
+            for i in 0..692 {
+                acc.add_rotated_scaled(&ct, 2 * i, (i % 15 + 1) as u64);
+            }
+            acc.finish()
         })
     });
+    // A stand-alone rotation: candidate-topic extraction, once per candidate.
+    group.bench_function("rotate_left", |b| b.iter(|| pk.rotate_left(&ct, 2)));
     group.bench_function("scalar_mul_accumulate", |b| {
         let mut acc = pk.zero_accumulator();
         b.iter(|| pk.mul_scalar_accumulate(&mut acc, &ct, 13))

@@ -22,6 +22,31 @@
 //!   both components; multiplying by the monomial `x^{-k}` rotates slots
 //!   left by `k` (used by §4.2 packing and the Figure 5 candidate-topic
 //!   protocol).
+//!
+//! Arithmetic contract
+//! -------------------
+//! Every coefficient a [`Ciphertext`] or [`PublicKey`] holds is a *canonical*
+//! residue in `[0, q)`: the deserializers reject anything else (a peer
+//! controls those bytes), and every operation here takes canonical values in
+//! and hands canonical values out. In between, nothing divides:
+//!
+//! * The transforms use Harvey's lazy butterflies with Shoup quotients beside
+//!   the twiddles (see [`ntt`]); intermediate values reach `4q`, so `q` must
+//!   stay below 2⁶² — [`Params::new`] picks the first NTT prime above 2⁶¹.
+//! * Pointwise products go through the Barrett reduction
+//!   [`ntt::Modulus::reduce_u128`]; a ciphertext-wide scalar multiple is one
+//!   Shoup quotient and then a lazy product per coefficient.
+//! * The client's dot product — the paper's "left shift and add", once per
+//!   feature per email — runs on an [`Accumulator`]: 128-bit lanes that take
+//!   `scalar · rotated coefficient` terms unreduced and are reduced once, in
+//!   [`Accumulator::finish`]. The accumulator tracks the largest value a
+//!   lane can have reached and folds (reduces every lane) before the next
+//!   term could pass 2¹²⁸, so it is exact for any `u64` scalar and any number
+//!   of terms; with the protocol's frequencies (≤ 15) a fold would take
+//!   2⁶² terms, far more than any email has.
+//!
+//! Because every result is the same canonical residue the division-based code
+//! produced, ciphertext bytes on the wire do not depend on any of this.
 
 #![warn(missing_docs)]
 
@@ -31,7 +56,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use ntt::{add_mod, find_ntt_prime, mul_mod, sub_mod, NttTables};
+use ntt::{add_mod, find_ntt_prime, sub_mod, Modulus, NttTables};
 use pretzel_primitives::Prg;
 
 /// Errors from RLWE operations.
@@ -132,6 +157,31 @@ impl Params {
         self.n
     }
 
+    /// `q` with its division-free reduction.
+    fn modulus(&self) -> &Modulus {
+        self.tables.modulus()
+    }
+
+    /// Parses `2n` little-endian coefficients into two polynomials,
+    /// rejecting a wrong length and any coefficient outside `[0, q)`: the
+    /// arithmetic (`add_mod`'s `a + b`, the lazy transforms, the
+    /// accumulator's headroom rule) is only correct on canonical residues,
+    /// and these bytes come from the peer.
+    fn parse_poly_pair(&self, bytes: &[u8]) -> Result<(Vec<u64>, Vec<u64>), RlweError> {
+        if bytes.len() != self.ciphertext_bytes() {
+            return Err(RlweError::Malformed);
+        }
+        let mut first: Vec<u64> = bytes
+            .chunks_exact(8)
+            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("chunks of 8")))
+            .collect();
+        if first.iter().any(|&v| v >= self.q) {
+            return Err(RlweError::Malformed);
+        }
+        let second = first.split_off(self.n);
+        Ok((first, second))
+    }
+
     /// Serialized ciphertext size in bytes (two degree-n polynomials of u64).
     pub fn ciphertext_bytes(&self) -> usize {
         2 * self.n * 8
@@ -213,17 +263,11 @@ impl Ciphertext {
         out
     }
 
-    /// Deserializes from bytes produced by [`Ciphertext::to_bytes`].
+    /// Deserializes from bytes produced by [`Ciphertext::to_bytes`]. Fails
+    /// on a wrong length or a coefficient that is not below `q`.
     pub fn from_bytes(params: &Params, bytes: &[u8]) -> Result<Self, RlweError> {
-        if bytes.len() != params.ciphertext_bytes() {
-            return Err(RlweError::Malformed);
-        }
-        let mut values = Vec::with_capacity(2 * params.n);
-        for chunk in bytes.chunks_exact(8) {
-            values.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let c1 = values.split_off(params.n);
-        Ok(Ciphertext { c0: values, c1 })
+        let (c0, c1) = params.parse_poly_pair(bytes)?;
+        Ok(Ciphertext { c0, c1 })
     }
 }
 
@@ -283,6 +327,7 @@ pub fn keygen<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (SecretKey, PublicKey) {
     let tables = &params.tables;
+    let modulus = params.modulus();
     let q = params.q;
 
     let mut s = sample_ternary(params, rng);
@@ -301,16 +346,13 @@ pub fn keygen<R: Rng + ?Sized>(
     let mut as_prod: Vec<u64> = a_ntt
         .iter()
         .zip(s_ntt.iter())
-        .map(|(&x, &y)| mul_mod(x, y, q))
+        .map(|(&x, &y)| modulus.mul(x, y))
         .collect();
     tables.inverse(&mut as_prod);
     let pk0: Vec<u64> = as_prod
         .iter()
         .zip(e.iter())
-        .map(|(&as_i, &e_i)| {
-            let te = mul_mod(params.t % q, e_i, q);
-            add_mod(sub_mod(0, as_i, q), te, q)
-        })
+        .map(|(&as_i, &e_i)| add_mod(sub_mod(0, as_i, q), modulus.mul(params.t, e_i), q))
         .collect();
 
     let mut pk0_ntt = pk0;
@@ -345,19 +387,13 @@ impl PublicKey {
     }
 
     /// Deserializes a public key produced by [`PublicKey::to_bytes`] under
-    /// the given parameters.
+    /// the given parameters. Fails on a wrong length or a coefficient that
+    /// is not below `q`.
     pub fn from_bytes(params: &Params, bytes: &[u8]) -> Result<Self, RlweError> {
-        if bytes.len() != 2 * params.n * 8 {
-            return Err(RlweError::Malformed);
-        }
-        let mut values = Vec::with_capacity(2 * params.n);
-        for chunk in bytes.chunks_exact(8) {
-            values.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let pk1_ntt = values.split_off(params.n);
+        let (pk0_ntt, pk1_ntt) = params.parse_poly_pair(bytes)?;
         Ok(PublicKey {
             params: params.clone(),
-            pk0_ntt: values,
+            pk0_ntt,
             pk1_ntt,
         })
     }
@@ -366,6 +402,7 @@ impl PublicKey {
     pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
         let params = &self.params;
         let tables = &params.tables;
+        let modulus = params.modulus();
         let q = params.q;
 
         let mut u = sample_ternary(params, rng);
@@ -373,31 +410,27 @@ impl PublicKey {
         let e1 = sample_noise(params, rng);
         let e2 = sample_noise(params, rng);
 
-        // c0 = pk0*u + t*e1 + m
-        let mut c0: Vec<u64> = self
-            .pk0_ntt
-            .iter()
-            .zip(u.iter())
-            .map(|(&p, &uu)| mul_mod(p, uu, q))
-            .collect();
-        tables.inverse(&mut c0);
-        for i in 0..params.n {
-            let te = mul_mod(params.t % q, e1[i], q);
-            c0[i] = add_mod(add_mod(c0[i], te, q), pt.coeffs[i] % q, q);
-        }
+        // pk·u + t·e for one component.
+        let component = |pk_ntt: &[u64], e: &[u64]| -> Vec<u64> {
+            let mut c: Vec<u64> = pk_ntt
+                .iter()
+                .zip(u.iter())
+                .map(|(&p, &uu)| modulus.mul(p, uu))
+                .collect();
+            tables.inverse(&mut c);
+            for (x, &e_i) in c.iter_mut().zip(e) {
+                *x = add_mod(*x, modulus.mul(params.t, e_i), q);
+            }
+            c
+        };
 
-        // c1 = pk1*u + t*e2
-        let mut c1: Vec<u64> = self
-            .pk1_ntt
-            .iter()
-            .zip(u.iter())
-            .map(|(&p, &uu)| mul_mod(p, uu, q))
-            .collect();
-        tables.inverse(&mut c1);
-        for i in 0..params.n {
-            let te = mul_mod(params.t % q, e2[i], q);
-            c1[i] = add_mod(c1[i], te, q);
+        // c0 = pk0*u + t*e1 + m (slot values are below t, hence below q).
+        let mut c0 = component(&self.pk0_ntt, &e1);
+        for (x, &m) in c0.iter_mut().zip(&pt.coeffs) {
+            *x = add_mod(*x, m, q);
         }
+        // c1 = pk1*u + t*e2
+        let c1 = component(&self.pk1_ntt, &e2);
 
         Ciphertext { c0, c1 }
     }
@@ -449,7 +482,7 @@ impl PublicKey {
         let q = self.params.q;
         let mut out = a.clone();
         for (x, &m) in out.c0.iter_mut().zip(pt.coeffs.iter()) {
-            *x = add_mod(*x, m % q, q);
+            *x = add_mod(*x, m, q);
         }
         out
     }
@@ -457,24 +490,27 @@ impl PublicKey {
     /// Homomorphic multiplication by an integer scalar (the `x_i · Enc(v_i)`
     /// step of GLLM).
     pub fn mul_scalar(&self, a: &Ciphertext, scalar: u64) -> Ciphertext {
-        let q = self.params.q;
-        let s = scalar % q;
-        Ciphertext {
-            c0: a.c0.iter().map(|&x| mul_mod(x, s, q)).collect(),
-            c1: a.c1.iter().map(|&x| mul_mod(x, s, q)).collect(),
-        }
+        let mut out = self.zero_accumulator();
+        self.mul_scalar_accumulate(&mut out, a, scalar);
+        out
     }
 
-    /// Fused multiply-accumulate: `acc += scalar * a`. This is the hot loop
-    /// of the per-email secure dot product.
+    /// Fused multiply-accumulate on a canonical ciphertext:
+    /// `acc += scalar * a`, reduced after every term. A dot product of many
+    /// terms is cheaper on an [`Accumulator`], which reduces once.
     pub fn mul_scalar_accumulate(&self, acc: &mut Ciphertext, a: &Ciphertext, scalar: u64) {
+        let modulus = self.params.modulus();
         let q = self.params.q;
-        let s = scalar % q;
-        for (x, &y) in acc.c0.iter_mut().zip(a.c0.iter()) {
-            *x = add_mod(*x, mul_mod(y, s, q), q);
-        }
-        for (x, &y) in acc.c1.iter_mut().zip(a.c1.iter()) {
-            *x = add_mod(*x, mul_mod(y, s, q), q);
+        // One multiplier for all 2n coefficients: Shoup's case.
+        let s = modulus.reduce_u128(scalar as u128);
+        let s_shoup = modulus.shoup(s);
+        let lanes = acc
+            .c0
+            .iter_mut()
+            .zip(&a.c0)
+            .chain(acc.c1.iter_mut().zip(&a.c1));
+        for (x, &y) in lanes {
+            *x = add_mod(*x, modulus.mul_shoup(y, s, s_shoup), q);
         }
     }
 
@@ -486,23 +522,14 @@ impl PublicKey {
     /// Implemented as multiplication by the monomial `x^{-k}`, which costs a
     /// coefficient permutation and no noise growth.
     pub fn rotate_left(&self, a: &Ciphertext, k: usize) -> Ciphertext {
-        let n = self.params.n;
         let q = self.params.q;
-        let k = k % n;
-        if k == 0 {
-            return a.clone();
-        }
+        let k = k % self.params.n;
+        // Coefficients k.. move down unchanged; the k that wrap come back
+        // negated (x^n = −1).
         let rotate = |poly: &[u64]| -> Vec<u64> {
-            let mut out = vec![0u64; n];
-            for (i, slot) in out.iter_mut().enumerate() {
-                let src = (i + k) % n;
-                let wrapped = i + k >= n;
-                *slot = if wrapped {
-                    sub_mod(0, poly[src], q)
-                } else {
-                    poly[src]
-                };
-            }
+            let mut out = Vec::with_capacity(poly.len());
+            out.extend_from_slice(&poly[k..]);
+            out.extend(poly[..k].iter().map(|&c| sub_mod(0, c, q)));
             out
         };
         Ciphertext {
@@ -525,6 +552,93 @@ impl PublicKey {
             c1: vec![0u64; self.params.n],
         }
     }
+
+    /// An empty lazy accumulator for a dot product of many
+    /// `scalar · rotated ciphertext` terms (see [`Accumulator`]).
+    pub fn accumulator(&self) -> Accumulator<'_> {
+        let n = self.params.n;
+        Accumulator {
+            params: &self.params,
+            c0: vec![0u128; n],
+            c1: vec![0u128; n],
+            bound: 0,
+        }
+    }
+}
+
+/// The running sum `Σ scalar_j · rotate_left(ct_j, k_j)` of a homomorphic dot
+/// product, kept unreduced in 128-bit lanes.
+///
+/// Canonical ciphertexts in, a canonical ciphertext out of
+/// [`Accumulator::finish`] — bit for bit what composing
+/// [`PublicKey::rotate_left`], [`PublicKey::mul_scalar`] and
+/// [`PublicKey::add_assign`] term by term gives — but a term costs one
+/// multiply-add per coefficient: no reduction, no branch, no allocation.
+///
+/// Headroom rule: a term adds at most `scalar · q` to a lane. `bound` is the
+/// sum of those maxima since the lanes were last reduced; when the next term
+/// would carry it past `u128::MAX` the lanes are folded to `[0, q)` first. A
+/// `u64::MAX` scalar therefore folds every few terms, a frequency of 15 not
+/// within 2⁶² terms, and no lane can ever wrap.
+pub struct Accumulator<'a> {
+    params: &'a Params,
+    c0: Vec<u128>,
+    c1: Vec<u128>,
+    /// No lane exceeds this.
+    bound: u128,
+}
+
+impl Accumulator<'_> {
+    /// Adds `scalar · rotate_left(ct, k)`: slot `i` gains `scalar` times slot
+    /// `i + k` of `ct` (negated where `i + k` wraps past `n`). `ct` must be a
+    /// ciphertext under this accumulator's parameters.
+    pub fn add_rotated_scaled(&mut self, ct: &Ciphertext, k: usize, scalar: u64) {
+        let n = self.params.n;
+        let q = self.params.q;
+        assert!(
+            ct.c0.len() == n && ct.c1.len() == n,
+            "ciphertext from other parameters"
+        );
+        let k = k % n;
+        let scalar = scalar as u128;
+        // Every addend below is at most scalar·q (coefficients are below q,
+        // and q − 0 = q).
+        let term = scalar * q as u128;
+        self.bound = match self.bound.checked_add(term) {
+            Some(bound) => bound,
+            None => {
+                self.fold();
+                q as u128 + term
+            }
+        };
+        for (lane, poly) in [(&mut self.c0, &ct.c0), (&mut self.c1, &ct.c1)] {
+            let (unwrapped, wrapped) = lane.split_at_mut(n - k);
+            for (acc, &c) in unwrapped.iter_mut().zip(&poly[k..]) {
+                *acc += scalar * c as u128;
+            }
+            for (acc, &c) in wrapped.iter_mut().zip(&poly[..k]) {
+                *acc += scalar * (q - c) as u128;
+            }
+        }
+    }
+
+    /// Reduces every lane to `[0, q)`.
+    fn fold(&mut self) {
+        let modulus = self.params.modulus();
+        for x in self.c0.iter_mut().chain(self.c1.iter_mut()) {
+            *x = modulus.reduce_u128(*x) as u128;
+        }
+    }
+
+    /// Reduces the sum to a canonical ciphertext.
+    pub fn finish(self) -> Ciphertext {
+        let modulus = self.params.modulus();
+        let reduce = |lane: Vec<u128>| lane.into_iter().map(|x| modulus.reduce_u128(x)).collect();
+        Ciphertext {
+            c0: reduce(self.c0),
+            c1: reduce(self.c1),
+        }
+    }
 }
 
 impl SecretKey {
@@ -533,29 +647,31 @@ impl SecretKey {
         &self.params
     }
 
-    /// Decrypts a ciphertext to its plaintext slots.
-    pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
+    /// `c0 + c1·s mod q`: the message plus `t` times the noise.
+    fn phase(&self, ct: &Ciphertext) -> Vec<u64> {
         let params = &self.params;
         let tables = &params.tables;
-        let q = params.q;
-        // c0 + c1 * s
-        let mut c1s = ct.c1.clone();
-        tables.forward(&mut c1s);
-        for (x, &s) in c1s.iter_mut().zip(self.s_ntt.iter()) {
-            *x = mul_mod(*x, s, q);
+        let modulus = params.modulus();
+        let mut phase = ct.c1.clone();
+        tables.forward(&mut phase);
+        for (x, &s) in phase.iter_mut().zip(self.s_ntt.iter()) {
+            *x = modulus.mul(*x, s);
         }
-        tables.inverse(&mut c1s);
-        let mut coeffs = vec![0u64; params.n];
-        for i in 0..params.n {
-            let v = add_mod(ct.c0[i], c1s[i], q);
-            // Center to (-q/2, q/2], then reduce mod t into [0, t).
-            let signed: i128 = if v > q / 2 {
-                v as i128 - q as i128
-            } else {
-                v as i128
-            };
-            let t = params.t as i128;
-            coeffs[i] = (((signed % t) + t) % t) as u64;
+        tables.inverse(&mut phase);
+        for (x, &c0) in phase.iter_mut().zip(&ct.c0) {
+            *x = add_mod(*x, c0, params.q);
+        }
+        phase
+    }
+
+    /// Decrypts a ciphertext to its plaintext slots.
+    pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
+        let q = self.params.q;
+        debug_assert!(self.params.t.is_power_of_two());
+        let t_mask = self.params.t - 1;
+        let mut coeffs = self.phase(ct);
+        for v in coeffs.iter_mut() {
+            *v = center_mod_pow2(*v, q, t_mask);
         }
         Plaintext { coeffs }
     }
@@ -569,18 +685,9 @@ impl SecretKey {
     /// given the expected plaintext. Returns 0 when decryption is (close to)
     /// failing; 64 when the ciphertext is noiseless.
     pub fn noise_budget_bits(&self, ct: &Ciphertext, expected: &Plaintext) -> u32 {
-        let params = &self.params;
-        let tables = &params.tables;
-        let q = params.q;
-        let mut c1s = ct.c1.clone();
-        tables.forward(&mut c1s);
-        for (x, &s) in c1s.iter_mut().zip(self.s_ntt.iter()) {
-            *x = mul_mod(*x, s, q);
-        }
-        tables.inverse(&mut c1s);
+        let q = self.params.q;
         let mut max_noise: u128 = 0;
-        for ((&c0, &c1), &exp) in ct.c0.iter().zip(&c1s).zip(&expected.coeffs) {
-            let v = add_mod(c0, c1, q);
+        for (&v, &exp) in self.phase(ct).iter().zip(&expected.coeffs) {
             let signed: i128 = if v > q / 2 {
                 v as i128 - q as i128
             } else {
@@ -595,6 +702,15 @@ impl SecretKey {
         let budget = (q as u128 / 2) / max_noise;
         (128 - budget.leading_zeros()).saturating_sub(1)
     }
+}
+
+/// Centers `v ∈ [0, q)` to `(−q/2, q/2]` and reduces it into `[0, t)` for the
+/// power-of-two `t = t_mask + 1`. `t` divides 2⁶⁴, so the two's-complement
+/// wrap of `v − q` has the same residue mod `t` as the negative integer.
+#[inline]
+fn center_mod_pow2(v: u64, q: u64, t_mask: u64) -> u64 {
+    let centered = if v > q / 2 { v.wrapping_sub(q) } else { v };
+    centered & t_mask
 }
 
 #[cfg(test)]
@@ -655,6 +771,32 @@ mod tests {
     }
 
     #[test]
+    fn scalar_ops_equal_the_division_oracle_per_coefficient() {
+        use ntt::mul_mod;
+        let params = small_params();
+        let (n, q) = (params.n, params.q);
+        let mut rng = rand::thread_rng();
+        let (_, pk) = keygen(&params, None, &mut rng);
+        let mut ct = pk.encrypt_slots(&[4, 5, 6], &mut rng).unwrap();
+        ct.c0[0] = 0;
+        ct.c0[1] = q - 1;
+        let start = pk.encrypt_slots(&[1], &mut rng).unwrap();
+        for scalar in [0, 1, 15, q - 1, q, q + 1, u64::MAX, rng.gen()] {
+            let scaled = pk.mul_scalar(&ct, scalar);
+            let mut acc = start.clone();
+            pk.mul_scalar_accumulate(&mut acc, &ct, scalar);
+            for i in 0..n {
+                let product = mul_mod(ct.c0[i], scalar % q, q);
+                assert_eq!(scaled.c0[i], product, "scalar={scalar} i={i}");
+                assert_eq!(acc.c0[i], (start.c0[i] + product) % q);
+                let product = mul_mod(ct.c1[i], scalar % q, q);
+                assert_eq!(scaled.c1[i], product, "scalar={scalar} i={i}");
+                assert_eq!(acc.c1[i], (start.c1[i] + product) % q);
+            }
+        }
+    }
+
+    #[test]
     fn fused_multiply_accumulate_matches_separate_ops() {
         let params = small_params();
         let mut rng = rand::thread_rng();
@@ -696,6 +838,214 @@ mod tests {
         // Rotation by zero is the identity.
         let same = pk.rotate_left(&ct, 0);
         assert_eq!(sk.decrypt_slots(&same), slots);
+    }
+
+    #[test]
+    fn rotate_left_edge_shifts_match_the_per_index_definition() {
+        let params = small_params();
+        let n = params.n;
+        let q = params.q;
+        let mut rng = rand::thread_rng();
+        let (_, pk) = keygen(&params, None, &mut rng);
+        let mut ct = pk.encrypt_slots(&[1, 2, 3], &mut rng).unwrap();
+        // A zero coefficient must stay zero (not become q) when it wraps.
+        ct.c0[0] = 0;
+        for k in [0, 1, n / 2, n - 1, n, n + 3, 5 * n - 1] {
+            let rotated = pk.rotate_left(&ct, k);
+            for (poly, out) in [(&ct.c0, &rotated.c0), (&ct.c1, &rotated.c1)] {
+                for (i, &got) in out.iter().enumerate() {
+                    let src = (i + k % n) % n;
+                    let expected = if i + k % n >= n {
+                        (q - poly[src]) % q
+                    } else {
+                        poly[src]
+                    };
+                    assert_eq!(got, expected, "k={k} i={i}");
+                }
+            }
+        }
+        assert_eq!(pk.rotate_left(&ct, 0), ct);
+        assert_eq!(pk.rotate_left(&ct, n), ct);
+    }
+
+    /// The composition the accumulator replaces, term by term.
+    fn reference_sum(pk: &PublicKey, terms: &[(&Ciphertext, usize, u64)]) -> Ciphertext {
+        let mut acc = pk.zero_accumulator();
+        for &(ct, k, scalar) in terms {
+            pk.add_assign(&mut acc, &pk.mul_scalar(&pk.rotate_left(ct, k), scalar));
+        }
+        acc
+    }
+
+    fn accumulated(pk: &PublicKey, terms: &[(&Ciphertext, usize, u64)]) -> Ciphertext {
+        let mut acc = pk.accumulator();
+        for &(ct, k, scalar) in terms {
+            acc.add_rotated_scaled(ct, k, scalar);
+        }
+        acc.finish()
+    }
+
+    #[test]
+    fn accumulator_equals_rotate_scale_add_bit_for_bit() {
+        let params = small_params();
+        let n = params.n;
+        let q = params.q;
+        let mut rng = rand::thread_rng();
+        let (_, pk) = keygen(&params, None, &mut rng);
+        let mut cts: Vec<Ciphertext> = (0..4)
+            .map(|i| pk.encrypt_slots(&[i, 7, 9], &mut rng).unwrap())
+            .collect();
+        // Extreme canonical coefficients: all q − 1, and all zero.
+        cts.push(Ciphertext {
+            c0: vec![q - 1; n],
+            c1: vec![q - 1; n],
+        });
+        cts.push(pk.zero_accumulator());
+
+        assert_eq!(accumulated(&pk, &[]), pk.zero_accumulator());
+
+        let shifts = [0, 1, n / 2, n - 1, n, 3 * n + 5];
+        let scalars = [0, 1, 2, 15, q - 1, q, q + 1, u64::MAX];
+        // Every edge shift with every edge scalar, as single terms and as
+        // one long sum.
+        let mut grid = Vec::new();
+        for (i, &k) in shifts.iter().enumerate() {
+            for (j, &scalar) in scalars.iter().enumerate() {
+                let term = (&cts[(i + j) % cts.len()], k, scalar);
+                assert_eq!(
+                    accumulated(&pk, &[term]),
+                    reference_sum(&pk, &[term]),
+                    "k={k} scalar={scalar}"
+                );
+                grid.push(term);
+            }
+        }
+        assert_eq!(accumulated(&pk, &grid), reference_sum(&pk, &grid));
+
+        // Random sequences, protocol-sized scalars and arbitrary ones.
+        for round in 0..20 {
+            let terms: Vec<_> = (0..rng.gen_range(1..40))
+                .map(|_| {
+                    let scalar = if round % 2 == 0 {
+                        rng.gen_range(0..16)
+                    } else {
+                        rng.gen()
+                    };
+                    (
+                        &cts[rng.gen_range(0..cts.len())],
+                        rng.gen_range(0..2 * n),
+                        scalar,
+                    )
+                })
+                .collect();
+            assert_eq!(accumulated(&pk, &terms), reference_sum(&pk, &terms));
+        }
+    }
+
+    #[test]
+    fn accumulator_folds_before_a_lane_could_wrap() {
+        // u64::MAX · q is just over 2^125: the eighth such term would pass
+        // 2^128, so 64 of them force the fold many times over. In a debug
+        // build a missed fold is an overflow panic; in release it is a wrong
+        // residue — the comparison catches both.
+        let params = small_params();
+        let (n, q) = (params.n, params.q);
+        let mut rng = rand::thread_rng();
+        let (_, pk) = keygen(&params, None, &mut rng);
+        let top = Ciphertext {
+            c0: vec![q - 1; n],
+            c1: vec![0; n],
+        };
+        let terms: Vec<_> = (0..64).map(|i| (&top, i * 5, u64::MAX)).collect();
+        let mut acc = pk.accumulator();
+        let mut folds = 0;
+        for &(ct, k, scalar) in &terms {
+            let before = acc.bound;
+            acc.add_rotated_scaled(ct, k, scalar);
+            folds += usize::from(acc.bound < before);
+        }
+        assert!(folds >= 8, "only {folds} folds in 64 maximal terms");
+        assert_eq!(acc.finish(), reference_sum(&pk, &terms));
+
+        // Protocol-sized frequencies never fold.
+        let ct = pk.encrypt_slots(&[1, 2, 3], &mut rng).unwrap();
+        let mut acc = pk.accumulator();
+        for i in 0..5000 {
+            acc.add_rotated_scaled(&ct, i, 15);
+        }
+        assert_eq!(acc.bound, 5000 * 15 * q as u128);
+    }
+
+    #[test]
+    fn masked_centering_equals_the_signed_128_bit_expression() {
+        // What decrypt computed before: center on i128, then a signed `%`.
+        let reference = |v: u64, q: u64, t: u64| -> u64 {
+            let signed: i128 = if v > q / 2 {
+                v as i128 - q as i128
+            } else {
+                v as i128
+            };
+            let t = t as i128;
+            (((signed % t) + t) % t) as u64
+        };
+        let mut rng = rand::thread_rng();
+        for plain_bits in [8, 20, 32, 48] {
+            let params = Params::new(64, plain_bits);
+            let (q, t) = (params.q, params.t);
+            let half = q / 2;
+            let mut values = vec![0, 1, t - 1, t, t + 1, half - 1, half, half + 1, half + 2];
+            values.extend([q - t - 1, q - t, q - t + 1, q - 2, q - 1]);
+            values.extend((0..1000).map(|_| rng.gen_range(0..q)));
+            for v in values {
+                assert_eq!(
+                    center_mod_pow2(v, q, t - 1),
+                    reference(v, q, t),
+                    "v={v} t=2^{plain_bits}"
+                );
+            }
+        }
+        // And through decrypt itself, on ciphertexts whose phase straddles
+        // q/2: slots near t/2 scaled by a large odd factor wrap many times.
+        let params = small_params();
+        let (sk, pk) = keygen(&params, None, &mut rng);
+        let slots: Vec<u64> = (0..params.n as u64)
+            .map(|i| params.t / 2 - 3 + i % 7)
+            .collect();
+        let ct = pk.encrypt_slots(&slots, &mut rng).unwrap();
+        let scaled = pk.mul_scalar(&ct, 12345);
+        let expected: Vec<u64> = slots.iter().map(|&m| m * 12345 % params.t).collect();
+        assert_eq!(sk.decrypt_slots(&scaled), expected);
+    }
+
+    #[test]
+    fn deserializers_reject_non_canonical_coefficients() {
+        let params = small_params();
+        let mut rng = rand::thread_rng();
+        let (_, pk) = keygen(&params, None, &mut rng);
+        let ct = pk.encrypt_slots(&[1], &mut rng).unwrap();
+        for good in [ct.to_bytes(), pk.to_bytes()] {
+            for (at, bad) in [
+                (0, params.q),
+                (params.n - 1, u64::MAX),
+                (params.n, params.q + 1),
+                (2 * params.n - 1, u64::MAX),
+            ] {
+                let mut bytes = good.clone();
+                bytes[at * 8..at * 8 + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    Ciphertext::from_bytes(&params, &bytes),
+                    Err(RlweError::Malformed)
+                );
+                assert!(matches!(
+                    PublicKey::from_bytes(&params, &bytes),
+                    Err(RlweError::Malformed)
+                ));
+            }
+            let mut bytes = good;
+            bytes[..8].copy_from_slice(&(params.q - 1).to_le_bytes());
+            assert!(Ciphertext::from_bytes(&params, &bytes).is_ok());
+            assert!(PublicKey::from_bytes(&params, &bytes).is_ok());
+        }
     }
 
     #[test]

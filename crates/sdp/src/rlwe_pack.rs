@@ -23,7 +23,7 @@
 
 use rand::Rng;
 
-use pretzel_rlwe::{Ciphertext, Plaintext, PublicKey, SecretKey};
+use pretzel_rlwe::{Accumulator, Ciphertext, Plaintext, PublicKey, SecretKey};
 
 use crate::{ModelMatrix, SdpError, SparseFeatures};
 
@@ -116,12 +116,9 @@ impl EncryptedModel {
     }
 
     /// Number of result ciphertexts a dot product will produce (β in
-    /// Figure 3): 1 for across-row packing, ⌈B/p⌉ for legacy packing.
+    /// Figure 3): ⌈B/p⌉ — 1 whenever rows share a ciphertext.
     pub fn result_ciphertexts(&self) -> usize {
-        match self.packing {
-            Packing::AcrossRow => 1,
-            Packing::LegacyPerRow => self.cts_per_row,
-        }
+        self.cts_per_row
     }
 }
 
@@ -142,12 +139,11 @@ pub fn model_ciphertext_count(rows: usize, cols: usize, slots: usize, packing: P
     }
 }
 
-/// Setup phase: the provider encrypts its model matrix column-group-wise
-/// under the client's... no — under the *provider's own* key pair is wrong;
-/// in GLLM the matrix owner (provider) generates the AHE key pair, encrypts
-/// the matrix and ships it to the client, who computes blindly and returns
-/// blinded results for the provider to decrypt (Figure 2). This function is
-/// therefore run by the provider with its own public key.
+/// Setup phase, provider side: encrypts the model matrix under the
+/// provider's own public key. As in GLLM the matrix owner — the provider —
+/// generates the AHE key pair and keeps the secret key; the client receives
+/// the public key and the encrypted model, computes on them blindly, and
+/// returns blinded results that only the provider can decrypt (Figure 2).
 pub fn encrypt_model<R: Rng + ?Sized>(
     pk: &PublicKey,
     model: &ModelMatrix,
@@ -229,51 +225,25 @@ pub fn client_dot_product(
             });
         }
     }
-    match model.packing {
-        Packing::LegacyPerRow => Ok(dot_per_row(pk, model, features)),
-        Packing::AcrossRow if model.rows_per_ct == 1 => Ok(dot_per_row(pk, model, features)),
-        Packing::AcrossRow => Ok(dot_across_row(pk, model, features)),
-    }
-}
-
-fn dot_per_row(
-    pk: &PublicKey,
-    model: &EncryptedModel,
-    features: &SparseFeatures,
-) -> Vec<Ciphertext> {
+    // One accumulator per result ciphertext: the ⌈B/p⌉ column groups of a
+    // row that has ciphertexts to itself, a single one when rows share.
     let groups = model.cts_per_row;
-    let mut accs: Vec<Ciphertext> = (0..groups).map(|_| pk.zero_accumulator()).collect();
+    let mut accs: Vec<_> = (0..groups).map(|_| pk.accumulator()).collect();
     for &(row, freq) in features {
         if freq == 0 {
             continue;
         }
-        for (g, acc) in accs.iter_mut().enumerate() {
-            let ct = &model.cts[row * groups + g];
-            pk.mul_scalar_accumulate(acc, ct, freq);
+        // "Left shift and add": the row sits `row mod rows_per_ct` rows into
+        // its ciphertext, so rotating by that many rows' worth of slots
+        // lands its B elements in slots 0..B. Per-row layouts are the
+        // rotation-0 case.
+        let first_ct = row / model.rows_per_ct * groups;
+        let shift = row % model.rows_per_ct * model.cols;
+        for (acc, ct) in accs.iter_mut().zip(&model.cts[first_ct..first_ct + groups]) {
+            acc.add_rotated_scaled(ct, shift, freq);
         }
     }
-    accs
-}
-
-fn dot_across_row(
-    pk: &PublicKey,
-    model: &EncryptedModel,
-    features: &SparseFeatures,
-) -> Vec<Ciphertext> {
-    let mut acc = pk.zero_accumulator();
-    for &(row, freq) in features {
-        if freq == 0 {
-            continue;
-        }
-        let group = row / model.rows_per_ct;
-        let offset_rows = row % model.rows_per_ct;
-        // Left-shift so this row's B elements land in slots 0..B, then scale
-        // by the feature frequency and accumulate ("left shift and add").
-        let aligned = pk.rotate_left(&model.cts[group], offset_rows * model.cols);
-        let scaled = pk.mul_scalar(&aligned, freq);
-        pk.add_assign(&mut acc, &scaled);
-    }
-    vec![acc]
+    Ok(accs.into_iter().map(Accumulator::finish).collect())
 }
 
 /// Per-email phase, client side: blinds every slot of a result ciphertext
@@ -405,6 +375,44 @@ mod tests {
         let expected = model.dot_sparse(&features);
         let dec = provider_decrypt_columns(&sk, &result, 100);
         assert_eq!(dec, expected);
+    }
+
+    #[test]
+    fn one_dot_loop_serves_every_layout_with_duplicates_and_zero_frequencies() {
+        // Across-row B = 2 (rows share a ciphertext, every rotation in use),
+        // per-row legacy (rotation 0, one group) and B > p (rotation 0, two
+        // accumulators). The feature list repeats rows, carries zero
+        // frequencies, and touches the first and last row of the model and
+        // the first and last row of a ciphertext.
+        let (sk, pk) = setup(64, 24);
+        for (rows, cols, packing, results) in [
+            (100usize, 2usize, Packing::AcrossRow, 1usize),
+            (50, 2, Packing::LegacyPerRow, 1),
+            (30, 100, Packing::AcrossRow, 2),
+        ] {
+            let model = demo_model(rows, cols);
+            let enc = encrypt_model(&pk, &model, packing, &mut rand::thread_rng()).unwrap();
+            let last = rows - 1;
+            let features: SparseFeatures = vec![
+                (0, 3),
+                (last, 15),
+                (7, 0),
+                (7, 2),
+                (7, 5),
+                (last, 1),
+                (enc.rows_per_ct - 1, 4),
+                (enc.rows_per_ct % rows, 9),
+                (0, 0),
+            ];
+            let result = client_dot_product(&pk, &enc, &features).unwrap();
+            assert_eq!(result.len(), results, "{packing:?} {rows}x{cols}");
+            assert_eq!(result.len(), enc.result_ciphertexts());
+            assert_eq!(
+                provider_decrypt_columns(&sk, &result, cols),
+                model.dot_sparse(&features),
+                "{packing:?} {rows}x{cols}"
+            );
+        }
     }
 
     #[test]

@@ -199,6 +199,89 @@ fn spam_provider_errors_on_a_garbage_per_email_message() {
     );
 }
 
+/// Overwrites coefficient `at` of a serialized RLWE key or ciphertext with
+/// `u64::MAX`, which no modulus below 2⁶² admits.
+fn poison_coefficient(bytes: &mut [u8], at: usize) {
+    bytes[at * 8..at * 8 + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+}
+
+#[test]
+fn spam_client_rejects_non_canonical_coefficients_from_the_provider() {
+    // The RLWE arithmetic assumes every coefficient is below q; a provider
+    // that ships one that is not — in its public key or in the model blob —
+    // used to get an overflow panic (debug) or silently wrong sums (release)
+    // out of the client's first dot product.
+    for poison_key in [true, false] {
+        let config = PretzelConfig::test();
+        let params = config.rlwe_params();
+        let (client_res, ()) = run_two_party(
+            |chan| SpamClient::setup(chan, &config, AheVariant::Pretzel, &mut test_rng(80)),
+            move |chan| {
+                let mut rng = test_rng(81);
+                run_joint_randomness_as_initiator(chan);
+                chan.send(&9u64.to_le_bytes()).unwrap();
+                chan.send(&2u64.to_le_bytes()).unwrap();
+                let (_sk, pk) = pretzel::rlwe::keygen(&params, None, &mut rng);
+                let mut pk_bytes = pk.to_bytes();
+                // Nine rows of two columns share one ciphertext.
+                let mut blob = pk.encrypt_slots(&[1; 18], &mut rng).unwrap().to_bytes();
+                if poison_key {
+                    poison_coefficient(&mut pk_bytes, params.n + 3);
+                } else {
+                    poison_coefficient(&mut blob, 5);
+                }
+                chan.send(&pk_bytes).unwrap();
+                chan.send(&1u64.to_le_bytes()).unwrap();
+                chan.send(&blob).unwrap();
+            },
+        );
+        let err = client_res
+            .err()
+            .expect("a non-canonical coefficient must fail the setup");
+        assert!(
+            matches!(err, PretzelError::Ahe(_)),
+            "poison_key={poison_key}: expected an AHE parse error, got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn spam_provider_rejects_a_blinded_ciphertext_with_a_non_canonical_coefficient() {
+    let model = tiny_spam_model();
+    let config = PretzelConfig::test();
+    let config_client = config.clone();
+
+    let (provider_res, ()) = run_two_party(
+        move |chan| {
+            let mut rng = test_rng(82);
+            let mut provider = SpamProvider::setup(
+                chan,
+                &model,
+                &config,
+                AheVariant::Pretzel,
+                &empty_source(),
+                &mut rng,
+            )?;
+            provider.process_email(chan, &mut rng)
+        },
+        move |chan| {
+            let mut rng = test_rng(83);
+            let _client =
+                SpamClient::setup(chan, &config_client, AheVariant::Pretzel, &mut rng).unwrap();
+            // Right length, one coefficient of c1 far above q.
+            let params = config_client.rlwe_params();
+            let mut blinded = vec![0u8; params.ciphertext_bytes()];
+            poison_coefficient(&mut blinded, params.n + 1);
+            chan.send(&blinded).unwrap();
+        },
+    );
+    let err = provider_res.expect_err("the round must fail, not decrypt garbage or panic");
+    assert!(
+        matches!(err, PretzelError::Ahe(_)),
+        "expected an AHE parse error for the session, got {err:?}"
+    );
+}
+
 /// A channel decorator that overwrites every one-byte message it sends with
 /// `byte`. In a spam round the only one-byte provider message is the
 /// comparison circuit's decode bit.
