@@ -1,26 +1,19 @@
-//! Shared helpers for the experiment harnesses (`src/bin/fig*.rs`) and the
-//! Criterion benches.
+//! Shared helpers for the reproduction harnesses (`src/bin/fig*.rs`,
+//! `summary_ratios`) and the Criterion benches.
 //!
-//! Every harness regenerates one table or figure from the paper's §6. The
-//! common knobs are:
+//! Every harness regenerates one table or figure from the paper's §6 and
+//! prints it. The one common knob is `--scale`:
 //!
 //! * `--scale small` (default) — shrinks the workload sizes (N, corpus sizes)
 //!   by a documented factor so a full run finishes in seconds to minutes on a
 //!   laptop, while preserving every protocol code path.
 //! * `--scale paper` — the paper's native sizes (can take hours for the
 //!   largest points; used to spot-check individual rows).
-//! * `--json` — in addition to the human-readable table, emit the measured
-//!   numbers as machine-readable `BENCH_<name>.json` in the working
-//!   directory ([`maybe_write_bench_json`]), so runs can be tracked as a
-//!   perf trajectory. `bench_phase_split` always emits its JSON (that file
-//!   *is* its deliverable).
 //!
-//! EXPERIMENTS.md records the scale used for the committed numbers.
+//! Performance claims are not made from these binaries: the repo's benchmark
+//! (`BENCHMARK.json`, `benchmark/`) defines those numbers, and imports
+//! [`JsonValue`], [`arg_value`] and [`synthetic_model`] from here.
 
-pub mod gate;
-
-use std::io::Write;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -29,37 +22,35 @@ use rand::{Rng, SeedableRng};
 use pretzel_classifiers::LinearModel;
 use pretzel_core::Scale;
 
-/// Parses `--scale small|paper` from the process arguments.
+/// Parses `--scale small|paper` (or `--scale=…`) from the process arguments;
+/// absent means small. An unknown value exits non-zero rather than running
+/// the figure at a size other than the one asked for.
 pub fn parse_scale() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--scale" {
-            match args.get(i + 1).map(|s| s.as_str()) {
-                Some("paper") => return Scale::Paper,
-                Some("small") | None => return Scale::Test,
-                Some(other) => {
-                    eprintln!("unknown scale {other:?}, using small");
-                    return Scale::Test;
-                }
-            }
-        }
-        if args[i] == "--scale=paper" {
-            return Scale::Paper;
-        }
-    }
-    Scale::Test
+    scale_from_args(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
 }
 
-/// True when `--json` was passed on the command line: the harness should
-/// emit its `BENCH_*.json` alongside the printed table.
-pub fn json_enabled() -> bool {
-    std::env::args().any(|a| a == "--json")
+fn scale_from_args(args: &[String]) -> Result<Scale, String> {
+    match find_arg(args, "--scale").as_deref() {
+        None | Some("small") => Ok(Scale::Test),
+        Some("paper") => Ok(Scale::Paper),
+        Some(other) => Err(format!(
+            "unknown --scale {other:?}: accepted values are `small` and `paper`"
+        )),
+    }
 }
 
 /// Looks up a command-line flag's value, accepting both `--name value` and
 /// `--name=value`. Shared by the bench bins so flag parsing can't diverge.
 pub fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
+    find_arg(&args, name)
+}
+
+fn find_arg(args: &[String], name: &str) -> Option<String> {
     for i in 0..args.len() {
         if args[i] == name {
             return args.get(i + 1).cloned();
@@ -71,9 +62,10 @@ pub fn arg_value(name: &str) -> Option<String> {
     None
 }
 
-/// A JSON value for the bench reports — hand-rolled because the workspace's
-/// vendored `serde` is an offline stub without `serde_json`. Covers exactly
-/// what bench output needs: objects, arrays, numbers, strings, booleans.
+/// A JSON value for the benchmark's reports — hand-rolled because the
+/// workspace's vendored `serde` is an offline stub without `serde_json`.
+/// Covers exactly what that output needs: objects, arrays, numbers, strings,
+/// booleans.
 #[derive(Clone, Debug)]
 pub enum JsonValue {
     /// A floating-point number (non-finite values render as `null`).
@@ -353,34 +345,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
-/// Writes `value` to `BENCH_<name>.json` in the working directory, returning
-/// the path. All benches share this naming so the perf trajectory is a glob
-/// over `BENCH_*.json`.
-pub fn write_bench_json(name: &str, value: &JsonValue) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    writeln!(f, "{}", value.to_json())?;
-    Ok(path)
-}
-
-/// [`write_bench_json`] plus reporting: prints the emitted path (or the
-/// failure) so a harness run documents where its numbers went. For bins
-/// whose JSON is unconditional (`bench_phase_split`); most bins gate on the
-/// `--json` flag via [`maybe_write_bench_json`].
-pub fn write_bench_json_reported(name: &str, value: &JsonValue) {
-    match write_bench_json(name, value) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_{name}.json: {e}"),
-    }
-}
-
-/// [`write_bench_json_reported`] gated on the shared `--json` flag.
-pub fn maybe_write_bench_json(name: &str, value: &JsonValue) {
-    if json_enabled() {
-        write_bench_json_reported(name, value);
-    }
-}
-
 /// Times a closure, returning its result and the elapsed wall-clock time.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
@@ -541,18 +505,28 @@ mod tests {
     }
 
     #[test]
-    fn write_bench_json_emits_the_named_file() {
-        let path = write_bench_json(
-            "unit_test_scratch",
-            &JsonValue::obj([("x", JsonValue::Int(1))]),
-        )
-        .unwrap();
-        // Read then clean up BEFORE asserting, so a failed assertion doesn't
-        // strand the scratch file in the crate directory.
-        let contents = std::fs::read_to_string(&path);
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(path, PathBuf::from("BENCH_unit_test_scratch.json"));
-        assert_eq!(contents.unwrap().trim(), "{\"x\":1}");
+    fn scale_flag_parses_both_spellings_and_rejects_unknown_values() {
+        let args = |rest: &[&str]| -> Vec<String> {
+            std::iter::once("fig")
+                .chain(rest.iter().copied())
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(scale_from_args(&args(&[])), Ok(Scale::Test));
+        assert_eq!(
+            scale_from_args(&args(&["--scale", "small"])),
+            Ok(Scale::Test)
+        );
+        assert_eq!(
+            scale_from_args(&args(&["--scale", "paper"])),
+            Ok(Scale::Paper)
+        );
+        assert_eq!(scale_from_args(&args(&["--scale=paper"])), Ok(Scale::Paper));
+        // The two spellings the hand parser used to run at small scale, exit 0.
+        for unknown in [&["--scale", "Paper"][..], &["--scale=full"][..]] {
+            let err = scale_from_args(&args(unknown)).unwrap_err();
+            assert!(err.contains("`small`") && err.contains("`paper`"), "{err}");
+        }
     }
 
     #[test]

@@ -575,7 +575,7 @@ macro_rules! auto_montgomery {
                 }
             }
 
-            /// Engine label for logs, benches and inspection tests:
+            /// Engine label for logs and inspection tests:
             /// `"fixed:<limbs>"` or `"dynamic"`.
             pub fn backend(&self) -> &'static str {
                 match self {
@@ -583,13 +583,6 @@ macro_rules! auto_montgomery {
                         concat!("fixed:", stringify!($n)),)+
                     AutoMontgomery::Dynamic(_) => "dynamic",
                 }
-            }
-
-            /// A context for the same modulus forced onto the dynamic
-            /// reference path — the A/B comparator used by
-            /// `bench_bignum` and the equivalence tests.
-            pub fn to_dynamic(&self) -> AutoMontgomery {
-                AutoMontgomery::Dynamic(Montgomery::new(self.modulus().clone()))
             }
         }
     };
@@ -671,7 +664,6 @@ mod tests {
         let auto = AutoMontgomery::new(&odd_width);
         assert_eq!(auto.backend(), "dynamic");
         assert_eq!(auto.width(), None);
-        assert_eq!(auto.to_dynamic().backend(), "dynamic");
     }
 
     #[test]

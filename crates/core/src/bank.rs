@@ -418,12 +418,6 @@ impl BankConfig {
         self
     }
 
-    /// Sets the default reservoir target depth.
-    pub fn default_target(mut self, n: usize) -> Self {
-        self.default_target = n;
-        self
-    }
-
     /// Overrides the target depth for one artifact kind.
     pub fn target(mut self, kind: &'static str, n: usize) -> Self {
         self.targets.retain(|(k, _)| *k != kind);

@@ -24,7 +24,7 @@
 //!   and `q²` over precomputed [`pretzel_bignum::AutoMontgomery`] contexts
 //!   (fixed-limb engines when the width is supported), recombined with
 //!   Garner's formula. The one-exponentiation reference path is kept as
-//!   [`SecretKey::decrypt_inline`] for cross-checking and benchmarks.
+//!   [`SecretKey::decrypt_inline`] for cross-checking.
 //! * **Encryption** splits into [`PublicKey::sample_randomizer`] — the
 //!   message-independent exponentiation `rⁿ mod n²`, computable ahead of
 //!   time — and [`PublicKey::encrypt_with_randomizer`], a single modular
@@ -107,15 +107,6 @@ impl CrtPrime {
             exp,
             h,
         })
-    }
-
-    fn force_dynamic(&self) -> CrtPrime {
-        CrtPrime {
-            prime: self.prime.clone(),
-            mont_sq: self.mont_sq.to_dynamic(),
-            exp: self.exp.clone(),
-            h: self.h.clone(),
-        }
     }
 
     /// The plaintext residue of `c` modulo this prime.
@@ -205,20 +196,9 @@ impl PublicKey {
 
     /// Which Montgomery engine backs the `n²` arithmetic: `"fixed:<limbs>"`
     /// for the allocation-free fixed-limb path, `"dynamic"` for the
-    /// `Vec`-backed fallback. Exposed for benches and inspection tests.
+    /// `Vec`-backed fallback. Exposed for inspection tests.
     pub fn mont_backend(&self) -> &'static str {
         self.mont_n2.backend()
-    }
-
-    /// A copy of this key with every Montgomery context forced onto the
-    /// dynamic reference path — the A/B comparator for `bench_bignum`.
-    /// Produces byte-identical ciphertexts/plaintexts, just slower.
-    pub fn force_dynamic(&self) -> PublicKey {
-        PublicKey {
-            n: self.n.clone(),
-            n_squared: self.n_squared.clone(),
-            mont_n2: self.mont_n2.to_dynamic(),
-        }
     }
 
     /// Bit length of the modulus.
@@ -329,20 +309,6 @@ impl SecretKey {
         (self.crt_p.mont_sq.backend(), self.crt_q.mont_sq.backend())
     }
 
-    /// A copy of this key with every Montgomery context (public `n²` and
-    /// both CRT squares) forced onto the dynamic reference path — the A/B
-    /// comparator for `bench_bignum`. Decrypts identically, just slower.
-    pub fn force_dynamic(&self) -> SecretKey {
-        SecretKey {
-            lambda: self.lambda.clone(),
-            mu: self.mu.clone(),
-            crt_p: self.crt_p.force_dynamic(),
-            crt_q: self.crt_q.force_dynamic(),
-            p_inv_q: self.p_inv_q.clone(),
-            public: self.public.force_dynamic(),
-        }
-    }
-
     /// Decrypts a ciphertext to its plaintext in `[0, n)`.
     ///
     /// Runs the CRT fast path: one half-size exponentiation mod `p²` and one
@@ -365,7 +331,7 @@ impl SecretKey {
     /// Reference decryption via the textbook `L(c^λ mod n²)·μ mod n` formula.
     ///
     /// Kept alongside [`SecretKey::decrypt`] so tests can pin the CRT path
-    /// against it and `bench_phase_split` can measure the speedup.
+    /// against it.
     pub fn decrypt_inline(&self, c: &Ciphertext) -> Result<BigUint, PaillierError> {
         self.check_ciphertext_range(c)?;
         let u = self.public.mont_n2.pow(&c.value, &self.lambda);
@@ -648,8 +614,7 @@ mod tests {
 
     /// Regression test for the fixed-limb rewrite: at 256-bit keys every
     /// Montgomery context sits on the fixed path, and the `>= n²` range
-    /// guard (PR 3) must still reject non-canonical ciphertexts there —
-    /// with the forced-dynamic twin agreeing on every verdict.
+    /// guard (PR 3) must still reject non-canonical ciphertexts there.
     #[test]
     fn n_squared_guard_holds_on_fixed_limb_path() {
         let sk = test_key();
@@ -667,14 +632,8 @@ mod tests {
             sk.decrypt(&shifted).unwrap_err(),
             PaillierError::InvalidCiphertext
         );
-
-        let dyn_sk = sk.force_dynamic();
-        assert_eq!(dyn_sk.public().mont_backend(), "dynamic");
-        assert_eq!(dyn_sk.crt_backends(), ("dynamic", "dynamic"));
-        assert!(dyn_sk.decrypt(&shifted).is_err());
-        // Canonical ciphertexts decrypt identically on both engines.
+        // The canonical ciphertext still decrypts.
         assert_eq!(sk.decrypt_u64(&c).unwrap(), 77);
-        assert_eq!(dyn_sk.decrypt_u64(&c).unwrap(), 77);
     }
 
     /// Randomizers sampled ahead of time and inline encryption must produce

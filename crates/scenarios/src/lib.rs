@@ -1,7 +1,7 @@
 //! Named, seeded workload scenarios for the Pretzel mailroom.
 //!
-//! The repo's benchmark story used to be one-shot runs of friendly
-//! workloads. This crate supplies the adversarial half: a library of
+//! The repo's benchmark (`benchmark/`) measures friendly workloads. This
+//! crate supplies the adversarial half as *test* workloads: a library of
 //! **scenarios** — steady-state control, bursty arrivals, heavy-tailed
 //! email sizes, session churn, slow-loris stalls, precompute-pool storms,
 //! and a skewed mixed fleet with a custom module and interleaved v1/v2
@@ -9,17 +9,10 @@
 //! materialized [`ScenarioPlan`], executed by a shared [`run_scenario`]
 //! runner over memory channels or loopback TCP.
 //!
-//! Consumers:
-//!
-//! * `tests/scenario_determinism.rs` — same seed ⇒ identical
-//!   [`DeterminismFingerprint`] (verdict bytes and meter totals), even over
-//!   real sockets.
-//! * the `bench_scenarios` bin in `pretzel_bench` — runs every scenario K
-//!   times and emits median/p95/p99 + spread per the [`stats::Summary`]
-//!   convention into `BENCH_scenarios.json`, which `bench_gate` defends
-//!   against regressions in CI.
-//!
-//! See `docs/BENCHMARKS.md` for the full schema and gate policy.
+//! The consumer is `tests/scenario_determinism.rs` (and this crate's own
+//! tests): same seed ⇒ identical [`DeterminismFingerprint`] (verdict bytes
+//! and meter totals), even over real sockets. Nothing here is timed; see
+//! `docs/BENCHMARKS.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +21,6 @@ pub mod custom;
 pub mod library;
 pub mod plan;
 pub mod runner;
-pub mod stats;
 
 use pretzel_classifiers::nb::GrNbTrainer;
 use pretzel_classifiers::{LabeledExample, NGramExtractor, Trainer};
@@ -46,7 +38,6 @@ pub use plan::{RoundOp, ScenarioPlan, SessionEnd, SessionPlan};
 pub use runner::{
     run_scenario, DeterminismFingerprint, RunOptions, ScenarioOutcome, TransportMode,
 };
-pub use stats::Summary;
 
 /// Feature-space size of the scenario corpus (`shared_vocab + 2 *
 /// class_vocab` of the ling-spam-like spec in [`scenario_suite`]); token
@@ -55,8 +46,7 @@ pub const SCENARIO_NUM_FEATURES: usize = 240;
 
 /// Size knobs shared by every scenario: how many client sessions the fleet
 /// has and how many email rounds each submits. Scenario-specific knobs
-/// (burst counts, pacing, budgets) are fixed constants reported through
-/// [`Scenario::params`].
+/// (burst counts, pacing, budgets) are fixed constants of each scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScenarioConfig {
     /// Client sessions in the fleet.
@@ -66,18 +56,9 @@ pub struct ScenarioConfig {
     pub rounds: usize,
 }
 
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            sessions: 8,
-            rounds: 6,
-        }
-    }
-}
-
 impl ScenarioConfig {
     /// Smoke-test size: five sessions (enough for the mixed fleet to cover
-    /// all five kinds), two rounds each. Used by CI's scenario-gate job.
+    /// all five kinds), two rounds each.
     pub fn tiny() -> Self {
         ScenarioConfig {
             sessions: 5,
@@ -92,18 +73,11 @@ impl ScenarioConfig {
 /// same seed (on the same params) must produce identical plans. The runner
 /// and the determinism tests both lean on this.
 pub trait Scenario: Send + Sync {
-    /// Stable identifier (`steady`, `bursty-arrivals`, …) used in CLI
-    /// flags, JSON records, and gate matching.
+    /// Stable identifier (`steady`, `bursty-arrivals`, …).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `--list` style output.
+    /// One-line description.
     fn summary(&self) -> &'static str;
-
-    /// The parameters the plan was compiled from, as stable key/value
-    /// pairs; recorded in `BENCH_scenarios.json` and compared by the gate
-    /// so records with different shapes are never diffed against each
-    /// other.
-    fn params(&self) -> Vec<(&'static str, u64)>;
 
     /// Compiles the seeded plan (see [`ScenarioPlan`]).
     fn plan(&self, seed: u64) -> ScenarioPlan;
@@ -121,11 +95,6 @@ pub fn all_scenarios(config: ScenarioConfig) -> Vec<Box<dyn Scenario>> {
         Box::new(library::PrefilledBankStorm(config)),
         Box::new(library::MixedFleetSkew(config)),
     ]
-}
-
-/// Looks a scenario up by its stable name.
-pub fn scenario_by_name(name: &str, config: ScenarioConfig) -> Option<Box<dyn Scenario>> {
-    all_scenarios(config).into_iter().find(|s| s.name() == name)
 }
 
 /// The provider model suite every scenario is served from: the same
@@ -207,12 +176,7 @@ mod tests {
             "mixed-fleet-skew",
         ] {
             assert!(names.contains(&required), "missing scenario {required}");
-            assert!(
-                scenario_by_name(required, ScenarioConfig::tiny()).is_some(),
-                "lookup must find {required}"
-            );
         }
-        assert!(scenario_by_name("no-such-scenario", ScenarioConfig::tiny()).is_none());
     }
 
     #[test]
@@ -274,7 +238,6 @@ mod tests {
             outcome.fingerprint.emails_total,
             (ScenarioConfig::tiny().sessions * ScenarioConfig::tiny().rounds) as u64
         );
-        assert!(outcome.throughput() > 0.0);
     }
 
     /// A starved bank changes where artifacts are made, never what the

@@ -168,12 +168,6 @@ impl Scenario for Steady {
     fn summary(&self) -> &'static str {
         "uniform spam fleet, no arrival skew (control group)"
     }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-        ]
-    }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let sessions = (0..self.0.sessions)
             .map(|i| {
@@ -214,14 +208,6 @@ impl Scenario for BurstyArrivals {
     }
     fn summary(&self) -> &'static str {
         "fleet arrives in synchronized waves that hammer the intake queue"
-    }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-            ("bursts", Self::BURSTS as u64),
-            ("burst_gap_ms", Self::BURST_GAP.as_millis() as u64),
-        ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let per_burst = self.0.sessions.div_ceil(Self::BURSTS);
@@ -273,14 +259,6 @@ impl Scenario for HeavyTailSizes {
     fn summary(&self) -> &'static str {
         "Pareto-sized emails: a fat tail of giants among mostly-small mail"
     }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-            ("max_tokens", Self::MAX_TOKENS as u64),
-            ("max_attachment", Self::MAX_ATTACHMENT as u64),
-        ]
-    }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let sessions = (0..self.0.sessions)
             .map(|i| {
@@ -328,12 +306,6 @@ impl Scenario for SessionChurn {
     }
     fn summary(&self) -> &'static str {
         "clients vanish mid-protocol; orderly peers must be unaffected"
-    }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-        ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let mut sessions: Vec<SessionPlan> = (0..self.0.sessions)
@@ -395,13 +367,6 @@ impl Scenario for SlowLoris {
     }
     fn summary(&self) -> &'static str {
         "stalling clients pin workers between frames"
-    }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-            ("pace_us", Self::PACE.as_micros() as u64),
-        ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let loris = (self.0.sessions / 4).max(1);
@@ -475,10 +440,13 @@ fn storm_mailroom(config: &ScenarioConfig, seed: u64, target: usize) -> Mailroom
         .workers(2)
         .queue_capacity(config.sessions.max(1))
         .rng_seed(seed)
-        .bank(BankConfig::default().rng_seed(seed ^ 0xBA9C))
-        .bank_producers(1)
-        .reservoir_target(KIND_GARBLINGS, target)
-        .reservoir_target(KIND_ZERO_ENCRYPTIONS, target)
+        .bank(
+            BankConfig::default()
+                .rng_seed(seed ^ 0xBA9C)
+                .producer_threads(1)
+                .target(KIND_GARBLINGS, target)
+                .target(KIND_ZERO_ENCRYPTIONS, target),
+        )
         .build()
 }
 
@@ -500,13 +468,6 @@ impl Scenario for PoolExhaustionStorm {
     }
     fn summary(&self) -> &'static str {
         "batch storms outrun a bank held to one artifact per reservoir"
-    }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-            ("target", Self::TARGET as u64),
-        ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         ScenarioPlan {
@@ -539,13 +500,6 @@ impl Scenario for PrefilledBankStorm {
     fn summary(&self) -> &'static str {
         "a bank stocked past demand absorbs the batch storm"
     }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-            ("target", self.demand() as u64),
-        ]
-    }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         ScenarioPlan {
             mailroom: storm_mailroom(&self.0, seed, self.demand()),
@@ -575,13 +529,6 @@ impl Scenario for MixedFleetSkew {
     }
     fn summary(&self) -> &'static str {
         "all built-ins + custom module at skewed ratios, v1/v2 interleaved"
-    }
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sessions", self.0.sessions as u64),
-            ("rounds", self.0.rounds as u64),
-            ("kinds", 5),
-        ]
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let sessions = (0..self.0.sessions)

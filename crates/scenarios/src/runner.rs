@@ -9,10 +9,9 @@
 //! session's verdicts **client-side, in plan order**, so the transcript is
 //! independent of the provider's accept/scheduling order; fleet meter
 //! totals are order-independent sums. Together those form the
-//! [`DeterminismFingerprint`] that the reproducibility tests and the bench
-//! harness both rely on.
+//! [`DeterminismFingerprint`] that the reproducibility tests rely on.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pretzel_core::registry::WireTag;
 use pretzel_server::{serve_tcp_sessions, KindTotals, Mailroom, MailroomClient, SessionState};
@@ -43,8 +42,7 @@ pub struct RunOptions {
 }
 
 /// The reproducible subset of a scenario run: everything here must be
-/// byte-identical across two runs with the same seed (wall-clock time is
-/// deliberately excluded).
+/// byte-identical across two runs with the same seed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeterminismFingerprint {
     /// FNV-1a digest of the newline-joined verdict transcript.
@@ -77,8 +75,6 @@ pub struct ScenarioOutcome {
     pub name: &'static str,
     /// Seed the plan was compiled from.
     pub seed: u64,
-    /// Wall-clock duration from first arrival to last teardown.
-    pub wall: Duration,
     /// Sessions the provider recorded as completed.
     pub completed: usize,
     /// Sessions the provider recorded as failed (abandonments).
@@ -88,13 +84,6 @@ pub struct ScenarioOutcome {
     pub by_kind: Vec<(WireTag, KindTotals)>,
     /// The reproducible measurement surface.
     pub fingerprint: DeterminismFingerprint,
-}
-
-impl ScenarioOutcome {
-    /// Emails served per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        self.fingerprint.emails_total as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
 }
 
 /// Drives one planned session over an established channel and returns its
@@ -142,21 +131,19 @@ fn drive_session<C: Channel>(channel: C, plan: &SessionPlan) -> Vec<String> {
 /// # Panics
 /// Panics if any session errors, or if the provider's completed/failed
 /// accounting disagrees with the plan — a scenario run that silently lost
-/// sessions would corrupt every statistic derived from it.
+/// sessions would make its fingerprint meaningless.
 pub fn run_scenario(scenario: &dyn Scenario, seed: u64, options: &RunOptions) -> ScenarioOutcome {
     let plan = scenario.plan(seed);
     let mailroom =
         Mailroom::start_with_registry(scenario_suite(), scenario_registry(), plan.mailroom.clone());
-    // Bank-enabled plans prefill their fleet reservoirs before the clock
-    // starts: scenario statistics measure online serving, not the offline
-    // phase, and a deterministic fingerprint needs the stock in place.
+    // Bank-enabled plans prefill their fleet reservoirs before the first
+    // arrival: a deterministic fingerprint needs the stock in place.
     assert!(
         mailroom.wait_until_bank_full(Duration::from_secs(120)),
         "{}: precompute bank never reached its targets",
         scenario.name()
     );
 
-    let start = Instant::now();
     let transcripts: Vec<Vec<String>> = match options.transport {
         TransportMode::Memory => std::thread::scope(|scope| {
             let handles: Vec<_> = plan
@@ -218,7 +205,6 @@ pub fn run_scenario(scenario: &dyn Scenario, seed: u64, options: &RunOptions) ->
             })
         }
     };
-    let wall = start.elapsed();
     let report = mailroom.shutdown();
 
     let verdicts: Vec<String> = transcripts.into_iter().flatten().collect();
@@ -262,7 +248,6 @@ pub fn run_scenario(scenario: &dyn Scenario, seed: u64, options: &RunOptions) ->
     ScenarioOutcome {
         name: scenario.name(),
         seed,
-        wall,
         completed,
         failed,
         by_kind,

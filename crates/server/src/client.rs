@@ -4,9 +4,9 @@
 //! session handshake, runs the client half of the one-time setup, then
 //! submits emails in batches via [`MailroomClient::process_batch`] — one
 //! email is a batch of one — reusing the session state exactly as the
-//! provider does. Examples, the concurrency tests and the
-//! `throughput_mailroom` benchmark spin up N of these on N channels to put
-//! concurrent load on a [`crate::Mailroom`].
+//! provider does. Examples, the concurrency tests and the repo's benchmark
+//! (`benchmark/`) spin up N of these on N channels to put concurrent load on
+//! a [`crate::Mailroom`].
 
 use std::sync::Arc;
 
@@ -66,44 +66,12 @@ impl std::fmt::Debug for ClientSpec {
 }
 
 impl ClientSpec {
-    /// Starts a [`ClientSpecBuilder`] for any function module — the
-    /// full-control entry point (versions, capabilities, topic knobs).
-    pub fn builder(module: Arc<dyn FunctionModule>, config: PretzelConfig) -> ClientSpecBuilder {
-        ClientSpecBuilder::for_module(module, config)
-    }
-
-    /// Spec for any function module with default context knobs — the entry
-    /// point for custom-registered modules.
-    pub fn for_module(module: Arc<dyn FunctionModule>, config: PretzelConfig) -> Self {
-        ClientSpec {
-            module,
-            ctx: ClientContext::new(config),
-            min_version: ProtocolVersion::MIN,
-            max_version: ProtocolVersion::MAX,
-            capabilities: Capabilities::KNOWN,
-        }
-    }
-
-    /// Spec for a spam-filtering session with the Pretzel AHE variant.
-    pub fn spam(config: PretzelConfig) -> Self {
-        Self::for_module(Arc::new(SpamFunction), config)
-    }
-
-    /// Spec for a virus-scanning session.
-    pub fn virus(config: PretzelConfig) -> Self {
-        Self::for_module(Arc::new(VirusFunction), config)
-    }
-
     /// Spec for an encrypted-keyword-search session (always served over
-    /// RLWE; the variant byte is carried but ignored by search sessions).
+    /// RLWE; the variant byte is carried but ignored by search sessions)
+    /// with the default envelope; everything else goes through
+    /// [`ClientSpecBuilder`].
     pub fn search(config: PretzelConfig) -> Self {
-        Self::for_module(Arc::new(SearchFunction), config)
-    }
-
-    /// Same spec with a different AHE variant.
-    pub fn with_variant(mut self, variant: AheVariant) -> Self {
-        self.ctx.variant = variant;
-        self
+        ClientSpecBuilder::search(config).build()
     }
 }
 
@@ -129,7 +97,13 @@ impl ClientSpecBuilder {
     /// Builder for any function module (built-in or custom-registered).
     pub fn for_module(module: Arc<dyn FunctionModule>, config: PretzelConfig) -> Self {
         ClientSpecBuilder {
-            spec: ClientSpec::for_module(module, config),
+            spec: ClientSpec {
+                module,
+                ctx: ClientContext::new(config),
+                min_version: ProtocolVersion::MIN,
+                max_version: ProtocolVersion::MAX,
+                capabilities: Capabilities::KNOWN,
+            },
         }
     }
 

@@ -27,7 +27,7 @@
 //!
 //! The matching client driver is [`MailroomClient`], used by
 //! `examples/mailroom.rs`, the concurrency integration tests, and the
-//! `throughput_mailroom` benchmark to spin up N simulated senders.
+//! repo's benchmark (`benchmark/`) to spin up N simulated senders.
 //!
 //! # Wire protocol
 //!

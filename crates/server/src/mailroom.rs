@@ -169,30 +169,6 @@ impl MailroomConfigBuilder {
         self
     }
 
-    /// Sets the bank's background producer thread count, enabling the bank
-    /// with defaults if it was not configured yet.
-    pub fn bank_producers(mut self, threads: usize) -> Self {
-        let bank = self.config.bank.take().unwrap_or_default();
-        self.config.bank = Some(bank.producer_threads(threads));
-        self
-    }
-
-    /// Sets the target depth for one reservoir kind, enabling the bank with
-    /// defaults if it was not configured yet.
-    pub fn reservoir_target(mut self, kind: &'static str, target: usize) -> Self {
-        let bank = self.config.bank.take().unwrap_or_default();
-        self.config.bank = Some(bank.target(kind, target));
-        self
-    }
-
-    /// Sets the bank's low/high watermarks (percent of target), enabling the
-    /// bank with defaults if it was not configured yet.
-    pub fn bank_watermarks(mut self, low_pct: u32, high_pct: u32) -> Self {
-        let bank = self.config.bank.take().unwrap_or_default();
-        self.config.bank = Some(bank.watermarks(low_pct, high_pct));
-        self
-    }
-
     /// Caps the newest protocol version served.
     pub fn max_version(mut self, version: ProtocolVersion) -> Self {
         self.config.max_version = version;
@@ -903,7 +879,7 @@ pub fn serve_tcp_sessions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClientSpec, MailroomClient};
+    use crate::{ClientSpec, ClientSpecBuilder, MailroomClient};
     use pretzel_classifiers::nb::{GrNbTrainer, MultinomialNbTrainer};
     use pretzel_classifiers::{LabeledExample, NGramExtractor, SparseVector, Trainer};
     use pretzel_core::search::SearchFunction;
@@ -974,7 +950,7 @@ mod tests {
         let id = mailroom.submit(provider_end).unwrap();
 
         let mut rng = StdRng::seed_from_u64(1);
-        let spec = ClientSpec::spam(PretzelConfig::test());
+        let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
         let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
         assert!(client.model_storage_bytes() > 0);
         let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
@@ -1093,7 +1069,7 @@ mod tests {
 
         let client_thread = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(3);
-            let spec = ClientSpec::virus(PretzelConfig::test());
+            let spec = ClientSpecBuilder::virus(PretzelConfig::test()).build();
             let chan = TcpChannel::connect(addr).unwrap();
             let mut client = MailroomClient::connect(chan, &spec, &mut rng).unwrap();
             let bad = vec![0xde, 0xad, 0xbe, 0xef, 0xcc, 0xcc, 0xcc, 0x01];
@@ -1131,7 +1107,7 @@ mod tests {
         let (provider_end, client_end) = memory_pair();
         let ok_id = mailroom.submit(provider_end).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let spec = ClientSpec::spam(PretzelConfig::test());
+        let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
         let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
         let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
         assert!(client.classify_spam(&spammy, &mut rng).unwrap());
@@ -1154,7 +1130,7 @@ mod tests {
         let id = mailroom.submit(provider_end).unwrap();
 
         let mut rng = StdRng::seed_from_u64(11);
-        let spec = ClientSpec::spam(PretzelConfig::test());
+        let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
         let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
         let profile = client.negotiated();
         assert_eq!(profile.version, ProtocolVersion::V2);
@@ -1246,7 +1222,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         // Default spec offers v1..=v2; the capped provider picks v1 and the
         // capability set collapses to empty.
-        let spec = ClientSpec::spam(PretzelConfig::test());
+        let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
         let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
         let profile = client.negotiated();
         assert_eq!(profile.version, ProtocolVersion::V1);
@@ -1274,11 +1250,13 @@ mod tests {
                 .queue_capacity(4)
                 .rng_seed(7);
             if bank {
-                builder = builder
-                    .bank(BankConfig::default().rng_seed(0xBA2C))
-                    .bank_producers(1)
-                    .reservoir_target(KIND_GARBLINGS, 4)
-                    .reservoir_target(KIND_ZERO_ENCRYPTIONS, 8);
+                builder = builder.bank(
+                    BankConfig::default()
+                        .rng_seed(0xBA2C)
+                        .producer_threads(1)
+                        .target(KIND_GARBLINGS, 4)
+                        .target(KIND_ZERO_ENCRYPTIONS, 8),
+                );
             }
             let mailroom = Mailroom::start(test_suite(), builder.build());
             if bank {
@@ -1295,7 +1273,7 @@ mod tests {
                 let (provider_end, client_end) = memory_pair();
                 mailroom.submit(provider_end).unwrap();
                 let mut rng = StdRng::seed_from_u64(21);
-                let spec = ClientSpec::spam(PretzelConfig::test());
+                let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
                 let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
                 let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
                 let hammy = SparseVector::from_pairs(vec![(4, 2), (5, 2)]);

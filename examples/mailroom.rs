@@ -39,7 +39,7 @@ use pretzel::core::{PretzelConfig, PretzelError, ProviderModelSuite};
 use pretzel::datasets::{ling_spam_like, newsgroups_like};
 use pretzel::sdp::rlwe_pack::{self, Packing};
 use pretzel::sdp::ModelMatrix;
-use pretzel::server::{ClientSpec, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig};
+use pretzel::server::{ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig};
 use pretzel::transport::{memory_pair, Channel};
 
 // ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(90 + i as u64);
             match i % 5 {
                 0 => {
-                    let spec = ClientSpec::spam(config);
+                    let spec = ClientSpecBuilder::spam(config).build();
                     let mut client =
                         MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
                     let profile = client.negotiated();
@@ -369,7 +369,7 @@ fn main() {
                     )
                 }
                 2 => {
-                    let spec = ClientSpec::virus(config);
+                    let spec = ClientSpecBuilder::virus(config).build();
                     let mut client =
                         MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
                     let mut bad = vec![0x4d, 0x5a, 0x90, 0x00, 0xde, 0xad, 0xbe, 0xef];
@@ -405,7 +405,7 @@ fn main() {
                 _ => {
                     // The fifth, example-registered function module.
                     let spec =
-                        ClientSpec::for_module(Arc::new(AttachmentStatsFunction), config);
+                        ClientSpecBuilder::for_module(Arc::new(AttachmentStatsFunction), config).build();
                     let mut client =
                         MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
                     let small = vec![0u8; 700]; // bucket 0 → weight 3

@@ -14,7 +14,7 @@
 //!   modules.
 //! * [`scenarios`] — named, seeded workload generators (steady, bursty,
 //!   heavy-tail, churn, slow-loris, pool-exhaustion, mixed-fleet) that drive
-//!   a mailroom fleet for integration tests and statistical benchmarks.
+//!   a mailroom fleet for integration tests.
 //! * [`rlwe`], [`paillier`], [`gc`], [`sdp`], [`bignum`], [`primitives`],
 //!   [`transport`] — cryptographic and systems substrates.
 

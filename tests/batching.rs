@@ -56,7 +56,9 @@ fn scripts() -> Vec<(ClientSpec, Vec<EmailPayload>)> {
         (
             // Baseline variant so the client's Paillier randomizer stock is
             // on the batched path too.
-            ClientSpec::spam(config.clone()).with_variant(AheVariant::Baseline),
+            ClientSpecBuilder::spam(config.clone())
+                .variant(AheVariant::Baseline)
+                .build(),
             (0..ROUNDS_PER_SESSION).map(spam_email).collect(),
         ),
         (
@@ -66,7 +68,7 @@ fn scripts() -> Vec<(ClientSpec, Vec<EmailPayload>)> {
             (0..ROUNDS_PER_SESSION).map(spam_email).collect(),
         ),
         (
-            ClientSpec::virus(config.clone()),
+            ClientSpecBuilder::virus(config.clone()).build(),
             (0..ROUNDS_PER_SESSION as u8).map(attachment).collect(),
         ),
         (
@@ -495,7 +497,8 @@ fn mailroom_serves_registered_modules_and_rejects_unknown_tags() {
     // Session 2: the custom module, driven through the normal client stack
     // (its batch is a loop over rounds — it has nothing to coalesce).
     let mut rng = test_rng(77);
-    let spec = ClientSpec::for_module(Arc::new(EchoLenFunction), PretzelConfig::test());
+    let spec =
+        ClientSpecBuilder::for_module(Arc::new(EchoLenFunction), PretzelConfig::test()).build();
     let mut client = connect_client(&mailroom, &spec, &mut rng);
     assert_eq!(client.wire_tag(), EchoLenFunction::WIRE_TAG);
     assert_eq!(client.display_name(), "echo-len");
@@ -544,7 +547,7 @@ fn degenerate_batch_counts_are_rejected() {
         },
     );
     let mut rng = test_rng(88);
-    let spec = ClientSpec::spam(PretzelConfig::test());
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     let mut client = connect_client(&mailroom, &spec, &mut rng);
 
     // Empty batches are a client-side no-op: no traffic, no verdicts.

@@ -189,11 +189,13 @@ impl Provision {
             Provision::BankRunsDry => 1,
             Provision::Prefilled => Self::AMPLE,
         };
-        builder
-            .bank(BankConfig::default().rng_seed(0xF1EE7))
-            .bank_producers(1)
-            .reservoir_target(KIND_GARBLINGS, target)
-            .reservoir_target(KIND_ZERO_ENCRYPTIONS, target)
+        builder.bank(
+            BankConfig::default()
+                .rng_seed(0xF1EE7)
+                .producer_threads(1)
+                .target(KIND_GARBLINGS, target)
+                .target(KIND_ZERO_ENCRYPTIONS, target),
+        )
     }
 
     /// Rounds a client's explicit offline phase should stock in this mode.

@@ -36,7 +36,7 @@ fn teardown_mid_protocol_fails_one_session_not_the_mailroom() {
     let (provider_end, client_end) = memory_pair();
     let a_id = mailroom.submit(provider_end).unwrap();
     let mut rng = test_rng(40);
-    let spec = ClientSpec::spam(PretzelConfig::test());
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
     client.classify_spam(&emails[0].features, &mut rng).unwrap();
     client.finish().unwrap();
@@ -48,7 +48,7 @@ fn teardown_mid_protocol_fails_one_session_not_the_mailroom() {
     let b_id = mailroom.submit(provider_end).unwrap();
     let mut rng_b = test_rng(41);
     let mut client_b = {
-        let spec = ClientSpec::spam(PretzelConfig::test());
+        let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
         // Borrow the channel so we can send a raw frame after the driver.
         MailroomClient::connect(&mut client_end, &spec, &mut rng_b).unwrap()
     };
@@ -63,7 +63,7 @@ fn teardown_mid_protocol_fails_one_session_not_the_mailroom() {
     let (provider_end, client_end) = memory_pair();
     let c_id = mailroom.submit(provider_end).unwrap();
     let mut rng_c = test_rng(42);
-    let spec = ClientSpec::spam(PretzelConfig::test());
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     let mut client_c = MailroomClient::connect(client_end, &spec, &mut rng_c).unwrap();
     client_c
         .classify_spam(&emails[2].features, &mut rng_c)
@@ -141,7 +141,7 @@ fn full_queue_rejects_immediately_instead_of_blocking() {
 
     // And the refused client observes Busy through the normal driver path.
     let mut rng = test_rng(50);
-    let spec = ClientSpec::spam(PretzelConfig::test());
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     match MailroomClient::connect(c_client, &spec, &mut rng) {
         Err(ServerError::Busy) => {}
         Err(other) => panic!("expected Busy, got error: {other}"),
@@ -241,7 +241,7 @@ fn sixteen_concurrent_sessions_match_the_single_session_baseline() {
         .map(|(s, inbox)| {
             let (provider_end, client_end) = memory_pair();
             mailroom.submit(provider_end).unwrap();
-            let spec = ClientSpec::spam(config.clone());
+            let spec = ClientSpecBuilder::spam(config.clone()).build();
             let inbox = inbox.clone();
             std::thread::spawn(move || {
                 let mut rng = test_rng(800 + s as u64);
@@ -302,7 +302,7 @@ fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
                 let mut rng = test_rng(900 + i as u64);
                 match i % 4 {
                     0 => {
-                        let spec = ClientSpec::spam(config);
+                        let spec = ClientSpecBuilder::spam(config).build();
                         let mut client =
                             MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
                         client.classify_spam(&email, &mut rng).unwrap();
@@ -320,7 +320,7 @@ fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
                         client.finish().unwrap();
                     }
                     2 => {
-                        let spec = ClientSpec::virus(config);
+                        let spec = ClientSpecBuilder::virus(config).build();
                         let mut client =
                             MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
                         client

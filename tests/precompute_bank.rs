@@ -14,7 +14,7 @@ use pretzel::classifiers::SparseVector;
 use pretzel::core::bank::KIND_GARBLINGS;
 use pretzel::core::PretzelConfig;
 use pretzel::server::{
-    BankConfig, ClientSpec, Mailroom, MailroomClient, MailroomConfig, MailroomReport,
+    BankConfig, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, MailroomReport,
 };
 use pretzel::transport::memory_pair;
 
@@ -37,9 +37,12 @@ fn storm() -> (Vec<String>, MailroomReport) {
             // Target 8 against 128 emails of demand: the reservoir runs dry
             // and refills continuously, so banked draws, low-watermark
             // re-arms, and inline fallbacks all interleave under contention.
-            .bank(BankConfig::default().rng_seed(0x5702_4142))
-            .bank_producers(2)
-            .reservoir_target(KIND_GARBLINGS, 8)
+            .bank(
+                BankConfig::default()
+                    .rng_seed(0x5702_4142)
+                    .producer_threads(2)
+                    .target(KIND_GARBLINGS, 8),
+            )
             .build(),
     );
 
@@ -52,7 +55,7 @@ fn storm() -> (Vec<String>, MailroomReport) {
                 mailroom
                     .submit(provider_end)
                     .expect("queue sized for fleet");
-                let spec = ClientSpec::spam(config.clone());
+                let spec = ClientSpecBuilder::spam(config.clone()).build();
                 let spam_email = spam_email.clone();
                 scope.spawn(move || {
                     let mut rng = test_rng(3000 + i as u64);

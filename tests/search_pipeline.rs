@@ -14,7 +14,7 @@ use pretzel::core::session::{ClientSession, EmailPayload, ProviderSession, Verdi
 use pretzel::core::spam::AheVariant;
 use pretzel::core::spam::SpamFunction;
 use pretzel::core::{ClientContext, PretzelConfig, ProtocolRegistry, WireTag};
-use pretzel::server::{ClientSpec, Mailroom, MailroomConfig};
+use pretzel::server::{ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig};
 use pretzel::transport::run_two_party;
 
 mod common;
@@ -224,7 +224,7 @@ fn search_and_spam_sessions_share_one_mailroom() {
     let mut rng_s = test_rng(94);
     let mut spam_client = connect_client(
         &mailroom,
-        &ClientSpec::spam(PretzelConfig::test()),
+        &ClientSpecBuilder::spam(PretzelConfig::test()).build(),
         &mut rng_s,
     );
     let email = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);

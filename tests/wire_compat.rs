@@ -21,8 +21,7 @@ use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, ProviderModelSuite};
 use pretzel::datasets::ling_spam_like;
 use pretzel::server::{
-    ClientSpec, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, SessionState,
-    ACK_ACCEPTED,
+    ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, SessionState, ACK_ACCEPTED,
 };
 use pretzel::transport::wire::{
     codec_for, crc32, Capabilities, HandshakeAck, HandshakeError, HandshakeOffer, ProtocolVersion,
@@ -314,7 +313,7 @@ fn truncated_offers_fail_only_their_session() {
     let (provider_end, client_end) = memory_pair();
     let ok_id = mailroom.submit(provider_end).unwrap();
     let mut rng = test_rng(41);
-    let spec = ClientSpec::spam(PretzelConfig::test());
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
     client
         .classify_spam(&SparseVector::from_pairs(vec![(0, 2)]), &mut rng)
