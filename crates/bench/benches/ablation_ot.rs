@@ -1,6 +1,8 @@
 //! Ablation: IKNP OT extension versus raw base OT for delivering the
 //! evaluator's wire labels. Justifies the paper's amortize-into-setup
 //! strategy (§3.3): per-email OTs must not involve public-key operations.
+//! Both run over the group production uses (RFC 3526, 1536 bits) and at
+//! the 128 transfers of one IKNP seed exchange.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -15,12 +17,12 @@ fn bench_ot(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    let ot_group = OtGroup::insecure_test_group(64, &mut rand::thread_rng());
-    let count = 64usize; // spam circuit: 2 values x 30-bit noise ≈ 60 choice bits
+    let ot_group = OtGroup::rfc3526_1536();
+    let count = 128usize; // one session's base OTs; ~2 spam emails' choice bits
 
     // Base OT for `count` transfers (public-key work per email).
     let ot_group_a = ot_group.clone();
-    group.bench_function("base_ot_64_labels", |b| {
+    group.bench_function("base_ot_128_labels", |b| {
         b.iter(|| {
             let group_s = ot_group_a.clone();
             let group_r = ot_group_a.clone();
@@ -48,7 +50,7 @@ fn bench_ot(c: &mut Criterion) {
     let (receiver, mut chan_r) = receiver_handle.join().unwrap();
     let receiver = std::sync::Mutex::new(receiver);
     let sender_pairs: Vec<([u8; 16], [u8; 16])> = vec![([3u8; 16], [4u8; 16]); count];
-    group.bench_function("iknp_extension_64_labels", |b| {
+    group.bench_function("iknp_extension_128_labels", |b| {
         b.iter(|| {
             let choices: Vec<bool> = (0..count).map(|i| i % 3 == 0).collect();
             let pairs = sender_pairs.clone();

@@ -8,7 +8,6 @@ use pretzel_bench::{
     human_us, parse_scale, print_header, print_row, synthetic_model, time, time_avg,
 };
 use pretzel_classifiers::SparseVector;
-use pretzel_core::bank::empty_source;
 use pretzel_core::spam::AheVariant;
 use pretzel_core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel_core::{NoPrivProvider, PretzelConfig, Scale};
@@ -56,16 +55,8 @@ fn private_provider_cpu(
     });
 
     let mut rng = rand::thread_rng();
-    let mut provider = TopicProvider::setup(
-        &mut provider_chan,
-        &model,
-        config,
-        variant,
-        mode,
-        &empty_source(),
-        &mut rng,
-    )
-    .unwrap();
+    let mut provider =
+        TopicProvider::setup(&mut provider_chan, &model, config, variant, mode, &mut rng).unwrap();
     let mut total = Duration::ZERO;
     for _ in 0..emails {
         let (_, d) = time(|| {

@@ -4,7 +4,6 @@
 
 use pretzel_bench::{human_bytes, parse_scale, print_header, print_row, synthetic_model};
 use pretzel_classifiers::SparseVector;
-use pretzel_core::bank::empty_source;
 use pretzel_core::spam::AheVariant;
 use pretzel_core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel_core::{PretzelConfig, Scale};
@@ -44,7 +43,6 @@ fn per_email_network(
             &config_provider,
             variant,
             mode,
-            &empty_source(),
             &mut rng,
         )
         .unwrap();

@@ -134,16 +134,8 @@ fn measure_topic(
     });
 
     let mut rng = rand::thread_rng();
-    let mut provider = TopicProvider::setup(
-        &mut provider_chan,
-        &model,
-        config,
-        variant,
-        mode,
-        &empty_source(),
-        &mut rng,
-    )
-    .unwrap();
+    let mut provider =
+        TopicProvider::setup(&mut provider_chan, &model, config, variant, mode, &mut rng).unwrap();
     let mut provider_cpu = Duration::ZERO;
     for _ in 0..emails {
         let (_, d) = time(|| {

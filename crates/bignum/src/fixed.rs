@@ -25,9 +25,14 @@
 //! The fixed-path multiply and reduction are branch-free: the CIOS loop has
 //! no data-dependent branches, and the final reduction always computes
 //! `t - n` and picks the result by mask (always-subtract conditional
-//! select) instead of comparing first. Exponentiation still branches on
-//! exponent bits (square-and-multiply), so exponent-dependent timing
-//! remains; see `docs/ARCHITECTURE.md` for the current status.
+//! select) instead of comparing first. The generic ladder
+//! ([`MontgomeryCtx::pow_fixed`]) still indexes its window table with
+//! exponent bits and skips zero windows, so exponent-dependent timing
+//! remains there. The two entry points built for secret exponents —
+//! [`FixedBaseTable`] (one base, many exponents) and
+//! [`MontgomeryCtx::pow_each_fixed`] (many bases, one exponent) — read
+//! their tables by masked full scan and multiply on every window; see
+//! `docs/ARCHITECTURE.md` for the current status.
 
 use std::cmp::Ordering;
 
@@ -498,6 +503,126 @@ impl<const N: usize> MontgomeryCtx<N> {
         let a_r = self.mont_mul(&self.reduce(a), &self.r2);
         self.mont_mul(&a_r, &self.reduce(b)).to_biguint()
     }
+
+    /// Precomputes `base^(j·16^i)` for every 4-bit window `i` of an
+    /// exponent of up to `exp_bits` bits, so that [`FixedBaseTable::pow_fixed`]
+    /// costs one product per window and no squarings. Building the table
+    /// costs 16 products per window — it pays for itself from the fourth
+    /// use of the same base.
+    pub fn fixed_base_table(&self, base: &FixedUint<N>, exp_bits: usize) -> FixedBaseTable<N> {
+        let windows = exp_bits.div_ceil(4).max(1);
+        let mut rows = Vec::with_capacity(windows);
+        // base^(16^i), Montgomery form.
+        let mut unit = self.to_mont(base);
+        for _ in 0..windows {
+            let mut row = [self.r1; 16];
+            for j in 1..16 {
+                row[j] = self.mont_mul(&row[j - 1], &unit);
+            }
+            unit = self.mont_mul(&row[15], &unit);
+            rows.push(row);
+        }
+        FixedBaseTable {
+            ctx: self.clone(),
+            rows,
+        }
+    }
+
+    /// `base^exp mod n` for every base in `bases` (each `< n`), for one
+    /// shared — typically secret — exponent.
+    ///
+    /// The same 4-bit ladder as [`MontgomeryCtx::pow_fixed`], except that
+    /// the exponent is cut into windows once for all bases and each base's
+    /// 16-entry power table is read by masked full scan: every window loads all
+    /// sixteen entries and multiplies, so neither the addresses touched nor
+    /// the sequence of operations depends on the exponent's digits (only on
+    /// its bit length).
+    pub fn pow_each_fixed(&self, bases: &[FixedUint<N>], exp: &BigUint) -> Vec<FixedUint<N>> {
+        let limbs = exp.limbs();
+        let digits: Vec<u64> = (0..exp.bits().div_ceil(4))
+            .rev()
+            .map(|w| window_digit(limbs, w))
+            .collect();
+        bases
+            .iter()
+            .map(|base| {
+                let base_m = self.to_mont(base);
+                let mut table = [self.r1; 16];
+                for k in 1..16 {
+                    table[k] = self.mont_mul(&table[k - 1], &base_m);
+                }
+                let mut acc = self.r1;
+                for (i, &digit) in digits.iter().enumerate() {
+                    if i > 0 {
+                        for _ in 0..4 {
+                            acc = self.mont_sq(&acc);
+                        }
+                    }
+                    acc = self.mont_mul(&acc, &select(&table, digit));
+                }
+                self.from_mont(&acc)
+            })
+            .collect()
+    }
+}
+
+/// The `w`-th 4-bit window of a little-endian limb string (zero past its
+/// end). 64 is a multiple of 4, so a window never straddles a limb.
+#[inline]
+fn window_digit(limbs: &[u64], w: usize) -> u64 {
+    limbs.get(w / 16).map_or(0, |l| (l >> (w % 16 * 4)) & 0xF)
+}
+
+/// `row[digit]`, read without letting `digit` steer an address or a
+/// branch: all sixteen entries are loaded and the wanted one is kept by
+/// mask.
+#[inline]
+fn select<const N: usize>(row: &[FixedUint<N>; 16], digit: u64) -> FixedUint<N> {
+    let mut out = [0u64; N];
+    for (j, entry) in row.iter().enumerate() {
+        let diff = j as u64 ^ digit;
+        // All ones when `diff == 0`, zero otherwise.
+        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
+        for (o, &l) in out.iter_mut().zip(&entry.limbs) {
+            *o |= l & mask;
+        }
+    }
+    FixedUint { limbs: out }
+}
+
+/// Fixed-base exponentiation table of [`MontgomeryCtx::fixed_base_table`]:
+/// row `i` holds `base^(j·16^i)` for `j = 0..16` in Montgomery form, so
+/// `base^e` is the product of one entry per 4-bit window of `e`.
+///
+/// Sized for the OT groups: a 256-bit exponent over a 24-limb modulus is 64
+/// rows × 16 entries × 192 bytes = 192 KiB. Exponents are secrets wherever
+/// this is used, so rows are read by masked full scan (`select`), never
+/// indexed by a digit.
+#[derive(Clone, Debug)]
+pub struct FixedBaseTable<const N: usize> {
+    ctx: MontgomeryCtx<N>,
+    rows: Vec<[FixedUint<N>; 16]>,
+}
+
+impl<const N: usize> FixedBaseTable<N> {
+    /// `base^exp mod n`: one product per table row, no squarings, no heap
+    /// allocation. The operation sequence is the same for every exponent.
+    ///
+    /// Panics if `exp` is wider than the `exp_bits` the table was built for.
+    pub fn pow_fixed(&self, exp: &BigUint) -> FixedUint<N> {
+        assert!(
+            exp.bits() <= self.rows.len() * 4,
+            "exponent wider than the fixed-base table"
+        );
+        let limbs = exp.limbs();
+        let mut acc = select(&self.rows[0], window_digit(limbs, 0));
+        for (w, row) in self.rows.iter().enumerate().skip(1) {
+            acc = self
+                .ctx
+                .mont_mul(&acc, &select(row, window_digit(limbs, w)));
+        }
+        self.ctx.from_mont(&acc)
+    }
 }
 
 macro_rules! auto_montgomery {
@@ -567,6 +692,39 @@ macro_rules! auto_montgomery {
                 }
             }
 
+            /// Precomputes a fixed-base table for `base` (reduced first)
+            /// and exponents of up to `exp_bits` bits; see
+            /// [`MontgomeryCtx::fixed_base_table`]. The dynamic fallback
+            /// keeps only the base and runs its ordinary ladder.
+            pub fn fixed_base(&self, base: &BigUint, exp_bits: usize) -> AutoFixedBase {
+                match self {
+                    $(AutoMontgomery::$variant(ctx) => AutoFixedBase::$variant(Box::new(
+                        ctx.fixed_base_table(&ctx.reduce(base), exp_bits),
+                    )),)+
+                    AutoMontgomery::Dynamic(m) => AutoFixedBase::Dynamic {
+                        mont: m.clone(),
+                        base: base.clone() % m.modulus(),
+                    },
+                }
+            }
+
+            /// `base^exp mod n` for every base, for one shared exponent;
+            /// see [`MontgomeryCtx::pow_each_fixed`].
+            pub fn pow_each(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
+                match self {
+                    $(AutoMontgomery::$variant(ctx) => {
+                        let bases: Vec<_> = bases.iter().map(|b| ctx.reduce(b)).collect();
+                        ctx.pow_each_fixed(&bases, exp)
+                            .iter()
+                            .map(FixedUint::to_biguint)
+                            .collect()
+                    })+
+                    AutoMontgomery::Dynamic(m) => {
+                        bases.iter().map(|b| m.pow(b, exp)).collect()
+                    }
+                }
+            }
+
             /// The fixed limb width, or `None` on the dynamic fallback.
             pub fn width(&self) -> Option<usize> {
                 match self {
@@ -582,6 +740,34 @@ macro_rules! auto_montgomery {
                     $(AutoMontgomery::$variant(_) =>
                         concat!("fixed:", stringify!($n)),)+
                     AutoMontgomery::Dynamic(_) => "dynamic",
+                }
+            }
+        }
+
+        /// A base prepared by [`AutoMontgomery::fixed_base`] for repeated
+        /// exponentiation, at whichever width its context selected.
+        #[derive(Clone, Debug)]
+        pub enum AutoFixedBase {
+            $(
+                #[doc = concat!("Table over the fixed ", stringify!($n), "-limb engine.")]
+                $variant(Box<FixedBaseTable<$n>>),
+            )+
+            /// Dynamic-width fallback: no table, the ordinary ladder.
+            Dynamic {
+                /// The context that prepared the base.
+                mont: Montgomery,
+                /// The base, reduced.
+                base: BigUint,
+            },
+        }
+
+        impl AutoFixedBase {
+            /// `base^exp mod n`. Panics if `exp` is wider than the
+            /// `exp_bits` the table was built for.
+            pub fn pow(&self, exp: &BigUint) -> BigUint {
+                match self {
+                    $(AutoFixedBase::$variant(table) => table.pow_fixed(exp).to_biguint(),)+
+                    AutoFixedBase::Dynamic { mont, base } => mont.pow(base, exp),
                 }
             }
         }

@@ -21,7 +21,7 @@ mod modular;
 mod prime;
 mod uint;
 
-pub use fixed::{AutoMontgomery, FixedUint, MontgomeryCtx};
+pub use fixed::{AutoFixedBase, AutoMontgomery, FixedBaseTable, FixedUint, MontgomeryCtx};
 pub use modular::{crt_combine, mod_add, mod_inv, mod_mul, mod_pow, mod_sub, Montgomery};
 pub use prime::{gen_prime, gen_safe_prime, is_probable_prime};
 pub use uint::BigUint;

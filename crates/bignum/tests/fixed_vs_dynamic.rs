@@ -117,6 +117,86 @@ macro_rules! equivalence_suite {
                 }
             }
 
+            proptest! {
+                // Full-width dynamic exponentiations in a debug build: a
+                // handful of cases per width is what the suite can afford.
+                #![proptest_config(ProptestConfig::with_cases(6))]
+
+                /// The fixed-base table, the shared-exponent ladder, the
+                /// windowed `pow_fixed` and the dynamic square-and-multiply
+                /// are four routes to one value, for exponents of every
+                /// length from 1 to 1535 bits.
+                #[test]
+                fn fixed_base_and_shared_exponent_match_the_ladders(
+                    n in arb_modulus(N),
+                    base_raw in proptest::collection::vec(any::<u64>(), N),
+                    exp_raw in proptest::collection::vec(any::<u64>(), 24),
+                    exp_bits in 1usize..=1535,
+                ) {
+                    let auto = AutoMontgomery::new(&n);
+                    let ctx = MontgomeryCtx::<N>::new(&n).unwrap();
+                    let base = below(&n, &base_raw);
+                    let exp = BigUint::from_limbs(exp_raw) >> (1536 - exp_bits);
+                    let want = Montgomery::new(n.clone()).pow(&base, &exp);
+
+                    let fixed_base = FixedUint::<N>::from_biguint(&base).unwrap();
+                    prop_assert_eq!(ctx.pow_fixed(&fixed_base, &exp).to_biguint(), want.clone());
+                    prop_assert_eq!(auto.fixed_base(&base, exp_bits).pow(&exp), want.clone());
+                    let other = n.clone() - BigUint::from(2u64);
+                    prop_assert_eq!(
+                        auto.pow_each(&[base, other.clone()], &exp),
+                        vec![want, auto.pow(&other, &exp)]
+                    );
+                }
+            }
+
+            /// Structured exponents through the table and the
+            /// shared-exponent ladder: 0, 1, every power of two and every
+            /// all-ones value a 17-window table holds (the windows cross a
+            /// limb boundary), against the generic ladder.
+            #[test]
+            fn fixed_base_edge_exponents_match_the_generic_ladder() {
+                const BITS: usize = 68;
+                let mut limbs = vec![0x9e3779b97f4a7c15u64; N];
+                limbs[0] |= 1;
+                limbs[N - 1] |= 1 << 63;
+                let n = BigUint::from_limbs(limbs);
+                let auto = AutoMontgomery::new(&n);
+                let one = BigUint::one();
+                let mut exps = vec![BigUint::zero()];
+                for k in 0..BITS {
+                    exps.push(one.clone() << k);
+                    exps.push((one.clone() << (k + 1)) - one.clone());
+                }
+                for base in [BigUint::from(4u64), n.clone() - one.clone()] {
+                    let table = auto.fixed_base(&base, BITS);
+                    for exp in &exps {
+                        let want = auto.pow(&base, exp);
+                        assert_eq!(table.pow(exp), want, "table, width {N}, {}", exp.to_hex());
+                        assert_eq!(auto.pow_each(std::slice::from_ref(&base), exp), [want]);
+                    }
+                }
+                // Bases 0 and 1, and an oversized base (reduced first).
+                let e = BigUint::from(u64::MAX);
+                for base in [
+                    BigUint::zero(),
+                    one.clone(),
+                    (n.clone() << 3) + BigUint::from(5u64),
+                ] {
+                    let table = auto.fixed_base(&base, BITS);
+                    assert_eq!(table.pow(&e), auto.pow(&base, &e));
+                    assert_eq!(table.pow(&BigUint::zero()), one);
+                }
+            }
+
+            #[test]
+            #[should_panic(expected = "exponent wider than the fixed-base table")]
+            fn fixed_base_rejects_an_exponent_wider_than_the_table() {
+                let n = BigUint::from_limbs(vec![u64::MAX; N]);
+                let table = AutoMontgomery::new(&n).fixed_base(&BigUint::from(4u64), 8);
+                table.pow(&BigUint::from(0x100u64));
+            }
+
             /// Deterministic edge cases: 0, 1, n-1, and the R-boundary
             /// values (R mod n is the Montgomery form of 1; R-1 exercises
             /// the top of the operand range after reduction).
@@ -197,6 +277,10 @@ fn unsupported_width_falls_back_dynamic() {
     let base = BigUint::from(0xdeadbeefu64);
     let exp = BigUint::from(65537u64);
     assert_eq!(auto.pow(&base, &exp), dynamic.pow(&base, &exp));
+    // The fixed-base and shared-exponent entry points fall back with it.
+    let want = dynamic.pow(&base, &exp);
+    assert_eq!(auto.fixed_base(&base, 17).pow(&exp), want);
+    assert_eq!(auto.pow_each(std::slice::from_ref(&base), &exp), [want]);
 }
 
 /// `AutoMontgomery::pow` must reduce oversized bases exactly like the

@@ -1,6 +1,6 @@
 //! Verifies the fixed-limb hot path's headline property: zero heap
-//! allocation inside `mont_mul`, and only the final result allocation in
-//! the `BigUint`-facing `pow`.
+//! allocation inside `mont_mul` and in the use of a fixed-base table, and
+//! only the final result allocation in the `BigUint`-facing `pow`.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this lives
 //! in its own integration-test binary so the counter doesn't interfere with
@@ -100,6 +100,32 @@ fn fixed_pow_inner_loop_does_not_allocate() {
         allocs <= 2,
         "BigUint-facing pow should allocate only the result, saw {allocs}"
     );
+}
+
+/// Building a fixed-base table allocates (once, for the table); spending it
+/// does not, however many exponents go through it.
+#[test]
+fn fixed_base_table_use_does_not_allocate() {
+    let n = test_modulus();
+    let ctx = MontgomeryCtx::<8>::new(&n).unwrap();
+    let base = ctx.reduce(&(BigUint::one() << 300));
+    let exps: Vec<BigUint> = (1..=16u64)
+        .map(|i| (BigUint::one() << 255) - BigUint::from(i))
+        .collect();
+
+    let (allocs, table) = count_allocs(|| ctx.fixed_base_table(&base, 256));
+    assert!(allocs >= 1, "the table itself lives on the heap");
+    let _ = table.pow_fixed(&exps[0]);
+
+    let (allocs, last) = count_allocs(|| {
+        let mut last = base;
+        for exp in &exps {
+            last = table.pow_fixed(exp);
+        }
+        last
+    });
+    assert_eq!(last, ctx.pow_fixed(&base, &exps[15]));
+    assert_eq!(allocs, 0, "fixed-base table use must be allocation-free");
 }
 
 /// Sanity check: the same workload on the dynamic path *does* allocate —

@@ -3,7 +3,7 @@
 //! shares.
 //!
 //! Every offline artifact a provider session consumes (precomputed
-//! garblings, zero encryptions, base OTs) comes from a [`PrecomputeSource`]
+//! garblings, zero encryptions, randomizers) comes from a [`PrecomputeSource`]
 //! through one draw ladder ([`draw`] / [`Lease::draw`]): take a stocked
 //! artifact if the source has one that fits, otherwise count a fallback and
 //! make it inline. A deployment without a bank hands sessions the
@@ -12,10 +12,10 @@
 //!
 //! * **Per-kind reservoirs.** Artifacts are stored in reservoirs keyed by
 //!   [`ReservoirId`] — an artifact *kind* (one of [`KIND_RANDOMIZERS`],
-//!   [`KIND_GARBLINGS`], [`KIND_ZERO_ENCRYPTIONS`], [`KIND_BASE_OTS`]) plus a
-//!   64-bit *fingerprint* binding the reservoir to its parameters (circuit
-//!   shape, public key, OT group). Key-independent artifacts (garbled tables,
-//!   base-OT sender state) are shared by every session with the same shape;
+//!   [`KIND_GARBLINGS`], [`KIND_ZERO_ENCRYPTIONS`]) plus a 64-bit
+//!   *fingerprint* binding the reservoir to its parameters (circuit shape,
+//!   public key). Key-independent artifacts (garbled tables) are shared by
+//!   every session with the same shape;
 //!   key-dependent artifacts (randomizers, zero encryptions) get one
 //!   reservoir per registered session key.
 //! * **Background producers.** [`PrecomputeBank::start`] spawns producer
@@ -64,18 +64,15 @@ pub const KIND_GARBLINGS: &str = "garblings";
 /// Kind name for Paillier zero encryptions used by search response padding —
 /// key-dependent.
 pub const KIND_ZERO_ENCRYPTIONS: &str = "zero_encryptions";
-/// Kind name for Chou–Orlandi base-OT sender precomputation feeding the IKNP
-/// extension — key-independent (bound to the OT group).
-pub const KIND_BASE_OTS: &str = "base_ots";
 
 /// The kind-level production DAG: key-dependent kinds wait for the shared
 /// key-independent stock to reach its low watermark first.
-pub const KEY_INDEPENDENT_KINDS: &[&str] = &[KIND_GARBLINGS, KIND_BASE_OTS];
+pub const KEY_INDEPENDENT_KINDS: &[&str] = &[KIND_GARBLINGS];
 
 /// FNV-1a over a byte string — the scheme used to derive reservoir
-/// fingerprints from parameters (public-key bytes, group moduli, circuit
-/// shapes). Stable across processes, cheap, and collision-safe at the scale
-/// of a fleet's distinct parameter sets.
+/// fingerprints from parameters (public-key bytes, circuit shapes). Stable
+/// across processes, cheap, and collision-safe at the scale of a fleet's
+/// distinct parameter sets.
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -122,12 +119,6 @@ impl ReservoirId {
     /// Zero encryptions for the Paillier key with the given fingerprint.
     pub fn zero_encryptions(fingerprint: u64) -> Self {
         Self::new(KIND_ZERO_ENCRYPTIONS, fingerprint)
-    }
-
-    /// Base-OT sender precomputation for the OT group with the given
-    /// fingerprint.
-    pub fn base_ots(fingerprint: u64) -> Self {
-        Self::new(KIND_BASE_OTS, fingerprint)
     }
 }
 

@@ -167,9 +167,8 @@ pub trait FunctionModule: Send + Sync {
     ///
     /// `source` is where the session's offline artifacts come from — the
     /// fleet bank, or [`crate::bank::empty_source`] when none runs. A module
-    /// with bankable artifacts draws what its setup can use (base-OT sender
-    /// state) and registers the reservoirs its rounds will draw from (see
-    /// [`crate::bank::Lease`]); one without ignores it.
+    /// with bankable artifacts registers the reservoirs its rounds will draw
+    /// from (see [`crate::bank::Lease`]); one without ignores it.
     fn provider_setup(
         &self,
         channel: &mut dyn Channel,
@@ -181,8 +180,7 @@ pub trait FunctionModule: Send + Sync {
 
     /// The key-independent reservoirs this module wants a fleet-wide
     /// [`crate::bank::PrecomputeBank`] to keep stocked (garbled tables for
-    /// its circuit shapes, base-OT sender state for its fixed group). The
-    /// serving layer registers these once at bank startup, before any
+    /// its circuit shapes). The serving layer registers these once at bank startup, before any
     /// session exists. The default — no shared artifacts — keeps external
     /// modules working unchanged.
     fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {

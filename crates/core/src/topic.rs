@@ -21,13 +21,13 @@ use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, SparseVector};
 use pretzel_gc::{
-    from_bits, to_bits, topic_argmax_circuit, Circuit, OtGroup, OtSenderPrecomp, OutputMode,
-    PrecomputedGarbling, YaoEvaluator, YaoGarbler,
+    from_bits, to_bits, topic_argmax_circuit, Circuit, OutputMode, PrecomputedGarbling,
+    YaoEvaluator, YaoGarbler,
 };
 use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 use crate::ahe::{AheClient, AheProvider};
-use crate::bank::{self, PrecomputeSource, ReservoirId, ReservoirSpec, Stock};
+use crate::bank::{PrecomputeSource, Stock};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -78,41 +78,16 @@ pub struct TopicClient {
     ready: Stock<PrecomputedGarbling>,
 }
 
-/// Fleet plan for the base-OT sender reservoir. Only meaningful at paper
-/// scale, where every session runs over the fixed RFC 3526 group: test-scale
-/// OT groups are derived from each session's joint randomness, so nothing
-/// can be generated for them ahead of a session.
-pub(crate) fn base_ot_fleet_plan(config: &PretzelConfig) -> Vec<ReservoirSpec> {
-    if config.ot_group_bits < 1536 {
-        return Vec::new();
-    }
-    let group = OtGroup::rfc3526_1536();
-    vec![ReservoirSpec::new(
-        ReservoirId::base_ots(group.fingerprint()),
-        Arc::new(move |rng: &mut dyn RngCore| {
-            let pre = OtSenderPrecomp::generate(&group, rng)
-                .expect("every element of the fixed prime-order group is invertible");
-            Box::new(pre) as bank::Artifact
-        }),
-    )]
-}
-
 impl TopicProvider {
     /// Setup phase, provider side: ship the encrypted proprietary topic model
     /// and establish the Yao session (as evaluator — the client garbles).
     ///
-    /// The provider is the Yao *evaluator* here, and the IKNP extension
-    /// receiver plays the base-OT sender, so when sessions share an OT group
-    /// the sender's exponentiations are drawn from `source` ready-made; a dry
-    /// draw generates them inline, which produces an identical transcript
-    /// shape.
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         model: &LinearModel,
         config: &PretzelConfig,
         variant: AheVariant,
         mode: CandidateMode,
-        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
         let (ahe, seed) = AheProvider::setup(channel, model, config, variant, rng)?;
@@ -120,16 +95,7 @@ impl TopicProvider {
         let index_width = index_width_for(ahe.cols);
 
         let group = config.ot_group(&seed);
-        // Only a group the fleet plan stocks has a reservoir to draw from.
-        let base = base_ot_fleet_plan(config).first().and_then(|spec| {
-            bank::draw(source.as_ref(), &spec.id, |pre: &OtSenderPrecomp| {
-                pre.matches(&group)
-            })
-        });
-        let yao = match base {
-            Some(pre) => YaoEvaluator::setup_with_base(channel, &group, pre, rng)?,
-            None => YaoEvaluator::setup(channel, &group, rng)?,
-        };
+        let yao = YaoEvaluator::setup(channel, &group, rng)?;
         Ok(TopicProvider {
             circuit: topic_argmax_circuit(candidates, ahe.width, index_width),
             ahe,
@@ -338,7 +304,7 @@ impl FunctionModule for TopicFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
+        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(TopicProvider::setup(
@@ -347,7 +313,6 @@ impl FunctionModule for TopicFunction {
             &suite.config,
             variant,
             suite.topic_mode,
-            source,
             rng,
         )?))
     }
@@ -366,10 +331,6 @@ impl FunctionModule for TopicFunction {
             ctx.candidate_model.clone(),
             rng,
         )?))
-    }
-
-    fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {
-        base_ot_fleet_plan(&suite.config)
     }
 }
 
@@ -519,15 +480,8 @@ mod tests {
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<Vec<usize>> {
                 let mut rng = rand::thread_rng();
-                let mut provider = TopicProvider::setup(
-                    chan,
-                    &provider_model,
-                    &config,
-                    variant,
-                    mode,
-                    &bank::empty_source(),
-                    &mut rng,
-                )?;
+                let mut provider =
+                    TopicProvider::setup(chan, &provider_model, &config, variant, mode, &mut rng)?;
                 let t1 = provider.process_email(chan, &mut rng)?;
                 let t2 = provider.process_email(chan, &mut rng)?;
                 Ok(vec![t1, t2])
@@ -586,7 +540,6 @@ mod tests {
                     &config,
                     AheVariant::Baseline,
                     CandidateMode::Full,
-                    &bank::empty_source(),
                     &mut rng,
                 )?;
                 let t1 = provider.process_email(chan, &mut rng)?;
@@ -658,7 +611,6 @@ mod tests {
                     &config,
                     AheVariant::Pretzel,
                     CandidateMode::Full,
-                    &bank::empty_source(),
                     &mut rng,
                 )?;
                 ProviderModule::process_batch(&mut provider, chan, 3, &mut rng)
@@ -691,20 +643,6 @@ mod tests {
             };
             assert!(candidates.contains(topic));
         }
-    }
-
-    /// The base-OT reservoir must stock what the provider's setup draws: an
-    /// [`OtSenderPrecomp`] for the fixed paper-scale group (and nothing at
-    /// test scale, where each session derives its own group).
-    #[test]
-    fn base_ot_fleet_plan_stocks_artifacts_the_setup_draw_accepts() {
-        assert!(base_ot_fleet_plan(&PretzelConfig::test()).is_empty());
-        let plan = base_ot_fleet_plan(&PretzelConfig::paper());
-        let artifact = (plan[0].producer)(&mut rand::thread_rng());
-        let pre = artifact
-            .downcast::<OtSenderPrecomp>()
-            .expect("the producer yields the type the draw downcasts to");
-        assert!(pre.matches(&OtGroup::rfc3526_1536()));
     }
 
     #[test]

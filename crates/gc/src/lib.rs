@@ -34,7 +34,7 @@ pub use circuit::{
     InputOwner, WireBundle,
 };
 pub use garble::{garble, Garbling, Label};
-pub use ot::{OtGroup, OtSenderPrecomp};
+pub use ot::OtGroup;
 pub use runner::{OutputMode, PrecomputedGarbling, YaoEvaluator, YaoGarbler};
 
 /// Errors produced by garbled-circuit protocols.

@@ -14,10 +14,48 @@
 //! extension in [`crate::otext`] turns 128 of them into any number of fast
 //! per-email OTs), which is exactly how the paper amortizes the expensive
 //! public-key machinery into setup (§3.3).
+//!
+//! # Exponents
+//!
+//! Secret exponents are drawn below `min(q, 2²⁵⁶ − 1)`, not below `q`: in
+//! the 1536-bit group a 256-bit exponent already puts the discrete log at
+//! 2¹²⁸ generic-group work, above the ~2⁹⁰–2¹²⁰ the modulus itself offers
+//! (RFC 3526 §8 sizes the exponent for this group at 180–240 bits), and it
+//! makes every exponentiation six times shorter. `p` is a safe prime, so
+//! the only small subgroup is `{1, p − 1}`: an element outside the order-`q`
+//! subgroup can confine a short exponent to at most one bit, and
+//! [`OtGroup`] refuses the two elements (`1`, `p − 1`) that would leak even
+//! that much for free — everything received must lie in `[2, p − 2]`. Test
+//! groups narrower than 256 bits keep sampling below `q`.
+//!
+//! Two of the three exponentiations per OT have a fixed base — `g` for the
+//! life of the group and `A` for the life of the session — and run off a
+//! [`pretzel_bignum::AutoFixedBase`] table (one product per 4-bit window, no
+//! squarings); the third, the sender's `B_i^a`, shares one exponent across
+//! every `B_i` ([`AutoMontgomery::pow_each`]). Both read their tables by
+//! masked full scan, so no secret exponent steers a memory address here.
+//!
+//! # Frames
+//!
+//! Three, whatever the number of OTs `n`:
+//!
+//! | # | direction | bytes | content |
+//! |---|-----------|-------|---------|
+//! | 1 | S → R | `w` | `A` |
+//! | 2 | R → S | `n·w` | `B_0 ‖ … ‖ B_{n−1}` |
+//! | 3 | S → R | `n·64` | `m⁰_i ⊕ k⁰_i ‖ m¹_i ⊕ k¹_i` for each `i` |
+//!
+//! where `w` is the byte length of `p` and every element is big-endian,
+//! zero-padded to `w`. Frame 2 is length-checked against the sender's own
+//! `n` before anything is parsed. The receiver computes its `g^b` before `A`
+//! arrives and its `A^b` while the sender works through frame 2; the sender
+//! computes `A^{-a}` while it waits for that frame.
+
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
-use pretzel_bignum::{gen_safe_prime, mod_inv, AutoMontgomery, BigUint};
+use pretzel_bignum::{gen_safe_prime, mod_inv, AutoFixedBase, AutoMontgomery, BigUint};
 use pretzel_primitives::{sha256, xor_in_place};
 use pretzel_transport::Channel;
 
@@ -26,45 +64,62 @@ use crate::GcError;
 /// Fixed-size payload carried by one base OT (a PRG seed).
 pub const OT_MSG_LEN: usize = 32;
 
+/// Width cap on secret exponents (see the module docs).
+const EXPONENT_BITS: usize = 256;
+
+/// Generator of the order-q subgroup of every safe-prime group: 4 = 2² is a
+/// quadratic residue other than 1.
+const GENERATOR: u64 = 4;
+
 /// The group used for base OT.
 #[derive(Clone, Debug)]
 pub struct OtGroup {
-    /// Safe prime modulus.
+    /// Safe prime modulus; the subgroup order is q = (p - 1) / 2.
     p: BigUint,
-    /// Subgroup order q = (p - 1) / 2.
-    q: BigUint,
-    /// Generator of the order-q subgroup.
-    g: BigUint,
+    /// Exclusive bound on secret exponents: `min(q, 2²⁵⁶ − 1)`.
+    exponent_bound: BigUint,
     mont: AutoMontgomery,
+    /// Fixed-base table for the generator, shared by every clone of the
+    /// group.
+    g_table: Arc<AutoFixedBase>,
 }
 
 impl OtGroup {
     /// The 1536-bit MODP group from RFC 3526 (§2); `g = 4` generates the
-    /// prime-order subgroup of a safe prime.
+    /// prime-order subgroup of a safe prime. Built once per process and
+    /// cloned from there (the clone shares the generator's table).
     pub fn rfc3526_1536() -> Self {
-        let p_hex = concat!(
-            "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1",
-            "29024E088A67CC74020BBEA63B139B22514A08798E3404DD",
-            "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245",
-            "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED",
-            "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D",
-            "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F",
-            "83655D23DCA3AD961C62F356208552BB9ED529077096966D",
-            "670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
-        );
-        let p = BigUint::from_hex(p_hex).expect("valid hex constant");
-        Self::from_safe_prime(p)
+        static GROUP: OnceLock<OtGroup> = OnceLock::new();
+        GROUP
+            .get_or_init(|| {
+                let p_hex = concat!(
+                    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1",
+                    "29024E088A67CC74020BBEA63B139B22514A08798E3404DD",
+                    "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245",
+                    "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED",
+                    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D",
+                    "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F",
+                    "83655D23DCA3AD961C62F356208552BB9ED529077096966D",
+                    "670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
+                );
+                Self::from_safe_prime(BigUint::from_hex(p_hex).expect("valid hex constant"))
+            })
+            .clone()
     }
 
     /// Builds a group from a safe prime `p` with generator `g = 4`.
     pub fn from_safe_prime(p: BigUint) -> Self {
         let q = (p.clone() - BigUint::one()) >> 1;
+        let cap = (BigUint::one() << EXPONENT_BITS) - BigUint::one();
+        let exponent_bound = q.min(cap);
         let mont = AutoMontgomery::new(&p);
+        let g = BigUint::from(GENERATOR);
+        let g_table = Arc::new(mont.fixed_base(&g, exponent_bound.bits()));
         OtGroup {
             p,
-            q,
-            g: BigUint::from(4u64),
+            exponent_bound,
             mont,
+            g_table,
         }
     }
 
@@ -92,34 +147,10 @@ impl OtGroup {
         &self.p
     }
 
-    /// Stable 64-bit fingerprint of the group (FNV-1a over the encoded
-    /// modulus) — the key a fleet-wide precompute bank files base-OT sender
-    /// artifacts under, so artifacts generated for one group can never be
-    /// spent in another.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.encode(&self.p) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    fn pow_g(&self, exp: &BigUint) -> BigUint {
-        self.mont.pow(&self.g, exp)
-    }
-
-    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.mont.pow(base, exp)
-    }
-
-    fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.mont.mul(a, b)
-    }
-
+    /// A secret exponent, uniform in `[1, min(q, 2²⁵⁶ − 1))`.
     fn random_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         loop {
-            let e = BigUint::random_below(rng, &self.q);
+            let e = BigUint::random_below(rng, &self.exponent_bound);
             if !e.is_zero() {
                 return e;
             }
@@ -134,9 +165,15 @@ impl OtGroup {
         x.to_bytes_be_padded(self.element_bytes())
     }
 
+    /// Parses a received group element: exactly [`OtGroup::element_bytes`]
+    /// long and within `[2, p − 2]` — `0` and anything `≥ p` are not
+    /// elements, and `1` and `p − 1` are the small subgroup.
     fn decode(&self, bytes: &[u8]) -> Result<BigUint, GcError> {
+        if bytes.len() != self.element_bytes() {
+            return Err(GcError::Protocol("bad group element length".into()));
+        }
         let v = BigUint::from_bytes_be(bytes);
-        if v.is_zero() || v >= self.p {
+        if v.is_zero() || v.is_one() || v.add_ref(&BigUint::one()) >= self.p {
             return Err(GcError::Protocol("group element out of range".into()));
         }
         Ok(v)
@@ -144,51 +181,9 @@ impl OtGroup {
 }
 
 fn key_from_element(group: &OtGroup, shared: &BigUint, index: u64) -> [u8; 32] {
-    let mut data = Vec::with_capacity(group.element_bytes() + 8);
-    data.extend_from_slice(&group.encode(shared));
+    let mut data = group.encode(shared);
     data.extend_from_slice(&index.to_le_bytes());
     sha256(&data)
-}
-
-/// Peer-independent sender-side precomputation for one base-OT execution:
-/// the secret exponent `a`, the public value `A = g^a`, and the cached
-/// `A^{-a}` used to derive `k_1`. All three are independent of the
-/// receiver's messages, so they can be manufactured ahead of time by a
-/// background producer (a fleet-wide precompute bank) and spent at session
-/// setup — removing the expensive fixed-base and inverse exponentiations
-/// from the serving path.
-///
-/// Consume-once: each value must feed exactly one [`base_ot_send_precomputed`]
-/// execution (the API takes it by value).
-pub struct OtSenderPrecomp {
-    a: BigUint,
-    big_a: BigUint,
-    a_inv_pow_a: BigUint,
-    group_fingerprint: u64,
-}
-
-impl OtSenderPrecomp {
-    /// Runs the offline part of [`base_ot_send`] for `group`.
-    pub fn generate<R: Rng + ?Sized>(group: &OtGroup, rng: &mut R) -> Result<Self, GcError> {
-        let a = group.random_exponent(rng);
-        let big_a = group.pow_g(&a);
-        // A^{-a} is used to compute (B / A)^a as B^a * A^{-a}.
-        let a_inv = mod_inv(&big_a, &group.p).map_err(|_| GcError::Protocol("bad group".into()))?;
-        let a_inv_pow_a = group.pow(&a_inv, &a);
-        Ok(OtSenderPrecomp {
-            a,
-            big_a,
-            a_inv_pow_a,
-            group_fingerprint: group.fingerprint(),
-        })
-    }
-
-    /// True when this artifact was generated for exactly `group` — spending
-    /// it in a different group would break correctness and security, so
-    /// [`base_ot_send_precomputed`] rejects mismatches.
-    pub fn matches(&self, group: &OtGroup) -> bool {
-        self.group_fingerprint == group.fingerprint()
-    }
 }
 
 /// Sender side of `n` base OTs. `messages[i]` is the pair `(m0, m1)`; the
@@ -199,38 +194,29 @@ pub fn base_ot_send<C: Channel>(
     messages: &[([u8; OT_MSG_LEN], [u8; OT_MSG_LEN])],
     rng: &mut (impl Rng + ?Sized),
 ) -> Result<(), GcError> {
-    let pre = OtSenderPrecomp::generate(group, rng)?;
-    base_ot_send_precomputed(channel, group, pre, messages)
-}
-
-/// [`base_ot_send`] consuming an offline [`OtSenderPrecomp`] — the online
-/// half needs no RNG and performs no fixed-base exponentiation.
-pub fn base_ot_send_precomputed<C: Channel>(
-    channel: &mut C,
-    group: &OtGroup,
-    pre: OtSenderPrecomp,
-    messages: &[([u8; OT_MSG_LEN], [u8; OT_MSG_LEN])],
-) -> Result<(), GcError> {
-    if !pre.matches(group) {
-        return Err(GcError::Protocol(
-            "base-OT precomputation generated for a different group".into(),
-        ));
-    }
-    let OtSenderPrecomp {
-        a,
-        big_a,
-        a_inv_pow_a,
-        ..
-    } = pre;
+    let a = group.random_exponent(rng);
+    let big_a = group.g_table.pow(&a);
     channel.send(&group.encode(&big_a))?;
+    // A^{-a} turns (B / A)^a into B^a · A^{-a}; computed while the receiver
+    // prepares its elements.
+    let a_inv = mod_inv(&big_a, &group.p).map_err(|_| GcError::Protocol("bad group".into()))?;
+    let a_inv_pow_a = group.mont.pow(&a_inv, &a);
 
+    let frame = channel.recv()?;
+    let width = group.element_bytes();
+    if frame.len() != messages.len() * width {
+        return Err(GcError::Protocol("bad base-OT element frame length".into()));
+    }
+    let big_bs = frame
+        .chunks_exact(width)
+        .map(|bytes| group.decode(bytes))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    let shared = group.mont.pow_each(&big_bs, &a);
     let mut response = Vec::with_capacity(messages.len() * 2 * OT_MSG_LEN);
-    for (i, (m0, m1)) in messages.iter().enumerate() {
-        let b_bytes = channel.recv()?;
-        let big_b = group.decode(&b_bytes)?;
-        let b_pow_a = group.pow(&big_b, &a);
-        let k0 = key_from_element(group, &b_pow_a, i as u64);
-        let k1 = key_from_element(group, &group.mul(&b_pow_a, &a_inv_pow_a), i as u64);
+    for (i, ((m0, m1), b_pow_a)) in messages.iter().zip(&shared).enumerate() {
+        let k0 = key_from_element(group, b_pow_a, i as u64);
+        let k1 = key_from_element(group, &group.mont.mul(b_pow_a, &a_inv_pow_a), i as u64);
 
         let mut e0 = *m0;
         xor_in_place(&mut e0, &k0);
@@ -239,7 +225,7 @@ pub fn base_ot_send_precomputed<C: Channel>(
         response.extend_from_slice(&e0);
         response.extend_from_slice(&e1);
     }
-    channel.send(&response)?;
+    channel.send_owned(response)?;
     Ok(())
 }
 
@@ -250,18 +236,26 @@ pub fn base_ot_receive<C: Channel>(
     choices: &[bool],
     rng: &mut (impl Rng + ?Sized),
 ) -> Result<Vec<[u8; OT_MSG_LEN]>, GcError> {
-    let a_bytes = channel.recv()?;
-    let big_a = group.decode(&a_bytes)?;
+    // g^b needs nothing from the sender, so that pass does not wait for A.
+    let exponents: Vec<BigUint> = choices.iter().map(|_| group.random_exponent(rng)).collect();
+    let powers: Vec<BigUint> = exponents.iter().map(|b| group.g_table.pow(b)).collect();
 
-    let mut keys = Vec::with_capacity(choices.len());
-    for (i, &c) in choices.iter().enumerate() {
-        let b = group.random_exponent(rng);
-        let g_b = group.pow_g(&b);
-        let big_b = if c { group.mul(&big_a, &g_b) } else { g_b };
-        channel.send(&group.encode(&big_b))?;
-        let shared = group.pow(&big_a, &b);
-        keys.push(key_from_element(group, &shared, i as u64));
+    let big_a = group.decode(&channel.recv()?)?;
+    let mut frame = Vec::with_capacity(choices.len() * group.element_bytes());
+    for (g_b, &c) in powers.into_iter().zip(choices) {
+        let big_b = if c { group.mont.mul(&big_a, &g_b) } else { g_b };
+        frame.extend_from_slice(&group.encode(&big_b));
     }
+    channel.send_owned(frame)?;
+
+    // The sender now has one exponentiation per element to do; A^b needs
+    // nothing from it.
+    let a_table = group.mont.fixed_base(&big_a, group.exponent_bound.bits());
+    let keys: Vec<[u8; 32]> = exponents
+        .iter()
+        .enumerate()
+        .map(|(i, b)| key_from_element(group, &a_table.pow(b), i as u64))
+        .collect();
 
     let response = channel.recv()?;
     if response.len() != choices.len() * 2 * OT_MSG_LEN {
@@ -281,11 +275,23 @@ pub fn base_ot_receive<C: Channel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pretzel_transport::run_two_party;
-    use rand::Rng;
+    use pretzel_transport::{run_two_party, MemoryChannel, TransportError};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Pair = ([u8; OT_MSG_LEN], [u8; OT_MSG_LEN]);
+    type Seeds = Vec<[u8; OT_MSG_LEN]>;
 
     fn test_group() -> OtGroup {
         OtGroup::insecure_test_group(64, &mut rand::thread_rng())
+    }
+
+    fn chosen(pair: &Pair, choice: bool) -> [u8; OT_MSG_LEN] {
+        if choice {
+            pair.1
+        } else {
+            pair.0
+        }
     }
 
     #[test]
@@ -294,7 +300,7 @@ mod tests {
         let group_b = group.clone();
         let mut rng = rand::thread_rng();
         let n = 8;
-        let messages: Vec<([u8; 32], [u8; 32])> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
+        let messages: Vec<Pair> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
         let choices: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
 
         let msgs_for_sender = messages.clone();
@@ -306,64 +312,172 @@ mod tests {
         send_res.unwrap();
         let received = recv_res.unwrap();
         for i in 0..n {
-            let expected = if choices[i] {
-                messages[i].1
-            } else {
-                messages[i].0
-            };
-            assert_eq!(received[i], expected, "OT #{i}");
-            let other = if choices[i] {
-                messages[i].0
-            } else {
-                messages[i].1
-            };
-            assert_ne!(
-                received[i], other,
-                "OT #{i} must not reveal the other message"
-            );
+            assert_eq!(received[i], chosen(&messages[i], choices[i]), "OT #{i}");
         }
     }
 
-    #[test]
-    fn precomputed_sender_serves_the_same_protocol() {
-        let group = test_group();
-        let group_b = group.clone();
-        let mut rng = rand::thread_rng();
-        let n = 4;
-        let messages: Vec<([u8; 32], [u8; 32])> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-        let choices: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+    /// Reference sender: the protocol of the module docs, every power by
+    /// the generic ladder, drawing from `rng` exactly as [`base_ot_send`].
+    fn reference_send(
+        channel: &mut impl Channel,
+        group: &OtGroup,
+        messages: &[Pair],
+        rng: &mut StdRng,
+    ) -> Result<(), GcError> {
+        let g = BigUint::from(GENERATOR);
+        let a = group.random_exponent(rng);
+        let big_a = group.mont.pow(&g, &a);
+        channel.send(&group.encode(&big_a))?;
+        let frame = channel.recv()?;
+        let mut response = Vec::new();
+        for (i, (bytes, (m0, m1))) in frame
+            .chunks(group.element_bytes())
+            .zip(messages)
+            .enumerate()
+        {
+            let big_b = group.decode(bytes)?;
+            let over_a = group.mont.mul(&big_b, &mod_inv(&big_a, &group.p).unwrap());
+            for (m, base) in [(m0, big_b), (m1, over_a)] {
+                let mut e = *m;
+                let key = key_from_element(group, &group.mont.pow(&base, &a), i as u64);
+                xor_in_place(&mut e, &key);
+                response.extend_from_slice(&e);
+            }
+        }
+        channel.send(&response)?;
+        Ok(())
+    }
 
-        // Offline half on a "producer thread" RNG, online half with no RNG.
-        let pre = OtSenderPrecomp::generate(&group, &mut rng).unwrap();
-        assert!(pre.matches(&group));
-        let msgs_for_sender = messages.clone();
-        let choices_for_recv = choices.clone();
-        let (send_res, recv_res) = run_two_party(
-            move |chan| base_ot_send_precomputed(chan, &group, pre, &msgs_for_sender),
-            move |chan| base_ot_receive(chan, &group_b, &choices_for_recv, &mut rand::thread_rng()),
+    /// Reference receiver, likewise; also returns its keys `H(A^b)`.
+    fn reference_receive(
+        channel: &mut impl Channel,
+        group: &OtGroup,
+        choices: &[bool],
+        rng: &mut StdRng,
+    ) -> Result<(Seeds, Seeds), GcError> {
+        let g = BigUint::from(GENERATOR);
+        let big_a = group.decode(&channel.recv()?)?;
+        let exponents: Vec<BigUint> = choices.iter().map(|_| group.random_exponent(rng)).collect();
+        let mut frame = Vec::new();
+        for (b, &c) in exponents.iter().zip(choices) {
+            let g_b = group.mont.pow(&g, b);
+            let big_b = if c { group.mont.mul(&big_a, &g_b) } else { g_b };
+            frame.extend_from_slice(&group.encode(&big_b));
+        }
+        channel.send(&frame)?;
+        let response = channel.recv()?;
+        let mut out = Vec::new();
+        let mut keys = Vec::new();
+        for (i, (b, &c)) in exponents.iter().zip(choices).enumerate() {
+            let key = key_from_element(group, &group.mont.pow(&big_a, b), i as u64);
+            let offset = (2 * i + usize::from(c)) * OT_MSG_LEN;
+            let mut m = [0u8; OT_MSG_LEN];
+            m.copy_from_slice(&response[offset..offset + OT_MSG_LEN]);
+            xor_in_place(&mut m, &key);
+            out.push(m);
+            keys.push(key);
+        }
+        Ok((out, keys))
+    }
+
+    /// Keeps a copy of every frame crossing one end of a channel.
+    struct Recorder<'a> {
+        inner: &'a mut MemoryChannel,
+        frames: Vec<Vec<u8>>,
+    }
+
+    impl Channel for Recorder<'_> {
+        fn send(&mut self, msg: &[u8]) -> Result<(), TransportError> {
+            self.frames.push(msg.to_vec());
+            self.inner.send(msg)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+            let msg = self.inner.recv()?;
+            self.frames.push(msg.clone());
+            Ok(msg)
+        }
+    }
+
+    /// Runs `receiver` on this thread against `sender`, returning the
+    /// receiver's output and every frame that crossed its end.
+    fn run_recorded<T: Send>(
+        sender: impl FnOnce(&mut MemoryChannel) -> Result<(), GcError> + Send + 'static,
+        receiver: impl FnOnce(&mut Recorder<'_>) -> Result<T, GcError> + Send,
+    ) -> (T, Vec<Vec<u8>>) {
+        let (received, sent) = run_two_party(
+            |chan| {
+                let mut chan = Recorder {
+                    inner: chan,
+                    frames: Vec::new(),
+                };
+                receiver(&mut chan).map(|out| (out, chan.frames))
+            },
+            sender,
         );
-        send_res.unwrap();
-        let received = recv_res.unwrap();
-        for i in 0..n {
-            let expected = if choices[i] {
-                messages[i].1
-            } else {
-                messages[i].0
-            };
-            assert_eq!(received[i], expected, "OT #{i}");
+        sent.unwrap();
+        received.unwrap()
+    }
+
+    /// The 128 base OTs of a production set-up, on the production group:
+    /// the table-driven parties deliver the chosen seeds, the receiver's
+    /// keys do not open the other seed, and each table-driven party is
+    /// byte-for-byte interchangeable with the generic-ladder reference
+    /// under the same RNG seeds.
+    #[test]
+    fn production_group_interoperates_with_the_generic_ladder_reference() {
+        const N: usize = 128;
+        let group = OtGroup::rfc3526_1536();
+        let mut rng = StdRng::seed_from_u64(20);
+        let messages: Vec<Pair> = (0..N).map(|_| (rng.gen(), rng.gen())).collect();
+        let choices: Vec<bool> = (0..N).map(|_| rng.gen()).collect();
+        let sender_rng = || StdRng::seed_from_u64(21);
+        let receiver_rng = || StdRng::seed_from_u64(22);
+
+        let (sender_group, sender_messages) = (group.clone(), messages.clone());
+        let ((reference_out, keys), reference_frames) = run_recorded(
+            move |chan| base_ot_send(chan, &sender_group, &sender_messages, &mut sender_rng()),
+            |chan| reference_receive(chan, &group, &choices, &mut receiver_rng()),
+        );
+        let (sender_group, sender_messages) = (group.clone(), messages.clone());
+        let (table_out, table_frames) = run_recorded(
+            move |chan| reference_send(chan, &sender_group, &sender_messages, &mut sender_rng()),
+            |chan| base_ot_receive(chan, &group, &choices, &mut receiver_rng()),
+        );
+
+        assert_eq!(table_frames, reference_frames, "transcripts differ");
+        assert_eq!(table_out, reference_out);
+        let width = group.element_bytes();
+        let lengths: Vec<usize> = table_frames.iter().map(Vec::len).collect();
+        assert_eq!(lengths, [width, N * width, N * 2 * OT_MSG_LEN]);
+        for i in 0..N {
+            assert_eq!(table_out[i], chosen(&messages[i], choices[i]), "OT #{i}");
+            // What the receiver holds does not open the other ciphertext.
+            let offset = (2 * i + usize::from(!choices[i])) * OT_MSG_LEN;
+            let mut other = [0u8; OT_MSG_LEN];
+            other.copy_from_slice(&table_frames[2][offset..offset + OT_MSG_LEN]);
+            xor_in_place(&mut other, &keys[i]);
+            assert_ne!(other, chosen(&messages[i], !choices[i]), "OT #{i}");
         }
     }
 
     #[test]
-    fn precomputation_for_a_foreign_group_is_rejected() {
-        let group = test_group();
-        let other = test_group();
-        assert_ne!(group.fingerprint(), other.fingerprint());
-        let pre = OtSenderPrecomp::generate(&other, &mut rand::thread_rng()).unwrap();
-        assert!(!pre.matches(&group));
-        let mut chan = pretzel_transport::memory_pair().0;
-        let err = base_ot_send_precomputed(&mut chan, &group, pre, &[]);
-        assert!(matches!(err, Err(GcError::Protocol(_))));
+    fn exponents_are_short_on_the_production_group_and_below_q_on_test_groups() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let group = OtGroup::rfc3526_1536();
+        let widest = (0..200)
+            .map(|_| group.random_exponent(&mut rng).bits())
+            .max()
+            .unwrap();
+        assert!((EXPONENT_BITS - 8..=EXPONENT_BITS).contains(&widest));
+
+        let small = OtGroup::derive_test_group(64, &[3u8; 32]);
+        let q = (small.p.clone() - BigUint::one()) >> 1;
+        assert_eq!(small.exponent_bound, q);
+        for _ in 0..200 {
+            let e = small.random_exponent(&mut rng);
+            assert!(!e.is_zero() && e < q);
+        }
     }
 
     #[test]
@@ -373,10 +487,40 @@ mod tests {
         let bytes = group.encode(&x);
         assert_eq!(bytes.len(), group.element_bytes());
         assert_eq!(group.decode(&bytes).unwrap(), x);
-        // Out-of-range elements rejected.
-        assert!(group.decode(&group.encode(&group.p.clone())).is_err() || x == group.p);
-        let zero = vec![0u8; group.element_bytes()];
-        assert!(group.decode(&zero).is_err());
+    }
+
+    /// Partial public-key validation: only `[2, p − 2]`, at exactly the
+    /// element width, is accepted.
+    #[test]
+    fn decode_accepts_exactly_two_to_p_minus_two() {
+        for group in [test_group(), OtGroup::rfc3526_1536()] {
+            let one = BigUint::one();
+            let two = BigUint::from(2u64);
+            let p = group.p.clone();
+            let width = group.element_bytes();
+            for bad in [
+                BigUint::zero(),
+                one.clone(),
+                p.clone() - one.clone(),
+                p.clone(),
+                p.clone() + one.clone(),
+            ] {
+                let bytes = bad.to_bytes_be_padded(width);
+                assert!(
+                    matches!(group.decode(&bytes), Err(GcError::Protocol(_))),
+                    "{} must be rejected",
+                    bad.to_hex()
+                );
+            }
+            for good in [two.clone(), p - two.clone()] {
+                assert_eq!(group.decode(&group.encode(&good)).unwrap(), good);
+            }
+            // A valid value at the wrong width is not an element either.
+            let mut long = vec![0u8];
+            long.extend_from_slice(&group.encode(&two));
+            assert!(group.decode(&long).is_err());
+            assert!(group.decode(&group.encode(&two)[1..]).is_err());
+        }
     }
 
     #[test]
@@ -384,5 +528,6 @@ mod tests {
         let group = OtGroup::rfc3526_1536();
         assert_eq!(group.p.bits(), 1536);
         assert_eq!(group.element_bytes(), 192);
+        assert_eq!(group.exponent_bound.bits(), EXPONENT_BITS);
     }
 }

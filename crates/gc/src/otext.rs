@@ -26,9 +26,7 @@ use pretzel_primitives::{gc_hash, Prg};
 use pretzel_transport::Channel;
 
 use crate::garble::Label;
-use crate::ot::{
-    base_ot_receive, base_ot_send, base_ot_send_precomputed, OtGroup, OtSenderPrecomp, OT_MSG_LEN,
-};
+use crate::ot::{base_ot_receive, base_ot_send, OtGroup, OT_MSG_LEN};
 use crate::GcError;
 
 /// Security parameter: number of base OTs / matrix columns.
@@ -127,27 +125,6 @@ impl OtExtReceiver {
         let pairs: Vec<([u8; OT_MSG_LEN], [u8; OT_MSG_LEN])> =
             (0..KAPPA).map(|_| (rng.gen(), rng.gen())).collect();
         base_ot_send(channel, group, &pairs, rng)?;
-        Ok(OtExtReceiver {
-            seeds0: pairs.iter().map(|(k0, _)| Prg::new(k0)).collect(),
-            seeds1: pairs.iter().map(|(_, k1)| Prg::new(k1)).collect(),
-            round: 0,
-        })
-    }
-
-    /// [`OtExtReceiver::setup`] spending an offline [`OtSenderPrecomp`]
-    /// (e.g. drawn from a fleet-wide precompute bank): the base-OT sender
-    /// exponentiations were done by a background producer, so setup only
-    /// performs the per-pair work. Transcript-compatible with the peer's
-    /// ordinary [`OtExtSender::setup`].
-    pub fn setup_with_base<C: Channel>(
-        channel: &mut C,
-        group: &OtGroup,
-        base: OtSenderPrecomp,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Result<Self, GcError> {
-        let pairs: Vec<([u8; OT_MSG_LEN], [u8; OT_MSG_LEN])> =
-            (0..KAPPA).map(|_| (rng.gen(), rng.gen())).collect();
-        base_ot_send_precomputed(channel, group, base, &pairs)?;
         Ok(OtExtReceiver {
             seeds0: pairs.iter().map(|(k0, _)| Prg::new(k0)).collect(),
             seeds1: pairs.iter().map(|(_, k1)| Prg::new(k1)).collect(),

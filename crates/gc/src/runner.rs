@@ -285,20 +285,6 @@ impl YaoEvaluator {
         })
     }
 
-    /// [`YaoEvaluator::setup`] spending an offline
-    /// [`crate::ot::OtSenderPrecomp`] for the base-OT sender role the
-    /// evaluator plays in IKNP — transcript-compatible with an ordinary peer.
-    pub fn setup_with_base<C: Channel>(
-        channel: &mut C,
-        group: &OtGroup,
-        base: crate::ot::OtSenderPrecomp,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> Result<Self, GcError> {
-        Ok(YaoEvaluator {
-            ot: OtExtReceiver::setup_with_base(channel, group, base, rng)?,
-        })
-    }
-
     /// Evaluates one circuit as a batch of one: receives the garbled circuit,
     /// obtains its own labels via OT, evaluates and (depending on `mode`)
     /// learns or returns the output.

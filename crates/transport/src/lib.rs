@@ -106,6 +106,14 @@ pub trait Channel: Send {
     /// Sends one message to the peer.
     fn send(&mut self, msg: &[u8]) -> Result<()>;
 
+    /// Sends a message the caller no longer needs. Same wire behaviour as
+    /// [`Channel::send`]; a transport that queues whole frames
+    /// ([`MemoryChannel`]) takes the buffer instead of copying it, so a
+    /// multi-megabyte frame is not resident twice while it is in flight.
+    fn send_owned(&mut self, msg: Vec<u8>) -> Result<()> {
+        self.send(&msg)
+    }
+
     /// Receives the next message from the peer, blocking until available.
     fn recv(&mut self) -> Result<Vec<u8>>;
 
@@ -120,6 +128,9 @@ impl<C: Channel + ?Sized> Channel for &mut C {
     fn send(&mut self, msg: &[u8]) -> Result<()> {
         (**self).send(msg)
     }
+    fn send_owned(&mut self, msg: Vec<u8>) -> Result<()> {
+        (**self).send_owned(msg)
+    }
     fn recv(&mut self) -> Result<Vec<u8>> {
         (**self).recv()
     }
@@ -131,6 +142,9 @@ impl<C: Channel + ?Sized> Channel for &mut C {
 impl Channel for Box<dyn Channel> {
     fn send(&mut self, msg: &[u8]) -> Result<()> {
         (**self).send(msg)
+    }
+    fn send_owned(&mut self, msg: Vec<u8>) -> Result<()> {
+        (**self).send_owned(msg)
     }
     fn recv(&mut self) -> Result<Vec<u8>> {
         (**self).recv()

@@ -28,9 +28,11 @@ pub fn memory_pair() -> (MemoryChannel, MemoryChannel) {
 
 impl Channel for MemoryChannel {
     fn send(&mut self, msg: &[u8]) -> Result<()> {
-        self.tx
-            .send(msg.to_vec())
-            .map_err(|_| TransportError::Closed)
+        self.send_owned(msg.to_vec())
+    }
+
+    fn send_owned(&mut self, msg: Vec<u8>) -> Result<()> {
+        self.tx.send(msg).map_err(|_| TransportError::Closed)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>> {
@@ -82,5 +84,16 @@ mod tests {
         let big = vec![0xABu8; 1 << 20];
         a.send(&big).unwrap();
         assert_eq!(b.recv().unwrap(), big);
+    }
+
+    #[test]
+    fn owned_sends_hand_the_buffer_over_without_copying() {
+        let (mut a, mut b) = memory_pair();
+        let big = vec![0xCDu8; 1 << 20];
+        let (ptr, copy) = (big.as_ptr(), big.clone());
+        a.send_owned(big).unwrap();
+        let got = b.recv().unwrap();
+        assert_eq!(got.as_ptr(), ptr);
+        assert_eq!(got, copy);
     }
 }

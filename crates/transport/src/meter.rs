@@ -211,6 +211,13 @@ impl<C: Channel> Channel for MeteredChannel<C> {
         Ok(())
     }
 
+    fn send_owned(&mut self, msg: Vec<u8>) -> Result<()> {
+        let len = msg.len();
+        self.inner.send_owned(msg)?;
+        self.meter.record_send(len);
+        Ok(())
+    }
+
     fn recv(&mut self) -> Result<Vec<u8>> {
         let msg = self.inner.recv()?;
         self.meter.record_recv(msg.len());
@@ -234,7 +241,7 @@ mod tests {
         let meter = ma.meter();
 
         ma.send(&[0u8; 100]).unwrap();
-        ma.send(&[0u8; 23]).unwrap();
+        ma.send_owned(vec![0u8; 23]).unwrap();
         b.send(&[0u8; 7]).unwrap();
         let _ = ma.recv().unwrap();
 

@@ -720,7 +720,7 @@ impl<C: Channel> CodecChannel<C> {
 
 impl<C: Channel> Channel for CodecChannel<C> {
     fn send(&mut self, msg: &[u8]) -> Result<()> {
-        self.inner.send(&self.codec.encode(msg))
+        self.inner.send_owned(self.codec.encode(msg))
     }
 
     fn recv(&mut self) -> Result<Vec<u8>> {

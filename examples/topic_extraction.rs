@@ -6,7 +6,6 @@
 
 use pretzel_classifiers::nb::MultinomialNbTrainer;
 use pretzel_classifiers::Trainer;
-use pretzel_core::bank::empty_source;
 use pretzel_core::spam::AheVariant;
 use pretzel_core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel_core::{NoPrivProvider, PretzelConfig};
@@ -61,8 +60,6 @@ fn main() {
             &provider_cfg,
             AheVariant::Pretzel,
             CandidateMode::Decomposed(b_prime),
-            // No precompute bank here: every offline artifact is made inline.
-            &empty_source(),
             &mut rng,
         )
         .expect("provider setup");

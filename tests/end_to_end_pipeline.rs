@@ -154,7 +154,6 @@ fn topic_extraction_pipeline_reports_a_candidate_topic_to_the_provider() {
             &provider_cfg,
             AheVariant::Pretzel,
             CandidateMode::Decomposed(b_prime),
-            &empty_source(),
             &mut rng,
         )
         .unwrap();

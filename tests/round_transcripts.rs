@@ -205,8 +205,7 @@ fn cases() -> Vec<Case> {
 /// Runs one session of `case` (setup, then the rounds single or batched)
 /// and returns its transcript lines, each prefixed `case/mode|`: the setup
 /// phase folded into one line (frame count and the digest of its frame
-/// lines — this suite is about rounds, and setup is ~140 base-OT frames),
-/// then one line per online frame.
+/// lines — this suite is about rounds), then one line per online frame.
 fn transcript(case: &Case, batched: bool) -> Vec<String> {
     let (mut suite, candidate_model) = suite();
     suite.topic_mode = case.topic_mode;
