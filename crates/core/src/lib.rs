@@ -74,12 +74,6 @@ pub use registry::{
 pub use replay::ReplayGuard;
 pub use session::{ClientSession, EmailPayload, ProviderModelSuite, ProviderSession, Verdict};
 
-// Wire-protocol negotiation vocabulary, re-exported so module authors can
-// declare capabilities without depending on `pretzel_transport` directly.
-pub use pretzel_transport::wire::{
-    Capabilities, HandshakeError, NegotiatedProfile, ProtocolVersion,
-};
-
 /// Errors surfaced by the Pretzel function modules.
 #[derive(Debug)]
 pub enum PretzelError {

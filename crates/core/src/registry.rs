@@ -31,7 +31,6 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use pretzel_classifiers::LinearModel;
-use pretzel_transport::wire::Capabilities;
 use pretzel_transport::Channel;
 
 use crate::bank::{PrecomputeSource, ReservoirSpec};
@@ -142,25 +141,6 @@ pub trait FunctionModule: Send + Sync {
 
     /// Human-readable module name (stable; used in reports and displays).
     fn display_name(&self) -> &'static str;
-
-    /// Capabilities this module cannot serve a session without. A v2
-    /// handshake that does not offer them is refused
-    /// (`HandshakeError::CapabilityRefused`); since v1 sessions carry no
-    /// capability bits, a module with required capabilities is effectively
-    /// v2-only. The default — no requirements — keeps every module
-    /// servable by legacy v1 peers.
-    fn required_capabilities(&self) -> Capabilities {
-        Capabilities::NONE
-    }
-
-    /// Optional capabilities this module knows how to exploit when the peer
-    /// negotiates them. The default declares
-    /// [`Capabilities::ROUND_BATCH`]: every module's online phase is
-    /// `process_batch`, and sessions without the bit are simply driven one
-    /// round at a time.
-    fn optional_capabilities(&self) -> Capabilities {
-        Capabilities::ROUND_BATCH
-    }
 
     /// Runs the provider half of the setup phase against the peer on
     /// `channel`, returning the reusable per-session provider state.
@@ -360,26 +340,6 @@ mod tests {
         assert_eq!(registry.display_name(2), Some("topic"));
         assert_eq!(registry.display_name(3), Some("virus"));
         assert_eq!(registry.display_name(4), Some("search"));
-    }
-
-    #[test]
-    fn builtin_modules_declare_batching_optional_and_nothing_required() {
-        let registry = ProtocolRegistry::builtin();
-        for module in registry.modules() {
-            assert_eq!(
-                module.required_capabilities(),
-                Capabilities::NONE,
-                "{} must stay servable for legacy v1 peers",
-                module.display_name()
-            );
-            assert!(
-                module
-                    .optional_capabilities()
-                    .contains(Capabilities::ROUND_BATCH),
-                "{} supports negotiated batching",
-                module.display_name()
-            );
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, NGramExtractor, SparseVector};
 use pretzel_sse::DocId;
-use pretzel_transport::wire::NegotiatedProfile;
 use pretzel_transport::Channel;
 
 use crate::bank::{empty_source, PrecomputeSource};
@@ -90,16 +89,8 @@ pub struct ProviderModelSuite {
 
 /// Provider endpoint of one live session: a registry-resolved
 /// [`ProviderModule`] behind a uniform, module-agnostic surface.
-///
-/// Every session carries a [`NegotiatedProfile`] — the wire protocol
-/// version and capability set agreed at handshake time. Sessions built
-/// without an explicit negotiation (direct two-party drivers, tests)
-/// default to the implicit legacy profile,
-/// [`NegotiatedProfile::legacy_v1`]; the serving layer installs the real
-/// outcome via [`ProviderSession::with_profile`].
 pub struct ProviderSession {
     module: Box<dyn ProviderModule>,
-    profile: NegotiatedProfile,
 }
 
 impl ProviderSession {
@@ -142,22 +133,7 @@ impl ProviderSession {
     /// Wraps an already-set-up provider endpoint (for drivers that hold the
     /// module directly instead of going through a registry).
     pub fn from_module(module: Box<dyn ProviderModule>) -> Self {
-        ProviderSession {
-            module,
-            profile: NegotiatedProfile::legacy_v1(),
-        }
-    }
-
-    /// Installs the handshake outcome this session was negotiated under.
-    pub fn with_profile(mut self, profile: NegotiatedProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// The wire protocol version and capability set this session runs
-    /// under ([`NegotiatedProfile::legacy_v1`] when never negotiated).
-    pub fn negotiated(&self) -> NegotiatedProfile {
-        self.profile
+        ProviderSession { module }
     }
 
     /// The handshake byte of the module this session runs.
@@ -262,11 +238,9 @@ pub enum Verdict {
     },
 }
 
-/// Client endpoint of one live session, mirroring [`ProviderSession`]
-/// (including the carried [`NegotiatedProfile`]).
+/// Client endpoint of one live session, mirroring [`ProviderSession`].
 pub struct ClientSession {
     module: Box<dyn ClientModule>,
-    profile: NegotiatedProfile,
 }
 
 impl ClientSession {
@@ -289,22 +263,7 @@ impl ClientSession {
 
     /// Wraps an already-set-up client endpoint.
     pub fn from_module(module: Box<dyn ClientModule>) -> Self {
-        ClientSession {
-            module,
-            profile: NegotiatedProfile::legacy_v1(),
-        }
-    }
-
-    /// Installs the handshake outcome this session was negotiated under.
-    pub fn with_profile(mut self, profile: NegotiatedProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// The wire protocol version and capability set this session runs
-    /// under ([`NegotiatedProfile::legacy_v1`] when never negotiated).
-    pub fn negotiated(&self) -> NegotiatedProfile {
-        self.profile
+        ClientSession { module }
     }
 
     /// The handshake byte of the module this session runs.

@@ -6,7 +6,7 @@
 //! verdict is [`Verdict::Custom`] carrying that digest. It is deliberately
 //! trivial — the point is that the mailroom dispatches an out-of-tree wire
 //! tag through the same handshake, metering, and reporting machinery as the
-//! paper's functions, under load and interleaved with v1/v2 peers.
+//! paper's functions, under load and interleaved with the built-ins.
 
 use std::sync::Arc;
 

@@ -4,10 +4,10 @@
 //! crate supplies the adversarial half as *test* workloads: a library of
 //! **scenarios** — steady-state control, bursty arrivals, heavy-tailed
 //! email sizes, session churn, slow-loris stalls, precompute-pool storms,
-//! and a skewed mixed fleet with a custom module and interleaved v1/v2
-//! peers — each a pure function from `(params, seed)` to a fully
-//! materialized [`ScenarioPlan`], executed by a shared [`run_scenario`]
-//! runner over memory channels or loopback TCP.
+//! and a skewed mixed fleet with a custom module — each a pure function
+//! from `(params, seed)` to a fully materialized [`ScenarioPlan`], executed
+//! by a shared [`run_scenario`] runner over memory channels or loopback
+//! TCP.
 //!
 //! The consumer is `tests/scenario_determinism.rs` (and this crate's own
 //! tests): same seed ⇒ identical [`DeterminismFingerprint`] (verdict bytes

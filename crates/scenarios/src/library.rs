@@ -12,7 +12,7 @@
 //! | `slow-loris` | stalling clients pin workers between frames |
 //! | `pool-exhaustion-storm` | batch storms outrun a one-artifact bank |
 //! | `prefilled-bank-storm` | the same storm absorbed by a prefilled fleet bank |
-//! | `mixed-fleet-skew` | all four built-ins + a custom module, skewed, v1/v2 interleaved |
+//! | `mixed-fleet-skew` | all four built-ins + a custom module at skewed ratios |
 //!
 //! The per-session RNG streams are split from the scenario seed with the
 //! same golden-ratio multiply the mailroom uses for its provider streams,
@@ -123,16 +123,11 @@ fn digest_payloads(rng: &mut StdRng, rounds: usize) -> Vec<EmailPayload> {
         .collect()
 }
 
-fn spam_spec(legacy: bool) -> ClientSpec {
-    let builder = ClientSpecBuilder::spam(PretzelConfig::test());
-    if legacy {
-        builder.legacy_v1().build()
-    } else {
-        builder.build()
-    }
+fn spam_spec() -> ClientSpec {
+    ClientSpecBuilder::spam(PretzelConfig::test()).build()
 }
 
-fn spec_for_kind(kind: &'static str, legacy: bool) -> ClientSpec {
+fn spec_for_kind(kind: &'static str) -> ClientSpec {
     let config = PretzelConfig::test();
     let builder = match kind {
         "spam" => ClientSpecBuilder::spam(config),
@@ -142,11 +137,7 @@ fn spec_for_kind(kind: &'static str, legacy: bool) -> ClientSpec {
         "digest" => ClientSpecBuilder::for_module(std::sync::Arc::new(DigestFunction), config),
         other => panic!("unknown scenario kind {other}"),
     };
-    if legacy {
-        builder.legacy_v1().build()
-    } else {
-        builder.build()
-    }
+    builder.build()
 }
 
 fn fleet_mailroom(seed: u64, sessions: usize) -> MailroomConfig {
@@ -175,7 +166,7 @@ impl Scenario for Steady {
                 let mut rng = StdRng::seed_from_u64(client_seed);
                 SessionPlan {
                     label: "spam",
-                    spec: spam_spec(false),
+                    spec: spam_spec(),
                     client_seed,
                     arrival_delay: Duration::ZERO,
                     frame_pace: Duration::ZERO,
@@ -220,7 +211,7 @@ impl Scenario for BurstyArrivals {
                     .collect();
                 SessionPlan {
                     label: "spam",
-                    spec: spam_spec(false),
+                    spec: spam_spec(),
                     client_seed,
                     arrival_delay: Self::BURST_GAP * (i / per_burst) as u32,
                     frame_pace: Duration::ZERO,
@@ -278,7 +269,7 @@ impl Scenario for HeavyTailSizes {
                     .collect();
                 SessionPlan {
                     label: if spammy { "spam" } else { "virus" },
-                    spec: spec_for_kind(if spammy { "spam" } else { "virus" }, false),
+                    spec: spec_for_kind(if spammy { "spam" } else { "virus" }),
                     client_seed,
                     arrival_delay: Duration::ZERO,
                     frame_pace: Duration::ZERO,
@@ -320,7 +311,7 @@ impl Scenario for SessionChurn {
                 };
                 SessionPlan {
                     label: "spam",
-                    spec: spam_spec(false),
+                    spec: spam_spec(),
                     client_seed,
                     arrival_delay: Duration::ZERO,
                     frame_pace: Duration::ZERO,
@@ -338,7 +329,7 @@ impl Scenario for SessionChurn {
         // One client that handshakes and vanishes before any round.
         sessions.push(SessionPlan {
             label: "spam",
-            spec: spam_spec(false),
+            spec: spam_spec(),
             client_seed: session_seed(seed, self.0.sessions),
             arrival_delay: Duration::ZERO,
             frame_pace: Duration::ZERO,
@@ -376,7 +367,7 @@ impl Scenario for SlowLoris {
                 let mut rng = StdRng::seed_from_u64(client_seed);
                 SessionPlan {
                     label: "spam",
-                    spec: spam_spec(false),
+                    spec: spam_spec(),
                     client_seed,
                     arrival_delay: Duration::ZERO,
                     frame_pace: if i < loris {
@@ -422,7 +413,7 @@ fn storm_sessions(config: &ScenarioConfig, seed: u64, odd_kind: &'static str) ->
             };
             SessionPlan {
                 label,
-                spec: spec_for_kind(label, false),
+                spec: spec_for_kind(label),
                 client_seed,
                 arrival_delay: Duration::ZERO,
                 frame_pace: Duration::ZERO,
@@ -509,9 +500,8 @@ impl Scenario for PrefilledBankStorm {
 }
 
 /// The full zoo: all four built-in kinds plus the custom digest module at
-/// skewed ratios, alternating legacy-v1 and capability-negotiating v2
-/// peers on the same mailroom. Everything submits through `process_batch`,
-/// so v2 sessions batch and v1 sessions transparently degrade.
+/// skewed ratios on the same mailroom. Everything submits through
+/// `process_batch`.
 pub struct MixedFleetSkew(pub ScenarioConfig);
 
 impl MixedFleetSkew {
@@ -528,7 +518,7 @@ impl Scenario for MixedFleetSkew {
         "mixed-fleet-skew"
     }
     fn summary(&self) -> &'static str {
-        "all built-ins + custom module at skewed ratios, v1/v2 interleaved"
+        "all built-ins + custom module at skewed ratios"
     }
     fn plan(&self, seed: u64) -> ScenarioPlan {
         let sessions = (0..self.0.sessions)
@@ -536,7 +526,6 @@ impl Scenario for MixedFleetSkew {
                 let client_seed = session_seed(seed, i);
                 let mut rng = StdRng::seed_from_u64(client_seed);
                 let kind = Self::PATTERN[i % Self::PATTERN.len()];
-                let legacy = i % 2 == 1;
                 let payloads = match kind {
                     "search" => search_payloads(&mut rng, self.0.rounds, i as u64 * 100),
                     "digest" => digest_payloads(&mut rng, self.0.rounds),
@@ -550,7 +539,7 @@ impl Scenario for MixedFleetSkew {
                 let rounds = vec![RoundOp::Batch(payloads)];
                 SessionPlan {
                     label: kind,
-                    spec: spec_for_kind(kind, legacy),
+                    spec: spec_for_kind(kind),
                     client_seed,
                     arrival_delay: Duration::ZERO,
                     frame_pace: Duration::ZERO,

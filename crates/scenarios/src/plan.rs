@@ -20,8 +20,7 @@ pub enum RoundOp {
     ///
     /// [`MailroomClient::process`]: pretzel_server::MailroomClient::process
     One(EmailPayload),
-    /// A coalesced batch ([`MailroomClient::process_batch`]) — batched on
-    /// v2 sessions, transparently sequential on v1.
+    /// A coalesced batch ([`MailroomClient::process_batch`]).
     ///
     /// [`MailroomClient::process_batch`]: pretzel_server::MailroomClient::process_batch
     Batch(Vec<EmailPayload>),

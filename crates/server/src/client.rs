@@ -42,15 +42,6 @@ pub struct ClientSpec {
     pub module: Arc<dyn FunctionModule>,
     /// Client-side setup parameters (preset, AHE variant, topic knobs).
     pub ctx: ClientContext,
-    /// Oldest protocol version this client accepts.
-    pub min_version: ProtocolVersion,
-    /// Newest protocol version this client accepts. When this is
-    /// [`ProtocolVersion::V1`] the client sends the frozen legacy 2-byte
-    /// handshake and never negotiates.
-    pub max_version: ProtocolVersion,
-    /// Optional wire features the client offers (negotiation grants the
-    /// intersection with what the provider serves for the module).
-    pub capabilities: Capabilities,
 }
 
 impl std::fmt::Debug for ClientSpec {
@@ -59,8 +50,6 @@ impl std::fmt::Debug for ClientSpec {
             .field("module", &self.module.display_name())
             .field("wire_tag", &self.module.wire_tag())
             .field("ctx", &self.ctx)
-            .field("versions", &(self.min_version, self.max_version))
-            .field("capabilities", &self.capabilities)
             .finish()
     }
 }
@@ -76,8 +65,7 @@ impl ClientSpec {
 }
 
 /// Builder for a [`ClientSpec`]: pick a function module, then adjust the
-/// context knobs and the wire-protocol envelope (version range, offered
-/// capabilities) before [`ClientSpecBuilder::build`].
+/// context knobs before [`ClientSpecBuilder::build`].
 ///
 /// ```
 /// # use pretzel_server::ClientSpecBuilder;
@@ -85,7 +73,6 @@ impl ClientSpec {
 /// # let config = pretzel_core::PretzelConfig::test();
 /// let spec = ClientSpecBuilder::topic(config)
 ///     .topic_mode(CandidateMode::Full)
-///     .batched(false) // negotiate v2 but without the batching capability
 ///     .build();
 /// ```
 #[derive(Clone, Debug)]
@@ -100,9 +87,6 @@ impl ClientSpecBuilder {
             spec: ClientSpec {
                 module,
                 ctx: ClientContext::new(config),
-                min_version: ProtocolVersion::MIN,
-                max_version: ProtocolVersion::MAX,
-                capabilities: Capabilities::KNOWN,
             },
         }
     }
@@ -145,41 +129,6 @@ impl ClientSpecBuilder {
         self
     }
 
-    /// Offers the protocol version range `min..=max`.
-    pub fn versions(mut self, min: ProtocolVersion, max: ProtocolVersion) -> Self {
-        self.spec.min_version = min;
-        self.spec.max_version = max;
-        self
-    }
-
-    /// Pins the client to the frozen legacy protocol: a v1-only version
-    /// range, the 2-byte handshake, no negotiation, no capabilities —
-    /// exactly what a not-yet-upgraded peer sends during a rolling upgrade.
-    pub fn legacy_v1(self) -> Self {
-        self.versions(ProtocolVersion::V1, ProtocolVersion::V1)
-            .capabilities(Capabilities::NONE)
-    }
-
-    /// Replaces the offered capability set.
-    pub fn capabilities(mut self, capabilities: Capabilities) -> Self {
-        self.spec.capabilities = capabilities;
-        self
-    }
-
-    /// Adds or removes [`Capabilities::ROUND_BATCH`] from the offer. With
-    /// batching off (or unnegotiated), [`MailroomClient::process_batch`]
-    /// transparently submits its payloads one round at a time.
-    pub fn batched(mut self, batched: bool) -> Self {
-        self.spec.capabilities = if batched {
-            self.spec.capabilities | Capabilities::ROUND_BATCH
-        } else {
-            Capabilities::from_bits(
-                self.spec.capabilities.bits() & !Capabilities::ROUND_BATCH.bits(),
-            )
-        };
-        self
-    }
-
     /// Finalizes the spec.
     pub fn build(self) -> ClientSpec {
         self.spec
@@ -190,39 +139,34 @@ impl ClientSpecBuilder {
 pub struct MailroomClient<C: Channel> {
     channel: CodecChannel<C>,
     session: ClientSession,
+    profile: NegotiatedProfile,
     emails: u64,
 }
 
 impl<C: Channel> MailroomClient<C> {
-    /// Opens a session: sends the handshake (a legacy 2-byte request when
-    /// the spec is pinned to v1, a versioned [`HandshakeOffer`] otherwise),
-    /// waits for the accept/busy ack — and, for offers, the provider's
-    /// [`HandshakeAck`] picking the version and capabilities — then runs the
-    /// client half of the protocol setup through the negotiated codec.
+    /// Opens a session: sends a [`HandshakeOffer`] for every version this
+    /// build speaks, waits for the accept/busy ack and the provider's
+    /// [`HandshakeAck`] picking the version, then runs the client half of
+    /// the protocol setup through the v2 codec.
     ///
     /// Returns [`ServerError::Busy`] when the mailroom refused the session
     /// (bounded-queue backpressure) — the call returns promptly rather than
-    /// waiting for capacity. A structured refusal (unknown tag, no version
-    /// overlap, required capability denied) surfaces as
+    /// waiting for capacity. A structured refusal (malformed offer, unknown
+    /// tag or AHE variant, no version overlap) surfaces as
     /// [`ServerError::Handshake`].
     pub fn connect<R: Rng>(
         mut channel: C,
         spec: &ClientSpec,
         rng: &mut R,
     ) -> Result<Self, ServerError> {
-        let legacy = spec.max_version == ProtocolVersion::V1;
-        let request = if legacy {
-            vec![spec.module.wire_tag(), variant_byte(spec.ctx.variant)]
-        } else {
-            HandshakeOffer {
-                min_version: spec.min_version.as_byte(),
-                max_version: spec.max_version.as_byte(),
-                wire_tag: spec.module.wire_tag(),
-                variant: variant_byte(spec.ctx.variant),
-                capabilities: spec.capabilities,
-            }
-            .encode()
-        };
+        let request = HandshakeOffer {
+            min_version: ProtocolVersion::MIN.as_byte(),
+            max_version: ProtocolVersion::MAX.as_byte(),
+            wire_tag: spec.module.wire_tag(),
+            variant: variant_byte(spec.ctx.variant),
+            capabilities: Capabilities::KNOWN,
+        }
+        .encode();
         // A refused session may already have been hung up on by the
         // provider (the busy ack is buffered, the channel closed), in which
         // case the handshake send fails — drain the ack before deciding
@@ -246,35 +190,30 @@ impl<C: Channel> MailroomClient<C> {
                 ))))
             }
         }
-        // Legacy sessions never negotiate: no second ack exists on the wire
-        // (byte-identical to the pre-versioning protocol).
-        let profile = if legacy {
-            NegotiatedProfile::legacy_v1()
-        } else {
-            match HandshakeAck::decode(&channel.recv()?)? {
-                HandshakeAck::Accept {
-                    version,
-                    capabilities,
-                } => NegotiatedProfile {
-                    version,
-                    capabilities,
-                },
-                HandshakeAck::Refuse(err) => return Err(ServerError::Handshake(err)),
-            }
+        let profile = match HandshakeAck::decode(&channel.recv()?)? {
+            HandshakeAck::Accept {
+                version,
+                capabilities,
+            } => NegotiatedProfile {
+                version,
+                capabilities,
+            },
+            HandshakeAck::Refuse(err) => return Err(ServerError::Handshake(err)),
         };
-        let mut channel = CodecChannel::new(channel, profile.version);
+        let mut channel = CodecChannel::new(channel);
         let module = spec.module.client_setup(&mut channel, &spec.ctx, rng)?;
         Ok(MailroomClient {
             channel,
-            session: ClientSession::from_module(module).with_profile(profile),
+            session: ClientSession::from_module(module),
+            profile,
             emails: 0,
         })
     }
 
-    /// The profile this session negotiated: protocol version and granted
-    /// capabilities (the legacy profile for v1-pinned specs).
+    /// The profile the provider acked: protocol version and granted
+    /// capabilities.
     pub fn negotiated(&self) -> NegotiatedProfile {
-        self.session.negotiated()
+        self.profile
     }
 
     /// Wire tag of the function module this session runs.
@@ -317,35 +256,19 @@ impl<C: Channel> MailroomClient<C> {
             .ok_or_else(|| ServerError::Control("a batch of one round yielded no verdict".into()))
     }
 
-    /// Submits one batch of emails as a single exchange: one control frame
-    /// announces the rounds, then the session's module runs its online phase
-    /// over all of them (see [`pretzel_core::ClientModule::process_batch`]).
-    /// An empty batch is a no-op.
-    ///
-    /// A batch of one is announced as `[ROUND_EMAIL]`; `[ROUND_BATCH, n]`
-    /// is for `n > 1` and gated by the negotiated
-    /// [`Capabilities::ROUND_BATCH`] bit. On a session without it (any v1
-    /// session, or a v2 session that did not offer/get the bit) the payloads
-    /// go out as batches of one instead — same verdicts, more round trips —
-    /// so callers never need to branch on the peer's protocol generation.
+    /// Submits a batch of emails: one control frame announces the rounds,
+    /// then the session's module runs its online phase over all of them (see
+    /// [`pretzel_core::ClientModule::process_batch`]). A batch of one is
+    /// announced as `[ROUND_EMAIL]`, `n > 1` rounds as `[ROUND_BATCH, n]`. A
+    /// batch longer than [`MAX_BATCH_ROUNDS`] goes out as several exchanges
+    /// of at most that many rounds. An empty batch is a no-op.
     pub fn process_batch<R: Rng>(
         &mut self,
         payloads: &[EmailPayload],
         rng: &mut R,
     ) -> Result<Vec<Verdict>, ServerError> {
-        if payloads.is_empty() {
-            return Ok(Vec::new());
-        }
-        let batched = self.negotiated().supports(Capabilities::ROUND_BATCH);
-        if batched && payloads.len() > MAX_BATCH_ROUNDS {
-            return Err(ServerError::Control(format!(
-                "batch of {} rounds exceeds the {MAX_BATCH_ROUNDS}-round cap",
-                payloads.len()
-            )));
-        }
-        let per_exchange = if batched { payloads.len() } else { 1 };
         let mut verdicts = Vec::with_capacity(payloads.len());
-        for rounds in payloads.chunks(per_exchange) {
+        for rounds in payloads.chunks(MAX_BATCH_ROUNDS) {
             match rounds.len() {
                 1 => self.channel.send(&[ROUND_EMAIL])?,
                 n => {

@@ -33,36 +33,30 @@
 //!
 //! All framing below rides on the message-oriented [`Channel`] contract
 //! (`u32` length-prefixed frames on TCP). The session handshake is
-//! **versioned** (see `pretzel_transport::wire` and `docs/WIRE.md`): one
-//! mailroom serves legacy v1 peers and capability-negotiating v2 peers on
-//! the same intake, which is what makes a zero-downtime rolling upgrade of
-//! the fleet possible.
+//! **versioned** (see `pretzel_transport::wire` and `docs/WIRE.md`): the
+//! client offers a version range, the provider picks a version inside it or
+//! refuses with a typed reason. This build speaks one generation, v2.
 //!
 //! ```text
-//! v1 (frozen, byte-identical to the pre-versioning format):
-//! client → provider   [wire_tag, variant]        2-byte session request
-//! provider → client   [ACK_ACCEPTED] | [ACK_BUSY]
-//! …protocol setup (provider initiates; §3.3 joint randomness, model, OTs)…
-//! repeat:
-//!   client → provider [ROUND_EMAIL]              then one round (count = 1)
-//! client → provider   [ROUND_BYE]                teardown
-//!
-//! v2 (negotiated):
 //! client → provider   HandshakeOffer             [0x00 'P' 'Z', min, max,
 //!                                                 wire_tag, variant,
 //!                                                 capabilities:u64le]
 //! provider → client   [ACK_ACCEPTED] | [ACK_BUSY]
 //! provider → client   HandshakeAck               picked version + granted
 //!                                                capabilities (or refusal)
-//! …all further frames through the negotiated codec (v2: header+CRC32)…
+//! …all further frames through the v2 codec (header + CRC-32)…
+//! …protocol setup (provider initiates; §3.3 joint randomness, model, OTs)…
 //! repeat:
 //!   client → provider [ROUND_EMAIL]              count = 1
-//!   client → provider [ROUND_BATCH, n:u32le]     count = n, 1..=4096 — only
-//!                                                with the negotiated
-//!                                                ROUND_BATCH capability
+//!   client → provider [ROUND_BATCH, n:u32le]     count = n, 1..=4096
 //!   …then the module's online phase over `count` rounds
 //! client → provider   [ROUND_BYE]                teardown
 //! ```
+//!
+//! A first frame that is not a decodable offer, an unregistered wire tag, an
+//! unknown AHE variant byte and a disjoint version range are each refused
+//! with a [`HandshakeAck::Refuse`] before any set-up work, and fail only
+//! that session.
 //!
 //! A round is a batch of one: both control frames feed the same
 //! `process_batch(count)` call, `[ROUND_EMAIL]` being shorthand for
@@ -73,16 +67,13 @@
 //! travel packed by `pretzel_transport::pack_frames`. [`MailroomClient`]
 //! announces a single round as `[ROUND_EMAIL]` and only `n > 1` as
 //! `[ROUND_BATCH, n]`; a hand-written `[ROUND_BATCH, 1]` is served like
-//! `[ROUND_EMAIL]`, bare.
+//! `[ROUND_EMAIL]`, bare. [`MailroomClient::process_batch`] splits a batch
+//! longer than [`MAX_BATCH_ROUNDS`] into exchanges of at most that many
+//! rounds.
 //!
 //! The `wire_tag` byte is resolved through the mailroom's
 //! [`pretzel_core::ProtocolRegistry`] — the four built-in modules by
 //! default, plus anything registered via [`Mailroom::start_with_registry`].
-//! Batching is a *negotiated capability*: v2 clients that negotiated
-//! [`Capabilities::ROUND_BATCH`] coalesce rounds, v1 clients (and v2
-//! clients without the bit) are transparently served one round at a time —
-//! [`MailroomClient::process_batch`] submits batches of one instead of
-//! failing.
 //!
 //! [`Channel`]: pretzel_transport::Channel
 
@@ -136,14 +127,12 @@ pub enum ServerError {
     /// Intake rejected this submission because the queue was full; the
     /// client was told [`ACK_BUSY`]. Carries the rejected session's id.
     Backpressure(SessionId),
-    /// The handshake failed: malformed offer, no version overlap, unknown
-    /// wire tag, or a required capability the peer refused. Structured so
-    /// callers can distinguish "speak an older version" from "this function
-    /// does not exist here".
+    /// The handshake failed: malformed offer, no version overlap, or
+    /// unknown wire tag. Structured so callers can distinguish "speak
+    /// another version" from "this function does not exist here".
     Handshake(HandshakeError),
-    /// A round-control frame violated the negotiated session rules — a
-    /// degenerate or oversized batch count, or a [`ROUND_BATCH`] frame on a
-    /// session that never negotiated [`Capabilities::ROUND_BATCH`].
+    /// A round-control frame violated the session rules — an unknown
+    /// control byte, or a degenerate or oversized batch count.
     Control(String),
     /// A protocol-layer failure inside a session.
     Pretzel(PretzelError),

@@ -12,18 +12,13 @@
 //!    returns [`ServerError::Backpressure`]. Otherwise the client receives
 //!    [`crate::ACK_ACCEPTED`] inside the same queue-slot reservation, so the
 //!    ack can never race the capacity check.
-//! 2. **Handshake** — a worker pops the session and reads the first frame.
-//!    A legacy two-byte request (function-module wire tag + [`AheVariant`])
-//!    starts a frozen **v1** session, byte-identical to the pre-versioning
-//!    protocol. A magic-prefixed
-//!    [`pretzel_transport::wire::HandshakeOffer`] starts **negotiation**:
-//!    the worker resolves the tag through the registry, intersects the
-//!    offered capabilities with [`MailroomConfig::capabilities`] and the
-//!    module's declared needs, picks the newest common version, and acks —
-//!    or refuses with a structured
-//!    [`pretzel_transport::wire::HandshakeError`] that fails only this
-//!    session. All later frames travel through the negotiated codec
-//!    (identity for v1, checksummed framing for v2).
+//! 2. **Handshake** — a worker pops the session and reads the first frame,
+//!    which must be a [`HandshakeOffer`]. The worker picks the newest
+//!    version inside the offered range, resolves the function-module wire
+//!    tag through the registry and the [`AheVariant`] byte, and acks — or
+//!    refuses with a structured [`HandshakeError`] that fails only this
+//!    session, before any set-up work. All later frames travel through the
+//!    checksummed v2 codec.
 //! 3. **Setup reuse** — the worker runs the protocol's setup phase once
 //!    (joint randomness, encrypted model transfer, base OTs) and keeps the
 //!    resulting [`ProviderSession`] for the whole session.
@@ -70,7 +65,7 @@ use pretzel_core::session::{variant_from_byte, ProviderModelSuite, ProviderSessi
 use pretzel_core::spam::AheVariant;
 use pretzel_transport::wire::{
     negotiate, Capabilities, CodecChannel, HandshakeAck, HandshakeError, HandshakeOffer,
-    NegotiatedProfile, NegotiationPolicy, ProtocolVersion,
+    NegotiationPolicy, ProtocolVersion,
 };
 use pretzel_transport::{Channel, Meter, MeteredChannel, PoolKindGauge, TcpAcceptor};
 
@@ -99,15 +94,6 @@ pub struct MailroomConfig {
     /// artifact inline; `Some` starts background producer threads that keep
     /// per-kind reservoirs full, and sessions draw from them.
     pub bank: Option<BankConfig>,
-    /// Newest protocol version this mailroom serves. v1 is always served
-    /// (the legacy handshake has no version field to refuse), so lowering
-    /// this to [`ProtocolVersion::V1`] simulates a not-yet-upgraded
-    /// provider during a rolling upgrade.
-    pub max_version: ProtocolVersion,
-    /// Capabilities the mailroom is willing to grant. Sessions get the
-    /// intersection of this, the client's offer, and the module's declared
-    /// required/optional bits.
-    pub capabilities: Capabilities,
 }
 
 impl MailroomConfig {
@@ -130,8 +116,6 @@ impl Default for MailroomConfig {
             queue_capacity: 64,
             rng_seed: 0x4d41_494c_524f_4f4d, // "MAILROOM"
             bank: None,
-            max_version: ProtocolVersion::MAX,
-            capabilities: Capabilities::KNOWN,
         }
     }
 }
@@ -169,18 +153,6 @@ impl MailroomConfigBuilder {
         self
     }
 
-    /// Caps the newest protocol version served.
-    pub fn max_version(mut self, version: ProtocolVersion) -> Self {
-        self.config.max_version = version;
-        self
-    }
-
-    /// Sets the grantable capability mask.
-    pub fn capabilities(mut self, capabilities: Capabilities) -> Self {
-        self.config.capabilities = capabilities;
-        self
-    }
-
     /// Finalizes the config.
     pub fn build(self) -> MailroomConfig {
         self.config
@@ -215,10 +187,9 @@ pub struct SessionStats {
     /// from the mailroom's registry at handshake time.
     pub kind_name: Option<&'static str>,
     /// Protocol version the session negotiated (`None` until the handshake
-    /// resolved; legacy 2-byte handshakes record
-    /// [`ProtocolVersion::V1`]).
+    /// resolved).
     pub version: Option<ProtocolVersion>,
-    /// Capability bits granted to the session (always empty for v1).
+    /// Capability bits granted to the session.
     pub capabilities: Capabilities,
     /// Lifecycle state at snapshot time.
     pub state: SessionState,
@@ -314,8 +285,6 @@ struct Shared {
     /// Where sessions draw offline artifacts: a work-stealing handle onto
     /// the fleet precompute bank, or the empty source when none runs.
     source: Arc<dyn PrecomputeSource>,
-    max_version: ProtocolVersion,
-    capabilities: Capabilities,
 }
 
 impl Shared {
@@ -408,21 +377,6 @@ impl MailroomReport {
         by_tag.into_iter().collect()
     }
 
-    /// Per-protocol-version aggregation of the fleet — the rolling-upgrade
-    /// dashboard: how much traffic is still on v1 and how much has moved to
-    /// v2. Sessions whose handshake never resolved a version are excluded,
-    /// same as [`MailroomReport::by_kind`].
-    pub fn by_version(&self) -> Vec<(ProtocolVersion, KindTotals)> {
-        let mut by_version: std::collections::BTreeMap<ProtocolVersion, KindTotals> =
-            std::collections::BTreeMap::new();
-        for s in &self.sessions {
-            if let Some(version) = s.version {
-                by_version.entry(version).or_default().absorb(s);
-            }
-        }
-        by_version.into_iter().collect()
-    }
-
     /// Fleet-wide stock of one artifact kind at shutdown, summed over the
     /// bank's reservoirs of that kind (live and retired).
     pub fn reservoir_depth(&self, kind: &str) -> u64 {
@@ -503,8 +457,6 @@ impl Mailroom {
             accepting: AtomicBool::new(true),
             rng_seed: config.rng_seed,
             source,
-            max_version: config.max_version,
-            capabilities: config.capabilities,
         });
         let workers = (0..config.workers)
             .map(|idx| {
@@ -682,29 +634,20 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Reads the session's first frame and resolves its protocol generation:
-/// a magic-prefixed [`HandshakeOffer`] negotiates (and is acked or refused
-/// on the wire), a legacy 2-byte request is served as frozen v1 with no
-/// ack, anything else is a structured [`HandshakeError::Malformed`].
+/// Reads the session's first frame, which must be a [`HandshakeOffer`], and
+/// settles it in wire order: the version range first (it decides how the
+/// rest of the offer reads), then the wire tag, then the AHE variant. The
+/// outcome goes back on the wire as a [`HandshakeAck`] — every refusal
+/// included (best effort — the peer may already be gone) — before any
+/// set-up work, so a refused session fails alone and its client sees
+/// [`ServerError::Handshake`]. An accepted session is recorded under its
+/// kind and profile.
 fn handshake(
     shared: &Shared,
+    id: SessionId,
     channel: &mut SessionChannel,
-) -> Result<(WireTag, u8, NegotiatedProfile), ServerError> {
+) -> Result<(WireTag, AheVariant), ServerError> {
     let first = channel.recv()?;
-    if !HandshakeOffer::looks_like_offer(&first) {
-        let &[tag, variant_b] = first.as_slice() else {
-            return Err(ServerError::Handshake(HandshakeError::Malformed(format!(
-                "first frame is neither a legacy 2-byte handshake nor a v2 offer \
-                 ({} bytes)",
-                first.len()
-            ))));
-        };
-        return Ok((tag, variant_b, NegotiatedProfile::legacy_v1()));
-    }
-
-    // Offering clients wait for an ack, so every refusal is mirrored onto
-    // the wire (best effort — the peer may already be gone) before failing
-    // this session.
     let refuse = |channel: &mut SessionChannel, err: HandshakeError| -> ServerError {
         let _ = channel.send(&HandshakeAck::Refuse(err.clone()).encode());
         let _ = channel.flush();
@@ -714,27 +657,23 @@ fn handshake(
         Ok(offer) => offer,
         Err(e) => return Err(refuse(channel, e)),
     };
-    let module = match shared.registry.from_wire_tag(offer.wire_tag) {
-        Ok(module) => module,
-        Err(_) => {
-            return Err(refuse(
-                channel,
-                HandshakeError::UnknownTag {
-                    tag: offer.wire_tag,
-                },
-            ))
-        }
-    };
-    let policy = NegotiationPolicy {
-        min_version: ProtocolVersion::MIN,
-        max_version: shared.max_version,
-        capabilities: shared.capabilities
-            & (module.required_capabilities() | module.optional_capabilities()),
-        required: module.required_capabilities(),
-    };
-    let profile = match negotiate(&offer, &policy) {
+    let profile = match negotiate(&offer, &NegotiationPolicy::default()) {
         Ok(profile) => profile,
         Err(e) => return Err(refuse(channel, e)),
+    };
+    let Ok(module) = shared.registry.from_wire_tag(offer.wire_tag) else {
+        return Err(refuse(
+            channel,
+            HandshakeError::UnknownTag {
+                tag: offer.wire_tag,
+            },
+        ));
+    };
+    let Ok(variant) = variant_from_byte(offer.variant) else {
+        return Err(refuse(
+            channel,
+            HandshakeError::Malformed(format!("unknown AHE variant byte {}", offer.variant)),
+        ));
     };
     channel.send(
         &HandshakeAck::Accept {
@@ -744,7 +683,13 @@ fn handshake(
         .encode(),
     )?;
     channel.flush()?;
-    Ok((offer.wire_tag, offer.variant, profile))
+    shared.with_record(id, |r| {
+        r.kind = Some(offer.wire_tag);
+        r.kind_name = Some(module.display_name());
+        r.version = Some(profile.version);
+        r.capabilities = profile.capabilities;
+    });
+    Ok((offer.wire_tag, variant))
 }
 
 fn run_session(
@@ -752,23 +697,12 @@ fn run_session(
     id: SessionId,
     channel: &mut SessionChannel,
 ) -> Result<(), ServerError> {
-    let (tag, variant_b, profile) = handshake(shared, channel)?;
-    // The registry is the single source of truth for tag resolution: an
-    // unregistered tag on the legacy path fails here with its Protocol
-    // error (offers were already refused with a structured ack).
-    let kind_name = shared.registry.from_wire_tag(tag)?.display_name();
-    let variant: AheVariant = variant_from_byte(variant_b)?;
-    shared.with_record(id, |r| {
-        r.kind = Some(tag);
-        r.kind_name = Some(kind_name);
-        r.version = Some(profile.version);
-        r.capabilities = profile.capabilities;
-    });
+    let (tag, variant) = handshake(shared, id, channel)?;
 
-    // Every post-handshake frame travels through the negotiated codec; the
-    // meter handle is captured first since it lives below the codec layer.
+    // Every post-handshake frame travels through the v2 codec; the meter
+    // handle is captured first since it lives below the codec layer.
     let meter = channel.meter().clone();
-    let mut channel = CodecChannel::new(channel, profile.version);
+    let mut channel = CodecChannel::new(channel);
 
     // One independent, reproducible randomness stream per session.
     let mut rng = StdRng::seed_from_u64(shared.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -784,8 +718,7 @@ fn run_session(
         variant,
         &source,
         &mut rng,
-    )?
-    .with_profile(profile);
+    )?;
 
     // Publishes the session's reservoir gauges on its meter.
     let publish_gauges = || {
@@ -809,18 +742,11 @@ fn run_session(
     loop {
         let control = channel.recv()?;
         // `[ROUND_EMAIL]` is a batch of one; `[ROUND_BATCH, n]` names its
-        // count and needs the negotiated capability.
+        // count.
         let count = match control.as_slice() {
             [ROUND_BYE] => return Ok(()),
             [ROUND_EMAIL] => 1,
             [ROUND_BATCH, count @ ..] if count.len() == 4 => {
-                if !profile.supports(Capabilities::ROUND_BATCH) {
-                    return Err(ServerError::Control(
-                        "ROUND_BATCH on a session that never negotiated the \
-                         round-batch capability"
-                            .into(),
-                    ));
-                }
                 let count = u32::from_le_bytes(count.try_into().expect("4-byte count")) as usize;
                 if count == 0 || count > MAX_BATCH_ROUNDS {
                     return Err(ServerError::Control(format!(
@@ -1121,7 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn default_spec_negotiates_v2_with_batching() {
+    fn default_spec_negotiates_v2() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -1134,7 +1060,7 @@ mod tests {
         let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
         let profile = client.negotiated();
         assert_eq!(profile.version, ProtocolVersion::V2);
-        assert!(profile.supports(Capabilities::ROUND_BATCH));
+        assert_eq!(profile.capabilities, Capabilities::NONE);
         let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
         assert!(client.classify_spam(&spammy, &mut rng).unwrap());
         client.finish().unwrap();
@@ -1142,38 +1068,7 @@ mod tests {
         let report = mailroom.shutdown();
         let stats = report.sessions.iter().find(|s| s.id == id).unwrap();
         assert_eq!(stats.version, Some(ProtocolVersion::V2));
-        assert!(stats.capabilities.contains(Capabilities::ROUND_BATCH));
-        let by_version = report.by_version();
-        assert_eq!(by_version.len(), 1);
-        assert_eq!(by_version[0].0, ProtocolVersion::V2);
-        assert_eq!(by_version[0].1.emails, 1);
-    }
-
-    #[test]
-    fn legacy_v1_spec_is_served_without_negotiation() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let mailroom = Mailroom::start(test_suite(), small_config(1, 4));
-        let (provider_end, client_end) = memory_pair();
-        let id = mailroom.submit(provider_end).unwrap();
-
-        let mut rng = StdRng::seed_from_u64(12);
-        let spec = crate::ClientSpecBuilder::spam(PretzelConfig::test())
-            .legacy_v1()
-            .build();
-        let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-        let profile = client.negotiated();
-        assert_eq!(profile.version, ProtocolVersion::V1);
-        assert!(profile.capabilities.is_empty());
-        let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
-        assert!(client.classify_spam(&spammy, &mut rng).unwrap());
-        client.finish().unwrap();
-
-        let report = mailroom.shutdown();
-        let stats = report.sessions.iter().find(|s| s.id == id).unwrap();
-        assert_eq!(stats.version, Some(ProtocolVersion::V1));
-        assert!(stats.capabilities.is_empty());
+        assert_eq!(stats.capabilities, Capabilities::NONE);
     }
 
     #[test]
@@ -1202,35 +1097,6 @@ mod tests {
         let report = mailroom.shutdown();
         let stats = report.sessions.iter().find(|s| s.id == id).unwrap();
         assert!(matches!(stats.state, SessionState::Failed(_)));
-    }
-
-    #[test]
-    fn v1_capped_mailroom_downgrades_v2_offers() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let config = MailroomConfig::builder()
-            .workers(1)
-            .queue_capacity(4)
-            .rng_seed(7)
-            .max_version(ProtocolVersion::V1)
-            .build();
-        let mailroom = Mailroom::start(test_suite(), config);
-        let (provider_end, client_end) = memory_pair();
-        mailroom.submit(provider_end).unwrap();
-
-        let mut rng = StdRng::seed_from_u64(13);
-        // Default spec offers v1..=v2; the capped provider picks v1 and the
-        // capability set collapses to empty.
-        let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
-        let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-        let profile = client.negotiated();
-        assert_eq!(profile.version, ProtocolVersion::V1);
-        assert!(profile.capabilities.is_empty());
-        let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
-        assert!(client.classify_spam(&spammy, &mut rng).unwrap());
-        client.finish().unwrap();
-        mailroom.shutdown();
     }
 
     /// A fleet with a bank must be observationally equivalent to one without:

@@ -24,11 +24,10 @@
 //! `pretzel_server` mailroom builds its multi-session dispatch loop on it.
 //!
 //! The [`wire`] module makes the frame format itself versioned: explicit
-//! [`ProtocolVersion`]s, capability-negotiating handshake frames
-//! ([`HandshakeOffer`]/[`HandshakeAck`]), and per-version [`WireCodec`]s —
-//! a frozen, byte-identical [`V1Codec`] next to the checksummed [`V2Codec`]
-//! — applied via [`CodecChannel`], so one provider serves a mixed-version
-//! fleet with zero downtime (`docs/WIRE.md` has the full frame layouts).
+//! [`ProtocolVersion`]s, version-negotiating handshake frames
+//! ([`HandshakeOffer`]/[`HandshakeAck`]), and the checksummed [`V2Codec`]
+//! applied via [`CodecChannel`] (`docs/WIRE.md` has the full frame
+//! layouts).
 
 #![warn(missing_docs)]
 
@@ -46,7 +45,7 @@ pub use paced::PacedChannel;
 pub use tcp::{TcpAcceptor, TcpChannel};
 pub use wire::{
     negotiate, Capabilities, CodecChannel, HandshakeAck, HandshakeError, HandshakeOffer,
-    NegotiatedProfile, NegotiationPolicy, ProtocolVersion, V1Codec, V2Codec, WireCodec,
+    NegotiatedProfile, NegotiationPolicy, ProtocolVersion, V2Codec, WireCodec,
 };
 
 use std::fmt;

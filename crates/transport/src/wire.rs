@@ -1,39 +1,29 @@
-//! Versioned wire protocol: explicit protocol versions, capability
-//! negotiation, and the codecs that frame every post-handshake message.
+//! Versioned wire protocol: explicit protocol versions, the negotiation
+//! handshake, and the codec that frames every post-handshake message.
 //!
-//! Until this module existed the frame format was an *implicit* v1 — the
-//! session handshake was a bare `[wire_tag, variant]` byte pair and every
-//! payload travelled raw, so any codec change was a flag-day for the whole
-//! fleet. Following the backward-compatible protocol upgrade discipline of
-//! Costa & Schapira (see PAPERS.md), versioning is now first-class:
-//!
-//! * [`ProtocolVersion`] enumerates the wire protocol generations. **v1** is
-//!   frozen forever: its handshake and frames are byte-identical to the
-//!   pre-versioning format, pinned by golden-bytes tests
-//!   (`tests/wire_compat.rs`). **v2** adds an explicit handshake and a
-//!   framed codec.
-//! * [`HandshakeOffer`] / [`HandshakeAck`] are the v2 negotiation exchange:
-//!   the client offers a version range, its wire tag/variant, and a
+//! * [`ProtocolVersion`] enumerates the wire protocol generations this build
+//!   speaks. There is exactly one, **v2**: an explicit handshake and a
+//!   framed, checksummed codec.
+//! * [`HandshakeOffer`] / [`HandshakeAck`] are the negotiation exchange: the
+//!   client offers a version range, its wire tag/variant, and a
 //!   [`Capabilities`] bit set; the provider picks one version
-//!   ([`negotiate`]) and acks it together with the granted capabilities.
-//!   The offer's leading byte is the *reserved* wire tag `0`, which no
-//!   module can register, so a provider can always tell an offer from a
-//!   legacy 2-byte v1 handshake — one mailroom serves both generations on
-//!   the same port.
-//! * [`WireCodec`] frames every post-handshake message. [`V1Codec`] is the
-//!   identity (raw payloads, exactly the legacy bytes); [`V2Codec`] prefixes
+//!   ([`negotiate`]) and acks it together with the granted capabilities, or
+//!   refuses with a structured [`HandshakeError`].
+//! * [`WireCodec`] frames every post-handshake message. [`V2Codec`] prefixes
 //!   each payload with a header carrying the version byte, a flags byte, the
 //!   payload length, and a CRC-32 frame checksum, so corruption surfaces as
 //!   a clean [`TransportError::Codec`] instead of a protocol misparse.
-//!   [`CodecChannel`] applies the negotiated codec to any [`Channel`].
+//!   [`CodecChannel`] applies it to any [`Channel`].
 //!
-//! Forward compatibility rules (the part that makes rolling upgrades safe):
-//! unknown capability bits in an offer are **ignored, never rejected**;
-//! offers longer than the fields this version knows are accepted (trailing
-//! bytes ignored); unknown v2 header flags are carried, not refused. Only
-//! structurally broken frames (truncation, bad magic, checksum mismatch,
-//! inverted version spans) are errors. The full layout of every frame is
-//! specified in `docs/WIRE.md`.
+//! Upgrade rules: a change to any frame body is a version step, and the
+//! step deletes its predecessor — a peer offering only the retired version
+//! gets [`HandshakeError::VersionMismatch`] naming the range this build
+//! serves. Within a version, unknown capability bits in an offer are
+//! **ignored, never rejected**; offers longer than the fields this version
+//! knows are accepted (trailing bytes ignored); unknown v2 header flags are
+//! carried, not refused. Only structurally broken frames (truncation, bad
+//! magic, checksum mismatch, inverted version spans) are errors. The full
+//! layout of every frame is specified in `docs/WIRE.md`.
 
 use std::fmt;
 
@@ -46,23 +36,20 @@ use crate::{Channel, Result, TransportError};
 /// One generation of the wire protocol.
 ///
 /// Ordered: a higher variant is a newer protocol. [`negotiate`] picks the
-/// highest version inside both peers' ranges.
+/// highest version inside both peers' ranges. Version byte `1` belonged to
+/// a retired generation (bare 2-byte handshake, unframed payloads) and is
+/// never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum ProtocolVersion {
-    /// The frozen legacy protocol: bare `[wire_tag, variant]` handshake,
-    /// raw (identity-coded) frames, no capability bits. Byte-identical to
-    /// the format that predates versioning.
-    V1 = 1,
     /// Explicit handshake ([`HandshakeOffer`]/[`HandshakeAck`]) and framed
-    /// [`V2Codec`] payloads with a per-frame checksum; optional features are
-    /// gated by negotiated [`Capabilities`].
+    /// [`V2Codec`] payloads with a per-frame checksum.
     V2 = 2,
 }
 
 impl ProtocolVersion {
     /// Oldest version this build speaks.
-    pub const MIN: ProtocolVersion = ProtocolVersion::V1;
+    pub const MIN: ProtocolVersion = ProtocolVersion::V2;
     /// Newest version this build speaks.
     pub const MAX: ProtocolVersion = ProtocolVersion::V2;
 
@@ -74,7 +61,6 @@ impl ProtocolVersion {
     /// Decodes a version byte; `None` for versions this build does not know.
     pub fn from_byte(b: u8) -> Option<ProtocolVersion> {
         match b {
-            1 => Some(ProtocolVersion::V1),
             2 => Some(ProtocolVersion::V2),
             _ => None,
         }
@@ -94,24 +80,21 @@ impl fmt::Display for ProtocolVersion {
 /// A set of optional protocol features, encoded as a 64-bit little-endian
 /// mask in [`HandshakeOffer`] / [`HandshakeAck`] frames.
 ///
-/// Capability bits only exist from v2 on (a v1 session always has the empty
-/// set). Unknown bits are preserved by [`Capabilities::from_bits`] so a
-/// frame round-trips byte-for-byte, but negotiation masks both sides to
+/// Unknown bits are preserved by [`Capabilities::from_bits`] so a frame
+/// round-trips byte-for-byte, but negotiation masks both sides to
 /// [`Capabilities::KNOWN`] — a newer peer's future bits are ignored, never
 /// rejected. The bit assignments are a registry, documented in
-/// `docs/WIRE.md`; bits are append-only and never reused.
+/// `docs/WIRE.md`; bits are append-only and never reused. No bit is
+/// assigned today: bit 0 (round batching) is retired — batching is part of
+/// the v2 baseline — and reserved.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Capabilities(u64);
 
 impl Capabilities {
     /// The empty set.
     pub const NONE: Capabilities = Capabilities(0);
-    /// Bit 0: the peer can serve coalesced multi-round batches announced by
-    /// a `ROUND_BATCH` control frame. v2-only; v1 peers fall back to
-    /// sequential rounds.
-    pub const ROUND_BATCH: Capabilities = Capabilities(1 << 0);
     /// Every bit this build understands.
-    pub const KNOWN: Capabilities = Capabilities::ROUND_BATCH;
+    pub const KNOWN: Capabilities = Capabilities::NONE;
 
     /// Builds a set from a raw mask, preserving unknown bits.
     pub fn from_bits(bits: u64) -> Capabilities {
@@ -128,26 +111,9 @@ impl Capabilities {
         Capabilities(self.0 & Capabilities::KNOWN.0)
     }
 
-    /// Whether every bit of `other` is present in `self`.
-    pub fn contains(self, other: Capabilities) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Bits of `other` that are missing from `self`.
-    pub fn missing_from(self, other: Capabilities) -> Capabilities {
-        Capabilities(other.0 & !self.0)
-    }
-
     /// Whether no bit is set.
     pub fn is_empty(self) -> bool {
         self.0 == 0
-    }
-}
-
-impl std::ops::BitOr for Capabilities {
-    type Output = Capabilities;
-    fn bitor(self, rhs: Capabilities) -> Capabilities {
-        Capabilities(self.0 | rhs.0)
     }
 }
 
@@ -161,17 +127,10 @@ impl std::ops::BitAnd for Capabilities {
 impl fmt::Debug for Capabilities {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
-            return write!(f, "Capabilities(NONE)");
+            write!(f, "Capabilities(NONE)")
+        } else {
+            write!(f, "Capabilities(unknown:{:#x})", self.0)
         }
-        let mut parts: Vec<String> = Vec::new();
-        if self.contains(Capabilities::ROUND_BATCH) {
-            parts.push("ROUND_BATCH".into());
-        }
-        let unknown = self.0 & !Capabilities::KNOWN.0;
-        if unknown != 0 {
-            parts.push(format!("unknown:{unknown:#x}"));
-        }
-        write!(f, "Capabilities({})", parts.join("|"))
     }
 }
 
@@ -179,10 +138,9 @@ impl fmt::Debug for Capabilities {
 // Handshake frames
 // ---------------------------------------------------------------------------
 
-/// Leading bytes of every v2 handshake frame: the reserved wire tag `0`
-/// (which [`crate`]-level registries can never assign to a module, so a
-/// legacy peer's `[wire_tag, variant]` pair can never collide) followed by
-/// the ASCII letters `PZ`.
+/// Leading bytes of every handshake frame: the reserved wire tag `0` (which
+/// function-module registries never assign) followed by the ASCII letters
+/// `PZ`. A first frame without it is refused as malformed.
 pub const HANDSHAKE_MAGIC: [u8; 3] = [0x00, b'P', b'Z'];
 
 /// Encoded length of a [`HandshakeOffer`] this build emits. Decoders accept
@@ -193,7 +151,7 @@ pub const OFFER_LEN: usize = 15;
 /// longer frames and ignore the trailing bytes.
 pub const ACK_LEN: usize = 14;
 
-/// The client's opening frame of a v2 session: "I speak versions
+/// The client's opening frame of a session: "I speak versions
 /// `min..=max`, I want module `wire_tag` with AHE variant `variant`, and I
 /// can use these optional features."
 ///
@@ -207,10 +165,9 @@ pub struct HandshakeOffer {
     pub min_version: u8,
     /// Newest protocol version the client accepts (raw wire byte).
     pub max_version: u8,
-    /// The function module's handshake byte (same meaning as the first byte
-    /// of a legacy v1 handshake).
+    /// The function module's handshake byte.
     pub wire_tag: u8,
-    /// The AHE variant byte (same meaning as the second legacy byte).
+    /// The AHE variant byte.
     pub variant: u8,
     /// Optional features the client is prepared to use.
     pub capabilities: Capabilities,
@@ -235,7 +192,7 @@ impl HandshakeOffer {
     pub fn decode(frame: &[u8]) -> std::result::Result<HandshakeOffer, HandshakeError> {
         if frame.len() < HANDSHAKE_MAGIC.len() || frame[..3] != HANDSHAKE_MAGIC {
             return Err(HandshakeError::Malformed(format!(
-                "offer does not start with the v2 handshake magic (got {:?})",
+                "offer does not start with the handshake magic (got {:?})",
                 &frame[..frame.len().min(3)]
             )));
         }
@@ -254,20 +211,13 @@ impl HandshakeOffer {
             capabilities: Capabilities::from_bits(caps),
         })
     }
-
-    /// Whether a first frame is a v2 handshake offer (as opposed to a legacy
-    /// 2-byte v1 handshake or garbage).
-    pub fn looks_like_offer(frame: &[u8]) -> bool {
-        frame.len() >= HANDSHAKE_MAGIC.len() && frame[..3] == HANDSHAKE_MAGIC
-    }
 }
 
 /// Ack status byte: the offer was accepted.
 const ACK_OK: u8 = 0;
 /// Ack status byte: no version overlap; payload carries the provider range.
 const ACK_VERSION_MISMATCH: u8 = 1;
-/// Ack status byte: a required capability was not granted.
-const ACK_CAPABILITY_REFUSED: u8 = 2;
+// Status byte 2 ("required capability refused") is retired and reserved.
 /// Ack status byte: the offered wire tag is not registered at the provider.
 const ACK_UNKNOWN_TAG: u8 = 3;
 /// Ack status byte: the offer was structurally invalid.
@@ -319,12 +269,6 @@ impl HandshakeAck {
                     out.push(*supported_max);
                     out.extend_from_slice(&0u64.to_le_bytes());
                 }
-                HandshakeError::CapabilityRefused { missing } => {
-                    out.push(ACK_CAPABILITY_REFUSED);
-                    out.push(0);
-                    out.push(0);
-                    out.extend_from_slice(&missing.bits().to_le_bytes());
-                }
                 HandshakeError::UnknownTag { tag } => {
                     out.push(ACK_UNKNOWN_TAG);
                     out.push(*tag);
@@ -374,9 +318,6 @@ impl HandshakeAck {
                 supported_min: frame[4],
                 supported_max: frame[5],
             })),
-            ACK_CAPABILITY_REFUSED => Ok(HandshakeAck::Refuse(HandshakeError::CapabilityRefused {
-                missing: caps,
-            })),
             ACK_UNKNOWN_TAG => Ok(HandshakeAck::Refuse(HandshakeError::UnknownTag {
                 tag: frame[4],
             })),
@@ -417,11 +358,6 @@ pub enum HandshakeError {
         /// Newest version the provider speaks.
         supported_max: u8,
     },
-    /// A capability the module requires was not offered/granted.
-    CapabilityRefused {
-        /// The required bits that are missing.
-        missing: Capabilities,
-    },
     /// A structurally invalid handshake frame (truncated offer, bad magic,
     /// inverted version span, …).
     Malformed(String),
@@ -443,9 +379,6 @@ impl fmt::Display for HandshakeError {
                 "no protocol version overlap: offered {offered_min}..={offered_max}, \
                  supported {supported_min}..={supported_max}"
             ),
-            HandshakeError::CapabilityRefused { missing } => {
-                write!(f, "required capabilities refused: {missing:?}")
-            }
             HandshakeError::Malformed(why) => write!(f, "malformed handshake: {why}"),
         }
     }
@@ -457,19 +390,16 @@ impl std::error::Error for HandshakeError {}
 // Negotiation
 // ---------------------------------------------------------------------------
 
-/// The provider side's negotiation inputs: which versions it speaks, which
-/// capabilities it can grant, and which ones the selected module requires.
+/// The provider side's negotiation inputs: which versions it speaks and
+/// which capabilities it can grant.
 #[derive(Clone, Copy, Debug)]
 pub struct NegotiationPolicy {
     /// Oldest version the provider serves.
     pub min_version: ProtocolVersion,
     /// Newest version the provider serves.
     pub max_version: ProtocolVersion,
-    /// Capabilities the provider is willing to grant for this module.
+    /// Capabilities the provider is willing to grant.
     pub capabilities: Capabilities,
-    /// Capabilities the module cannot run without; negotiation fails with
-    /// [`HandshakeError::CapabilityRefused`] when one is not granted.
-    pub required: Capabilities,
 }
 
 impl Default for NegotiationPolicy {
@@ -478,15 +408,13 @@ impl Default for NegotiationPolicy {
             min_version: ProtocolVersion::MIN,
             max_version: ProtocolVersion::MAX,
             capabilities: Capabilities::KNOWN,
-            required: Capabilities::NONE,
         }
     }
 }
 
 /// The outcome of a successful handshake: the version framing every later
-/// message and the feature set both sides agreed on. Carried by
-/// `ProviderSession` / `ClientSession` and surfaced in the serving layer's
-/// per-session stats.
+/// message and the feature set both sides agreed on, as surfaced in the
+/// serving layer's per-session stats.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NegotiatedProfile {
     /// The protocol version both peers speak for this session.
@@ -495,41 +423,12 @@ pub struct NegotiatedProfile {
     pub capabilities: Capabilities,
 }
 
-impl NegotiatedProfile {
-    /// The implicit profile of a legacy session that never negotiated:
-    /// protocol v1, no capabilities.
-    pub fn legacy_v1() -> NegotiatedProfile {
-        NegotiatedProfile {
-            version: ProtocolVersion::V1,
-            capabilities: Capabilities::NONE,
-        }
-    }
-
-    /// Whether every bit of `caps` was negotiated.
-    pub fn supports(&self, caps: Capabilities) -> bool {
-        self.capabilities.contains(caps)
-    }
-
-    /// The codec framing this session's post-handshake messages.
-    pub fn codec(&self) -> &'static dyn WireCodec {
-        codec_for(self.version)
-    }
-}
-
-impl Default for NegotiatedProfile {
-    fn default() -> Self {
-        NegotiatedProfile::legacy_v1()
-    }
-}
-
 /// Provider-side version/capability selection.
 ///
 /// Picks the newest version inside both ranges; capability bits are the
 /// intersection of the offer and the policy, masked to [`Capabilities::KNOWN`]
-/// (unknown bits from a newer peer are ignored, not rejected) and forced
-/// empty for v1 (capabilities are a v2 concept). Fails with a structured
-/// [`HandshakeError`] when the spans are inverted, disjoint, or a required
-/// capability is missing.
+/// (unknown bits from a newer peer are ignored, not rejected). Fails with a
+/// structured [`HandshakeError`] when the spans are inverted or disjoint.
 pub fn negotiate(
     offer: &HandshakeOffer,
     policy: &NegotiationPolicy,
@@ -550,19 +449,9 @@ pub fn negotiate(
         });
     }
     let version = ProtocolVersion::from_byte(pick).expect("pick is clamped to a known version");
-    let capabilities = if version == ProtocolVersion::V1 {
-        Capabilities::NONE
-    } else {
-        offer.capabilities.known() & policy.capabilities.known()
-    };
-    if !capabilities.contains(policy.required) {
-        return Err(HandshakeError::CapabilityRefused {
-            missing: capabilities.missing_from(policy.required),
-        });
-    }
     Ok(NegotiatedProfile {
         version,
-        capabilities,
+        capabilities: offer.capabilities.known() & policy.capabilities.known(),
     })
 }
 
@@ -577,9 +466,6 @@ pub fn negotiate(
 /// share one instance. Protocol semantics (round structure, batching) live
 /// above; transport integrity (checksums, length framing) lives here.
 pub trait WireCodec: Send + Sync {
-    /// The protocol version this codec frames.
-    fn version(&self) -> ProtocolVersion;
-
     /// Wraps one payload into its wire frame.
     fn encode(&self, payload: &[u8]) -> Vec<u8>;
 
@@ -588,35 +474,14 @@ pub trait WireCodec: Send + Sync {
     fn decode(&self, frame: &[u8]) -> Result<Vec<u8>>;
 }
 
-/// The frozen v1 codec: the identity. Payloads travel as raw frames,
-/// byte-identical to the format that predates versioning — pinned forever
-/// by the golden-bytes fixtures in `tests/wire_compat.rs` and the
-/// `wire-compat` CI job.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct V1Codec;
-
-impl WireCodec for V1Codec {
-    fn version(&self) -> ProtocolVersion {
-        ProtocolVersion::V1
-    }
-
-    fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        payload.to_vec()
-    }
-
-    fn decode(&self, frame: &[u8]) -> Result<Vec<u8>> {
-        Ok(frame.to_vec())
-    }
-}
-
 /// Byte length of the [`V2Codec`] frame header.
 pub const V2_HEADER_LEN: usize = 10;
 
 /// The v2 codec: `version:u8 ‖ flags:u8 ‖ len:u32le ‖ crc32:u32le ‖
 /// payload`.
 ///
-/// * `version` pins the frame to its protocol generation — a stray v1 frame
-///   (or garbage) on a v2 session fails loudly instead of misparsing.
+/// * `version` pins the frame to its protocol generation — a frame of any
+///   other generation (or garbage) fails loudly instead of misparsing.
 /// * `flags` is reserved; this build emits 0 and **ignores** unknown bits on
 ///   receive (forward compatibility).
 /// * `len` must equal the payload length remaining in the frame.
@@ -625,10 +490,6 @@ pub const V2_HEADER_LEN: usize = 10;
 pub struct V2Codec;
 
 impl WireCodec for V2Codec {
-    fn version(&self) -> ProtocolVersion {
-        ProtocolVersion::V2
-    }
-
     fn encode(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(V2_HEADER_LEN + payload.len());
         out.push(ProtocolVersion::V2.as_byte());
@@ -673,38 +534,16 @@ impl WireCodec for V2Codec {
     }
 }
 
-static V1_CODEC: V1Codec = V1Codec;
-static V2_CODEC: V2Codec = V2Codec;
-
-/// The shared codec instance for a protocol version.
-pub fn codec_for(version: ProtocolVersion) -> &'static dyn WireCodec {
-    match version {
-        ProtocolVersion::V1 => &V1_CODEC,
-        ProtocolVersion::V2 => &V2_CODEC,
-    }
-}
-
-/// A [`Channel`] decorator applying a negotiated [`WireCodec`] to every
-/// message: encode on send, decode (with framing/checksum validation) on
-/// receive. With [`V1Codec`] this is a zero-cost-in-bytes pass-through, so
-/// one code path serves both protocol generations.
+/// A [`Channel`] decorator applying the [`V2Codec`] to every message:
+/// encode on send, decode (with framing/checksum validation) on receive.
 pub struct CodecChannel<C: Channel> {
     inner: C,
-    codec: &'static dyn WireCodec,
 }
 
 impl<C: Channel> CodecChannel<C> {
-    /// Wraps `inner` with the codec of `version`.
-    pub fn new(inner: C, version: ProtocolVersion) -> Self {
-        CodecChannel {
-            inner,
-            codec: codec_for(version),
-        }
-    }
-
-    /// The protocol version this channel frames for.
-    pub fn version(&self) -> ProtocolVersion {
-        self.codec.version()
+    /// Wraps `inner` in the v2 framing.
+    pub fn new(inner: C) -> Self {
+        CodecChannel { inner }
     }
 
     /// Unwraps back to the underlying channel.
@@ -720,12 +559,12 @@ impl<C: Channel> CodecChannel<C> {
 
 impl<C: Channel> Channel for CodecChannel<C> {
     fn send(&mut self, msg: &[u8]) -> Result<()> {
-        self.inner.send_owned(self.codec.encode(msg))
+        self.inner.send_owned(V2Codec.encode(msg))
     }
 
     fn recv(&mut self) -> Result<Vec<u8>> {
         let frame = self.inner.recv()?;
-        self.codec.decode(&frame)
+        V2Codec.decode(&frame)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -790,7 +629,7 @@ mod tests {
             max_version: 2,
             wire_tag: 4,
             variant: 1,
-            capabilities: Capabilities::ROUND_BATCH,
+            capabilities: Capabilities::from_bits(1),
         };
         let mut frame = offer.encode();
         assert_eq!(frame.len(), OFFER_LEN);
@@ -803,7 +642,7 @@ mod tests {
     #[test]
     fn truncated_and_unmagical_offers_are_malformed() {
         let offer = HandshakeOffer {
-            min_version: 1,
+            min_version: 2,
             max_version: 2,
             wire_tag: 1,
             variant: 1,
@@ -820,18 +659,19 @@ mod tests {
             );
         }
         assert!(
-            HandshakeOffer::decode(&[1, 1]).is_err(),
-            "legacy bytes are not an offer"
+            matches!(
+                HandshakeOffer::decode(&[1, 1]),
+                Err(HandshakeError::Malformed(_))
+            ),
+            "a bare [wire_tag, variant] pair is not an offer"
         );
-        assert!(!HandshakeOffer::looks_like_offer(&[1, 1]));
-        assert!(HandshakeOffer::looks_like_offer(&offer));
     }
 
     #[test]
     fn ack_round_trips_accept_and_refusals() {
         let accept = HandshakeAck::Accept {
             version: ProtocolVersion::V2,
-            capabilities: Capabilities::ROUND_BATCH,
+            capabilities: Capabilities::NONE,
         };
         assert_eq!(HandshakeAck::decode(&accept.encode()).unwrap(), accept);
 
@@ -839,11 +679,8 @@ mod tests {
             HandshakeError::VersionMismatch {
                 offered_min: 0,
                 offered_max: 0,
-                supported_min: 1,
+                supported_min: 2,
                 supported_max: 2,
-            },
-            HandshakeError::CapabilityRefused {
-                missing: Capabilities::ROUND_BATCH,
             },
             HandshakeError::UnknownTag { tag: 0xEE },
         ] {
@@ -860,7 +697,7 @@ mod tests {
             max_version: max,
             wire_tag: 1,
             variant: 1,
-            capabilities: Capabilities::ROUND_BATCH,
+            capabilities: Capabilities::NONE,
         };
         assert_eq!(
             negotiate(&offer(1, 2), &policy).unwrap().version,
@@ -871,10 +708,16 @@ mod tests {
             negotiate(&offer(1, 9), &policy).unwrap().version,
             ProtocolVersion::V2
         );
-        // Both sides only as new as v1: capabilities forced empty.
-        let v1 = negotiate(&offer(1, 1), &policy).unwrap();
-        assert_eq!(v1.version, ProtocolVersion::V1);
-        assert!(v1.capabilities.is_empty());
+        // A client of the retired generation only: a clean mismatch.
+        assert_eq!(
+            negotiate(&offer(1, 1), &policy),
+            Err(HandshakeError::VersionMismatch {
+                offered_min: 1,
+                offered_max: 1,
+                supported_min: 2,
+                supported_max: 2,
+            })
+        );
     }
 
     #[test]
@@ -904,35 +747,18 @@ mod tests {
                 ..
             })
         ));
-        // Unknown capability bits are ignored, not rejected.
+        // Unknown capability bits — the retired bit 0 included — are
+        // ignored, not rejected.
         let profile = negotiate(&offer(1, 2, (1 << 40) | 1), &policy).unwrap();
-        assert_eq!(profile.capabilities, Capabilities::ROUND_BATCH);
-        // Required capabilities missing from the offer are a refusal.
-        let strict = NegotiationPolicy {
-            required: Capabilities::ROUND_BATCH,
-            ..NegotiationPolicy::default()
-        };
-        assert!(matches!(
-            negotiate(&offer(1, 2, 0), &strict),
-            Err(HandshakeError::CapabilityRefused { .. })
-        ));
-    }
-
-    #[test]
-    fn v1_codec_is_the_identity() {
-        let payloads: [&[u8]; 4] = [b"", b"\x00", b"hello", &[0xFF; 300]];
-        for p in payloads {
-            assert_eq!(V1_CODEC.encode(p), p, "v1 encode must be the identity");
-            assert_eq!(V1_CODEC.decode(p).unwrap(), p);
-        }
+        assert_eq!(profile.capabilities, Capabilities::NONE);
     }
 
     #[test]
     fn v2_codec_round_trips_and_rejects_corruption() {
         let payload = b"per-email round payload".to_vec();
-        let frame = V2_CODEC.encode(&payload);
+        let frame = V2Codec.encode(&payload);
         assert_eq!(frame.len(), V2_HEADER_LEN + payload.len());
-        assert_eq!(V2_CODEC.decode(&frame).unwrap(), payload);
+        assert_eq!(V2Codec.decode(&frame).unwrap(), payload);
 
         // Any single-bit flip in header or payload is caught — except the
         // flags byte (index 1), which is reserved and ignored by design.
@@ -940,28 +766,28 @@ mod tests {
             let mut bad = frame.clone();
             bad[byte] ^= 0x01;
             assert!(
-                V2_CODEC.decode(&bad).is_err(),
+                V2Codec.decode(&bad).is_err(),
                 "bit flip at byte {byte} must be rejected"
             );
         }
         // Truncation is caught.
         for cut in 0..frame.len() {
-            assert!(V2_CODEC.decode(&frame[..cut]).is_err());
+            assert!(V2Codec.decode(&frame[..cut]).is_err());
         }
         // Unknown flags are ignored (forward compatibility), not rejected.
-        let mut flagged = V2_CODEC.encode(&payload);
+        let mut flagged = V2Codec.encode(&payload);
         flagged[1] = 0x80;
-        assert_eq!(V2_CODEC.decode(&flagged).unwrap(), payload);
+        assert_eq!(V2Codec.decode(&flagged).unwrap(), payload);
     }
 
     #[test]
-    fn codec_channel_applies_the_negotiated_framing() {
+    fn codec_channel_applies_the_v2_framing() {
         let (a, b) = crate::memory_pair();
-        let mut a = CodecChannel::new(a, ProtocolVersion::V2);
-        let mut b = CodecChannel::new(b, ProtocolVersion::V2);
+        let mut a = CodecChannel::new(a);
+        let mut b = CodecChannel::new(b);
         a.send(b"ping").unwrap();
         assert_eq!(b.recv().unwrap(), b"ping");
-        // A raw (uncoded) frame on a v2 session fails loudly.
+        // A raw (uncoded) frame fails loudly.
         b.inner.send(b"raw").unwrap();
         assert!(matches!(a.recv(), Err(TransportError::Codec(_))));
     }

@@ -12,13 +12,6 @@
 //! also submit their emails as one **batched** round
 //! ([`MailroomClient::process_batch`]) instead of four sequential ones.
 //!
-//! The fleet is deliberately **mixed-version**: topic and search clients
-//! are pinned to the frozen legacy v1 wire protocol (2-byte handshake, raw
-//! frames, no capabilities) while the rest negotiate v2 with checksummed
-//! framing and the round-batch capability — one mailroom serves both
-//! generations on the same intake, as it would mid rolling upgrade. The
-//! final report splits the accounting per protocol version.
-//!
 //! Run with: `cargo run --release --example mailroom`
 
 use std::sync::Arc;
@@ -330,7 +323,7 @@ fn main() {
                     let spec = ClientSpecBuilder::spam(config).build();
                     let mut client =
                         MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
-                    let profile = client.negotiated();
+                    let version = client.negotiated().version;
                     // All four emails travel as ONE batched round: one
                     // coalesced ciphertext frame, one batched Yao exchange.
                     let payloads: Vec<EmailPayload> = spam_emails
@@ -344,29 +337,21 @@ fn main() {
                         .count();
                     client.finish().expect("teardown");
                     format!(
-                        "client {i}: spam session over {} ({:?}), batched 4 rounds, \
-                         {spam_count}/4 flagged",
-                        profile.version, profile.capabilities
+                        "client {i}: spam session over {version}, batched 4 rounds, \
+                         {spam_count}/4 flagged"
                     )
                 }
                 1 => {
-                    // A not-yet-upgraded sender: pinned to the frozen v1
-                    // protocol, served byte-identically to the old format.
                     let spec = ClientSpecBuilder::topic(config)
                         .topic_mode(CandidateMode::Full)
-                        .legacy_v1()
                         .build();
                     let mut client =
                         MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
-                    let version = client.negotiated().version;
                     for email in &topic_emails {
                         client.extract_topic(email, &mut rng).expect("extract");
                     }
                     client.finish().expect("teardown");
-                    format!(
-                        "client {i}: topic session over {version}, 4 emails \
-                         (indices go to the provider)"
-                    )
+                    format!("client {i}: topic session, 4 emails (indices go to the provider)")
                 }
                 2 => {
                     let spec = ClientSpecBuilder::virus(config).build();
@@ -384,9 +369,7 @@ fn main() {
                     )
                 }
                 3 => {
-                    // Also still on v1 — process_batch on such a session
-                    // would transparently fall back to sequential rounds.
-                    let spec = ClientSpecBuilder::search(config).legacy_v1().build();
+                    let spec = ClientSpecBuilder::search(config).build();
                     let mut client =
                         MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
                     client
@@ -458,16 +441,6 @@ fn main() {
             "  tag {tag}: {} sessions, {} emails, {:.1} KB sent",
             totals.sessions,
             totals.emails,
-            totals.bytes_sent as f64 / 1024.0,
-        );
-    }
-    println!("\nper-version fleet totals (rolling-upgrade view):");
-    for (version, totals) in report.by_version() {
-        println!(
-            "  {version}: {} sessions, {} emails, {} messages, {:.1} KB sent",
-            totals.sessions,
-            totals.emails,
-            totals.messages,
             totals.bytes_sent as f64 / 1024.0,
         );
     }

@@ -4,11 +4,12 @@
 //! offline artifacts are provisioned (no bank, a bank that runs dry
 //! mid-run, a prefilled bank), under fixed seeds — and the bank's books
 //! must balance. A round is a batch of one: submitting one payload through
-//! `process_batch` is indistinguishable on the wire from `process`, an
-//! explicit `[ROUND_BATCH, 1]` is served like `[ROUND_EMAIL]`, and a v1
-//! peer's batches go out as single rounds. Also pins the registry contract
-//! end to end: unknown wire tags are clean errors through the whole mailroom
-//! stack, and a custom-registered module serves alongside the built-ins.
+//! `process_batch` is indistinguishable on the wire from `process`, and an
+//! explicit `[ROUND_BATCH, 1]` is served like `[ROUND_EMAIL]`; a batch past
+//! the per-frame cap goes out in capped exchanges. Also pins the registry
+//! contract end to end: unknown wire tags are clean errors through the
+//! whole mailroom stack, and a custom-registered module serves alongside
+//! the built-ins.
 
 use std::sync::Arc;
 
@@ -17,16 +18,16 @@ use pretzel::core::bank::PrecomputeSource;
 use pretzel::core::registry::{
     ClientContext, ClientModule, FunctionModule, ProtocolRegistry, ProviderModule, WireTag,
 };
-use pretzel::core::session::EmailPayload;
-use pretzel::core::spam::{AheVariant, SpamClient};
+use pretzel::core::session::{EmailPayload, Verdict};
+use pretzel::core::spam::{AheVariant, SpamClient, SpamFunction};
 use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, PretzelError, ProviderModelSuite};
 use pretzel::server::{
-    ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig, ServerError, SessionState,
-    ACK_ACCEPTED, MAX_BATCH_ROUNDS, ROUND_BATCH, ROUND_BYE, ROUND_EMAIL,
+    ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig, SessionState, ACK_ACCEPTED,
+    MAX_BATCH_ROUNDS, ROUND_BATCH, ROUND_BYE, ROUND_EMAIL,
 };
 use pretzel::transport::wire::{
-    Capabilities, CodecChannel, HandshakeAck, HandshakeOffer, ProtocolVersion,
+    Capabilities, CodecChannel, HandshakeAck, HandshakeError, HandshakeOffer, ProtocolVersion,
 };
 use pretzel::transport::{memory_pair, Channel, MemoryChannel};
 use rand::rngs::StdRng;
@@ -97,10 +98,8 @@ enum Submit {
 }
 
 /// Serves the mixed fleet sequentially on one worker (deterministic RNG
-/// streams), each client submitting its rounds as `submit` says. With
-/// `pin_v1` every client speaks the frozen legacy protocol, which has no
-/// `ROUND_BATCH` capability to negotiate.
-fn run_fleet(provision: Provision, submit: Submit, pin_v1: bool) -> FleetRecord {
+/// streams), each client submitting its rounds as `submit` says.
+fn run_fleet(provision: Provision, submit: Submit) -> FleetRecord {
     let mailroom = Mailroom::start(
         ling_suite(),
         provision
@@ -115,12 +114,7 @@ fn run_fleet(provision: Provision, submit: Submit, pin_v1: bool) -> FleetRecord 
     settle_bank(&mailroom);
 
     let mut verdicts = Vec::new();
-    for (s, (mut spec, payloads)) in scripts().into_iter().enumerate() {
-        if pin_v1 {
-            spec.min_version = ProtocolVersion::V1;
-            spec.max_version = ProtocolVersion::V1;
-            spec.capabilities = Capabilities::NONE;
-        }
+    for (s, (spec, payloads)) in scripts().into_iter().enumerate() {
         let mut rng = test_rng(500 + s as u64);
         let mut client = connect_client(&mailroom, &spec, &mut rng);
         settle_bank(&mailroom);
@@ -168,9 +162,9 @@ fn run_fleet(provision: Provision, submit: Submit, pin_v1: bool) -> FleetRecord 
 /// the meter counts do not depend on it.
 #[test]
 fn batched_rounds_match_sequential_under_every_provisioning() {
-    let [seq_none, seq_dry, seq_full] = Provision::ALL.map(|p| run_fleet(p, Submit::Singly, false));
+    let [seq_none, seq_dry, seq_full] = Provision::ALL.map(|p| run_fleet(p, Submit::Singly));
     let [batch_none, batch_dry, batch_full] =
-        Provision::ALL.map(|p| run_fleet(p, Submit::OneBatch, false));
+        Provision::ALL.map(|p| run_fleet(p, Submit::OneBatch));
 
     assert_eq!(
         seq_none.verdicts, batch_none.verdicts,
@@ -209,55 +203,45 @@ fn batched_rounds_match_sequential_under_every_provisioning() {
 // A round is a batch of one.
 // ---------------------------------------------------------------------------
 
-/// On sessions that negotiated `ROUND_BATCH`, handing one payload to
-/// `process_batch` is the same exchange as `process`: same verdicts, same
-/// bytes each way, same message count, for every kind.
+/// Handing one payload to `process_batch` is the same exchange as
+/// `process`: same verdicts, same bytes each way, same message count, for
+/// every kind.
 #[test]
 fn a_batch_of_one_is_a_single_round_on_the_wire() {
-    let singly = run_fleet(Provision::NoBank, Submit::Singly, false);
-    let batches_of_one = run_fleet(Provision::NoBank, Submit::BatchesOfOne, false);
+    let singly = run_fleet(Provision::NoBank, Submit::Singly);
+    let batches_of_one = run_fleet(Provision::NoBank, Submit::BatchesOfOne);
     assert_eq!(singly, batches_of_one);
 }
 
-/// A v1-pinned client never negotiated `ROUND_BATCH`, so its batch of three
-/// goes out as three `[ROUND_EMAIL]` rounds — exactly what three `process`
-/// calls exchange.
-#[test]
-fn v1_pinned_batches_degrade_to_single_rounds() {
-    let singly = run_fleet(Provision::NoBank, Submit::Singly, true);
-    let one_batch = run_fleet(Provision::NoBank, Submit::OneBatch, true);
-    assert_eq!(singly, one_batch);
+/// The offer this build's client sends for `wire_tag` (Pretzel variant).
+fn offer(wire_tag: WireTag) -> Vec<u8> {
+    HandshakeOffer {
+        min_version: ProtocolVersion::MIN.as_byte(),
+        max_version: ProtocolVersion::MAX.as_byte(),
+        wire_tag,
+        variant: 1,
+        capabilities: Capabilities::NONE,
+    }
+    .encode()
 }
 
-/// Opens a v2 spam session with `ROUND_BATCH` granted by hand — offer, acks,
-/// codec, the client half of the setup — so a test can write its own
-/// round-control frames. Returns the session id, the codec-wrapped channel
-/// and the spam endpoint.
+/// Opens a spam session by hand — offer, acks, codec, the client half of
+/// the setup — so a test can write its own round-control frames. Returns
+/// the session id, the codec-wrapped channel and the spam endpoint.
 fn raw_batch_session(
     mailroom: &Mailroom,
     rng: &mut StdRng,
 ) -> (u64, CodecChannel<MemoryChannel>, SpamClient) {
     let (provider_end, mut client_end) = memory_pair();
     let id = mailroom.submit(provider_end).unwrap();
-    let offer = HandshakeOffer {
-        min_version: 1,
-        max_version: 2,
-        wire_tag: 1,
-        variant: 1,
-        capabilities: Capabilities::ROUND_BATCH,
-    };
-    client_end.send(&offer.encode()).unwrap();
+    client_end.send(&offer(SpamFunction::WIRE_TAG)).unwrap();
     assert_eq!(client_end.recv().unwrap(), vec![ACK_ACCEPTED]);
     let ack = HandshakeAck::decode(&client_end.recv().unwrap()).unwrap();
-    let HandshakeAck::Accept {
-        version,
-        capabilities,
-    } = ack
-    else {
-        panic!("expected an accept, got {ack:?}");
-    };
-    assert!(capabilities.contains(Capabilities::ROUND_BATCH));
-    let mut channel = CodecChannel::new(client_end, version);
+    assert!(
+        matches!(ack, HandshakeAck::Accept { .. }),
+        "expected an accept, got {ack:?}"
+    );
+    let mut channel = CodecChannel::new(client_end);
     let client = SpamClient::setup(
         &mut channel,
         &PretzelConfig::test(),
@@ -309,8 +293,7 @@ fn an_explicit_batch_of_one_is_served_bare() {
     assert_eq!(session.emails, 2);
 }
 
-/// The provider still refuses a zero count and a count above the cap, even
-/// from a peer entitled to batch.
+/// The provider refuses a zero count and a count above the cap.
 #[test]
 fn the_provider_refuses_degenerate_batch_counts() {
     let mailroom = spam_mailroom();
@@ -398,10 +381,7 @@ impl ProviderModule for EchoLenProvider {
 struct EchoLenClient;
 
 impl EchoLenClient {
-    fn round(
-        channel: &mut dyn Channel,
-        payload: &EmailPayload,
-    ) -> Result<pretzel::core::Verdict, PretzelError> {
+    fn round(channel: &mut dyn Channel, payload: &EmailPayload) -> Result<Verdict, PretzelError> {
         let EmailPayload::Opaque(bytes) = payload else {
             return Err(PretzelError::Protocol("echo-len takes opaque bytes".into()));
         };
@@ -413,7 +393,7 @@ impl EchoLenClient {
                 .and_then(|b| b.try_into().ok())
                 .ok_or_else(|| PretzelError::Protocol("bad echo reply".into()))?,
         );
-        Ok(pretzel::core::Verdict::Custom {
+        Ok(Verdict::Custom {
             tag: EchoLenFunction::WIRE_TAG,
             value,
         })
@@ -435,7 +415,7 @@ impl ClientModule for EchoLenClient {
         channel: &mut dyn Channel,
         payloads: &[EmailPayload],
         _rng: &mut dyn RngCore,
-    ) -> Result<Vec<pretzel::core::Verdict>, PretzelError> {
+    ) -> Result<Vec<Verdict>, PretzelError> {
         payloads
             .iter()
             .map(|payload| Self::round(channel, payload))
@@ -489,10 +469,15 @@ fn mailroom_serves_registered_modules_and_rejects_unknown_tags() {
     );
 
     // Session 1: a wire tag nobody registered. The worker refuses it at
-    // handshake; the client's setup then observes a dead channel.
+    // handshake with a typed ack.
     let (provider_end, mut bad_client) = memory_pair();
     let bad_id = mailroom.submit(provider_end).unwrap();
-    bad_client.send(&[0xEE, 1]).unwrap();
+    bad_client.send(&offer(0xEE)).unwrap();
+    assert_eq!(bad_client.recv().unwrap(), vec![ACK_ACCEPTED]);
+    assert_eq!(
+        HandshakeAck::decode(&bad_client.recv().unwrap()).unwrap(),
+        HandshakeAck::Refuse(HandshakeError::UnknownTag { tag: 0xEE })
+    );
 
     // Session 2: the custom module, driven through the normal client stack
     // (its batch is a loop over rounds — it has nothing to coalesce).
@@ -510,8 +495,8 @@ fn mailroom_serves_registered_modules_and_rejects_unknown_tags() {
     assert_eq!(
         verdicts,
         vec![
-            pretzel::core::Verdict::Custom { tag: 9, value: 3 },
-            pretzel::core::Verdict::Custom { tag: 9, value: 10 },
+            Verdict::Custom { tag: 9, value: 3 },
+            Verdict::Custom { tag: 9, value: 10 },
         ]
     );
     client.finish().unwrap();
@@ -533,8 +518,9 @@ fn mailroom_serves_registered_modules_and_rejects_unknown_tags() {
     assert_eq!(good.emails, 2);
 }
 
-/// Oversized and zero batch announcements are rejected before any module
-/// code runs.
+/// A zero-round batch never reaches the provider: the client treats it as a
+/// no-op, so only a hand-written `[ROUND_BATCH, 0]` (refused above) can
+/// announce one.
 #[test]
 fn degenerate_batch_counts_are_rejected() {
     let mailroom = Mailroom::start(
@@ -551,16 +537,10 @@ fn degenerate_batch_counts_are_rejected() {
     let mut client = connect_client(&mailroom, &spec, &mut rng);
 
     // Empty batches are a client-side no-op: no traffic, no verdicts.
+    let messages = mailroom.fleet_meter().messages_received();
     assert!(client.process_batch(&[], &mut rng).unwrap().is_empty());
-
-    // A batch above the cap is refused client-side before any frame.
-    let huge: Vec<EmailPayload> = (0..MAX_BATCH_ROUNDS + 1)
-        .map(|_| EmailPayload::Tokens(SparseVector::from_pairs(vec![(0, 1)])))
-        .collect();
-    assert!(matches!(
-        client.process_batch(&huge, &mut rng),
-        Err(ServerError::Control(_))
-    ));
+    assert_eq!(client.emails_sent(), 0);
+    assert_eq!(mailroom.fleet_meter().messages_received(), messages);
 
     // The session is still healthy afterwards.
     client
@@ -569,4 +549,56 @@ fn degenerate_batch_counts_are_rejected() {
     client.finish().unwrap();
     let report = mailroom.shutdown();
     assert_eq!(report.completed(), 1);
+}
+
+/// Serves `payloads` on one echo-len session, through one `process_batch`
+/// call or one `process` call each; returns the verdicts, the client's
+/// email count and the messages the session exchanged.
+fn echo_session(payloads: &[EmailPayload], batched: bool) -> (Vec<Verdict>, u64, u64) {
+    let registry = ProtocolRegistry::builtin()
+        .with_module(Arc::new(EchoLenFunction))
+        .unwrap();
+    let mailroom = Mailroom::start_with_registry(
+        ling_suite(),
+        registry,
+        MailroomConfig::builder().workers(1).rng_seed(0xC4B).build(),
+    );
+    let mut rng = test_rng(79);
+    let spec =
+        ClientSpecBuilder::for_module(Arc::new(EchoLenFunction), PretzelConfig::test()).build();
+    let mut client = connect_client(&mailroom, &spec, &mut rng);
+    let verdicts = if batched {
+        client.process_batch(payloads, &mut rng).unwrap()
+    } else {
+        payloads
+            .iter()
+            .map(|payload| client.process(payload, &mut rng).unwrap())
+            .collect()
+    };
+    let emails = client.emails_sent();
+    client.finish().unwrap();
+    let report = mailroom.shutdown();
+    assert_eq!(report.completed(), 1);
+    assert_eq!(report.emails_total, payloads.len() as u64);
+    (verdicts, emails, report.sessions[0].messages)
+}
+
+/// A batch longer than `MAX_BATCH_ROUNDS` is split into capped exchanges,
+/// not refused: its verdicts equal one `process` call per payload, and it
+/// costs exactly two control frames.
+#[test]
+fn a_batch_over_the_cap_is_served_in_capped_exchanges() {
+    let payloads: Vec<EmailPayload> = (0..MAX_BATCH_ROUNDS + 1)
+        .map(|i| EmailPayload::Opaque(vec![0; i % 17]))
+        .collect();
+    let (batched, batched_emails, batched_messages) = echo_session(&payloads, true);
+    let (singly, singly_emails, singly_messages) = echo_session(&payloads, false);
+    assert_eq!(batched, singly);
+    assert_eq!(batched_emails, MAX_BATCH_ROUNDS as u64 + 1);
+    assert_eq!(singly_emails, MAX_BATCH_ROUNDS as u64 + 1);
+    assert_eq!(
+        singly_messages - batched_messages,
+        payloads.len() as u64 - 2,
+        "one control frame per round singly, two for the whole batch"
+    );
 }

@@ -62,7 +62,7 @@ fn ling_corpus() -> pretzel::datasets::Corpus {
 }
 
 /// The provider model suite used by the batching, phase-split, and
-/// rolling-upgrade fleets: spam/topic trained on the full shrunk Ling-spam
+/// retired-generation fleets: spam/topic trained on the full shrunk Ling-spam
 /// corpus, plus the shared deterministic virus model.
 pub fn ling_suite() -> ProviderModelSuite {
     let corpus = ling_corpus();
@@ -133,7 +133,7 @@ pub fn meter_rows(report: &MailroomReport) -> Vec<MeterRow> {
 }
 
 /// Everything observable about one fleet run that an optimization knob
-/// (batching, provisioning, protocol generation) must not change: the
+/// (batching, provisioning) must not change: the
 /// verdict transcript and the per-session round/byte accounting.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FleetRecord {

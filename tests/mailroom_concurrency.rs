@@ -14,6 +14,7 @@ use pretzel::server::{
     ClientSpec, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, ServerError,
     SessionState,
 };
+use pretzel::transport::wire::{Capabilities, HandshakeOffer, ProtocolVersion};
 use pretzel::transport::{memory_pair, run_two_party, Channel};
 
 mod common;
@@ -111,7 +112,14 @@ fn full_queue_rejects_immediately_instead_of_blocking() {
     // inside setup (the worker blocks waiting for the client's seed).
     let (provider_end, mut stalled_client) = memory_pair();
     let a_id = mailroom.submit(provider_end).unwrap();
-    stalled_client.send(&[SpamFunction::WIRE_TAG, 1]).unwrap();
+    let offer = HandshakeOffer {
+        min_version: ProtocolVersion::MIN.as_byte(),
+        max_version: ProtocolVersion::MAX.as_byte(),
+        wire_tag: SpamFunction::WIRE_TAG,
+        variant: 1,
+        capabilities: Capabilities::NONE,
+    };
+    stalled_client.send(&offer.encode()).unwrap();
     let wait_start = Instant::now();
     while mailroom.session_stats(a_id).unwrap().state != SessionState::Active {
         assert!(

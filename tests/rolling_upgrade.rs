@@ -1,180 +1,161 @@
-//! Rolling-upgrade acceptance test for the versioned wire protocol: one
-//! mailroom serves an interleaved fleet of legacy v1 clients and
-//! capability-negotiating v2 clients across all four built-in function
-//! kinds, and the upgrade is **invisible in the verdicts** — the mixed
-//! fleet's transcript is byte-identical to an all-v1 baseline under the
-//! same seeds and submission order. v2 peers batch their rounds; v1 peers
-//! transparently fall back to sequential serving (strictly more control
-//! frames on the wire); [`MailroomReport::by_version`] splits the fleet
-//! accounting by protocol generation.
+//! Rolling-upgrade discipline for the versioned wire protocol: a body
+//! change is a version step that deletes its predecessor, and a peer of the
+//! retired generation gets a clean, typed refusal — not a museum of old
+//! bodies. One live mailroom meets each shape of retired or forward-looking
+//! first frame: the retired bare `[wire_tag, variant]` handshake, an offer
+//! for the retired version only, an offer spanning the retired and the
+//! current version, and an offer carrying the retired capability bit next
+//! to one from the future. Only the refused sessions fail, the session after
+//! each case completes, and the per-kind report still reconciles with the
+//! fleet meters.
 
 use pretzel::classifiers::SparseVector;
-use pretzel::core::session::EmailPayload;
-use pretzel::core::topic::CandidateMode;
+use pretzel::core::registry::{ClientContext, ProtocolRegistry};
+use pretzel::core::session::{ClientSession, EmailPayload};
+use pretzel::core::spam::SpamFunction;
 use pretzel::core::PretzelConfig;
-use pretzel::server::{ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig};
-use pretzel::transport::wire::{Capabilities, ProtocolVersion};
+use pretzel::server::{
+    ClientSpecBuilder, Mailroom, MailroomConfig, SessionState, ACK_ACCEPTED, ROUND_BYE, ROUND_EMAIL,
+};
+use pretzel::transport::wire::{
+    Capabilities, CodecChannel, HandshakeAck, HandshakeError, HandshakeOffer, ProtocolVersion,
+};
+use pretzel::transport::{memory_pair, Channel};
 
 mod common;
 use common::{connect_client, ling_suite, test_rng};
 
-const ROUNDS_PER_SESSION: usize = 3;
-
-/// The per-kind payload scripts, one per built-in function module, in
-/// submission order. Each kind appears twice in a fleet run — once as a
-/// legacy v1 client, once as a v2 client — so `spec_for_kind` is called
-/// with both generations.
-fn scripts() -> Vec<(&'static str, Vec<EmailPayload>)> {
-    let spam_email = |a: usize| {
-        EmailPayload::Tokens(SparseVector::from_pairs(vec![
-            (a % 7, 3),
-            (a % 11 + 2, 1),
-            (7, 2),
-        ]))
-    };
-    let attachment =
-        |i: u8| EmailPayload::Attachment([0x4d, 0x5a, 0x90, 0x00, 0xde, 0xad, i].to_vec());
-    vec![
-        ("spam", (0..ROUNDS_PER_SESSION).map(spam_email).collect()),
-        ("topic", (0..ROUNDS_PER_SESSION).map(spam_email).collect()),
-        (
-            "virus",
-            (0..ROUNDS_PER_SESSION as u8).map(attachment).collect(),
-        ),
-        (
-            "search",
-            vec![
-                EmailPayload::SearchIndex {
-                    doc_id: 42,
-                    body: "quarterly budget spreadsheet attached".into(),
-                },
-                EmailPayload::SearchQuery("budget".into()),
-                EmailPayload::SearchQuery("absent".into()),
-            ],
-        ),
-    ]
+fn spam_email() -> EmailPayload {
+    EmailPayload::Tokens(SparseVector::from_pairs(vec![(0, 3), (7, 2)]))
 }
 
-fn spec_for_kind(kind: &str, legacy: bool) -> ClientSpec {
-    let config = PretzelConfig::test();
-    let builder = match kind {
-        "spam" => ClientSpecBuilder::spam(config),
-        "topic" => ClientSpecBuilder::topic(config).topic_mode(CandidateMode::Full),
-        "virus" => ClientSpecBuilder::virus(config),
-        "search" => ClientSpecBuilder::search(config),
-        other => panic!("unknown kind {other}"),
-    };
-    if legacy {
-        builder.legacy_v1().build()
-    } else {
-        builder.build()
+fn offer(min_version: u8, max_version: u8, capabilities: u64) -> Vec<u8> {
+    HandshakeOffer {
+        min_version,
+        max_version,
+        wire_tag: SpamFunction::WIRE_TAG,
+        variant: 1,
+        capabilities: Capabilities::from_bits(capabilities),
     }
+    .encode()
 }
 
-/// One fleet run: 8 sessions (each kind once per protocol generation given
-/// by `legacy_pattern[i % 2]`), served sequentially on one worker so the
-/// provider RNG stream of session `i` is identical across runs. Every
-/// client submits its rounds through `process_batch`, which batches on v2
-/// sessions and transparently degrades to sequential rounds on v1.
-fn run_fleet(legacy_pattern: [bool; 2]) -> (Vec<String>, pretzel::server::MailroomReport) {
+#[test]
+fn the_retired_generation_is_refused_cleanly() {
     let mailroom = Mailroom::start(
         ling_suite(),
         MailroomConfig::builder()
             .workers(1)
-            .queue_capacity(8)
+            .queue_capacity(4)
             .rng_seed(0x0116_2ADE)
             .build(),
     );
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
+    let accept = HandshakeAck::Accept {
+        version: ProtocolVersion::V2,
+        capabilities: Capabilities::NONE,
+    };
+    let cases: [(&str, Vec<u8>, HandshakeAck); 4] = [
+        (
+            "retired bare handshake",
+            vec![SpamFunction::WIRE_TAG, 1],
+            HandshakeAck::Refuse(HandshakeError::Malformed(
+                "provider judged the offer malformed".into(),
+            )),
+        ),
+        (
+            "retired version only",
+            offer(1, 1, 0),
+            HandshakeAck::Refuse(HandshakeError::VersionMismatch {
+                offered_min: 0,
+                offered_max: 0,
+                supported_min: 2,
+                supported_max: 2,
+            }),
+        ),
+        (
+            "retired and current version",
+            offer(1, 2, 0),
+            accept.clone(),
+        ),
+        (
+            "retired and future capability bits",
+            offer(2, 2, (1 << 40) | 1),
+            accept.clone(),
+        ),
+    ];
 
-    let mut verdicts = Vec::new();
-    let mut session_idx = 0usize;
-    for (kind, payloads) in scripts() {
-        for &legacy in &legacy_pattern {
-            let mut rng = test_rng(900 + session_idx as u64);
-            let spec = spec_for_kind(kind, legacy);
-            let mut client = connect_client(&mailroom, &spec, &mut rng);
+    let mut refused = Vec::new();
+    for (s, (case, first_frame, expected)) in cases.into_iter().enumerate() {
+        let mut rng = test_rng(700 + s as u64);
+        let (provider_end, mut client_end) = memory_pair();
+        let id = mailroom.submit(provider_end).unwrap();
+        client_end.send(&first_frame).unwrap();
+        assert_eq!(client_end.recv().unwrap(), vec![ACK_ACCEPTED], "{case}");
+        let ack = HandshakeAck::decode(&client_end.recv().unwrap()).unwrap();
+        assert_eq!(ack, expected, "{case}");
 
-            let profile = client.negotiated();
-            if legacy {
-                assert_eq!(profile.version, ProtocolVersion::V1);
-                assert!(profile.capabilities.is_empty());
-            } else {
-                assert_eq!(profile.version, ProtocolVersion::V2);
-                assert!(profile.supports(Capabilities::ROUND_BATCH));
-            }
-
-            for verdict in client.process_batch(&payloads, &mut rng).unwrap() {
-                verdicts.push(format!("{kind}/{verdict:?}"));
-            }
-            assert_eq!(client.emails_sent(), payloads.len() as u64);
-            client.finish().unwrap();
-            session_idx += 1;
+        if ack == accept {
+            // An accepted session is an ordinary v2 session from here on.
+            let mut channel = CodecChannel::new(client_end);
+            let mut session = ClientSession::setup(
+                &ProtocolRegistry::builtin(),
+                SpamFunction::WIRE_TAG,
+                &mut channel,
+                &ClientContext::new(PretzelConfig::test()),
+                &mut rng,
+            )
+            .unwrap();
+            channel.send(&[ROUND_EMAIL]).unwrap();
+            session
+                .process_round(&mut channel, &spam_email(), &mut rng)
+                .unwrap();
+            channel.send(&[ROUND_BYE]).unwrap();
+            channel.flush().unwrap();
+        } else {
+            refused.push(id);
         }
+
+        // The session after each case completes.
+        let mut client = connect_client(&mailroom, &spec, &mut rng);
+        client.process(&spam_email(), &mut rng).unwrap();
+        client.finish().unwrap();
     }
 
     let report = mailroom.shutdown();
-    assert_eq!(report.completed(), 8, "all eight sessions must complete");
-    (verdicts, report)
-}
-
-#[test]
-fn mixed_version_fleet_matches_the_all_v1_baseline() {
-    // Baseline: every session is a legacy v1 client.
-    let (baseline_verdicts, baseline_report) = run_fleet([true, true]);
-    // Rolling upgrade in flight: each kind served once per generation,
-    // interleaved on the same mailroom.
-    let (mixed_verdicts, mixed_report) = run_fleet([true, false]);
-
-    // The protocol generation must be invisible in the outputs: same
-    // session order, same seeds, same payloads → byte-identical verdicts.
-    assert_eq!(
-        baseline_verdicts, mixed_verdicts,
-        "upgrading the wire protocol must not change a single verdict"
-    );
-    assert_eq!(baseline_report.emails_total, mixed_report.emails_total);
-
-    // The baseline is all v1.
-    let by_version = baseline_report.by_version();
-    assert_eq!(by_version.len(), 1);
-    assert_eq!(by_version[0].0, ProtocolVersion::V1);
-    assert_eq!(by_version[0].1.sessions, 8);
-
-    // The mixed fleet splits cleanly by generation.
-    let by_version = mixed_report.by_version();
-    assert_eq!(by_version.len(), 2);
-    let (v1_totals, v2_totals) = (by_version[0].1, by_version[1].1);
-    assert_eq!(by_version[0].0, ProtocolVersion::V1);
-    assert_eq!(by_version[1].0, ProtocolVersion::V2);
-    assert_eq!(v1_totals.sessions, 4);
-    assert_eq!(v2_totals.sessions, 4);
-    assert_eq!(
-        v1_totals.emails + v2_totals.emails,
-        mixed_report.emails_total
-    );
-    assert_eq!(
-        v1_totals.messages + v2_totals.messages,
-        mixed_report.fleet_messages,
-        "per-version sums must reproduce the fleet meters"
-    );
-
-    // v1 sessions fall back to sequential rounds: one control frame per
-    // email instead of one per batch, so strictly more messages for the
-    // same work.
-    assert!(
-        v1_totals.messages > v2_totals.messages,
-        "sequential v1 fallback must cost more round trips than v2 batching \
-         (v1: {}, v2: {})",
-        v1_totals.messages,
-        v2_totals.messages
-    );
-
-    // Per-session versions landed in the stats, interleaved as submitted.
-    for (i, stats) in mixed_report.sessions.iter().enumerate() {
-        let expected = if i % 2 == 0 {
-            ProtocolVersion::V1
+    assert_eq!(report.sessions.len(), 8);
+    for session in &report.sessions {
+        if refused.contains(&session.id) {
+            assert!(
+                matches!(session.state, SessionState::Failed(_)),
+                "session {}: {:?}",
+                session.id,
+                session.state
+            );
+            assert_eq!(session.kind, None, "a refused session is never recorded");
+            assert_eq!(session.version, None);
         } else {
-            ProtocolVersion::V2
-        };
-        assert_eq!(stats.version, Some(expected), "session {i}");
+            assert_eq!(session.state, SessionState::Completed, "{}", session.id);
+            assert_eq!(session.version, Some(ProtocolVersion::V2));
+            assert_eq!(session.capabilities, Capabilities::NONE);
+            assert_eq!(session.emails, 1);
+        }
     }
+    assert_eq!(refused.len(), 2);
+
+    // Per-kind totals plus the refused sessions' handshake bytes reproduce
+    // the fleet meters.
+    let by_kind = report.by_kind();
+    assert_eq!(by_kind.len(), 1);
+    let mut totals = by_kind[0].1;
+    assert_eq!(totals.sessions, 6);
+    assert_eq!(totals.emails, report.emails_total);
+    for session in report.sessions.iter().filter(|s| s.kind.is_none()) {
+        totals.bytes_sent += session.bytes_sent;
+        totals.bytes_received += session.bytes_received;
+        totals.messages += session.messages;
+    }
+    assert_eq!(totals.bytes_sent, report.fleet_bytes_sent);
+    assert_eq!(totals.bytes_received, report.fleet_bytes_received);
+    assert_eq!(totals.messages, report.fleet_messages);
 }

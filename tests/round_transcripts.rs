@@ -2,8 +2,8 @@
 //! directions, that a session exchanges under fixed RNG seeds.
 //!
 //! The golden codec fixtures (`wire_compat`) pin frame *encodings* and the
-//! fleet records (`batching`, `rolling_upgrade`) pin frame *counts and
-//! sizes*; neither notices a round that sends different bytes of the same
+//! fleet records (`batching`) pin frame *counts and sizes*; neither
+//! notices a round that sends different bytes of the same
 //! length. This suite does: for each built-in module it runs one session
 //! through [`ProviderSession`] / [`ClientSession`] at `PretzelConfig::test()`
 //! with both parties on fixed `StdRng` streams — once as three single

@@ -9,8 +9,8 @@ use pretzel::scenarios::{
     run_scenario, MixedFleetSkew, RunOptions, Scenario, ScenarioConfig, SessionChurn, TransportMode,
 };
 
-/// The richest scenario — all five module kinds, interleaved v1/v2 peers,
-/// batched submissions — repeated over loopback TCP. TCP is the adversarial
+/// The richest scenario — all five module kinds, batched submissions —
+/// repeated over loopback TCP. TCP is the adversarial
 /// transport here: accept order is OS-scheduled, so this pins that verdict
 /// collection is keyed by plan order, not arrival order.
 #[test]

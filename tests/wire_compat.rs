@@ -1,19 +1,17 @@
-//! Wire-compatibility pins for the versioned protocol (tentpole of the
-//! handshake/codec redesign, enforced by the `wire-compat` CI job).
+//! Wire-compatibility pins for the versioned protocol.
 //!
 //! Three layers of protection:
 //!
 //! 1. **Golden bytes** — committed hex fixtures under `tests/golden/` pin
-//!    the exact encoding of v1 frames (the identity, frozen forever), v2
-//!    frames (header + CRC-32), and every handshake offer/ack shape. Any
-//!    drift in encoded bytes fails here before it can strand deployed
-//!    peers.
-//! 2. **Properties** — the v1 codec is byte-identical on arbitrary
-//!    payloads, and the v2 codec round-trips them.
+//!    the exact encoding of v2 frames (header + CRC-32) and every handshake
+//!    offer/ack shape. Any drift in encoded bytes fails here before it can
+//!    strand deployed peers.
+//! 2. **Properties** — the v2 codec round-trips arbitrary payloads.
 //! 3. **Adversarial handshakes** against a live mailroom — truncated
-//!    offers, out-of-range version spans, inverted spans, and unknown
-//!    capability bits (which must be IGNORED, not rejected: forward
-//!    compatibility is what lets an old provider serve a newer client).
+//!    offers, out-of-range version spans, inverted spans, unknown AHE
+//!    variant bytes, and unknown capability bits (which must be IGNORED,
+//!    not rejected: forward compatibility is what lets an old provider
+//!    serve a newer client).
 
 use pretzel::classifiers::nb::GrNbTrainer;
 use pretzel::classifiers::{LabeledExample, NGramExtractor, SparseVector, Trainer};
@@ -21,13 +19,14 @@ use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, ProviderModelSuite};
 use pretzel::datasets::ling_spam_like;
 use pretzel::server::{
-    ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, SessionState, ACK_ACCEPTED,
+    ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, ServerError, SessionState,
+    ACK_ACCEPTED,
 };
 use pretzel::transport::wire::{
-    codec_for, crc32, Capabilities, HandshakeAck, HandshakeError, HandshakeOffer, ProtocolVersion,
-    HANDSHAKE_MAGIC, OFFER_LEN,
+    crc32, Capabilities, HandshakeAck, HandshakeError, HandshakeOffer, ProtocolVersion, V2Codec,
+    WireCodec, HANDSHAKE_MAGIC, OFFER_LEN,
 };
-use pretzel::transport::{memory_pair, Channel};
+use pretzel::transport::{memory_pair, Channel, TransportError};
 use proptest::prelude::*;
 
 mod common;
@@ -56,38 +55,17 @@ fn fixture_rows(name: &str) -> Vec<Vec<String>> {
 }
 
 #[test]
-fn golden_v1_frames_are_the_identity_forever() {
-    let rows = fixture_rows("wire_v1.txt");
-    assert!(!rows.is_empty());
-    let codec = codec_for(ProtocolVersion::V1);
-    for row in rows {
-        let [name, payload, frame] = row.as_slice() else {
-            panic!("bad fixture row {row:?}");
-        };
-        let (payload, frame) = (unhex(payload), unhex(frame));
-        assert_eq!(payload, frame, "{name}: v1 frames ARE their payloads");
-        assert_eq!(codec.encode(&payload), frame, "{name}: encode drifted");
-        assert_eq!(
-            codec.decode(&frame).unwrap(),
-            payload,
-            "{name}: decode drifted"
-        );
-    }
-}
-
-#[test]
 fn golden_v2_frames_match_the_pinned_encoding() {
     let rows = fixture_rows("wire_v2.txt");
     assert!(!rows.is_empty());
-    let codec = codec_for(ProtocolVersion::V2);
     for row in rows {
         let [name, payload, frame] = row.as_slice() else {
             panic!("bad fixture row {row:?}");
         };
         let (payload, frame) = (unhex(payload), unhex(frame));
-        assert_eq!(codec.encode(&payload), frame, "{name}: encode drifted");
+        assert_eq!(V2Codec.encode(&payload), frame, "{name}: encode drifted");
         assert_eq!(
-            codec.decode(&frame).unwrap(),
+            V2Codec.decode(&frame).unwrap(),
             payload,
             "{name}: decode drifted"
         );
@@ -104,54 +82,52 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
         frames.insert(name.clone(), unhex(frame));
     }
 
-    // The frozen v1 vocabulary.
-    assert_eq!(frames["legacy_v1_handshake_spam_pretzel"], vec![1, 1]);
-    assert_eq!(frames["legacy_v1_ack_accepted"], vec![ACK_ACCEPTED]);
-    assert_eq!(
-        frames["legacy_v1_ack_busy"],
-        vec![pretzel::server::ACK_BUSY]
-    );
-
-    // Offers encode (and decode) to the pinned bytes.
-    let offer = HandshakeOffer {
-        min_version: 1,
+    // Offers encode (and decode) to the pinned bytes: what this build's
+    // clients send, and what a client of the retired generation sent — an
+    // offer reaching up to v2 with the retired bit 0 set still parses.
+    let offer = |min_version, wire_tag, capabilities| HandshakeOffer {
+        min_version,
         max_version: 2,
-        wire_tag: 1,
+        wire_tag,
         variant: 1,
-        capabilities: Capabilities::ROUND_BATCH,
+        capabilities,
     };
-    assert_eq!(offer.encode(), frames["offer_spam_v1_to_v2_batch"]);
-    assert_eq!(
-        HandshakeOffer::decode(&frames["offer_spam_v1_to_v2_batch"]).unwrap(),
-        offer
-    );
-    assert_eq!(
-        HandshakeOffer {
-            min_version: 2,
-            max_version: 2,
-            wire_tag: 4,
-            variant: 1,
-            capabilities: Capabilities::NONE,
-        }
-        .encode(),
-        frames["offer_search_v2_only_nocaps"]
-    );
-
-    // Every ack shape.
-    let cases: [(&str, HandshakeAck); 6] = [
+    for (name, offer) in [
+        ("offer_spam_v2_only_nocaps", offer(2, 1, Capabilities::NONE)),
         (
-            "ack_accept_v2_batch",
+            "offer_search_v2_only_nocaps",
+            offer(2, 4, Capabilities::NONE),
+        ),
+        (
+            "offer_spam_v1_to_v2_batch",
+            offer(1, 1, Capabilities::from_bits(1)),
+        ),
+    ] {
+        assert_eq!(offer.encode(), frames[name], "{name}: encode drifted");
+        assert_eq!(
+            HandshakeOffer::decode(&frames[name]).unwrap(),
+            offer,
+            "{name}: decode drifted"
+        );
+    }
+
+    // Every ack shape this build emits.
+    let cases: [(&str, HandshakeAck); 5] = [
+        (
+            "ack_accept_v2_nocaps",
             HandshakeAck::Accept {
                 version: ProtocolVersion::V2,
-                capabilities: Capabilities::ROUND_BATCH,
+                capabilities: Capabilities::NONE,
             },
         ),
         (
-            "ack_accept_v1",
-            HandshakeAck::Accept {
-                version: ProtocolVersion::V1,
-                capabilities: Capabilities::NONE,
-            },
+            "ack_refuse_version_mismatch_2_2",
+            HandshakeAck::Refuse(HandshakeError::VersionMismatch {
+                offered_min: 0,
+                offered_max: 0,
+                supported_min: 2,
+                supported_max: 2,
+            }),
         ),
         (
             "ack_refuse_version_mismatch_1_2",
@@ -160,12 +136,6 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
                 offered_max: 0,
                 supported_min: 1,
                 supported_max: 2,
-            }),
-        ),
-        (
-            "ack_refuse_capability_batch",
-            HandshakeAck::Refuse(HandshakeError::CapabilityRefused {
-                missing: Capabilities::ROUND_BATCH,
             }),
         ),
         (
@@ -187,11 +157,25 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
             "{name}: decode drifted"
         );
     }
+
+    // The retired capability bit is masked out of an accept, and the
+    // retired "capability refused" status is reserved: it fails to parse.
+    assert_eq!(
+        HandshakeAck::decode(&frames["ack_accept_v2_batch"]).unwrap(),
+        HandshakeAck::Accept {
+            version: ProtocolVersion::V2,
+            capabilities: Capabilities::NONE,
+        }
+    );
+    assert!(matches!(
+        HandshakeAck::decode(&frames["ack_refuse_capability_batch"]),
+        Err(HandshakeError::Malformed(_))
+    ));
 }
 
 #[test]
-fn v1_serving_constants_are_frozen() {
-    // These byte values are on the wire of every deployed v1 peer.
+fn serving_constants_are_frozen() {
+    // These byte values are on the wire of every deployed peer.
     assert_eq!(pretzel::server::ACK_ACCEPTED, 0x41);
     assert_eq!(pretzel::server::ACK_BUSY, 0x42);
     assert_eq!(pretzel::server::ROUND_BYE, 0);
@@ -208,27 +192,15 @@ fn v1_serving_constants_are_frozen() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The frozen v1 codec is byte-for-byte the identity on arbitrary
-    /// payloads — encode adds nothing, decode strips nothing.
-    #[test]
-    fn v1_codec_is_byte_identical_on_arbitrary_payloads(
-        payload in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let codec = codec_for(ProtocolVersion::V1);
-        prop_assert_eq!(codec.encode(&payload), payload.clone());
-        prop_assert_eq!(codec.decode(&payload).unwrap(), payload);
-    }
-
     /// The v2 codec round-trips arbitrary payloads through its framed,
     /// checksummed encoding.
     #[test]
     fn v2_codec_round_trips_arbitrary_payloads(
         payload in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let codec = codec_for(ProtocolVersion::V2);
-        let frame = codec.encode(&payload);
+        let frame = V2Codec.encode(&payload);
         prop_assert_eq!(frame.len(), payload.len() + 10);
-        prop_assert_eq!(codec.decode(&frame).unwrap(), payload);
+        prop_assert_eq!(V2Codec.decode(&frame).unwrap(), payload);
     }
 }
 
@@ -330,7 +302,7 @@ fn truncated_offers_fail_only_their_session() {
 #[test]
 fn out_of_range_version_spans_get_a_structured_mismatch() {
     let mailroom = one_worker_mailroom();
-    // A client from the future that dropped v1/v2 support entirely.
+    // A client from the future that dropped v2 support entirely.
     let offer = HandshakeOffer {
         min_version: 7,
         max_version: 9,
@@ -376,23 +348,24 @@ fn inverted_and_zero_version_spans_are_malformed() {
 #[test]
 fn unknown_capability_bits_are_ignored_not_rejected() {
     let mailroom = one_worker_mailroom();
-    let (provider_end, client_end) = memory_pair();
-    mailroom.submit(provider_end).unwrap();
-
     // A newer client advertising capability bits this build has never heard
-    // of: negotiation must succeed and grant only the known intersection.
-    let mut rng = test_rng(42);
-    let spec = ClientSpecBuilder::spam(PretzelConfig::test())
-        .capabilities(Capabilities::from_bits((1 << 40) | (1 << 17) | 1))
-        .build();
-    let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-    let profile = client.negotiated();
-    assert_eq!(profile.version, ProtocolVersion::V2);
-    assert_eq!(profile.capabilities, Capabilities::ROUND_BATCH);
-    client
-        .classify_spam(&SparseVector::from_pairs(vec![(0, 2)]), &mut rng)
-        .unwrap();
-    client.finish().unwrap();
+    // of (the retired bit 0 among them): negotiation must succeed and grant
+    // only the known intersection, which is empty.
+    let offer = HandshakeOffer {
+        min_version: 1,
+        max_version: 2,
+        wire_tag: 1,
+        variant: 1,
+        capabilities: Capabilities::from_bits((1 << 40) | (1 << 17) | 1),
+    };
+    let (_, ack) = raw_handshake(&mailroom, &offer.encode());
+    assert_eq!(
+        ack,
+        HandshakeAck::Accept {
+            version: ProtocolVersion::V2,
+            capabilities: Capabilities::NONE,
+        }
+    );
     mailroom.shutdown();
 }
 
@@ -409,7 +382,7 @@ fn offers_with_trailing_bytes_from_the_future_still_negotiate() {
         max_version: 2,
         wire_tag: 1,
         variant: 1,
-        capabilities: Capabilities::ROUND_BATCH,
+        capabilities: Capabilities::NONE,
     }
     .encode();
     frame.extend_from_slice(&[0xAB; 9]);
@@ -420,11 +393,94 @@ fn offers_with_trailing_bytes_from_the_future_still_negotiate() {
         ack,
         HandshakeAck::Accept {
             version: ProtocolVersion::V2,
-            capabilities: Capabilities::ROUND_BATCH,
+            capabilities: Capabilities::NONE,
         }
     );
     // Hang up instead of running setup: the worker must notice and fail
     // only this session (shutdown would otherwise wait on it forever).
     drop(client_end);
     mailroom.shutdown();
+}
+
+/// A client channel that rewrites the AHE variant byte of the first frame
+/// it sends — the handshake offer — so the real client stack can be driven
+/// into offering a variant no build defines.
+struct ForgeVariant<C> {
+    inner: C,
+    variant: Option<u8>,
+}
+
+impl<C: Channel> Channel for ForgeVariant<C> {
+    fn send(&mut self, msg: &[u8]) -> Result<(), TransportError> {
+        let mut msg = msg.to_vec();
+        if let Some(variant) = self.variant.take() {
+            msg[6] = variant;
+        }
+        self.inner.send(&msg)
+    }
+
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        self.inner.recv()
+    }
+}
+
+#[test]
+fn unknown_variant_bytes_are_refused_before_the_ack() {
+    let mailroom = one_worker_mailroom();
+    let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
+    let mut failed = Vec::new();
+    for variant in [0u8, 4, 0xFF] {
+        // On the wire: a typed refusal, not an accept.
+        let offer = HandshakeOffer {
+            min_version: 2,
+            max_version: 2,
+            wire_tag: 1,
+            variant,
+            capabilities: Capabilities::NONE,
+        };
+        let (raw_id, ack) = raw_handshake(&mailroom, &offer.encode());
+        assert!(
+            matches!(ack, HandshakeAck::Refuse(HandshakeError::Malformed(_))),
+            "variant {variant}: got {ack:?}"
+        );
+        failed.push(raw_id);
+
+        // Through the client stack: a handshake error, not a dead channel
+        // in the middle of set-up.
+        let (provider_end, client_end) = memory_pair();
+        failed.push(mailroom.submit(provider_end).unwrap());
+        let forged = ForgeVariant {
+            inner: client_end,
+            variant: Some(variant),
+        };
+        let mut rng = test_rng(43);
+        match MailroomClient::connect(forged, &spec, &mut rng) {
+            Err(ServerError::Handshake(HandshakeError::Malformed(_))) => {}
+            Err(other) => panic!("variant {variant}: expected a handshake refusal, got {other}"),
+            Ok(_) => panic!("variant {variant}: an unknown variant must not be accepted"),
+        }
+    }
+
+    // The next session completes.
+    let (provider_end, client_end) = memory_pair();
+    let ok_id = mailroom.submit(provider_end).unwrap();
+    let mut rng = test_rng(44);
+    let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
+    client
+        .classify_spam(&SparseVector::from_pairs(vec![(0, 2)]), &mut rng)
+        .unwrap();
+    client.finish().unwrap();
+
+    let report = mailroom.shutdown();
+    for id in failed {
+        let session = report.sessions.iter().find(|s| s.id == id).unwrap();
+        assert!(
+            matches!(&session.state, SessionState::Failed(why) if why.contains("variant")),
+            "session {id}: got {:?}",
+            session.state
+        );
+        assert_eq!(session.kind, None, "a refused session is never recorded");
+    }
+    let ok = report.sessions.iter().find(|s| s.id == ok_id).unwrap();
+    assert_eq!(ok.state, SessionState::Completed);
 }
