@@ -52,7 +52,7 @@ pub struct Circuit {
 
 impl Circuit {
     /// Number of AND gates (the cost driver for garbling: each produces a
-    /// 4-row table; XOR and INV are free).
+    /// two-row half-gates table; XOR and INV are free).
     pub fn and_count(&self) -> usize {
         self.gates
             .iter()

@@ -1,15 +1,21 @@
 //! Garbling and evaluation of boolean circuits (Yao's protocol, paper §3.2).
 //!
-//! The construction is the classic point-and-permute garbling with the
-//! free-XOR optimization:
+//! The construction is Zahur–Rosulek–Evans half-gates ("Two Halves Make a
+//! Whole", Eurocrypt 2015) on top of free-XOR and point-and-permute:
 //!
 //! * Every wire `w` has two 128-bit labels `W⁰_w` and `W¹_w = W⁰_w ⊕ Δ`,
 //!   where `Δ` is a global secret with its least-significant bit set to 1 so
 //!   the two labels of a wire always have different "color" bits.
 //! * XOR gates are free (`W⁰_out = W⁰_a ⊕ W⁰_b`), INV gates are free
-//!   (`W⁰_out = W⁰_a ⊕ Δ`), and each AND gate produces a 4-row table where
-//!   row `(i, j)` encrypts the correct output label under the hash of the
-//!   input labels whose color bits are `(i, j)`.
+//!   (`W⁰_out = W⁰_a ⊕ Δ`).
+//! * An AND gate `c = a ∧ b` is two half gates — `a ∧ p_b`, where the
+//!   garbler knows `p_b`, and `a ∧ (b ⊕ p_b)`, where the evaluator knows
+//!   `b ⊕ p_b` as `b`'s color — each one 16-byte row, so a gate's table is
+//!   two rows. The garbler hashes all four input labels, the evaluator the
+//!   two it holds; the output zero-label is derived, not sampled.
+//!
+//! Every hash is [`pretzel_primitives::gate_hash`], tweaked per half gate
+//! with `gate_tweaks`; the tweaks of OT extension live in a disjoint domain.
 //!
 //! The paper's Yao microbenchmarks (Figure 6: 71 µs / 2.5 KB for a 32-bit
 //! comparison) are regenerated against this implementation by
@@ -17,7 +23,7 @@
 
 use rand::Rng;
 
-use pretzel_primitives::gc_hash;
+use pretzel_primitives::gate_hash;
 
 use crate::circuit::{Circuit, Gate, WireId};
 
@@ -32,8 +38,21 @@ fn xor_label(a: &Label, b: &Label) -> Label {
     out
 }
 
+/// `l` when `bit` is set, zero otherwise, selected with a mask.
+fn and_label(bit: bool, l: &Label) -> Label {
+    let mask = 0u8.wrapping_sub(bit as u8);
+    l.map(|x| x & mask)
+}
+
 fn color(l: &Label) -> bool {
     l[0] & 1 == 1
+}
+
+/// The gate-hash tweaks of the AND gate whose output wire is `out`: one per
+/// half gate. They are below 2⁶⁴, the domain OT extension stays out of.
+fn gate_tweaks(out: WireId) -> (u128, u128) {
+    let j = 2 * out as u128;
+    (j, j + 1)
 }
 
 /// The garbler's secret garbling state for one circuit.
@@ -42,8 +61,9 @@ pub struct Garbling {
     pub delta: Label,
     /// Zero-label of every wire.
     pub zero_labels: Vec<Label>,
-    /// Garbled tables, one per AND gate, in gate order.
-    pub tables: Vec<[Label; 4]>,
+    /// Garbled tables, one per AND gate, in gate order: the garbler's half
+    /// gate row `T_G`, then the evaluator's half gate row `T_E`.
+    pub tables: Vec<[Label; 2]>,
 }
 
 impl Garbling {
@@ -118,38 +138,20 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Garbling {
                 zero_labels[out] = xor_label(&zero_labels[a], &delta);
             }
             Gate::And { a, b, out } => {
-                let w_out0: Label = rng.gen();
-                zero_labels[out] = w_out0;
-                let p_a = color(&zero_labels[a]);
-                let p_b = color(&zero_labels[b]);
-                let gate_id = out as u64;
-                let mut table = [[0u8; 16]; 4];
-                for i in 0..2u8 {
-                    for j in 0..2u8 {
-                        // The evaluator holding labels with colors (i, j) has
-                        // semantic values (i ^ p_a, j ^ p_b).
-                        let va = (i == 1) ^ p_a;
-                        let vb = (j == 1) ^ p_b;
-                        let label_a = if va {
-                            xor_label(&zero_labels[a], &delta)
-                        } else {
-                            zero_labels[a]
-                        };
-                        let label_b = if vb {
-                            xor_label(&zero_labels[b], &delta)
-                        } else {
-                            zero_labels[b]
-                        };
-                        let out_label = if va && vb {
-                            xor_label(&w_out0, &delta)
-                        } else {
-                            w_out0
-                        };
-                        let pad = gc_hash(&label_a, &label_b, gate_id);
-                        table[(i * 2 + j) as usize] = xor_label(&pad, &out_label);
-                    }
-                }
-                tables.push(table);
+                let a0 = zero_labels[a];
+                let b0 = zero_labels[b];
+                let (a1, b1) = (xor_label(&a0, &delta), xor_label(&b0, &delta));
+                let (j, k) = gate_tweaks(out);
+                let [ha0, ha1, hb0, hb1] = gate_hash([(a0, j), (a1, j), (b0, k), (b1, k)]);
+                let (p_a, p_b) = (color(&a0), color(&b0));
+                // Garbler half gate: a ∧ p_b.
+                let t_g = xor_label(&xor_label(&ha0, &ha1), &and_label(p_b, &delta));
+                let w_g = xor_label(&ha0, &and_label(p_a, &t_g));
+                // Evaluator half gate: a ∧ (b ⊕ p_b).
+                let t_e = xor_label(&xor_label(&hb0, &hb1), &a0);
+                let w_e = xor_label(&hb0, &and_label(p_b, &xor_label(&t_e, &a0)));
+                zero_labels[out] = xor_label(&w_g, &w_e);
+                tables.push([t_g, t_e]);
             }
         }
     }
@@ -165,7 +167,7 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Garbling {
 /// constant wire. Returns the active labels of the output wires.
 pub fn evaluate(
     circuit: &Circuit,
-    tables: &[[Label; 4]],
+    tables: &[[Label; 2]],
     input_labels: &[(WireId, Label)],
 ) -> Vec<Label> {
     let mut labels: Vec<Option<Label>> = vec![None; circuit.num_wires];
@@ -186,10 +188,12 @@ pub fn evaluate(
             Gate::And { a, b, out } => {
                 let la = labels[a].expect("missing label for AND input");
                 let lb = labels[b].expect("missing label for AND input");
-                let i = color(&la) as usize;
-                let j = color(&lb) as usize;
-                let pad = gc_hash(&la, &lb, out as u64);
-                labels[out] = Some(xor_label(&pad, &tables[table_idx][i * 2 + j]));
+                let [t_g, t_e] = tables[table_idx];
+                let (j, k) = gate_tweaks(out);
+                let [ha, hb] = gate_hash([(la, j), (lb, k)]);
+                let w_g = xor_label(&ha, &and_label(color(&la), &t_g));
+                let w_e = xor_label(&hb, &and_label(color(&lb), &xor_label(&t_e, &la)));
+                labels[out] = Some(xor_label(&w_g, &w_e));
                 table_idx += 1;
             }
         }

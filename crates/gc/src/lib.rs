@@ -8,12 +8,14 @@
 //!
 //! * [`circuit`] — boolean circuits and a builder with the adders,
 //!   subtractors, comparators, muxes and argmax used by Pretzel's functions.
-//! * [`mod@garble`] — free-XOR + point-and-permute garbling and evaluation.
+//! * [`mod@garble`] — half-gates garbling and evaluation (two 16-byte rows
+//!   per AND gate; XOR and INV free), hashed with the fixed-key-AES gate
+//!   hash of `pretzel_primitives`.
 //! * [`ot`] — Chou–Orlandi-style base oblivious transfer over a safe-prime
 //!   group (setup-phase only).
 //! * [`otext`] — IKNP OT extension, which amortizes the base OTs across
 //!   every per-email circuit execution (paper §3.3's setup-phase
-//!   amortization).
+//!   amortization). Its message pads use the same gate hash.
 //! * [`runner`] — the interactive garbler/evaluator protocol over a
 //!   [`pretzel_transport::Channel`].
 //!
@@ -64,30 +66,9 @@ impl From<pretzel_transport::TransportError> for GcError {
     }
 }
 
-/// Estimated network bytes for garbling a circuit: 64 bytes per AND gate
-/// (4 rows × 16 bytes) plus 16 bytes per garbler input and 32 bytes per
-/// evaluator input (OT-extension payload). Used by the cost model (Figure 3's
-/// `szper-in`) without running the protocol.
-pub fn estimated_garbled_size(circuit: &Circuit) -> usize {
-    circuit.and_count() * 64
-        + circuit.garbler_inputs.len() * 16
-        + circuit.evaluator_inputs.len() * 32
-        + circuit.outputs.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn estimated_size_tracks_circuit_growth() {
-        let small = spam_compare_circuit(8);
-        let large = spam_compare_circuit(32);
-        assert!(estimated_garbled_size(&large) > estimated_garbled_size(&small));
-        let argmax_small = topic_argmax_circuit(5, 24, 12);
-        let argmax_large = topic_argmax_circuit(20, 24, 12);
-        assert!(estimated_garbled_size(&argmax_large) > 3 * estimated_garbled_size(&argmax_small));
-    }
 
     #[test]
     fn error_display_formats() {

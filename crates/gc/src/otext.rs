@@ -17,12 +17,17 @@
 //!   `G(k⁰_i)`, `G(k¹_i)` and sends `u_i = G(k⁰_i) ⊕ G(k¹_i) ⊕ r`, where `r`
 //!   is the m-bit choice vector. S reconstructs a matrix Q whose row `j`
 //!   satisfies `q_j = t_j ⊕ (r_j · s)`; it then masks each message pair with
-//!   `H(j, q_j)` and `H(j, q_j ⊕ s)`. R unmasks its chosen message with
-//!   `H(j, t_j)`.
+//!   `H(q_j, i)` and `H(q_j ⊕ s, i)`. R unmasks its chosen message with
+//!   `H(t_j, i)`.
+//!
+//! `H` is the gate hash, [`pretzel_primitives::gate_hash`]; the tweak `i` of
+//! an OT is its position among every OT the session has extended
+//! (`take_tweaks`), so no two OTs of a session share one however its
+//! batches are sized.
 
 use rand::Rng;
 
-use pretzel_primitives::{gc_hash, Prg};
+use pretzel_primitives::{gate_hash, Prg};
 use pretzel_transport::Channel;
 
 use crate::garble::Label;
@@ -38,8 +43,8 @@ pub struct OtExtSender {
     s: [bool; KAPPA],
     /// PRG streams seeded with the chosen base-OT seeds `k^{s_i}_i`.
     seeds: Vec<Prg>,
-    /// Extension round counter (domain separation for the row hash).
-    round: u64,
+    /// OTs extended so far (the next OT's tweak).
+    extended: u64,
 }
 
 /// Receiver side of OT extension (in Yao: the evaluator, who owns choices).
@@ -47,7 +52,8 @@ pub struct OtExtReceiver {
     /// PRG streams for both seeds of every base pair.
     seeds0: Vec<Prg>,
     seeds1: Vec<Prg>,
-    round: u64,
+    /// OTs extended so far, in step with the sender's count.
+    extended: u64,
 }
 
 impl OtExtSender {
@@ -60,7 +66,11 @@ impl OtExtSender {
         let s: [bool; KAPPA] = std::array::from_fn(|_| rng.gen());
         let received = base_ot_receive(channel, group, &s, rng)?;
         let seeds = received.iter().map(Prg::new).collect();
-        Ok(OtExtSender { s, seeds, round: 0 })
+        Ok(OtExtSender {
+            s,
+            seeds,
+            extended: 0,
+        })
     }
 
     /// Sends one batch of message pairs; the receiver obtains exactly one
@@ -100,17 +110,15 @@ impl OtExtSender {
         // Transpose to rows, mask the message pairs and send.
         let s_block = bools_to_label(&self.s);
         let mut payload = Vec::with_capacity(m * 32);
-        for (j, (m0, m1)) in pairs.iter().enumerate() {
+        let tweaks = take_tweaks(&mut self.extended, m);
+        for (j, ((m0, m1), tweak)) in pairs.iter().zip(tweaks).enumerate() {
             let q_row = extract_row(&q_cols, j);
-            let tweak = self.round.wrapping_mul(1 << 20).wrapping_add(j as u64);
-            let pad0 = gc_hash(&q_row, &[0u8; 16], tweak);
             let q_xor_s = xor16(&q_row, &s_block);
-            let pad1 = gc_hash(&q_xor_s, &[0u8; 16], tweak);
+            let [pad0, pad1] = gate_hash([(q_row, tweak), (q_xor_s, tweak)]);
             payload.extend_from_slice(&xor16(m0, &pad0));
             payload.extend_from_slice(&xor16(m1, &pad1));
         }
         channel.send(&payload)?;
-        self.round += 1;
         Ok(())
     }
 }
@@ -128,7 +136,7 @@ impl OtExtReceiver {
         Ok(OtExtReceiver {
             seeds0: pairs.iter().map(|(k0, _)| Prg::new(k0)).collect(),
             seeds1: pairs.iter().map(|(_, k1)| Prg::new(k1)).collect(),
-            round: 0,
+            extended: 0,
         })
     }
 
@@ -164,18 +172,31 @@ impl OtExtReceiver {
             return Err(GcError::Protocol("bad OT-extension payload size".into()));
         }
         let mut out = Vec::with_capacity(m);
-        for (j, &c) in choices.iter().enumerate() {
+        let tweaks = take_tweaks(&mut self.extended, m);
+        for (j, (&c, tweak)) in choices.iter().zip(tweaks).enumerate() {
             let t_row = extract_row(&t_cols, j);
-            let tweak = self.round.wrapping_mul(1 << 20).wrapping_add(j as u64);
-            let pad = gc_hash(&t_row, &[0u8; 16], tweak);
+            let [pad] = gate_hash([(t_row, tweak)]);
             let offset = j * 32 + if c { 16 } else { 0 };
             let mut label = [0u8; 16];
             label.copy_from_slice(&payload[offset..offset + 16]);
             out.push(xor16(&label, &pad));
         }
-        self.round += 1;
         Ok(out)
     }
+}
+
+/// Gate-hash tweaks of OT extension: bit 64 set, above every garbled gate's
+/// tweak (`garble::gate_tweaks` stays below 2⁶⁴).
+const OT_TWEAK_DOMAIN: u128 = 1 << 64;
+
+/// The tweaks of the next `m` OTs of a session that has extended
+/// `*extended` so far, which then advances past them. Counting every OT ever
+/// extended, rather than numbering rows within a batch, keeps tweaks
+/// distinct across batches of any size.
+fn take_tweaks(extended: &mut u64, m: usize) -> impl Iterator<Item = u128> {
+    let first = *extended;
+    *extended += m as u64;
+    (first..*extended).map(|n| OT_TWEAK_DOMAIN | n as u128)
 }
 
 fn xor16(a: &Label, b: &Label) -> Label {
@@ -287,6 +308,21 @@ mod tests {
         );
         send_res.unwrap();
         assert!(recv_res.unwrap().is_empty());
+    }
+
+    #[test]
+    fn tweaks_stay_distinct_across_a_batch_larger_than_2_pow_20() {
+        // One batch of 2²⁰ + 5 OTs (a topic batch of 4096 rounds extends
+        // 2 457 600), then a batch of 3: no tweak may repeat.
+        let mut extended = 0;
+        let mut tweaks: Vec<u128> = take_tweaks(&mut extended, (1 << 20) + 5).collect();
+        tweaks.extend(take_tweaks(&mut extended, 3));
+        let count = tweaks.len();
+        tweaks.sort_unstable();
+        tweaks.dedup();
+        assert_eq!(tweaks.len(), count, "a tweak was reused");
+        assert!(tweaks.iter().all(|t| t >> 64 == 1), "outside the OT domain");
+        assert_eq!(extended, (1 << 20) + 8);
     }
 
     #[test]

@@ -205,9 +205,10 @@ fn check_garbler_round(
     Ok(())
 }
 
-/// Appends one round's first message — garbled tables, the garbler's active
-/// input labels, and constant wire labels — onto `msg` (a batch frame
-/// concatenates several rounds' worth without intermediate allocations).
+/// Appends one round's first message — garbled tables (two rows per AND
+/// gate), the garbler's active input labels, and constant wire labels —
+/// onto `msg` (a batch frame concatenates several rounds' worth without
+/// intermediate allocations). [`expected_message_len`] is its length.
 fn append_garbler_message(
     msg: &mut Vec<u8>,
     circuit: &Circuit,
@@ -230,11 +231,16 @@ fn append_garbler_message(
     }
 }
 
-/// Byte length of one round's first message for `circuit`.
+/// Byte length of one round's first message for `circuit`: 32 bytes per AND
+/// gate, 16 per garbler input and constant wire. The one place the layout
+/// is sized.
 fn expected_message_len(circuit: &Circuit) -> usize {
     let n_consts = circuit.const_zero.is_some() as usize + circuit.const_one.is_some() as usize;
-    circuit.and_count() * 64 + (circuit.garbler_inputs.len() + n_consts) * 16
+    circuit.and_count() * TABLE_LEN + (circuit.garbler_inputs.len() + n_consts) * 16
 }
+
+/// Bytes of one AND gate's half-gates table on the wire.
+const TABLE_LEN: usize = 32;
 
 /// The evaluator's wire-label pairs served over OT, in evaluator-input order.
 fn evaluator_label_pairs(circuit: &Circuit, garbling: &Garbling) -> Vec<(Label, Label)> {
@@ -407,40 +413,21 @@ fn check_evaluator_inputs(circuit: &Circuit, my_inputs: &[bool]) -> Result<(), G
 
 /// Parses one round's first message (already length-checked) into garbled
 /// tables and the garbler-provided input labels.
-#[allow(clippy::type_complexity)]
-fn parse_garbler_message(
-    circuit: &Circuit,
-    msg: &[u8],
-) -> (Vec<[[u8; 16]; 4]>, Vec<(usize, Label)>) {
+fn parse_garbler_message(circuit: &Circuit, msg: &[u8]) -> (Vec<[Label; 2]>, Vec<(usize, Label)>) {
+    let label_at = |off: usize| -> Label { msg[off..off + 16].try_into().expect("16-byte label") };
     let n_tables = circuit.and_count();
-    let mut tables = Vec::with_capacity(n_tables);
-    for t in 0..n_tables {
-        let mut table = [[0u8; 16]; 4];
-        for (r, row) in table.iter_mut().enumerate() {
-            let off = t * 64 + r * 16;
-            row.copy_from_slice(&msg[off..off + 16]);
-        }
-        tables.push(table);
-    }
-    let mut input_labels: Vec<(usize, Label)> = Vec::new();
-    let mut off = n_tables * 64;
-    for &wire in &circuit.garbler_inputs {
-        let mut l = [0u8; 16];
-        l.copy_from_slice(&msg[off..off + 16]);
-        input_labels.push((wire, l));
-        off += 16;
-    }
-    if let Some(w) = circuit.const_zero {
-        let mut l = [0u8; 16];
-        l.copy_from_slice(&msg[off..off + 16]);
-        input_labels.push((w, l));
-        off += 16;
-    }
-    if let Some(w) = circuit.const_one {
-        let mut l = [0u8; 16];
-        l.copy_from_slice(&msg[off..off + 16]);
-        input_labels.push((w, l));
-    }
+    let tables = (0..n_tables)
+        .map(|t| [label_at(t * TABLE_LEN), label_at(t * TABLE_LEN + 16)])
+        .collect();
+    let wires = circuit
+        .garbler_inputs
+        .iter()
+        .chain(&circuit.const_zero)
+        .chain(&circuit.const_one);
+    let input_labels = wires
+        .enumerate()
+        .map(|(i, &wire)| (wire, label_at(n_tables * TABLE_LEN + i * 16)))
+        .collect();
     (tables, input_labels)
 }
 
@@ -775,6 +762,59 @@ mod tests {
         let pre = PrecomputedGarbling::garble(&circuit_a, &mut rand::thread_rng());
         assert!(pre.matches(&circuit_a));
         assert!(!pre.matches(&circuit_b));
+    }
+
+    /// The first message's length as the layout defines it: two 16-byte
+    /// rows per AND gate, one label per garbler input and constant wire.
+    fn layout_len(circuit: &Circuit) -> usize {
+        let consts = circuit.const_zero.iter().chain(&circuit.const_one).count();
+        32 * circuit.and_count() + 16 * (circuit.garbler_inputs.len() + consts)
+    }
+
+    #[test]
+    fn first_message_is_two_rows_per_and_gate_plus_garbler_labels() {
+        let circuit = spam_compare_circuit(16);
+        let expected = layout_len(&circuit);
+        let group = test_group();
+        let group_b = group.clone();
+        let (_, frame) = run_two_party(
+            move |chan| {
+                let mut rng = rand::thread_rng();
+                let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
+                let bits = vec![true; circuit.garbler_inputs.len()];
+                // The evaluator hangs up after the first message, so the OT
+                // extension that follows fails; only the frame matters here.
+                let _ = garbler.run(chan, &circuit, &bits, OutputMode::EvaluatorOnly, &mut rng);
+            },
+            move |chan| {
+                let mut rng = rand::thread_rng();
+                let _ = YaoEvaluator::setup(chan, &group_b, &mut rng).unwrap();
+                chan.recv().unwrap()
+            },
+        );
+        assert_eq!(frame.len(), expected);
+    }
+
+    #[test]
+    fn a_first_message_one_row_short_is_a_protocol_error() {
+        let circuit = spam_compare_circuit(16);
+        let circuit_b = circuit.clone();
+        let group = test_group();
+        let group_b = group.clone();
+        let (_, e_res) = run_two_party(
+            move |chan| {
+                let mut rng = rand::thread_rng();
+                let _ = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
+                chan.send(&vec![0u8; layout_len(&circuit) - 16]).unwrap();
+            },
+            move |chan| {
+                let mut rng = rand::thread_rng();
+                let mut evaluator = YaoEvaluator::setup(chan, &group_b, &mut rng).unwrap();
+                let bits = vec![false; circuit_b.evaluator_inputs.len()];
+                evaluator.run(chan, &circuit_b, &bits, OutputMode::EvaluatorOnly)
+            },
+        );
+        assert!(matches!(e_res, Err(GcError::Protocol(_))), "{e_res:?}");
     }
 
     #[test]

@@ -1,60 +1,113 @@
-//! The gate-row hash used by the garbled circuit scheme.
+//! The gate hash of the garbled-circuit stack: one tweakable
+//! correlation-robust hash on fixed-key AES.
 //!
-//! Garbling a gate encrypts each output label under the pair of input labels
-//! for that row: `ct = H(A, B, gate_id) XOR output_label`. The hash must be
-//! correlation-robust; we instantiate it with SHA-256 over the two 128-bit
-//! labels and the gate index, truncated to 128 bits. (A fixed-key AES
-//! construction would be faster but SHA-256 keeps the crate dependency-free;
-//! the Yao cost rows in Figure 6 are measured with this instantiation and the
-//! relative shape versus the other operations is preserved.)
+//! The construction is Guo–Katz–Wang–Yu's TMMO ("Efficient and Secure
+//! Multiparty Computation from Fixed-Key Block Ciphers", IEEE S&P 2020),
+//!
+//! ```text
+//! H(x, i) = π(π(x) ⊕ i) ⊕ π(x)
+//! ```
+//!
+//! where π is AES-128 under a fixed, public key and `i` a 128-bit tweak.
+//! They prove it tweakable circular correlation-robust (TCCR) with π modelled
+//! as a random permutation, which is the notion half-gates garbling needs
+//! for its row pads and IKNP OT extension needs for its message pads. The
+//! key is public, so π is expanded once per process and never re-keyed.
+//!
+//! Both protocols call the one function, [`gate_hash`], with tweaks from
+//! disjoint domains (`pretzel_gc` assigns them): a garbled AND gate hashes
+//! four inputs on the garbler's side and two on the evaluator's, an extended
+//! OT two on the sender's and one on the receiver's. Inputs passed together
+//! go through each AES pass together, so on AES-NI their rounds overlap.
 
-use crate::sha256::Sha256;
+use std::sync::LazyLock;
 
-/// Hashes two wire labels and a gate identifier into a 16-byte pad.
-pub fn gc_hash(a: &[u8; 16], b: &[u8; 16], gate_id: u64) -> [u8; 16] {
-    let mut h = Sha256::new();
-    h.update(b"pretzel-gc-v1");
-    h.update(a);
-    h.update(b);
-    h.update(&gate_id.to_le_bytes());
-    let digest = h.finalize();
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&digest[..16]);
-    out
+use crate::aes::{encrypt_blocks, Block, RoundKeys};
+
+/// π's key: the first 128 bits of the fractional part of π
+/// (`0x243F6A88…`), a nothing-up-my-sleeve constant.
+pub const PI_KEY: Block = [
+    0x24, 0x3f, 0x6a, 0x88, 0x85, 0xa3, 0x08, 0xd3, 0x13, 0x19, 0x8a, 0x2e, 0x03, 0x70, 0x73, 0x44,
+];
+
+static PI: LazyLock<RoundKeys> = LazyLock::new(|| RoundKeys::expand(&PI_KEY));
+
+/// `H(x, i)` for every `(x, i)` of `inputs`, the tweak encoded
+/// little-endian into a block.
+pub fn gate_hash<const N: usize>(inputs: [(Block, u128); N]) -> [Block; N] {
+    tmmo(inputs, |blocks| encrypt_blocks(&PI, blocks))
 }
 
-/// Hashes a single wire label and a gate identifier (used for output-decoding
-/// commitments and for half-gate style single-input hashing).
-pub fn gc_hash_single(a: &[u8; 16], gate_id: u64) -> [u8; 16] {
-    gc_hash(a, &[0u8; 16], gate_id)
+/// TMMO over a given implementation of π.
+fn tmmo<const N: usize>(inputs: [(Block, u128); N], pi: impl Fn(&mut [Block; N])) -> [Block; N] {
+    let mut px = inputs.map(|(x, _)| x);
+    pi(&mut px);
+    let mut out: [Block; N] = std::array::from_fn(|k| {
+        let tweak = inputs[k].1.to_le_bytes();
+        std::array::from_fn(|b| px[k][b] ^ tweak[b])
+    });
+    pi(&mut out);
+    for (o, p) in out.iter_mut().zip(&px) {
+        for (ob, pb) in o.iter_mut().zip(p) {
+            *ob ^= pb;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::{encrypt_blocks_ni, encrypt_blocks_soft};
+    use crate::{sha256, Prg};
 
-    #[test]
-    fn deterministic() {
-        let a = [1u8; 16];
-        let b = [2u8; 16];
-        assert_eq!(gc_hash(&a, &b, 7), gc_hash(&a, &b, 7));
+    fn hex(b: &Block) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
     }
 
     #[test]
-    fn sensitive_to_all_inputs() {
-        let a = [1u8; 16];
-        let b = [2u8; 16];
-        let base = gc_hash(&a, &b, 7);
-        assert_ne!(base, gc_hash(&b, &a, 7), "order matters");
-        assert_ne!(base, gc_hash(&a, &b, 8), "gate id matters");
-        let mut a2 = a;
-        a2[15] ^= 1;
-        assert_ne!(base, gc_hash(&a2, &b, 7), "label bits matter");
+    fn pi_key_is_the_fractional_part_of_pi() {
+        // π = 3.243F6A8885A308D313198A2E03707344A4093822… in hexadecimal.
+        assert_eq!(hex(&PI_KEY), "243f6a8885a308d313198a2e03707344");
     }
 
     #[test]
-    fn single_is_consistent_with_pair_form() {
-        let a = [9u8; 16];
-        assert_eq!(gc_hash_single(&a, 3), gc_hash(&a, &[0u8; 16], 3));
+    fn pinned_outputs_catch_a_change_of_key_or_construction() {
+        let [h0, h1] = gate_hash([([0u8; 16], 0), ([0xA5; 16], (1 << 64) | 7)]);
+        assert_eq!(hex(&h0), "d258df24fa7ba8bf8fdb9179e1dec566");
+        assert_eq!(hex(&h1), "f8b99f6beafc1fc238141cf9f55a2991");
+    }
+
+    #[test]
+    fn batched_and_single_calls_agree() {
+        let x = [7u8; 16];
+        let y = [9u8; 16];
+        let [a, b, c, d] = gate_hash([(x, 1), (y, 1), (x, 2), (y, 3)]);
+        assert_eq!([a], gate_hash([(x, 1)]));
+        assert_eq!([b], gate_hash([(y, 1)]));
+        assert_eq!([c, d], gate_hash([(x, 2), (y, 3)]));
+        // Tweak and input both matter.
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn aes_ni_and_software_bodies_hash_identically() {
+        let soft = |blocks: &mut [Block; 4]| encrypt_blocks_soft(&PI, blocks);
+        let ni = |blocks: &mut [Block; 4]| assert!(encrypt_blocks_ni(&PI, blocks));
+        let mut probe = [[0u8; 16]; 4];
+        if !encrypt_blocks_ni(&PI, &mut probe) {
+            return; // no AES-NI here: the dispatcher runs the software body
+        }
+        let mut prg = Prg::new(&sha256(b"gate-hash cross-check"));
+        for _ in 0..2_500 {
+            // 4 pairs per call: 10 000 (x, tweak) pairs in all.
+            let inputs: [(Block, u128); 4] = std::array::from_fn(|_| {
+                let x = prg.next_block();
+                let tweak = u128::from_le_bytes(prg.next_block());
+                (x, tweak)
+            });
+            assert_eq!(tmmo(inputs, soft), tmmo(inputs, ni));
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! The Pretzel stack needs a hash (key fingerprints, Schnorr challenges,
 //! commitments), a MAC/KDF (the e2e module's encrypt-then-MAC construction and
 //! key derivation), a stream cipher (payload encryption and the garbled
-//! circuit wire-label PRG), and a deterministic PRG (OT extension, joint
+//! circuit wire-label PRG), a fixed-key block cipher (the garbled-circuit
+//! gate hash), and a deterministic PRG (OT extension, joint
 //! randomness for AHE parameters). None of the allowed external crates provide
 //! these, so they are implemented here:
 //!
@@ -11,16 +12,20 @@
 //! * [`mod@hmac`] — HMAC-SHA-256 and HKDF (RFC 5869).
 //! * [`chacha`] — ChaCha20 (RFC 8439) block function, stream cipher, and a
 //!   deterministic PRG.
-//! * [`gchash`] — the hash used to encrypt garbled-gate rows,
-//!   `H(A, B, gate_id)`, built on SHA-256.
+//! * [`mod@aes`] — AES-128 encryption (FIPS-197): AES-NI when the CPU has
+//!   it, a constant-time bitsliced software body otherwise.
+//! * [`gchash`] — the one gate hash of garbling and OT extension, the
+//!   tweakable correlation-robust `H(x, i) = π(π(x) ⊕ i) ⊕ π(x)` on
+//!   fixed-key AES.
 
+pub mod aes;
 pub mod chacha;
 pub mod gchash;
 pub mod hmac;
 pub mod sha256;
 
 pub use chacha::{ChaCha20, Prg};
-pub use gchash::gc_hash;
+pub use gchash::gate_hash;
 pub use hmac::{hkdf, hmac_sha256};
 pub use sha256::{sha256, Sha256};
 

@@ -147,7 +147,7 @@ impl<C: Channel> MailroomClient<C> {
     /// Opens a session: sends a [`HandshakeOffer`] for every version this
     /// build speaks, waits for the accept/busy ack and the provider's
     /// [`HandshakeAck`] picking the version, then runs the client half of
-    /// the protocol setup through the v2 codec.
+    /// the protocol setup through the frame codec.
     ///
     /// Returns [`ServerError::Busy`] when the mailroom refused the session
     /// (bounded-queue backpressure) — the call returns promptly rather than

@@ -35,7 +35,7 @@
 //! (`u32` length-prefixed frames on TCP). The session handshake is
 //! **versioned** (see `pretzel_transport::wire` and `docs/WIRE.md`): the
 //! client offers a version range, the provider picks a version inside it or
-//! refuses with a typed reason. This build speaks one generation, v2.
+//! refuses with a typed reason. This build speaks one generation, v3.
 //!
 //! ```text
 //! client → provider   HandshakeOffer             [0x00 'P' 'Z', min, max,
@@ -44,7 +44,7 @@
 //! provider → client   [ACK_ACCEPTED] | [ACK_BUSY]
 //! provider → client   HandshakeAck               picked version + granted
 //!                                                capabilities (or refusal)
-//! …all further frames through the v2 codec (header + CRC-32)…
+//! …all further frames through the frame codec (header + CRC-32)…
 //! …protocol setup (provider initiates; §3.3 joint randomness, model, OTs)…
 //! repeat:
 //!   client → provider [ROUND_EMAIL]              count = 1

@@ -18,7 +18,7 @@
 //!    tag through the registry and the [`AheVariant`] byte, and acks — or
 //!    refuses with a structured [`HandshakeError`] that fails only this
 //!    session, before any set-up work. All later frames travel through the
-//!    checksummed v2 codec.
+//!    checksummed frame codec.
 //! 3. **Setup reuse** — the worker runs the protocol's setup phase once
 //!    (joint randomness, encrypted model transfer, base OTs) and keeps the
 //!    resulting [`ProviderSession`] for the whole session.
@@ -699,7 +699,7 @@ fn run_session(
 ) -> Result<(), ServerError> {
     let (tag, variant) = handshake(shared, id, channel)?;
 
-    // Every post-handshake frame travels through the v2 codec; the meter
+    // Every post-handshake frame travels through the frame codec; the meter
     // handle is captured first since it lives below the codec layer.
     let meter = channel.meter().clone();
     let mut channel = CodecChannel::new(channel);
@@ -1047,7 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn default_spec_negotiates_v2() {
+    fn default_spec_negotiates_v3() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -1059,7 +1059,7 @@ mod tests {
         let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
         let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
         let profile = client.negotiated();
-        assert_eq!(profile.version, ProtocolVersion::V2);
+        assert_eq!(profile.version, ProtocolVersion::V3);
         assert_eq!(profile.capabilities, Capabilities::NONE);
         let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
         assert!(client.classify_spam(&spammy, &mut rng).unwrap());
@@ -1067,7 +1067,7 @@ mod tests {
 
         let report = mailroom.shutdown();
         let stats = report.sessions.iter().find(|s| s.id == id).unwrap();
-        assert_eq!(stats.version, Some(ProtocolVersion::V2));
+        assert_eq!(stats.version, Some(ProtocolVersion::V3));
         assert_eq!(stats.capabilities, Capabilities::NONE);
     }
 
@@ -1081,7 +1081,7 @@ mod tests {
 
         let offer = HandshakeOffer {
             min_version: 1,
-            max_version: 2,
+            max_version: 3,
             wire_tag: 0xEE,
             variant: 1,
             capabilities: Capabilities::KNOWN,

@@ -2,15 +2,16 @@
 //! handshake, and the codec that frames every post-handshake message.
 //!
 //! * [`ProtocolVersion`] enumerates the wire protocol generations this build
-//!   speaks. There is exactly one, **v2**: an explicit handshake and a
-//!   framed, checksummed codec.
+//!   speaks. There is exactly one, **v3**: an explicit handshake, a framed,
+//!   checksummed codec, and half-gates garbled tables in the Yao bodies.
 //! * [`HandshakeOffer`] / [`HandshakeAck`] are the negotiation exchange: the
 //!   client offers a version range, its wire tag/variant, and a
 //!   [`Capabilities`] bit set; the provider picks one version
 //!   ([`negotiate`]) and acks it together with the granted capabilities, or
 //!   refuses with a structured [`HandshakeError`].
-//! * [`WireCodec`] frames every post-handshake message. [`V2Codec`] prefixes
-//!   each payload with a header carrying the version byte, a flags byte, the
+//! * [`WireCodec`] frames every post-handshake message. [`V2Codec`] (the
+//!   header layout introduced at v2) prefixes each payload with a header
+//!   carrying the current version byte, a flags byte, the
 //!   payload length, and a CRC-32 frame checksum, so corruption surfaces as
 //!   a clean [`TransportError::Codec`] instead of a protocol misparse.
 //!   [`CodecChannel`] applies it to any [`Channel`].
@@ -20,7 +21,7 @@
 //! gets [`HandshakeError::VersionMismatch`] naming the range this build
 //! serves. Within a version, unknown capability bits in an offer are
 //! **ignored, never rejected**; offers longer than the fields this version
-//! knows are accepted (trailing bytes ignored); unknown v2 header flags are
+//! knows are accepted (trailing bytes ignored); unknown codec header flags are
 //! carried, not refused. Only structurally broken frames (truncation, bad
 //! magic, checksum mismatch, inverted version spans) are errors. The full
 //! layout of every frame is specified in `docs/WIRE.md`.
@@ -36,22 +37,23 @@ use crate::{Channel, Result, TransportError};
 /// One generation of the wire protocol.
 ///
 /// Ordered: a higher variant is a newer protocol. [`negotiate`] picks the
-/// highest version inside both peers' ranges. Version byte `1` belonged to
-/// a retired generation (bare 2-byte handshake, unframed payloads) and is
-/// never reused.
+/// highest version inside both peers' ranges. Retired version bytes are
+/// reserved and never reused: `1` (bare 2-byte handshake, unframed
+/// payloads) and `2` (four-row point-and-permute garbled tables).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum ProtocolVersion {
-    /// Explicit handshake ([`HandshakeOffer`]/[`HandshakeAck`]) and framed
-    /// [`V2Codec`] payloads with a per-frame checksum.
-    V2 = 2,
+    /// Explicit handshake ([`HandshakeOffer`]/[`HandshakeAck`]), framed
+    /// [`V2Codec`] payloads with a per-frame checksum, and Yao messages
+    /// carrying two-row half-gates tables.
+    V3 = 3,
 }
 
 impl ProtocolVersion {
     /// Oldest version this build speaks.
-    pub const MIN: ProtocolVersion = ProtocolVersion::V2;
+    pub const MIN: ProtocolVersion = ProtocolVersion::V3;
     /// Newest version this build speaks.
-    pub const MAX: ProtocolVersion = ProtocolVersion::V2;
+    pub const MAX: ProtocolVersion = ProtocolVersion::V3;
 
     /// The version's wire byte.
     pub fn as_byte(self) -> u8 {
@@ -61,7 +63,7 @@ impl ProtocolVersion {
     /// Decodes a version byte; `None` for versions this build does not know.
     pub fn from_byte(b: u8) -> Option<ProtocolVersion> {
         match b {
-            2 => Some(ProtocolVersion::V2),
+            3 => Some(ProtocolVersion::V3),
             _ => None,
         }
     }
@@ -85,8 +87,8 @@ impl fmt::Display for ProtocolVersion {
 /// [`Capabilities::KNOWN`] — a newer peer's future bits are ignored, never
 /// rejected. The bit assignments are a registry, documented in
 /// `docs/WIRE.md`; bits are append-only and never reused. No bit is
-/// assigned today: bit 0 (round batching) is retired — batching is part of
-/// the v2 baseline — and reserved.
+/// assigned today: bit 0 (round batching) is retired — batching has been
+/// part of the baseline since v2 — and reserved.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Capabilities(u64);
 
@@ -474,14 +476,17 @@ pub trait WireCodec: Send + Sync {
     fn decode(&self, frame: &[u8]) -> Result<Vec<u8>>;
 }
 
-/// Byte length of the [`V2Codec`] frame header.
+/// Byte length of the [`V2Codec`] frame header. The name is the layout's:
+/// the header introduced at v2 is unchanged at v3.
 pub const V2_HEADER_LEN: usize = 10;
 
-/// The v2 codec: `version:u8 ‖ flags:u8 ‖ len:u32le ‖ crc32:u32le ‖
-/// payload`.
+/// The frame codec: `version:u8 ‖ flags:u8 ‖ len:u32le ‖ crc32:u32le ‖
+/// payload`. It keeps the name of v2, which introduced this header layout;
+/// the layout did not change at v3, only the version byte it stamps.
 ///
-/// * `version` pins the frame to its protocol generation — a frame of any
-///   other generation (or garbage) fails loudly instead of misparsing.
+/// * `version` is the current version ([`ProtocolVersion::MAX`]) — a frame
+///   of any other generation (or garbage) fails loudly instead of
+///   misparsing.
 /// * `flags` is reserved; this build emits 0 and **ignores** unknown bits on
 ///   receive (forward compatibility).
 /// * `len` must equal the payload length remaining in the frame.
@@ -492,7 +497,7 @@ pub struct V2Codec;
 impl WireCodec for V2Codec {
     fn encode(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(V2_HEADER_LEN + payload.len());
-        out.push(ProtocolVersion::V2.as_byte());
+        out.push(ProtocolVersion::MAX.as_byte());
         out.push(0); // flags: none defined yet
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -508,10 +513,11 @@ impl WireCodec for V2Codec {
                 frame.len()
             )));
         }
-        if frame[0] != ProtocolVersion::V2.as_byte() {
+        if frame[0] != ProtocolVersion::MAX.as_byte() {
             return Err(corrupt(format!(
-                "frame version byte {} on a v2 session",
-                frame[0]
+                "frame version byte {} on a {} session",
+                frame[0],
+                ProtocolVersion::MAX
             )));
         }
         // frame[1] is the flags byte: unknown flags are ignored by design.
@@ -519,7 +525,7 @@ impl WireCodec for V2Codec {
         let payload = &frame[V2_HEADER_LEN..];
         if len != payload.len() {
             return Err(corrupt(format!(
-                "v2 header declares {len} payload bytes, frame carries {}",
+                "frame header declares {len} payload bytes, frame carries {}",
                 payload.len()
             )));
         }
@@ -527,7 +533,7 @@ impl WireCodec for V2Codec {
         let actual = crc32(payload);
         if declared != actual {
             return Err(corrupt(format!(
-                "v2 frame checksum mismatch: header {declared:#010x}, payload {actual:#010x}"
+                "frame checksum mismatch: header {declared:#010x}, payload {actual:#010x}"
             )));
         }
         Ok(payload.to_vec())
@@ -541,7 +547,7 @@ pub struct CodecChannel<C: Channel> {
 }
 
 impl<C: Channel> CodecChannel<C> {
-    /// Wraps `inner` in the v2 framing.
+    /// Wraps `inner` in the [`V2Codec`] framing.
     pub fn new(inner: C) -> Self {
         CodecChannel { inner }
     }
@@ -670,7 +676,7 @@ mod tests {
     #[test]
     fn ack_round_trips_accept_and_refusals() {
         let accept = HandshakeAck::Accept {
-            version: ProtocolVersion::V2,
+            version: ProtocolVersion::V3,
             capabilities: Capabilities::NONE,
         };
         assert_eq!(HandshakeAck::decode(&accept.encode()).unwrap(), accept);
@@ -679,8 +685,8 @@ mod tests {
             HandshakeError::VersionMismatch {
                 offered_min: 0,
                 offered_max: 0,
-                supported_min: 2,
-                supported_max: 2,
+                supported_min: 3,
+                supported_max: 3,
             },
             HandshakeError::UnknownTag { tag: 0xEE },
         ] {
@@ -700,24 +706,26 @@ mod tests {
             capabilities: Capabilities::NONE,
         };
         assert_eq!(
-            negotiate(&offer(1, 2), &policy).unwrap().version,
-            ProtocolVersion::V2
+            negotiate(&offer(2, 3), &policy).unwrap().version,
+            ProtocolVersion::V3
         );
         // Client from the future: clamped to our max, not refused.
         assert_eq!(
             negotiate(&offer(1, 9), &policy).unwrap().version,
-            ProtocolVersion::V2
+            ProtocolVersion::V3
         );
-        // A client of the retired generation only: a clean mismatch.
-        assert_eq!(
-            negotiate(&offer(1, 1), &policy),
-            Err(HandshakeError::VersionMismatch {
-                offered_min: 1,
-                offered_max: 1,
-                supported_min: 2,
-                supported_max: 2,
-            })
-        );
+        // A client of retired generations only: a clean mismatch.
+        for (min, max) in [(1, 1), (2, 2), (1, 2)] {
+            assert_eq!(
+                negotiate(&offer(min, max), &policy),
+                Err(HandshakeError::VersionMismatch {
+                    offered_min: min,
+                    offered_max: max,
+                    supported_min: 3,
+                    supported_max: 3,
+                })
+            );
+        }
     }
 
     #[test]
@@ -743,13 +751,13 @@ mod tests {
         assert!(matches!(
             negotiate(&offer(7, 9, 0), &policy),
             Err(HandshakeError::VersionMismatch {
-                supported_max: 2,
+                supported_max: 3,
                 ..
             })
         ));
         // Unknown capability bits — the retired bit 0 included — are
         // ignored, not rejected.
-        let profile = negotiate(&offer(1, 2, (1 << 40) | 1), &policy).unwrap();
+        let profile = negotiate(&offer(1, 3, (1 << 40) | 1), &policy).unwrap();
         assert_eq!(profile.capabilities, Capabilities::NONE);
     }
 
@@ -778,6 +786,17 @@ mod tests {
         let mut flagged = V2Codec.encode(&payload);
         flagged[1] = 0x80;
         assert_eq!(V2Codec.decode(&flagged).unwrap(), payload);
+        // The current version is stamped; a frame of a retired generation,
+        // otherwise intact, fails loudly.
+        assert_eq!(frame[0], ProtocolVersion::V3.as_byte());
+        for retired in [1, 2] {
+            let mut stale = frame.clone();
+            stale[0] = retired;
+            assert!(matches!(
+                V2Codec.decode(&stale),
+                Err(TransportError::Codec(_))
+            ));
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Three layers of protection:
 //!
 //! 1. **Golden bytes** — committed hex fixtures under `tests/golden/` pin
-//!    the exact encoding of v2 frames (header + CRC-32) and every handshake
-//!    offer/ack shape. Any drift in encoded bytes fails here before it can
+//!    the exact encoding of codec frames (header + CRC-32) and every
+//!    handshake offer/ack shape. Any drift in encoded bytes fails here before it can
 //!    strand deployed peers.
-//! 2. **Properties** — the v2 codec round-trips arbitrary payloads.
+//! 2. **Properties** — the codec round-trips arbitrary payloads.
 //! 3. **Adversarial handshakes** against a live mailroom — truncated
 //!    offers, out-of-range version spans, inverted spans, unknown AHE
 //!    variant bytes, and unknown capability bits (which must be IGNORED,
@@ -23,8 +23,8 @@ use pretzel::server::{
     ACK_ACCEPTED,
 };
 use pretzel::transport::wire::{
-    crc32, Capabilities, HandshakeAck, HandshakeError, HandshakeOffer, ProtocolVersion, V2Codec,
-    WireCodec, HANDSHAKE_MAGIC, OFFER_LEN,
+    crc32, negotiate, Capabilities, HandshakeAck, HandshakeError, HandshakeOffer,
+    NegotiationPolicy, ProtocolVersion, V2Codec, WireCodec, HANDSHAKE_MAGIC, OFFER_LEN,
 };
 use pretzel::transport::{memory_pair, Channel, TransportError};
 use proptest::prelude::*;
@@ -83,59 +83,90 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
     }
 
     // Offers encode (and decode) to the pinned bytes: what this build's
-    // clients send, and what a client of the retired generation sent — an
-    // offer reaching up to v2 with the retired bit 0 set still parses.
-    let offer = |min_version, wire_tag, capabilities| HandshakeOffer {
+    // clients send, and what clients of the retired generations sent.
+    let offer = |min_version, max_version, wire_tag, capabilities| HandshakeOffer {
         min_version,
-        max_version: 2,
+        max_version,
         wire_tag,
         variant: 1,
         capabilities,
     };
-    for (name, offer) in [
-        ("offer_spam_v2_only_nocaps", offer(2, 1, Capabilities::NONE)),
+    let current = [
+        (
+            "offer_spam_v3_only_nocaps",
+            offer(3, 3, 1, Capabilities::NONE),
+        ),
+        (
+            "offer_search_v3_only_nocaps",
+            offer(3, 3, 4, Capabilities::NONE),
+        ),
+        (
+            "offer_spam_v2_to_v3_nocaps",
+            offer(2, 3, 1, Capabilities::NONE),
+        ),
+    ];
+    let retired = [
+        (
+            "offer_spam_v2_only_nocaps",
+            offer(2, 2, 1, Capabilities::NONE),
+        ),
         (
             "offer_search_v2_only_nocaps",
-            offer(2, 4, Capabilities::NONE),
+            offer(2, 2, 4, Capabilities::NONE),
         ),
         (
             "offer_spam_v1_to_v2_batch",
-            offer(1, 1, Capabilities::from_bits(1)),
+            offer(1, 2, 1, Capabilities::from_bits(1)),
         ),
-    ] {
-        assert_eq!(offer.encode(), frames[name], "{name}: encode drifted");
+    ];
+    for (name, offer) in current.iter().chain(&retired) {
+        assert_eq!(offer.encode(), frames[*name], "{name}: encode drifted");
         assert_eq!(
-            HandshakeOffer::decode(&frames[name]).unwrap(),
-            offer,
+            HandshakeOffer::decode(&frames[*name]).unwrap(),
+            *offer,
             "{name}: decode drifted"
+        );
+    }
+    // The current offers negotiate v3; the retired ones are refused with
+    // this build's span.
+    let policy = NegotiationPolicy::default();
+    for (name, offer) in &current {
+        assert_eq!(
+            negotiate(offer, &policy).map(|p| p.version),
+            Ok(ProtocolVersion::V3),
+            "{name}"
+        );
+    }
+    for (name, offer) in &retired {
+        assert!(
+            matches!(
+                negotiate(offer, &policy),
+                Err(HandshakeError::VersionMismatch {
+                    supported_min: 3,
+                    supported_max: 3,
+                    ..
+                })
+            ),
+            "{name}"
         );
     }
 
     // Every ack shape this build emits.
-    let cases: [(&str, HandshakeAck); 5] = [
+    let cases: [(&str, HandshakeAck); 4] = [
         (
-            "ack_accept_v2_nocaps",
+            "ack_accept_v3_nocaps",
             HandshakeAck::Accept {
-                version: ProtocolVersion::V2,
+                version: ProtocolVersion::V3,
                 capabilities: Capabilities::NONE,
             },
         ),
         (
-            "ack_refuse_version_mismatch_2_2",
+            "ack_refuse_version_mismatch_3_3",
             HandshakeAck::Refuse(HandshakeError::VersionMismatch {
                 offered_min: 0,
                 offered_max: 0,
-                supported_min: 2,
-                supported_max: 2,
-            }),
-        ),
-        (
-            "ack_refuse_version_mismatch_1_2",
-            HandshakeAck::Refuse(HandshakeError::VersionMismatch {
-                offered_min: 0,
-                offered_max: 0,
-                supported_min: 1,
-                supported_max: 2,
+                supported_min: 3,
+                supported_max: 3,
             }),
         ),
         (
@@ -158,19 +189,45 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
         );
     }
 
-    // The retired capability bit is masked out of an accept, and the
-    // retired "capability refused" status is reserved: it fails to parse.
+    // Refusals an older provider sent still parse: they name its span.
+    for (name, min, max) in [
+        ("ack_refuse_version_mismatch_2_2", 2, 2),
+        ("ack_refuse_version_mismatch_1_2", 1, 2),
+    ] {
+        assert_eq!(
+            HandshakeAck::decode(&frames[name]).unwrap(),
+            HandshakeAck::Refuse(HandshakeError::VersionMismatch {
+                offered_min: 0,
+                offered_max: 0,
+                supported_min: min,
+                supported_max: max,
+            }),
+            "{name}"
+        );
+    }
+    // The retired capability bit is masked out of an accept.
     assert_eq!(
-        HandshakeAck::decode(&frames["ack_accept_v2_batch"]).unwrap(),
+        HandshakeAck::decode(&frames["ack_accept_v3_batch"]).unwrap(),
         HandshakeAck::Accept {
-            version: ProtocolVersion::V2,
+            version: ProtocolVersion::V3,
             capabilities: Capabilities::NONE,
         }
     );
-    assert!(matches!(
-        HandshakeAck::decode(&frames["ack_refuse_capability_batch"]),
-        Err(HandshakeError::Malformed(_))
-    ));
+    // An accept of a retired version, and the retired "capability refused"
+    // status, fail to parse.
+    for name in [
+        "ack_accept_v2_nocaps",
+        "ack_accept_v2_batch",
+        "ack_refuse_capability_batch",
+    ] {
+        assert!(
+            matches!(
+                HandshakeAck::decode(&frames[name]),
+                Err(HandshakeError::Malformed(_))
+            ),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -302,7 +359,7 @@ fn truncated_offers_fail_only_their_session() {
 #[test]
 fn out_of_range_version_spans_get_a_structured_mismatch() {
     let mailroom = one_worker_mailroom();
-    // A client from the future that dropped v2 support entirely.
+    // A client from the future that dropped v3 support entirely.
     let offer = HandshakeOffer {
         min_version: 7,
         max_version: 9,
@@ -353,7 +410,7 @@ fn unknown_capability_bits_are_ignored_not_rejected() {
     // only the known intersection, which is empty.
     let offer = HandshakeOffer {
         min_version: 1,
-        max_version: 2,
+        max_version: 3,
         wire_tag: 1,
         variant: 1,
         capabilities: Capabilities::from_bits((1 << 40) | (1 << 17) | 1),
@@ -362,7 +419,7 @@ fn unknown_capability_bits_are_ignored_not_rejected() {
     assert_eq!(
         ack,
         HandshakeAck::Accept {
-            version: ProtocolVersion::V2,
+            version: ProtocolVersion::V3,
             capabilities: Capabilities::NONE,
         }
     );
@@ -379,7 +436,7 @@ fn offers_with_trailing_bytes_from_the_future_still_negotiate() {
     // bytes are ignored by the decoder.
     let mut frame = HandshakeOffer {
         min_version: 1,
-        max_version: 2,
+        max_version: 3,
         wire_tag: 1,
         variant: 1,
         capabilities: Capabilities::NONE,
@@ -392,7 +449,7 @@ fn offers_with_trailing_bytes_from_the_future_still_negotiate() {
     assert_eq!(
         ack,
         HandshakeAck::Accept {
-            version: ProtocolVersion::V2,
+            version: ProtocolVersion::V3,
             capabilities: Capabilities::NONE,
         }
     );
@@ -432,8 +489,8 @@ fn unknown_variant_bytes_are_refused_before_the_ack() {
     for variant in [0u8, 4, 0xFF] {
         // On the wire: a typed refusal, not an accept.
         let offer = HandshakeOffer {
-            min_version: 2,
-            max_version: 2,
+            min_version: 3,
+            max_version: 3,
             wire_tag: 1,
             variant,
             capabilities: Capabilities::NONE,
