@@ -14,7 +14,6 @@ use pretzel_bench::{
     human_us, parse_scale, print_header, print_row, synthetic_model, time, time_avg,
 };
 use pretzel_classifiers::SparseVector;
-use pretzel_core::bank::empty_source;
 use pretzel_core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel_core::{NoPrivProvider, PretzelConfig, Scale};
 use pretzel_datasets::synthetic_features;
@@ -47,15 +46,8 @@ fn private_provider_cpu(
     });
 
     let mut rng = rand::thread_rng();
-    let mut provider = SpamProvider::setup(
-        &mut provider_chan,
-        &model,
-        config,
-        variant,
-        &empty_source(),
-        &mut rng,
-    )
-    .unwrap();
+    let mut provider =
+        SpamProvider::setup(&mut provider_chan, &model, config, variant, &mut rng).unwrap();
     let mut total = Duration::ZERO;
     for _ in 0..emails {
         let (_, d) = time(|| {

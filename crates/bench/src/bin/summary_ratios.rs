@@ -9,7 +9,6 @@ use pretzel_bench::{
     human_bytes, human_us, parse_scale, print_header, print_row, synthetic_model, time,
 };
 use pretzel_classifiers::SparseVector;
-use pretzel_core::bank::empty_source;
 use pretzel_core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel_core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel_core::{NoPrivProvider, PretzelConfig, Scale};
@@ -60,15 +59,8 @@ fn measure_spam(
     });
 
     let mut rng = rand::thread_rng();
-    let mut provider = SpamProvider::setup(
-        &mut provider_chan,
-        &model,
-        config,
-        variant,
-        &empty_source(),
-        &mut rng,
-    )
-    .unwrap();
+    let mut provider =
+        SpamProvider::setup(&mut provider_chan, &model, config, variant, &mut rng).unwrap();
     let mut provider_cpu = Duration::ZERO;
     for _ in 0..emails {
         let (_, d) = time(|| {

@@ -1,36 +1,31 @@
-//! Precompute, once: the fleet-wide bank with dependency-aware background
-//! production, and the few small types every consumer of offline artifacts
-//! shares.
+//! Precompute, once: the fleet-wide bank with background production, and the
+//! few small types every consumer of offline artifacts shares.
 //!
-//! Every offline artifact a provider session consumes (precomputed
-//! garblings, zero encryptions, randomizers) comes from a [`PrecomputeSource`]
-//! through one draw ladder ([`draw`] / [`Lease::draw`]): take a stocked
-//! artifact if the source has one that fits, otherwise count a fallback and
-//! make it inline. A deployment without a bank hands sessions the
-//! [`empty_source`], whose draws always come up dry — the same code path,
-//! with nothing behind it. The bank itself is a fleet-wide service:
+//! Every offline artifact a provider session consumes comes from a
+//! [`PrecomputeSource`] through one draw ladder ([`Lease::draw`]): take a
+//! stocked artifact if the source has one, otherwise count a fallback and make
+//! it inline. A deployment without a bank hands sessions the
+//! [`empty_source`], whose draws always come up dry — the same code path, with
+//! nothing behind it. The bank itself is a fleet-wide service:
 //!
-//! * **Per-kind reservoirs.** Artifacts are stored in reservoirs keyed by
-//!   [`ReservoirId`] — an artifact *kind* (one of [`KIND_RANDOMIZERS`],
-//!   [`KIND_GARBLINGS`], [`KIND_ZERO_ENCRYPTIONS`]) plus a 64-bit
-//!   *fingerprint* binding the reservoir to its parameters (circuit shape,
-//!   public key). Key-independent artifacts (garbled tables) are shared by
-//!   every session with the same shape;
-//!   key-dependent artifacts (randomizers, zero encryptions) get one
-//!   reservoir per registered session key.
+//! * **Reservoirs.** Artifacts are stored in reservoirs keyed by
+//!   [`ReservoirId`] — an artifact *kind* plus a 64-bit *fingerprint* binding
+//!   the reservoir to its parameters. The built-in modules bank one kind,
+//!   [`KIND_ZERO_ENCRYPTIONS`]: each search session registers a reservoir of
+//!   zero encryptions under its client's key at setup and releases it when
+//!   the session ends. Spam and virus garble their comparison circuit inline
+//!   in the round.
 //! * **Background producers.** [`PrecomputeBank::start`] spawns producer
 //!   threads that keep reservoirs filled to their targets using idle cores,
-//!   and park on a condvar once every reservoir is at its high watermark —
-//!   they never spin against the serving path.
-//! * **Dependency DAG.** Production is scheduled as a kind-level dependency
-//!   DAG: a reservoir whose [`ReservoirSpec::depends_on`] kinds are below
-//!   their low watermarks is not eligible, so key-independent artifacts are
-//!   produced first and key-dependent ones only once the shared stock is
-//!   healthy — the scheduling shape of a DAG-of-work executor.
-//! * **Work-stealing draws.** Each reservoir is sharded; a drawing session
-//!   starts at the shard hashed from its thread and steals from the other
-//!   shards when its own is empty, so concurrent draws mostly avoid
-//!   contending on one lock.
+//!   always topping up the reservoir with the largest relative deficit, and
+//!   park on a condvar once every reservoir is full — they never spin
+//!   against the serving path.
+//! * **Watermark hysteresis.** A reservoir is refilled once a draw dips it
+//!   below a quarter of its target, and then back up to the target; draws
+//!   above that mark cost no production CPU.
+//! * **One lock per reservoir.** A reservoir's queue and its counters live
+//!   under one mutex, so every snapshot — live or taken when the last lease
+//!   retires it — balances: `produced == drawn + depth`.
 //! * **Inline fallback, counted.** [`PrecomputeSource::draw`] returns `None`
 //!   when a reservoir is dry; callers fall back to producing inline and
 //!   report it via [`PrecomputeSource::record_fallback`], making pool-dry
@@ -43,31 +38,23 @@
 //! with zero producers.
 
 use std::any::Any;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Kind name for pre-exponentiated Paillier randomizers (`r^n mod n²`) —
-/// key-dependent.
-pub const KIND_RANDOMIZERS: &str = "randomizers";
-/// Kind name for precomputed garbled circuits — key-independent (bound to a
-/// circuit fingerprint, shared by every session evaluating that circuit).
+/// Kind name for precomputed garbled circuits. No built-in module registers
+/// it; it stays because the benchmark's bank probe
+/// (`benchmark/src/probes.rs`) prices production with garblings.
 pub const KIND_GARBLINGS: &str = "garblings";
-/// Kind name for Paillier zero encryptions used by search response padding —
-/// key-dependent.
+/// Kind name for RLWE zero encryptions used by search responses —
+/// key-dependent, one reservoir per session.
 pub const KIND_ZERO_ENCRYPTIONS: &str = "zero_encryptions";
-
-/// The kind-level production DAG: key-dependent kinds wait for the shared
-/// key-independent stock to reach its low watermark first.
-pub const KEY_INDEPENDENT_KINDS: &[&str] = &[KIND_GARBLINGS];
 
 /// FNV-1a over a byte string — the scheme used to derive reservoir
 /// fingerprints from parameters (public-key bytes, circuit shapes). Stable
@@ -106,17 +93,14 @@ impl ReservoirId {
         ReservoirId { kind, fingerprint }
     }
 
-    /// Garblings for the circuit with the given fingerprint.
+    /// Garblings for the circuit with the given fingerprint. Kept for the
+    /// benchmark's bank probe (`benchmark/src/probes.rs`); no built-in
+    /// module draws garblings.
     pub fn garblings(fingerprint: u64) -> Self {
         Self::new(KIND_GARBLINGS, fingerprint)
     }
 
-    /// Randomizers for the Paillier key with the given fingerprint.
-    pub fn randomizers(fingerprint: u64) -> Self {
-        Self::new(KIND_RANDOMIZERS, fingerprint)
-    }
-
-    /// Zero encryptions for the Paillier key with the given fingerprint.
+    /// Zero encryptions for the public key with the given fingerprint.
     pub fn zero_encryptions(fingerprint: u64) -> Self {
         Self::new(KIND_ZERO_ENCRYPTIONS, fingerprint)
     }
@@ -128,40 +112,31 @@ impl fmt::Display for ReservoirId {
     }
 }
 
-/// Everything the bank needs to own a reservoir: identity, its place in the
-/// kind-level dependency DAG, an optional target depth override, and the
-/// producer closure.
+/// Everything the bank needs to own a reservoir: identity, an optional
+/// target depth override, and the producer closure.
 #[derive(Clone)]
 pub struct ReservoirSpec {
     /// Which reservoir this spec describes.
     pub id: ReservoirId,
-    /// Kinds whose reservoirs must be at their low watermark before this
-    /// reservoir becomes eligible for production (kind-level DAG edges).
-    pub depends_on: &'static [&'static str],
-    /// Target depth; `None` uses the bank's per-kind or default target.
+    /// Target depth; `None` uses the bank's [`BankConfig::target`].
     pub target: Option<usize>,
     /// Manufactures one artifact.
     pub producer: Producer,
 }
 
 impl ReservoirSpec {
-    /// A spec with no dependencies and the bank's default target.
+    /// A spec with the bank's default target.
     pub fn new(id: ReservoirId, producer: Producer) -> Self {
         ReservoirSpec {
             id,
-            depends_on: &[],
             target: None,
             producer,
         }
     }
 
-    /// Declares kind-level dependencies (see [`ReservoirSpec::depends_on`]).
-    pub fn after(mut self, kinds: &'static [&'static str]) -> Self {
-        self.depends_on = kinds;
-        self
-    }
-
-    /// Overrides the reservoir's target depth.
+    /// Overrides the reservoir's target depth. The built-in modules take
+    /// the bank's target; this stays for tests and the benchmark's bank
+    /// probe (`benchmark/src/probes.rs`).
     pub fn with_target(mut self, target: usize) -> Self {
         self.target = Some(target);
         self
@@ -172,7 +147,6 @@ impl fmt::Debug for ReservoirSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReservoirSpec")
             .field("id", &self.id)
-            .field("depends_on", &self.depends_on)
             .field("target", &self.target)
             .finish_non_exhaustive()
     }
@@ -180,10 +154,9 @@ impl fmt::Debug for ReservoirSpec {
 
 /// Object-safe handle through which sessions consume precomputed artifacts.
 ///
-/// This is the redesigned consumption API: modules are handed an
-/// `Arc<dyn PrecomputeSource>` (the fleet bank, or a test double), register
-/// the reservoirs they need, and draw per round with an inline fallback when
-/// a draw returns `None`.
+/// Modules are handed an `Arc<dyn PrecomputeSource>` (the fleet bank, the
+/// empty source, or a test double), register the reservoirs they need, and
+/// draw per round with an inline fallback when a draw returns `None`.
 pub trait PrecomputeSource: Send + Sync {
     /// Registers (or re-registers) a reservoir. Registration is refcounted:
     /// a second registration of the same id shares the reservoir and raises
@@ -191,12 +164,11 @@ pub trait PrecomputeSource: Send + Sync {
     fn register(&self, spec: ReservoirSpec);
 
     /// Drops one registration of `id`; the last release retires the
-    /// reservoir (its remaining stock is drained into the final report).
+    /// reservoir (its accounting is kept for the final report).
     fn release(&self, id: &ReservoirId);
 
-    /// Draws one artifact, stealing across shards; `None` when dry (caller
-    /// falls back inline and should call
-    /// [`record_fallback`](PrecomputeSource::record_fallback)).
+    /// Draws one artifact; `None` when dry (caller falls back inline and
+    /// should call [`record_fallback`](PrecomputeSource::record_fallback)).
     fn draw(&self, id: &ReservoirId) -> Option<Artifact>;
 
     /// Current depth of `id`'s reservoir; `None` if the source holds no such
@@ -229,25 +201,6 @@ pub fn empty_source() -> Arc<dyn PrecomputeSource> {
     Arc::new(EmptySource)
 }
 
-/// The draw ladder, written once: takes one artifact of type `T` from `id`'s
-/// reservoir if the source has one and it `fits` (right type, right circuit
-/// or key); otherwise records a fallback and returns `None`, and the caller
-/// makes the artifact inline.
-pub fn draw<T: Any>(
-    source: &dyn PrecomputeSource,
-    id: &ReservoirId,
-    fits: impl FnOnce(&T) -> bool,
-) -> Option<T> {
-    let stocked = source
-        .draw(id)
-        .and_then(|artifact| artifact.downcast::<T>().ok())
-        .filter(|artifact| fits(artifact));
-    if stocked.is_none() {
-        source.record_fallback(id);
-    }
-    stocked.map(|artifact| *artifact)
-}
-
 /// One registration of a reservoir, owned: registering yields the lease,
 /// dropping it releases the registration (the last release retires the
 /// reservoir, so a key-dependent one never outlives its session).
@@ -267,9 +220,18 @@ impl Lease {
         }
     }
 
-    /// [`draw`] from the leased reservoir.
-    pub fn draw<T: Any>(&self, fits: impl FnOnce(&T) -> bool) -> Option<T> {
-        draw(self.source.as_ref(), &self.id, fits)
+    /// The draw ladder, written once: one artifact of type `T` from the
+    /// leased reservoir if the source has one; otherwise records a fallback
+    /// and returns `None`, and the caller makes the artifact inline.
+    pub fn draw<T: Any>(&self) -> Option<T> {
+        let stocked = self
+            .source
+            .draw(&self.id)
+            .and_then(|artifact| artifact.downcast::<T>().ok());
+        if stocked.is_none() {
+            self.source.record_fallback(&self.id);
+        }
+        stocked.map(|artifact| *artifact)
     }
 }
 
@@ -369,22 +331,15 @@ impl PrecomputeSource for SessionSource {
     }
 }
 
-/// Bank tuning: producer threads, targets, and backpressure watermarks.
+/// Bank tuning: producer threads, reservoir target, producer seed. A
+/// reservoir is refilled once it drops below a quarter of its target, and
+/// back up to the target.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BankConfig {
     /// Background producer threads (each with its own seeded RNG).
     pub producer_threads: usize,
     /// Target depth for reservoirs without an explicit target.
-    pub default_target: usize,
-    /// Per-kind target overrides, consulted before `default_target`.
-    pub targets: Vec<(&'static str, usize)>,
-    /// Percentage of target below which producers are woken and dependent
-    /// kinds are considered starved (backpressure low watermark).
-    pub low_watermark_pct: u32,
-    /// Percentage of target at which production for a reservoir stops
-    /// (backpressure high watermark); producers park when every reservoir is
-    /// at its high watermark.
-    pub high_watermark_pct: u32,
+    pub target: usize,
     /// Seed for the producer threads' RNGs.
     pub rng_seed: u64,
 }
@@ -393,10 +348,7 @@ impl Default for BankConfig {
     fn default() -> Self {
         BankConfig {
             producer_threads: 1,
-            default_target: 32,
-            targets: Vec::new(),
-            low_watermark_pct: 25,
-            high_watermark_pct: 100,
+            target: 32,
             rng_seed: 0x4241_4e4b_5052_4543, // "BANKPREC"
         }
     }
@@ -409,17 +361,9 @@ impl BankConfig {
         self
     }
 
-    /// Overrides the target depth for one artifact kind.
-    pub fn target(mut self, kind: &'static str, n: usize) -> Self {
-        self.targets.retain(|(k, _)| *k != kind);
-        self.targets.push((kind, n));
-        self
-    }
-
-    /// Sets the backpressure watermarks as percentages of target.
-    pub fn watermarks(mut self, low_pct: u32, high_pct: u32) -> Self {
-        self.low_watermark_pct = low_pct.min(high_pct);
-        self.high_watermark_pct = high_pct.max(1);
+    /// Sets the target depth of reservoirs registered without one.
+    pub fn target(mut self, n: usize) -> Self {
+        self.target = n;
         self
     }
 
@@ -428,81 +372,66 @@ impl BankConfig {
         self.rng_seed = seed;
         self
     }
+}
 
-    fn kind_target(&self, kind: &str) -> usize {
-        self.targets
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, t)| *t)
-            .unwrap_or(self.default_target)
+/// A reservoir's stock and books, kept together under one lock.
+#[derive(Default)]
+struct Books {
+    ready: VecDeque<Artifact>,
+    target: usize,
+    /// Hysteresis arm: producers fill this reservoir only while set. Armed
+    /// on registration (and re-registration), cleared once the stock reaches
+    /// the target, re-armed when a draw dips it below a quarter of the
+    /// target — so a reservoir drained partway costs no production CPU.
+    producing: bool,
+    /// Production slots reserved by producers, so concurrent producers
+    /// never overshoot the target.
+    in_flight: usize,
+    produced: u64,
+    drawn: u64,
+    fallback_draws: u64,
+    refs: usize,
+}
+
+impl Books {
+    fn low_mark(&self) -> usize {
+        self.target / 4
     }
 }
 
-/// Shards per reservoir: enough to spread concurrent draws, small enough
-/// that stealing scans stay cheap.
-const SHARDS: usize = 4;
-
 struct Reservoir {
-    kind: &'static str,
-    fingerprint: u64,
-    depends_on: &'static [&'static str],
-    target: AtomicUsize,
-    /// Hysteresis arm: producers fill this reservoir only while set. Armed
-    /// on registration (and re-registration), cleared once the stock
-    /// reaches the high watermark, re-armed when a draw dips it below the
-    /// low watermark — so a reservoir drained partway between the
-    /// watermarks costs no production CPU.
-    producing: AtomicBool,
-    shards: Vec<Mutex<VecDeque<Artifact>>>,
-    depth: AtomicUsize,
-    in_flight: AtomicUsize,
-    produced: AtomicU64,
-    drawn: AtomicU64,
-    fallback_draws: AtomicU64,
-    refs: AtomicUsize,
+    id: ReservoirId,
     producer: Producer,
+    books: Mutex<Books>,
 }
 
 impl Reservoir {
-    fn from_spec(spec: &ReservoirSpec, cfg: &BankConfig) -> Self {
-        let target = spec.target.unwrap_or_else(|| cfg.kind_target(spec.id.kind));
-        Reservoir {
-            kind: spec.id.kind,
-            fingerprint: spec.id.fingerprint,
-            depends_on: spec.depends_on,
-            target: AtomicUsize::new(target),
-            producing: AtomicBool::new(true),
-            shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
-            depth: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            produced: AtomicU64::new(0),
-            drawn: AtomicU64::new(0),
-            fallback_draws: AtomicU64::new(0),
-            refs: AtomicUsize::new(1),
-            producer: Arc::clone(&spec.producer),
-        }
+    fn books(&self) -> MutexGuard<'_, Books> {
+        self.books
+            .lock()
+            .expect("a thread panicked holding a reservoir lock")
     }
 
-    fn high_target(&self, cfg: &BankConfig) -> usize {
-        let t = self.target.load(Ordering::Relaxed);
-        (t * cfg.high_watermark_pct as usize).div_ceil(100)
-    }
-
-    fn low_target(&self, cfg: &BankConfig) -> usize {
-        let t = self.target.load(Ordering::Relaxed);
-        t * cfg.low_watermark_pct as usize / 100
-    }
-
-    fn stats(&self) -> ReservoirStats {
+    fn stats(&self, books: &Books) -> ReservoirStats {
         ReservoirStats {
-            kind: self.kind,
-            fingerprint: self.fingerprint,
-            target: self.target.load(Ordering::Relaxed),
-            depth: self.depth.load(Ordering::Relaxed) as u64,
-            produced: self.produced.load(Ordering::Relaxed),
-            drawn: self.drawn.load(Ordering::Relaxed),
-            fallback_draws: self.fallback_draws.load(Ordering::Relaxed),
+            kind: self.id.kind,
+            fingerprint: self.id.fingerprint,
+            target: books.target,
+            depth: books.ready.len() as u64,
+            produced: books.produced,
+            drawn: books.drawn,
+            fallback_draws: books.fallback_draws,
         }
+    }
+
+    /// Stocks an artifact a producer finished. One finished after the
+    /// reservoir retired lands where nothing can reach it and is dropped,
+    /// uncounted, with the reservoir: the retired row is a snapshot.
+    fn stock(&self, artifact: Artifact) {
+        let mut books = self.books();
+        books.in_flight -= 1;
+        books.ready.push_back(artifact);
+        books.produced += 1;
     }
 }
 
@@ -524,41 +453,29 @@ impl BankInner {
         self.work.notify_all();
     }
 
-    fn deps_ready(
-        map: &BTreeMap<ReservoirId, Arc<Reservoir>>,
-        res: &Reservoir,
-        cfg: &BankConfig,
-    ) -> bool {
-        res.depends_on.iter().all(|dep| {
-            map.values()
-                .filter(|r| r.kind == *dep)
-                .all(|r| r.depth.load(Ordering::Relaxed) >= r.low_target(cfg))
-        })
-    }
-
-    /// Picks the eligible reservoir with the largest relative deficit and
-    /// reserves one production slot on it (`in_flight`), so concurrent
-    /// producers never overshoot a target.
+    /// Picks the armed reservoir with the largest relative deficit and
+    /// reserves one production slot on it.
     fn pick_work(&self) -> Option<Arc<Reservoir>> {
         let map = self.reservoirs.lock().unwrap();
         let mut best: Option<(usize, &Arc<Reservoir>)> = None;
         for res in map.values() {
-            let high = res.high_target(&self.cfg);
-            let filled = res.depth.load(Ordering::Relaxed) + res.in_flight.load(Ordering::Relaxed);
-            if filled >= high {
-                res.producing.store(false, Ordering::Relaxed);
+            let mut books = res.books();
+            let filled = books.ready.len() + books.in_flight;
+            if filled >= books.target {
+                books.producing = false;
                 continue;
             }
-            if !res.producing.load(Ordering::Relaxed) || !Self::deps_ready(&map, res, &self.cfg) {
+            if !books.producing {
                 continue;
             }
-            let deficit_pm = (high - filled) * 1000 / high.max(1);
+            let deficit_pm = (books.target - filled) * 1000 / books.target;
             if best.is_none_or(|(b, _)| deficit_pm > b) {
                 best = Some((deficit_pm, res));
             }
         }
+        // Still under the map lock, so no other producer picked in between.
         best.map(|(_, res)| {
-            res.in_flight.fetch_add(1, Ordering::AcqRel);
+            res.books().in_flight += 1;
             Arc::clone(res)
         })
     }
@@ -566,12 +483,6 @@ impl BankInner {
     fn get(&self, id: &ReservoirId) -> Option<Arc<Reservoir>> {
         self.reservoirs.lock().unwrap().get(id).cloned()
     }
-}
-
-fn shard_hint() -> usize {
-    let mut h = DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    h.finish() as usize % SHARDS
 }
 
 /// Cloneable, object-safe handle onto a running [`PrecomputeBank`] — the
@@ -583,24 +494,31 @@ pub struct BankHandle {
 
 impl PrecomputeSource for BankHandle {
     fn register(&self, spec: ReservoirSpec) {
+        let target = spec.target.unwrap_or(self.inner.cfg.target);
         {
             let mut map = self.inner.reservoirs.lock().unwrap();
             match map.get(&spec.id) {
                 Some(res) => {
-                    res.refs.fetch_add(1, Ordering::AcqRel);
-                    let target = spec
-                        .target
-                        .unwrap_or_else(|| self.inner.cfg.kind_target(spec.id.kind));
-                    res.target.fetch_max(target, Ordering::AcqRel);
+                    let mut books = res.books();
+                    books.refs += 1;
+                    books.target = books.target.max(target);
                     // Re-arm: a raised target may have reopened a deficit
                     // (a no-op arm is cleared on the next producer scan).
-                    res.producing.store(true, Ordering::Relaxed);
+                    books.producing = true;
                 }
                 None => {
-                    map.insert(
-                        spec.id,
-                        Arc::new(Reservoir::from_spec(&spec, &self.inner.cfg)),
-                    );
+                    let books = Books {
+                        target,
+                        producing: true,
+                        refs: 1,
+                        ..Books::default()
+                    };
+                    let res = Reservoir {
+                        id: spec.id,
+                        producer: spec.producer,
+                        books: Mutex::new(books),
+                    };
+                    map.insert(spec.id, Arc::new(res));
                 }
             }
         }
@@ -609,43 +527,39 @@ impl PrecomputeSource for BankHandle {
 
     fn release(&self, id: &ReservoirId) {
         let mut map = self.inner.reservoirs.lock().unwrap();
-        if let Some(res) = map.get(id) {
-            if res.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let res = map.remove(id).expect("reservoir present");
-                self.inner.retired.lock().unwrap().push(res.stats());
-            }
+        let Some(res) = map.get(id) else {
+            return;
+        };
+        let mut books = res.books();
+        books.refs -= 1;
+        if books.refs == 0 {
+            let row = res.stats(&books);
+            drop(books);
+            map.remove(id);
+            self.inner.retired.lock().unwrap().push(row);
         }
     }
 
     fn draw(&self, id: &ReservoirId) -> Option<Artifact> {
         let res = self.inner.get(id)?;
-        let start = shard_hint();
-        for k in 0..SHARDS {
-            let artifact = res.shards[(start + k) % SHARDS].lock().unwrap().pop_front();
-            if let Some(artifact) = artifact {
-                res.depth.fetch_sub(1, Ordering::AcqRel);
-                res.drawn.fetch_add(1, Ordering::Relaxed);
-                if res.depth.load(Ordering::Relaxed) < res.low_target(&self.inner.cfg) {
-                    res.producing.store(true, Ordering::Relaxed);
-                    self.inner.wake();
-                }
-                return Some(artifact);
-            }
+        let mut books = res.books();
+        let artifact = books.ready.pop_front()?;
+        books.drawn += 1;
+        if books.ready.len() < books.low_mark() && !books.producing {
+            books.producing = true;
+            drop(books);
+            self.inner.wake();
         }
-        None
+        Some(artifact)
     }
 
     fn depth(&self, id: &ReservoirId) -> Option<usize> {
-        self.inner
-            .get(id)
-            .map(|res| res.depth.load(Ordering::Relaxed))
+        self.inner.get(id).map(|res| res.books().ready.len())
     }
 
     fn record_fallback(&self, id: &ReservoirId) {
         match self.inner.get(id) {
-            Some(res) => {
-                res.fallback_draws.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(res) => res.books().fallback_draws += 1,
             None => {
                 *self
                     .inner
@@ -668,7 +582,8 @@ pub struct ReservoirStats {
     pub fingerprint: u64,
     /// Target depth at the time of the snapshot.
     pub target: usize,
-    /// Artifacts currently stocked.
+    /// Artifacts stocked at the time of the snapshot (for a retired
+    /// reservoir: what was left when it retired).
     pub depth: u64,
     /// Artifacts manufactured by producer threads.
     pub produced: u64,
@@ -759,7 +674,9 @@ impl PrecomputeBank {
         })
     }
 
-    /// Registers a reservoir (see [`PrecomputeSource::register`]).
+    /// Registers a reservoir (see [`PrecomputeSource::register`]). Sessions
+    /// register through their handle; this stays for tests and the
+    /// benchmark's bank probe (`benchmark/src/probes.rs`).
     pub fn register(&self, spec: ReservoirSpec) {
         BankHandle {
             inner: Arc::clone(&self.inner),
@@ -767,8 +684,8 @@ impl PrecomputeBank {
         .register(spec);
     }
 
-    /// Blocks until every registered reservoir is at its high watermark, or
-    /// the timeout elapses. Returns whether the bank filled in time. Used to
+    /// Blocks until every registered reservoir is at its target, or the
+    /// timeout elapses. Returns whether the bank filled in time. Used to
     /// pre-stock reservoirs during untimed setup (benches, scenario starts)
     /// so the serving phase never waits on production.
     pub fn wait_until_full(&self, timeout: Duration) -> bool {
@@ -777,7 +694,8 @@ impl PrecomputeBank {
             let full = {
                 let map = self.inner.reservoirs.lock().unwrap();
                 map.values().all(|res| {
-                    res.depth.load(Ordering::Relaxed) >= res.high_target(&self.inner.cfg)
+                    let books = res.books();
+                    books.ready.len() >= books.target
                 })
             };
             if full {
@@ -795,7 +713,7 @@ impl PrecomputeBank {
     pub fn report(&self) -> BankReport {
         let mut rows: Vec<ReservoirStats> = {
             let map = self.inner.reservoirs.lock().unwrap();
-            map.values().map(|res| res.stats()).collect()
+            map.values().map(|res| res.stats(&res.books())).collect()
         };
         rows.extend(self.inner.retired.lock().unwrap().iter().copied());
         for (id, count) in self.inner.orphan_fallbacks.lock().unwrap().iter() {
@@ -839,24 +757,16 @@ fn producer_loop(inner: Arc<BankInner>, idx: usize) {
     let mut rng = StdRng::seed_from_u64(
         inner.cfg.rng_seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
-    let mut shard = idx;
     while !inner.shutdown.load(Ordering::Acquire) {
         match inner.pick_work() {
             Some(res) => {
                 let artifact = (res.producer)(&mut rng);
-                res.shards[shard % SHARDS]
-                    .lock()
-                    .unwrap()
-                    .push_back(artifact);
-                res.depth.fetch_add(1, Ordering::AcqRel);
-                res.in_flight.fetch_sub(1, Ordering::AcqRel);
-                res.produced.fetch_add(1, Ordering::Relaxed);
-                shard = shard.wrapping_add(1);
+                res.stock(artifact);
             }
             None => {
-                // Park until a draw dips a reservoir below its low watermark
-                // or a registration arrives; the timeout bounds the window of
-                // a wake lost between `pick_work` and this wait.
+                // Park until a draw dips a reservoir below its low mark or a
+                // registration arrives; the timeout bounds the window of a
+                // wake lost between `pick_work` and this wait.
                 let guard = inner.work_lock.lock().unwrap();
                 if inner.shutdown.load(Ordering::Acquire) {
                     break;
@@ -873,6 +783,7 @@ fn producer_loop(inner: Arc<BankInner>, idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     fn counting_producer(counter: Arc<AtomicU64>) -> Producer {
         Arc::new(move |_rng: &mut dyn RngCore| {
@@ -884,13 +795,13 @@ mod tests {
     fn producers_fill_to_target_then_park_without_overshoot() {
         let bank = PrecomputeBank::start(BankConfig::default().producer_threads(2));
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::garblings(7);
+        let id = ReservoirId::zero_encryptions(7);
         bank.register(ReservoirSpec::new(id, counting_producer(counter.clone())).with_target(8));
         assert!(bank.wait_until_full(Duration::from_secs(10)));
         // Give producers a chance to (incorrectly) overshoot.
         std::thread::sleep(Duration::from_millis(20));
         let report = bank.shutdown();
-        assert_eq!(report.depth_by_kind(KIND_GARBLINGS), 8);
+        assert_eq!(report.depth_by_kind(KIND_ZERO_ENCRYPTIONS), 8);
         assert_eq!(
             counter.load(Ordering::SeqCst),
             8,
@@ -898,18 +809,14 @@ mod tests {
         );
     }
 
-    /// The backpressure hysteresis: a reservoir drained partway between the
-    /// watermarks costs no production CPU; only dipping below the low
-    /// watermark re-arms the producers (who then refill to the high one).
+    /// The backpressure hysteresis: a reservoir drained partway costs no
+    /// production CPU; only dipping below a quarter of the target re-arms
+    /// the producers (who then refill to the target).
     #[test]
     fn draws_above_the_low_watermark_do_not_restart_production() {
-        let bank = PrecomputeBank::start(
-            BankConfig::default()
-                .producer_threads(1)
-                .watermarks(25, 100),
-        );
+        let bank = PrecomputeBank::start(BankConfig::default().producer_threads(1));
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::garblings(5);
+        let id = ReservoirId::zero_encryptions(5);
         bank.register(ReservoirSpec::new(id, counting_producer(counter.clone())).with_target(8));
         assert!(bank.wait_until_full(Duration::from_secs(10)));
 
@@ -917,8 +824,8 @@ mod tests {
         for _ in 0..4 {
             assert!(handle.draw(&id).is_some());
         }
-        // Depth 4 is above the low watermark (2); even across several
-        // producer timeout wakes, nothing is refilled.
+        // Depth 4 is above the low mark (2); even across several producer
+        // timeout wakes, nothing is refilled.
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(
             counter.load(Ordering::SeqCst),
@@ -929,67 +836,35 @@ mod tests {
         for _ in 0..3 {
             assert!(handle.draw(&id).is_some());
         }
-        // Depth 1 dipped below the low watermark: production re-arms and
-        // tops the reservoir back up to the high watermark.
+        // Depth 1 dipped below the low mark: production re-arms and tops
+        // the reservoir back up to the target.
         assert!(bank.wait_until_full(Duration::from_secs(10)));
         assert_eq!(counter.load(Ordering::SeqCst), 15);
         bank.shutdown();
     }
 
+    /// A target below 4 has a low mark of 0: the reservoir fills once and is
+    /// never refilled by draws — what the "runs dry" test provisioning uses.
     #[test]
-    fn dependency_dag_produces_key_independent_kinds_first() {
-        // One producer thread so the production order is observable.
-        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let recorder = |tag: &'static str, order: Arc<Mutex<Vec<&'static str>>>| -> Producer {
-            Arc::new(move |_rng: &mut dyn RngCore| {
-                order.lock().unwrap().push(tag);
-                Box::new(0u8) as Artifact
-            })
-        };
-        let bank = PrecomputeBank::start(BankConfig::default().producer_threads(1));
-        // Register the dependent kind FIRST so only the DAG can explain the
-        // production order.
-        bank.register(
-            ReservoirSpec::new(
-                ReservoirId::randomizers(1),
-                recorder(KIND_RANDOMIZERS, order.clone()),
-            )
-            .after(KEY_INDEPENDENT_KINDS)
-            .with_target(4),
-        );
-        bank.register(
-            ReservoirSpec::new(
-                ReservoirId::garblings(1),
-                recorder(KIND_GARBLINGS, order.clone()),
-            )
-            .with_target(4),
-        );
+    fn a_target_below_four_fills_once() {
+        let bank = PrecomputeBank::start(BankConfig::default().target(1));
+        let id = ReservoirId::zero_encryptions(4);
+        bank.register(ReservoirSpec::new(
+            id,
+            counting_producer(Arc::new(AtomicU64::new(0))),
+        ));
         assert!(bank.wait_until_full(Duration::from_secs(10)));
-        bank.shutdown();
-        let order = order.lock().unwrap();
-        let first_randomizer = order
-            .iter()
-            .position(|k| *k == KIND_RANDOMIZERS)
-            .expect("randomizers were produced");
-        let garblings_before = order[..first_randomizer]
-            .iter()
-            .filter(|k| **k == KIND_GARBLINGS)
-            .count();
-        // Low watermark of the 4-deep garbling reservoir is 1: at least one
-        // garbling must exist before any randomizer is manufactured.
-        assert!(
-            garblings_before >= 1,
-            "key-dependent production started before the shared stock: {order:?}"
-        );
+        let handle = bank.handle();
+        assert!(handle.draw(&id).is_some());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(handle.draw(&id).is_none(), "never refilled");
+        let row = bank.shutdown().reservoirs[0];
+        assert_eq!((row.target, row.produced, row.drawn), (1, 1, 1));
     }
 
     #[test]
     fn sixty_four_threads_draining_one_reservoir_lose_and_duplicate_nothing() {
-        let bank = PrecomputeBank::start(
-            BankConfig::default()
-                .producer_threads(2)
-                .watermarks(50, 100),
-        );
+        let bank = PrecomputeBank::start(BankConfig::default().producer_threads(2));
         let counter = Arc::new(AtomicU64::new(0));
         let id = ReservoirId::zero_encryptions(9);
         bank.register(ReservoirSpec::new(id, counting_producer(counter.clone())).with_target(64));
@@ -1033,24 +908,67 @@ mod tests {
         assert_eq!(row.fallback_draws, 0);
     }
 
+    /// Sessions come and go while producers run: every reservoir is
+    /// registered, drawn from and released under 2 producers, and the row
+    /// each retirement leaves behind must balance even though production
+    /// was in flight when it was taken.
+    #[test]
+    fn retired_rows_balance_under_concurrent_production() {
+        const THREADS: u64 = 8;
+        const RESERVOIRS_EACH: u64 = 250;
+        let bank = PrecomputeBank::start(BankConfig::default().producer_threads(2));
+        let handle = bank.handle();
+        let producer = counting_producer(Arc::new(AtomicU64::new(0)));
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (handle, producer) = (&handle, &producer);
+                scope.spawn(move || {
+                    for r in 0..RESERVOIRS_EACH {
+                        let id = ReservoirId::zero_encryptions(t * RESERVOIRS_EACH + r);
+                        handle
+                            .register(ReservoirSpec::new(id, Arc::clone(producer)).with_target(4));
+                        for _ in 0..r % 4 {
+                            if handle.draw(&id).is_none() {
+                                std::thread::yield_now();
+                            }
+                        }
+                        handle.release(&id);
+                    }
+                });
+            }
+        });
+        let report = bank.shutdown();
+        assert_eq!(
+            report.reservoirs.len(),
+            (THREADS * RESERVOIRS_EACH) as usize
+        );
+        for row in &report.reservoirs {
+            assert_eq!(row.produced, row.drawn + row.depth, "{row:?}");
+        }
+        assert!(
+            report.produced_total() > 0,
+            "producers ran during the churn"
+        );
+    }
+
     #[test]
     fn dry_draws_fall_back_and_are_counted_even_for_unknown_reservoirs() {
         let bank = PrecomputeBank::start(BankConfig::default());
         let handle = bank.handle();
-        let unknown = ReservoirId::randomizers(0xdead);
+        let unknown = ReservoirId::zero_encryptions(0xdead);
         assert!(handle.draw(&unknown).is_none());
         assert_eq!(handle.depth(&unknown), None);
         handle.record_fallback(&unknown);
         handle.record_fallback(&unknown);
         let report = bank.shutdown();
-        assert_eq!(report.fallbacks_by_kind(KIND_RANDOMIZERS), 2);
+        assert_eq!(report.fallbacks_by_kind(KIND_ZERO_ENCRYPTIONS), 2);
     }
 
     #[test]
     fn release_retires_a_reservoir_but_keeps_its_accounting() {
         let bank = PrecomputeBank::start(BankConfig::default());
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::garblings(3);
+        let id = ReservoirId::zero_encryptions(3);
         let spec = ReservoirSpec::new(id, counting_producer(counter)).with_target(2);
         let handle = bank.handle();
         handle.register(spec.clone());

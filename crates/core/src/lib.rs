@@ -39,12 +39,12 @@
 //!   registered function modules, used by the `pretzel_server` mailroom to
 //!   multiplex many concurrent sessions; the online phase is one path —
 //!   a coalesced batch of rounds, a single email being the batch of one.
-//! * [`bank`] — precompute, once: the fleet-wide bank (per-kind artifact
-//!   reservoirs kept full by background producer threads scheduled over a
-//!   dependency DAG), the object-safe [`bank::PrecomputeSource`] trait every
-//!   provider session draws through (work-stealing draws, counted inline
-//!   fallbacks, an empty source when no bank runs), and the session-local
-//!   stock of a client's explicit offline phase.
+//! * [`bank`] — precompute, once: the fleet-wide bank (artifact reservoirs —
+//!   today each search session's zero encryptions — kept full by background
+//!   producer threads), the object-safe [`bank::PrecomputeSource`] trait
+//!   every provider session is handed (counted inline fallbacks, an empty
+//!   source when no bank runs), and the session-local stock of a client's
+//!   explicit offline phase.
 
 #![warn(missing_docs)]
 

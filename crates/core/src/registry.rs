@@ -33,7 +33,7 @@ use rand::RngCore;
 use pretzel_classifiers::LinearModel;
 use pretzel_transport::Channel;
 
-use crate::bank::{PrecomputeSource, ReservoirSpec};
+use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
 use crate::spam::AheVariant;
@@ -147,8 +147,9 @@ pub trait FunctionModule: Send + Sync {
     ///
     /// `source` is where the session's offline artifacts come from — the
     /// fleet bank, or [`crate::bank::empty_source`] when none runs. A module
-    /// with bankable artifacts registers the reservoirs its rounds will draw
-    /// from (see [`crate::bank::Lease`]); one without ignores it.
+    /// with bankable artifacts (search's zero encryptions) registers the
+    /// reservoirs its rounds will draw from (see [`crate::bank::Lease`]);
+    /// one without ignores it.
     fn provider_setup(
         &self,
         channel: &mut dyn Channel,
@@ -157,16 +158,6 @@ pub trait FunctionModule: Send + Sync {
         source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>>;
-
-    /// The key-independent reservoirs this module wants a fleet-wide
-    /// [`crate::bank::PrecomputeBank`] to keep stocked (garbled tables for
-    /// its circuit shapes). The serving layer registers these once at bank startup, before any
-    /// session exists. The default — no shared artifacts — keeps external
-    /// modules working unchanged.
-    fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {
-        let _ = suite;
-        Vec::new()
-    }
 
     /// Runs the client half of the setup phase, returning the reusable
     /// per-session client state.

@@ -20,9 +20,10 @@
 //! * **Offline phase** — at setup the provider registers a reservoir of
 //!   encryptions of zero under the client's key (2 NTTs + noise sampling
 //!   each) with its [`PrecomputeSource`]; a fleet bank's producers keep it
-//!   stocked. The online query path then reduces to `stocked_zero +
-//!   plaintext` — `n` modular additions, no NTT, no sampling — with inline
-//!   encryption when the draw comes up dry. Stock depth never changes what a
+//!   stocked (it is the one artifact the built-in modules bank). The online
+//!   query path then reduces to `stocked_zero + plaintext` — `n` modular
+//!   additions, no NTT, no sampling — with inline encryption when the draw
+//!   comes up dry. Stock depth never changes what a
 //!   query returns, only its latency, matching the phase-split contract the
 //!   other modules obey.
 //! * **Per-round phase** — the client drives one of two operations per round:
@@ -112,10 +113,11 @@ pub struct SearchProvider {
 
 impl SearchProvider {
     /// Runs the setup phase as the provider: joint randomness, receive the
-    /// client's RLWE public key, confirm the per-response capacity, and
-    /// register the session's zero-encryption reservoir with `source` (the
-    /// producer closure captures the client's public key, and the kind-level
-    /// DAG schedules it after the fleet's shared key-independent stock).
+    /// client's RLWE public key, register the session's zero-encryption
+    /// reservoir with `source` (the producer closure captures the client's
+    /// public key), and confirm the per-response capacity. Registering
+    /// before the last set-up frame means a client that has finished set-up
+    /// can count on the reservoir existing.
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         config: &PretzelConfig,
@@ -128,7 +130,6 @@ impl SearchProvider {
         let pk = PublicKey::from_bytes(&params, &channel.recv()?)
             .map_err(|e| PretzelError::Ahe(e.to_string()))?;
         let capacity = response_capacity(&params);
-        channel.send(&u64_bytes(capacity as u64))?;
         let producer_pk = pk.clone();
         let zeros = Lease::register(
             source,
@@ -137,9 +138,9 @@ impl SearchProvider {
                 Arc::new(move |rng: &mut dyn RngCore| {
                     Box::new(producer_pk.encrypt_zero(rng)) as bank::Artifact
                 }),
-            )
-            .after(bank::KEY_INDEPENDENT_KINDS),
+            ),
         );
+        channel.send(&u64_bytes(capacity as u64))?;
         Ok(SearchProvider {
             params,
             pk,
@@ -179,7 +180,7 @@ impl SearchProvider {
                 // Online path: add the plaintext onto a stocked encryption
                 // of zero (`n` modular additions), or encrypt inline when
                 // the draw comes up dry.
-                let ct = match self.zeros.draw(|_: &Ciphertext| true) {
+                let ct = match self.zeros.draw() {
                     Some(zero) => self.pk.add_plain(&zero, &pt),
                     None => self.pk.encrypt(&pt, rng),
                 };
@@ -577,18 +578,14 @@ mod tests {
 
     /// Runs three index and three query rounds with the provider's zero
     /// encryptions provisioned by a bank stocked with exactly `stock` of them
-    /// (pure prefill, so it is never refilled), or by no bank at all. Checks
-    /// the bank's books before returning what both parties saw.
+    /// (three draws never take a 1- or 16-deep reservoir below a quarter of
+    /// its target, so it is never refilled), or by no bank at all. Checks the
+    /// bank's books before returning what both parties saw.
     fn run_session(stock: Option<usize>) -> (usize, Vec<Vec<DocId>>) {
         let config = PretzelConfig::test();
         let config_client = config.clone();
-        let bank = stock.map(|stock| {
-            Arc::new(PrecomputeBank::start(
-                BankConfig::default()
-                    .target(bank::KIND_ZERO_ENCRYPTIONS, stock)
-                    .watermarks(0, 100),
-            ))
-        });
+        let bank =
+            stock.map(|stock| Arc::new(PrecomputeBank::start(BankConfig::default().target(stock))));
         let provider_bank = bank.clone();
         let outcome = run_two_party(
             move |chan| {

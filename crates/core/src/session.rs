@@ -15,9 +15,10 @@
 //! The lifecycle both wrappers model is the one §3.3/§4 prescribe: one
 //! **setup** phase per (client, provider) pair — joint randomness, encrypted
 //! model transfer, base OTs — whose state is then **reused** across an
-//! arbitrary number of cheap per-email rounds. The input-independent half of
-//! a round is **offline** work: a provider session draws it ready-made from
-//! the [`PrecomputeSource`] its setup was handed (a fleet bank's background
+//! arbitrary number of cheap per-email rounds. Where it pays, the
+//! input-independent half of a round is **offline** work: a search provider
+//! session draws its zero encryptions ready-made from the
+//! [`PrecomputeSource`] its setup was handed (a fleet bank's background
 //! producers, or nothing — [`crate::bank::empty_source`]), and a client
 //! session fills a local stock in an explicit `precompute(budget)` phase.
 //! Either way a dry draw computes inline. The online phase is one body:

@@ -24,11 +24,10 @@
 //! transfer, the dot product, blinding and decryption — is the shared
 //! [`crate::ahe`] endpoint; this module adds what is spam's own: the
 //! comparison circuit, the provider as garbler, and the one-bit output to
-//! the client. Garbling needs only randomness, so the provider draws each
-//! round's garbled circuit from its [`PrecomputeSource`] (a fleet bank keeps
-//! them stocked) and garbles inline when the draw comes up dry; a Baseline
-//! client can likewise stock Paillier randomizers in an explicit offline
-//! phase. Neither ever changes a verdict — only latency.
+//! the client. The provider garbles each round's comparison circuit inline
+//! with the session RNG (a spam circuit garbles in tens of microseconds); a
+//! Baseline client can stock Paillier randomizers in an explicit offline
+//! phase, which never changes a verdict — only latency.
 
 use std::sync::Arc;
 
@@ -43,7 +42,7 @@ use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 pub use crate::ahe::AheVariant;
 use crate::ahe::{AheClient, AheProvider};
-use crate::bank::{self, Lease, PrecomputeSource, ReservoirId, ReservoirSpec};
+use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -56,9 +55,6 @@ pub struct SpamProvider {
     ahe: AheProvider,
     yao: YaoGarbler,
     circuit: Circuit,
-    /// This session's registration of the comparison-circuit garbling
-    /// reservoir (keyed by the structural [`Circuit::fingerprint`]).
-    garblings: Lease,
 }
 
 /// Client endpoint of the spam-filtering module.
@@ -68,68 +64,22 @@ pub struct SpamClient {
     circuit: Circuit,
 }
 
-/// The reservoir spec for one comparison circuit's garblings. Garbling is
-/// key-independent — the artifact binds only to the circuit shape — which is
-/// why these reservoirs sit at the root of the bank's dependency DAG.
-fn garbling_spec(circuit: &Circuit) -> ReservoirSpec {
-    let circuit = circuit.clone();
-    ReservoirSpec::new(
-        ReservoirId::garblings(circuit.fingerprint()),
-        Arc::new(move |rng: &mut dyn RngCore| {
-            Box::new(PrecomputedGarbling::garble(&circuit, rng)) as bank::Artifact
-        }),
-    )
-}
-
-/// Fleet plan for the comparison-circuit garbling reservoirs: one spec per
-/// distinct circuit width the configured variants can produce (RLWE plain
-/// bits for the Pretzel variants, Paillier slot bits for the Baseline), so
-/// the bank's producers can pre-garble before any session's setup completes.
-pub(crate) fn garbling_fleet_plan(config: &PretzelConfig) -> Vec<ReservoirSpec> {
-    let mut widths = vec![
-        config.rlwe_plain_bits as usize,
-        config.paillier_slot_bits as usize,
-    ];
-    widths.sort_unstable();
-    widths.dedup();
-    widths
-        .into_iter()
-        .map(|width| garbling_spec(&spam_compare_circuit(width)))
-        .collect()
-}
-
 impl SpamProvider {
-    /// Runs the setup phase as the provider: encrypts and ships the model,
-    /// establishes the Yao session, and registers the session's garbling
-    /// reservoir with `source`. `model` is the provider's trained spam model
-    /// (2 classes, class 1 = spam).
+    /// Runs the setup phase as the provider: encrypts and ships the model
+    /// and establishes the Yao session. `model` is the provider's trained
+    /// spam model (2 classes, class 1 = spam).
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         model: &LinearModel,
         config: &PretzelConfig,
         variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
         assert_eq!(model.num_classes(), 2, "spam filtering uses two classes");
         let (ahe, seed) = AheProvider::setup(channel, model, config, variant, rng)?;
         let yao = YaoGarbler::setup(channel, &config.ot_group(&seed), rng)?;
         let circuit = spam_compare_circuit(ahe.width);
-        let garblings = Lease::register(source, garbling_spec(&circuit));
-        Ok(SpamProvider {
-            ahe,
-            yao,
-            circuit,
-            garblings,
-        })
-    }
-
-    /// One round's garbled circuit: stocked if the source has one, garbled
-    /// inline otherwise.
-    fn draw_garbling<R: Rng + ?Sized>(&self, rng: &mut R) -> PrecomputedGarbling {
-        self.garblings
-            .draw(|pre: &PrecomputedGarbling| pre.matches(&self.circuit))
-            .unwrap_or_else(|| PrecomputedGarbling::garble(&self.circuit, rng))
+        Ok(SpamProvider { ahe, yao, circuit })
     }
 
     /// Decrypts one round's blinded (ham, spam) dot products and lays them
@@ -234,7 +184,7 @@ impl FunctionModule for SpamFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
+        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(SpamProvider::setup(
@@ -242,7 +192,6 @@ impl FunctionModule for SpamFunction {
             &suite.spam,
             &suite.config,
             variant,
-            source,
             rng,
         )?))
     }
@@ -259,10 +208,6 @@ impl FunctionModule for SpamFunction {
             ctx.variant,
             rng,
         )?))
-    }
-
-    fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {
-        garbling_fleet_plan(&suite.config)
     }
 }
 
@@ -287,14 +232,15 @@ impl ProviderModule for SpamProvider {
         if count == 0 {
             return Ok(Vec::new());
         }
-        // Draw only once every blob has decrypted: the count is the peer's
-        // word, and a stalled or malformed round must not consume a stocked
-        // garbling.
+        // Garble only once every blob has decrypted: the count is the peer's
+        // word, and a stalled or malformed round must cost no garbling.
         let inputs = recv_rounds(channel, count)?
             .iter()
             .map(|blob| self.garbler_bits_for(blob))
             .collect::<Result<Vec<_>>>()?;
-        let pres: Vec<_> = (0..count).map(|_| self.draw_garbling(rng)).collect();
+        let pres: Vec<_> = (0..count)
+            .map(|_| PrecomputedGarbling::garble(&self.circuit, rng))
+            .collect();
         self.yao.run_batch(
             &mut channel,
             &self.circuit,
@@ -362,11 +308,9 @@ impl ClientModule for SpamClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bank::{BankConfig, PrecomputeBank};
     use pretzel_classifiers::nb::GrNbTrainer;
     use pretzel_classifiers::{LabeledExample, Trainer};
     use pretzel_transport::run_two_party;
-    use std::time::Duration;
 
     fn example(pairs: &[(usize, u32)], label: usize) -> LabeledExample {
         LabeledExample {
@@ -385,69 +329,19 @@ mod tests {
         GrNbTrainer::default().train(&corpus, 8, 2)
     }
 
-    /// How the provider's garblings are provisioned in a sweep.
-    #[derive(Clone, Copy, Debug)]
-    enum Provision {
-        /// The empty source: every round garbles inline.
-        NoBank,
-        /// A bank whose reservoirs hold a single garbling, so it runs dry
-        /// mid-run.
-        BankRunsDry,
-        /// A bank stocked past the whole run's demand.
-        Prefilled,
-    }
-
-    /// Starts the bank a [`Provision`] calls for, with the comparison
-    /// circuits' reservoirs registered and filled.
-    fn provision(mode: Provision, config: &PretzelConfig) -> Option<PrecomputeBank> {
-        let target = match mode {
-            Provision::NoBank => return None,
-            Provision::BankRunsDry => 1,
-            Provision::Prefilled => 8,
-        };
-        let bank =
-            PrecomputeBank::start(BankConfig::default().target(bank::KIND_GARBLINGS, target));
-        for spec in garbling_fleet_plan(config) {
-            bank.register(spec);
-        }
-        assert!(bank.wait_until_full(Duration::from_secs(60)));
-        Some(bank)
-    }
-
-    /// Every draw either took a stocked garbling or fell back, nothing
-    /// produced was lost, and a bank stocked past demand never fell back.
-    fn check_books(bank: PrecomputeBank, mode: Provision, rounds: u64) {
-        let report = bank.shutdown();
-        let fallbacks = report.fallbacks_by_kind(bank::KIND_GARBLINGS);
-        assert_eq!(report.drawn_total() + fallbacks, rounds, "{mode:?}");
-        assert!(report.drawn_total() >= 1, "{mode:?}: the stock was used");
-        if matches!(mode, Provision::Prefilled) {
-            assert_eq!(fallbacks, 0, "{mode:?}");
-        }
-        for row in &report.reservoirs {
-            assert_eq!(row.produced, row.drawn + row.depth, "{row:?}");
-        }
-    }
-
-    /// Two sequential rounds under `mode`, with the client's offline phase
-    /// sized `client_budget`. The verdicts must not depend on either; the
-    /// bank's books must balance.
-    fn run_spam_exchange_provisioned(variant: AheVariant, mode: Provision, client_budget: usize) {
+    /// Two sequential rounds with the client's offline phase sized
+    /// `client_budget`. The verdicts must not depend on it.
+    fn run_spam_exchange_stocked(variant: AheVariant, client_budget: usize) {
         let model = train_model();
         let config = PretzelConfig::test();
         let config_client = config.clone();
         let spam_email = SparseVector::from_pairs(vec![(0, 3), (1, 1), (2, 1)]);
         let ham_email = SparseVector::from_pairs(vec![(4, 2), (5, 2), (6, 1)]);
-        let bank = provision(mode, &config);
-        let source = bank
-            .as_ref()
-            .map_or_else(bank::empty_source, |b| b.handle());
 
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<()> {
                 let mut rng = rand::thread_rng();
-                let mut provider =
-                    SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
+                let mut provider = SpamProvider::setup(chan, &model, &config, variant, &mut rng)?;
                 provider.process_email(chan, &mut rng)?;
                 provider.process_email(chan, &mut rng)
             },
@@ -474,23 +368,21 @@ mod tests {
         );
         provider_res.unwrap();
         let (spam_result, ham_result) = client_res.unwrap();
-        assert!(spam_result, "{variant:?} {mode:?}: spam must flag");
-        assert!(!ham_result, "{variant:?} {mode:?}: ham must pass");
-
-        if let Some(bank) = bank {
-            check_books(bank, mode, 2);
-        }
+        assert!(
+            spam_result,
+            "{variant:?} budget {client_budget}: spam must flag"
+        );
+        assert!(
+            !ham_result,
+            "{variant:?} budget {client_budget}: ham must pass"
+        );
     }
 
     #[test]
-    fn provisioning_does_not_change_verdicts() {
-        for (mode, client_budget) in [
-            (Provision::NoBank, 0),
-            (Provision::BankRunsDry, 1),
-            (Provision::Prefilled, 8),
-        ] {
-            run_spam_exchange_provisioned(AheVariant::Baseline, mode, client_budget);
-            run_spam_exchange_provisioned(AheVariant::Pretzel, mode, client_budget);
+    fn client_stock_does_not_change_verdicts() {
+        for client_budget in [0, 1, 8] {
+            run_spam_exchange_stocked(AheVariant::Baseline, client_budget);
+            run_spam_exchange_stocked(AheVariant::Pretzel, client_budget);
         }
     }
 
@@ -508,14 +400,8 @@ mod tests {
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<()> {
                 let mut rng = rand::thread_rng();
-                let mut provider = SpamProvider::setup(
-                    chan,
-                    &model_for_provider,
-                    &config,
-                    variant,
-                    &bank::empty_source(),
-                    &mut rng,
-                )?;
+                let mut provider =
+                    SpamProvider::setup(chan, &model_for_provider, &config, variant, &mut rng)?;
                 provider.process_email(chan, &mut rng)?;
                 provider.process_email(chan, &mut rng)?;
                 Ok(())
@@ -545,8 +431,8 @@ mod tests {
     }
 
     /// One batch of three must classify each email as the single rounds of
-    /// `run_spam_exchange` do, with the bank's stock only partially covering
-    /// the batch (the shortfall is garbled inline).
+    /// `run_spam_exchange` do, with the client's stock only partially
+    /// covering the batch (the shortfall is computed inline).
     fn run_spam_batch(variant: AheVariant) {
         let model = train_model();
         let config = PretzelConfig::test();
@@ -557,14 +443,11 @@ mod tests {
             vec![(1, 2), (3, 2)],
         ]
         .map(|pairs| EmailPayload::Tokens(SparseVector::from_pairs(pairs)));
-        let bank = provision(Provision::BankRunsDry, &config).expect("a bank");
-        let source = bank.handle();
 
         let (provider_res, client_res) = run_two_party(
             move |chan| -> Result<()> {
                 let mut rng = rand::thread_rng();
-                let mut provider =
-                    SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
+                let mut provider = SpamProvider::setup(chan, &model, &config, variant, &mut rng)?;
                 ProviderModule::process_batch(&mut provider, chan, 3, &mut rng).map(|_| ())
             },
             move |chan| -> Result<Vec<Verdict>> {
@@ -580,25 +463,22 @@ mod tests {
             [true, false, true].map(|is_spam| Verdict::Spam { is_spam }),
             "{variant:?}: batched verdicts must match the sequential ones"
         );
-        check_books(bank, Provision::BankRunsDry, 3);
     }
 
-    /// A round whose blob carries one ciphertext too many is refused before
-    /// the provider decrypts anything or takes a garbling from the stock.
+    /// A round whose blob carries one ciphertext too many is refused as a
+    /// protocol error before the provider garbles anything.
     #[test]
-    fn oversized_round_is_refused_without_drawing_a_garbling() {
+    fn oversized_round_is_refused() {
         for variant in [AheVariant::Pretzel, AheVariant::Baseline] {
             let model = train_model();
             let config = PretzelConfig::test();
             let config_client = config.clone();
-            let bank = provision(Provision::Prefilled, &config).expect("a bank");
-            let source = bank.handle();
 
             let (provider_res, client_res) = run_two_party(
                 move |chan| -> Result<()> {
                     let mut rng = rand::thread_rng();
                     let mut provider =
-                        SpamProvider::setup(chan, &model, &config, variant, &source, &mut rng)?;
+                        SpamProvider::setup(chan, &model, &config, variant, &mut rng)?;
                     provider.process_email(chan, &mut rng)
                 },
                 move |chan| -> Result<()> {
@@ -616,9 +496,6 @@ mod tests {
                 matches!(err, PretzelError::Protocol(_)),
                 "{variant:?}: {err:?}"
             );
-            let report = bank.shutdown();
-            assert_eq!(report.drawn_total(), 0, "{variant:?}");
-            assert_eq!(report.fallbacks_by_kind(bank::KIND_GARBLINGS), 0);
         }
     }
 

@@ -28,7 +28,7 @@ use pretzel_classifiers::nb::GrNbTrainer;
 use pretzel_classifiers::{LabeledExample, LinearModel, NGramExtractor, Trainer};
 use pretzel_transport::Channel;
 
-use crate::bank::{PrecomputeSource, ReservoirSpec};
+use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -114,15 +114,12 @@ pub struct VirusScanProvider {
 impl VirusScanProvider {
     /// Runs the setup phase as the provider: ships the (public) n-gram
     /// parameters and the encrypted model, then establishes the Yao session.
-    /// The comparison circuits are spam's, so both modules draw from the
-    /// same garbling reservoir of `source`.
     pub fn setup<C: Channel, R: Rng + ?Sized>(
         channel: &mut C,
         model: &LinearModel,
         extractor: NGramExtractor,
         config: &PretzelConfig,
         variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
         rng: &mut R,
     ) -> Result<Self> {
         if model.num_features() != extractor.buckets {
@@ -137,7 +134,7 @@ impl VirusScanProvider {
         // machinery's setup.
         channel.send(&u64_bytes(extractor.n as u64))?;
         channel.send(&u64_bytes(extractor.buckets as u64))?;
-        let inner = SpamProvider::setup(channel, model, config, variant, source, rng)?;
+        let inner = SpamProvider::setup(channel, model, config, variant, rng)?;
         Ok(VirusScanProvider { inner })
     }
 
@@ -229,7 +226,7 @@ impl FunctionModule for VirusFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
+        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(VirusScanProvider::setup(
@@ -238,7 +235,6 @@ impl FunctionModule for VirusFunction {
             suite.virus_extractor,
             &suite.config,
             variant,
-            source,
             rng,
         )?))
     }
@@ -255,12 +251,6 @@ impl FunctionModule for VirusFunction {
             ctx.variant,
             rng,
         )?))
-    }
-
-    fn fleet_plan(&self, suite: &ProviderModelSuite) -> Vec<ReservoirSpec> {
-        // Same comparison circuits as spam — registering the shared garbling
-        // reservoirs again only bumps their refcounts.
-        crate::spam::garbling_fleet_plan(&suite.config)
     }
 }
 
@@ -373,7 +363,6 @@ mod tests {
             wrong_extractor,
             &PretzelConfig::test(),
             AheVariant::Pretzel,
-            &crate::bank::empty_source(),
             &mut rand::thread_rng(),
         );
         assert!(matches!(err, Err(PretzelError::Protocol(_))));
@@ -402,7 +391,6 @@ mod tests {
                     extractor,
                     &config,
                     AheVariant::Pretzel,
-                    &crate::bank::empty_source(),
                     &mut rng,
                 )?;
                 provider.process_attachment(chan, &mut rng)?;
@@ -442,7 +430,6 @@ mod tests {
                     extractor,
                     &config,
                     AheVariant::Pretzel,
-                    &crate::bank::empty_source(),
                     &mut rng,
                 )
                 .map(|_| ())

@@ -43,9 +43,8 @@ pub enum OutputMode {
 /// [`YaoGarbler::run_batch`].
 ///
 /// This crate exports the artifact, not a queue: whoever stocks garblings
-/// (a precompute bank, a client's offline phase) owns the storage, and a
-/// round that finds none garbles inline instead — the evaluator cannot tell
-/// the difference.
+/// (a topic client's offline phase) owns the storage, and a round that finds
+/// none garbles inline instead — the evaluator cannot tell the difference.
 pub struct PrecomputedGarbling {
     garbling: Garbling,
     /// [`Circuit::fingerprint`] of the circuit this was garbled for.

@@ -31,8 +31,8 @@ use pretzel_datasets::ling_spam_like;
 
 pub use custom::{DigestFunction, DIGEST_WIRE_TAG};
 pub use library::{
-    BurstyArrivals, HeavyTailSizes, MixedFleetSkew, PoolExhaustionStorm, PrefilledBankStorm,
-    SessionChurn, SlowLoris, Steady,
+    BurstyArrivals, HeavyTailSizes, MixedFleetSkew, PoolExhaustionStorm, SessionChurn, SlowLoris,
+    Steady,
 };
 pub use plan::{RoundOp, ScenarioPlan, SessionEnd, SessionPlan};
 pub use runner::{
@@ -92,7 +92,6 @@ pub fn all_scenarios(config: ScenarioConfig) -> Vec<Box<dyn Scenario>> {
         Box::new(library::SessionChurn(config)),
         Box::new(library::SlowLoris(config)),
         Box::new(library::PoolExhaustionStorm(config)),
-        Box::new(library::PrefilledBankStorm(config)),
         Box::new(library::MixedFleetSkew(config)),
     ]
 }
@@ -242,7 +241,7 @@ mod tests {
 
     /// A starved bank changes where artifacts are made, never what the
     /// protocol computes or ships: the storm reproduces its fingerprint
-    /// while nearly every draw falls back inline.
+    /// while at most one query per session finds stock.
     #[test]
     fn pool_exhaustion_storm_reproduces_while_counting_fallbacks() {
         let scenario = library::PoolExhaustionStorm(ScenarioConfig::tiny());
@@ -251,22 +250,7 @@ mod tests {
         assert_eq!(a.fingerprint, b.fingerprint);
         assert!(
             fallback_draws(&a) > 0,
-            "one stocked garbling cannot cover a batch storm"
-        );
-    }
-
-    /// The well-provisioned storm reproduces too, and its prefilled stock
-    /// covers the whole demand: no draw is ever made inline.
-    #[test]
-    fn prefilled_bank_storm_reproduces_with_zero_fallbacks() {
-        let scenario = library::PrefilledBankStorm(ScenarioConfig::tiny());
-        let a = run_scenario(&scenario, 11, &RunOptions::default());
-        let b = run_scenario(&scenario, 11, &RunOptions::default());
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(
-            (fallback_draws(&a), fallback_draws(&b)),
-            (0, 0),
-            "a reservoir prefilled past total demand never serves inline"
+            "one stocked zero encryption cannot cover two queries"
         );
     }
 }

@@ -11,8 +11,6 @@
 //! totals are order-independent sums. Together those form the
 //! [`DeterminismFingerprint`] that the reproducibility tests rely on.
 
-use std::time::Duration;
-
 use pretzel_core::registry::WireTag;
 use pretzel_server::{serve_tcp_sessions, KindTotals, Mailroom, MailroomClient, SessionState};
 use pretzel_transport::{memory_pair, Channel, PacedChannel, TcpAcceptor, TcpChannel};
@@ -136,13 +134,6 @@ pub fn run_scenario(scenario: &dyn Scenario, seed: u64, options: &RunOptions) ->
     let plan = scenario.plan(seed);
     let mailroom =
         Mailroom::start_with_registry(scenario_suite(), scenario_registry(), plan.mailroom.clone());
-    // Bank-enabled plans prefill their fleet reservoirs before the first
-    // arrival: a deterministic fingerprint needs the stock in place.
-    assert!(
-        mailroom.wait_until_bank_full(Duration::from_secs(120)),
-        "{}: precompute bank never reached its targets",
-        scenario.name()
-    );
 
     let transcripts: Vec<Vec<String>> = match options.transport {
         TransportMode::Memory => std::thread::scope(|scope| {

@@ -30,11 +30,12 @@
 //!    The session's **offline artifacts** come from one place: the
 //!    [`PrecomputeSource`] its setup is handed. With a fleet precompute bank
 //!    configured ([`MailroomConfigBuilder::bank`]), background producer
-//!    threads keep shared per-kind reservoirs full and the session draws
-//!    from them on demand (work-stealing, made inline when a reservoir runs
-//!    dry), and the worker publishes the session's reservoir gauges on its
-//!    [`Meter`] ([`Meter::set_pool_gauge`]) after setup and every round;
-//!    they surface in [`SessionStats::pool_depth`]/[`SessionStats::pools`]
+//!    threads keep each search session's zero-encryption reservoir full and
+//!    the session draws from it on demand (made inline when it runs dry);
+//!    spam, topic and virus bank nothing. The worker publishes the
+//!    session's reservoir gauges on its [`Meter`]
+//!    ([`Meter::set_pool_gauge`]) after setup and every round; they surface
+//!    in [`SessionStats::pool_depth`]/[`SessionStats::pools`]
 //!    and [`MailroomReport::pool_depth_total`]. Without a bank the source is
 //!    empty: every draw is made inline and every gauge reads 0.
 //! 5. **Teardown** — on `BYE` the session completes; on any error (including
@@ -92,7 +93,9 @@ pub struct MailroomConfig {
     pub rng_seed: u64,
     /// Fleet-wide precompute bank. `None` (the default) serves every offline
     /// artifact inline; `Some` starts background producer threads that keep
-    /// per-kind reservoirs full, and sessions draw from them.
+    /// the reservoirs sessions register full — with the built-in modules,
+    /// one of zero encryptions per search session — and sessions draw from
+    /// them. Spam, topic and virus sessions register nothing.
     pub bank: Option<BankConfig>,
 }
 
@@ -146,8 +149,8 @@ impl MailroomConfigBuilder {
     }
 
     /// Enables the fleet-wide precompute bank with the given configuration.
-    /// Sessions then draw offline artifacts from shared reservoirs kept full
-    /// by background producer threads.
+    /// Sessions then draw offline artifacts from the reservoirs they
+    /// register, kept full by background producer threads.
     pub fn bank(mut self, bank: BankConfig) -> Self {
         self.config.bank = Some(bank);
         self
@@ -205,8 +208,7 @@ pub struct SessionStats {
     /// Messages exchanged in both directions.
     pub messages: u64,
     /// Stock of the bank reservoirs this session draws from, as of its last
-    /// round: the sum of the per-kind depths in [`SessionStats::pools`].
-    /// Shared reservoirs are seen by every session drawing from them; 0
+    /// round: the sum of the per-kind depths in [`SessionStats::pools`]; 0
     /// without a bank.
     pub pool_depth: u64,
     /// Per-kind gauges over the session's reservoirs (their depth, and this
@@ -282,8 +284,8 @@ struct Shared {
     emails_total: AtomicU64,
     accepting: AtomicBool,
     rng_seed: u64,
-    /// Where sessions draw offline artifacts: a work-stealing handle onto
-    /// the fleet precompute bank, or the empty source when none runs.
+    /// Where sessions draw offline artifacts: a handle onto the fleet
+    /// precompute bank, or the empty source when none runs.
     source: Arc<dyn PrecomputeSource>,
 }
 
@@ -341,9 +343,9 @@ pub struct MailroomReport {
     pub fleet_bytes_received: u64,
     /// Fleet-wide messages in both directions.
     pub fleet_messages: u64,
-    /// Sum of every session's [`SessionStats::pool_depth`] (a reservoir
-    /// shared by several sessions counts once per session; the exact
-    /// end-of-run stock is in [`MailroomReport::reservoirs`]).
+    /// Sum of every session's [`SessionStats::pool_depth`]: each session's
+    /// own reservoirs as of its last round (no reservoir is shared between
+    /// sessions; the end-of-run stock is in [`MailroomReport::reservoirs`]).
     pub pool_depth_total: u64,
     /// Final per-reservoir accounting of the fleet precompute bank, drained
     /// at shutdown (empty when no bank was configured). Sorted by kind then
@@ -432,17 +434,7 @@ impl Mailroom {
         config: MailroomConfig,
     ) -> Self {
         assert!(config.workers >= 1, "a mailroom needs at least one worker");
-        // Start the bank (if configured) and register every module's fleet
-        // plan before any worker can run a session, so key-independent
-        // production begins immediately.
         let bank = config.bank.clone().map(PrecomputeBank::start);
-        if let Some(bank) = &bank {
-            for module in registry.modules() {
-                for spec in module.fleet_plan(&suite) {
-                    bank.register(spec);
-                }
-            }
-        }
         let source = bank
             .as_ref()
             .map_or_else(empty_source, PrecomputeBank::handle);
@@ -567,10 +559,11 @@ impl Mailroom {
         self.bank.as_ref().map(|b| b.report()).unwrap_or_default()
     }
 
-    /// Blocks until every bank reservoir reaches its high watermark or the
+    /// Blocks until every live bank reservoir reaches its target or the
     /// timeout elapses; returns whether the bank is full. Vacuously `true`
-    /// without a bank. Benchmarks call this before the timed window so warm
-    /// runs measure the draw path, not cold production.
+    /// without a bank or before any session registered a reservoir.
+    /// Benchmarks call this before the timed window so warm runs measure
+    /// the draw path, not cold production.
     pub fn wait_until_bank_full(&self, timeout: Duration) -> bool {
         self.bank
             .as_ref()
@@ -1099,126 +1092,164 @@ mod tests {
         assert!(matches!(stats.state, SessionState::Failed(_)));
     }
 
-    /// A fleet with a bank must be observationally equivalent to one without:
-    /// identical verdicts and identical wire accounting — only the
-    /// provenance of offline artifacts changes. Also pins the per-kind
-    /// reservoir surfacing: gauges in `SessionStats::pools`, reservoirs in
-    /// the shutdown report, and the `reservoir_depth` accessor.
-    #[test]
-    fn bank_enabled_fleet_matches_the_inline_path() {
-        use pretzel_core::bank::{BankConfig, KIND_GARBLINGS, KIND_ZERO_ENCRYPTIONS};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        fn run(bank: bool) -> (Vec<String>, MailroomReport) {
+    /// Serves `sessions` on a bankless mailroom, then on a banked one (one
+    /// worker, fixed seeds), returning each run's verdicts and report.
+    fn inline_and_banked(
+        sessions: impl Fn(&Mailroom) -> Vec<String>,
+    ) -> [(Vec<String>, MailroomReport); 2] {
+        [None, Some(BankConfig::default().rng_seed(0xBA2C).target(8))].map(|bank| {
             let mut builder = MailroomConfig::builder()
                 .workers(1)
                 .queue_capacity(4)
                 .rng_seed(7);
-            if bank {
-                builder = builder.bank(
-                    BankConfig::default()
-                        .rng_seed(0xBA2C)
-                        .producer_threads(1)
-                        .target(KIND_GARBLINGS, 4)
-                        .target(KIND_ZERO_ENCRYPTIONS, 8),
-                );
+            if let Some(bank) = bank {
+                builder = builder.bank(bank);
             }
             let mailroom = Mailroom::start(test_suite(), builder.build());
-            if bank {
-                assert!(
-                    mailroom.wait_until_bank_full(Duration::from_secs(60)),
-                    "producers fill the fleet-plan reservoirs before sessions start"
-                );
-            }
+            let verdicts = sessions(&mailroom);
+            (verdicts, mailroom.shutdown())
+        })
+    }
 
-            let mut verdicts = Vec::new();
+    /// Per-session wire accounting: `(kind, emails, sent, received, messages)`.
+    fn meter_rows(report: &MailroomReport) -> Vec<(Option<WireTag>, u64, u64, u64, u64)> {
+        report
+            .sessions
+            .iter()
+            .map(|s| (s.kind, s.emails, s.bytes_sent, s.bytes_received, s.messages))
+            .collect()
+    }
 
-            // Spam session: provider-side garblings come from the bank.
-            {
+    /// Spam and virus garble inline: a banked mailroom serving them
+    /// registers no reservoir, and its verdicts and per-session bytes are
+    /// the bankless run's.
+    #[test]
+    fn a_banked_mailroom_serving_spam_and_virus_registers_no_reservoir() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let [(inline_verdicts, inline_report), (bank_verdicts, bank_report)] =
+            inline_and_banked(|mailroom| {
+                let mut verdicts = Vec::new();
                 let (provider_end, client_end) = memory_pair();
                 mailroom.submit(provider_end).unwrap();
                 let mut rng = StdRng::seed_from_u64(21);
                 let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
                 let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-                let spammy = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
-                let hammy = SparseVector::from_pairs(vec![(4, 2), (5, 2)]);
-                for email in [&spammy, &hammy] {
-                    let verdict = client.classify_spam(email, &mut rng).unwrap();
+                for email in [vec![(0, 3), (1, 1)], vec![(4, 2), (5, 2)]] {
+                    let email = SparseVector::from_pairs(email);
+                    let verdict = client.classify_spam(&email, &mut rng).unwrap();
                     verdicts.push(format!("spam:{verdict}"));
                 }
                 client.finish().unwrap();
-            }
 
-            // Search session: pre-encrypted responses come from the bank's
-            // key-dependent zero-encryption reservoir.
-            {
+                let (provider_end, client_end) = memory_pair();
+                mailroom.submit(provider_end).unwrap();
+                let mut rng = StdRng::seed_from_u64(23);
+                let spec = ClientSpecBuilder::virus(PretzelConfig::test()).build();
+                let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
+                for attachment in [
+                    &[0xde, 0xad, 0xbe, 0xef, 0xcc, 0xcc, 0xcc, 0x01][..],
+                    b"regular attachment number 3",
+                ] {
+                    let verdict = client.scan_attachment(attachment, &mut rng).unwrap();
+                    verdicts.push(format!("virus:{verdict}"));
+                }
+                client.finish().unwrap();
+                verdicts
+            });
+
+        assert_eq!(
+            inline_verdicts,
+            ["spam:true", "spam:false", "virus:true", "virus:false"]
+        );
+        assert_eq!(inline_verdicts, bank_verdicts);
+        assert_eq!(meter_rows(&inline_report), meter_rows(&bank_report));
+        assert!(
+            bank_report.reservoirs.is_empty(),
+            "nothing registered: {:?}",
+            bank_report.reservoirs
+        );
+        assert!(bank_report
+            .sessions
+            .iter()
+            .all(|s| s.pools.is_empty() && s.fallback_draws == 0));
+    }
+
+    /// A fleet with a bank must be observationally equivalent to one without:
+    /// identical verdicts and identical wire accounting — only the
+    /// provenance of search's zero encryptions changes. Also pins the
+    /// per-kind reservoir surfacing: gauges in `SessionStats::pools`, the
+    /// retired reservoir in the shutdown report, and the `reservoir_depth`
+    /// accessors.
+    #[test]
+    fn bank_enabled_fleet_matches_the_inline_path() {
+        use pretzel_core::bank::KIND_ZERO_ENCRYPTIONS;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let [(inline_verdicts, inline_report), (bank_verdicts, bank_report)] =
+            inline_and_banked(|mailroom| {
                 let (provider_end, client_end) = memory_pair();
                 mailroom.submit(provider_end).unwrap();
                 let mut rng = StdRng::seed_from_u64(22);
                 let spec = ClientSpec::search(PretzelConfig::test());
                 let mut client = MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
+                // Set-up registered the session's reservoir before its last
+                // frame; let the producers fill it.
+                assert!(mailroom.wait_until_bank_full(Duration::from_secs(60)));
                 client
                     .index_email(10, "project pretzel kickoff agenda", &mut rng)
                     .unwrap();
-                let mut hits = client.search_keyword("pretzel", &mut rng).unwrap();
-                hits.sort_unstable();
-                verdicts.push(format!("search:{hits:?}"));
+                let verdicts = ["pretzel", "absent"]
+                    .map(|keyword| {
+                        let hits = client.search_keyword(keyword, &mut rng).unwrap();
+                        format!("search:{hits:?}")
+                    })
+                    .to_vec();
                 client.finish().unwrap();
-            }
+                verdicts
+            });
 
-            (verdicts, mailroom.shutdown())
-        }
-
-        let (inline_verdicts, inline_report) = run(false);
-        let (bank_verdicts, bank_report) = run(true);
-
+        assert_eq!(inline_verdicts, ["search:[10]", "search:[]"]);
         assert_eq!(
             inline_verdicts, bank_verdicts,
             "bank-drawn artifacts must not change any verdict"
         );
-        let rows = |r: &MailroomReport| -> Vec<(Option<WireTag>, u64, u64, u64, u64)> {
-            r.sessions
-                .iter()
-                .map(|s| (s.kind, s.emails, s.bytes_sent, s.bytes_received, s.messages))
-                .collect()
-        };
         assert_eq!(
-            rows(&inline_report),
-            rows(&bank_report),
+            meter_rows(&inline_report),
+            meter_rows(&bank_report),
             "wire accounting is independent of artifact provenance"
         );
 
-        // The inline run never started a bank; the bank run surfaces its
-        // reservoirs in the shutdown report.
+        // The inline run never started a bank; the bank run's reservoir was
+        // filled to 8, drawn twice (never below the low mark of 2), and
+        // retired with the session.
         assert!(inline_report.reservoirs.is_empty());
-        assert!(bank_report
-            .reservoirs
-            .iter()
-            .any(|r| r.kind == KIND_GARBLINGS && r.produced > 0));
-        assert!(
-            bank_report.reservoir_depth(KIND_GARBLINGS) > 0,
-            "prefilled garblings outnumber the two rounds drawn"
-        );
-
-        // The spam session's garblings were prefetched before it started:
-        // every round drew from the bank, none fell back inline.
-        let spam = bank_report
-            .sessions
-            .iter()
-            .find(|s| s.kind == Some(SpamFunction::WIRE_TAG))
-            .unwrap();
-        assert_eq!(
-            spam.fallback_draws, 0,
-            "a full reservoir means zero inline garblings"
-        );
-        assert!(spam.pools.iter().any(|(kind, _)| *kind == KIND_GARBLINGS));
-        assert!(
-            spam.reservoir_depth(KIND_GARBLINGS) > 0,
-            "the session's gauge shows the stock left in its reservoir"
-        );
-        assert_eq!(spam.pool_depth, spam.reservoir_depth(KIND_GARBLINGS));
         assert!(inline_report.sessions.iter().all(|s| s.pools.is_empty()));
+        let [row] = bank_report.reservoirs[..] else {
+            panic!("one reservoir: {:?}", bank_report.reservoirs);
+        };
+        assert_eq!(
+            (
+                row.kind,
+                row.produced,
+                row.drawn,
+                row.depth,
+                row.fallback_draws
+            ),
+            (KIND_ZERO_ENCRYPTIONS, 8, 2, 6, 0)
+        );
+        assert_eq!(bank_report.reservoir_depth(KIND_ZERO_ENCRYPTIONS), 6);
+
+        let search = &bank_report.sessions[0];
+        assert_eq!(search.fallback_draws, 0, "a full reservoir: no inline work");
+        assert!(search
+            .pools
+            .iter()
+            .any(|(kind, _)| *kind == KIND_ZERO_ENCRYPTIONS));
+        assert_eq!(search.reservoir_depth(KIND_ZERO_ENCRYPTIONS), 6);
+        assert_eq!(search.pool_depth, 6);
     }
 
     #[test]

@@ -111,8 +111,8 @@ impl Meter {
 
     /// Updates one artifact kind's pool gauge (a last-write-wins snapshot,
     /// unlike the monotonic traffic counters; keyed by the kind names
-    /// precompute reservoirs report — `"garblings"`,
-    /// `"zero_encryptions"`, …).
+    /// precompute reservoirs report — the built-in modules bank only
+    /// search's `"zero_encryptions"`).
     pub fn set_pool_gauge(&self, kind: &'static str, depth: u64, fallback_draws: u64) {
         self.inner.lock().pool_kinds.insert(
             kind,

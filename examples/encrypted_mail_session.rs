@@ -12,7 +12,6 @@ use std::net::TcpListener;
 
 use pretzel_classifiers::nb::GrNbTrainer;
 use pretzel_classifiers::Trainer;
-use pretzel_core::bank::empty_source;
 use pretzel_core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel_core::PretzelConfig;
 use pretzel_datasets::{ling_spam_like, Corpus};
@@ -78,8 +77,6 @@ fn main() {
             &model,
             &provider_cfg,
             AheVariant::Pretzel,
-            // No precompute bank here: every offline artifact is made inline.
-            &empty_source(),
             &mut rng,
         )
         .expect("provider setup");

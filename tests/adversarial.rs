@@ -173,14 +173,8 @@ fn spam_provider_errors_on_a_garbage_per_email_message() {
     let (provider_res, client_res) = run_two_party(
         move |chan| {
             let mut rng = test_rng(7);
-            let mut provider = SpamProvider::setup(
-                chan,
-                &model,
-                &config,
-                AheVariant::Pretzel,
-                &empty_source(),
-                &mut rng,
-            )?;
+            let mut provider =
+                SpamProvider::setup(chan, &model, &config, AheVariant::Pretzel, &mut rng)?;
             // The "per-email" message the client sends below is garbage.
             provider.process_email(chan, &mut rng)
         },
@@ -254,14 +248,8 @@ fn spam_provider_rejects_a_blinded_ciphertext_with_a_non_canonical_coefficient()
     let (provider_res, ()) = run_two_party(
         move |chan| {
             let mut rng = test_rng(82);
-            let mut provider = SpamProvider::setup(
-                chan,
-                &model,
-                &config,
-                AheVariant::Pretzel,
-                &empty_source(),
-                &mut rng,
-            )?;
+            let mut provider =
+                SpamProvider::setup(chan, &model, &config, AheVariant::Pretzel, &mut rng)?;
             provider.process_email(chan, &mut rng)
         },
         move |chan| {
@@ -320,7 +308,6 @@ fn spam_client_rejects_a_decode_bit_that_is_not_a_bit() {
                     &model,
                     &config,
                     AheVariant::Pretzel,
-                    &empty_source(),
                     &mut rng,
                 )?;
                 provider.process_email(&mut hostile, &mut rng)

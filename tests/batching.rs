@@ -145,13 +145,14 @@ fn run_fleet(provision: Provision, submit: Submit) -> FleetRecord {
         }
         Provision::BankRunsDry => assert!(
             report.fallback_draws_total() > 0,
-            "one artifact per reservoir cannot cover three rounds"
+            "one artifact per reservoir cannot cover two queries"
         ),
         Provision::Prefilled => {
             assert_eq!(report.fallback_draws_total(), 0, "stocked past demand");
             let drawn: u64 = report.reservoirs.iter().map(|r| r.drawn).sum();
-            // 3 spam + 3 virus garblings, 2 search-query zero encryptions.
-            assert_eq!(drawn, 8, "every provider-side draw was served");
+            // The two search queries' zero encryptions; spam and virus
+            // garble inline.
+            assert_eq!(drawn, 2, "every provider-side draw was served");
         }
     }
     FleetRecord::new(verdicts, &report)

@@ -9,7 +9,6 @@
 
 use pretzel::classifiers::nb::GrNbTrainer;
 use pretzel::classifiers::{LabeledExample, NGramExtractor, SparseVector, Trainer};
-use pretzel::core::bank::{KIND_GARBLINGS, KIND_ZERO_ENCRYPTIONS};
 use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, ProviderModelSuite, WireTag};
 use pretzel::datasets::ling_spam_like;
@@ -161,9 +160,9 @@ pub enum Provision {
     /// No bank: both sides make every artifact inline.
     NoBank,
     /// A bank holding one artifact per reservoir that no draw ever refills
-    /// (its low watermark rounds to zero; only a new registration re-arms
-    /// production), so every session runs it dry after one draw; clients
-    /// stock one round.
+    /// (a quarter of a target of 1 rounds to zero; only a new registration
+    /// re-arms production), so every session runs it dry after one draw;
+    /// clients stock one round.
     BankRunsDry,
     /// A bank, and client stocks, provisioned past the whole run's demand.
     Prefilled,
@@ -193,8 +192,7 @@ impl Provision {
             BankConfig::default()
                 .rng_seed(0xF1EE7)
                 .producer_threads(1)
-                .target(KIND_GARBLINGS, target)
-                .target(KIND_ZERO_ENCRYPTIONS, target),
+                .target(target),
         )
     }
 
@@ -208,12 +206,11 @@ impl Provision {
     }
 }
 
-/// Call after starting the mailroom and after each connect: returns once
-/// the bank (if any) has filled every registered reservoir — the fleet's,
-/// then the new session's own — to its target at least once. From then on a
-/// run's draw/fallback split is fixed by the targets, not by producer
-/// timing, and no first fill is in flight when a session's reservoir is
-/// retired.
+/// Call after each connect: returns once the bank (if any) has filled every
+/// registered reservoir — the new session's own — to its target at least
+/// once. From then on a run's draw/fallback split is fixed by the targets,
+/// not by producer timing, and no first fill is in flight when a session's
+/// reservoir is retired.
 pub fn settle_bank(mailroom: &Mailroom) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     while !mailroom

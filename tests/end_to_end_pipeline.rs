@@ -7,7 +7,6 @@
 
 use pretzel::classifiers::nb::{GrNbTrainer, MultinomialNbTrainer};
 use pretzel::classifiers::{QuantizedModel, Tokenizer, Trainer, Vocabulary};
-use pretzel::core::bank::empty_source;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::{CandidateMode, TopicClient, TopicProvider};
 use pretzel::core::{NoPrivProvider, PretzelConfig, ReplayGuard};
@@ -75,7 +74,6 @@ fn encrypted_mail_is_filtered_without_plaintext_disclosure() {
             &provider_model,
             &provider_cfg,
             AheVariant::Pretzel,
-            &empty_source(),
             &mut rng,
         )
         .unwrap();

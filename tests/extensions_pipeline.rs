@@ -4,7 +4,6 @@
 //! (provider never sees keywords), alongside the paper's client-side index.
 
 use pretzel::classifiers::NGramExtractor;
-use pretzel::core::bank::empty_source;
 use pretzel::core::spam::AheVariant;
 use pretzel::core::virus::{VirusModelBuilder, VirusScanClient, VirusScanProvider};
 use pretzel::core::PretzelConfig;
@@ -62,7 +61,6 @@ fn encrypted_mail_with_attachment_is_scanned_and_searchable_privately() {
             extractor,
             &provider_cfg,
             AheVariant::Pretzel,
-            &empty_source(),
             &mut rng,
         )
         .unwrap();

@@ -1,53 +1,68 @@
-//! Concurrent-drain stress for the fleet precompute bank: 64 sessions hammer
-//! one garbling reservoir whose target (8) is far below total demand, so
-//! draws race the producers' refills the whole run. Fixed seeds must
-//! reproduce the verdict transcript exactly (the bank/fallback split may
-//! differ run to run, the protocol output may not), and the shutdown
-//! accounting must conserve artifacts: everything produced was either handed
-//! out once or is still stocked — nothing lost, nothing issued twice.
+//! Concurrent-drain stress for the fleet precompute bank: 64 search sessions
+//! run at once on 8 workers, each draining its own zero-encryption reservoir
+//! while 2 producers refill all of them. A reservoir's target (4) is below
+//! its session's demand (6 queries), so draws race refills, and sessions
+//! retire their reservoirs while production for the others is in flight.
+//! Fixed seeds must reproduce the verdict transcript exactly (the
+//! bank/fallback split may differ run to run, the protocol output may not),
+//! and every retired reservoir's books must balance: everything produced was
+//! either handed out once or was still stocked when it retired.
 //!
 //! That provisioning never changes verdicts or wire traffic — no bank, a
 //! bank that runs dry mid-run, a prefilled bank — is pinned fleet-wide by
 //! `tests/batching.rs` and `tests/search_pipeline.rs`.
 
-use pretzel::classifiers::SparseVector;
-use pretzel::core::bank::KIND_GARBLINGS;
+use pretzel::core::bank::KIND_ZERO_ENCRYPTIONS;
+use pretzel::core::session::EmailPayload;
 use pretzel::core::PretzelConfig;
 use pretzel::server::{
-    BankConfig, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, MailroomReport,
+    BankConfig, ClientSpec, Mailroom, MailroomClient, MailroomConfig, MailroomReport,
 };
 use pretzel::transport::memory_pair;
 
 mod common;
-use common::{assert_conservation, ling_suite, test_rng};
+use common::{assert_conservation, test_rng, tiny_suite};
 
-/// One pass of the 64-session drain: every session hammers the same
-/// under-provisioned garbling reservoir while the producers refill it.
-/// Returns the index-ordered verdict transcript and the shutdown report.
+const SESSIONS: usize = 64;
+const QUERIES: usize = 6;
+
+/// One session's script: two index rounds, then queries alternating between
+/// indexed and absent keywords.
+fn script(session: u64) -> Vec<EmailPayload> {
+    let mut ops = vec![
+        EmailPayload::SearchIndex {
+            doc_id: session * 10,
+            body: "quarterly budget review".into(),
+        },
+        EmailPayload::SearchIndex {
+            doc_id: session * 10 + 1,
+            body: "budget offsite agenda".into(),
+        },
+    ];
+    let keywords = ["budget", "absent", "offsite"];
+    ops.extend((0..QUERIES).map(|q| EmailPayload::SearchQuery(keywords[q % 3].into())));
+    ops
+}
+
+/// One pass of the 64-session drain. Returns the index-ordered verdict
+/// transcript and the shutdown report.
 fn storm() -> (Vec<String>, MailroomReport) {
-    const SESSIONS: usize = 64;
-    const EMAILS: usize = 2;
-
     let mailroom = Mailroom::start(
-        ling_suite(),
+        tiny_suite(),
         MailroomConfig::builder()
             .workers(8)
             .queue_capacity(SESSIONS)
             .rng_seed(0xD2A1_4BA4)
-            // Target 8 against 128 emails of demand: the reservoir runs dry
-            // and refills continuously, so banked draws, low-watermark
-            // re-arms, and inline fallbacks all interleave under contention.
             .bank(
                 BankConfig::default()
                     .rng_seed(0x5702_4142)
                     .producer_threads(2)
-                    .target(KIND_GARBLINGS, 8),
+                    .target(4),
             )
             .build(),
     );
 
-    let config = PretzelConfig::test();
-    let spam_email = SparseVector::from_pairs(vec![(0, 3), (1, 1), (2, 2), (7, 1)]);
+    let spec = ClientSpec::search(PretzelConfig::test());
     let mut transcripts: Vec<(usize, Vec<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SESSIONS)
             .map(|i| {
@@ -55,17 +70,18 @@ fn storm() -> (Vec<String>, MailroomReport) {
                 mailroom
                     .submit(provider_end)
                     .expect("queue sized for fleet");
-                let spec = ClientSpecBuilder::spam(config.clone()).build();
-                let spam_email = spam_email.clone();
+                let spec = &spec;
                 scope.spawn(move || {
                     let mut rng = test_rng(3000 + i as u64);
                     let mut client =
-                        MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
-                    let mut verdicts = Vec::with_capacity(EMAILS);
-                    for _ in 0..EMAILS {
-                        let is_spam = client.classify_spam(&spam_email, &mut rng).unwrap();
-                        verdicts.push(format!("spam[{i}]:{is_spam}"));
-                    }
+                        MailroomClient::connect(client_end, spec, &mut rng).expect("connect");
+                    let verdicts = script(i as u64)
+                        .iter()
+                        .map(|op| {
+                            let verdict = client.process(op, &mut rng).unwrap();
+                            format!("search[{i}]:{verdict:?}")
+                        })
+                        .collect();
                     client.finish().unwrap();
                     (i, verdicts)
                 })
@@ -77,17 +93,17 @@ fn storm() -> (Vec<String>, MailroomReport) {
 
     let report = mailroom.shutdown();
     assert_eq!(report.completed(), SESSIONS, "no session may be lost");
-    assert_eq!(report.emails_total, (SESSIONS * EMAILS) as u64);
+    assert_eq!(report.emails_total, (SESSIONS * script(0).len()) as u64);
     let verdicts = transcripts.into_iter().flat_map(|(_, v)| v).collect();
     (verdicts, report)
 }
 
-/// The concurrent-drain stress pin: 64 sessions × 2 emails against a
-/// target-8 reservoir, run twice under the same seeds.
+/// The concurrent-drain stress pin: 64 sessions × 6 queries against
+/// target-4 reservoirs, run twice under the same seeds.
 #[test]
-fn sixty_four_sessions_draining_one_reservoir_stay_deterministic() {
+fn sixty_four_search_sessions_draining_their_own_reservoirs_stay_deterministic() {
     let (first, first_report) = storm();
-    let (second, _) = storm();
+    let (second, second_report) = storm();
 
     assert_eq!(
         first, second,
@@ -95,15 +111,24 @@ fn sixty_four_sessions_draining_one_reservoir_stay_deterministic() {
          the bank/fallback split is timing-dependent"
     );
 
-    assert_conservation(&first_report);
-    let garblings_drawn: u64 = first_report
-        .reservoirs
-        .iter()
-        .filter(|r| r.kind == KIND_GARBLINGS)
-        .map(|r| r.drawn)
-        .sum();
-    assert!(
-        garblings_drawn > 0,
-        "the storm must actually exercise banked draws"
-    );
+    for report in [&first_report, &second_report] {
+        assert_eq!(
+            report.reservoirs.len(),
+            SESSIONS,
+            "one reservoir per session"
+        );
+        assert!(report
+            .reservoirs
+            .iter()
+            .all(|r| r.kind == KIND_ZERO_ENCRYPTIONS));
+        assert_conservation(report);
+        let drawn: u64 = report.reservoirs.iter().map(|r| r.drawn).sum();
+        let dry: u64 = report.reservoirs.iter().map(|r| r.fallback_draws).sum();
+        assert_eq!(
+            drawn + dry,
+            (SESSIONS * QUERIES) as u64,
+            "every query drew or fell back"
+        );
+        assert!(drawn > 0, "the storm must actually exercise banked draws");
+    }
 }

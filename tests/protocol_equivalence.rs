@@ -10,7 +10,6 @@ use proptest::prelude::*;
 
 use pretzel::classifiers::svm::BinarySvmTrainer;
 use pretzel::classifiers::{LabeledExample, QuantizedModel, SparseVector, Trainer};
-use pretzel::core::bank::empty_source;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::{NoPrivProvider, PretzelConfig};
 use pretzel::sdp::paillier_pack::{self, PaillierPackParams};
@@ -46,15 +45,8 @@ fn classify_privately(variant: AheVariant, emails: &[SparseVector]) -> Vec<bool>
     let n = emails.len();
     let provider = std::thread::spawn(move || {
         let mut rng = test_rng(1);
-        let mut p = SpamProvider::setup(
-            &mut provider_chan,
-            &model,
-            &config,
-            variant,
-            &empty_source(),
-            &mut rng,
-        )
-        .unwrap();
+        let mut p =
+            SpamProvider::setup(&mut provider_chan, &model, &config, variant, &mut rng).unwrap();
         for _ in 0..n {
             p.process_email(&mut provider_chan, &mut rng).unwrap();
         }
