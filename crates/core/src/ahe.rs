@@ -29,7 +29,6 @@ use pretzel_sdp::rlwe_pack::{self, Packing};
 use pretzel_sdp::ModelMatrix;
 use pretzel_transport::Channel;
 
-use crate::bank::Stock;
 use crate::config::PretzelConfig;
 use crate::setup::{joint_randomness_initiator, joint_randomness_responder};
 use crate::{parse_u64, u64_bytes, PretzelError, Result};
@@ -41,20 +40,6 @@ pub enum AheVariant {
     Pretzel,
     /// Paillier with GLLM's legacy packing — the §3.3 Baseline.
     Baseline,
-    /// XPIR-BV with legacy per-row packing — the "Pretzel-NoOptimPack"
-    /// ablation of Figure 8.
-    PretzelNoOptimPack,
-}
-
-impl AheVariant {
-    /// The RLWE packing of the two XPIR-BV variants.
-    fn packing(self) -> Packing {
-        if self == AheVariant::Pretzel {
-            Packing::AcrossRow
-        } else {
-            Packing::LegacyPerRow
-        }
-    }
 }
 
 /// Builds the quantized model matrix (weights plus bias row) the secure
@@ -119,10 +104,10 @@ impl AheProvider {
         channel.send(&u64_bytes(matrix.cols() as u64))?;
 
         let (crypto, width, pk_bytes, count, blob) = match variant {
-            AheVariant::Pretzel | AheVariant::PretzelNoOptimPack => {
+            AheVariant::Pretzel => {
                 let params = config.rlwe_params();
                 let (sk, pk) = pretzel_rlwe::keygen(&params, Some(&seed), rng);
-                let enc = rlwe_pack::encrypt_model(&pk, &matrix, variant.packing(), rng)?;
+                let enc = rlwe_pack::encrypt_model(&pk, &matrix, Packing::AcrossRow, rng)?;
                 let mut blob = Vec::with_capacity(enc.size_bytes(&pk));
                 for ct in enc.ciphertexts() {
                     blob.extend_from_slice(&ct.to_bytes());
@@ -236,9 +221,6 @@ enum ClientCrypto {
     Baseline {
         pk: pretzel_paillier::PublicKey,
         model: paillier_pack::PaillierEncryptedModel,
-        /// Randomizers `rⁿ mod n²` computed in the offline phase; the RLWE
-        /// path has no per-round public-key exponentiation to stock.
-        randomizers: Stock<pretzel_paillier::Randomizer>,
     },
 }
 
@@ -298,11 +280,11 @@ impl AheClient {
         };
 
         let (crypto, width) = match variant {
-            AheVariant::Pretzel | AheVariant::PretzelNoOptimPack => {
+            AheVariant::Pretzel => {
                 let params = config.rlwe_params();
                 let pk =
                     pretzel_rlwe::PublicKey::from_bytes(&params, &pk_bytes).map_err(ahe_error)?;
-                let packing = variant.packing();
+                let packing = Packing::AcrossRow;
                 let expected =
                     rlwe_pack::model_ciphertext_count(rows, cols, params.slots(), packing);
                 let cts = chunks(expected, params.ciphertext_bytes())?
@@ -335,11 +317,7 @@ impl AheClient {
                     slots_per_ct,
                 );
                 (
-                    ClientCrypto::Baseline {
-                        pk,
-                        model,
-                        randomizers: Stock::default(),
-                    },
+                    ClientCrypto::Baseline { pk, model },
                     config.paillier_slot_bits as usize,
                 )
             }
@@ -359,23 +337,7 @@ impl AheClient {
     pub(crate) fn model_storage_bytes(&self) -> usize {
         match &self.crypto {
             ClientCrypto::Pretzel { pk, model } => model.size_bytes(pk),
-            ClientCrypto::Baseline { pk, model, .. } => model.size_bytes(pk),
-        }
-    }
-
-    /// Offline phase: computes the Paillier randomizers `rounds` future
-    /// emails will consume (Baseline variant; nothing to do, and 0 returned,
-    /// for the RLWE variants). Returns the number of randomizers computed.
-    pub(crate) fn precompute<R: Rng + ?Sized>(&mut self, rounds: usize, rng: &mut R) -> usize {
-        match &mut self.crypto {
-            ClientCrypto::Baseline {
-                pk,
-                model,
-                randomizers,
-            } => randomizers.refill(rounds.saturating_mul(model.result_ciphertexts()), || {
-                pk.sample_randomizer(rng)
-            }),
-            ClientCrypto::Pretzel { .. } => 0,
+            ClientCrypto::Baseline { pk, model } => model.size_bytes(pk),
         }
     }
 
@@ -395,19 +357,19 @@ impl AheClient {
     /// `features` with every model column and blinds them, without touching
     /// the channel. Returns the blob to send and the blinding noise, reduced
     /// to the circuit width, in the order the provider will read the values
-    /// back: one entry per column — or, with `candidates` on an RLWE variant,
+    /// back: one entry per column — or, with `candidates` on the RLWE variant,
     /// one entry per candidate, each candidate's dot product moved into slot
     /// 0 of a ciphertext of its own (Figure 5, step 3). The Baseline has no
     /// such extraction and always sends every column.
     pub(crate) fn blinded_round<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         features: &SparseVector,
         candidates: Option<&[usize]>,
         rng: &mut R,
     ) -> Result<(Vec<u8>, Vec<u64>)> {
         let sparse = self.protocol_features(features);
         let cols = self.cols;
-        let (blob, mut noises) = match &mut self.crypto {
+        let (blob, mut noises) = match &self.crypto {
             ClientCrypto::Pretzel { pk, model } => {
                 let accs = rlwe_pack::client_dot_product(pk, model, &sparse)?;
                 match candidates {
@@ -427,16 +389,8 @@ impl AheClient {
                     }
                 }
             }
-            ClientCrypto::Baseline {
-                pk,
-                model,
-                randomizers,
-            } => {
-                let accs = paillier_pack::client_dot_product_with(pk, model, &sparse, || {
-                    randomizers
-                        .draw()
-                        .unwrap_or_else(|| pk.sample_randomizer(rng))
-                })?;
+            ClientCrypto::Baseline { pk, model } => {
+                let accs = paillier_pack::client_dot_product(pk, model, &sparse, rng)?;
                 let slots = model.slots_per_ct();
                 blind_each(&accs, slots, cols, |acc| {
                     let (blinded, noise) = paillier_pack::blind(pk, model, acc, slots, rng);

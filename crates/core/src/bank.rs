@@ -33,9 +33,8 @@
 //!
 //! Consumption goes through the object-safe [`PrecomputeSource`] trait so
 //! modules can be handed any source — the fleet bank, the empty source, or a
-//! test double. A client has one session and no producer threads, so its
-//! explicit offline phase stocks a session-local [`Stock`] instead: a bank
-//! with zero producers.
+//! test double. The bank is the only offline mechanism in the tree: clients
+//! keep no stock, and every other artifact is made inline in its round.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -238,38 +237,6 @@ impl Lease {
 impl Drop for Lease {
     fn drop(&mut self) {
         self.source.release(&self.id);
-    }
-}
-
-/// A session-local FIFO of precomputed artifacts — a bank with zero
-/// producers. The owner fills it in an explicit offline phase
-/// ([`Stock::refill`]) and drains it online ([`Stock::draw`]), making the
-/// artifact inline when the stock is dry — so depth moves latency, never
-/// results.
-pub struct Stock<T> {
-    ready: VecDeque<T>,
-}
-
-impl<T> Default for Stock<T> {
-    fn default() -> Self {
-        Stock {
-            ready: VecDeque::new(),
-        }
-    }
-}
-
-impl<T> Stock<T> {
-    /// Offline phase: tops the stock up to `target` artifacts, returning how
-    /// many `make` produced.
-    pub fn refill(&mut self, target: usize, mut make: impl FnMut() -> T) -> usize {
-        let added = target.saturating_sub(self.ready.len());
-        self.ready.extend((0..added).map(|_| make()));
-        added
-    }
-
-    /// Online phase: the oldest stocked artifact, `None` when dry.
-    pub fn draw(&mut self) -> Option<T> {
-        self.ready.pop_front()
     }
 }
 

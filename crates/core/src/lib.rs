@@ -41,10 +41,10 @@
 //!   a coalesced batch of rounds, a single email being the batch of one.
 //! * [`bank`] — precompute, once: the fleet-wide bank (artifact reservoirs —
 //!   today each search session's zero encryptions — kept full by background
-//!   producer threads), the object-safe [`bank::PrecomputeSource`] trait
+//!   producer threads) and the object-safe [`bank::PrecomputeSource`] trait
 //!   every provider session is handed (counted inline fallbacks, an empty
-//!   source when no bank runs), and the session-local stock of a client's
-//!   explicit offline phase.
+//!   source when no bank runs). Clients have no offline phase: every other
+//!   artifact is made inline in its round.
 
 #![warn(missing_docs)]
 

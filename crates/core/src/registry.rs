@@ -20,10 +20,9 @@
 //! per endpoint — `process_batch` runs N rounds as one exchange, and a single
 //! email is the batch of one (the built-in modules coalesce a batch's frames,
 //! see `docs/ARCHITECTURE.md`; a module with nothing to coalesce loops). A
-//! provider endpoint takes its offline artifacts from the
-//! [`PrecomputeSource`] its setup was handed; a client endpoint, which has
-//! one session and no producer threads, keeps the paper's explicit offline
-//! phase (`precompute`).
+//! provider endpoint takes any banked artifacts from the
+//! [`PrecomputeSource`] its setup was handed; a client endpoint has no
+//! offline phase and makes everything its rounds need inline.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -107,14 +106,6 @@ pub trait ClientModule: Send {
     /// Client-side storage consumed by the session state, in bytes (the
     /// encrypted model for classification modules, key material for search).
     fn model_storage_bytes(&self) -> usize;
-
-    /// Offline phase: tops the client-side stock up to `budget` future
-    /// rounds, returning the number of work units produced. The default — no
-    /// client-side offline work — produces nothing.
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        let _ = (budget, rng);
-        0
-    }
 
     /// Runs one round per payload as one exchange against a provider
     /// executing [`ProviderModule::process_batch`] with the same count (one

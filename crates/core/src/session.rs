@@ -15,18 +15,18 @@
 //! The lifecycle both wrappers model is the one §3.3/§4 prescribe: one
 //! **setup** phase per (client, provider) pair — joint randomness, encrypted
 //! model transfer, base OTs — whose state is then **reused** across an
-//! arbitrary number of cheap per-email rounds. Where it pays, the
-//! input-independent half of a round is **offline** work: a search provider
-//! session draws its zero encryptions ready-made from the
-//! [`PrecomputeSource`] its setup was handed (a fleet bank's background
-//! producers, or nothing — [`crate::bank::empty_source`]), and a client
-//! session fills a local stock in an explicit `precompute(budget)` phase.
-//! Either way a dry draw computes inline. The online phase is one body:
-//! `process_batch` serves N emails in one coalesced exchange (far fewer
-//! frames than N exchanges — see `pretzel_transport::batch`), and
-//! `process_round` is the batch of one. Stock depth and batching only move
-//! work off the latency path — verdicts are identical either way, which
-//! `tests/batching.rs` and `tests/precompute_bank.rs` pin.
+//! arbitrary number of cheap per-email rounds. One kind of per-round work
+//! is made **offline**: a search provider session draws its zero
+//! encryptions ready-made from the [`PrecomputeSource`] its setup was
+//! handed (a fleet bank's background producers, or nothing —
+//! [`crate::bank::empty_source`]), and a dry draw computes inline. Every
+//! other round makes its own artifacts — garblings, Paillier randomizers —
+//! inline, on both sides. The online phase is one body: `process_batch`
+//! serves N emails in one coalesced exchange (far fewer frames than N
+//! exchanges — see `pretzel_transport::batch`), and `process_round` is the
+//! batch of one. Bank depth and batching only move work off the latency
+//! path — verdicts are identical either way, which `tests/batching.rs` and
+//! `tests/precompute_bank.rs` pin.
 
 use std::sync::Arc;
 
@@ -48,16 +48,15 @@ pub fn variant_byte(variant: AheVariant) -> u8 {
     match variant {
         AheVariant::Pretzel => 1,
         AheVariant::Baseline => 2,
-        AheVariant::PretzelNoOptimPack => 3,
     }
 }
 
-/// Decodes an [`AheVariant`] handshake byte.
+/// Decodes an [`AheVariant`] handshake byte. Byte 3 (the retired
+/// per-row-packing ablation) is reserved and refused like any unknown byte.
 pub fn variant_from_byte(b: u8) -> Result<AheVariant> {
     match b {
         1 => Ok(AheVariant::Pretzel),
         2 => Ok(AheVariant::Baseline),
-        3 => Ok(AheVariant::PretzelNoOptimPack),
         other => Err(crate::PretzelError::Protocol(format!(
             "unknown AHE variant byte {other}"
         ))),
@@ -282,15 +281,6 @@ impl ClientSession {
     /// keyword counters and RLWE secret key for search sessions.
     pub fn model_storage_bytes(&self) -> usize {
         self.module.model_storage_bytes()
-    }
-
-    /// Offline phase: tops this session's local stock up to `budget` future
-    /// rounds, returning the number of work units produced. Topic clients
-    /// pre-garble argmax circuits; Baseline-variant sessions additionally
-    /// pre-exponentiate Paillier randomizers. Modules without client-side
-    /// offline work return 0.
-    pub fn precompute<R: Rng>(&mut self, budget: usize, rng: &mut R) -> usize {
-        self.module.precompute(budget, as_dyn_rng(rng))
     }
 
     /// Runs one per-email round — a batch of one — with `payload`.
@@ -549,7 +539,6 @@ mod tests {
                 )?;
                 assert_eq!(session.wire_tag(), SearchFunction::WIRE_TAG);
                 assert!(session.model_storage_bytes() > 0);
-                assert_eq!(session.precompute(4, &mut rng), 0);
                 let payloads = [
                     EmailPayload::SearchIndex {
                         doc_id: 7,
@@ -636,13 +625,12 @@ mod tests {
 
     #[test]
     fn variant_bytes_roundtrip() {
-        for variant in [
-            AheVariant::Pretzel,
-            AheVariant::Baseline,
-            AheVariant::PretzelNoOptimPack,
-        ] {
+        for variant in [AheVariant::Pretzel, AheVariant::Baseline] {
             assert_eq!(variant_from_byte(variant_byte(variant)).unwrap(), variant);
         }
-        assert!(variant_from_byte(0).is_err());
+        // 0 was never assigned; 3 is retired and reserved.
+        for retired in [0, 3] {
+            assert!(variant_from_byte(retired).is_err(), "byte {retired}");
+        }
     }
 }

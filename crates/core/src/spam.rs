@@ -24,20 +24,17 @@
 //! transfer, the dot product, blinding and decryption — is the shared
 //! [`crate::ahe`] endpoint; this module adds what is spam's own: the
 //! comparison circuit, the provider as garbler, and the one-bit output to
-//! the client. The provider garbles each round's comparison circuit inline
-//! with the session RNG (a spam circuit garbles in tens of microseconds); a
-//! Baseline client can stock Paillier randomizers in an explicit offline
-//! phase, which never changes a verdict — only latency.
+//! the client. The provider's `YaoGarbler::run_batch` garbles each round's
+//! comparison circuit inline with the session RNG (a spam circuit garbles in
+//! tens of microseconds), and a Baseline client samples its Paillier
+//! randomizers inline in the dot product.
 
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, SparseVector};
-use pretzel_gc::{
-    spam_compare_circuit, to_bits, Circuit, OutputMode, PrecomputedGarbling, YaoEvaluator,
-    YaoGarbler,
-};
+use pretzel_gc::{spam_compare_circuit, to_bits, Circuit, OutputMode, YaoEvaluator, YaoGarbler};
 use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 pub use crate::ahe::AheVariant;
@@ -119,13 +116,6 @@ impl SpamClient {
         Ok(SpamClient { ahe, yao, circuit })
     }
 
-    /// Offline phase: precomputes the Paillier randomizers `target` future
-    /// rounds will consume (Baseline variant; a no-op returning 0 for the
-    /// Pretzel variant). Returns the number of randomizers computed.
-    pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        self.ahe.precompute(target, rng)
-    }
-
     /// Client-side storage consumed by the encrypted model in bytes — the
     /// quantity Figure 8 reports.
     pub fn model_storage_bytes(&self) -> usize {
@@ -135,7 +125,7 @@ impl SpamClient {
     /// Computes one email's blinded dot-product ciphertext and the matching
     /// evaluator input bits, without touching the channel.
     fn blinded_round<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         features: &SparseVector,
         rng: &mut R,
     ) -> Result<(Vec<u8>, Vec<bool>)> {
@@ -238,15 +228,12 @@ impl ProviderModule for SpamProvider {
             .iter()
             .map(|blob| self.garbler_bits_for(blob))
             .collect::<Result<Vec<_>>>()?;
-        let pres: Vec<_> = (0..count)
-            .map(|_| PrecomputedGarbling::garble(&self.circuit, rng))
-            .collect();
         self.yao.run_batch(
             &mut channel,
             &self.circuit,
-            pres,
             &inputs,
             OutputMode::EvaluatorOnly,
+            rng,
         )?;
         Ok(vec![None; count])
     }
@@ -263,10 +250,6 @@ impl ClientModule for SpamClient {
 
     fn model_storage_bytes(&self) -> usize {
         SpamClient::model_storage_bytes(self)
-    }
-
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        SpamClient::precompute(self, budget, rng)
     }
 
     /// Classifies every email in one exchange: all blinded dot products
@@ -329,63 +312,6 @@ mod tests {
         GrNbTrainer::default().train(&corpus, 8, 2)
     }
 
-    /// Two sequential rounds with the client's offline phase sized
-    /// `client_budget`. The verdicts must not depend on it.
-    fn run_spam_exchange_stocked(variant: AheVariant, client_budget: usize) {
-        let model = train_model();
-        let config = PretzelConfig::test();
-        let config_client = config.clone();
-        let spam_email = SparseVector::from_pairs(vec![(0, 3), (1, 1), (2, 1)]);
-        let ham_email = SparseVector::from_pairs(vec![(4, 2), (5, 2), (6, 1)]);
-
-        let (provider_res, client_res) = run_two_party(
-            move |chan| -> Result<()> {
-                let mut rng = rand::thread_rng();
-                let mut provider = SpamProvider::setup(chan, &model, &config, variant, &mut rng)?;
-                provider.process_email(chan, &mut rng)?;
-                provider.process_email(chan, &mut rng)
-            },
-            move |chan| -> Result<(bool, bool)> {
-                let mut rng = rand::thread_rng();
-                let mut client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
-                // Only the Baseline has client-side offline work: one
-                // randomizer per round.
-                let stocked = if variant == AheVariant::Baseline {
-                    client_budget
-                } else {
-                    0
-                };
-                assert_eq!(client.precompute(client_budget, &mut rng), stocked);
-                let spam_result = client.classify(chan, &spam_email, &mut rng)?;
-                let ham_result = client.classify(chan, &ham_email, &mut rng)?;
-                assert_eq!(
-                    client.precompute(client_budget, &mut rng),
-                    stocked.min(2),
-                    "topping up replaces exactly what the two rounds drew"
-                );
-                Ok((spam_result, ham_result))
-            },
-        );
-        provider_res.unwrap();
-        let (spam_result, ham_result) = client_res.unwrap();
-        assert!(
-            spam_result,
-            "{variant:?} budget {client_budget}: spam must flag"
-        );
-        assert!(
-            !ham_result,
-            "{variant:?} budget {client_budget}: ham must pass"
-        );
-    }
-
-    #[test]
-    fn client_stock_does_not_change_verdicts() {
-        for client_budget in [0, 1, 8] {
-            run_spam_exchange_stocked(AheVariant::Baseline, client_budget);
-            run_spam_exchange_stocked(AheVariant::Pretzel, client_budget);
-        }
-    }
-
     fn run_spam_exchange(variant: AheVariant) {
         let model = train_model();
         let model_for_provider = model.clone();
@@ -431,8 +357,7 @@ mod tests {
     }
 
     /// One batch of three must classify each email as the single rounds of
-    /// `run_spam_exchange` do, with the client's stock only partially
-    /// covering the batch (the shortfall is computed inline).
+    /// `run_spam_exchange` do.
     fn run_spam_batch(variant: AheVariant) {
         let model = train_model();
         let config = PretzelConfig::test();
@@ -453,7 +378,6 @@ mod tests {
             move |chan| -> Result<Vec<Verdict>> {
                 let mut rng = rand::thread_rng();
                 let mut client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
-                client.precompute(2, &mut rng);
                 ClientModule::process_batch(&mut client, chan, &emails, &mut rng)
             },
         );
@@ -483,7 +407,7 @@ mod tests {
                 },
                 move |chan| -> Result<()> {
                     let mut rng = rand::thread_rng();
-                    let mut client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
+                    let client = SpamClient::setup(chan, &config_client, variant, &mut rng)?;
                     let email = SparseVector::from_pairs(vec![(0, 3), (1, 1)]);
                     let (blob, _) = client.blinded_round(&email, &mut rng)?;
                     chan.send(&[blob.clone(), blob].concat())?;
@@ -513,10 +437,5 @@ mod tests {
     #[test]
     fn baseline_spam_end_to_end() {
         run_spam_exchange(AheVariant::Baseline);
-    }
-
-    #[test]
-    fn no_optim_pack_spam_end_to_end_and_larger_model() {
-        run_spam_exchange(AheVariant::PretzelNoOptimPack);
     }
 }

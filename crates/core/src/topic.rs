@@ -21,13 +21,12 @@ use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, SparseVector};
 use pretzel_gc::{
-    from_bits, to_bits, topic_argmax_circuit, Circuit, OutputMode, PrecomputedGarbling,
-    YaoEvaluator, YaoGarbler,
+    from_bits, to_bits, topic_argmax_circuit, Circuit, OutputMode, YaoEvaluator, YaoGarbler,
 };
 use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 use crate::ahe::{AheClient, AheProvider};
-use crate::bank::{PrecomputeSource, Stock};
+use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -73,9 +72,6 @@ pub struct TopicClient {
     candidates: usize,
     /// Public, non-proprietary candidate model (required for decomposition).
     candidate_model: Option<LinearModel>,
-    /// Argmax circuits garbled in the offline phase (the client garbles in
-    /// this module — roles are mirrored vs. spam).
-    ready: Stock<PrecomputedGarbling>,
 }
 
 impl TopicProvider {
@@ -166,19 +162,7 @@ impl TopicClient {
             mode,
             candidates,
             candidate_model,
-            ready: Stock::default(),
         })
-    }
-
-    /// Offline phase, client side: pre-garbles argmax circuits (the client
-    /// is the garbler here) and, for the Baseline variant, precomputes the
-    /// Paillier randomizers `target` future rounds will consume. Returns the
-    /// number of work units (circuits + randomizers) produced.
-    pub fn precompute<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> usize {
-        let garbled = self
-            .ready
-            .refill(target, || PrecomputedGarbling::garble(&self.circuit, rng));
-        garbled + self.ahe.precompute(target, rng)
     }
 
     /// Client-side storage consumed by the encrypted model (Figure 12).
@@ -193,14 +177,6 @@ impl TopicClient {
             (CandidateMode::Decomposed(_), Some(model)) => model.top_k(features, self.candidates),
             _ => (0..self.ahe.cols).collect(),
         }
-    }
-
-    /// One round's garbled argmax circuit: stocked by the offline phase, or
-    /// garbled inline when the stock is dry.
-    fn draw_garbling<R: Rng + ?Sized>(&mut self, rng: &mut R) -> PrecomputedGarbling {
-        self.ready
-            .draw()
-            .unwrap_or_else(|| PrecomputedGarbling::garble(&self.circuit, rng))
     }
 
     /// Per-email phase, client side — a batch of one: runs the secure topic
@@ -227,7 +203,7 @@ impl TopicClient {
     /// channel.
     #[allow(clippy::type_complexity)]
     fn blinded_round<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         features: &SparseVector,
         rng: &mut R,
     ) -> Result<(Vec<u8>, Vec<usize>, Vec<bool>)> {
@@ -387,14 +363,11 @@ impl ClientModule for TopicClient {
         TopicClient::model_storage_bytes(self)
     }
 
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        TopicClient::precompute(self, budget, rng)
-    }
-
     /// Runs one extraction round per email as one exchange: every blinded
-    /// accumulator travels in one frame and the argmax circuits run as one
-    /// Yao exchange. Each verdict is that email's submitted candidate set.
-    /// An empty batch exchanges no traffic.
+    /// accumulator travels in one frame and the argmax circuits — the client
+    /// garbles here, roles mirrored vs. spam — run as one Yao exchange. Each
+    /// verdict is that email's submitted candidate set. An empty batch
+    /// exchanges no traffic.
     fn process_batch(
         &mut self,
         mut channel: &mut dyn Channel,
@@ -415,13 +388,12 @@ impl ClientModule for TopicClient {
             inputs.push(garbler_bits);
         }
         send_rounds(channel, &blobs)?;
-        let pres = (0..inputs.len()).map(|_| self.draw_garbling(rng)).collect();
         self.yao.run_batch(
             &mut channel,
             &self.circuit,
-            pres,
             &inputs,
             OutputMode::EvaluatorOnly,
+            rng,
         )?;
         Ok(verdicts)
     }
@@ -520,61 +492,6 @@ mod tests {
         run_topic_exchange(AheVariant::Pretzel, CandidateMode::Decomposed(3));
     }
 
-    /// The offline circuit stock lives client-side in this module; warming it
-    /// must not change the topic the provider learns.
-    #[test]
-    fn precomputed_topic_extraction_matches_inline() {
-        let corpus = topic_corpus();
-        let model = MultinomialNbTrainer::default().train(&corpus, 24, 6);
-        let provider_model = model.clone();
-        let config = PretzelConfig::test();
-        let config_client = config.clone();
-        let email = SparseVector::from_pairs(vec![(8, 3), (9, 2), (10, 1)]);
-
-        let (provider_res, client_res) = run_two_party(
-            move |chan| -> Result<Vec<usize>> {
-                let mut rng = rand::thread_rng();
-                let mut provider = TopicProvider::setup(
-                    chan,
-                    &provider_model,
-                    &config,
-                    AheVariant::Baseline,
-                    CandidateMode::Full,
-                    &mut rng,
-                )?;
-                let t1 = provider.process_email(chan, &mut rng)?;
-                let t2 = provider.process_email(chan, &mut rng)?;
-                Ok(vec![t1, t2])
-            },
-            move |chan| -> Result<()> {
-                let mut rng = rand::thread_rng();
-                let mut client = TopicClient::setup(
-                    chan,
-                    &config_client,
-                    AheVariant::Baseline,
-                    CandidateMode::Full,
-                    None,
-                    &mut rng,
-                )?;
-                // Stock one round's worth: round 1 draws it, round 2 finds
-                // the stock dry and computes inline.
-                let one_round = client.precompute(1, &mut rng);
-                assert!(one_round > 0);
-                assert_eq!(client.precompute(1, &mut rng), 0, "already stocked");
-                client.extract(chan, &email, &mut rng)?;
-                client.extract(chan, &email, &mut rng)?;
-                assert_eq!(
-                    client.precompute(1, &mut rng),
-                    one_round,
-                    "the rounds drained the stock"
-                );
-                Ok(())
-            },
-        );
-        client_res.unwrap();
-        assert_eq!(provider_res.unwrap(), vec![2, 2]);
-    }
-
     #[test]
     fn pretzel_full_topic_extraction() {
         run_topic_exchange(AheVariant::Pretzel, CandidateMode::Full);
@@ -586,8 +503,7 @@ mod tests {
     }
 
     /// A batch of three must hand the provider the topic indices the single
-    /// rounds of `run_topic_exchange` do, with the client's circuit stock
-    /// only partially covering the batch.
+    /// rounds of `run_topic_exchange` do.
     #[test]
     fn batched_extraction_matches_sequential_topics() {
         let corpus = topic_corpus();
@@ -625,14 +541,7 @@ mod tests {
                     None,
                     &mut rng,
                 )?;
-                assert_eq!(client.precompute(1, &mut rng), 1, "one garbling");
-                let out = ClientModule::process_batch(&mut client, chan, &emails, &mut rng)?;
-                assert_eq!(
-                    client.precompute(1, &mut rng),
-                    1,
-                    "the batch drained the stock"
-                );
-                Ok(out)
+                ClientModule::process_batch(&mut client, chan, &emails, &mut rng)
             },
         );
         let topics = provider_res.unwrap();

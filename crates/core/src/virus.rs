@@ -287,10 +287,6 @@ impl ClientModule for VirusScanClient {
         VirusScanClient::model_storage_bytes(self)
     }
 
-    fn precompute(&mut self, budget: usize, rng: &mut dyn RngCore) -> usize {
-        self.inner.precompute(budget, rng)
-    }
-
     /// Scans every attachment in one exchange: hashes each into the
     /// announced feature space, then runs spam's online phase over the
     /// feature vectors.

@@ -8,12 +8,9 @@
 //! into setup (§3.3) and keeps the per-email Yao cost at the symmetric-key
 //! level measured in Figure 6.
 //!
-//! The garbler's per-round work splits further into an offline and an online
-//! half: garbling the circuit needs no input from either party, only
-//! randomness, so it can happen ahead of time. [`PrecomputedGarbling::garble`]
-//! produces that offline artifact and [`YaoGarbler::run_batch`] consumes it;
-//! [`YaoGarbler::run`] garbles inline and runs a batch of one, which produces
-//! byte-for-byte the same transcript.
+//! Every round makes its own garbling: [`YaoGarbler::run_batch`] checks the
+//! batch's inputs, then garbles its N circuits from the caller's RNG, in
+//! order, before the first message goes out.
 
 use rand::Rng;
 
@@ -38,35 +35,21 @@ pub enum OutputMode {
     Both,
 }
 
-/// One circuit's worth of offline garbler work: the tables and labels of
-/// [`garble`], produced ahead of the online round and consumed by
-/// [`YaoGarbler::run_batch`].
+/// One circuit's garbled tables and labels, as an opaque value.
 ///
-/// This crate exports the artifact, not a queue: whoever stocks garblings
-/// (a topic client's offline phase) owns the storage, and a round that finds
-/// none garbles inline instead — the evaluator cannot tell the difference.
+/// No protocol code uses it: [`YaoGarbler::run_batch`] garbles its own
+/// circuits and takes none from outside. It stays because the benchmark's
+/// bank probe (`benchmark/src/probes.rs`) prices producing garblings with it.
 pub struct PrecomputedGarbling {
-    garbling: Garbling,
-    /// [`Circuit::fingerprint`] of the circuit this was garbled for.
-    fingerprint: u64,
+    _garbling: Garbling,
 }
 
 impl PrecomputedGarbling {
-    /// Runs the offline phase for `circuit`: garbles it with randomness from
-    /// `rng`.
+    /// Garbles `circuit` with randomness from `rng`.
     pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Self {
         PrecomputedGarbling {
-            garbling: garble(circuit, rng),
-            fingerprint: circuit.fingerprint(),
+            _garbling: garble(circuit, rng),
         }
-    }
-
-    /// True when this artifact was produced for exactly this circuit — the
-    /// structural [`Circuit::fingerprint`] must match, not merely the wire
-    /// and gate counts, so tables from a different same-shaped circuit are
-    /// rejected instead of silently computing the wrong function.
-    pub fn matches(&self, circuit: &Circuit) -> bool {
-        self.fingerprint == circuit.fingerprint()
     }
 }
 
@@ -103,62 +86,55 @@ impl YaoGarbler {
         mode: OutputMode,
         rng: &mut (impl Rng + ?Sized),
     ) -> Result<Option<Vec<bool>>, GcError> {
-        let pre = PrecomputedGarbling::garble(circuit, rng);
-        self.run_batch(channel, circuit, vec![pre], &[my_inputs], mode)
+        self.run_batch(channel, circuit, &[my_inputs], mode, rng)
             .map(only)
     }
 
-    /// Online phase: runs `pres.len()` rounds of the same circuit as **one**
-    /// exchange, consuming one offline [`PrecomputedGarbling`] per round — no
-    /// fresh garbling happens here. A single frame carries every round's
-    /// garbled tables and input labels, a single OT extension covers all
-    /// rounds' evaluator inputs, and a single frame decodes the outputs, so
-    /// N rounds cost at most 5 messages instead of 5·N. The evaluator must
-    /// mirror the batch with [`YaoEvaluator::run_batch`]. An empty batch
-    /// exchanges no messages.
+    /// Runs `inputs.len()` rounds of the same circuit as **one** exchange.
+    /// Every input set is checked first, so a malformed call costs no
+    /// garbling; then one circuit per round is garbled from `rng`, in round
+    /// order. A single frame carries every round's garbled tables and input
+    /// labels, a single OT extension covers all rounds' evaluator inputs,
+    /// and a single frame decodes the outputs, so N rounds cost at most 5
+    /// messages instead of 5·N. The evaluator must mirror the batch with
+    /// [`YaoEvaluator::run_batch`]. An empty batch exchanges no messages.
     pub fn run_batch<C: Channel, I: AsRef<[bool]>>(
         &mut self,
         channel: &mut C,
         circuit: &Circuit,
-        pres: Vec<PrecomputedGarbling>,
         inputs: &[I],
         mode: OutputMode,
+        rng: &mut (impl Rng + ?Sized),
     ) -> Result<Vec<Option<Vec<bool>>>, GcError> {
-        if pres.len() != inputs.len() {
-            return Err(GcError::Protocol(format!(
-                "batch has {} garblings for {} input sets",
-                pres.len(),
-                inputs.len()
-            )));
-        }
-        let rounds = pres.len();
+        let rounds = inputs.len();
         if rounds == 0 {
             return Ok(Vec::new());
         }
-        for (pre, my_inputs) in pres.iter().zip(inputs) {
-            check_garbler_round(circuit, pre, my_inputs.as_ref())?;
+        for my_inputs in inputs {
+            check_garbler_inputs(circuit, my_inputs.as_ref())?;
         }
+        let garblings: Vec<Garbling> = (0..rounds).map(|_| garble(circuit, rng)).collect();
 
         // One frame: every round's tables + garbler labels, back to back
         // (fixed per-round length, so the evaluator splits by offset).
         let mut msg = Vec::with_capacity(rounds * expected_message_len(circuit));
-        for (pre, my_inputs) in pres.iter().zip(inputs) {
-            append_garbler_message(&mut msg, circuit, &pre.garbling, my_inputs.as_ref());
+        for (garbling, my_inputs) in garblings.iter().zip(inputs) {
+            append_garbler_message(&mut msg, circuit, garbling, my_inputs.as_ref());
         }
         channel.send(&msg)?;
 
         // One OT extension spanning all rounds' evaluator inputs, in
         // evaluator-input order.
         let mut pairs = Vec::with_capacity(rounds * circuit.evaluator_inputs.len());
-        for pre in &pres {
-            pairs.extend(evaluator_label_pairs(circuit, &pre.garbling));
+        for garbling in &garblings {
+            pairs.extend(evaluator_label_pairs(circuit, garbling));
         }
         self.ot.extend(channel, &pairs)?;
 
         if matches!(mode, OutputMode::EvaluatorOnly | OutputMode::Both) {
             let mut decode = Vec::with_capacity(rounds * circuit.outputs.len());
-            for pre in &pres {
-                decode.extend_from_slice(&decode_bit_bytes(circuit, &pre.garbling));
+            for garbling in &garblings {
+                decode.extend_from_slice(&decode_bit_bytes(circuit, garbling));
             }
             channel.send(&decode)?;
         }
@@ -168,10 +144,10 @@ impl YaoGarbler {
             if raw.len() != rounds * per_round {
                 return Err(GcError::Protocol("bad output label message".into()));
             }
-            return pres
+            return garblings
                 .iter()
                 .zip(raw.chunks_exact(per_round))
-                .map(|(pre, chunk)| decode_returned_labels(circuit, &pre.garbling, chunk).map(Some))
+                .map(|(garbling, chunk)| decode_returned_labels(circuit, garbling, chunk).map(Some))
                 .collect();
         }
         Ok(vec![None; rounds])
@@ -183,23 +159,14 @@ fn only<T>(mut results: Vec<T>) -> T {
     results.pop().expect("a batch of one yields one result")
 }
 
-/// Validates one garbler round's inputs and artifact.
-fn check_garbler_round(
-    circuit: &Circuit,
-    pre: &PrecomputedGarbling,
-    my_inputs: &[bool],
-) -> Result<(), GcError> {
+/// Validates one garbler round's input-bit count.
+fn check_garbler_inputs(circuit: &Circuit, my_inputs: &[bool]) -> Result<(), GcError> {
     if my_inputs.len() != circuit.garbler_inputs.len() {
         return Err(GcError::Protocol(format!(
             "garbler supplied {} input bits, circuit expects {}",
             my_inputs.len(),
             circuit.garbler_inputs.len()
         )));
-    }
-    if !pre.matches(circuit) {
-        return Err(GcError::Protocol(
-            "precomputed garbling does not match the circuit shape".into(),
-        ));
     }
     Ok(())
 }
@@ -600,9 +567,6 @@ mod tests {
             move |chan| {
                 let mut rng = rand::thread_rng();
                 let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                let pres = (0..cases.len())
-                    .map(|_| PrecomputedGarbling::garble(&circuit, &mut rng))
-                    .collect();
                 let inputs: Vec<Vec<bool>> = cases
                     .iter()
                     .map(|(d_spam, d_ham)| {
@@ -612,7 +576,7 @@ mod tests {
                     })
                     .collect();
                 garbler
-                    .run_batch(chan, &circuit, pres, &inputs, OutputMode::EvaluatorOnly)
+                    .run_batch(chan, &circuit, &inputs, OutputMode::EvaluatorOnly, &mut rng)
                     .unwrap()
             },
             move |chan| {
@@ -650,9 +614,6 @@ mod tests {
             move |chan| {
                 let mut rng = rand::thread_rng();
                 let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                let pres = (0..cases.len())
-                    .map(|_| PrecomputedGarbling::garble(&circuit, &mut rng))
-                    .collect();
                 let inputs: Vec<Vec<bool>> = cases
                     .iter()
                     .map(|(a, b)| {
@@ -662,7 +623,7 @@ mod tests {
                     })
                     .collect();
                 garbler
-                    .run_batch(chan, &circuit, pres, &inputs, OutputMode::GarblerOnly)
+                    .run_batch(chan, &circuit, &inputs, OutputMode::GarblerOnly, &mut rng)
                     .unwrap()
             },
             move |chan| {
@@ -679,88 +640,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_mismatch_is_rejected() {
+    fn a_malformed_input_set_fails_the_batch_before_any_garbling() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
         let circuit = spam_compare_circuit(8);
-        let mut rng = rand::thread_rng();
-        let pres = vec![PrecomputedGarbling::garble(&circuit, &mut rng)];
         let group = test_group();
         let group_b = group.clone();
         let (g_res, _) = run_two_party(
             move |chan| {
-                let mut rng = rand::thread_rng();
+                let mut rng = StdRng::seed_from_u64(5);
                 let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                // Two input sets for one garbling: must fail before traffic.
-                garbler.run_batch(
+                let mut untouched = rng.clone();
+                // The second input set is short: the whole batch fails, and
+                // the first round's circuit was never garbled.
+                let res = garbler.run_batch(
                     chan,
                     &circuit,
-                    pres,
-                    &[vec![false; 16], vec![false; 16]],
+                    &[vec![false; 16], vec![false; 3]],
                     OutputMode::EvaluatorOnly,
-                )
+                    &mut rng,
+                );
+                assert_eq!(rng.next_u64(), untouched.next_u64(), "no RNG word drawn");
+                res
             },
             move |chan| {
                 let mut rng = rand::thread_rng();
                 let _ = YaoEvaluator::setup(chan, &group_b, &mut rng).unwrap();
             },
         );
-        assert!(g_res.is_err());
-    }
-
-    #[test]
-    fn mismatched_precomputed_garbling_is_rejected() {
-        let circuit = spam_compare_circuit(8);
-        let other = spam_compare_circuit(16);
-        let mut rng = rand::thread_rng();
-        let pre = PrecomputedGarbling::garble(&other, &mut rng);
-        assert!(!pre.matches(&circuit));
-        let group = test_group();
-        let group_b = group.clone();
-        let (g_res, _) = run_two_party(
-            move |chan| {
-                let mut rng = rand::thread_rng();
-                let mut garbler = YaoGarbler::setup(chan, &group, &mut rng).unwrap();
-                garbler.run_batch(
-                    chan,
-                    &circuit,
-                    vec![pre],
-                    &[[false; 16]],
-                    OutputMode::EvaluatorOnly,
-                )
-            },
-            move |chan| {
-                let mut rng = rand::thread_rng();
-                let _ = YaoEvaluator::setup(chan, &group_b, &mut rng).unwrap();
-            },
-        );
-        assert!(g_res.is_err());
-    }
-
-    #[test]
-    fn same_shape_different_circuit_garbling_is_rejected() {
-        // Two structurally different circuits with identical wire and gate
-        // counts: only the fingerprint tells them apart, and a garbling from
-        // one must not validate against the other.
-        use crate::circuit::{CircuitBuilder, InputOwner};
-
-        let mut a = CircuitBuilder::new();
-        let xa = a.input(InputOwner::Garbler, 1);
-        let ya = a.input(InputOwner::Evaluator, 1);
-        let out_a = a.and(xa.bits[0], ya.bits[0]);
-        a.output(out_a);
-        let circuit_a = a.build();
-
-        let mut b = CircuitBuilder::new();
-        let xb = b.input(InputOwner::Garbler, 1);
-        let yb = b.input(InputOwner::Evaluator, 1);
-        let out_b = b.and(yb.bits[0], xb.bits[0]); // swapped: same shape, different wiring
-        b.output(out_b);
-        let circuit_b = b.build();
-
-        assert_eq!(circuit_a.and_count(), circuit_b.and_count());
-        assert_eq!(circuit_a.num_wires, circuit_b.num_wires);
-        let pre = PrecomputedGarbling::garble(&circuit_a, &mut rand::thread_rng());
-        assert!(pre.matches(&circuit_a));
-        assert!(!pre.matches(&circuit_b));
+        assert!(matches!(g_res, Err(GcError::Protocol(_))), "{g_res:?}");
     }
 
     /// The first message's length as the layout defines it: two 16-byte

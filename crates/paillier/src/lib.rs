@@ -28,9 +28,9 @@
 //! * **Encryption** splits into [`PublicKey::sample_randomizer`] — the
 //!   message-independent exponentiation `rⁿ mod n²`, computable ahead of
 //!   time — and [`PublicKey::encrypt_with_randomizer`], a single modular
-//!   multiplication. This crate exports the artifact, not a queue: whoever
-//!   stocks randomizers (a client's offline phase, a precompute bank) owns
-//!   the storage.
+//!   multiplication. [`PublicKey::encrypt`] is the two halves back to back.
+//!   Nothing in the tree stocks randomizers today: the Baseline client
+//!   encrypts inline, drawing each randomizer in its round.
 
 use rand::Rng;
 
@@ -230,7 +230,7 @@ impl PublicKey {
 
     /// Samples a fresh encryption randomizer `rⁿ mod n²` — the expensive,
     /// message-independent half of [`PublicKey::encrypt`], and the unit of
-    /// work an offline phase precomputes.
+    /// work an offline phase would precompute.
     pub fn sample_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Randomizer {
         // r uniform in [1, n) and coprime to n (overwhelmingly likely).
         let r = loop {
@@ -640,7 +640,7 @@ mod tests {
     /// the same ciphertexts when driven by the same seed (the randomizers
     /// come from the same stream, just computed at different times).
     #[test]
-    fn precomputed_randomizers_encrypt_like_inline_under_same_seed() {
+    fn randomizers_sampled_ahead_encrypt_like_inline_under_same_seed() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 

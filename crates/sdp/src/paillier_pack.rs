@@ -12,7 +12,7 @@
 use rand::Rng;
 
 use pretzel_bignum::BigUint;
-use pretzel_paillier::{Ciphertext, PublicKey, Randomizer, SecretKey};
+use pretzel_paillier::{Ciphertext, PublicKey, SecretKey};
 
 use crate::{ModelMatrix, SdpError, SparseFeatures};
 
@@ -167,25 +167,13 @@ pub fn encrypt_model<R: Rng + ?Sized>(
 }
 
 /// Per-email phase, client side: encrypted dot products, one ciphertext per
-/// column group, with fresh randomizers sampled inline.
+/// column group. Each accumulator starts from a fresh encryption of zero, so
+/// every result the provider sees carries its own randomizer.
 pub fn client_dot_product<R: Rng + ?Sized>(
     pk: &PublicKey,
     model: &PaillierEncryptedModel,
     features: &SparseFeatures,
     rng: &mut R,
-) -> Result<Vec<Ciphertext>, SdpError> {
-    client_dot_product_with(pk, model, features, || pk.sample_randomizer(rng))
-}
-
-/// [`client_dot_product`] with the accumulators' randomizers (`rⁿ mod n²`,
-/// [`PublicKey::sample_randomizer`]) coming from `randomizer` — one call per
-/// column group. A caller holding randomizers computed offline hands them
-/// out here, and the only full exponentiations on the online path disappear.
-pub fn client_dot_product_with(
-    pk: &PublicKey,
-    model: &PaillierEncryptedModel,
-    features: &SparseFeatures,
-    mut randomizer: impl FnMut() -> Randomizer,
 ) -> Result<Vec<Ciphertext>, SdpError> {
     for &(row, _) in features {
         if row >= model.rows {
@@ -197,7 +185,7 @@ pub fn client_dot_product_with(
     }
     let zero = BigUint::zero();
     let mut accs = (0..model.cts_per_row)
-        .map(|_| pk.encrypt_with_randomizer(&zero, &randomizer()))
+        .map(|_| pk.encrypt(&zero, rng))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| SdpError::Ahe(e.to_string()))?;
     for &(row, freq) in features {
@@ -310,26 +298,6 @@ mod tests {
         assert_eq!(enc.result_ciphertexts(), 3);
         let result = client_dot_product(pk, &enc, &features, &mut rand::thread_rng()).unwrap();
         let decrypted = provider_decrypt(&sk, cols, params.slot_bits, slots, &result).unwrap();
-        assert_eq!(decrypted, model.dot_sparse(&features));
-    }
-
-    #[test]
-    fn supplied_randomizers_match_reference() {
-        let sk = test_key();
-        let pk = sk.public();
-        let params = PaillierPackParams { slot_bits: 24 };
-        let model = demo_model(30, 2);
-        let features: SparseFeatures = (0..12).map(|i| (i * 2 % 30, (i % 3 + 1) as u64)).collect();
-        let enc = encrypt_model(pk, &model, params, &mut rand::thread_rng()).unwrap();
-        // One accumulator group, so one randomizer computed ahead of the round.
-        let mut stocked = vec![pk.sample_randomizer(&mut rand::thread_rng())];
-        let result = client_dot_product_with(pk, &enc, &features, || {
-            stocked.pop().expect("one randomizer per column group")
-        })
-        .unwrap();
-        assert!(stocked.is_empty());
-        let decrypted =
-            provider_decrypt(&sk, 2, params.slot_bits, params.slots_per_ct(pk), &result).unwrap();
         assert_eq!(decrypted, model.dot_sparse(&features));
     }
 

@@ -236,14 +236,6 @@ impl<C: Channel> MailroomClient<C> {
         self.emails
     }
 
-    /// Offline phase, client side: stocks precomputed state (pre-garbled
-    /// argmax circuits for topic sessions, Paillier randomizers for Baseline
-    /// sessions) covering up to `budget` future emails. Purely local — no
-    /// traffic — so it can run while the connection is idle.
-    pub fn precompute<R: Rng>(&mut self, budget: usize, rng: &mut R) -> usize {
-        self.session.precompute(budget, rng)
-    }
-
     /// Submits one email for a secure per-email round — a batch of one.
     pub fn process<R: Rng>(
         &mut self,

@@ -55,8 +55,8 @@ fn scripts() -> Vec<(ClientSpec, Vec<EmailPayload>)> {
         |i: u8| EmailPayload::Attachment([0x4d, 0x5a, 0x90, 0x00, 0xde, 0xad, i].to_vec());
     vec![
         (
-            // Baseline variant so the client's Paillier randomizer stock is
-            // on the batched path too.
+            // Baseline variant so Paillier — the client's inline randomizers
+            // and the provider's CRT decryption — is on the batched path too.
             ClientSpecBuilder::spam(config.clone())
                 .variant(AheVariant::Baseline)
                 .build(),
@@ -118,7 +118,6 @@ fn run_fleet(provision: Provision, submit: Submit) -> FleetRecord {
         let mut rng = test_rng(500 + s as u64);
         let mut client = connect_client(&mailroom, &spec, &mut rng);
         settle_bank(&mailroom);
-        client.precompute(provision.client_budget(), &mut rng);
         let submitted = match submit {
             Submit::Singly => payloads
                 .iter()

@@ -157,14 +157,13 @@ impl FleetRecord {
 /// "precompute is a latency knob, never a semantics knob" test runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Provision {
-    /// No bank: both sides make every artifact inline.
+    /// No bank: every artifact is made inline.
     NoBank,
     /// A bank holding one artifact per reservoir that no draw ever refills
     /// (a quarter of a target of 1 rounds to zero; only a new registration
-    /// re-arms production), so every session runs it dry after one draw;
-    /// clients stock one round.
+    /// re-arms production), so every session runs it dry after one draw.
     BankRunsDry,
-    /// A bank, and client stocks, provisioned past the whole run's demand.
+    /// A bank provisioned past the whole run's demand.
     Prefilled,
 }
 
@@ -175,8 +174,8 @@ impl Provision {
         Provision::BankRunsDry,
         Provision::Prefilled,
     ];
-    /// Reservoir target of [`Provision::Prefilled`], and its client budget:
-    /// larger than any test fleet's demand on one reservoir, with the low
+    /// Reservoir target of [`Provision::Prefilled`]: larger than any test
+    /// fleet's demand on one reservoir, with the low
     /// watermark (a quarter) below what those fleets leave, so production
     /// never restarts mid-run.
     pub const AMPLE: usize = 32;
@@ -194,15 +193,6 @@ impl Provision {
                 .producer_threads(1)
                 .target(target),
         )
-    }
-
-    /// Rounds a client's explicit offline phase should stock in this mode.
-    pub fn client_budget(self) -> usize {
-        match self {
-            Provision::NoBank => 0,
-            Provision::BankRunsDry => 1,
-            Provision::Prefilled => Self::AMPLE,
-        }
     }
 }
 

@@ -486,7 +486,8 @@ fn unknown_variant_bytes_are_refused_before_the_ack() {
     let mailroom = one_worker_mailroom();
     let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     let mut failed = Vec::new();
-    for variant in [0u8, 4, 0xFF] {
+    // 3 is the retired per-row-packing ablation: reserved, never reassigned.
+    for variant in [0u8, 3, 4, 0xFF] {
         // On the wire: a typed refusal, not an accept.
         let offer = HandshakeOffer {
             min_version: 3,
