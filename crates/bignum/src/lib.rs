@@ -6,23 +6,22 @@
 //! exponentiation, binary extended GCD, Miller–Rabin primality testing and
 //! random (safe-)prime generation.
 //!
-//! Two Montgomery engines share one radix and produce identical results:
-//! the `Vec`-backed [`Montgomery`] reference implementation, and the
-//! allocation-free fixed-limb engine in [`fixed`] ([`FixedUint`],
-//! [`MontgomeryCtx`]) that the hot path selects through [`AutoMontgomery`]
-//! when the modulus width is supported. The dynamic path favours clarity
-//! and auditability and remains the equivalence oracle for the fixed path's
-//! proptests; the paper's Baseline cryptosystem (Paillier) is intentionally
-//! the slow comparator in every experiment, so keeping both preserves the
-//! measured shape of Figure 6.
+//! Montgomery arithmetic has one engine: the allocation-free fixed-limb
+//! engine in [`fixed`] ([`FixedUint`], [`MontgomeryCtx`]), which
+//! [`AutoMontgomery`] runs every odd modulus of up to
+//! [`MAX_MODULUS_LIMBS`] limbs on, zero-padding a modulus narrower than
+//! its width. Its tests hold it to a `BigUint`-only reference (`*` and
+//! `%`), not to a second Montgomery implementation.
 
 pub mod fixed;
 mod modular;
 mod prime;
 mod uint;
 
-pub use fixed::{AutoFixedBase, AutoMontgomery, FixedBaseTable, FixedUint, MontgomeryCtx};
-pub use modular::{crt_combine, mod_add, mod_inv, mod_mul, mod_pow, mod_sub, Montgomery};
+pub use fixed::{
+    AutoFixedBase, AutoMontgomery, FixedBaseTable, FixedUint, MontgomeryCtx, MAX_MODULUS_LIMBS,
+};
+pub use modular::{crt_combine, mod_add, mod_inv, mod_mul, mod_pow, mod_sub};
 pub use prime::{gen_prime, gen_safe_prime, is_probable_prime};
 pub use uint::BigUint;
 

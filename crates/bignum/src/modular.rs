@@ -1,7 +1,8 @@
-//! Modular arithmetic: Montgomery multiplication/exponentiation, modular
-//! inverse via the binary extended GCD, and convenience helpers.
+//! Modular arithmetic: exponentiation (through the fixed-limb Montgomery
+//! engine for odd moduli), modular inverse, CRT recombination and
+//! convenience helpers.
 
-use crate::{BigUint, BignumError};
+use crate::{BigUint, BignumError, MAX_MODULUS_LIMBS};
 
 /// `(a + b) mod m`.
 pub fn mod_add(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
@@ -26,19 +27,20 @@ pub fn mod_mul(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
 
 /// `base^exp mod modulus`.
 ///
-/// Dispatches to Montgomery exponentiation for odd moduli (the common case
-/// for RSA/Paillier/DH moduli) — through the fixed-limb engine when the
-/// modulus width is supported (see [`crate::AutoMontgomery`]) — and to
-/// square-and-multiply with explicit reductions otherwise.
+/// Odd moduli of up to [`MAX_MODULUS_LIMBS`] limbs (every RSA/Paillier/DH
+/// modulus in the tree) run Montgomery exponentiation on the fixed-limb
+/// engine ([`crate::AutoMontgomery`]); any other modulus takes
+/// square-and-multiply with explicit reductions.
 pub fn mod_pow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
     assert!(!modulus.is_zero(), "mod_pow: zero modulus");
     if modulus.is_one() {
         return BigUint::zero();
     }
-    if modulus.is_odd() {
+    if modulus.is_odd() && modulus.limbs().len() <= MAX_MODULUS_LIMBS {
         return crate::AutoMontgomery::new(modulus).pow(base, exp);
     }
-    // Generic square-and-multiply for even moduli (rare in this codebase).
+    // Generic square-and-multiply for even or oversized moduli (rare in
+    // this codebase).
     let mut result = BigUint::one();
     let mut acc = base.clone() % modulus.clone();
     for i in 0..exp.bits() {
@@ -144,151 +146,6 @@ pub fn crt_combine(
     a.clone() % p.clone() + p.clone() * t
 }
 
-/// Montgomery arithmetic context for a fixed odd modulus.
-///
-/// Montgomery form represents `x` as `x * R mod n` where `R = 2^(64 * limbs)`.
-/// Multiplication in Montgomery form avoids per-step long division, which is
-/// the difference between milliseconds and seconds for 2048-bit Paillier
-/// exponentiations.
-#[derive(Clone, Debug)]
-pub struct Montgomery {
-    n: BigUint,
-    /// Number of 64-bit limbs in the modulus; R = 2^(64 * limbs).
-    limbs: usize,
-    /// -n^{-1} mod 2^64.
-    n_prime: u64,
-    /// R mod n — the Montgomery form of 1 (exponentiation accumulator seed).
-    r1: BigUint,
-    /// R^2 mod n, used to convert into Montgomery form.
-    r2: BigUint,
-}
-
-impl Montgomery {
-    /// Creates a context. Panics if `modulus` is even or < 3.
-    pub fn new(modulus: BigUint) -> Self {
-        assert!(modulus.is_odd(), "Montgomery requires an odd modulus");
-        assert!(modulus > BigUint::from(2u64), "modulus too small");
-        let limbs = modulus.limbs().len();
-        let n0 = modulus.limbs()[0];
-        let n_prime = inv64(n0).wrapping_neg();
-        // R mod n and R² mod n by direct division — setup-time only, and far
-        // cheaper than the former 64·limbs doubling loop.
-        let r1 = (BigUint::one() << (64 * limbs)) % &modulus;
-        let r2 = (BigUint::one() << (128 * limbs)) % &modulus;
-        Montgomery {
-            n: modulus,
-            limbs,
-            n_prime,
-            r1,
-            r2,
-        }
-    }
-
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &BigUint {
-        &self.n
-    }
-
-    /// Converts `x` into Montgomery form (`x * R mod n`).
-    pub fn to_mont(&self, x: &BigUint) -> BigUint {
-        if *x < self.n {
-            self.mont_mul(x, &self.r2)
-        } else {
-            self.mont_mul(&x.div_rem(&self.n).1, &self.r2)
-        }
-    }
-
-    /// Converts a Montgomery-form value back to the ordinary representation.
-    pub fn from_mont(&self, x: &BigUint) -> BigUint {
-        self.mont_mul(x, &BigUint::one())
-    }
-
-    /// Montgomery product: `a * b * R^{-1} mod n` (CIOS method).
-    ///
-    /// Operands may be shorter than the modulus (missing high limbs are
-    /// zero); the length normalization happens once up front, not per limb
-    /// in the inner loop.
-    pub fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let s = self.limbs;
-        let n = self.n.limbs();
-        let a_limbs = a.limbs();
-        let b_limbs = b.limbs();
-        let b_len = b_limbs.len().min(s);
-        let b_limbs = &b_limbs[..b_len];
-        let mut t = vec![0u64; s + 2];
-
-        for i in 0..s {
-            // Multiply phase: t += ai * b over b's significant limbs only.
-            // Skipped entirely for ai = 0 (including a's implicit zero high
-            // limbs); the reduction phase below still runs every iteration
-            // because each one divides t by 2^64.
-            let ai = a_limbs.get(i).copied().unwrap_or(0);
-            if ai != 0 {
-                let mut carry = 0u128;
-                for (tj, &bj) in t.iter_mut().zip(b_limbs.iter()) {
-                    let cur = *tj as u128 + (ai as u128) * (bj as u128) + carry;
-                    *tj = cur as u64;
-                    carry = cur >> 64;
-                }
-                let mut j = b_len;
-                while carry != 0 {
-                    let cur = t[j] as u128 + carry;
-                    t[j] = cur as u64;
-                    carry = cur >> 64;
-                    j += 1;
-                }
-            }
-
-            // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let cur = t[0] as u128 + (m as u128) * (n[0] as u128);
-            let mut carry = cur >> 64;
-            for j in 1..s {
-                let cur = t[j] as u128 + (m as u128) * (n[j] as u128) + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s - 1] = cur as u64;
-            carry = cur >> 64;
-            let cur = t[s + 1] as u128 + carry;
-            t[s] = cur as u64;
-            t[s + 1] = (cur >> 64) as u64;
-        }
-        debug_assert_eq!(t[s + 1], 0);
-        let mut result = BigUint::from_limbs(t[..=s].to_vec());
-        if result >= self.n {
-            result = result - self.n.clone();
-        }
-        result
-    }
-
-    /// `base^exp mod n` with left-to-right square-and-multiply in Montgomery
-    /// form.
-    pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            // n > 2 is a construction invariant, so 1 mod n = 1.
-            return BigUint::one();
-        }
-        let base_m = self.to_mont(base);
-        let mut acc = self.r1.clone();
-        for i in (0..exp.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
-        }
-        self.from_mont(&acc)
-    }
-
-    /// Modular multiplication `a * b mod n` through Montgomery form.
-    pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
-    }
-}
-
 /// Inverse of an odd `u64` modulo 2^64 (Newton iteration).
 pub(crate) fn inv64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
@@ -364,22 +221,6 @@ mod tests {
         let a = BigUint::from_hex("123456789abcdef0123456789abcdef").unwrap();
         let exp = p.clone() - BigUint::one();
         assert_eq!(mod_pow(&a, &exp, &p), BigUint::one());
-    }
-
-    #[test]
-    fn montgomery_roundtrip() {
-        let m = Montgomery::new(BigUint::from_hex("ffffffffffffffffffffffffffffff61").unwrap());
-        let x = BigUint::from_hex("abcdef0123456789").unwrap();
-        assert_eq!(m.from_mont(&m.to_mont(&x)), x);
-    }
-
-    #[test]
-    fn montgomery_mul_matches_naive() {
-        let modulus = BigUint::from_hex("f123456789abcdef1").unwrap();
-        let m = Montgomery::new(modulus.clone());
-        let a = BigUint::from_hex("deadbeefcafebabe12").unwrap();
-        let b = BigUint::from_hex("9876543210fedcba98").unwrap();
-        assert_eq!(m.mul(&a, &b), mod_mul(&a, &b, &modulus));
     }
 
     #[test]

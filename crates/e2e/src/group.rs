@@ -43,12 +43,6 @@ impl DhGroup {
         }
     }
 
-    /// Which Montgomery engine backs the group arithmetic
-    /// (`"fixed:<limbs>"` or `"dynamic"`).
-    pub fn mont_backend(&self) -> &'static str {
-        self.mont.backend()
-    }
-
     /// Small group for unit tests (NOT secure).
     pub fn insecure_test_group<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Self {
         Self::from_safe_prime(gen_safe_prime(bits, rng))
@@ -136,7 +130,5 @@ mod tests {
         let group = DhGroup::rfc3526_1536();
         assert_eq!(group.modulus().bits(), 1536);
         assert_eq!(group.element_bytes(), 192);
-        // 1536 bits = 24 limbs — a supported fixed width.
-        assert_eq!(group.mont_backend(), "fixed:24");
     }
 }

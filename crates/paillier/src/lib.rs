@@ -22,8 +22,8 @@
 //!
 //! * **Decryption** runs CRT-style: two half-size exponentiations mod `p²`
 //!   and `q²` over precomputed [`pretzel_bignum::AutoMontgomery`] contexts
-//!   (fixed-limb engines when the width is supported), recombined with
-//!   Garner's formula. The one-exponentiation reference path is kept as
+//!   (fixed-limb engines), recombined with Garner's formula. The
+//!   one-exponentiation reference path is kept as
 //!   [`SecretKey::decrypt_inline`] for cross-checking.
 //! * **Encryption** splits into [`PublicKey::sample_randomizer`] — the
 //!   message-independent exponentiation `rⁿ mod n²`, computable ahead of
@@ -34,7 +34,11 @@
 
 use rand::Rng;
 
-use pretzel_bignum::{crt_combine, gen_prime, mod_inv, AutoMontgomery, BigUint};
+use pretzel_bignum::{crt_combine, gen_prime, mod_inv, AutoMontgomery, BigUint, MAX_MODULUS_LIMBS};
+
+/// The widest modulus `n` a key may have: its `n²` fills the widest
+/// Montgomery engine. 2048 bits, the paper's deployment size.
+pub const MAX_N_BITS: usize = MAX_MODULUS_LIMBS * 64 / 2;
 
 /// A precomputed encryption randomizer `rⁿ mod n²` — the artifact
 /// [`PublicKey::sample_randomizer`] makes ahead of time and
@@ -48,6 +52,8 @@ pub enum PaillierError {
     PlaintextOutOfRange,
     /// Keys of different key pairs were mixed, or a ciphertext is malformed.
     InvalidCiphertext,
+    /// A serialized public key is not an odd modulus in `[16, 2^MAX_N_BITS)`.
+    InvalidPublicKey,
 }
 
 impl std::fmt::Display for PaillierError {
@@ -55,6 +61,7 @@ impl std::fmt::Display for PaillierError {
         match self {
             PaillierError::PlaintextOutOfRange => write!(f, "plaintext out of range"),
             PaillierError::InvalidCiphertext => write!(f, "invalid ciphertext"),
+            PaillierError::InvalidPublicKey => write!(f, "invalid public key"),
         }
     }
 }
@@ -83,8 +90,7 @@ impl Eq for PublicKey {}
 struct CrtPrime {
     /// The prime factor (`p` or `q`).
     prime: BigUint,
-    /// Montgomery context mod `prime²` (precomputed once at key generation;
-    /// fixed-limb whenever the prime size hits a supported width).
+    /// Montgomery context mod `prime²` (precomputed once at key generation).
     mont_sq: AutoMontgomery,
     /// The half-size exponent `prime - 1`.
     exp: BigUint,
@@ -179,11 +185,13 @@ impl PublicKey {
         self.n.to_bytes_be()
     }
 
-    /// Reconstructs a public key from serialized bytes.
+    /// Reconstructs a public key from serialized bytes. The bytes come from
+    /// the peer, so a modulus wider than [`MAX_N_BITS`] is refused before
+    /// any arithmetic is set up over it.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PaillierError> {
         let n = BigUint::from_bytes_be(bytes);
-        if n < BigUint::from(16u64) || n.is_even() {
-            return Err(PaillierError::InvalidCiphertext);
+        if n < BigUint::from(16u64) || n.is_even() || n.bits() > MAX_N_BITS {
+            return Err(PaillierError::InvalidPublicKey);
         }
         let n_squared = n.clone() * n.clone();
         let mont_n2 = AutoMontgomery::new(&n_squared);
@@ -192,13 +200,6 @@ impl PublicKey {
             n_squared,
             mont_n2,
         })
-    }
-
-    /// Which Montgomery engine backs the `n²` arithmetic: `"fixed:<limbs>"`
-    /// for the allocation-free fixed-limb path, `"dynamic"` for the
-    /// `Vec`-backed fallback. Exposed for inspection tests.
-    pub fn mont_backend(&self) -> &'static str {
-        self.mont_n2.backend()
     }
 
     /// Bit length of the modulus.
@@ -303,12 +304,6 @@ impl SecretKey {
         &self.public
     }
 
-    /// Engine labels for the CRT `p²`/`q²` contexts (see
-    /// [`PublicKey::mont_backend`]).
-    pub fn crt_backends(&self) -> (&'static str, &'static str) {
-        (self.crt_p.mont_sq.backend(), self.crt_q.mont_sq.backend())
-    }
-
     /// Decrypts a ciphertext to its plaintext in `[0, n)`.
     ///
     /// Runs the CRT fast path: one half-size exponentiation mod `p²` and one
@@ -376,8 +371,11 @@ impl SecretKey {
 /// benchmark runs use 1024 (or smaller) for speed — the Figure 6 row for
 /// Paillier is measured at whatever size the harness requests and recorded in
 /// EXPERIMENTS.md.
+///
+/// Panics if `n_bits` is below 64 or above [`MAX_N_BITS`].
 pub fn keygen<R: Rng + ?Sized>(n_bits: usize, rng: &mut R) -> SecretKey {
     assert!(n_bits >= 64, "modulus too small to be meaningful");
+    assert!(n_bits <= MAX_N_BITS, "modulus wider than MAX_N_BITS");
     loop {
         let p = gen_prime(n_bits / 2, rng);
         let q = gen_prime(n_bits - n_bits / 2, rng);
@@ -558,7 +556,33 @@ mod tests {
         assert_eq!(&restored, pk);
         let c = restored.encrypt_u64(321, &mut rng).unwrap();
         assert_eq!(sk.decrypt_u64(&c).unwrap(), 321);
-        assert!(PublicKey::from_bytes(&[2]).is_err());
+        assert_eq!(
+            PublicKey::from_bytes(&[2]).unwrap_err(),
+            PaillierError::InvalidPublicKey
+        );
+    }
+
+    /// A peer-supplied modulus is capped at `MAX_N_BITS`: its `n²` must fit
+    /// the widest Montgomery engine.
+    #[test]
+    fn public_key_wider_than_the_cap_is_refused() {
+        let odd_of_bits = |bits: usize| (BigUint::one() << (bits - 1)) + BigUint::from(0x2345u64);
+        let too_wide = odd_of_bits(MAX_N_BITS + 1);
+        assert_eq!(too_wide.bits(), 2049);
+        assert_eq!(
+            PublicKey::from_bytes(&too_wide.to_bytes_be()).unwrap_err(),
+            PaillierError::InvalidPublicKey
+        );
+        let widest = odd_of_bits(MAX_N_BITS);
+        let pk = PublicKey::from_bytes(&widest.to_bytes_be()).unwrap();
+        assert_eq!(pk.n_bits(), 2048);
+        // Even and tiny moduli get the same error.
+        for bad in [BigUint::from(1u64 << 20), BigUint::from(15u64)] {
+            assert_eq!(
+                PublicKey::from_bytes(&bad.to_bytes_be()).unwrap_err(),
+                PaillierError::InvalidPublicKey
+            );
+        }
     }
 
     #[test]
@@ -608,30 +632,6 @@ mod tests {
             value: pk.n().clone() * pk.n().clone(),
         };
         assert!(sk.decrypt(&at_bound).is_err());
-        // The canonical ciphertext still decrypts.
-        assert_eq!(sk.decrypt_u64(&c).unwrap(), 77);
-    }
-
-    /// Regression test for the fixed-limb rewrite: at 256-bit keys every
-    /// Montgomery context sits on the fixed path, and the `>= n²` range
-    /// guard (PR 3) must still reject non-canonical ciphertexts there.
-    #[test]
-    fn n_squared_guard_holds_on_fixed_limb_path() {
-        let sk = test_key();
-        let pk = sk.public();
-        // 256-bit n → 512-bit n² (8 limbs); 128-bit primes → 4-limb squares.
-        assert_eq!(pk.mont_backend(), "fixed:8");
-        assert_eq!(sk.crt_backends(), ("fixed:4", "fixed:4"));
-
-        let mut rng = rand::thread_rng();
-        let c = pk.encrypt_u64(77, &mut rng).unwrap();
-        let shifted = Ciphertext {
-            value: c.value().clone() + pk.n().clone() * pk.n().clone(),
-        };
-        assert_eq!(
-            sk.decrypt(&shifted).unwrap_err(),
-            PaillierError::InvalidCiphertext
-        );
         // The canonical ciphertext still decrypts.
         assert_eq!(sk.decrypt_u64(&c).unwrap(), 77);
     }
