@@ -1,20 +1,17 @@
-//! Precompute, once: the fleet-wide bank with background production, and the
-//! few small types every consumer of offline artifacts shares.
+//! The fleet-wide precompute bank with background production.
 //!
-//! Every offline artifact a provider session consumes comes from a
-//! [`PrecomputeSource`] through one draw ladder ([`Lease::draw`]): take a
-//! stocked artifact if the source has one, otherwise count a fallback and make
-//! it inline. A deployment without a bank hands sessions the
-//! [`empty_source`], whose draws always come up dry — the same code path, with
-//! nothing behind it. The bank itself is a fleet-wide service:
+//! **No production code draws from it.** Every built-in module makes what
+//! its rounds need inline, so nothing is left to stock. The bank stays only
+//! because the repo's benchmark (`benchmark/src/{probes,runner}.rs`)
+//! configures it and prices production and a draw; the benchmark-only
+//! change that stops doing so is what lets this module go. A mailroom
+//! started with `MailroomConfigBuilder::bank` runs its producer threads
+//! idle.
 //!
 //! * **Reservoirs.** Artifacts are stored in reservoirs keyed by
 //!   [`ReservoirId`] — an artifact *kind* plus a 64-bit *fingerprint* binding
-//!   the reservoir to its parameters. The built-in modules bank one kind,
-//!   [`KIND_ZERO_ENCRYPTIONS`]: each search session registers a reservoir of
-//!   zero encryptions under its client's key at setup and releases it when
-//!   the session ends. Spam and virus garble their comparison circuit inline
-//!   in the round.
+//!   the reservoir to its parameters. The benchmark's probe registers one
+//!   reservoir of garbled spam circuits ([`KIND_GARBLINGS`]).
 //! * **Background producers.** [`PrecomputeBank::start`] spawns producer
 //!   threads that keep reservoirs filled to their targets using idle cores,
 //!   always topping up the reservoir with the largest relative deficit, and
@@ -24,17 +21,15 @@
 //!   below a quarter of its target, and then back up to the target; draws
 //!   above that mark cost no production CPU.
 //! * **One lock per reservoir.** A reservoir's queue and its counters live
-//!   under one mutex, so every snapshot — live or taken when the last lease
-//!   retires it — balances: `produced == drawn + depth`.
+//!   under one mutex, so every snapshot — live or taken when its last
+//!   registration is released — balances: `produced == drawn + depth`.
 //! * **Inline fallback, counted.** [`PrecomputeSource::draw`] returns `None`
 //!   when a reservoir is dry; callers fall back to producing inline and
 //!   report it via [`PrecomputeSource::record_fallback`], making pool-dry
-//!   events directly observable ([`BankReport`], `Meter` gauges).
+//!   events directly observable ([`BankReport`]).
 //!
-//! Consumption goes through the object-safe [`PrecomputeSource`] trait so
-//! modules can be handed any source — the fleet bank, the empty source, or a
-//! test double. The bank is the only offline mechanism in the tree: clients
-//! keep no stock, and every other artifact is made inline in its round.
+//! Consumption goes through the object-safe [`PrecomputeSource`] trait
+//! ([`PrecomputeBank::handle`]).
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -51,22 +46,6 @@ use rand::{RngCore, SeedableRng};
 /// it; it stays because the benchmark's bank probe
 /// (`benchmark/src/probes.rs`) prices production with garblings.
 pub const KIND_GARBLINGS: &str = "garblings";
-/// Kind name for RLWE zero encryptions used by search responses —
-/// key-dependent, one reservoir per session.
-pub const KIND_ZERO_ENCRYPTIONS: &str = "zero_encryptions";
-
-/// FNV-1a over a byte string — the scheme used to derive reservoir
-/// fingerprints from parameters (public-key bytes, circuit shapes). Stable
-/// across processes, cheap, and collision-safe at the scale of a fleet's
-/// distinct parameter sets.
-pub fn fingerprint64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A type-erased precomputed artifact. Callers downcast to the concrete type
 /// they registered the producer for.
@@ -82,7 +61,8 @@ pub struct ReservoirId {
     /// Artifact kind — one of the `KIND_*` constants (or a custom name for
     /// modules registered from outside the core crate).
     pub kind: &'static str,
-    /// Binds the reservoir to its parameters (see [`fingerprint64`]).
+    /// Binds the reservoir to its parameters (for garblings, the circuit's
+    /// fingerprint).
     pub fingerprint: u64,
 }
 
@@ -97,11 +77,6 @@ impl ReservoirId {
     /// module draws garblings.
     pub fn garblings(fingerprint: u64) -> Self {
         Self::new(KIND_GARBLINGS, fingerprint)
-    }
-
-    /// Zero encryptions for the public key with the given fingerprint.
-    pub fn zero_encryptions(fingerprint: u64) -> Self {
-        Self::new(KIND_ZERO_ENCRYPTIONS, fingerprint)
     }
 }
 
@@ -133,9 +108,8 @@ impl ReservoirSpec {
         }
     }
 
-    /// Overrides the reservoir's target depth. The built-in modules take
-    /// the bank's target; this stays for tests and the benchmark's bank
-    /// probe (`benchmark/src/probes.rs`).
+    /// Overrides the reservoir's target depth (the benchmark's bank probe,
+    /// `benchmark/src/probes.rs`, sets one).
     pub fn with_target(mut self, target: usize) -> Self {
         self.target = Some(target);
         self
@@ -151,11 +125,8 @@ impl fmt::Debug for ReservoirSpec {
     }
 }
 
-/// Object-safe handle through which sessions consume precomputed artifacts.
-///
-/// Modules are handed an `Arc<dyn PrecomputeSource>` (the fleet bank, the
-/// empty source, or a test double), register the reservoirs they need, and
-/// draw per round with an inline fallback when a draw returns `None`.
+/// Object-safe handle through which precomputed artifacts are registered
+/// and drawn, with an inline fallback when a draw returns `None`.
 pub trait PrecomputeSource: Send + Sync {
     /// Registers (or re-registers) a reservoir. Registration is refcounted:
     /// a second registration of the same id shares the reservoir and raises
@@ -176,126 +147,6 @@ pub trait PrecomputeSource: Send + Sync {
 
     /// Records that a draw came up dry and the caller produced inline.
     fn record_fallback(&self, id: &ReservoirId);
-}
-
-/// The source with nothing behind it: registrations are ignored and every
-/// draw comes up dry, so callers make each artifact inline. It is what a
-/// session gets when no bank runs.
-struct EmptySource;
-
-impl PrecomputeSource for EmptySource {
-    fn register(&self, _spec: ReservoirSpec) {}
-    fn release(&self, _id: &ReservoirId) {}
-    fn draw(&self, _id: &ReservoirId) -> Option<Artifact> {
-        None
-    }
-    fn depth(&self, _id: &ReservoirId) -> Option<usize> {
-        None
-    }
-    fn record_fallback(&self, _id: &ReservoirId) {}
-}
-
-/// A handle onto the source with nothing behind it (see the module docs).
-pub fn empty_source() -> Arc<dyn PrecomputeSource> {
-    Arc::new(EmptySource)
-}
-
-/// One registration of a reservoir, owned: registering yields the lease,
-/// dropping it releases the registration (the last release retires the
-/// reservoir, so a key-dependent one never outlives its session).
-pub struct Lease {
-    source: Arc<dyn PrecomputeSource>,
-    id: ReservoirId,
-}
-
-impl Lease {
-    /// Registers `spec` with `source` and returns the owning lease.
-    pub fn register(source: &Arc<dyn PrecomputeSource>, spec: ReservoirSpec) -> Self {
-        let id = spec.id;
-        source.register(spec);
-        Lease {
-            source: Arc::clone(source),
-            id,
-        }
-    }
-
-    /// The draw ladder, written once: one artifact of type `T` from the
-    /// leased reservoir if the source has one; otherwise records a fallback
-    /// and returns `None`, and the caller makes the artifact inline.
-    pub fn draw<T: Any>(&self) -> Option<T> {
-        let stocked = self
-            .source
-            .draw(&self.id)
-            .and_then(|artifact| artifact.downcast::<T>().ok());
-        if stocked.is_none() {
-            self.source.record_fallback(&self.id);
-        }
-        stocked.map(|artifact| *artifact)
-    }
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        self.source.release(&self.id);
-    }
-}
-
-/// One session's window onto a shared source: forwards every call, and keeps
-/// the session's own fallback count for each reservoir it touched, so a
-/// serving layer can publish per-session gauges without asking the module.
-pub struct SessionSource {
-    inner: Arc<dyn PrecomputeSource>,
-    fallbacks: Mutex<BTreeMap<ReservoirId, u64>>,
-}
-
-impl SessionSource {
-    /// Wraps `inner` for one session.
-    pub fn new(inner: Arc<dyn PrecomputeSource>) -> Self {
-        SessionSource {
-            inner,
-            fallbacks: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn touch(&self, id: &ReservoirId, fallbacks: u64) {
-        *self.fallbacks.lock().unwrap().entry(*id).or_insert(0) += fallbacks;
-    }
-
-    /// One gauge per reservoir this session registered or drew from that the
-    /// source holds, sorted by kind: `(kind, current depth, this session's
-    /// dry draws)`. Over the empty source there is none.
-    pub fn gauges(&self) -> Vec<(&'static str, u64, u64)> {
-        let fallbacks = self.fallbacks.lock().unwrap();
-        fallbacks
-            .iter()
-            .filter_map(|(id, &dry)| Some((id.kind, self.inner.depth(id)? as u64, dry)))
-            .collect()
-    }
-}
-
-impl PrecomputeSource for SessionSource {
-    fn register(&self, spec: ReservoirSpec) {
-        self.touch(&spec.id, 0);
-        self.inner.register(spec);
-    }
-
-    fn release(&self, id: &ReservoirId) {
-        self.inner.release(id);
-    }
-
-    fn draw(&self, id: &ReservoirId) -> Option<Artifact> {
-        self.touch(id, 0);
-        self.inner.draw(id)
-    }
-
-    fn depth(&self, id: &ReservoirId) -> Option<usize> {
-        self.inner.depth(id)
-    }
-
-    fn record_fallback(&self, id: &ReservoirId) {
-        self.touch(id, 1);
-        self.inner.record_fallback(id);
-    }
 }
 
 /// Bank tuning: producer threads, reservoir target, producer seed. A
@@ -641,9 +492,8 @@ impl PrecomputeBank {
         })
     }
 
-    /// Registers a reservoir (see [`PrecomputeSource::register`]). Sessions
-    /// register through their handle; this stays for tests and the
-    /// benchmark's bank probe (`benchmark/src/probes.rs`).
+    /// Registers a reservoir (see [`PrecomputeSource::register`]); the
+    /// benchmark's bank probe (`benchmark/src/probes.rs`) calls it.
     pub fn register(&self, spec: ReservoirSpec) {
         BankHandle {
             inner: Arc::clone(&self.inner),
@@ -762,13 +612,13 @@ mod tests {
     fn producers_fill_to_target_then_park_without_overshoot() {
         let bank = PrecomputeBank::start(BankConfig::default().producer_threads(2));
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::zero_encryptions(7);
+        let id = ReservoirId::garblings(7);
         bank.register(ReservoirSpec::new(id, counting_producer(counter.clone())).with_target(8));
         assert!(bank.wait_until_full(Duration::from_secs(10)));
         // Give producers a chance to (incorrectly) overshoot.
         std::thread::sleep(Duration::from_millis(20));
         let report = bank.shutdown();
-        assert_eq!(report.depth_by_kind(KIND_ZERO_ENCRYPTIONS), 8);
+        assert_eq!(report.depth_by_kind(KIND_GARBLINGS), 8);
         assert_eq!(
             counter.load(Ordering::SeqCst),
             8,
@@ -783,7 +633,7 @@ mod tests {
     fn draws_above_the_low_watermark_do_not_restart_production() {
         let bank = PrecomputeBank::start(BankConfig::default().producer_threads(1));
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::zero_encryptions(5);
+        let id = ReservoirId::garblings(5);
         bank.register(ReservoirSpec::new(id, counting_producer(counter.clone())).with_target(8));
         assert!(bank.wait_until_full(Duration::from_secs(10)));
 
@@ -815,7 +665,7 @@ mod tests {
     #[test]
     fn a_target_below_four_fills_once() {
         let bank = PrecomputeBank::start(BankConfig::default().target(1));
-        let id = ReservoirId::zero_encryptions(4);
+        let id = ReservoirId::garblings(4);
         bank.register(ReservoirSpec::new(
             id,
             counting_producer(Arc::new(AtomicU64::new(0))),
@@ -833,7 +683,7 @@ mod tests {
     fn sixty_four_threads_draining_one_reservoir_lose_and_duplicate_nothing() {
         let bank = PrecomputeBank::start(BankConfig::default().producer_threads(2));
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::zero_encryptions(9);
+        let id = ReservoirId::garblings(9);
         bank.register(ReservoirSpec::new(id, counting_producer(counter.clone())).with_target(64));
 
         const THREADS: usize = 64;
@@ -891,7 +741,7 @@ mod tests {
                 let (handle, producer) = (&handle, &producer);
                 scope.spawn(move || {
                     for r in 0..RESERVOIRS_EACH {
-                        let id = ReservoirId::zero_encryptions(t * RESERVOIRS_EACH + r);
+                        let id = ReservoirId::garblings(t * RESERVOIRS_EACH + r);
                         handle
                             .register(ReservoirSpec::new(id, Arc::clone(producer)).with_target(4));
                         for _ in 0..r % 4 {
@@ -922,20 +772,20 @@ mod tests {
     fn dry_draws_fall_back_and_are_counted_even_for_unknown_reservoirs() {
         let bank = PrecomputeBank::start(BankConfig::default());
         let handle = bank.handle();
-        let unknown = ReservoirId::zero_encryptions(0xdead);
+        let unknown = ReservoirId::garblings(0xdead);
         assert!(handle.draw(&unknown).is_none());
         assert_eq!(handle.depth(&unknown), None);
         handle.record_fallback(&unknown);
         handle.record_fallback(&unknown);
         let report = bank.shutdown();
-        assert_eq!(report.fallbacks_by_kind(KIND_ZERO_ENCRYPTIONS), 2);
+        assert_eq!(report.fallbacks_by_kind(KIND_GARBLINGS), 2);
     }
 
     #[test]
     fn release_retires_a_reservoir_but_keeps_its_accounting() {
         let bank = PrecomputeBank::start(BankConfig::default());
         let counter = Arc::new(AtomicU64::new(0));
-        let id = ReservoirId::zero_encryptions(3);
+        let id = ReservoirId::garblings(3);
         let spec = ReservoirSpec::new(id, counting_producer(counter)).with_target(2);
         let handle = bank.handle();
         handle.register(spec.clone());
@@ -950,12 +800,5 @@ mod tests {
         let report = bank.shutdown();
         assert_eq!(report.reservoirs.len(), 1, "retired row kept: {report:?}");
         assert_eq!(report.reservoirs[0].drawn, 2);
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_distinct() {
-        assert_eq!(fingerprint64(b"pretzel"), fingerprint64(b"pretzel"));
-        assert_ne!(fingerprint64(b"pretzel"), fingerprint64(b"pretze1"));
-        assert_eq!(fingerprint64(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -28,9 +28,9 @@
 //! * [`replay`] — the per-sender replay defense of §4.4.
 //! * [`config`] — parameter presets ("test" scale vs "paper" scale).
 //! * [`search`] — provider-served encrypted keyword search over searchable
-//!   symmetric encryption with RLWE-packed responses (the provider-side
-//!   search the paper sketches as future work in §5, promoted to a full
-//!   function module).
+//!   symmetric encryption, with fixed-size replies of client-tagged sealed
+//!   postings (the provider-side search the paper sketches as future work
+//!   in §5, promoted to a full function module).
 //! * [`registry`] — the function-module registry: object-safe
 //!   [`FunctionModule`] descriptors keyed by wire tag, the extension point
 //!   that makes a fifth provider function a registration instead of a core
@@ -39,12 +39,10 @@
 //!   registered function modules, used by the `pretzel_server` mailroom to
 //!   multiplex many concurrent sessions; the online phase is one path —
 //!   a coalesced batch of rounds, a single email being the batch of one.
-//! * [`bank`] — precompute, once: the fleet-wide bank (artifact reservoirs —
-//!   today each search session's zero encryptions — kept full by background
-//!   producer threads) and the object-safe [`bank::PrecomputeSource`] trait
-//!   every provider session is handed (counted inline fallbacks, an empty
-//!   source when no bank runs). Clients have no offline phase: every other
-//!   artifact is made inline in its round.
+//! * [`bank`] — the fleet-wide precompute bank (artifact reservoirs kept
+//!   full by background producer threads). No module draws from it: every
+//!   round makes its artifacts inline, on both sides. It stays only for the
+//!   repo's benchmark, which still configures and probes it.
 
 #![warn(missing_docs)]
 

@@ -3,8 +3,7 @@
 //!
 //! The paper's core claim is that provider functions — spam filtering, topic
 //! extraction, virus scanning, keyword search — are *composable*: each is an
-//! instance of one `setup → process_batch` lifecycle whose offline artifacts
-//! come from a [`PrecomputeSource`].
+//! instance of one `setup → process_batch` lifecycle.
 //! This module makes that shape first-class instead of an enum: a
 //! [`FunctionModule`] describes one protocol (its [`WireTag`] handshake byte,
 //! display name, and how to set up each endpoint), and a
@@ -19,10 +18,9 @@
 //! object-safe per-session traits carrying the online phase. It exists once
 //! per endpoint — `process_batch` runs N rounds as one exchange, and a single
 //! email is the batch of one (the built-in modules coalesce a batch's frames,
-//! see `docs/ARCHITECTURE.md`; a module with nothing to coalesce loops). A
-//! provider endpoint takes any banked artifacts from the
-//! [`PrecomputeSource`] its setup was handed; a client endpoint has no
-//! offline phase and makes everything its rounds need inline.
+//! see `docs/ARCHITECTURE.md`; a module with nothing to coalesce loops).
+//! Neither endpoint has an offline phase: everything a round needs beyond
+//! the set-up state is made inline, in that round.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +30,6 @@ use rand::RngCore;
 use pretzel_classifiers::LinearModel;
 use pretzel_transport::Channel;
 
-use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::session::{EmailPayload, ProviderModelSuite, Verdict};
 use crate::spam::AheVariant;
@@ -135,18 +132,11 @@ pub trait FunctionModule: Send + Sync {
 
     /// Runs the provider half of the setup phase against the peer on
     /// `channel`, returning the reusable per-session provider state.
-    ///
-    /// `source` is where the session's offline artifacts come from — the
-    /// fleet bank, or [`crate::bank::empty_source`] when none runs. A module
-    /// with bankable artifacts (search's zero encryptions) registers the
-    /// reservoirs its rounds will draw from (see [`crate::bank::Lease`]);
-    /// one without ignores it.
     fn provider_setup(
         &self,
         channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>>;
 
@@ -293,7 +283,6 @@ mod tests {
             _channel: &mut dyn Channel,
             _suite: &ProviderModelSuite,
             _variant: AheVariant,
-            _source: &Arc<dyn PrecomputeSource>,
             _rng: &mut dyn RngCore,
         ) -> Result<Box<dyn ProviderModule>> {
             Err(PretzelError::Protocol("fake module".into()))

@@ -15,20 +15,13 @@
 //! The lifecycle both wrappers model is the one §3.3/§4 prescribe: one
 //! **setup** phase per (client, provider) pair — joint randomness, encrypted
 //! model transfer, base OTs — whose state is then **reused** across an
-//! arbitrary number of cheap per-email rounds. One kind of per-round work
-//! is made **offline**: a search provider session draws its zero
-//! encryptions ready-made from the [`PrecomputeSource`] its setup was
-//! handed (a fleet bank's background producers, or nothing —
-//! [`crate::bank::empty_source`]), and a dry draw computes inline. Every
-//! other round makes its own artifacts — garblings, Paillier randomizers —
-//! inline, on both sides. The online phase is one body: `process_batch`
+//! arbitrary number of cheap per-email rounds. Every round makes its own
+//! artifacts — garblings, Paillier randomizers — inline, on both sides;
+//! nothing is made offline. The online phase is one body: `process_batch`
 //! serves N emails in one coalesced exchange (far fewer frames than N
 //! exchanges — see `pretzel_transport::batch`), and `process_round` is the
-//! batch of one. Bank depth and batching only move work off the latency
-//! path — verdicts are identical either way, which `tests/batching.rs` and
-//! `tests/precompute_bank.rs` pin.
-
-use std::sync::Arc;
+//! batch of one. Batching only moves work off the latency path — verdicts
+//! are identical either way, which `tests/batching.rs` pins.
 
 use rand::{Rng, RngCore};
 
@@ -36,7 +29,6 @@ use pretzel_classifiers::{LinearModel, NGramExtractor, SparseVector};
 use pretzel_sse::DocId;
 use pretzel_transport::Channel;
 
-use crate::bank::{empty_source, PrecomputeSource};
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, ProtocolRegistry, ProviderModule, WireTag};
 use crate::spam::AheVariant;
@@ -96,8 +88,7 @@ pub struct ProviderSession {
 impl ProviderSession {
     /// Runs the setup phase of the module registered under `tag` against
     /// the peer on `channel`, returning reusable per-session state. Unknown
-    /// tags fail with the registry's [`crate::PretzelError::Protocol`]. The
-    /// session gets the empty source: every offline artifact is made inline.
+    /// tags fail with the registry's [`crate::PretzelError::Protocol`].
     pub fn setup<C: Channel, R: Rng>(
         registry: &ProtocolRegistry,
         tag: WireTag,
@@ -106,25 +97,10 @@ impl ProviderSession {
         variant: AheVariant,
         rng: &mut R,
     ) -> Result<Self> {
-        Self::setup_with_source(registry, tag, channel, suite, variant, &empty_source(), rng)
-    }
-
-    /// [`ProviderSession::setup`] drawing the session's offline artifacts
-    /// from `source` (see [`crate::FunctionModule::provider_setup`]).
-    pub fn setup_with_source<C: Channel, R: Rng>(
-        registry: &ProtocolRegistry,
-        tag: WireTag,
-        channel: &mut C,
-        suite: &ProviderModelSuite,
-        variant: AheVariant,
-        source: &Arc<dyn PrecomputeSource>,
-        rng: &mut R,
-    ) -> Result<Self> {
         let module = registry.from_wire_tag(tag)?.provider_setup(
             as_dyn_channel(channel),
             suite,
             variant,
-            source,
             as_dyn_rng(rng),
         )?;
         Ok(Self::from_module(module))
@@ -277,8 +253,8 @@ impl ClientSession {
     }
 
     /// Client-side storage consumed by the session state, in bytes: the
-    /// encrypted model for the classification modules, the SSE master key,
-    /// keyword counters and RLWE secret key for search sessions.
+    /// encrypted model for the classification modules, the SSE master key
+    /// and keyword counters for search sessions.
     pub fn model_storage_bytes(&self) -> usize {
         self.module.model_storage_bytes()
     }

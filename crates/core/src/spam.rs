@@ -29,8 +29,6 @@
 //! tens of microseconds), and a Baseline client samples its Paillier
 //! randomizers inline in the dot product.
 
-use std::sync::Arc;
-
 use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, SparseVector};
@@ -39,7 +37,6 @@ use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 pub use crate::ahe::AheVariant;
 use crate::ahe::{AheClient, AheProvider};
-use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -174,7 +171,6 @@ impl FunctionModule for SpamFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(SpamProvider::setup(

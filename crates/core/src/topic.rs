@@ -15,8 +15,6 @@
 //! decomposition (the "Pretzel (B′=B)" and Baseline configurations of
 //! Figures 10 and 11).
 
-use std::sync::Arc;
-
 use rand::{Rng, RngCore};
 
 use pretzel_classifiers::{LinearModel, SparseVector};
@@ -26,7 +24,6 @@ use pretzel_gc::{
 use pretzel_transport::{recv_rounds, send_rounds, Channel};
 
 use crate::ahe::{AheClient, AheProvider};
-use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -280,7 +277,6 @@ impl FunctionModule for TopicFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(TopicProvider::setup(

@@ -20,15 +20,12 @@
 //! provider never sees attachment bytes, and the client learns one bit per
 //! scan.
 
-use std::sync::Arc;
-
 use rand::{Rng, RngCore};
 
 use pretzel_classifiers::nb::GrNbTrainer;
 use pretzel_classifiers::{LabeledExample, LinearModel, NGramExtractor, Trainer};
 use pretzel_transport::Channel;
 
-use crate::bank::PrecomputeSource;
 use crate::config::PretzelConfig;
 use crate::registry::{ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag};
 use crate::session::{
@@ -226,7 +223,6 @@ impl FunctionModule for VirusFunction {
         mut channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         variant: AheVariant,
-        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>> {
         Ok(Box::new(VirusScanProvider::setup(

@@ -8,9 +8,6 @@
 //! tag through the same handshake, metering, and reporting machinery as the
 //! paper's functions, under load and interleaved with the built-ins.
 
-use std::sync::Arc;
-
-use pretzel_core::bank::PrecomputeSource;
 use pretzel_core::registry::{
     ClientContext, ClientModule, FunctionModule, ProviderModule, WireTag,
 };
@@ -49,7 +46,6 @@ impl FunctionModule for DigestFunction {
         _channel: &mut dyn Channel,
         _suite: &ProviderModelSuite,
         _variant: AheVariant,
-        _source: &Arc<dyn PrecomputeSource>,
         _rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>, PretzelError> {
         Ok(Box::new(DigestProvider))

@@ -3,8 +3,8 @@
 //! The repo's benchmark (`benchmark/`) measures friendly workloads. This
 //! crate supplies the adversarial half as *test* workloads: a library of
 //! **scenarios** — steady-state control, bursty arrivals, heavy-tailed
-//! email sizes, session churn, slow-loris stalls, precompute-pool storms,
-//! and a skewed mixed fleet with a custom module — each a pure function
+//! email sizes, session churn, slow-loris stalls, and a skewed mixed fleet
+//! with a custom module — each a pure function
 //! from `(params, seed)` to a fully materialized [`ScenarioPlan`], executed
 //! by a shared [`run_scenario`] runner over memory channels or loopback
 //! TCP.
@@ -31,8 +31,7 @@ use pretzel_datasets::ling_spam_like;
 
 pub use custom::{DigestFunction, DIGEST_WIRE_TAG};
 pub use library::{
-    BurstyArrivals, HeavyTailSizes, MixedFleetSkew, PoolExhaustionStorm, SessionChurn, SlowLoris,
-    Steady,
+    BurstyArrivals, HeavyTailSizes, MixedFleetSkew, SessionChurn, SlowLoris, Steady,
 };
 pub use plan::{RoundOp, ScenarioPlan, SessionEnd, SessionPlan};
 pub use runner::{
@@ -91,7 +90,6 @@ pub fn all_scenarios(config: ScenarioConfig) -> Vec<Box<dyn Scenario>> {
         Box::new(library::HeavyTailSizes(config)),
         Box::new(library::SessionChurn(config)),
         Box::new(library::SlowLoris(config)),
-        Box::new(library::PoolExhaustionStorm(config)),
         Box::new(library::MixedFleetSkew(config)),
     ]
 }
@@ -151,12 +149,6 @@ pub fn scenario_registry() -> ProtocolRegistry {
 mod tests {
     use super::*;
 
-    /// Draws that found their bank reservoir dry and were made inline,
-    /// fleet-wide.
-    fn fallback_draws(outcome: &ScenarioOutcome) -> u64 {
-        outcome.by_kind.iter().map(|(_, t)| t.fallback_draws).sum()
-    }
-
     #[test]
     fn scenario_names_are_unique_and_cover_the_issue_list() {
         let scenarios = all_scenarios(ScenarioConfig::tiny());
@@ -171,7 +163,6 @@ mod tests {
             "heavy-tail-email-sizes",
             "session-churn",
             "slow-loris",
-            "pool-exhaustion-storm",
             "mixed-fleet-skew",
         ] {
             assert!(names.contains(&required), "missing scenario {required}");
@@ -236,21 +227,6 @@ mod tests {
         assert_eq!(
             outcome.fingerprint.emails_total,
             (ScenarioConfig::tiny().sessions * ScenarioConfig::tiny().rounds) as u64
-        );
-    }
-
-    /// A starved bank changes where artifacts are made, never what the
-    /// protocol computes or ships: the storm reproduces its fingerprint
-    /// while at most one query per session finds stock.
-    #[test]
-    fn pool_exhaustion_storm_reproduces_while_counting_fallbacks() {
-        let scenario = library::PoolExhaustionStorm(ScenarioConfig::tiny());
-        let a = run_scenario(&scenario, 11, &RunOptions::default());
-        let b = run_scenario(&scenario, 11, &RunOptions::default());
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert!(
-            fallback_draws(&a) > 0,
-            "one stocked zero encryption cannot cover two queries"
         );
     }
 }

@@ -10,7 +10,6 @@
 //! | `heavy-tail-email-sizes` | Pareto-sized emails starve short ones |
 //! | `session-churn` | clients vanish mid-protocol with no goodbye |
 //! | `slow-loris` | stalling clients pin workers between frames |
-//! | `pool-exhaustion-storm` | search batch storms outrun a one-artifact bank |
 //! | `mixed-fleet-skew` | all four built-ins + a custom module at skewed ratios |
 //!
 //! The per-session RNG streams are split from the scenario seed with the
@@ -24,7 +23,7 @@ use pretzel_classifiers::SparseVector;
 use pretzel_core::session::EmailPayload;
 use pretzel_core::topic::CandidateMode;
 use pretzel_core::PretzelConfig;
-use pretzel_server::{BankConfig, ClientSpec, ClientSpecBuilder, MailroomConfig};
+use pretzel_server::{ClientSpec, ClientSpecBuilder, MailroomConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -386,55 +385,6 @@ impl Scenario for SlowLoris {
                 .workers((self.0.sessions / 2).max(2))
                 .queue_capacity(self.0.sessions.max(1))
                 .rng_seed(seed)
-                .build(),
-            sessions,
-        }
-    }
-}
-
-/// Batch storms against a starved precompute bank: search sessions each
-/// submit all their `2 × rounds` operations as one coalesced batch while the
-/// reservoir each draws from — its own zero encryptions — is held to a
-/// single artifact that is never refilled, so at most one query per session
-/// finds stock and the rest are made inline — counted as fallbacks — under
-/// burst pressure.
-pub struct PoolExhaustionStorm(pub ScenarioConfig);
-
-impl Scenario for PoolExhaustionStorm {
-    fn name(&self) -> &'static str {
-        "pool-exhaustion-storm"
-    }
-    fn summary(&self) -> &'static str {
-        "search batch storms outrun a bank held to one artifact per reservoir"
-    }
-    fn plan(&self, seed: u64) -> ScenarioPlan {
-        let sessions = (0..self.0.sessions)
-            .map(|i| {
-                let client_seed = session_seed(seed, i);
-                let mut rng = StdRng::seed_from_u64(client_seed);
-                let ops = search_payloads(&mut rng, self.0.rounds * 2, i as u64 * 100);
-                SessionPlan {
-                    label: "search",
-                    spec: spec_for_kind("search"),
-                    client_seed,
-                    arrival_delay: Duration::ZERO,
-                    frame_pace: Duration::ZERO,
-                    rounds: vec![RoundOp::Batch(ops)],
-                    end: SessionEnd::Finish,
-                }
-            })
-            .collect();
-        ScenarioPlan {
-            mailroom: MailroomConfig::builder()
-                .workers(2)
-                .queue_capacity(self.0.sessions.max(1))
-                .rng_seed(seed)
-                .bank(
-                    BankConfig::default()
-                        .rng_seed(seed ^ 0xBA9C)
-                        .producer_threads(1)
-                        .target(1),
-                )
                 .build(),
             sessions,
         }

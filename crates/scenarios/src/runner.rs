@@ -55,14 +55,8 @@ pub struct DeterminismFingerprint {
     pub fleet_bytes_received: u64,
     /// Fleet messages in both directions.
     pub fleet_messages: u64,
-    /// Final offline-stock depth summed over sessions; see `by_kind` for
-    /// when it is pinned to 0.
-    pub pool_depth_total: u64,
-    /// Per-kind meter totals, ordered by wire tag. Sessions, emails, bytes
-    /// and messages are always the seed's; the two reservoir gauges
-    /// (`pool_depth`, `fallback_draws`) are as reported for a plan without a
-    /// bank and zeroed for one with a bank, where they depend on producer
-    /// scheduling ([`ScenarioOutcome::by_kind`] has them unmasked).
+    /// Per-kind meter totals (sessions, emails, bytes, messages), ordered
+    /// by wire tag.
     pub by_kind: Vec<(WireTag, KindTotals)>,
 }
 
@@ -77,9 +71,6 @@ pub struct ScenarioOutcome {
     pub completed: usize,
     /// Sessions the provider recorded as failed (abandonments).
     pub failed: usize,
-    /// Per-kind meter totals as the mailroom reported them, ordered by wire
-    /// tag, reservoir gauges included.
-    pub by_kind: Vec<(WireTag, KindTotals)>,
     /// The reproducible measurement surface.
     pub fingerprint: DeterminismFingerprint,
 }
@@ -225,23 +216,11 @@ pub fn run_scenario(scenario: &dyn Scenario, seed: u64, options: &RunOptions) ->
         scenario.name()
     );
 
-    let by_kind = report.by_kind();
-    let mut pinned_by_kind = by_kind.clone();
-    let mut pool_depth_total = report.pool_depth_total;
-    if plan.mailroom.bank.is_some() {
-        pool_depth_total = 0;
-        for (_, totals) in &mut pinned_by_kind {
-            totals.pool_depth = 0;
-            totals.fallback_draws = 0;
-        }
-    }
-
     ScenarioOutcome {
         name: scenario.name(),
         seed,
         completed,
         failed,
-        by_kind,
         fingerprint: DeterminismFingerprint {
             verdict_digest,
             verdicts,
@@ -249,8 +228,7 @@ pub fn run_scenario(scenario: &dyn Scenario, seed: u64, options: &RunOptions) ->
             fleet_bytes_sent: report.fleet_bytes_sent,
             fleet_bytes_received: report.fleet_bytes_received,
             fleet_messages: report.fleet_messages,
-            pool_depth_total,
-            by_kind: pinned_by_kind,
+            by_kind: report.by_kind(),
         },
     }
 }

@@ -55,10 +55,9 @@ impl std::fmt::Debug for ClientSpec {
 }
 
 impl ClientSpec {
-    /// Spec for an encrypted-keyword-search session (always served over
-    /// RLWE; the variant byte is carried but ignored by search sessions)
-    /// with the default envelope; everything else goes through
-    /// [`ClientSpecBuilder`].
+    /// Spec for an encrypted-keyword-search session (search uses no AHE:
+    /// the variant byte is carried but ignored); everything else goes
+    /// through [`ClientSpecBuilder`].
     pub fn search(config: PretzelConfig) -> Self {
         ClientSpecBuilder::search(config).build()
     }

@@ -35,7 +35,7 @@
 //! (`u32` length-prefixed frames on TCP). The session handshake is
 //! **versioned** (see `pretzel_transport::wire` and `docs/WIRE.md`): the
 //! client offers a version range, the provider picks a version inside it or
-//! refuses with a typed reason. This build speaks one generation, v3.
+//! refuses with a typed reason. This build speaks one generation, v4.
 //!
 //! ```text
 //! client → provider   HandshakeOffer             [0x00 'P' 'Z', min, max,
@@ -86,7 +86,7 @@ mod queue;
 pub use client::{ClientSpec, ClientSpecBuilder, MailroomClient};
 pub use mailroom::{
     serve_tcp_sessions, KindTotals, Mailroom, MailroomConfig, MailroomConfigBuilder,
-    MailroomReport, SessionId, SessionState, SessionStats,
+    MailroomReport, PoolKindGauge, SessionId, SessionState, SessionStats,
 };
 pub use pretzel_core::bank::{BankConfig, BankReport, ReservoirStats};
 pub use queue::{BoundedQueue, PushError};

@@ -1,13 +1,17 @@
 //! Client side of the SSE scheme: key material, per-keyword counters,
 //! document indexing, and search-token generation.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pretzel_classifiers::Tokenizer;
-use pretzel_primitives::hmac_sha256;
+use pretzel_primitives::{ct_eq, hmac_sha256};
 use rand::Rng;
 
-use crate::DocId;
+use crate::{DocId, SealedPosting, SseError};
+
+/// Bytes of one entry in [`UpdateBatch::to_wire_bytes`]: a 32-byte label and
+/// a 16-byte [`SealedPosting`].
+const ENTRY_LEN: usize = 32 + 16;
 
 /// Opaque per-keyword search token handed to the provider.
 ///
@@ -18,18 +22,19 @@ use crate::DocId;
 pub struct SearchToken {
     /// Key used to derive the storage labels of `w`'s postings.
     pub label_key: [u8; 32],
-    /// Key used to decrypt the email ids stored in `w`'s postings.
+    /// Key used to seal, tag and open the email ids stored in `w`'s
+    /// postings.
     pub value_key: [u8; 32],
 }
 
 /// A batch of encrypted index entries ready to upload to the provider.
 ///
-/// Each entry is `(label, encrypted email id)`; labels and ciphertexts look
+/// Each entry is `(label, sealed posting)`; labels and postings look
 /// uniformly random to the provider.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateBatch {
     /// Encrypted postings produced by [`SseClient::index_email`].
-    pub entries: Vec<([u8; 32], [u8; 8])>,
+    pub entries: Vec<([u8; 32], SealedPosting)>,
 }
 
 impl UpdateBatch {
@@ -44,15 +49,15 @@ impl UpdateBatch {
     }
 
     /// Serializes the batch for transmission: a `u64` little-endian posting
-    /// count followed by 40 bytes (32-byte label + 8-byte sealed id) per
-    /// posting. The single wire format shared by the bare SSE endpoints and
-    /// the mailroom-served search protocol.
+    /// count followed by 48 bytes (32-byte label + 16-byte sealed posting)
+    /// per posting. The single wire format shared by the bare SSE endpoints
+    /// and the mailroom-served search protocol.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.entries.len() * 40);
+        let mut out = Vec::with_capacity(8 + self.entries.len() * ENTRY_LEN);
         out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for (label, value) in &self.entries {
+        for (label, posting) in &self.entries {
             out.extend_from_slice(label);
-            out.extend_from_slice(value);
+            out.extend_from_slice(posting);
         }
         out
     }
@@ -63,23 +68,26 @@ impl UpdateBatch {
     /// is done without multiplying it).
     pub fn from_wire_bytes(bytes: &[u8]) -> crate::Result<Self> {
         if bytes.len() < 8 {
-            return Err(crate::SseError::Protocol("truncated upload header".into()));
+            return Err(SseError::Protocol("truncated upload header".into()));
         }
         let count = u64::from_le_bytes(bytes[..8].try_into().expect("checked length"));
         let entries_bytes = &bytes[8..];
-        if !entries_bytes.len().is_multiple_of(40) || (entries_bytes.len() / 40) as u64 != count {
-            return Err(crate::SseError::Protocol("upload length mismatch".into()));
+        if !entries_bytes.len().is_multiple_of(ENTRY_LEN)
+            || (entries_bytes.len() / ENTRY_LEN) as u64 != count
+        {
+            return Err(SseError::Protocol("upload length mismatch".into()));
         }
-        let mut batch = UpdateBatch::default();
-        batch.entries.reserve(entries_bytes.len() / 40);
-        for chunk in entries_bytes.chunks_exact(40) {
-            let mut label = [0u8; 32];
-            label.copy_from_slice(&chunk[..32]);
-            let mut value = [0u8; 8];
-            value.copy_from_slice(&chunk[32..]);
-            batch.entries.push((label, value));
-        }
-        Ok(batch)
+        let entries = entries_bytes
+            .chunks_exact(ENTRY_LEN)
+            .map(|entry| {
+                let (label, posting) = entry.split_at(32);
+                (
+                    label.try_into().expect("32-byte label"),
+                    posting.try_into().expect("16-byte posting"),
+                )
+            })
+            .collect();
+        Ok(UpdateBatch { entries })
     }
 }
 
@@ -93,8 +101,11 @@ impl UpdateBatch {
 #[derive(Clone, Debug)]
 pub struct SseClient {
     master_key: [u8; 32],
-    /// keyword → number of postings already uploaded for it.
-    counters: HashMap<String, u64>,
+    /// Number of postings already uploaded per keyword, keyed by the first
+    /// 16 bytes of the keyword's label key — a PRF output, so collision-free
+    /// in practice, and a fixed-size key with no allocation per keyword. A
+    /// B-tree, unlike a hash table, never holds two copies while it grows.
+    counters: BTreeMap<[u8; 16], u64>,
     tokenizer: Tokenizer,
 }
 
@@ -109,7 +120,7 @@ impl SseClient {
     pub fn from_master_key(master_key: [u8; 32]) -> Self {
         SseClient {
             master_key,
-            counters: HashMap::new(),
+            counters: BTreeMap::new(),
             tokenizer: Tokenizer::new(),
         }
     }
@@ -151,24 +162,33 @@ impl SseClient {
         let mut entries = Vec::with_capacity(keywords.len());
         for keyword in keywords {
             let token = self.search_token(&keyword);
-            let counter = self.counters.entry(keyword).or_insert(0);
+            let counter_key = token.label_key[..16].try_into().expect("32-byte key");
+            let counter = self.counters.entry(counter_key).or_insert(0);
             entries.push((
                 posting_label(&token.label_key, *counter),
-                seal_doc_id(&token.value_key, *counter, doc_id),
+                seal_posting(&token.value_key, *counter, doc_id),
             ));
             *counter += 1;
         }
         UpdateBatch { entries }
     }
 
-    /// Decrypts the sealed postings returned by a response-hiding lookup
-    /// ([`crate::EncryptedIndex::lookup_sealed`]).
-    pub fn open_results(&self, keyword: &str, sealed: &[[u8; 8]]) -> Vec<DocId> {
+    /// Opens the sealed postings a response-hiding lookup returned
+    /// ([`crate::EncryptedIndex::lookup_sealed`]), the `c`-th being the
+    /// keyword's `c`-th posting. Every tag must verify under the keyword's
+    /// value key at its position, so a forged, substituted or reordered
+    /// posting, or one of another keyword, is an [`SseError::Protocol`]
+    /// error, never a wrong id.
+    pub fn open_results(
+        &self,
+        keyword: &str,
+        postings: &[SealedPosting],
+    ) -> crate::Result<Vec<DocId>> {
         let token = self.search_token(keyword);
-        sealed
+        postings
             .iter()
             .enumerate()
-            .map(|(c, ct)| open_doc_id(&token.value_key, c as u64, ct))
+            .map(|(c, posting)| open_posting(&token.value_key, c as u64, posting))
             .collect()
     }
 
@@ -189,6 +209,43 @@ fn normalize(keyword: &str) -> String {
 /// Label of the `counter`-th posting for a keyword, given its label key.
 pub(crate) fn posting_label(label_key: &[u8; 32], counter: u64) -> [u8; 32] {
     hmac_sha256(label_key, &counter.to_le_bytes())
+}
+
+/// The `counter`-th posting of a keyword: the sealed id, then its tag.
+fn seal_posting(value_key: &[u8; 32], counter: u64, doc_id: DocId) -> SealedPosting {
+    let sealed = seal_doc_id(value_key, counter, doc_id);
+    let mut posting = [0u8; 16];
+    posting[..8].copy_from_slice(&sealed);
+    posting[8..].copy_from_slice(&posting_tag(value_key, counter, &sealed));
+    posting
+}
+
+/// Checks the tag of the `counter`-th posting of a keyword, then opens it.
+fn open_posting(
+    value_key: &[u8; 32],
+    counter: u64,
+    posting: &SealedPosting,
+) -> crate::Result<DocId> {
+    let sealed = sealed_id(posting);
+    if !ct_eq(&posting[8..], &posting_tag(value_key, counter, sealed)) {
+        return Err(SseError::Protocol(format!(
+            "posting {counter} fails its tag check"
+        )));
+    }
+    Ok(open_doc_id(value_key, counter, sealed))
+}
+
+/// The sealed-id half of a posting.
+pub(crate) fn sealed_id(posting: &SealedPosting) -> &[u8; 8] {
+    posting[..8].try_into().expect("a posting is 16 bytes")
+}
+
+/// Tag binding a sealed id to its keyword (through the value key) and its
+/// position: `HMAC(value_key, counter ‖ sealed)`, truncated to 8 bytes. Its
+/// 16-byte input never collides with the 11-byte input of the sealing pad.
+fn posting_tag(value_key: &[u8; 32], counter: u64, sealed: &[u8; 8]) -> [u8; 8] {
+    let mac = hmac_sha256(value_key, &[&counter.to_le_bytes()[..], sealed].concat());
+    mac[..8].try_into().expect("a MAC is 32 bytes")
 }
 
 /// Encrypts a document id for the `counter`-th posting of a keyword.
@@ -275,16 +332,55 @@ mod tests {
         assert_ne!(b1.entries[0].0, b2.entries[0].0);
     }
 
+    /// The postings of "keyword" for emails 10, 20, 30, in counter order.
+    fn three_postings(client: &mut SseClient) -> Vec<SealedPosting> {
+        [10u64, 20, 30]
+            .iter()
+            .map(|&d| client.index_email(d, "keyword").entries[0].1)
+            .collect()
+    }
+
     #[test]
     fn open_results_recovers_doc_ids_in_counter_order() {
         let mut client = SseClient::from_master_key([5u8; 32]);
-        let docs = [10u64, 20, 30];
-        let mut sealed = Vec::new();
-        for &d in &docs {
-            let batch = client.index_email(d, "keyword");
-            sealed.push(batch.entries[0].1);
+        let postings = three_postings(&mut client);
+        assert_eq!(
+            client.open_results("keyword", &postings).unwrap(),
+            vec![10, 20, 30]
+        );
+    }
+
+    #[test]
+    fn open_results_rejects_reordered_flipped_and_foreign_postings() {
+        let mut client = SseClient::from_master_key([6u8; 32]);
+        let postings = three_postings(&mut client);
+        let other = client.index_email(40, "other").entries[0].1;
+        let rejected = |postings: &[SealedPosting]| {
+            matches!(
+                client.open_results("keyword", postings),
+                Err(SseError::Protocol(_))
+            )
+        };
+        assert!(rejected(&[postings[1], postings[0]]), "reordered");
+        assert!(rejected(&[other]), "another keyword's posting");
+        for byte in [0, 8, 15] {
+            let mut flipped = postings.clone();
+            flipped[2][byte] ^= 1;
+            assert!(rejected(&flipped), "bit flip in byte {byte}");
         }
-        assert_eq!(client.open_results("keyword", &sealed), docs.to_vec());
+        assert!(rejected(&[[0u8; 16]]), "zero padding is not a posting");
+    }
+
+    #[test]
+    fn wire_format_round_trips_and_checks_the_count() {
+        let mut client = SseClient::from_master_key([4u8; 32]);
+        let batch = client.index_email(3, "quarterly budget review");
+        let bytes = batch.to_wire_bytes();
+        assert_eq!(bytes.len(), 8 + batch.len() * ENTRY_LEN);
+        assert_eq!(UpdateBatch::from_wire_bytes(&bytes).unwrap(), batch);
+        for bad in [&bytes[..7], &bytes[..bytes.len() - 1]] {
+            assert!(UpdateBatch::from_wire_bytes(bad).is_err());
+        }
     }
 
     proptest! {
@@ -296,6 +392,8 @@ mod tests {
         ) {
             let sealed = seal_doc_id(&key, counter, doc);
             prop_assert_eq!(open_doc_id(&key, counter, &sealed), doc);
+            let posting = seal_posting(&key, counter, doc);
+            prop_assert_eq!(open_posting(&key, counter, &posting).unwrap(), doc);
         }
 
         #[test]

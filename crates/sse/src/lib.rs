@@ -12,19 +12,22 @@
 //! al.; Cash et al.'s basic construction):
 //!
 //! * The client holds a 32-byte master key. For every keyword `w` it derives
-//!   two subkeys with HMAC-SHA-256: a **label key** `K_l(w)` and an
-//!   **encryption key** `K_e(w)`.
+//!   two subkeys with HMAC-SHA-256: a **label key** `K_l(w)` and a **value
+//!   key** `K_v(w)`.
 //! * The `c`-th email containing `w` is stored at the provider under the
-//!   opaque label `HMAC(K_l(w), c)`, with value `ChaCha20(K_e(w), nonce=c)`
-//!   applied to the email id. The provider sees only uniformly random-looking
-//!   labels and ciphertexts.
-//! * To search, the client sends `K_l(w)` and `K_e(w)` for the queried word;
+//!   opaque label `HMAC(K_l(w), c)`, with a 16-byte [`SealedPosting`] as
+//!   value: the email id XORed with an `HMAC(K_v(w), c ‖ "pad")` pad, then
+//!   an 8-byte tag `HMAC(K_v(w), c ‖ sealed id)` that binds the sealed id to
+//!   its keyword and position. The provider sees only uniformly
+//!   random-looking labels and postings.
+//! * To search, the client sends `K_l(w)` and `K_v(w)` for the queried word;
 //!   the provider walks `c = 0, 1, 2, …` until a label misses and returns the
-//!   decrypted email ids. (Sending `K_e(w)` lets the provider decrypt the ids
+//!   decrypted email ids. (Sending `K_v(w)` lets the provider decrypt the ids
 //!   of *matching* emails — the same information it necessarily learns when
 //!   it is asked to fetch those emails — and keeps the protocol to one round
-//!   trip. A response-hiding variant that returns ciphertexts for the client
-//!   to decrypt is available as [`server::EncryptedIndex::lookup_sealed`].)
+//!   trip. A response-hiding variant returns the sealed postings instead
+//!   ([`server::EncryptedIndex::lookup_sealed`]), and the client checks each
+//!   tag before opening the id ([`SseClient::open_results`]).)
 //!
 //! What the provider learns: the number of indexed (keyword, email) pairs,
 //! the result count per query, and the access pattern across repeated
@@ -54,6 +57,11 @@ pub use server::EncryptedIndex;
 
 /// Identifier of an indexed email (matches `pretzel_search::DocId`).
 pub type DocId = u64;
+
+/// One stored posting: the sealed email id (8 bytes) followed by its tag
+/// (8 bytes). Only the holder of the keyword's value key can open the id or
+/// make a tag that verifies.
+pub type SealedPosting = [u8; 16];
 
 /// Errors surfaced by the SSE protocol endpoints.
 #[derive(Debug)]

@@ -3,7 +3,8 @@
 //! The exchange is deliberately simple — the privacy comes from what the
 //! messages contain (opaque labels and ciphertexts), not from the transport:
 //!
-//! * `UPLOAD`: client → provider, a batch of `(label, sealed id)` postings.
+//! * `UPLOAD`: client → provider, a batch of `(label, sealed posting)`
+//!   entries.
 //! * `SEARCH`: client → provider, a per-keyword token; provider → client,
 //!   the matching email ids.
 //! * `CLOSE`: client → provider, ends the session.
@@ -45,8 +46,7 @@ impl SseClientEndpoint {
         body: &str,
     ) -> Result<usize> {
         let batch = self.state.index_email(doc_id, body);
-        let mut msg = Vec::with_capacity(1 + 8 + batch.len() * 40);
-        msg.push(TAG_UPLOAD);
+        let mut msg = vec![TAG_UPLOAD];
         msg.extend_from_slice(&batch.to_wire_bytes());
         channel.send(&msg)?;
         Ok(batch.len())
@@ -63,11 +63,13 @@ impl SseClientEndpoint {
         channel.send(&msg)?;
 
         let reply = channel.recv()?;
-        if reply.len() < 8 || (reply.len() - 8) % 8 != 0 {
+        if reply.len() < 8 || !(reply.len() - 8).is_multiple_of(8) {
             return Err(SseError::Protocol("malformed search reply".into()));
         }
-        let count = u64::from_le_bytes(reply[..8].try_into().expect("checked length")) as usize;
-        if reply.len() != 8 + count * 8 {
+        // The count is the provider's claim, so it is compared against the
+        // ids carried without multiplying it.
+        let count = u64::from_le_bytes(reply[..8].try_into().expect("checked length"));
+        if ((reply.len() - 8) / 8) as u64 != count {
             return Err(SseError::Protocol("search reply length mismatch".into()));
         }
         Ok(reply[8..]
@@ -222,6 +224,29 @@ mod tests {
             },
         );
         assert!(matches!(provider_res, Err(SseError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_reply_declaring_more_ids_than_it_carries_is_rejected() {
+        // One id carried, 2^61 + 1 declared: `8 + count * 8` overflows to 16,
+        // the reply's real length — a panic under debug overflow checks, and
+        // one accepted id when the multiplication wraps.
+        let (_, client_res) = run_two_party(
+            |chan| {
+                let _query = chan.recv().unwrap();
+                let mut reply = ((1u64 << 61) + 1).to_le_bytes().to_vec();
+                reply.extend_from_slice(&7u64.to_le_bytes());
+                chan.send(&reply).unwrap();
+            },
+            |chan| {
+                SseClientEndpoint::new(SseClient::from_master_key([23u8; 32]))
+                    .search(chan, "anything")
+            },
+        );
+        assert!(
+            matches!(client_res, Err(SseError::Protocol(_))),
+            "got {client_res:?}"
+        );
     }
 
     #[test]

@@ -1,20 +1,35 @@
 //! Provider-side store of the SSE scheme: an opaque label → ciphertext map.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use crate::client::{open_doc_id, posting_label};
-use crate::{DocId, SearchToken, UpdateBatch};
+use crate::client::{open_doc_id, posting_label, sealed_id};
+use crate::{DocId, SealedPosting, SearchToken, UpdateBatch};
+
+/// Bytes of a label the index keeps. Labels are PRF outputs, so 128 bits
+/// keep them collision-free at any mailbox size while halving the key
+/// memory.
+const STORED_LABEL_LEN: usize = 16;
+
+/// The stored form of a label: its first [`STORED_LABEL_LEN`] bytes.
+fn stored_label(label: &[u8; 32]) -> [u8; STORED_LABEL_LEN] {
+    label[..STORED_LABEL_LEN]
+        .try_into()
+        .expect("a label is 32 bytes")
+}
 
 /// The provider's encrypted search index.
 ///
-/// The provider only ever sees 32-byte labels and 8-byte ciphertexts, both of
-/// which are indistinguishable from random without the client's keys. The
-/// store therefore reveals nothing about keywords or email contents — only
-/// the total number of postings (and, at query time, the per-query result
-/// count and access pattern, the standard SSE leakage).
+/// The provider only ever sees 32-byte labels and 16-byte sealed postings,
+/// both of which are indistinguishable from random without the client's
+/// keys. The store therefore reveals nothing about keywords or email
+/// contents — only the total number of postings (and, at query time, the
+/// per-query result count and access pattern, the standard SSE leakage).
+///
+/// The map is a B-tree: unlike a hash table, it never holds two copies of
+/// itself while it grows, so a mailbox's peak memory tracks its size.
 #[derive(Clone, Debug, Default)]
 pub struct EncryptedIndex {
-    entries: HashMap<[u8; 32], [u8; 8]>,
+    entries: BTreeMap<[u8; STORED_LABEL_LEN], SealedPosting>,
 }
 
 impl EncryptedIndex {
@@ -35,15 +50,15 @@ impl EncryptedIndex {
 
     /// Approximate storage the provider dedicates to the index, in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.entries.len() * (32 + 8)
+        self.entries.len() * (STORED_LABEL_LEN + 16)
     }
 
     /// Merges a client upload into the index. Duplicate labels overwrite
     /// (labels are collision-free under the client's PRF, so this only
     /// happens if a client re-uploads the same batch).
     pub fn apply(&mut self, batch: &UpdateBatch) {
-        for (label, value) in &batch.entries {
-            self.entries.insert(*label, *value);
+        for (label, posting) in &batch.entries {
+            self.entries.insert(stored_label(label), *posting);
         }
     }
 
@@ -54,26 +69,27 @@ impl EncryptedIndex {
         self.walk(token)
             .into_iter()
             .enumerate()
-            .map(|(c, sealed)| open_doc_id(&token.value_key, c as u64, &sealed))
+            .map(|(c, posting)| open_doc_id(&token.value_key, c as u64, sealed_id(&posting)))
             .collect()
     }
 
-    /// Response-hiding lookup: returns the sealed postings so that only the
-    /// client (who holds the value key) can recover the email ids. Used when
-    /// the query token intentionally omits the value key.
-    pub fn lookup_sealed(&self, label_key: &[u8; 32]) -> Vec<[u8; 8]> {
+    /// Response-hiding lookup: returns the sealed postings, in counter
+    /// order, so that only the client (who holds the value key) can check
+    /// their tags and recover the email ids. Used when the query token
+    /// intentionally omits the value key.
+    pub fn lookup_sealed(&self, label_key: &[u8; 32]) -> Vec<SealedPosting> {
         self.walk(&SearchToken {
             label_key: *label_key,
             value_key: [0u8; 32],
         })
     }
 
-    fn walk(&self, token: &SearchToken) -> Vec<[u8; 8]> {
+    fn walk(&self, token: &SearchToken) -> Vec<SealedPosting> {
         let mut out = Vec::new();
         for counter in 0u64.. {
             let label = posting_label(&token.label_key, counter);
-            match self.entries.get(&label) {
-                Some(value) => out.push(*value),
+            match self.entries.get(&stored_label(&label)) {
+                Some(posting) => out.push(*posting),
                 None => break,
             }
         }
@@ -113,10 +129,10 @@ mod tests {
         assert_eq!(sealed.len(), 2);
         // The sealed values are not the raw ids.
         for s in &sealed {
-            let as_id = DocId::from_le_bytes(*s);
+            let as_id = DocId::from_le_bytes(*sealed_id(s));
             assert!(as_id != 1 && as_id != 2);
         }
-        let mut opened = client.open_results("pretzel", &sealed);
+        let mut opened = client.open_results("pretzel", &sealed).unwrap();
         opened.sort_unstable();
         assert_eq!(opened, vec![1, 2]);
     }
@@ -133,7 +149,7 @@ mod tests {
     #[test]
     fn size_accounting_tracks_postings() {
         let (_, index) = populated();
-        assert_eq!(index.size_bytes(), index.len() * 40);
+        assert_eq!(index.size_bytes(), index.len() * 32);
         assert!(!index.is_empty());
         assert_eq!(EncryptedIndex::new().size_bytes(), 0);
     }

@@ -40,7 +40,7 @@ pub mod wire;
 
 pub use batch::{pack_frames, recv_rounds, send_rounds, unpack_frames};
 pub use memory::{memory_pair, MemoryChannel};
-pub use meter::{Meter, MeteredChannel, PoolKindGauge};
+pub use meter::{Meter, MeteredChannel};
 pub use paced::PacedChannel;
 pub use tcp::{TcpAcceptor, TcpChannel};
 pub use wire::{

@@ -25,31 +25,12 @@
 //! Because a [`Meter`] is a shared handle (internally `Arc`ed), cloning it
 //! never forks the counters: all clones, and every channel wrapped via
 //! [`MeteredChannel::with_meter`], observe and update the same totals.
-//!
-//! Besides the four traffic counters, a meter carries the serving layer's
-//! per-kind precompute **gauges** ([`Meter::set_pool_gauge`]): how much stock
-//! the endpoint's reservoirs of each artifact kind hold, and how many of its
-//! draws came up dry. The mailroom updates them after setup and every round
-//! so operators can read session health and traffic from a single handle.
-//! [`Meter::reset`] clears the gauges along with the counters.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::{Channel, Result};
-
-/// Per-kind precompute pool gauge: how deep one artifact kind's pool is and
-/// how many draws found every pool dry and computed inline. Written by the
-/// serving layer via [`Meter::set_pool_gauge`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolKindGauge {
-    /// Rounds this kind can currently serve without inline work.
-    pub depth: u64,
-    /// Draws that fell through every pool and computed inline.
-    pub fallback_draws: u64,
-}
 
 #[derive(Default, Debug)]
 struct MeterInner {
@@ -57,7 +38,6 @@ struct MeterInner {
     bytes_received: u64,
     messages_sent: u64,
     messages_received: u64,
-    pool_kinds: BTreeMap<&'static str, PoolKindGauge>,
 }
 
 /// Shared counters for one endpoint of a metered channel.
@@ -102,62 +82,11 @@ impl Meter {
         self.inner.lock().messages_received
     }
 
-    /// Precomputation pool depth: the sum of the per-kind gauge depths (0
-    /// until [`Meter::set_pool_gauge`] is called).
-    pub fn pool_depth(&self) -> u64 {
-        let g = self.inner.lock();
-        g.pool_kinds.values().map(|k| k.depth).sum()
-    }
-
-    /// Updates one artifact kind's pool gauge (a last-write-wins snapshot,
-    /// unlike the monotonic traffic counters; keyed by the kind names
-    /// precompute reservoirs report — the built-in modules bank only
-    /// search's `"zero_encryptions"`).
-    pub fn set_pool_gauge(&self, kind: &'static str, depth: u64, fallback_draws: u64) {
-        self.inner.lock().pool_kinds.insert(
-            kind,
-            PoolKindGauge {
-                depth,
-                fallback_draws,
-            },
-        );
-    }
-
-    /// One kind's pool gauge (zero if never set).
-    pub fn pool_gauge(&self, kind: &str) -> PoolKindGauge {
-        self.inner
-            .lock()
-            .pool_kinds
-            .get(kind)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Every per-kind pool gauge set so far, sorted by kind name.
-    pub fn pool_gauges(&self) -> Vec<(&'static str, PoolKindGauge)> {
-        self.inner
-            .lock()
-            .pool_kinds
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// Total pool-dry fallback draws across all kinds.
-    pub fn fallback_draws(&self) -> u64 {
-        self.inner
-            .lock()
-            .pool_kinds
-            .values()
-            .map(|k| k.fallback_draws)
-            .sum()
-    }
-
-    /// Resets all four counters (bytes and messages, both directions), the
-    /// pool depth gauge, and every per-kind pool gauge to zero in one atomic
-    /// step — no partially-reset state is ever observable, even when other
-    /// channels share this meter. Typical use is zeroing the setup-phase
-    /// traffic before measuring the per-email phase.
+    /// Resets all four counters (bytes and messages, both directions) to
+    /// zero in one atomic step — no partially-reset state is ever
+    /// observable, even when other channels share this meter. Typical use
+    /// is zeroing the setup-phase traffic before measuring the per-email
+    /// phase.
     pub fn reset(&self) {
         *self.inner.lock() = MeterInner::default();
     }
@@ -253,39 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn per_kind_gauges_delegate_the_aggregate_and_count_fallbacks() {
-        let meter = Meter::new();
-        assert_eq!(meter.pool_depth(), 0);
-        let clone = meter.clone();
-        clone.set_pool_gauge("garblings", 4, 1);
-        clone.set_pool_gauge("zero_encryptions", 3, 2);
-        assert_eq!(
-            meter.pool_depth(),
-            7,
-            "the aggregate is the per-kind sum, shared across clones"
-        );
-        assert_eq!(meter.pool_gauge("garblings").depth, 4);
-        assert_eq!(meter.pool_gauge("garblings").fallback_draws, 1);
-        assert_eq!(meter.pool_gauge("unset").depth, 0);
-        assert_eq!(meter.fallback_draws(), 3);
-        let gauges = meter.pool_gauges();
-        assert_eq!(gauges.len(), 2);
-        assert_eq!(gauges[0].0, "garblings", "sorted by kind name");
-        meter.set_pool_gauge("garblings", 0, 5);
-        assert_eq!(
-            meter.pool_gauge("garblings").fallback_draws,
-            5,
-            "last write wins"
-        );
-        meter.reset();
-        assert!(
-            meter.pool_gauges().is_empty(),
-            "reset clears per-kind gauges"
-        );
-        assert_eq!(meter.pool_depth(), 0);
-    }
-
-    #[test]
     fn reset_clears_all_four_counters() {
         let (a, mut b) = memory_pair();
         let mut ma = MeteredChannel::new(a);
@@ -294,11 +190,9 @@ mod tests {
         let _ = b.recv().unwrap();
         let _ = ma.recv().unwrap();
         let meter = ma.meter();
-        meter.set_pool_gauge("garblings", 5, 0);
         assert_eq!(meter.bytes_sent(), 3);
         assert_eq!(meter.bytes_received(), 1);
         meter.reset();
-        assert_eq!(meter.pool_depth(), 0, "reset also zeroes the gauge");
         assert_eq!(meter.bytes_sent(), 0);
         assert_eq!(meter.bytes_received(), 0);
         assert_eq!(meter.messages_sent(), 0);

@@ -2,8 +2,9 @@
 //! handshake, and the codec that frames every post-handshake message.
 //!
 //! * [`ProtocolVersion`] enumerates the wire protocol generations this build
-//!   speaks. There is exactly one, **v3**: an explicit handshake, a framed,
-//!   checksummed codec, and half-gates garbled tables in the Yao bodies.
+//!   speaks. There is exactly one, **v4**: an explicit handshake, a framed,
+//!   checksummed codec, half-gates garbled tables in the Yao bodies, and
+//!   fixed-size search replies of client-tagged sealed postings.
 //! * [`HandshakeOffer`] / [`HandshakeAck`] are the negotiation exchange: the
 //!   client offers a version range, its wire tag/variant, and a
 //!   [`Capabilities`] bit set; the provider picks one version
@@ -39,21 +40,24 @@ use crate::{Channel, Result, TransportError};
 /// Ordered: a higher variant is a newer protocol. [`negotiate`] picks the
 /// highest version inside both peers' ranges. Retired version bytes are
 /// reserved and never reused: `1` (bare 2-byte handshake, unframed
-/// payloads) and `2` (four-row point-and-permute garbled tables).
+/// payloads), `2` (four-row point-and-permute garbled tables) and `3`
+/// (search replies wrapped in one RLWE ciphertext).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum ProtocolVersion {
     /// Explicit handshake ([`HandshakeOffer`]/[`HandshakeAck`]), framed
-    /// [`V2Codec`] payloads with a per-frame checksum, and Yao messages
-    /// carrying two-row half-gates tables.
-    V3 = 3,
+    /// [`V2Codec`] payloads with a per-frame checksum, Yao messages
+    /// carrying two-row half-gates tables, and search sessions with no
+    /// set-up frames whose query replies are fixed-size lists of tagged
+    /// sealed postings.
+    V4 = 4,
 }
 
 impl ProtocolVersion {
     /// Oldest version this build speaks.
-    pub const MIN: ProtocolVersion = ProtocolVersion::V3;
+    pub const MIN: ProtocolVersion = ProtocolVersion::V4;
     /// Newest version this build speaks.
-    pub const MAX: ProtocolVersion = ProtocolVersion::V3;
+    pub const MAX: ProtocolVersion = ProtocolVersion::V4;
 
     /// The version's wire byte.
     pub fn as_byte(self) -> u8 {
@@ -63,7 +67,7 @@ impl ProtocolVersion {
     /// Decodes a version byte; `None` for versions this build does not know.
     pub fn from_byte(b: u8) -> Option<ProtocolVersion> {
         match b {
-            3 => Some(ProtocolVersion::V3),
+            4 => Some(ProtocolVersion::V4),
             _ => None,
         }
     }
@@ -477,12 +481,12 @@ pub trait WireCodec: Send + Sync {
 }
 
 /// Byte length of the [`V2Codec`] frame header. The name is the layout's:
-/// the header introduced at v2 is unchanged at v3.
+/// the header introduced at v2 is unchanged at v4.
 pub const V2_HEADER_LEN: usize = 10;
 
 /// The frame codec: `version:u8 ‖ flags:u8 ‖ len:u32le ‖ crc32:u32le ‖
 /// payload`. It keeps the name of v2, which introduced this header layout;
-/// the layout did not change at v3, only the version byte it stamps.
+/// the layout has not changed since, only the version byte it stamps.
 ///
 /// * `version` is the current version ([`ProtocolVersion::MAX`]) — a frame
 ///   of any other generation (or garbage) fails loudly instead of
@@ -676,7 +680,7 @@ mod tests {
     #[test]
     fn ack_round_trips_accept_and_refusals() {
         let accept = HandshakeAck::Accept {
-            version: ProtocolVersion::V3,
+            version: ProtocolVersion::V4,
             capabilities: Capabilities::NONE,
         };
         assert_eq!(HandshakeAck::decode(&accept.encode()).unwrap(), accept);
@@ -685,8 +689,8 @@ mod tests {
             HandshakeError::VersionMismatch {
                 offered_min: 0,
                 offered_max: 0,
-                supported_min: 3,
-                supported_max: 3,
+                supported_min: 4,
+                supported_max: 4,
             },
             HandshakeError::UnknownTag { tag: 0xEE },
         ] {
@@ -706,23 +710,23 @@ mod tests {
             capabilities: Capabilities::NONE,
         };
         assert_eq!(
-            negotiate(&offer(2, 3), &policy).unwrap().version,
-            ProtocolVersion::V3
+            negotiate(&offer(3, 4), &policy).unwrap().version,
+            ProtocolVersion::V4
         );
         // Client from the future: clamped to our max, not refused.
         assert_eq!(
             negotiate(&offer(1, 9), &policy).unwrap().version,
-            ProtocolVersion::V3
+            ProtocolVersion::V4
         );
         // A client of retired generations only: a clean mismatch.
-        for (min, max) in [(1, 1), (2, 2), (1, 2)] {
+        for (min, max) in [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3)] {
             assert_eq!(
                 negotiate(&offer(min, max), &policy),
                 Err(HandshakeError::VersionMismatch {
                     offered_min: min,
                     offered_max: max,
-                    supported_min: 3,
-                    supported_max: 3,
+                    supported_min: 4,
+                    supported_max: 4,
                 })
             );
         }
@@ -751,13 +755,13 @@ mod tests {
         assert!(matches!(
             negotiate(&offer(7, 9, 0), &policy),
             Err(HandshakeError::VersionMismatch {
-                supported_max: 3,
+                supported_max: 4,
                 ..
             })
         ));
         // Unknown capability bits — the retired bit 0 included — are
         // ignored, not rejected.
-        let profile = negotiate(&offer(1, 3, (1 << 40) | 1), &policy).unwrap();
+        let profile = negotiate(&offer(1, 4, (1 << 40) | 1), &policy).unwrap();
         assert_eq!(profile.capabilities, Capabilities::NONE);
     }
 
@@ -788,8 +792,8 @@ mod tests {
         assert_eq!(V2Codec.decode(&flagged).unwrap(), payload);
         // The current version is stamped; a frame of a retired generation,
         // otherwise intact, fails loudly.
-        assert_eq!(frame[0], ProtocolVersion::V3.as_byte());
-        for retired in [1, 2] {
+        assert_eq!(frame[0], ProtocolVersion::V4.as_byte());
+        for retired in [1, 2, 3] {
             let mut stale = frame.clone();
             stale[0] = retired;
             assert!(matches!(

@@ -1,6 +1,8 @@
 //! Keyword search both ways: the paper's client-side index (§5) and the
 //! provider-served encrypted variant, where a mailroom answers single-keyword
 //! queries over an SSE index without ever seeing keywords or document ids.
+//! Every served answer is checked against the client-side index over the
+//! same emails; the example exits 1 on any difference.
 //!
 //! Run with: `cargo run --release --example keyword_search`
 
@@ -73,7 +75,8 @@ fn main() {
 
 /// The provider-served variant: the same mailbox indexed *at the provider*
 /// under searchable symmetric encryption, queried through a mailroom session
-/// (the registered `search` function module) with RLWE-packed responses.
+/// (the registered `search` function module), with every answer compared to
+/// a client-side index of the same emails.
 fn served_search(texts: &[String]) {
     use pretzel_classifiers::NGramExtractor;
     use pretzel_core::topic::CandidateMode;
@@ -108,12 +111,14 @@ fn served_search(texts: &[String]) {
     let mut client = MailroomClient::connect(client_end, &spec, &mut rng).expect("connect");
 
     let upload_count = texts.len().min(50);
+    let mut reference = SearchIndex::new();
     let start = Instant::now();
     let mut postings = 0usize;
     for (id, text) in texts.iter().take(upload_count).enumerate() {
         postings += client
             .index_email(id as u64, text, &mut rng)
             .expect("index round");
+        reference.add_document_with_id(id as u64, text);
     }
     println!(
         "uploaded {} emails as {} encrypted postings in {:.2} ms \
@@ -123,16 +128,34 @@ fn served_search(texts: &[String]) {
         start.elapsed().as_secs_f64() * 1e3
     );
 
-    let probe = texts[0].split(' ').next().unwrap();
-    let start = Instant::now();
-    let hits = client.search_keyword(probe, &mut rng).expect("query round");
-    println!(
-        "query {:?}: {} matching emails in {:.1} µs — answered from the \
-         provider's encrypted index, response packed in one RLWE ciphertext",
-        probe,
-        hits.len(),
-        start.elapsed().as_secs_f64() * 1e6
-    );
+    // Words of varying frequency — distinct words of the first email,
+    // spread over its vocabulary — and one that no email contains.
+    let mut words: Vec<&str> = texts[0].split(' ').collect();
+    words.sort_unstable();
+    words.dedup();
+    let mut probes: Vec<&str> = words.iter().step_by(words.len() / 6 + 1).copied().collect();
+    probes.push("absentkeyword");
+    let mut mismatches = 0;
+    for probe in probes {
+        let start = Instant::now();
+        let mut hits = client.search_keyword(probe, &mut rng).expect("query round");
+        let elapsed = start.elapsed();
+        hits.sort_unstable();
+        let expected = reference.query(probe);
+        let verdict = if hits == expected {
+            "matches the client-side index"
+        } else {
+            mismatches += 1;
+            "DIFFERS from the client-side index"
+        };
+        println!(
+            "query {:?}: {} matching emails in {:.1} µs — answered from the \
+             provider's encrypted index in one fixed-size reply ({verdict})",
+            probe,
+            hits.len(),
+            elapsed.as_secs_f64() * 1e6
+        );
+    }
     client.finish().expect("teardown");
 
     let report = mailroom.shutdown();
@@ -144,4 +167,8 @@ fn served_search(texts: &[String]) {
         stats.bytes_received as f64 / 1024.0,
         stats.bytes_sent as f64 / 1024.0,
     );
+    if mismatches > 0 {
+        eprintln!("{mismatches} served queries differ from the client-side index");
+        std::process::exit(1);
+    }
 }

@@ -21,7 +21,6 @@ use rand::{RngCore, SeedableRng};
 
 use pretzel::classifiers::nb::{GrNbTrainer, MultinomialNbTrainer};
 use pretzel::classifiers::{NGramExtractor, SparseVector, Trainer};
-use pretzel::core::bank::PrecomputeSource;
 use pretzel::core::registry::{
     ClientContext, ClientModule, FunctionModule, ProtocolRegistry, ProviderModule, WireTag,
 };
@@ -75,8 +74,6 @@ impl FunctionModule for AttachmentStatsFunction {
         channel: &mut dyn Channel,
         suite: &ProviderModelSuite,
         _variant: AheVariant,
-        // Nothing here is worth precomputing, so the source goes unused.
-        _source: &Arc<dyn PrecomputeSource>,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>, PretzelError> {
         let params = suite.config.rlwe_params();

@@ -5,10 +5,13 @@
 //! "could be built on searchable symmetric encryption" and leaves it as
 //! future work. This example runs that extension: the client uploads
 //! encrypted postings as it reads mail, and later searches the provider-side
-//! index from a fresh device that holds only the 32-byte master key.
+//! index from a fresh device that holds only the 32-byte master key. Every
+//! answer is checked against the plaintext `pretzel_search::SearchIndex`
+//! over the same mailbox; the example exits 1 on any difference.
 //!
 //! Run with: `cargo run --release --example provider_side_search`
 
+use pretzel_search::SearchIndex;
 use pretzel_sse::{SseClient, SseClientEndpoint, SseProviderEndpoint};
 use pretzel_transport::memory_pair;
 
@@ -58,11 +61,23 @@ fn main() {
     );
 
     // --- Device B: fresh device, only the master key, searches remotely. ----
+    let mut reference = SearchIndex::new();
+    for (id, body) in mailbox() {
+        reference.add_document_with_id(id, body);
+    }
     let device_b = SseClientEndpoint::new(SseClient::from_master_key(master_key));
+    let mut mismatches = 0;
     for query in ["lisbon", "earnings", "boarding", "payroll"] {
         let mut hits = device_b.search(&mut client_chan, query).expect("search");
         hits.sort_unstable();
-        println!("[device B] search {query:?} -> emails {hits:?}");
+        let expected = reference.query(query);
+        let verdict = if hits == expected {
+            "matches the plaintext index"
+        } else {
+            mismatches += 1;
+            "DIFFERS from the plaintext index"
+        };
+        println!("[device B] search {query:?} -> emails {hits:?} ({verdict}: {expected:?})");
     }
     device_b.close(&mut client_chan).expect("close");
 
@@ -72,4 +87,8 @@ fn main() {
         "[provider] served {handled} requests; stores {postings} opaque postings ({bytes} bytes) \
          and never saw a keyword or an email id in the clear."
     );
+    if mismatches > 0 {
+        eprintln!("{mismatches} searches differ from the plaintext index");
+        std::process::exit(1);
+    }
 }

@@ -13,7 +13,7 @@
 //!   (worker pool, bounded intake, per-session metering) over the function
 //!   modules.
 //! * [`scenarios`] — named, seeded workload generators (steady, bursty,
-//!   heavy-tail, churn, slow-loris, pool-exhaustion, mixed-fleet) that drive
+//!   heavy-tail, churn, slow-loris, mixed-fleet) that drive
 //!   a mailroom fleet for integration tests.
 //! * [`rlwe`], [`paillier`], [`gc`], [`sdp`], [`bignum`], [`primitives`],
 //!   [`transport`] — cryptographic and systems substrates.

@@ -9,7 +9,7 @@
 
 use pretzel::classifiers::nb::GrNbTrainer;
 use pretzel::classifiers::{LabeledExample, SparseVector, Trainer};
-use pretzel::core::bank::empty_source;
+use pretzel::core::search::{SearchClient, SearchProvider, SearchResults, REPLY_LEN};
 use pretzel::core::setup::joint_randomness_initiator;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::{CandidateMode, TopicClient};
@@ -494,24 +494,21 @@ fn replay_guard_rejects_duplicates_per_sender() {
     assert!(guard.check_and_record("alice@example.com", 2));
 }
 
-/// A channel decorator that flips one bit in every sent message at least
-/// `min_len` bytes long — a stand-in for an active network adversary
-/// corrupting the large RLWE search-response frames while leaving the small
-/// control messages alone.
-struct BitFlipChannel<C> {
+/// A provider-side channel that hands every search query reply — the only
+/// provider frame of [`REPLY_LEN`] bytes — to `forge` before it leaves: a
+/// provider (or an active network adversary) rewriting its answers.
+struct ForgeReplies<C, F> {
     inner: C,
-    min_len: usize,
+    forge: F,
 }
 
-impl<C: Channel> Channel for BitFlipChannel<C> {
+impl<C: Channel, F: FnMut(&mut Vec<u8>) + Send> Channel for ForgeReplies<C, F> {
     fn send(&mut self, msg: &[u8]) -> pretzel::transport::Result<()> {
-        if msg.len() >= self.min_len {
-            let mut corrupted = msg.to_vec();
-            corrupted[msg.len() / 2] ^= 0x01;
-            self.inner.send(&corrupted)
-        } else {
-            self.inner.send(msg)
+        let mut msg = msg.to_vec();
+        if msg.len() == REPLY_LEN {
+            (self.forge)(&mut msg);
         }
+        self.inner.send(&msg)
     }
     fn recv(&mut self) -> pretzel::transport::Result<Vec<u8>> {
         self.inner.recv()
@@ -521,88 +518,101 @@ impl<C: Channel> Channel for BitFlipChannel<C> {
     }
 }
 
-#[test]
-fn search_client_rejects_a_tampered_response_instead_of_misdecoding() {
-    use pretzel::core::search::{SearchClient, SearchProvider};
+/// Byte range of the `i`-th posting slot in a query reply.
+fn slot(i: usize) -> std::ops::Range<usize> {
+    8 + 16 * i..8 + 16 * (i + 1)
+}
 
-    let config = PretzelConfig::test();
-    let config_client = config.clone();
-    // The response ciphertext (2·n·8 bytes) is the only provider message
-    // this large; everything else passes through untouched.
-    let ct_len = config.rlwe_params().ciphertext_bytes();
-    let (provider_res, client_res) = run_two_party(
-        move |chan| {
-            let mut tampering = BitFlipChannel {
-                inner: chan,
-                min_len: ct_len,
-            };
+/// Indexes two emails that both mention "merger" (the first also "draft"),
+/// then runs `queries`, each reply passing through `forge` on its way from
+/// the provider. Returns the client's outcome.
+fn search_through(
+    queries: &'static [&'static str],
+    forge: impl FnMut(&mut Vec<u8>) + Send,
+) -> pretzel::core::Result<Vec<SearchResults>> {
+    let (_, client_res) = run_two_party(
+        move |chan| -> pretzel::core::Result<()> {
+            let mut chan = ForgeReplies { inner: chan, forge };
+            let mut provider = SearchProvider::new();
             let mut rng = test_rng(60);
-            let mut provider =
-                SearchProvider::setup(&mut tampering, &config, &empty_source(), &mut rng)?;
-            // An honest index round, then a query round whose response the
-            // channel corrupts.
-            provider.process_batch(&mut tampering, 1, &mut rng)?;
-            provider.process_batch(&mut tampering, 1, &mut rng)
+            for _ in 0..2 + queries.len() {
+                provider.process_batch(&mut chan, 1, &mut rng)?;
+            }
+            Ok(())
         },
         move |chan| {
             let mut rng = test_rng(61);
-            let mut client = SearchClient::setup(chan, &config_client, &mut rng)?;
+            let mut client = SearchClient::new(&mut rng);
             client.index_email(chan, 1, "confidential merger draft", &mut rng)?;
-            client.query(chan, "merger", &mut rng)
+            client.index_email(chan, 2, "merger timeline", &mut rng)?;
+            queries
+                .iter()
+                .map(|keyword| client.query(chan, keyword, &mut rng))
+                .collect()
         },
     );
-    provider_res.unwrap();
-    let err = client_res.expect_err("a bit-flipped response must not decode");
+    client_res
+}
+
+fn assert_protocol_error(res: pretzel::core::Result<Vec<SearchResults>>, case: &str) {
     assert!(
-        matches!(err, PretzelError::Protocol(_)),
-        "tampering must surface as a protocol error, got {err:?}"
+        matches!(res, Err(PretzelError::Protocol(_))),
+        "{case}: must surface as a protocol error, got {res:?}"
+    );
+}
+
+#[test]
+fn search_client_rejects_a_tampered_response_instead_of_misdecoding() {
+    let honest = search_through(&["merger"], |_| {}).unwrap();
+    assert_eq!(honest[0].ids, vec![1, 2]);
+    // A flipped bit in a posting's tag, or in its sealed id, fails the tag.
+    assert_protocol_error(
+        search_through(&["merger"], |reply| reply[slot(0).start + 8] ^= 1),
+        "flipped tag bit",
+    );
+    assert_protocol_error(
+        search_through(&["merger"], |reply| reply[slot(1).start] ^= 1),
+        "flipped sealed-id bit",
+    );
+}
+
+#[test]
+fn search_client_rejects_reordered_postings() {
+    // Both postings are genuine, but each tag is bound to its position.
+    assert_protocol_error(
+        search_through(&["merger"], |reply| {
+            let first: Vec<u8> = reply[slot(0)].to_vec();
+            reply.copy_within(slot(1), slot(0).start);
+            reply[slot(1)].copy_from_slice(&first);
+        }),
+        "swapped postings",
+    );
+}
+
+#[test]
+fn search_client_rejects_another_keywords_posting() {
+    // The provider keeps the genuine "draft" posting it served first and
+    // hands it back, at the same position, as an answer for "merger".
+    let mut draft_reply: Option<Vec<u8>> = None;
+    assert_protocol_error(
+        search_through(&["draft", "merger"], move |reply| match &draft_reply {
+            None => draft_reply = Some(reply.clone()),
+            Some(draft) => reply[slot(0)].copy_from_slice(&draft[slot(0)]),
+        }),
+        "substituted posting",
     );
 }
 
 #[test]
 fn search_client_rejects_a_truncated_response() {
-    use pretzel::core::search::{response_capacity, SearchClient};
-
-    let config = PretzelConfig::test();
-    let capacity = response_capacity(&config.rlwe_params()) as u64;
-    let (client_res, _) = run_two_party(
-        move |chan| {
-            let mut rng = test_rng(62);
-            let mut client = SearchClient::setup(chan, &config, &mut rng)?;
-            client.query(chan, "anything", &mut rng)
-        },
-        move |chan| {
-            // A provider that runs the setup honestly…
-            run_joint_randomness_as_initiator(chan);
-            let _pk = chan.recv().unwrap();
-            chan.send(&capacity.to_le_bytes()).unwrap();
-            // …then answers the query with a truncated ciphertext.
-            let _query = chan.recv().unwrap();
-            chan.send(&[0u8; 100]).unwrap();
-        },
+    assert_protocol_error(
+        search_through(&["merger"], |reply| reply.truncate(REPLY_LEN - 1)),
+        "short reply",
     );
-    let err = client_res.expect_err("a truncated response must be rejected");
-    assert!(matches!(err, PretzelError::Protocol(_)));
-}
-
-#[test]
-fn search_client_rejects_a_capacity_downgrade() {
-    use pretzel::core::search::SearchClient;
-
-    // A malicious provider announcing a different response capacity (e.g. to
-    // smuggle truncated result sets past the client) fails the setup.
-    let (client_res, _) = run_two_party(
-        |chan| {
-            let mut rng = test_rng(63);
-            SearchClient::setup(chan, &PretzelConfig::test(), &mut rng)
-        },
-        |chan| {
-            run_joint_randomness_as_initiator(chan);
-            let _pk = chan.recv().unwrap();
-            chan.send(&1u64.to_le_bytes()).unwrap();
-        },
+    assert_protocol_error(
+        search_through(&["merger"], |reply| reply.push(0)),
+        "long reply",
     );
-    assert!(matches!(client_res, Err(PretzelError::Protocol(_))));
 }
 
 #[test]

@@ -1,9 +1,7 @@
 //! Batched rounds are an optimization, not a semantic change: a mixed
 //! four-kind fleet served in coalesced batches must produce byte-identical
-//! verdicts to the same fleet served one round at a time, however its
-//! offline artifacts are provisioned (no bank, a bank that runs dry
-//! mid-run, a prefilled bank), under fixed seeds — and the bank's books
-//! must balance. A round is a batch of one: submitting one payload through
+//! verdicts to the same fleet served one round at a time, under fixed
+//! seeds. A round is a batch of one: submitting one payload through
 //! `process_batch` is indistinguishable on the wire from `process`, and an
 //! explicit `[ROUND_BATCH, 1]` is served like `[ROUND_EMAIL]`; a batch past
 //! the per-frame cap goes out in capped exchanges. Also pins the registry
@@ -14,7 +12,6 @@
 use std::sync::Arc;
 
 use pretzel::classifiers::SparseVector;
-use pretzel::core::bank::PrecomputeSource;
 use pretzel::core::registry::{
     ClientContext, ClientModule, FunctionModule, ProtocolRegistry, ProviderModule, WireTag,
 };
@@ -34,9 +31,7 @@ use rand::rngs::StdRng;
 use rand::RngCore;
 
 mod common;
-use common::{
-    assert_conservation, connect_client, ling_suite, settle_bank, test_rng, FleetRecord, Provision,
-};
+use common::{connect_client, ling_suite, test_rng, FleetRecord};
 
 const ROUNDS_PER_SESSION: usize = 3;
 
@@ -99,25 +94,20 @@ enum Submit {
 
 /// Serves the mixed fleet sequentially on one worker (deterministic RNG
 /// streams), each client submitting its rounds as `submit` says.
-fn run_fleet(provision: Provision, submit: Submit) -> FleetRecord {
+fn run_fleet(submit: Submit) -> FleetRecord {
     let mailroom = Mailroom::start(
         ling_suite(),
-        provision
-            .configure(
-                MailroomConfig::builder()
-                    .workers(1)
-                    .queue_capacity(4)
-                    .rng_seed(0xBA7C4),
-            )
+        MailroomConfig::builder()
+            .workers(1)
+            .queue_capacity(4)
+            .rng_seed(0xBA7C4)
             .build(),
     );
-    settle_bank(&mailroom);
 
     let mut verdicts = Vec::new();
     for (s, (spec, payloads)) in scripts().into_iter().enumerate() {
         let mut rng = test_rng(500 + s as u64);
         let mut client = connect_client(&mailroom, &spec, &mut rng);
-        settle_bank(&mailroom);
         let submitted = match submit {
             Submit::Singly => payloads
                 .iter()
@@ -136,57 +126,25 @@ fn run_fleet(provision: Provision, submit: Submit) -> FleetRecord {
 
     let report = mailroom.shutdown();
     assert_eq!(report.completed(), 4, "all four sessions must complete");
-    assert_conservation(&report);
-    match provision {
-        Provision::NoBank => {
-            assert!(report.reservoirs.is_empty());
-            assert_eq!(report.fallback_draws_total(), 0, "nothing to draw from");
-        }
-        Provision::BankRunsDry => assert!(
-            report.fallback_draws_total() > 0,
-            "one artifact per reservoir cannot cover two queries"
-        ),
-        Provision::Prefilled => {
-            assert_eq!(report.fallback_draws_total(), 0, "stocked past demand");
-            let drawn: u64 = report.reservoirs.iter().map(|r| r.drawn).sum();
-            // The two search queries' zero encryptions; spam and virus
-            // garble inline.
-            assert_eq!(drawn, 2, "every provider-side draw was served");
-        }
-    }
     FleetRecord::new(verdicts, &report)
 }
 
 /// The batching acceptance test: batched and sequential serving produce
-/// byte-identical verdicts under every provisioning, and within each mode
-/// the meter counts do not depend on it.
+/// byte-identical verdicts.
 #[test]
-fn batched_rounds_match_sequential_under_every_provisioning() {
-    let [seq_none, seq_dry, seq_full] = Provision::ALL.map(|p| run_fleet(p, Submit::Singly));
-    let [batch_none, batch_dry, batch_full] =
-        Provision::ALL.map(|p| run_fleet(p, Submit::OneBatch));
+fn batched_rounds_match_sequential() {
+    let sequential = run_fleet(Submit::Singly);
+    let batched = run_fleet(Submit::OneBatch);
 
     assert_eq!(
-        seq_none.verdicts, batch_none.verdicts,
+        sequential.verdicts, batched.verdicts,
         "batched verdicts must equal sequential verdicts"
     );
-    assert_eq!(seq_none.emails_total, batch_none.emails_total);
-
-    // Provisioning only moves work off the latency path: same verdicts, same
-    // wire traffic, in both serving modes.
-    for (none, dry, full) in [
-        (&seq_none, &seq_dry, &seq_full),
-        (&batch_none, &batch_dry, &batch_full),
-    ] {
-        assert_eq!(none.verdicts, dry.verdicts, "a bank running dry mid-run");
-        assert_eq!(none.verdicts, full.verdicts, "a prefilled bank");
-        assert_eq!(none.meters, dry.meters);
-        assert_eq!(none.meters, full.meters);
-    }
+    assert_eq!(sequential.emails_total, batched.emails_total);
 
     // Batching coalesces frames: strictly fewer messages than sequential
     // serving of the same rounds, for every session.
-    for (seq, batch) in seq_none.meters.iter().zip(&batch_none.meters) {
+    for (seq, batch) in sequential.meters.iter().zip(&batched.meters) {
         assert_eq!(seq.0, batch.0, "same kind order");
         assert_eq!(seq.1, batch.1, "same round counts");
         assert!(
@@ -208,8 +166,8 @@ fn batched_rounds_match_sequential_under_every_provisioning() {
 /// every kind.
 #[test]
 fn a_batch_of_one_is_a_single_round_on_the_wire() {
-    let singly = run_fleet(Provision::NoBank, Submit::Singly);
-    let batches_of_one = run_fleet(Provision::NoBank, Submit::BatchesOfOne);
+    let singly = run_fleet(Submit::Singly);
+    let batches_of_one = run_fleet(Submit::BatchesOfOne);
     assert_eq!(singly, batches_of_one);
 }
 
@@ -340,7 +298,6 @@ impl FunctionModule for EchoLenFunction {
         _channel: &mut dyn Channel,
         _suite: &ProviderModelSuite,
         _variant: AheVariant,
-        _source: &Arc<dyn PrecomputeSource>,
         _rng: &mut dyn RngCore,
     ) -> Result<Box<dyn ProviderModule>, PretzelError> {
         Ok(Box::new(EchoLenProvider))

@@ -12,9 +12,7 @@ use pretzel::classifiers::{LabeledExample, NGramExtractor, SparseVector, Trainer
 use pretzel::core::topic::CandidateMode;
 use pretzel::core::{PretzelConfig, ProviderModelSuite, WireTag};
 use pretzel::datasets::ling_spam_like;
-use pretzel::server::{
-    BankConfig, ClientSpec, Mailroom, MailroomClient, MailroomConfigBuilder, MailroomReport,
-};
+use pretzel::server::{ClientSpec, Mailroom, MailroomClient, MailroomReport};
 use pretzel::transport::{memory_pair, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,8 +58,8 @@ fn ling_corpus() -> pretzel::datasets::Corpus {
     spec.generate()
 }
 
-/// The provider model suite used by the batching, phase-split, and
-/// retired-generation fleets: spam/topic trained on the full shrunk Ling-spam
+/// The provider model suite used by the batching and retired-generation
+/// fleets: spam/topic trained on the full shrunk Ling-spam
 /// corpus, plus the shared deterministic virus model.
 pub fn ling_suite() -> ProviderModelSuite {
     let corpus = ling_corpus();
@@ -132,8 +130,8 @@ pub fn meter_rows(report: &MailroomReport) -> Vec<MeterRow> {
 }
 
 /// Everything observable about one fleet run that an optimization knob
-/// (batching, provisioning) must not change: the
-/// verdict transcript and the per-session round/byte accounting.
+/// (batching) must not change: the verdict transcript and the per-session
+/// round/byte accounting.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FleetRecord {
     pub verdicts: Vec<String>,
@@ -150,84 +148,6 @@ impl FleetRecord {
             meters: meter_rows(report),
             emails_total: report.emails_total,
         }
-    }
-}
-
-/// How a fleet's offline artifacts are provisioned — the sweep every
-/// "precompute is a latency knob, never a semantics knob" test runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Provision {
-    /// No bank: every artifact is made inline.
-    NoBank,
-    /// A bank holding one artifact per reservoir that no draw ever refills
-    /// (a quarter of a target of 1 rounds to zero; only a new registration
-    /// re-arms production), so every session runs it dry after one draw.
-    BankRunsDry,
-    /// A bank provisioned past the whole run's demand.
-    Prefilled,
-}
-
-impl Provision {
-    /// The three provisioning modes, in sweep order.
-    pub const ALL: [Provision; 3] = [
-        Provision::NoBank,
-        Provision::BankRunsDry,
-        Provision::Prefilled,
-    ];
-    /// Reservoir target of [`Provision::Prefilled`]: larger than any test
-    /// fleet's demand on one reservoir, with the low
-    /// watermark (a quarter) below what those fleets leave, so production
-    /// never restarts mid-run.
-    pub const AMPLE: usize = 32;
-
-    /// Adds this mode's bank (if any) to a mailroom config.
-    pub fn configure(self, builder: MailroomConfigBuilder) -> MailroomConfigBuilder {
-        let target = match self {
-            Provision::NoBank => return builder,
-            Provision::BankRunsDry => 1,
-            Provision::Prefilled => Self::AMPLE,
-        };
-        builder.bank(
-            BankConfig::default()
-                .rng_seed(0xF1EE7)
-                .producer_threads(1)
-                .target(target),
-        )
-    }
-}
-
-/// Call after each connect: returns once the bank (if any) has filled every
-/// registered reservoir — the new session's own — to its target at least
-/// once. From then on a run's draw/fallback split is fixed by the targets,
-/// not by producer timing, and no first fill is in flight when a session's
-/// reservoir is retired.
-pub fn settle_bank(mailroom: &Mailroom) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while !mailroom
-        .bank_report()
-        .reservoirs
-        .iter()
-        .all(|r| r.produced >= r.target as u64)
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "bank never filled its reservoirs"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-}
-
-/// The bank's conservation law at shutdown: every artifact ever produced
-/// was handed out exactly once or is still stocked. A lost artifact breaks
-/// the equality one way, a double hand-out the other. Vacuous without a
-/// bank (no rows).
-pub fn assert_conservation(report: &MailroomReport) {
-    for row in &report.reservoirs {
-        assert_eq!(
-            row.produced,
-            row.drawn + row.depth,
-            "artifact lost or double-issued: {row:?}"
-        );
     }
 }
 

@@ -394,8 +394,4 @@ fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
         by_kind.iter().map(|(_, t)| t.messages).sum::<u64>(),
         report.fleet_messages
     );
-    assert_eq!(
-        by_kind.iter().map(|(_, t)| t.pool_depth).sum::<u64>(),
-        report.pool_depth_total
-    );
 }

@@ -1,14 +1,16 @@
 //! Rolling-upgrade discipline for the versioned wire protocol: a body
 //! change is a version step that deletes its predecessor, and a peer of the
 //! retired generation gets a clean, typed refusal — not a museum of old
-//! bodies. v3 replaced v2 when the Yao bodies moved to two-row half-gates
-//! tables, and v2 replaced v1's bare handshake. One live mailroom meets each
-//! shape of retired or forward-looking first frame: the retired bare
+//! bodies. v4 replaced v3 when search replies lost their RLWE envelope, v3
+//! replaced v2 when the Yao bodies moved to two-row half-gates tables, and
+//! v2 replaced v1's bare handshake. One live mailroom meets each shape of
+//! retired or forward-looking first frame: the retired bare
 //! `[wire_tag, variant]` handshake, an offer for v2 only, an offer spanning
-//! both retired versions, an offer spanning v2 and the current v3, and an
-//! offer carrying the retired capability bit next to one from the future. Only the refused sessions fail, the session after
-//! each case completes, and the per-kind report still reconciles with the
-//! fleet meters.
+//! v1 and v2, an offer for v3 only, an offer spanning v3 and the current
+//! v4, and an offer carrying the retired capability bit next to one from
+//! the future. Only the refused sessions fail, the session after each case
+//! completes, and the per-kind report still reconciles with the fleet
+//! meters.
 
 use pretzel::classifiers::SparseVector;
 use pretzel::core::registry::{ClientContext, ProtocolRegistry};
@@ -53,16 +55,16 @@ fn the_retired_generation_is_refused_cleanly() {
     );
     let spec = ClientSpecBuilder::spam(PretzelConfig::test()).build();
     let accept = HandshakeAck::Accept {
-        version: ProtocolVersion::V3,
+        version: ProtocolVersion::V4,
         capabilities: Capabilities::NONE,
     };
     let retired_span = HandshakeAck::Refuse(HandshakeError::VersionMismatch {
         offered_min: 0,
         offered_max: 0,
-        supported_min: 3,
-        supported_max: 3,
+        supported_min: 4,
+        supported_max: 4,
     });
-    let cases: [(&str, Vec<u8>, HandshakeAck); 5] = [
+    let cases: [(&str, Vec<u8>, HandshakeAck); 6] = [
         (
             "retired bare handshake",
             vec![SpamFunction::WIRE_TAG, 1],
@@ -71,11 +73,12 @@ fn the_retired_generation_is_refused_cleanly() {
             )),
         ),
         ("retired v2 only", offer(2, 2, 0), retired_span.clone()),
-        ("retired v1 and v2", offer(1, 2, 0), retired_span),
-        ("retired v2 and current v3", offer(2, 3, 0), accept.clone()),
+        ("retired v1 and v2", offer(1, 2, 0), retired_span.clone()),
+        ("retired v3 only", offer(3, 3, 0), retired_span),
+        ("retired v3 and current v4", offer(3, 4, 0), accept.clone()),
         (
             "retired and future capability bits",
-            offer(3, 3, (1 << 40) | 1),
+            offer(4, 4, (1 << 40) | 1),
             accept.clone(),
         ),
     ];
@@ -91,7 +94,7 @@ fn the_retired_generation_is_refused_cleanly() {
         assert_eq!(ack, expected, "{case}");
 
         if ack == accept {
-            // An accepted session is an ordinary v3 session from here on.
+            // An accepted session is an ordinary v4 session from here on.
             let mut channel = CodecChannel::new(client_end);
             let mut session = ClientSession::setup(
                 &ProtocolRegistry::builtin(),
@@ -118,7 +121,7 @@ fn the_retired_generation_is_refused_cleanly() {
     }
 
     let report = mailroom.shutdown();
-    assert_eq!(report.sessions.len(), 10);
+    assert_eq!(report.sessions.len(), 12);
     for session in &report.sessions {
         if refused.contains(&session.id) {
             assert!(
@@ -131,19 +134,19 @@ fn the_retired_generation_is_refused_cleanly() {
             assert_eq!(session.version, None);
         } else {
             assert_eq!(session.state, SessionState::Completed, "{}", session.id);
-            assert_eq!(session.version, Some(ProtocolVersion::V3));
+            assert_eq!(session.version, Some(ProtocolVersion::V4));
             assert_eq!(session.capabilities, Capabilities::NONE);
             assert_eq!(session.emails, 1);
         }
     }
-    assert_eq!(refused.len(), 3);
+    assert_eq!(refused.len(), 4);
 
     // Per-kind totals plus the refused sessions' handshake bytes reproduce
     // the fleet meters.
     let by_kind = report.by_kind();
     assert_eq!(by_kind.len(), 1);
     let mut totals = by_kind[0].1;
-    assert_eq!(totals.sessions, 7);
+    assert_eq!(totals.sessions, 8);
     assert_eq!(totals.emails, report.emails_total);
     for session in report.sessions.iter().filter(|s| s.kind.is_none()) {
         totals.bytes_sent += session.bytes_sent;

@@ -1,13 +1,9 @@
-//! Encrypted keyword search through the serving stack (the tentpole
-//! acceptance test): a fixed script of index and query rounds is run
-//! directly over the in-process `ProviderSession`/`ClientSession` endpoints
-//! and through a `Mailroom` with no bank (every response encrypted inline),
-//! a bank holding one zero encryption (it runs dry after the first query),
-//! and a bank stocked past the whole run (no response is ever encrypted
-//! inline). All runs must produce byte-identical verdict transcripts, and
-//! the bank's books must balance: precompute is a latency knob, never a
-//! semantics knob, and the mailroom adds no observable behaviour over the
-//! bare protocol.
+//! Encrypted keyword search through the serving stack: a fixed script of
+//! index and query rounds is run directly over the in-process
+//! `ProviderSession`/`ClientSession` endpoints and through a `Mailroom`.
+//! Both runs must produce byte-identical verdict transcripts (ids and
+//! totals): the mailroom adds no observable behaviour over the bare
+//! protocol.
 
 use pretzel::core::search::SearchFunction;
 use pretzel::core::session::{ClientSession, EmailPayload, ProviderSession, Verdict};
@@ -18,13 +14,11 @@ use pretzel::server::{ClientSpec, ClientSpecBuilder, Mailroom, MailroomConfig};
 use pretzel::transport::run_two_party;
 
 mod common;
-use common::{assert_conservation, connect_client, settle_bank, test_rng, tiny_suite, Provision};
+use common::{connect_client, test_rng, tiny_suite};
 
 /// One client seed drives every run, so the SSE master key — and therefore
-/// every label, sealed id, and verdict — is identical across runs.
+/// every label, sealed posting, and verdict — is identical across runs.
 const CLIENT_SEED: u64 = 90;
-/// Query rounds in [`script`] — each takes one zero encryption.
-const QUERIES: u64 = 4;
 
 fn mailbox() -> Vec<(u64, &'static str)> {
     vec![
@@ -55,7 +49,7 @@ fn render(verdicts: &[Verdict]) -> Vec<String> {
     verdicts.iter().map(|v| format!("{v:?}")).collect()
 }
 
-/// Runs the script over bare in-process sessions: no mailroom, no bank.
+/// Runs the script over bare in-process sessions: no mailroom.
 fn run_direct() -> Vec<String> {
     let suite_p = tiny_suite();
     let config = suite_p.config.clone();
@@ -93,23 +87,19 @@ fn run_direct() -> Vec<String> {
     render(&client_res.unwrap())
 }
 
-/// Runs the same script through a mailroom provisioned as given.
-fn run_mailroom(provision: Provision) -> Vec<String> {
+/// Runs the same script through a mailroom.
+fn run_mailroom() -> Vec<String> {
     let mailroom = Mailroom::start(
         tiny_suite(),
-        provision
-            .configure(
-                MailroomConfig::builder()
-                    .workers(1)
-                    .queue_capacity(2)
-                    .rng_seed(0x5EA2C4),
-            )
+        MailroomConfig::builder()
+            .workers(1)
+            .queue_capacity(2)
+            .rng_seed(0x5EA2C4)
             .build(),
     );
     let mut rng = test_rng(CLIENT_SEED);
     let spec = ClientSpec::search(PretzelConfig::test());
     let mut client = connect_client(&mailroom, &spec, &mut rng);
-    settle_bank(&mailroom);
     let verdicts: Vec<Verdict> = script()
         .iter()
         .map(|op| client.process(op, &mut rng).unwrap())
@@ -121,26 +111,13 @@ fn run_mailroom(provision: Provision) -> Vec<String> {
     assert_eq!(report.emails_total, script().len() as u64);
     let stats = &report.sessions[0];
     assert_eq!(stats.kind, Some(SearchFunction::WIRE_TAG));
-    assert_conservation(&report);
-    let drawn: u64 = report.reservoirs.iter().map(|r| r.drawn).sum();
-    let (expect_drawn, expect_fallbacks) = match provision {
-        Provision::NoBank => (0, 0),
-        Provision::BankRunsDry => (1, QUERIES - 1),
-        Provision::Prefilled => (QUERIES, 0),
-    };
-    assert_eq!(
-        (drawn, stats.fallback_draws),
-        (expect_drawn, expect_fallbacks),
-        "{provision:?}: every query either drew a stocked zero encryption or fell back"
-    );
     render(&verdicts)
 }
 
 /// The acceptance criterion: mailroom-served search verdicts are
-/// byte-identical to the direct in-process protocol under every
-/// provisioning.
+/// byte-identical to the direct in-process protocol.
 #[test]
-fn mailroom_search_matches_direct_protocol_under_every_provisioning() {
+fn mailroom_search_matches_direct_protocol() {
     let baseline = run_direct();
 
     // Sanity: the transcript itself is correct against the plaintext truth.
@@ -182,13 +159,11 @@ fn mailroom_search_matches_direct_protocol_under_every_provisioning() {
         ]
     );
 
-    for provision in Provision::ALL {
-        assert_eq!(
-            run_mailroom(provision),
-            baseline,
-            "mailroom-served search ({provision:?}) diverged from the direct protocol"
-        );
-    }
+    assert_eq!(
+        run_mailroom(),
+        baseline,
+        "mailroom-served search diverged from the direct protocol"
+    );
 }
 
 /// A search session coexists with classification sessions on one mailroom,

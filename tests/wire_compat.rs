@@ -93,6 +93,20 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
     };
     let current = [
         (
+            "offer_spam_v4_only_nocaps",
+            offer(4, 4, 1, Capabilities::NONE),
+        ),
+        (
+            "offer_search_v4_only_nocaps",
+            offer(4, 4, 4, Capabilities::NONE),
+        ),
+        (
+            "offer_spam_v3_to_v4_nocaps",
+            offer(3, 4, 1, Capabilities::NONE),
+        ),
+    ];
+    let retired = [
+        (
             "offer_spam_v3_only_nocaps",
             offer(3, 3, 1, Capabilities::NONE),
         ),
@@ -104,8 +118,6 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
             "offer_spam_v2_to_v3_nocaps",
             offer(2, 3, 1, Capabilities::NONE),
         ),
-    ];
-    let retired = [
         (
             "offer_spam_v2_only_nocaps",
             offer(2, 2, 1, Capabilities::NONE),
@@ -127,13 +139,13 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
             "{name}: decode drifted"
         );
     }
-    // The current offers negotiate v3; the retired ones are refused with
-    // this build's span.
+    // The current offers negotiate v4; the retired ones — v3-only offers
+    // included — are refused with this build's span.
     let policy = NegotiationPolicy::default();
     for (name, offer) in &current {
         assert_eq!(
             negotiate(offer, &policy).map(|p| p.version),
-            Ok(ProtocolVersion::V3),
+            Ok(ProtocolVersion::V4),
             "{name}"
         );
     }
@@ -142,8 +154,8 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
             matches!(
                 negotiate(offer, &policy),
                 Err(HandshakeError::VersionMismatch {
-                    supported_min: 3,
-                    supported_max: 3,
+                    supported_min: 4,
+                    supported_max: 4,
                     ..
                 })
             ),
@@ -154,19 +166,19 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
     // Every ack shape this build emits.
     let cases: [(&str, HandshakeAck); 4] = [
         (
-            "ack_accept_v3_nocaps",
+            "ack_accept_v4_nocaps",
             HandshakeAck::Accept {
-                version: ProtocolVersion::V3,
+                version: ProtocolVersion::V4,
                 capabilities: Capabilities::NONE,
             },
         ),
         (
-            "ack_refuse_version_mismatch_3_3",
+            "ack_refuse_version_mismatch_4_4",
             HandshakeAck::Refuse(HandshakeError::VersionMismatch {
                 offered_min: 0,
                 offered_max: 0,
-                supported_min: 3,
-                supported_max: 3,
+                supported_min: 4,
+                supported_max: 4,
             }),
         ),
         (
@@ -191,6 +203,7 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
 
     // Refusals an older provider sent still parse: they name its span.
     for (name, min, max) in [
+        ("ack_refuse_version_mismatch_3_3", 3, 3),
         ("ack_refuse_version_mismatch_2_2", 2, 2),
         ("ack_refuse_version_mismatch_1_2", 1, 2),
     ] {
@@ -207,15 +220,17 @@ fn golden_handshake_frames_match_the_pinned_encoding() {
     }
     // The retired capability bit is masked out of an accept.
     assert_eq!(
-        HandshakeAck::decode(&frames["ack_accept_v3_batch"]).unwrap(),
+        HandshakeAck::decode(&frames["ack_accept_v4_batch"]).unwrap(),
         HandshakeAck::Accept {
-            version: ProtocolVersion::V3,
+            version: ProtocolVersion::V4,
             capabilities: Capabilities::NONE,
         }
     );
     // An accept of a retired version, and the retired "capability refused"
     // status, fail to parse.
     for name in [
+        "ack_accept_v3_nocaps",
+        "ack_accept_v3_batch",
         "ack_accept_v2_nocaps",
         "ack_accept_v2_batch",
         "ack_refuse_capability_batch",
@@ -359,7 +374,7 @@ fn truncated_offers_fail_only_their_session() {
 #[test]
 fn out_of_range_version_spans_get_a_structured_mismatch() {
     let mailroom = one_worker_mailroom();
-    // A client from the future that dropped v3 support entirely.
+    // A client from the future that dropped v4 support entirely.
     let offer = HandshakeOffer {
         min_version: 7,
         max_version: 9,
@@ -410,7 +425,7 @@ fn unknown_capability_bits_are_ignored_not_rejected() {
     // only the known intersection, which is empty.
     let offer = HandshakeOffer {
         min_version: 1,
-        max_version: 3,
+        max_version: 4,
         wire_tag: 1,
         variant: 1,
         capabilities: Capabilities::from_bits((1 << 40) | (1 << 17) | 1),
@@ -419,7 +434,7 @@ fn unknown_capability_bits_are_ignored_not_rejected() {
     assert_eq!(
         ack,
         HandshakeAck::Accept {
-            version: ProtocolVersion::V3,
+            version: ProtocolVersion::V4,
             capabilities: Capabilities::NONE,
         }
     );
@@ -436,7 +451,7 @@ fn offers_with_trailing_bytes_from_the_future_still_negotiate() {
     // bytes are ignored by the decoder.
     let mut frame = HandshakeOffer {
         min_version: 1,
-        max_version: 3,
+        max_version: 4,
         wire_tag: 1,
         variant: 1,
         capabilities: Capabilities::NONE,
@@ -449,7 +464,7 @@ fn offers_with_trailing_bytes_from_the_future_still_negotiate() {
     assert_eq!(
         ack,
         HandshakeAck::Accept {
-            version: ProtocolVersion::V3,
+            version: ProtocolVersion::V4,
             capabilities: Capabilities::NONE,
         }
     );
@@ -490,8 +505,8 @@ fn unknown_variant_bytes_are_refused_before_the_ack() {
     for variant in [0u8, 3, 4, 0xFF] {
         // On the wire: a typed refusal, not an accept.
         let offer = HandshakeOffer {
-            min_version: 3,
-            max_version: 3,
+            min_version: 4,
+            max_version: 4,
             wire_tag: 1,
             variant,
             capabilities: Capabilities::NONE,
