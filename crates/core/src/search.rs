@@ -1,11 +1,11 @@
 //! Provider-served encrypted keyword search as a Pretzel function module.
 //!
 //! The paper's keyword-search module (§5) is client-side; the provider-side
-//! variant it sketches as future work is implemented by `pretzel_sse` as a
-//! bare two-message protocol. This module promotes that protocol to a
-//! first-class function module with the same `setup → process_batch` shape
-//! as spam/topic/virus, so the `pretzel_server` mailroom can serve search
-//! sessions next to classification sessions.
+//! variant it sketches as future work rests on `pretzel_sse`'s searchable
+//! symmetric encryption. This module serves that scheme as a function module
+//! with the same `setup → process_batch` shape as spam/topic/virus, so the
+//! `pretzel_server` mailroom can serve search sessions next to
+//! classification sessions.
 //!
 //! Protocol (one session):
 //!
@@ -29,6 +29,13 @@
 //! client's value key and bound to the posting's position, so a posting the
 //! provider forges, substitutes, reorders or takes from another keyword is a
 //! protocol error rather than a wrong id (`tests/adversarial.rs` pins both).
+//!
+//! Tags cannot show a missing posting, only a wrong one: a provider could
+//! answer with a correct prefix under a matching smaller count. The device
+//! that wrote a keyword knows its posting count and refuses any other
+//! `total`. A device that never indexed the keyword (a fresh one holding
+//! only the master key, [`SearchClient::from_master_key`]) has no count to
+//! check against and trusts `total`.
 
 use rand::{Rng, RngCore};
 
@@ -132,8 +139,15 @@ impl SearchClient {
     /// A client with a freshly sampled SSE master key (set-up exchanges no
     /// frames).
     pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        Self::from_master_key(rng.gen())
+    }
+
+    /// A client holding an existing SSE master key — a second device of the
+    /// same user. It can query every posting written under the key, but it
+    /// checks a reply's count only for keywords it indexed itself.
+    pub fn from_master_key(master_key: [u8; 32]) -> Self {
         SearchClient {
-            sse: SseClient::generate(rng),
+            sse: SseClient::from_master_key(master_key),
         }
     }
 
@@ -191,21 +205,26 @@ impl SearchClient {
         Ok(())
     }
 
-    /// Builds one query round's request message.
-    fn query_request(&self, keyword: &str) -> Vec<u8> {
-        let token = self.sse.search_token(keyword);
+    /// Builds one query round's request message, returning it with the
+    /// number of postings this device has written for the keyword (`None`
+    /// if it never indexed it). The count is read now because a later index
+    /// round of the same batch advances it before the reply is opened.
+    fn query_request(&self, keyword: &str) -> (Vec<u8>, Option<u64>) {
+        let label_key = self.sse.label_key(keyword);
         let mut msg = Vec::with_capacity(1 + 32);
         msg.push(TAG_QUERY);
-        msg.extend_from_slice(&token.label_key);
-        msg
+        msg.extend_from_slice(&label_key);
+        (msg, self.sse.postings_written(&label_key))
     }
 
     /// Query round — a batch of one: sends the keyword's label key and opens
     /// the fixed-size reply.
     ///
-    /// A reply of any other length, or any returned posting whose tag fails,
-    /// is a [`PretzelError::Protocol`] error — the client never returns a
-    /// document id the provider made up or moved.
+    /// A reply of any other length, any returned posting whose tag fails,
+    /// or a count other than the number of postings this device wrote for
+    /// the keyword, is a [`PretzelError::Protocol`] error — the client never
+    /// returns a document id the provider made up or moved, nor a short
+    /// answer to its own keyword.
     pub fn query<C: Channel, R: Rng + ?Sized>(
         &mut self,
         channel: &mut C,
@@ -220,9 +239,16 @@ impl SearchClient {
         Ok(SearchResults { ids, total })
     }
 
-    /// Checks one query reply's length and the tag of every posting its
-    /// count says it carries, then opens the ids.
-    fn open_response(&self, keyword: &str, reply: &[u8]) -> Result<SearchResults> {
+    /// Checks one query reply's length, its count against `written` (the
+    /// postings this device wrote for the keyword when it built the query,
+    /// if it wrote any), and the tag of every posting the count says it
+    /// carries, then opens the ids.
+    fn open_response(
+        &self,
+        keyword: &str,
+        written: Option<u64>,
+        reply: &[u8],
+    ) -> Result<SearchResults> {
         if reply.len() != REPLY_LEN {
             return Err(PretzelError::Protocol(format!(
                 "search reply of {} bytes, expected {REPLY_LEN}",
@@ -230,6 +256,11 @@ impl SearchClient {
             )));
         }
         let total = parse_u64(&reply[..8])?;
+        if let Some(written) = written.filter(|&written| written != total) {
+            return Err(PretzelError::Protocol(format!(
+                "search reply counts {total} postings, this device wrote {written}"
+            )));
+        }
         let returned = total.min(RESPONSE_CAPACITY as u64) as usize;
         let postings: Vec<SealedPosting> = reply[8..]
             .chunks_exact(POSTING_LEN)
@@ -318,8 +349,13 @@ impl ProviderModule for SearchProvider {
 /// Per-round context a search client keeps between sending its requests and
 /// parsing the replies.
 enum PendingSearchOp<'a> {
-    Index { uploaded: usize },
-    Query { keyword: &'a str },
+    Index {
+        uploaded: usize,
+    },
+    Query {
+        keyword: &'a str,
+        written: Option<u64>,
+    },
 }
 
 impl ClientModule for SearchClient {
@@ -360,8 +396,9 @@ impl ClientModule for SearchClient {
                     pending.push(PendingSearchOp::Index { uploaded });
                 }
                 EmailPayload::SearchQuery(keyword) => {
-                    requests.push(self.query_request(keyword));
-                    pending.push(PendingSearchOp::Query { keyword });
+                    let (msg, written) = self.query_request(keyword);
+                    requests.push(msg);
+                    pending.push(PendingSearchOp::Query { keyword, written });
                 }
                 other => return Err(payload_mismatch("search", other)),
             }
@@ -376,8 +413,8 @@ impl ClientModule for SearchClient {
                     self.check_index_ack(reply, uploaded)?;
                     Ok(Verdict::SearchIndexed { postings: uploaded })
                 }
-                PendingSearchOp::Query { keyword } => {
-                    let results = self.open_response(keyword, reply)?;
+                PendingSearchOp::Query { keyword, written } => {
+                    let results = self.open_response(keyword, written, reply)?;
                     Ok(Verdict::SearchHits {
                         ids: results.ids,
                         total: results.total,
@@ -449,21 +486,39 @@ mod tests {
             let (msg, _) = client.index_request(id, "recurring newsletter");
             provider.handle_op(&msg).unwrap();
         }
-        let none = provider.handle_op(&client.query_request("absent")).unwrap();
-        let many = provider
-            .handle_op(&client.query_request("recurring"))
-            .unwrap();
+        let (absent, unwritten) = client.query_request("absent");
+        let (recurring, written) = client.query_request("recurring");
+        assert_eq!((unwritten, written), (None, Some(indexed)));
+        let none = provider.handle_op(&absent).unwrap();
+        let many = provider.handle_op(&recurring).unwrap();
         assert_eq!((none.len(), many.len()), (REPLY_LEN, REPLY_LEN));
 
-        let empty = client.open_response("absent", &none).unwrap();
+        let empty = client.open_response("absent", unwritten, &none).unwrap();
         assert_eq!((empty.ids.len(), empty.total), (0, 0));
-        let results = client.open_response("recurring", &many).unwrap();
+        let results = client.open_response("recurring", written, &many).unwrap();
         assert_eq!(
             results.ids,
             (0..RESPONSE_CAPACITY as u64).collect::<Vec<_>>()
         );
         assert_eq!(results.total, indexed, "the true match count survives");
         assert!(results.truncated());
+    }
+
+    #[test]
+    fn provider_never_sees_keywords_or_plaintext_ids_in_uploads() {
+        let mut client = SearchClient::from_master_key([22u8; 32]);
+        let (upload, _) = client.index_request(0xDEADBEEF, "confidential merger");
+        for needle in [&b"confidential"[..], &b"merger"[..]] {
+            assert!(
+                !upload.windows(needle.len()).any(|w| w == needle),
+                "keyword leaked into upload"
+            );
+        }
+        let id_bytes = 0xDEADBEEFu64.to_le_bytes();
+        assert!(
+            !upload.windows(8).any(|w| w == id_bytes),
+            "doc id leaked into upload"
+        );
     }
 
     #[test]

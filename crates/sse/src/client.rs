@@ -1,11 +1,10 @@
 //! Client side of the SSE scheme: key material, per-keyword counters,
-//! document indexing, and search-token generation.
+//! document indexing, query label keys and result opening.
 
 use std::collections::BTreeMap;
 
 use pretzel_classifiers::Tokenizer;
 use pretzel_primitives::{ct_eq, hmac_sha256};
-use rand::Rng;
 
 use crate::{DocId, SealedPosting, SseError};
 
@@ -13,18 +12,15 @@ use crate::{DocId, SealedPosting, SseError};
 /// a 16-byte [`SealedPosting`].
 const ENTRY_LEN: usize = 32 + 16;
 
-/// Opaque per-keyword search token handed to the provider.
-///
-/// Holding a token for keyword `w` allows the provider to find (and decrypt
-/// the ids of) every indexed email containing `w` — and nothing else. Tokens
-/// for different keywords are unlinkable.
+/// The two per-keyword subkeys. Only the label key is ever handed to the
+/// provider ([`SseClient::label_key`]); the value key stays in this crate.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SearchToken {
+pub(crate) struct SearchToken {
     /// Key used to derive the storage labels of `w`'s postings.
-    pub label_key: [u8; 32],
+    pub(crate) label_key: [u8; 32],
     /// Key used to seal, tag and open the email ids stored in `w`'s
     /// postings.
-    pub value_key: [u8; 32],
+    pub(crate) value_key: [u8; 32],
 }
 
 /// A batch of encrypted index entries ready to upload to the provider.
@@ -50,8 +46,7 @@ impl UpdateBatch {
 
     /// Serializes the batch for transmission: a `u64` little-endian posting
     /// count followed by 48 bytes (32-byte label + 16-byte sealed posting)
-    /// per posting. The single wire format shared by the bare SSE endpoints
-    /// and the mailroom-served search protocol.
+    /// per posting.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.entries.len() * ENTRY_LEN);
         out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
@@ -110,11 +105,6 @@ pub struct SseClient {
 }
 
 impl SseClient {
-    /// Creates a client with a freshly sampled master key.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self::from_master_key(rng.gen())
-    }
-
     /// Creates a client from an existing master key (e.g. synced from another
     /// device, or derived from the user's e2e key material via HKDF).
     pub fn from_master_key(master_key: [u8; 32]) -> Self {
@@ -125,23 +115,27 @@ impl SseClient {
         }
     }
 
-    /// The master key (so a caller can persist or sync it).
-    pub fn master_key(&self) -> &[u8; 32] {
-        &self.master_key
-    }
-
     /// Number of distinct keywords indexed so far.
     pub fn distinct_keywords(&self) -> usize {
         self.counters.len()
     }
 
-    /// Total number of postings uploaded so far.
-    pub fn total_postings(&self) -> u64 {
-        self.counters.values().sum()
+    /// The keyword's label key: all a provider needs to find its sealed
+    /// postings ([`crate::EncryptedIndex::lookup_sealed`]), and nothing that
+    /// opens them.
+    pub fn label_key(&self, keyword: &str) -> [u8; 32] {
+        self.subkey(b"label", &normalize(keyword))
     }
 
-    /// Derives the per-keyword search token.
-    pub fn search_token(&self, keyword: &str) -> SearchToken {
+    /// Postings this client has written for the keyword whose label key is
+    /// `label_key` ([`SseClient::label_key`]), or `None` if it never indexed
+    /// that keyword — as on a fresh device that holds only the master key.
+    pub fn postings_written(&self, label_key: &[u8; 32]) -> Option<u64> {
+        self.counters.get(&counter_key(label_key)).copied()
+    }
+
+    /// Derives the per-keyword subkeys.
+    pub(crate) fn search_token(&self, keyword: &str) -> SearchToken {
         let normalized = normalize(keyword);
         SearchToken {
             label_key: self.subkey(b"label", &normalized),
@@ -162,8 +156,10 @@ impl SseClient {
         let mut entries = Vec::with_capacity(keywords.len());
         for keyword in keywords {
             let token = self.search_token(&keyword);
-            let counter_key = token.label_key[..16].try_into().expect("32-byte key");
-            let counter = self.counters.entry(counter_key).or_insert(0);
+            let counter = self
+                .counters
+                .entry(counter_key(&token.label_key))
+                .or_insert(0);
             entries.push((
                 posting_label(&token.label_key, *counter),
                 seal_posting(&token.value_key, *counter, doc_id),
@@ -199,6 +195,11 @@ impl SseClient {
         data.extend_from_slice(keyword.as_bytes());
         hmac_sha256(&self.master_key, &data)
     }
+}
+
+/// The key of a keyword's counter: the first 16 bytes of its label key.
+fn counter_key(label_key: &[u8; 32]) -> [u8; 16] {
+    label_key[..16].try_into().expect("32-byte key")
 }
 
 /// Normalizes a query keyword the same way indexing does.
@@ -249,7 +250,7 @@ fn posting_tag(value_key: &[u8; 32], counter: u64, sealed: &[u8; 8]) -> [u8; 8] 
 }
 
 /// Encrypts a document id for the `counter`-th posting of a keyword.
-pub(crate) fn seal_doc_id(value_key: &[u8; 32], counter: u64, doc_id: DocId) -> [u8; 8] {
+fn seal_doc_id(value_key: &[u8; 32], counter: u64, doc_id: DocId) -> [u8; 8] {
     let pad = hmac_sha256(value_key, &[&counter.to_le_bytes()[..], b"pad"].concat());
     let mut out = doc_id.to_le_bytes();
     for (o, p) in out.iter_mut().zip(pad.iter()) {
@@ -259,7 +260,7 @@ pub(crate) fn seal_doc_id(value_key: &[u8; 32], counter: u64, doc_id: DocId) -> 
 }
 
 /// Inverse of [`seal_doc_id`].
-pub(crate) fn open_doc_id(value_key: &[u8; 32], counter: u64, sealed: &[u8; 8]) -> DocId {
+fn open_doc_id(value_key: &[u8; 32], counter: u64, sealed: &[u8; 8]) -> DocId {
     let pad = hmac_sha256(value_key, &[&counter.to_le_bytes()[..], b"pad"].concat());
     let mut out = *sealed;
     for (o, p) in out.iter_mut().zip(pad.iter()) {
@@ -299,6 +300,10 @@ mod tests {
             client.search_token("hello").label_key,
             client.search_token("hello").value_key
         );
+        assert_eq!(
+            client.label_key("Hello "),
+            client.search_token("hello").label_key
+        );
     }
 
     #[test]
@@ -315,12 +320,18 @@ mod tests {
         // Tokenizer drops short tokens ("the" stays: len >= 2), dedup keeps one
         // posting per distinct keyword.
         assert_eq!(batch.len(), 3);
-        assert_eq!(client.total_postings(), 3);
         assert_eq!(client.distinct_keywords(), 3);
+        let report = client.label_key("report");
+        assert_eq!(client.postings_written(&report), Some(1));
 
         let batch2 = client.index_email(2, "report");
         assert_eq!(batch2.len(), 1);
-        assert_eq!(client.total_postings(), 4);
+        assert_eq!(client.postings_written(&report), Some(2));
+        assert_eq!(
+            client.postings_written(&client.label_key("Quarterly ")),
+            Some(1)
+        );
+        assert_eq!(client.postings_written(&client.label_key("absent")), None);
         assert_eq!(client.distinct_keywords(), 3);
     }
 

@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::client::{open_doc_id, posting_label, sealed_id};
-use crate::{DocId, SealedPosting, SearchToken, UpdateBatch};
+use crate::client::posting_label;
+use crate::{SealedPosting, UpdateBatch};
 
 /// Bytes of a label the index keeps. Labels are PRF outputs, so 128 bits
 /// keep them collision-free at any mailbox size while halving the key
@@ -62,32 +62,15 @@ impl EncryptedIndex {
         }
     }
 
-    /// Response-revealing lookup: walks the postings of the token's keyword
-    /// and returns the decrypted email ids. The provider learns which stored
-    /// labels belong to this (still unknown) keyword and the matching ids.
-    pub fn lookup(&self, token: &SearchToken) -> Vec<DocId> {
-        self.walk(token)
-            .into_iter()
-            .enumerate()
-            .map(|(c, posting)| open_doc_id(&token.value_key, c as u64, sealed_id(&posting)))
-            .collect()
-    }
-
-    /// Response-hiding lookup: returns the sealed postings, in counter
-    /// order, so that only the client (who holds the value key) can check
-    /// their tags and recover the email ids. Used when the query token
-    /// intentionally omits the value key.
+    /// Response-hiding lookup: walks the postings of the keyword whose label
+    /// key is given and returns them sealed, in counter order, so that only
+    /// the client (who holds the value key) can check their tags and recover
+    /// the email ids. The provider learns which stored labels belong to this
+    /// (still unknown) keyword, and nothing of the ids.
     pub fn lookup_sealed(&self, label_key: &[u8; 32]) -> Vec<SealedPosting> {
-        self.walk(&SearchToken {
-            label_key: *label_key,
-            value_key: [0u8; 32],
-        })
-    }
-
-    fn walk(&self, token: &SearchToken) -> Vec<SealedPosting> {
         let mut out = Vec::new();
         for counter in 0u64.. {
-            let label = posting_label(&token.label_key, counter);
+            let label = posting_label(label_key, counter);
             match self.entries.get(&stored_label(&label)) {
                 Some(posting) => out.push(*posting),
                 None => break,
@@ -100,7 +83,8 @@ impl EncryptedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SseClient;
+    use crate::client::sealed_id;
+    use crate::{DocId, SseClient};
 
     fn populated() -> (SseClient, EncryptedIndex) {
         let mut client = SseClient::from_master_key([11u8; 32]);
@@ -111,21 +95,24 @@ mod tests {
         (client, index)
     }
 
+    /// The ids the client opens from a sealed lookup of `keyword`.
+    fn hits(client: &SseClient, index: &EncryptedIndex, keyword: &str) -> Vec<DocId> {
+        let sealed = index.lookup_sealed(&client.label_key(keyword));
+        client.open_results(keyword, &sealed).unwrap()
+    }
+
     #[test]
     fn lookup_returns_exactly_the_matching_emails() {
         let (client, index) = populated();
-        let mut hits = index.lookup(&client.search_token("pretzel"));
-        hits.sort_unstable();
-        assert_eq!(hits, vec![1, 2]);
-        assert_eq!(index.lookup(&client.search_token("menu")), vec![3]);
-        assert!(index.lookup(&client.search_token("absent")).is_empty());
+        assert_eq!(hits(&client, &index, "pretzel"), vec![1, 2]);
+        assert_eq!(hits(&client, &index, "menu"), vec![3]);
+        assert!(hits(&client, &index, "absent").is_empty());
     }
 
     #[test]
     fn sealed_lookup_requires_the_client_to_decrypt() {
         let (client, index) = populated();
-        let token = client.search_token("pretzel");
-        let sealed = index.lookup_sealed(&token.label_key);
+        let sealed = index.lookup_sealed(&client.label_key("pretzel"));
         assert_eq!(sealed.len(), 2);
         // The sealed values are not the raw ids.
         for s in &sealed {
@@ -142,7 +129,7 @@ mod tests {
         let (_, index) = populated();
         let other_client = SseClient::from_master_key([12u8; 32]);
         assert!(index
-            .lookup(&other_client.search_token("pretzel"))
+            .lookup_sealed(&other_client.label_key("pretzel"))
             .is_empty());
     }
 

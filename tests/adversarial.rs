@@ -13,10 +13,12 @@ use pretzel::core::search::{SearchClient, SearchProvider, SearchResults, REPLY_L
 use pretzel::core::setup::joint_randomness_initiator;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::{CandidateMode, TopicClient};
-use pretzel::core::{PretzelConfig, PretzelError, ProviderModule, ReplayGuard};
+use pretzel::core::{
+    ClientModule, EmailPayload, PretzelConfig, PretzelError, ProviderModule, ReplayGuard, Verdict,
+};
 use pretzel::gc::{GcError, YaoEvaluator, YaoGarbler};
 use pretzel::primitives::sha256;
-use pretzel::transport::{memory_pair, run_two_party, Channel, MemoryChannel};
+use pretzel::transport::{memory_pair, run_two_party, send_rounds, Channel, MemoryChannel};
 
 mod common;
 use common::test_rng;
@@ -530,6 +532,24 @@ fn search_through(
     queries: &'static [&'static str],
     forge: impl FnMut(&mut Vec<u8>) + Send,
 ) -> pretzel::core::Result<Vec<SearchResults>> {
+    search_from(Device::Writer, queries, forge)
+}
+
+/// The device that runs the queries of [`search_from`].
+#[derive(Clone, Copy)]
+enum Device {
+    /// The device that indexed the mail, and so holds its posting counters.
+    Writer,
+    /// A fresh device holding only the same master key.
+    Fresh,
+}
+
+/// [`search_through`], with the queries run by `device`.
+fn search_from(
+    device: Device,
+    queries: &'static [&'static str],
+    forge: impl FnMut(&mut Vec<u8>) + Send,
+) -> pretzel::core::Result<Vec<SearchResults>> {
     let (_, client_res) = run_two_party(
         move |chan| -> pretzel::core::Result<()> {
             let mut chan = ForgeReplies { inner: chan, forge };
@@ -542,9 +562,13 @@ fn search_through(
         },
         move |chan| {
             let mut rng = test_rng(61);
-            let mut client = SearchClient::new(&mut rng);
+            let master_key = [61u8; 32];
+            let mut client = SearchClient::from_master_key(master_key);
             client.index_email(chan, 1, "confidential merger draft", &mut rng)?;
             client.index_email(chan, 2, "merger timeline", &mut rng)?;
+            if let Device::Fresh = device {
+                client = SearchClient::from_master_key(master_key);
+            }
             queries
                 .iter()
                 .map(|keyword| client.query(chan, keyword, &mut rng))
@@ -616,18 +640,88 @@ fn search_client_rejects_a_truncated_response() {
 }
 
 #[test]
+fn search_writer_rejects_a_shrunk_total() {
+    // The provider drops the second "merger" posting and counts one: every
+    // posting it returns is genuine, so only the count can give it away.
+    let shrink = |reply: &mut Vec<u8>| {
+        reply[..8].copy_from_slice(&1u64.to_le_bytes());
+        reply[slot(1)].fill(0);
+    };
+    assert_protocol_error(search_through(&["merger"], shrink), "shrunk total");
+    // A device that never indexed "merger" has no count to check against.
+    let fresh = search_from(Device::Fresh, &["merger"], shrink).unwrap();
+    assert_eq!((fresh[0].ids.as_slice(), fresh[0].total), (&[1][..], 1));
+}
+
+#[test]
+fn a_fresh_search_device_accepts_the_honest_reply() {
+    let results = search_from(Device::Fresh, &["merger", "draft"], |_| {}).unwrap();
+    assert_eq!(
+        (results[0].ids.as_slice(), results[0].total),
+        (&[1, 2][..], 2)
+    );
+    assert_eq!((results[1].ids.as_slice(), results[1].total), (&[1][..], 1));
+}
+
+#[test]
+fn a_query_batched_before_an_index_of_its_keyword_checks_the_earlier_count() {
+    // The index round advances the counter before the query's reply is
+    // opened; the reply must still be checked against the count the query
+    // was built with.
+    let (provider_res, client_res) = run_two_party(
+        |chan| -> pretzel::core::Result<()> {
+            let mut provider = SearchProvider::new();
+            let mut rng = test_rng(62);
+            provider.process_batch(chan, 1, &mut rng)?;
+            provider.process_batch(chan, 3, &mut rng)?;
+            Ok(())
+        },
+        |chan| {
+            let batch = [
+                EmailPayload::SearchQuery("merger".into()),
+                EmailPayload::SearchIndex {
+                    doc_id: 2,
+                    body: "merger timeline".into(),
+                },
+                EmailPayload::SearchQuery("merger".into()),
+            ];
+            let mut rng = test_rng(63);
+            let mut client = SearchClient::from_master_key([63u8; 32]);
+            client.index_email(chan, 1, "confidential merger draft", &mut rng)?;
+            ClientModule::process_batch(&mut client, chan, &batch, &mut rng)
+        },
+    );
+    provider_res.unwrap();
+    let hits = |ids: &[u64], total| Verdict::SearchHits {
+        ids: ids.to_vec(),
+        total,
+    };
+    assert_eq!(
+        client_res.unwrap(),
+        vec![
+            hits(&[1], 1),
+            Verdict::SearchIndexed { postings: 2 },
+            hits(&[1, 2], 2),
+        ]
+    );
+}
+
+#[test]
 fn sse_provider_rejects_malformed_uploads_without_panicking() {
-    use pretzel::sse::{SseError, SseProviderEndpoint};
+    use pretzel::sse::SseError;
 
     let (provider_res, _) = run_two_party(
-        |chan| SseProviderEndpoint::new().serve(chan),
+        |chan| SearchProvider::new().process_batch(chan, 1, &mut test_rng(64)),
         |chan| {
-            // Claim 1000 postings but send 3 bytes of payload.
+            // An index round claiming 1000 postings but carrying 3 bytes.
             let mut msg = vec![0u8];
             msg.extend_from_slice(&1000u64.to_le_bytes());
             msg.extend_from_slice(&[1, 2, 3]);
-            chan.send(&msg).unwrap();
+            send_rounds(chan, &[msg]).unwrap();
         },
     );
-    assert!(matches!(provider_res, Err(SseError::Protocol(_))));
+    assert!(
+        matches!(provider_res, Err(PretzelError::Sse(SseError::Protocol(_)))),
+        "got {provider_res:?}"
+    );
 }

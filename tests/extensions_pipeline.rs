@@ -4,12 +4,12 @@
 //! (provider never sees keywords), alongside the paper's client-side index.
 
 use pretzel::classifiers::NGramExtractor;
+use pretzel::core::search::{SearchClient, SearchProvider};
 use pretzel::core::spam::AheVariant;
 use pretzel::core::virus::{VirusModelBuilder, VirusScanClient, VirusScanProvider};
-use pretzel::core::PretzelConfig;
+use pretzel::core::{PretzelConfig, ProviderModule};
 use pretzel::e2e::{DhGroup, Email, Identity};
 use pretzel::search::SearchIndex;
-use pretzel::sse::{SseClient, SseClientEndpoint, SseProviderEndpoint};
 use pretzel::transport::memory_pair;
 
 mod common;
@@ -86,19 +86,32 @@ fn encrypted_mail_with_attachment_is_scanned_and_searchable_privately() {
     // --- Provider-side encrypted search over the decrypted body.
     let (mut sse_provider_chan, mut sse_client_chan) = memory_pair();
     let sse_provider = std::thread::spawn(move || {
-        let mut endpoint = SseProviderEndpoint::new();
-        endpoint.serve(&mut sse_provider_chan).unwrap();
-        endpoint.index().len()
+        let mut rng = test_rng(3);
+        let mut provider = SearchProvider::new();
+        for _ in 0..3 {
+            provider
+                .process_batch(&mut sse_provider_chan, 1, &mut rng)
+                .unwrap();
+        }
+        provider.index().len()
     });
-    let mut sse = SseClientEndpoint::new(SseClient::from_master_key([9u8; 32]));
-    sse.index_and_upload(&mut sse_client_chan, 1, &decrypted.classification_text())
+    let mut sse = SearchClient::from_master_key([9u8; 32]);
+    sse.index_email(
+        &mut sse_client_chan,
+        1,
+        &decrypted.classification_text(),
+        &mut rng,
+    )
+    .unwrap();
+    let hits = sse
+        .query(&mut sse_client_chan, "invoice", &mut rng)
         .unwrap();
-    let hits = sse.search(&mut sse_client_chan, "invoice").unwrap();
-    let misses = sse.search(&mut sse_client_chan, "unrelated").unwrap();
-    sse.close(&mut sse_client_chan).unwrap();
+    let misses = sse
+        .query(&mut sse_client_chan, "unrelated", &mut rng)
+        .unwrap();
     let stored = sse_provider.join().unwrap();
-    assert_eq!(hits, vec![1]);
-    assert!(misses.is_empty());
+    assert_eq!(hits.ids, vec![1]);
+    assert!(misses.ids.is_empty());
     assert!(stored > 0);
 
     // --- The client-side index of §5 still works alongside the SSE extension.
