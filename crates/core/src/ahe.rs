@@ -191,7 +191,7 @@ impl AheProvider {
                     .collect::<std::result::Result<Vec<_>, _>>()
                     .map_err(ahe_error)?;
                 if as_singles {
-                    cts.iter().map(|ct| sk.decrypt_slots(ct)[0]).collect()
+                    rlwe_pack::provider_decrypt(sk, &cts, 1).concat()
                 } else {
                     rlwe_pack::provider_decrypt_columns(sk, &cts, self.cols)
                 }

@@ -24,10 +24,17 @@
 //! an OT is its position among every OT the session has extended
 //! (`take_tweaks`), so no two OTs of a session share one however its
 //! batches are sized.
+//!
+//! Layout: each side holds its matrix (Q or T, and U) as one flat
+//! column-major buffer of KAPPA columns of `⌈m/8⌉` bytes, each column filled
+//! in place by [`Prg::fill`]. Rows come out of it eight at a time through
+//! 8×8 bit-block transposes ([`transpose_8x8`], shared with the software
+//! AES), sixteen blocks per eight rows, rather than one bit per column per
+//! row.
 
 use rand::Rng;
 
-use pretzel_primitives::{gate_hash, Prg};
+use pretzel_primitives::{gate_hash, transpose_8x8, Prg};
 use pretzel_transport::Channel;
 
 use crate::garble::Label;
@@ -92,27 +99,25 @@ impl OtExtSender {
             return Err(GcError::Protocol("bad OT-extension matrix size".into()));
         }
 
-        // Build Q columns: q_i = G(k^{s_i}_i) XOR (s_i ? u_i : 0).
-        let mut q_cols: Vec<Vec<u8>> = Vec::with_capacity(KAPPA);
-        for i in 0..KAPPA {
-            let mut col = self.seeds[i].bytes(col_bytes);
-            if self.s[i] {
-                for (c, u) in col
-                    .iter_mut()
-                    .zip(&u_flat[i * col_bytes..(i + 1) * col_bytes])
-                {
-                    *c ^= u;
-                }
+        // Q column by column: q_i = G(k^{s_i}_i) XOR (s_i ? u_i : 0), the
+        // choice applied as a byte mask rather than a branch on s.
+        let mut q = vec![0u8; KAPPA * col_bytes];
+        let columns = q
+            .chunks_exact_mut(col_bytes)
+            .zip(u_flat.chunks_exact(col_bytes));
+        for ((col, u_col), (seed, &s_i)) in columns.zip(self.seeds.iter_mut().zip(&self.s)) {
+            seed.fill(col);
+            let select = u8::from(s_i).wrapping_neg();
+            for (c, &u) in col.iter_mut().zip(u_col) {
+                *c ^= u & select;
             }
-            q_cols.push(col);
         }
 
         // Transpose to rows, mask the message pairs and send.
         let s_block = bools_to_label(&self.s);
         let mut payload = Vec::with_capacity(m * 32);
         let tweaks = take_tweaks(&mut self.extended, m);
-        for (j, ((m0, m1), tweak)) in pairs.iter().zip(tweaks).enumerate() {
-            let q_row = extract_row(&q_cols, j);
+        for (((m0, m1), tweak), q_row) in pairs.iter().zip(tweaks).zip(matrix_rows(&q, m)) {
             let q_xor_s = xor16(&q_row, &s_block);
             let [pad0, pad1] = gate_hash([(q_row, tweak), (q_xor_s, tweak)]);
             payload.extend_from_slice(&xor16(m0, &pad0));
@@ -153,16 +158,21 @@ impl OtExtReceiver {
         let col_bytes = m.div_ceil(8);
         let r_bytes = bools_to_bytes(choices);
 
-        // T columns and the correction matrix U.
-        let mut t_cols: Vec<Vec<u8>> = Vec::with_capacity(KAPPA);
-        let mut u_flat = Vec::with_capacity(KAPPA * col_bytes);
-        for i in 0..KAPPA {
-            let t_col = self.seeds0[i].bytes(col_bytes);
-            let g1 = self.seeds1[i].bytes(col_bytes);
-            for b in 0..col_bytes {
-                u_flat.push(t_col[b] ^ g1[b] ^ r_bytes[b]);
+        // T columns and the correction matrix U: t_i = G(k⁰_i) and
+        // u_i = t_i XOR G(k¹_i) XOR r.
+        let mut t = vec![0u8; KAPPA * col_bytes];
+        let mut u_flat = vec![0u8; KAPPA * col_bytes];
+        let columns = t
+            .chunks_exact_mut(col_bytes)
+            .zip(u_flat.chunks_exact_mut(col_bytes));
+        for ((t_col, u_col), (seed0, seed1)) in
+            columns.zip(self.seeds0.iter_mut().zip(&mut self.seeds1))
+        {
+            seed0.fill(t_col);
+            seed1.fill(u_col);
+            for ((u, &t), &r) in u_col.iter_mut().zip(t_col.iter()).zip(&r_bytes) {
+                *u ^= t ^ r;
             }
-            t_cols.push(t_col);
         }
         channel.send(&u_flat)?;
 
@@ -173,8 +183,8 @@ impl OtExtReceiver {
         }
         let mut out = Vec::with_capacity(m);
         let tweaks = take_tweaks(&mut self.extended, m);
-        for (j, (&c, tweak)) in choices.iter().zip(tweaks).enumerate() {
-            let t_row = extract_row(&t_cols, j);
+        let rows = choices.iter().zip(tweaks).zip(matrix_rows(&t, m));
+        for (j, ((&c, tweak), t_row)) in rows.enumerate() {
             let [pad] = gate_hash([(t_row, tweak)]);
             let offset = j * 32 + if c { 16 } else { 0 };
             let mut label = [0u8; 16];
@@ -224,16 +234,30 @@ fn bools_to_label(bits: &[bool; KAPPA]) -> Label {
     out
 }
 
-/// Extracts row `j` (128 bits) from a set of KAPPA bit-columns.
-fn extract_row(cols: &[Vec<u8>], j: usize) -> Label {
-    let mut row = [0u8; 16];
-    for (i, col) in cols.iter().enumerate() {
-        let bit = (col[j / 8] >> (j % 8)) & 1;
-        if bit == 1 {
-            row[i / 8] |= 1 << (i % 8);
-        }
-    }
-    row
+/// Rows `0..m` of an m × KAPPA bit matrix stored column by column, as
+/// labels: column `i` is `matrix[i·⌈m/8⌉..]`, row `j` its bit `j % 8` of
+/// byte `j / 8`, and a row holds column `i` at bit `i % 8` of byte `i / 8`.
+///
+/// Byte `b` of eight neighbouring columns `8c..8c + 8` is an 8×8 bit block
+/// of rows `8b..8b + 8`; one [`transpose_8x8`] turns it into byte `c` of
+/// each of those rows, so eight rows cost KAPPA/8 = 16 transposes.
+fn matrix_rows(matrix: &[u8], m: usize) -> impl Iterator<Item = Label> + '_ {
+    let col_bytes = m.div_ceil(8);
+    assert_eq!(matrix.len(), KAPPA * col_bytes, "not a KAPPA-column matrix");
+    (0..col_bytes)
+        .flat_map(move |b| {
+            let mut rows = [[0u8; 16]; 8];
+            for c in 0..KAPPA / 8 {
+                let block = (0..8).fold(0u64, |block, r| {
+                    block | u64::from(matrix[(8 * c + r) * col_bytes + b]) << (8 * r)
+                });
+                for (row, byte) in rows.iter_mut().zip(transpose_8x8(block).to_le_bytes()) {
+                    row[c] = byte;
+                }
+            }
+            rows
+        })
+        .take(m)
 }
 
 #[cfg(test)]
@@ -242,14 +266,42 @@ mod tests {
     use pretzel_transport::run_two_party;
     use rand::Rng;
 
+    /// Row `j` of a column-stored matrix, one bit at a time: the oracle
+    /// of [`matrix_rows`].
+    fn extract_row(matrix: &[u8], col_bytes: usize, j: usize) -> Label {
+        let mut row = [0u8; 16];
+        for (i, col) in matrix.chunks_exact(col_bytes).enumerate() {
+            let bit = (col[j / 8] >> (j % 8)) & 1;
+            if bit == 1 {
+                row[i / 8] |= 1 << (i % 8);
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn block_transpose_equals_the_bitwise_rows() {
+        let mut rng = rand::thread_rng();
+        for m in [1usize, 7, 8, 9, 600, 601, 4800] {
+            let col_bytes = m.div_ceil(8);
+            let matrix: Vec<u8> = (0..KAPPA * col_bytes).map(|_| rng.gen()).collect();
+            let rows: Vec<Label> = matrix_rows(&matrix, m).collect();
+            assert_eq!(rows.len(), m);
+            for (j, row) in rows.iter().enumerate() {
+                assert_eq!(*row, extract_row(&matrix, col_bytes, j), "m={m} row {j}");
+            }
+        }
+    }
+
     #[test]
     fn extension_delivers_chosen_labels_across_multiple_rounds() {
         let group = OtGroup::insecure_test_group(64, &mut rand::thread_rng());
         let group_b = group.clone();
         let mut rng = rand::thread_rng();
 
-        // Two rounds with different sizes, simulating two emails.
-        let rounds: Vec<usize> = vec![40, 129];
+        // Rounds of different sizes, simulating several emails; 1, 9 and
+        // 601 leave the last byte of every matrix column partly used.
+        let rounds: Vec<usize> = vec![40, 129, 1, 9, 601];
         let all_pairs: Vec<Vec<(Label, Label)>> = rounds
             .iter()
             .map(|&m| (0..m).map(|_| (rng.gen(), rng.gen())).collect())
@@ -330,8 +382,8 @@ mod tests {
         let bits = vec![true, false, false, true, true, false, false, false, true];
         let bytes = bools_to_bytes(&bits);
         assert_eq!(bytes, vec![0b0001_1001, 0b0000_0001]);
-        let cols: Vec<Vec<u8>> = (0..KAPPA).map(|i| vec![(i % 256) as u8; 2]).collect();
-        let row = extract_row(&cols, 3);
+        let cols: Vec<u8> = (0..KAPPA).flat_map(|i| [i as u8; 2]).collect();
+        let row = matrix_rows(&cols, 16).nth(3).unwrap();
         // Column i contributes bit (i & 0x08 != 0) at row 3 because col value = i.
         for i in 0..KAPPA {
             let expected = (i as u8 >> 3) & 1;

@@ -184,7 +184,8 @@ fn sub_bytes(s: Block) -> Block {
 /// Transposes the 8×8 bit matrix whose row `i` is byte `i` of `x` (column
 /// `j` is bit `j`): bit `j` of byte `i` becomes bit `i` of byte `j`. Three
 /// masked delta swaps — 1×1, 2×2 and 4×4 blocks across the diagonal.
-fn transpose_8x8(mut x: u64) -> u64 {
+/// Bitslicing here and the IKNP matrix transpose of OT extension share it.
+pub fn transpose_8x8(mut x: u64) -> u64 {
     for (shift, mask) in [
         (7, 0x00AA_00AA_00AA_00AA),
         (14, 0x0000_CCCC_0000_CCCC),

@@ -132,17 +132,33 @@ impl Prg {
         Self::new(&crate::sha256(seed))
     }
 
-    /// Fills `out` with pseudo-random bytes.
+    /// Fills `out` with pseudo-random bytes: what is left of the buffered
+    /// block first, then whole keystream blocks copied straight into `out`,
+    /// and the head of one more block for a ragged tail (its rest stays
+    /// buffered for the next call). The stream does not depend on how it is
+    /// read.
     pub fn fill(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
-            if self.buffer_pos == 64 {
-                self.buffer = self.cipher.block(self.block_counter);
-                self.block_counter = self.block_counter.wrapping_add(1);
-                self.buffer_pos = 0;
-            }
-            *byte = self.buffer[self.buffer_pos];
-            self.buffer_pos += 1;
+        let buffered = out.len().min(64 - self.buffer_pos);
+        let (head, out) = out.split_at_mut(buffered);
+        head.copy_from_slice(&self.buffer[self.buffer_pos..self.buffer_pos + buffered]);
+        self.buffer_pos += buffered;
+        let mut blocks = out.chunks_exact_mut(64);
+        for block in &mut blocks {
+            block.copy_from_slice(&self.next_keystream_block());
         }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.buffer = self.next_keystream_block();
+            tail.copy_from_slice(&self.buffer[..tail.len()]);
+            self.buffer_pos = tail.len();
+        }
+    }
+
+    /// The keystream block after the last one drawn.
+    fn next_keystream_block(&mut self) -> [u8; 64] {
+        let block = self.cipher.block(self.block_counter);
+        self.block_counter = self.block_counter.wrapping_add(1);
+        block
     }
 
     /// Returns `n` pseudo-random bytes.
@@ -240,6 +256,28 @@ mod tests {
 
         let mut c = Prg::new(&[43u8; 32]);
         assert_ne!(bytes_a, c.bytes(200));
+    }
+
+    #[test]
+    fn prg_stream_is_the_concatenated_keystream_at_any_read_granularity() {
+        let seed = [5u8; 32];
+        let cipher = ChaCha20::new(&seed, &[0u8; 12], 0);
+        let reads = [1usize, 13, 64, 65, 600, 0, 63, 1, 128, 7];
+        let total: usize = reads.iter().sum();
+        let keystream: Vec<u8> = (0..total.div_ceil(64) as u32)
+            .flat_map(|i| cipher.block(i))
+            .collect();
+        let mut prg = Prg::new(&seed);
+        let mut streamed = Vec::new();
+        for n in reads {
+            streamed.extend(prg.bytes(n));
+        }
+        assert_eq!(streamed, keystream[..total]);
+        // One read of the whole length gives the same bytes, and both
+        // streams continue in step.
+        let mut single = Prg::new(&seed);
+        assert_eq!(single.bytes(total), streamed);
+        assert_eq!(prg.next_block(), single.next_block());
     }
 
     #[test]

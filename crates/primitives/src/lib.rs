@@ -24,6 +24,7 @@ pub mod gchash;
 pub mod hmac;
 pub mod sha256;
 
+pub use aes::transpose_8x8;
 pub use chacha::{ChaCha20, Prg};
 pub use gchash::gate_hash;
 pub use hmac::{hkdf, hmac_sha256};

@@ -289,21 +289,27 @@ pub fn extract_candidates(
     Ok(out)
 }
 
-/// Per-email phase, provider side: decrypts result ciphertexts and reads the
-/// first `count` slots of each (Figure 2 step 3 / Figure 5 step 4).
+/// Per-email phase, provider side: reads the first `count` slots of each
+/// result ciphertext (Figure 2 step 3 / Figure 5 step 4) with
+/// [`SecretKey::decrypt_prefix`]: `count·n` masked adds per ciphertext and no
+/// transform for the one or two slots a verdict needs, one transform decrypt
+/// when `count` is large enough for that to cost less.
 pub fn provider_decrypt(sk: &SecretKey, cts: &[Ciphertext], count: usize) -> Vec<Vec<u64>> {
-    cts.iter()
-        .map(|ct| sk.decrypt_slots(ct)[..count].to_vec())
-        .collect()
+    cts.iter().map(|ct| sk.decrypt_prefix(ct, count)).collect()
 }
 
-/// Decrypts legacy/per-row result ciphertexts into a flat vector of B dot
-/// products (concatenating the slot groups), decrypting no ciphertext past
-/// the one that holds the last of them.
+/// Reads B dot products from result ciphertexts into one flat vector: the
+/// slot groups concatenated, each ciphertext read only as far as it holds
+/// one of the `cols` values (two slots of one ciphertext for a spam
+/// verdict), through the same prefix decrypt as [`provider_decrypt`].
 pub fn provider_decrypt_columns(sk: &SecretKey, cts: &[Ciphertext], cols: usize) -> Vec<u64> {
+    let slots = sk.params().slots();
     cts.iter()
-        .flat_map(|ct| sk.decrypt_slots(ct))
-        .take(cols)
+        .enumerate()
+        .flat_map(|(group, ct)| {
+            let count = cols.saturating_sub(group * slots).min(slots);
+            sk.decrypt_prefix(ct, count)
+        })
         .collect()
 }
 
