@@ -1,5 +1,5 @@
 //! Shared helpers for the reproduction harnesses (`src/bin/fig*.rs`,
-//! `summary_ratios`) and the Criterion benches.
+//! `summary_ratios`) and the repo's benchmark (`benchmark/`).
 //!
 //! Every harness regenerates one table or figure from the paper's §6 and
 //! prints it. The one common knob is `--scale`:
@@ -63,7 +63,7 @@ fn find_arg(args: &[String], name: &str) -> Option<String> {
 }
 
 /// A JSON value for the benchmark's reports — hand-rolled because the
-/// workspace's vendored `serde` is an offline stub without `serde_json`.
+/// workspace builds offline, without `serde_json`.
 /// Covers exactly what that output needs: objects, arrays, numbers, strings,
 /// booleans.
 #[derive(Clone, Debug)]

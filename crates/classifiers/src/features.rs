@@ -9,10 +9,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse feature vector: sorted `(feature index, count)` pairs.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SparseVector {
     entries: Vec<(usize, u32)>,
 }
@@ -112,7 +110,7 @@ impl Tokenizer {
 }
 
 /// A term → feature-index vocabulary.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Vocabulary {
     index: HashMap<String, usize>,
     terms: Vec<String>,

@@ -35,10 +35,8 @@ pub use metrics::{accuracy, confusion_binary, precision_recall, BinaryConfusion}
 pub use ngrams::NGramExtractor;
 pub use quantize::QuantizedModel;
 
-use serde::{Deserialize, Serialize};
-
 /// A labeled training/testing example: sparse features plus a class label.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LabeledExample {
     /// Sparse feature vector.
     pub features: SparseVector,
@@ -50,7 +48,7 @@ pub struct LabeledExample {
 ///
 /// `score_j(x) = Σ_i x_i · weights[j][i] + bias[j]`, prediction = argmax_j.
 /// For binary models class 1 is the "positive" class (spam).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinearModel {
     /// `weights[class][feature]`.
     pub weights: Vec<Vec<f64>>,

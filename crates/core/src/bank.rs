@@ -503,7 +503,7 @@ impl PrecomputeBank {
 
     /// Blocks until every registered reservoir is at its target, or the
     /// timeout elapses. Returns whether the bank filled in time. Used to
-    /// pre-stock reservoirs during untimed setup (benches, scenario starts)
+    /// pre-stock reservoirs during untimed setup (benchmark workload starts)
     /// so the serving phase never waits on production.
     pub fn wait_until_full(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;

@@ -6,14 +6,12 @@
 //! infrastructure (SMTP/IMAP in the paper; the `transport` crate's framed
 //! channels in this repository's examples).
 
-use serde::{Deserialize, Serialize};
-
 use pretzel_bignum::BigUint;
 
 use crate::schnorr::SchnorrSignature;
 
 /// A plaintext email.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Email {
     /// Sender address.
     pub from: String,

@@ -11,15 +11,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use pretzel_classifiers::Tokenizer;
 
 /// Identifier assigned to an indexed email.
 pub type DocId = u64;
 
 /// A client-side inverted index over email bodies.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SearchIndex {
     /// term → sorted list of document ids containing the term.
     postings: BTreeMap<String, Vec<DocId>>,

@@ -360,17 +360,4 @@ impl<C: Channel> MailroomClient<C> {
         self.channel.flush()?;
         Ok(self.channel.into_inner())
     }
-
-    /// Tears the session down *without* the goodbye frame: the channel is
-    /// dropped mid-protocol, exactly as if the client process vanished. The
-    /// provider worker observes a closed channel on its next read and marks
-    /// the session [`crate::SessionState::Failed`] — never poisoning other
-    /// sessions.
-    ///
-    /// This is deliberate fault injection for churn and robustness
-    /// scenarios (see the `pretzel_scenarios` crate); well-behaved clients
-    /// use [`MailroomClient::finish`].
-    pub fn abandon(self) {
-        drop(self.channel);
-    }
 }

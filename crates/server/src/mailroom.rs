@@ -41,11 +41,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -266,8 +265,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// Recovers a poisoned lock (`docs/ARCHITECTURE.md`, "Lock poisoning"):
+    /// every holder writes whole fields, so the records stay readable.
+    fn records(&self) -> MutexGuard<'_, HashMap<SessionId, SessionRecord>> {
+        self.records.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn with_record<R>(&self, id: SessionId, f: impl FnOnce(&mut SessionRecord) -> R) -> Option<R> {
-        self.records.lock().get_mut(&id).map(f)
+        self.records().get_mut(&id).map(f)
     }
 }
 
@@ -433,7 +438,7 @@ impl Mailroom {
             let _ = channel.send(&[ACK_BUSY]);
             return Err(ServerError::ShuttingDown);
         }
-        self.shared.records.lock().insert(
+        self.shared.records().insert(
             id,
             SessionRecord {
                 kind: None,
@@ -478,7 +483,7 @@ impl Mailroom {
 
     /// Snapshot of every session, in submission order.
     pub fn stats(&self) -> Vec<SessionStats> {
-        let records = self.shared.records.lock();
+        let records = self.shared.records();
         let mut stats: Vec<SessionStats> = records.iter().map(|(&id, r)| r.stats(id)).collect();
         stats.sort_by_key(|s| s.id);
         stats

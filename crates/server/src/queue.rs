@@ -3,9 +3,9 @@
 //! The mailroom's intake must exert **backpressure**: when every worker is
 //! busy and the queue is full, a new session is refused immediately (the
 //! client gets a busy ack and can retry elsewhere) instead of being buffered
-//! without bound or blocking the acceptor thread. The vendored crossbeam
-//! stub only provides unbounded channels, so this queue is built directly on
-//! `std::sync` — a mutex-guarded ring plus one condvar for the consumers.
+//! without bound or blocking the acceptor thread. `std::sync::mpsc` has no
+//! non-blocking bounded multi-consumer queue, so this one is built directly
+//! on `std::sync` — a mutex-guarded ring plus one condvar for the consumers.
 //! Producers never block: [`BoundedQueue::try_push_with`] either reserves a
 //! slot or hands the item straight back.
 

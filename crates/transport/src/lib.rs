@@ -4,7 +4,7 @@
 //!
 //! Three implementations are provided:
 //!
-//! * [`MemoryChannel`] — an in-process duplex pair built on crossbeam
+//! * [`MemoryChannel`] — an in-process duplex pair built on `std::sync::mpsc`
 //!   channels; used by unit/integration tests and by the benchmark harness
 //!   (the paper measures CPU and bytes, not wire latency).
 //! * [`TcpChannel`] — a length-prefixed framing layer over `std::net::TcpStream`,
@@ -14,10 +14,6 @@
 //!   this is how the "network transfers" columns of Figures 6, 11 and the
 //!   §6.1/§6.3 numbers are produced (see the [`meter`] module docs for the
 //!   exact counting semantics).
-//!
-//! [`PacedChannel`] is a further decorator that stalls a configurable delay
-//! before every send — fault injection for slow-loris workload scenarios
-//! (see the [`paced`] module docs).
 //!
 //! For serving many connections, [`TcpAcceptor`] wraps a listening socket
 //! and yields one framed [`TcpChannel`] per inbound connection; the
@@ -34,14 +30,12 @@
 pub mod batch;
 mod memory;
 pub mod meter;
-pub mod paced;
 mod tcp;
 pub mod wire;
 
 pub use batch::{pack_frames, recv_rounds, send_rounds, unpack_frames};
 pub use memory::{memory_pair, MemoryChannel};
 pub use meter::{Meter, MeteredChannel};
-pub use paced::PacedChannel;
 pub use tcp::{TcpAcceptor, TcpChannel};
 pub use wire::{
     negotiate, Capabilities, CodecChannel, HandshakeAck, HandshakeError, HandshakeOffer,

@@ -1,6 +1,6 @@
-//! In-memory duplex channel built on crossbeam's unbounded MPMC channels.
+//! In-memory duplex channel built on `std::sync::mpsc`'s unbounded channels.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::{Channel, Result, TransportError};
 
@@ -12,8 +12,8 @@ pub struct MemoryChannel {
 
 /// Creates a connected pair of in-memory channel endpoints.
 pub fn memory_pair() -> (MemoryChannel, MemoryChannel) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
+    let (tx_ab, rx_ab) = channel();
+    let (tx_ba, rx_ba) = channel();
     (
         MemoryChannel {
             tx: tx_ab,
@@ -68,6 +68,43 @@ mod tests {
     fn recv_after_peer_drop_reports_closed() {
         let (a, mut b) = memory_pair();
         drop(a);
+        assert!(matches!(b.recv(), Err(TransportError::Closed)));
+    }
+
+    #[test]
+    fn send_after_peer_drop_reports_closed() {
+        let (mut a, b) = memory_pair();
+        drop(b);
+        assert!(matches!(a.send(b"late"), Err(TransportError::Closed)));
+        assert!(matches!(
+            a.send_owned(b"late".to_vec()),
+            Err(TransportError::Closed)
+        ));
+    }
+
+    #[test]
+    fn frames_queued_before_peer_drop_arrive_in_order_before_closed() {
+        let (mut a, mut b) = memory_pair();
+        a.send(b"one").unwrap();
+        a.send_owned(b"two".to_vec()).unwrap();
+        drop(a);
+        assert_eq!(b.recv().unwrap(), b"one");
+        assert_eq!(b.recv().unwrap(), b"two");
+        assert!(matches!(b.recv(), Err(TransportError::Closed)));
+    }
+
+    #[test]
+    fn frames_cross_threads_in_order() {
+        let (mut a, mut b) = memory_pair();
+        let sender = std::thread::spawn(move || {
+            for i in 0..1000u32 {
+                a.send(&i.to_le_bytes()).unwrap();
+            }
+        });
+        for i in 0..1000u32 {
+            assert_eq!(b.recv().unwrap(), i.to_le_bytes());
+        }
+        sender.join().unwrap();
         assert!(matches!(b.recv(), Err(TransportError::Closed)));
     }
 

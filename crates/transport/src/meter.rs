@@ -26,9 +26,7 @@
 //! never forks the counters: all clones, and every channel wrapped via
 //! [`MeteredChannel::with_meter`], observe and update the same totals.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::{Channel, Result};
 
@@ -52,34 +50,40 @@ impl Meter {
         Self::default()
     }
 
+    /// Recovers a poisoned lock (`docs/ARCHITECTURE.md`, "Lock poisoning"):
+    /// no update leaves the counters half-written.
+    fn lock(&self) -> MutexGuard<'_, MeterInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Total payload bytes sent through the wrapped channel. Framing overhead
     /// of the underlying transport (e.g. [`crate::TcpChannel`]'s 4-byte
     /// length prefix) is not counted, matching the paper's accounting of
     /// ciphertext/message sizes; see the module docs for the full semantics.
     pub fn bytes_sent(&self) -> u64 {
-        self.inner.lock().bytes_sent
+        self.lock().bytes_sent
     }
 
     /// Total payload bytes received (same accounting as
     /// [`Meter::bytes_sent`]).
     pub fn bytes_received(&self) -> u64 {
-        self.inner.lock().bytes_received
+        self.lock().bytes_received
     }
 
     /// Total traffic in both directions.
     pub fn total_bytes(&self) -> u64 {
-        let g = self.inner.lock();
+        let g = self.lock();
         g.bytes_sent + g.bytes_received
     }
 
     /// Number of messages sent.
     pub fn messages_sent(&self) -> u64 {
-        self.inner.lock().messages_sent
+        self.lock().messages_sent
     }
 
     /// Number of messages received.
     pub fn messages_received(&self) -> u64 {
-        self.inner.lock().messages_received
+        self.lock().messages_received
     }
 
     /// Resets all four counters (bytes and messages, both directions) to
@@ -88,17 +92,17 @@ impl Meter {
     /// is zeroing the setup-phase traffic before measuring the per-email
     /// phase.
     pub fn reset(&self) {
-        *self.inner.lock() = MeterInner::default();
+        *self.lock() = MeterInner::default();
     }
 
     fn record_send(&self, n: usize) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.bytes_sent += n as u64;
         g.messages_sent += 1;
     }
 
     fn record_recv(&self, n: usize) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.bytes_received += n as u64;
         g.messages_received += 1;
     }

@@ -12,9 +12,6 @@
 //! * [`server`] — the provider mailroom: a multi-session serving layer
 //!   (worker pool, bounded intake, per-session metering) over the function
 //!   modules.
-//! * [`scenarios`] — named, seeded workload generators (steady, bursty,
-//!   heavy-tail, churn, slow-loris, mixed-fleet) that drive
-//!   a mailroom fleet for integration tests.
 //! * [`rlwe`], [`paillier`], [`gc`], [`sdp`], [`bignum`], [`primitives`],
 //!   [`transport`] — cryptographic and systems substrates.
 
@@ -27,7 +24,6 @@ pub use pretzel_gc as gc;
 pub use pretzel_paillier as paillier;
 pub use pretzel_primitives as primitives;
 pub use pretzel_rlwe as rlwe;
-pub use pretzel_scenarios as scenarios;
 pub use pretzel_sdp as sdp;
 pub use pretzel_search as search;
 pub use pretzel_server as server;

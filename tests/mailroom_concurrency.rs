@@ -1,20 +1,23 @@
 //! Concurrency edges of the provider mailroom: teardown mid-protocol,
-//! bounded-queue backpressure, and a fixed-seed 16-session fleet whose
-//! verdicts must match the single-session baseline.
+//! bounded-queue backpressure, a fixed-seed 16-session fleet whose
+//! verdicts must match the single-session baseline, and a mixed fleet of
+//! all four kinds that must give the same verdicts and accounting over
+//! memory pairs and over loopback TCP.
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use pretzel::classifiers::SparseVector;
 use pretzel::core::spam::SpamFunction;
 use pretzel::core::spam::{AheVariant, SpamClient, SpamProvider};
 use pretzel::core::topic::CandidateMode;
-use pretzel::core::{PretzelConfig, WireTag};
+use pretzel::core::{EmailPayload, PretzelConfig, Verdict, WireTag};
 use pretzel::server::{
-    ClientSpec, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig, ServerError,
-    SessionState,
+    serve_tcp_sessions, ClientSpec, ClientSpecBuilder, Mailroom, MailroomClient, MailroomConfig,
+    MailroomReport, ServerError, SessionState,
 };
 use pretzel::transport::wire::{Capabilities, HandshakeOffer, ProtocolVersion};
-use pretzel::transport::{memory_pair, run_two_party, Channel};
+use pretzel::transport::{memory_pair, run_two_party, Channel, TcpAcceptor, TcpChannel};
 
 mod common;
 use common::{ling_suite_with_test_split, test_rng};
@@ -279,13 +282,18 @@ fn sixteen_concurrent_sessions_match_the_single_session_baseline() {
     assert!(spam_count < SESSIONS * EMAILS_PER_SESSION);
 }
 
-/// 16 concurrent sessions spanning all four protocol kinds on one mailroom:
-/// every session completes, and the per-kind meter totals of
-/// `MailroomReport::by_kind` sum exactly to the fleet-wide report.
-#[test]
-fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
-    const PER_KIND: usize = 4;
+/// Sessions per protocol kind in the mixed fleet.
+const PER_KIND: usize = 4;
 
+/// Runs 16 concurrent sessions spanning all four protocol kinds on one
+/// mailroom, each on a channel from `connect`, while `accept` runs beside
+/// the clients (the TCP accept loop; nothing for memory pairs). Returns each
+/// session's verdicts in fleet order, not arrival order, and the shutdown
+/// report.
+fn run_mixed_fleet<C: Channel + 'static>(
+    connect: impl Fn(&Mailroom) -> C + Sync,
+    accept: impl FnOnce(&Mailroom) + Send,
+) -> (Vec<Vec<Verdict>>, MailroomReport) {
     let (suite, emails) = ling_suite_with_test_split();
     let config = PretzelConfig::test();
     let mailroom = Mailroom::start(
@@ -297,66 +305,82 @@ fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
             ..MailroomConfig::default()
         },
     );
-
-    let handles: Vec<_> = (0..4 * PER_KIND)
-        .map(|i| {
-            let (provider_end, client_end) = memory_pair();
-            mailroom.submit(provider_end).unwrap();
-            let config = config.clone();
-            let email = emails[i].features.clone();
-            std::thread::spawn(move || {
-                let mut rng = test_rng(900 + i as u64);
-                match i % 4 {
-                    0 => {
-                        let spec = ClientSpecBuilder::spam(config).build();
-                        let mut client =
-                            MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-                        client.classify_spam(&email, &mut rng).unwrap();
-                        client.classify_spam(&email, &mut rng).unwrap();
-                        client.finish().unwrap();
-                    }
-                    1 => {
-                        let spec = ClientSpecBuilder::topic(config)
+    let verdicts = std::thread::scope(|scope| {
+        let (mailroom, connect) = (&mailroom, &connect);
+        scope.spawn(move || accept(mailroom));
+        let handles: Vec<_> = (0..4 * PER_KIND)
+            .map(|i| {
+                let tokens = EmailPayload::Tokens(emails[i].features.clone());
+                let (spec, payloads) = match i % 4 {
+                    0 => (
+                        ClientSpecBuilder::spam(config.clone()).build(),
+                        vec![tokens.clone(), tokens],
+                    ),
+                    1 => (
+                        ClientSpecBuilder::topic(config.clone())
                             .topic_mode(CandidateMode::Full)
-                            .build();
-                        let mut client =
-                            MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-                        client.extract_topic(&email, &mut rng).unwrap();
-                        client.extract_topic(&email, &mut rng).unwrap();
-                        client.finish().unwrap();
-                    }
-                    2 => {
-                        let spec = ClientSpecBuilder::virus(config).build();
-                        let mut client =
-                            MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-                        client
-                            .scan_attachment(b"MZ\x90\x00attachment payload", &mut rng)
-                            .unwrap();
-                        client.scan_attachment(b"meeting notes", &mut rng).unwrap();
-                        client.finish().unwrap();
-                    }
-                    _ => {
-                        let spec = ClientSpec::search(config);
-                        let mut client =
-                            MailroomClient::connect(client_end, &spec, &mut rng).unwrap();
-                        client
-                            .index_email(i as u64, "expense report for the offsite", &mut rng)
-                            .unwrap();
-                        let hits = client.search_keyword("offsite", &mut rng).unwrap();
-                        assert_eq!(hits, vec![i as u64]);
-                        client.finish().unwrap();
-                    }
-                }
+                            .build(),
+                        vec![tokens.clone(), tokens],
+                    ),
+                    2 => (
+                        ClientSpecBuilder::virus(config.clone()).build(),
+                        vec![
+                            EmailPayload::Attachment(b"MZ\x90\x00attachment payload".to_vec()),
+                            EmailPayload::Attachment(b"meeting notes".to_vec()),
+                        ],
+                    ),
+                    _ => (
+                        ClientSpec::search(config.clone()),
+                        vec![
+                            EmailPayload::SearchIndex {
+                                doc_id: i as u64,
+                                body: "expense report for the offsite".to_string(),
+                            },
+                            EmailPayload::SearchQuery("offsite".to_string()),
+                        ],
+                    ),
+                };
+                scope.spawn(move || {
+                    let mut rng = test_rng(900 + i as u64);
+                    let mut client =
+                        MailroomClient::connect(connect(mailroom), &spec, &mut rng).unwrap();
+                    let verdicts: Vec<Verdict> = payloads
+                        .iter()
+                        .map(|payload| client.process(payload, &mut rng).unwrap())
+                        .collect();
+                    client.finish().unwrap();
+                    verdicts
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    (verdicts, mailroom.shutdown())
+}
 
-    let report = mailroom.shutdown();
+/// The mixed fleet's run over memory pairs, made once and shared by the
+/// tests that check it and compare against it.
+fn memory_fleet() -> &'static (Vec<Vec<Verdict>>, MailroomReport) {
+    static RUN: OnceLock<(Vec<Vec<Verdict>>, MailroomReport)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        run_mixed_fleet(
+            |mailroom| {
+                let (provider_end, client_end) = memory_pair();
+                mailroom.submit(provider_end).unwrap();
+                client_end
+            },
+            |_| {},
+        )
+    })
+}
+
+/// Every session of a mixed fleet completed, and the per-kind meter totals
+/// of `MailroomReport::by_kind` sum exactly to the fleet-wide report.
+fn assert_reconciles(report: &MailroomReport) {
     assert_eq!(report.completed(), 4 * PER_KIND);
-
     let by_kind = report.by_kind();
     let kinds: Vec<WireTag> = by_kind.iter().map(|(k, _)| *k).collect();
     assert_eq!(
@@ -377,7 +401,8 @@ fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
         );
     }
 
-    // The per-kind split is a partition: each axis sums to the fleet totals.
+    // The per-kind split is a partition: each axis sums to the fleet
+    // totals.
     assert_eq!(
         by_kind.iter().map(|(_, t)| t.emails).sum::<u64>(),
         report.emails_total
@@ -393,5 +418,54 @@ fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
     assert_eq!(
         by_kind.iter().map(|(_, t)| t.messages).sum::<u64>(),
         report.fleet_messages
+    );
+}
+
+/// The mixed fleet over memory pairs: every session completes, the per-kind
+/// accounting reconciles with the fleet totals, and each search session
+/// finds its own email and no other.
+#[test]
+fn mixed_fleet_of_all_four_kinds_reconciles_per_kind_accounting() {
+    let (verdicts, report) = memory_fleet();
+    for (i, verdicts) in verdicts.iter().enumerate().skip(3).step_by(4) {
+        assert_eq!(
+            verdicts[1],
+            Verdict::SearchHits {
+                ids: vec![i as u64],
+                total: 1
+            },
+            "session {i}: a search session finds its own email and no other"
+        );
+    }
+    assert_reconciles(report);
+}
+
+/// The same mixed fleet through `TcpAcceptor` and `serve_tcp_sessions`: its
+/// accounting reconciles too, and it gives the memory-pair run's verdicts,
+/// search hits and per-kind accounting. TCP accept order is up to the OS, so
+/// this also pins that nothing a client sees depends on which session id its
+/// connection drew.
+#[test]
+fn mixed_fleet_over_tcp_matches_memory_pairs() {
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let addr = acceptor.local_addr().unwrap();
+    let (tcp_verdicts, tcp) = run_mixed_fleet(
+        |_| TcpChannel::connect(addr).unwrap(),
+        |mailroom| {
+            let accepted = serve_tcp_sessions(mailroom, &acceptor, 4 * PER_KIND);
+            assert_eq!(accepted, 4 * PER_KIND, "every connection is accepted");
+        },
+    );
+    assert_reconciles(&tcp);
+
+    let (memory_verdicts, memory) = memory_fleet();
+    assert_eq!(
+        &tcp_verdicts, memory_verdicts,
+        "the transport must not change a verdict or a hit list"
+    );
+    assert_eq!(
+        tcp.by_kind(),
+        memory.by_kind(),
+        "the transport must not change per-kind rounds, bytes or messages"
     );
 }

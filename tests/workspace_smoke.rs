@@ -24,7 +24,6 @@ fn umbrella_reexports_resolve() {
     let _ = pretzel::paillier::keygen(64, &mut rand::rngs::StdRng::seed_from_u64(1));
     let _ = pretzel::primitives::sha256(b"smoke");
     let _ = pretzel::rlwe::Params::new(16, 12);
-    let _ = pretzel::scenarios::ScenarioConfig::tiny();
     let _ = pretzel::sdp::ModelMatrix::from_rows(1, 1, vec![0]);
     let _ = pretzel::search::SearchIndex::new();
     let _ = pretzel::server::MailroomConfig::default();
